@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   Workload w = remote_pool_workload();
   if (smoke) w.samples_per_node = 128;
   dlfs::core::DlfsConfig cfg = fault_config();
-  cfg.fault.replication = replication;
+  cfg.fault.replication = dlfs::core::ReplicationConfig(replication);
   dlfs::bench::JsonReport report(
       replication > 1 ? "availability_sweep_r" + std::to_string(replication)
                       : std::string("availability_sweep"));

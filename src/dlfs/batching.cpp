@@ -41,24 +41,16 @@ BatchPlan::BatchPlan(const std::vector<SampleLocation>& layout,
     }
   };
   std::map<ChunkKey, ReadUnit> chunks;
-  std::vector<std::uint64_t> node_data_end;
 
   for (std::size_t i = 0; i < layout.size(); ++i) {
     const SampleLocation& s = layout[i];
-    if (node_data_end.size() <= s.nid) node_data_end.resize(s.nid + 1, 0);
-    node_data_end[s.nid] =
-        std::max<std::uint64_t>(node_data_end[s.nid], s.offset + s.len);
     const std::uint64_t first_chunk = s.offset / chunk_bytes;
     const std::uint64_t last_chunk = (s.offset + s.len - 1) / chunk_bytes;
     if (first_chunk == last_chunk) {
-      ChunkKey key{s.nid, first_chunk};
-      auto [it, created] = chunks.try_emplace(key);
-      ReadUnit& u = it->second;
-      if (created) {
-        u.nid = s.nid;
-        u.offset = first_chunk * chunk_bytes;
-        u.is_chunk = true;
-      }
+      ReadUnit& u = chunks[ChunkKey{s.nid, first_chunk}];
+      u.nid = s.nid;
+      u.offset = first_chunk * chunk_bytes;
+      u.is_chunk = true;
       u.samples.push_back(UnitSample{
           static_cast<std::uint32_t>(i),
           static_cast<std::uint32_t>(s.offset - u.offset), s.len});
@@ -75,10 +67,18 @@ BatchPlan::BatchPlan(const std::vector<SampleLocation>& layout,
     }
   }
   for (auto& [key, u] : chunks) {
-    // Clip the final chunk of a node's region to the data end.
-    const std::uint64_t end = std::min<std::uint64_t>(
-        u.offset + chunk_bytes, node_data_end[u.nid]);
-    u.len = static_cast<std::uint32_t>(end - u.offset);
+    // Trim the chunk to the bytes its samples deliver: the head and tail
+    // of an edge sample (and any space past the data end) belong to
+    // other units, so reading them here would fetch them twice.
+    std::uint32_t begin = u.samples.front().offset_in_unit;
+    std::uint32_t end = begin;
+    for (const UnitSample& s : u.samples) {
+      begin = std::min(begin, s.offset_in_unit);
+      end = std::max(end, s.offset_in_unit + s.len);
+    }
+    for (UnitSample& s : u.samples) s.offset_in_unit -= begin;
+    u.offset += begin;
+    u.len = end - begin;
     units_.push_back(std::move(u));
     ++chunk_units_;
   }
@@ -146,9 +146,9 @@ std::vector<UnitExtent> EpochUnitProvider::unit_extents(
   for (std::size_t s = begin; s < end; ++s) {
     const ReadUnit* u = seq_->unit_at(s);
     if (u->is_chunk) {
-      // Chunk units are keyed by the epoch slot and fetched whole even
-      // when some of their samples are resident (the chunk path always
-      // consumes the full unit).
+      // Chunk units are keyed by the epoch slot and fetch their whole
+      // (trimmed) extent even when some of their samples are resident:
+      // the chunk path always consumes every sample of the unit.
       out.push_back(UnitExtent{u->nid, u->offset, u->len, s});
       continue;
     }

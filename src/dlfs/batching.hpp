@@ -4,10 +4,13 @@
 // dlfs_bread.
 //
 // BatchPlan carves the mounted dataset into *read units*:
-//   - chunk-level batching: fixed-size data chunks (256 KB default), each
-//     delivering every sample fully contained in it, plus one unit per
-//     *edge sample* that crosses a chunk boundary (the paper's data-chunk
-//     access list and edge-sample access list);
+//   - chunk-level batching: one unit per cell of a fixed chunk grid
+//     (256 KB default), delivering every sample fully contained in the
+//     cell, plus one unit per *edge sample* that crosses a chunk boundary
+//     (the paper's data-chunk access list and edge-sample access list).
+//     A chunk unit's extent is trimmed to [first contained sample, end of
+//     the last one), so edge-sample bytes are read once, by their edge
+//     unit — the paper fetches whole chunks instead;
 //   - sample-level batching (and the unbatched DLFS-Base): one unit per
 //     sample.
 //
@@ -59,8 +62,9 @@ struct ReadUnit {
 
 class BatchPlan {
  public:
-  /// `layout[i]` locates sample i. For chunk mode, chunks are aligned to
-  /// the chunk grid of each node's data region (offset 0 upward).
+  /// `layout[i]` locates sample i. For chunk mode, samples are grouped by
+  /// the chunk grid of each node's device (offset 0 upward); each chunk
+  /// unit then spans only the bytes of the samples it delivers.
   BatchPlan(const std::vector<SampleLocation>& layout,
             std::uint64_t chunk_bytes, BatchingMode mode);
 

@@ -262,7 +262,9 @@ dlsim::Task<void> DlfsFleet::mount_participant(std::uint32_t p) {
       auto qp = node.device().create_qpair(8);
       constexpr std::uint64_t kSegment = 1_MiB;
       std::vector<std::byte> staging(kSegment);
-      std::uint64_t seg_start = 0;  // device offset of the staged segment
+      // Device offset of the staged segment: the shard starts at this
+      // fleet's base, where the layout placed it.
+      std::uint64_t seg_start = config_.device_base;
       std::uint64_t seg_fill = 0;
       auto flush = [&]() -> dlsim::Task<void> {
         if (seg_fill == 0) co_return;
@@ -1070,7 +1072,7 @@ dlsim::Task<void> DlfsInstance::recover_chunk_slot(
   }
   if (pick == nullptr) {
     // Pure read-ahead slot: forget it so a later bread re-fetches the
-    // whole chunk once the node recovers — unless a live ViewBatch still
+    // chunk unit once the node recovers — unless a live ViewBatch still
     // pins it: erasing would recycle (and under scribble_on_free poison)
     // huge-page chunks the application is reading through views. The
     // pinned unit stays; release_views() runs maybe_release_unit as usual.
@@ -1417,10 +1419,11 @@ void DlfsInstance::sequence(std::uint64_t seed) {
   file_seq_active_ = false;
   reprobe_pending_ = true;  // epoch boundary: revalidate down nodes once
   if (prefetcher_) {
-    // Chunk mode prefetches 1 unit = 1 chunk/edge extent (always fetched
-    // whole); sample-level and unbatched modes fuse group_samples
-    // consecutive per-sample slots into one unit and elide extents whose
-    // sample is already cache-resident.
+    // Chunk mode prefetches 1 unit = 1 chunk/edge extent (a chunk extent
+    // is trimmed to its samples and fetched in full); sample-level and
+    // unbatched modes fuse group_samples consecutive per-sample slots
+    // into one unit and elide extents whose sample is already
+    // cache-resident.
     const bool chunk = fleet_->config_.batching == BatchingMode::kChunkLevel;
     // With replication, per-sample extents (sample-level/unbatched units
     // and chunk-mode edge samples) carry their replica failover list so
@@ -1431,8 +1434,8 @@ void DlfsInstance::sequence(std::uint64_t seed) {
     }
     // Peer-resident samples are elided from read-ahead like cache hits:
     // the consume path pulls them from the peer instead of the device.
-    // Chunk units always fetch whole (their samples never populate the
-    // sample cache), so chunk mode takes no probe.
+    // Chunk units fetch their full extent regardless (their samples never
+    // populate the sample cache), so chunk mode takes no probe.
     EpochUnitProvider::PeerProbe peers;
     if (fleet_->config_.peer_cache.enabled && !chunk) {
       peers = [this](std::uint32_t id) { return peer_resident(id); };
@@ -1721,7 +1724,7 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
       }
     }
   } else {
-    // Chunk-level: fetch whole data chunks (and edge-sample extents); as
+    // Chunk-level: fetch data chunks (and edge-sample extents); as
     // each chunk lands, its picked samples start copying out immediately
     // (copy threads run while later chunks are still in flight).
     dlsim::CountdownLatch latch(node_->simulator(), total);

@@ -51,13 +51,11 @@
 namespace dlfs::core {
 
 /// Self-healing replication: the copy count plus the permanent-loss
-/// lifecycle around it. Implicitly convertible from the copy count so
-/// `cfg.fault.replication = 2` keeps meaning "two copies, detector off".
+/// lifecycle around it. `ReplicationConfig(2)` means "two copies,
+/// detector off".
 struct ReplicationConfig {
   ReplicationConfig() = default;
-  // Intentionally implicit: the struct grew out of a plain copy count
-  // and every existing call site assigns an integer.
-  ReplicationConfig(std::uint32_t copies) : k(copies) {}
+  explicit ReplicationConfig(std::uint32_t copies) : k(copies) {}
   /// Copies per sample (1 = no replication).
   std::uint32_t k = 1;
   // > 0: a storage node whose reconnect budget stays exhausted for this
@@ -76,9 +74,7 @@ struct ReplicationConfig {
 /// Everything about surviving faults, consolidated (mirrors the PR 3
 /// PrefetcherConfig consolidation): transport-level handling for every
 /// remote initiator queue, engine-level retry pacing, reprobe cadence,
-/// and the replication/repair policy. The loose top-level knobs on
-/// DlfsConfig remain as deprecated aliases for one release; a legacy
-/// knob set away from its default overrides the nested field.
+/// and the replication/repair policy.
 struct FaultConfig {
   // NVMe-oF transport fault handling (command deadline, reconnect
   // backoff/budget, reconnect admission cap).

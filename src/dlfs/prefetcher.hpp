@@ -206,6 +206,7 @@ class Prefetcher {
 
   [[nodiscard]] const PrefetchStats& stats() const { return stats_; }
   [[nodiscard]] dlsim::CpuCore& core() { return *core_; }
+  [[nodiscard]] const dlsim::CpuCore& core() const { return *core_; }
   [[nodiscard]] std::size_t window_size() const;
   [[nodiscard]] std::uint32_t window_target() const { return window_target_; }
   // Arbiter inputs: chunks currently held by the window as read-ahead,

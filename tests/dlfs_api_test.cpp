@@ -200,16 +200,16 @@ struct BreadResult {
   bool content_ok = true;
 };
 
-Task<void> drain_epoch(Rig& r, DlfsInstance& inst, std::size_t batch_size,
-                       BreadResult& out) {
-  std::vector<std::byte> arena(batch_size * (r.ds.max_sample_bytes() + 16));
+Task<void> drain_epoch(const Dataset& ds, DlfsInstance& inst,
+                       std::size_t batch_size, BreadResult& out) {
+  std::vector<std::byte> arena(batch_size * (ds.max_sample_bytes() + 16));
   for (;;) {
     Batch b = co_await inst.bread(batch_size, arena);
     if (b.end_of_epoch) break;
     for (const auto& s : b.samples) {
       out.order.push_back(s.sample_id);
       out.total_bytes += s.len;
-      if (!sample_matches(r.ds, s.sample_id,
+      if (!sample_matches(ds, s.sample_id,
                           std::span<const std::byte>(
                               arena.data() + s.offset_in_arena, s.len))) {
         out.content_ok = false;
@@ -228,7 +228,7 @@ TEST_P(BreadModeTest, EpochDeliversEverySampleOnceWithCorrectContent) {
   auto& inst = rig.fleet.instance(0);
   inst.sequence(12345);
   BreadResult res;
-  rig.sim.spawn(drain_epoch(rig, inst, 32, res));
+  rig.sim.spawn(drain_epoch(rig.ds, inst, 32, res));
   rig.sim.run();
   rig.sim.rethrow_failures();
   EXPECT_EQ(res.order.size(), 300u);
@@ -248,7 +248,7 @@ TEST_P(BreadModeTest, MultiNodeEpochCoversDatasetAcrossClients) {
     rig.fleet.instance(c).sequence(777);  // same seed everywhere
   }
   for (std::uint32_t c = 0; c < 4; ++c) {
-    rig.sim.spawn(drain_epoch(rig, rig.fleet.instance(c), 16, res[c]));
+    rig.sim.spawn(drain_epoch(rig.ds, rig.fleet.instance(c), 16, res[c]));
   }
   rig.sim.run();
   rig.sim.rethrow_failures();
@@ -285,11 +285,11 @@ TEST(DlfsBread, SameSeedReproducesOrder) {
   auto& inst = rig.fleet.instance(0);
   BreadResult r1, r2;
   inst.sequence(99);
-  rig.sim.spawn(drain_epoch(rig, inst, 32, r1));
+  rig.sim.spawn(drain_epoch(rig.ds, inst, 32, r1));
   rig.sim.run();
   rig.sim.rethrow_failures();
   inst.sequence(99);
-  rig.sim.spawn(drain_epoch(rig, inst, 32, r2));
+  rig.sim.spawn(drain_epoch(rig.ds, inst, 32, r2));
   rig.sim.run();
   rig.sim.rethrow_failures();
   EXPECT_EQ(r1.order, r2.order);
@@ -306,7 +306,7 @@ TEST(DlfsBread, ChunkModeShufflesAtChunkGranularity) {
   auto& inst = rig.fleet.instance(0);
   BreadResult res;
   inst.sequence(5);
-  rig.sim.spawn(drain_epoch(rig, inst, 64, res));
+  rig.sim.spawn(drain_epoch(rig.ds, inst, 64, res));
   rig.sim.run();
   rig.sim.rethrow_failures();
   ASSERT_EQ(res.order.size(), 1024u);
@@ -329,7 +329,7 @@ TEST(DlfsBread, ChunkBatchingIssuesFarFewerRequests) {
     auto& inst = rig.fleet.instance(0);
     inst.sequence(1);
     BreadResult res;
-    rig.sim.spawn(drain_epoch(rig, inst, 32, res));
+    rig.sim.spawn(drain_epoch(rig.ds, inst, 32, res));
     rig.sim.run();
     rig.sim.rethrow_failures();
     *pair = inst.engine().requests_posted();
@@ -348,7 +348,7 @@ TEST(DlfsBread, VariableSizeDatasetWithEdgeSamples) {
   for (std::uint32_t c = 0; c < 2; ++c) rig.fleet.instance(c).sequence(4);
   std::vector<BreadResult> res(2);
   for (std::uint32_t c = 0; c < 2; ++c) {
-    rig.sim.spawn(drain_epoch(rig, rig.fleet.instance(c), 8, res[c]));
+    rig.sim.spawn(drain_epoch(rig.ds, rig.fleet.instance(c), 8, res[c]));
   }
   rig.sim.run();
   rig.sim.rethrow_failures();
@@ -358,6 +358,106 @@ TEST(DlfsBread, VariableSizeDatasetWithEdgeSamples) {
     for (auto id : r.order) all.insert(id);
   }
   EXPECT_EQ(all.size(), 150u);
+}
+
+// ---------------------------------------------------------------------------
+// Chunk-read extents
+
+Task<void> drain_views_epoch(const Dataset& ds, DlfsInstance& inst,
+                             std::size_t batch_size, BreadResult& out) {
+  for (;;) {
+    dlfs::core::ViewBatch b = co_await inst.bread_views(batch_size);
+    if (b.end_of_epoch) break;
+    for (const auto& vs : b.samples) {
+      std::vector<std::byte> got;
+      for (const auto& p : vs.pieces) {
+        got.insert(got.end(), p.begin(), p.end());
+      }
+      out.order.push_back(vs.sample_id);
+      out.total_bytes += vs.len;
+      if (!sample_matches(ds, vs.sample_id, got)) out.content_ok = false;
+    }
+    inst.release_views(b);
+  }
+}
+
+TEST(DlfsBread, DeviceReadsEqualDeliveredBytes) {
+  // One client, two remote storage nodes, ImageNet-like sizes (many edge
+  // samples). A chunk unit reads only the bytes of the samples it
+  // delivers, so over an epoch the storage devices serve exactly the
+  // bytes the trainer receives — on the copy path and the views path.
+  DlfsConfig cfg;
+  cfg.batching = BatchingMode::kChunkLevel;
+  Rig rig(3, dlfs::dataset::make_imagenet_like_dataset(400, 5), cfg,
+          /*clients=*/{2}, /*storage=*/{0, 1});
+  rig.mount();
+  ASSERT_GT(rig.fleet.plan().num_edge_units(), 0u);
+  ASSERT_GT(rig.fleet.plan().num_chunk_units(), 0u);
+  auto& inst = rig.fleet.instance(0);
+  auto device_read = [&rig] {
+    return rig.cluster.node(0).device().bytes_read() +
+           rig.cluster.node(1).device().bytes_read();
+  };
+
+  inst.sequence(11);
+  BreadResult copy;
+  rig.sim.spawn(drain_epoch(rig.ds, inst, 16, copy));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  EXPECT_EQ(copy.order.size(), 400u);
+  EXPECT_TRUE(copy.content_ok);
+  const std::uint64_t copy_delivered = inst.stats().bytes_delivered;
+  EXPECT_EQ(copy.total_bytes, copy_delivered);
+  EXPECT_EQ(device_read(), copy_delivered);
+
+  const std::uint64_t read_before = device_read();
+  inst.sequence(12);
+  BreadResult views;
+  rig.sim.spawn(drain_views_epoch(rig.ds, inst, 16, views));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  EXPECT_EQ(views.order.size(), 400u);
+  EXPECT_TRUE(views.content_ok);
+  const std::uint64_t views_delivered =
+      inst.stats().bytes_delivered - copy_delivered;
+  EXPECT_EQ(views.total_bytes, views_delivered);
+  EXPECT_EQ(device_read() - read_before, views_delivered);
+  // The read-ahead daemon's CPU is visible through the const accessor.
+  const DlfsInstance& reader = inst;
+  EXPECT_GT(reader.prefetcher()->core().busy_ns(), 0);
+}
+
+TEST(DlfsMount, FleetsAtDisjointDeviceBasesReadTheirOwnBytes) {
+  // Two jobs with different datasets share the same storage devices, each
+  // staged into its own region: every delivery of either job must carry
+  // that job's bytes, not the other's.
+  Simulator sim;
+  Cluster cluster(sim, 3, Rig::make_node_config(/*ram_store=*/true));
+  Dataset ds_a = dlfs::dataset::make_fixed_size_dataset(300, 3000);
+  Dataset ds_b = dlfs::dataset::make_imagenet_like_dataset(200, 9);
+  Pfs pfs_a(sim, ds_a), pfs_b(sim, ds_b);
+  DlfsConfig cfg_a, cfg_b;
+  cfg_b.device_base = 256_MiB;
+  cfg_b.client_core_base = 1;
+  DlfsFleet fleet_a(cluster, pfs_a, ds_a, cfg_a, {2}, {0, 1});
+  DlfsFleet fleet_b(cluster, pfs_b, ds_b, cfg_b, {2}, {0, 1});
+  fleet_a.mount();
+  fleet_b.mount();
+
+  auto epoch_of = [&sim](DlfsInstance& inst, const Dataset& ds) {
+    inst.sequence(3);
+    BreadResult res;
+    sim.spawn(drain_epoch(ds, inst, 16, res));
+    sim.run();
+    sim.rethrow_failures();
+    return res;
+  };
+  const BreadResult a = epoch_of(fleet_a.instance(0), ds_a);
+  const BreadResult b = epoch_of(fleet_b.instance(0), ds_b);
+  EXPECT_EQ(a.order.size(), 300u);
+  EXPECT_TRUE(a.content_ok);
+  EXPECT_EQ(b.order.size(), 200u);
+  EXPECT_TRUE(b.content_ok);
 }
 
 // ---------------------------------------------------------------------------
@@ -375,7 +475,7 @@ TEST(DlfsTopology, OneClientManyStorageNodes) {
   auto& inst = rig.fleet.instance(0);
   inst.sequence(6);
   BreadResult res;
-  rig.sim.spawn(drain_epoch(rig, inst, 32, res));
+  rig.sim.spawn(drain_epoch(rig.ds, inst, 32, res));
   rig.sim.run();
   rig.sim.rethrow_failures();
   EXPECT_EQ(res.order.size(), 400u);

@@ -424,29 +424,71 @@ TEST(BatchPlan, EdgeSamplesCrossChunkBoundaries) {
   EXPECT_EQ(samples_total, 3u);  // every sample delivered exactly once
 }
 
-TEST(BatchPlan, EverySampleAppearsExactlyOnce) {
+// Variable-size samples spread over three nodes, packed per node with
+// `gap` bytes (a record header) in front of each sample.
+std::vector<SampleLocation> variable_layout(std::size_t n,
+                                            std::uint32_t gap = 0) {
   dlfs::Rng rng(77);
   std::vector<SampleLocation> layout;
   std::vector<std::uint64_t> off(3, 0);
-  for (int i = 0; i < 1000; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const std::uint16_t nid = static_cast<std::uint16_t>(rng.next_below(3));
     const std::uint32_t size =
         static_cast<std::uint32_t>(512 + rng.next_below(100000));
+    off[nid] += gap;
     layout.push_back(SampleLocation{nid, off[nid], size});
     off[nid] += size;
   }
+  return layout;
+}
+
+TEST(BatchPlan, EverySampleAppearsExactlyOnce) {
+  auto layout = variable_layout(1000);
   BatchPlan plan(layout, 256_KiB, BatchingMode::kChunkLevel);
   std::set<std::uint32_t> seen;
   for (const auto& u : plan.units()) {
     for (const auto& s : u.samples) {
       EXPECT_TRUE(seen.insert(s.sample_id).second);
       EXPECT_EQ(s.len, layout[s.sample_id].len);
-      if (u.is_chunk) {
-        EXPECT_EQ(u.offset + s.offset_in_unit, layout[s.sample_id].offset);
-      }
+      EXPECT_EQ(u.nid, layout[s.sample_id].nid);
+      EXPECT_EQ(u.offset + s.offset_in_unit, layout[s.sample_id].offset);
     }
   }
   EXPECT_EQ(seen.size(), 1000u);
+}
+
+TEST(BatchPlan, ChunkUnitsReadEachByteOnce) {
+  // Packed samples: the units tile the data exactly, so the plan reads
+  // every byte once — edge-sample bytes are not re-read by the chunks
+  // around them — and no chunk unit outgrows its pool chunk.
+  auto layout = variable_layout(1000);
+  BatchPlan plan(layout, 256_KiB, BatchingMode::kChunkLevel);
+  ASSERT_GT(plan.num_edge_units(), 0u);
+  std::uint64_t unit_bytes = 0, sample_bytes = 0;
+  for (const auto& s : layout) sample_bytes += s.len;
+  for (const auto& u : plan.units()) {
+    unit_bytes += u.len;
+    if (u.is_chunk) {
+      EXPECT_LE(u.len, 256_KiB);
+    }
+  }
+  EXPECT_EQ(unit_bytes, sample_bytes);
+}
+
+TEST(BatchPlan, RecordFileChunkSpansFirstToLastPayload) {
+  // 8-byte record headers sit between payloads: a chunk unit starts at
+  // its first payload and ends at its last payload's end, so the header
+  // in front of the first payload is not read.
+  auto layout = variable_layout(1000, /*gap=*/8);
+  BatchPlan plan(layout, 256_KiB, BatchingMode::kChunkLevel);
+  ASSERT_GT(plan.num_chunk_units(), 0u);
+  for (const auto& u : plan.units()) {
+    if (!u.is_chunk) continue;
+    const SampleLocation& first = layout[u.samples.front().sample_id];
+    const SampleLocation& last = layout[u.samples.back().sample_id];
+    EXPECT_EQ(u.offset, first.offset);
+    EXPECT_EQ(u.offset + u.len, last.offset + last.len);
+  }
 }
 
 TEST(BatchPlan, FinalChunkClippedToDataEnd) {

@@ -369,7 +369,7 @@ struct ReplicaRig {
   static dlfs::core::DlfsConfig cfg(std::uint32_t replication,
                                     dlfs::core::BatchingMode mode) {
     dlfs::core::DlfsConfig c = RemoteFleetRig::cfg();
-    c.fault.replication = replication;
+    c.fault.replication = dlfs::core::ReplicationConfig(replication);
     c.batching = mode;
     return c;
   }

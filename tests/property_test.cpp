@@ -165,12 +165,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FabricProperty,
 // ---------------------------------------------------------------------------
 // Whole-stack DLFS epoch properties
 
+// gtest names each case by dumping the parameter's raw bytes, so every byte
+// is an explicit, initialised field: left as padding, those bytes were
+// uninitialised and the case names changed from run to run. case_tag pins
+// the first of them to a fixed per-case value.
 struct StackParam {
   std::uint32_t nodes;
   BatchingMode mode;
   bool variable_sizes;
+  std::uint8_t case_tag;
+  std::uint8_t reserved[6];
   std::uint64_t chunk_bytes;
 };
+static_assert(sizeof(StackParam) == 24);
 
 class DlfsStackProperty : public ::testing::TestWithParam<StackParam> {};
 
@@ -228,13 +235,13 @@ TEST_P(DlfsStackProperty, EpochIsExactCoverWithExactBytes) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DlfsStackProperty,
     ::testing::Values(
-        StackParam{1, BatchingMode::kChunkLevel, false, 256_KiB},
-        StackParam{1, BatchingMode::kChunkLevel, true, 64_KiB},
-        StackParam{3, BatchingMode::kChunkLevel, true, 256_KiB},
-        StackParam{3, BatchingMode::kSampleLevel, true, 256_KiB},
-        StackParam{2, BatchingMode::kNone, false, 256_KiB},
-        StackParam{5, BatchingMode::kChunkLevel, true, 128_KiB},
-        StackParam{4, BatchingMode::kChunkLevel, false, 1_MiB}));
+        StackParam{1, BatchingMode::kChunkLevel, false, 0x00, {}, 256_KiB},
+        StackParam{1, BatchingMode::kChunkLevel, true, 0xD0, {}, 64_KiB},
+        StackParam{3, BatchingMode::kChunkLevel, true, 0xF0, {}, 256_KiB},
+        StackParam{3, BatchingMode::kSampleLevel, true, 0xA0, {}, 256_KiB},
+        StackParam{2, BatchingMode::kNone, false, 0x50, {}, 256_KiB},
+        StackParam{5, BatchingMode::kChunkLevel, true, 0xB0, {}, 128_KiB},
+        StackParam{4, BatchingMode::kChunkLevel, false, 0xF0, {}, 1_MiB}));
 
 TEST(DlfsStackProperty, TwoEpochsDifferentSeedsBothCover) {
   Simulator sim;
