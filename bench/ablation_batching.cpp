@@ -36,9 +36,6 @@ int main() {
                         BatchingMode::kChunkLevel}) {
         dlfs::core::DlfsConfig cfg;
         cfg.batching = mode;
-        // DLFS-Base is definitionally synchronous per-sample reads; keep
-        // the generalized async daemon out of the baseline column.
-        if (mode == BatchingMode::kNone) cfg.prefetch.enabled = false;
         row.push_back(
             Table::num(dlfs::bench::run_dlfs(w, cfg).samples_per_sec / 1e3, 1));
       }
@@ -203,73 +200,48 @@ int main() {
     t.print();
   }
 
-  // --- read-ahead: sync batch-coupled vs async daemon -----------------------
+  // --- read-ahead depth (async daemon) --------------------------------------
   {
-    // Same read-ahead depth and same pool budget for both modes; the app
-    // computes between breads, so only the async window can overlap the
-    // next batch's device time with that compute. Depth 0 = demand-only.
-    Table t({"depth", "sync Ksamples/s", "async Ksamples/s", "async stalls",
-             "stall ms"});
+    // The app computes between breads, so the daemon's window overlaps
+    // the next batch's device time with that compute. Depth is the
+    // starting window target; 0 clamps to the one-unit minimum.
     dlfs::bench::JsonReport report("prefetch_sweep");
+    auto sweep = [&report](const Workload& w, BatchingMode mode,
+                           dlsim::SimDuration compute,
+                           const std::string& label) {
+      Table t({"depth", "Ksamples/s", "stalls", "stall ms"});
+      for (std::uint32_t depth : {0u, 2u, 4u, 8u, 16u}) {
+        dlfs::core::DlfsConfig cfg;
+        cfg.batching = mode;
+        cfg.prefetch.initial_units = depth;
+        const auto r = dlfs::bench::run_dlfs(w, cfg, compute);
+        report.add(label + " depth=" + std::to_string(depth), r);
+        const double stall_ms = static_cast<double>(r.prefetch.stall_ns) / 1e6;
+        t.add_row({Table::integer(depth),
+                   Table::num(r.samples_per_sec / 1e3, 1),
+                   Table::integer(r.prefetch.units_stalled),
+                   Table::num(stall_ms, 2)});
+      }
+      return t;
+    };
+
     Workload w;
     w.num_nodes = 1;
     w.sample_bytes = 128_KiB;
     w.samples_per_node = 768;
-    const auto compute = 1500_us;  // app compute per bread
-    for (std::uint32_t depth : {0u, 2u, 4u, 8u, 16u}) {
-      dlfs::core::DlfsConfig cfg;
-      cfg.batching = BatchingMode::kChunkLevel;
-      cfg.prefetch.initial_units = depth;
-      cfg.prefetch.enabled = false;
-      auto sync_r = dlfs::bench::run_dlfs(w, cfg, compute);
-      report.add("mode=sync depth=" + std::to_string(depth), sync_r);
-      cfg.prefetch.enabled = true;
-      auto async_r = dlfs::bench::run_dlfs(w, cfg, compute);
-      report.add("mode=async depth=" + std::to_string(depth), async_r);
-      t.add_row({Table::integer(depth),
-                 Table::num(sync_r.samples_per_sec / 1e3, 1),
-                 Table::num(async_r.samples_per_sec / 1e3, 1),
-                 Table::integer(async_r.prefetch.units_stalled),
-                 Table::num(static_cast<double>(async_r.prefetch.stall_ns) /
-                                1e6,
-                            2)});
-    }
-    std::printf("\nread-ahead: sync vs async (128 KiB, chunk-level, 1.5 ms "
-                "compute between breads)\n");
-    t.print();
+    std::printf("\nread-ahead depth (128 KiB, chunk-level, 1.5 ms compute "
+                "between breads)\n");
+    sweep(w, BatchingMode::kChunkLevel, 1500_us, "mode=async").print();
 
-    // Same sweep on the sample-level path, which the generalized daemon
-    // now serves: the sync baseline is the legacy batched demand fetch
-    // (no read-ahead, depth ignored), async fuses per-sample extents into
-    // window units and overlaps them with the injected compute.
-    Table ts({"depth", "sync Ksamples/s", "async Ksamples/s", "async stalls",
-              "stall ms"});
+    // Same sweep on the sample-level path: the daemon fuses per-sample
+    // extents into window units and overlaps them with the compute.
     Workload ws;
     ws.num_nodes = 1;
     ws.sample_bytes = 4096;
     ws.samples_per_node = 8192;
-    const auto compute_s = 200_us;
-    for (std::uint32_t depth : {0u, 2u, 4u, 8u, 16u}) {
-      dlfs::core::DlfsConfig cfg;
-      cfg.batching = BatchingMode::kSampleLevel;
-      cfg.prefetch.initial_units = depth;
-      cfg.prefetch.enabled = false;
-      auto sync_r = dlfs::bench::run_dlfs(ws, cfg, compute_s);
-      report.add("mode=sync-sample depth=" + std::to_string(depth), sync_r);
-      cfg.prefetch.enabled = true;
-      auto async_r = dlfs::bench::run_dlfs(ws, cfg, compute_s);
-      report.add("mode=async-sample depth=" + std::to_string(depth), async_r);
-      ts.add_row({Table::integer(depth),
-                  Table::num(sync_r.samples_per_sec / 1e3, 1),
-                  Table::num(async_r.samples_per_sec / 1e3, 1),
-                  Table::integer(async_r.prefetch.units_stalled),
-                  Table::num(static_cast<double>(async_r.prefetch.stall_ns) /
-                                 1e6,
-                             2)});
-    }
-    std::printf("\nread-ahead: sync vs async (4 KiB, sample-level, 200 us "
-                "compute between breads)\n");
-    ts.print();
+    std::printf("\nread-ahead depth (4 KiB, sample-level, 200 us compute "
+                "between breads)\n");
+    sweep(ws, BatchingMode::kSampleLevel, 200_us, "mode=async-sample").print();
     std::printf("wrote %s\n", report.write().c_str());
   }
   return 0;

@@ -58,7 +58,6 @@ Workload pinned_workload() {
 dlfs::core::DlfsConfig pinned_config() {
   dlfs::core::DlfsConfig cfg;
   cfg.batching = dlfs::core::BatchingMode::kChunkLevel;
-  cfg.prefetch.enabled = true;
   cfg.prefetch.initial_units = 4;
   return cfg;
 }

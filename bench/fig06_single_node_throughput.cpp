@@ -56,9 +56,6 @@ int main() {
     dlfs::core::DlfsConfig base_cfg;
     base_cfg.batching = dlfs::core::BatchingMode::kNone;
     base_cfg.cache_chunks = 1;  // no cache reuse in the throughput sweep
-    // DLFS-Base is the paper's synchronous per-sample series; keep the
-    // generalized async daemon out of it.
-    base_cfg.prefetch.enabled = false;
     dlfs::core::DlfsConfig full_cfg;
     full_cfg.batching = dlfs::core::BatchingMode::kChunkLevel;
     full_cfg.cache_chunks = 1;

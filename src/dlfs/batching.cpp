@@ -152,8 +152,8 @@ std::vector<UnitExtent> EpochUnitProvider::unit_extents(
       out.push_back(UnitExtent{u->nid, u->offset, u->len, s});
       continue;
     }
-    // Single-sample extents (sample-level/unbatched units and chunk-mode
-    // edge samples), keyed by sample id. With a cache attached, resident
+    // Single-sample extents (sample-level units and chunk-mode edge
+    // samples), keyed by sample id. With a cache attached, resident
     // samples are served from it at consume time — don't re-read them.
     const std::uint32_t id = u->samples.front().sample_id;
     if (cache_ != nullptr && cache_->valid(id)) continue;

@@ -159,8 +159,8 @@ class EpochSequence {
 
 /// ReadUnitProvider over an EpochSequence. Chunk mode maps 1:1 (group =
 /// 1, every epoch slot is one chunk/edge unit, keyed by the slot);
-/// sample-level and unbatched modes fuse `group` consecutive epoch slots
-/// — each a single-sample unit — into one prefetch unit whose extents
+/// sample-level mode fuses `group` consecutive epoch slots — each a
+/// single-sample unit — into one prefetch unit whose extents
 /// are keyed by sample id. With a cache attached, extents whose sample
 /// is already resident are elided at issue time, so warm epochs cost no
 /// device read-ahead.

@@ -466,7 +466,7 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
   // the node was down.
   engine_->set_node_down_handler([this](std::uint16_t nid, bool up) {
     fleet_->directory_.set_node_available(nid, up);
-    if (up && prefetcher_) (void)prefetcher_->reissue_failed();
+    if (up) (void)prefetcher_->reissue_failed();
     // Failure detector + late-rejoin reconciliation ride the same
     // transition (suspect timer on down, undeclare on up).
     on_node_transition(nid, up);
@@ -483,22 +483,20 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
         repair_loop(repair_alive_),
         "dlfs-repair-" + std::to_string(client_idx));
   }
-  if (cfg.prefetch.enabled) {
-    prefetcher_ = std::make_unique<Prefetcher>(
-        node.simulator(), *engine_, *pool_, cfg.chunk_bytes, cfg.prefetch,
-        "dlfs-prefetch-" + std::to_string(client_idx));
-    engine_->set_pressure_reliever(
-        [this] { return prefetcher_->relieve_pressure(); });
-    if (fleet.tenant_) {
-      // The arbiter splits a node's prefetch budget by weight × window
-      // target, so a tenant's read-ahead share follows its QoS weight.
-      prefetcher_->set_share_weight(
-          TenantGovernor::effective_weight(fleet.tenant_->qos()));
-    }
-    if (cfg.prefetch.shared_arbiter) {
-      arbiter_ = fleet.arbiter_for(fleet.client_nodes_[client_idx]);
-      prefetcher_->set_arbiter(arbiter_);
-    }
+  prefetcher_ = std::make_unique<Prefetcher>(
+      node.simulator(), *engine_, *pool_, cfg.chunk_bytes, cfg.prefetch,
+      "dlfs-prefetch-" + std::to_string(client_idx));
+  engine_->set_pressure_reliever(
+      [this] { return prefetcher_->relieve_pressure(); });
+  if (fleet.tenant_) {
+    // The arbiter splits a node's prefetch budget by weight × window
+    // target, so a tenant's read-ahead share follows its QoS weight.
+    prefetcher_->set_share_weight(
+        TenantGovernor::effective_weight(fleet.tenant_->qos()));
+  }
+  if (cfg.prefetch.shared_arbiter) {
+    arbiter_ = fleet.arbiter_for(fleet.client_nodes_[client_idx]);
+    prefetcher_->set_arbiter(arbiter_);
   }
   if (cfg.peer_cache.enabled) {
     // Cooperative peer cache: join the node's member index so co-located
@@ -706,7 +704,7 @@ dlsim::Task<void> DlfsInstance::maybe_reprobe() {
       co_await engine_->reprobe_down_nodes(*io_core_);
   // Read-ahead issued while the node was down carries baked-in
   // failures; retry it now that the node answers again.
-  if (recovered > 0 && prefetcher_) (void)prefetcher_->reissue_failed();
+  if (recovered > 0) (void)prefetcher_->reissue_failed();
 }
 
 std::vector<RouteHop> DlfsInstance::sample_routes(
@@ -1060,9 +1058,8 @@ dlsim::Task<void> DlfsInstance::charge_frontend(
 
 dlsim::Task<void> DlfsInstance::recover_chunk_slot(
     std::size_t slot, std::span<const EpochSequence::UnitPicks> picks,
-    bool use_pf, std::unordered_set<std::uint32_t>* skipped,
-    std::exception_ptr* fatal) {
-  if (use_pf) prefetcher_->discard(slot);
+    std::unordered_set<std::uint32_t>* skipped, std::exception_ptr* fatal) {
+  prefetcher_->discard(slot);
   const EpochSequence::UnitPicks* pick = nullptr;
   for (const auto& pk : picks) {
     if (pk.unit_slot == slot) {
@@ -1106,7 +1103,7 @@ dlsim::Task<void> DlfsInstance::recover_chunk_slot(
     std::vector<mem::DmaBuffer> pieces;
     auto op = engine_->start_extent(ReadExtent{loc.nid, loc.offset, loc.len,
                                                nullptr, std::nullopt, &pieces,
-                                               {}, sample_routes(id)});
+                                               sample_routes(id)});
     co_await engine_->await_op(*io_core_, op, 0);
     if (op->error()) {
       // Media/unknown faults stay fatal; the caller rethrows after its
@@ -1120,7 +1117,7 @@ dlsim::Task<void> DlfsInstance::recover_chunk_slot(
 }
 
 dlsim::Task<void> DlfsInstance::fetch_chunk_units(
-    std::span<const EpochSequence::UnitPicks> picks, bool use_pf,
+    std::span<const EpochSequence::UnitPicks> picks,
     std::unordered_set<std::uint32_t>* skipped, std::exception_ptr* fatal,
     std::function<void(std::size_t)> on_unit_ready) {
   auto ready = [&on_unit_ready](std::size_t slot) {
@@ -1130,158 +1127,63 @@ dlsim::Task<void> DlfsInstance::fetch_chunk_units(
   // handled this batch fall straight through to ready().
   std::unordered_set<std::size_t> degraded;
 
-  if (use_pf) {
-    // The daemon keeps a window of units in flight between bread calls;
-    // here we only make sure every unit this batch needs has been issued
-    // (the window may be shallower than the batch), then consume them in
-    // slot order. ready() fires the moment a unit settles, while later
-    // units are still in flight.
-    prefetcher_->ensure_issued_through(picks.back().unit_slot);
-    dlsim::CountdownLatch inj_done(node_->simulator(), 1);
-    spawn_injected(&inj_done);
-    for (const auto& pk : picks) {
-      const std::size_t slot = pk.unit_slot;
-      if (degraded.contains(slot)) {
-        ready(slot);
-        continue;
+  // The daemon keeps a window of units in flight between bread calls;
+  // here we only make sure every unit this batch needs has been issued
+  // (the window may be shallower than the batch), then consume them in
+  // slot order. ready() fires the moment a unit settles, while later
+  // units are still in flight.
+  prefetcher_->ensure_issued_through(picks.back().unit_slot);
+  dlsim::CountdownLatch inj_done(node_->simulator(), 1);
+  spawn_injected(&inj_done);
+  for (const auto& pk : picks) {
+    const std::size_t slot = pk.unit_slot;
+    if (degraded.contains(slot)) {
+      ready(slot);
+      continue;
+    }
+    auto fit = fetched_.find(slot);
+    if (fit != fetched_.end() && fit->second.buffers.empty()) {
+      // Degraded in an earlier batch: recover this batch's picks too.
+      co_await recover_chunk_slot(slot, picks, skipped, fatal);
+      degraded.insert(slot);
+      ready(slot);
+      continue;
+    }
+    if (fit == fetched_.end()) {
+      bool recover = false;
+      if (!node_up(pk.unit->nid)) {
+        recover = true;
+      } else {
+        AcquiredUnit au = co_await prefetcher_->acquire(slot, *io_core_);
+        if (std::exception_ptr err = au.first_error()) {
+          // Read-ahead faults surface here, on the bread that owns the
+          // unit: media errors stay fatal (the slot settles empty so
+          // the caller's latch still drains before the rethrow);
+          // node-level faults degrade to per-sample replica recovery.
+          if (!is_node_fault(err)) {
+            if (!*fatal) *fatal = err;
+            fetched_[slot].buffers.clear();
+            degraded.insert(slot);
+            ready(slot);
+            continue;
+          }
+          recover = true;
+        } else if (au.extents.empty()) {  // cannot happen for chunk units
+          recover = true;
+        } else {
+          fetched_[slot].buffers = std::move(au.extents.front().buffers);
+        }
       }
-      auto fit = fetched_.find(slot);
-      if (fit != fetched_.end() && fit->second.buffers.empty()) {
-        // Degraded in an earlier batch: recover this batch's picks too.
-        co_await recover_chunk_slot(slot, picks, use_pf, skipped, fatal);
+      if (recover) {
+        co_await recover_chunk_slot(slot, picks, skipped, fatal);
         degraded.insert(slot);
         ready(slot);
         continue;
       }
-      if (fit == fetched_.end()) {
-        bool recover = false;
-        if (!node_up(pk.unit->nid)) {
-          recover = true;
-        } else {
-          AcquiredUnit au = co_await prefetcher_->acquire(slot, *io_core_);
-          if (std::exception_ptr err = au.first_error()) {
-            // Read-ahead faults surface here, on the bread that owns the
-            // unit: media errors stay fatal (the slot settles empty so
-            // the caller's latch still drains before the rethrow);
-            // node-level faults degrade to per-sample replica recovery.
-            if (!is_node_fault(err)) {
-              if (!*fatal) *fatal = err;
-              fetched_[slot].buffers.clear();
-              degraded.insert(slot);
-              ready(slot);
-              continue;
-            }
-            recover = true;
-          } else if (au.extents.empty()) {  // cannot happen for chunk units
-            recover = true;
-          } else {
-            fetched_[slot].buffers = std::move(au.extents.front().buffers);
-          }
-        }
-        if (recover) {
-          co_await recover_chunk_slot(slot, picks, use_pf, skipped, fatal);
-          degraded.insert(slot);
-          ready(slot);
-          continue;
-        }
-      }
-      ready(slot);
     }
-    co_await inj_done.wait();
-    co_return;
+    ready(slot);
   }
-
-  // Legacy synchronous path: one extent per unit this batch needs plus
-  // initial_units of read-ahead, all overlapped; picked units fire
-  // ready() from on_buffers_ready so copies start while later chunks
-  // are still in flight.
-  std::vector<ReadExtent> extents;
-  std::vector<std::size_t> extent_slots;  // parallel to extents
-  std::unordered_set<std::size_t> slots_fetching;
-  auto add_fetch = [&](std::size_t slot, const ReadUnit* unit) {
-    if (fetched_.contains(slot)) return false;
-    if (!slots_fetching.insert(slot).second) return false;
-    auto& fu = fetched_[slot];  // stable address (node-based map)
-    extents.push_back(ReadExtent{unit->nid, unit->offset, unit->len, nullptr,
-                                 std::nullopt, &fu.buffers, {}});
-    extent_slots.push_back(slot);
-    return true;
-  };
-  for (const auto& pk : picks) {
-    const std::size_t slot = pk.unit_slot;
-    if (degraded.contains(slot)) continue;
-    auto fit = fetched_.find(slot);
-    if (fit != fetched_.end() && fit->second.buffers.empty() &&
-        !slots_fetching.contains(slot)) {
-      // Degraded in an earlier batch: recover this batch's picks too.
-      co_await recover_chunk_slot(slot, picks, use_pf, skipped, fatal);
-      degraded.insert(slot);
-      ready(slot);
-      continue;
-    }
-    if (fit == fetched_.end() && !node_up(pk.unit->nid)) {
-      co_await recover_chunk_slot(slot, picks, use_pf, skipped, fatal);
-      degraded.insert(slot);
-      ready(slot);
-      continue;
-    }
-    if (add_fetch(slot, pk.unit)) {
-      // `on_unit_ready` lives in this coroutine's frame until every
-      // extent has been awaited below, so the pointer capture is safe.
-      extents.back().on_buffers_ready = [cb = &on_unit_ready, slot] {
-        if (*cb) (*cb)(slot);
-      };
-    } else if (fetched_.contains(slot) && !fetched_.at(slot).buffers.empty()) {
-      // Already resident from earlier read-ahead: settled right away.
-      ready(slot);
-    }
-  }
-  // Synchronous read-ahead: fetch the next initial_units units along
-  // with this batch so the device pipeline stays full across bread
-  // calls (legacy mode; the async prefetcher replaces this).
-  const std::size_t ra_end =
-      std::min(seq_->num_units(),
-               seq_->cursor_unit() + fleet_->config_.prefetch.initial_units);
-  for (std::size_t slot = seq_->cursor_unit(); slot < ra_end; ++slot) {
-    const ReadUnit* u = seq_->unit_at(slot);
-    if (!node_up(u->nid)) continue;  // no point read-ahead to a dead node
-    (void)add_fetch(slot, u);
-  }
-  if (extents.empty()) co_return;
-  auto ops = engine_->start_extents(std::move(extents));
-  dlsim::SimDuration inj = injected_;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    co_await engine_->await_op(*io_core_, ops[i], inj);
-    inj = 0;
-    if (!ops[i]->error()) continue;
-    bool needs_recovery = false;
-    bool settled_fatal = false;
-    try {
-      std::rethrow_exception(ops[i]->error());
-    } catch (const IoError& e) {
-      if (e.kind == IoErrorKind::kMedia) {
-        if (!*fatal) *fatal = ops[i]->error();
-        settled_fatal = true;
-      } else {
-        needs_recovery = true;  // co_await is illegal in a handler
-      }
-    } catch (...) {
-      if (!*fatal) *fatal = ops[i]->error();
-      settled_fatal = true;
-    }
-    const std::size_t slot = extent_slots[i];
-    if (needs_recovery) {
-      co_await recover_chunk_slot(slot, picks, use_pf, skipped, fatal);
-      degraded.insert(slot);
-      ready(slot);
-    } else if (settled_fatal) {
-      // The slot settles empty (possibly partially-filled buffers are
-      // dropped) so the caller's latch drains before the rethrow.
-      fetched_[slot].buffers.clear();
-      degraded.insert(slot);
-      ready(slot);
-    }
-  }
+  co_await inj_done.wait();
 }
 
 dlsim::Task<SampleHandle> DlfsInstance::open(std::string_view name) {
@@ -1351,8 +1253,7 @@ dlsim::Task<void> DlfsInstance::read(const SampleHandle& h,
     // prefetch daemon already has its extent in flight — consume it;
     // out-of-order / unsequenced file reads go straight through the
     // engine as before.
-    if (prefetcher_ && file_seq_active_ &&
-        file_cursor_ < file_extents_.size() &&
+    if (file_cursor_ < file_extents_.size() &&
         file_extents_[file_cursor_].nid == e.nid() &&
         file_extents_[file_cursor_].offset == e.offset() &&
         file_extents_[file_cursor_].len == e.len()) {
@@ -1416,36 +1317,39 @@ void DlfsInstance::sequence(std::uint64_t seed) {
   seq_.emplace(*fleet_->plan_, seed, client_idx_, fleet_->num_clients());
   fetched_.clear();
   acq_units_.clear();
-  file_seq_active_ = false;
+  // The daemon leaves any record-file order; file reads go direct again.
+  file_extents_.clear();
   reprobe_pending_ = true;  // epoch boundary: revalidate down nodes once
-  if (prefetcher_) {
-    // Chunk mode prefetches 1 unit = 1 chunk/edge extent (a chunk extent
-    // is trimmed to its samples and fetched in full); sample-level and
-    // unbatched modes fuse group_samples consecutive per-sample slots
-    // into one unit and elide extents whose sample is already
-    // cache-resident.
-    const bool chunk = fleet_->config_.batching == BatchingMode::kChunkLevel;
-    // With replication, per-sample extents (sample-level/unbatched units
-    // and chunk-mode edge samples) carry their replica failover list so
-    // read-ahead re-routes inside the engine instead of failing.
-    EpochUnitProvider::RouteResolver routes;
-    if (fleet_->config_.fault.replication.k > 1) {
-      routes = [this](std::uint32_t id) { return sample_routes(id); };
-    }
-    // Peer-resident samples are elided from read-ahead like cache hits:
-    // the consume path pulls them from the peer instead of the device.
-    // Chunk units fetch their full extent regardless (their samples never
-    // populate the sample cache), so chunk mode takes no probe.
-    EpochUnitProvider::PeerProbe peers;
-    if (fleet_->config_.peer_cache.enabled && !chunk) {
-      peers = [this](std::uint32_t id) { return peer_resident(id); };
-    }
-    epoch_provider_ = std::make_unique<EpochUnitProvider>(
-        *seq_, chunk ? 1u : fleet_->config_.prefetch.group_samples,
-        chunk ? nullptr : cache_.get(), std::move(routes),
-        std::move(peers));
-    prefetcher_->start_epoch(epoch_provider_.get());
+  if (fleet_->config_.batching == BatchingMode::kNone) {
+    // DLFS-Base is a synchronous read() per sample: the daemon gets no
+    // epoch order, so nothing is read ahead of the cursor.
+    prefetcher_->start_epoch(nullptr);
+    return;
   }
+  // Chunk mode prefetches 1 unit = 1 chunk/edge extent (a chunk extent
+  // is trimmed to its samples and fetched in full); sample-level mode
+  // fuses group_samples consecutive per-sample slots into one unit and
+  // elides extents whose sample is already cache-resident.
+  const bool chunk = fleet_->config_.batching == BatchingMode::kChunkLevel;
+  // With replication, per-sample extents (sample-level units and
+  // chunk-mode edge samples) carry their replica failover list so
+  // read-ahead re-routes inside the engine instead of failing.
+  EpochUnitProvider::RouteResolver routes;
+  if (fleet_->config_.fault.replication.k > 1) {
+    routes = [this](std::uint32_t id) { return sample_routes(id); };
+  }
+  // Peer-resident samples are elided from read-ahead like cache hits:
+  // the consume path pulls them from the peer instead of the device.
+  // Chunk units fetch their full extent regardless (their samples never
+  // populate the sample cache), so chunk mode takes no probe.
+  EpochUnitProvider::PeerProbe peers;
+  if (fleet_->config_.peer_cache.enabled && !chunk) {
+    peers = [this](std::uint32_t id) { return peer_resident(id); };
+  }
+  epoch_provider_ = std::make_unique<EpochUnitProvider>(
+      *seq_, chunk ? 1u : fleet_->config_.prefetch.group_samples,
+      chunk ? nullptr : cache_.get(), std::move(routes), std::move(peers));
+  prefetcher_->start_epoch(epoch_provider_.get());
 }
 
 const std::vector<std::string>& DlfsInstance::sequence_files(
@@ -1477,11 +1381,12 @@ const std::vector<std::string>& DlfsInstance::sequence_files(
                                        file_extents_.size()});
     file_order_.push_back(f->name);
   }
-  file_seq_active_ = true;
-  if (prefetcher_) {
-    file_provider_ = std::make_unique<ExtentListProvider>(file_extents_);
-    prefetcher_->start_epoch(file_provider_.get());
-  }
+  file_provider_ = std::make_unique<ExtentListProvider>(file_extents_);
+  prefetcher_->start_epoch(file_provider_.get());
+  // The sample epoch ends here: bread and bread_views refuse to run
+  // until the next sequence().
+  epoch_provider_.reset();
+  seq_.reset();
   return file_order_;
 }
 
@@ -1491,34 +1396,39 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
     throw std::logic_error("dlfs_bread: call dlfs_sequence(seed) first");
   }
   co_await maybe_reprobe();
-  const auto mode = fleet_->config_.batching;
-  if (mode == BatchingMode::kNone) {
-    co_return co_await bread_unbatched(max_samples, arena);
-  }
-
   Batch batch;
   auto picks = seq_->take(max_samples);
   batch.end_of_epoch = picks.empty();
   if (picks.empty()) co_return batch;
-  // The daemon serves whatever order was installed last; a record-file
-  // streaming order (sequence_files) means bread fetches on demand.
-  const bool use_pf = prefetcher_ != nullptr && !file_seq_active_;
+  // The whole batch must fit before the first read or copy is issued: a
+  // copy job already queued for an earlier sample would otherwise write
+  // into the caller's arena after the throw.
+  std::size_t total = 0;
+  std::uint64_t batch_len = 0;
+  for (const auto& pk : picks) {
+    total += pk.count;
+    for (std::uint32_t i = 0; i < pk.count; ++i) {
+      batch_len += pk.unit->samples[pk.first_sample + i].len;
+    }
+  }
+  if (batch_len > arena.size()) {
+    throw std::invalid_argument("dlfs_bread: arena too small for batch");
+  }
+  const auto mode = fleet_->config_.batching;
+  if (mode == BatchingMode::kNone) {
+    co_return co_await bread_unbatched(picks, arena);
+  }
   // Skip accounting: one entry per unreachable sample, no matter how
   // many paths (per-request fault, unit-level skip, precheck) notice it.
   std::unordered_set<std::uint32_t> skipped;
 
   // Frontend: directory lookups for every sample in the mini-batch.
-  std::size_t total = 0;
-  for (const auto& pk : picks) total += pk.count;
   co_await charge_frontend(picks);
 
   // Arena layout: samples packed in pick order.
   std::uint64_t arena_pos = 0;
   auto place = [&](std::uint32_t sample_id, std::uint32_t len)
       -> std::uint32_t {
-    if (arena_pos + len > arena.size()) {
-      throw std::invalid_argument("dlfs_bread: arena too small for batch");
-    }
     const auto off = static_cast<std::uint32_t>(arena_pos);
     batch.samples.push_back(BatchSample{
         sample_id, fleet_->dataset_->sample(sample_id).class_id, off, len});
@@ -1526,12 +1436,11 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
     return off;
   };
 
-  if (mode == BatchingMode::kSampleLevel && use_pf) {
+  if (mode == BatchingMode::kSampleLevel) {
     // Route the batch through the prefetch daemon: misses come out of the
     // acquired read units (fused groups of per-sample extents, issued
     // ahead of the cursor between bread calls) and copy through the SCQ
-    // pool; cache hits copy inline exactly as in the demand path — so
-    // delivery order and bytes are identical with the daemon on or off.
+    // pool; cache hits copy inline.
     prefetcher_->ensure_issued_through(
         epoch_provider_->unit_of(picks.back().unit_slot));
     dlsim::CountdownLatch copy_latch(node_->simulator(), total);
@@ -1610,10 +1519,6 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
           // demand-fetch with the failover route attached. The skipped
           // set keeps accounting exactly-once even when a sample falls
           // through both the peer and the replica attempts.
-          if (arena_pos + loc.len > arena.size()) {
-            throw std::invalid_argument(
-                "dlfs_bread: arena too small for batch");
-          }
           cache_->note_miss();
           const bool peer_served = co_await try_peer_read(
               us.sample_id, loc.len, arena.data() + arena_pos);
@@ -1644,85 +1549,6 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
     co_await inj_done.wait();
     co_await copy_latch.wait();
     if (fatal) std::rethrow_exception(fatal);
-  } else if (mode == BatchingMode::kSampleLevel) {
-    // One request per sample, overlapped up to the queue depth; cache hits
-    // are served with a memcpy only. Samples on an unavailable node are
-    // skipped (cache hits still serve); per-request node faults surfacing
-    // mid-batch drop just their sample.
-    std::vector<ReadExtent> extents;
-    std::vector<std::uint32_t> extent_samples;  // parallel: sample ids
-    extents.reserve(total);
-    for (const auto& pk : picks) {
-      for (std::uint32_t i = 0; i < pk.count; ++i) {
-        const auto& us = pk.unit->samples[pk.first_sample + i];
-        const SampleLocation& loc = fleet_->layout_[us.sample_id];
-        if (cache_->valid(us.sample_id)) {
-          cache_->note_hit();
-          const auto off = place(us.sample_id, loc.len);
-          CopyJob job;
-          job.views = cache_->pin(us.sample_id);
-          job.dst = arena.data() + off;
-          co_await engine_->run_copy_inline(*io_core_, std::move(job));
-          cache_->unpin(us.sample_id);
-        } else if (!fleet_->config_.peer_cache.enabled &&
-                   !sample_reachable(us.sample_id)) {
-          skipped.insert(us.sample_id);
-        } else {
-          cache_->note_miss();
-          bool peer_served = false;
-          if (fleet_->config_.peer_cache.enabled) {
-            if (arena_pos + loc.len > arena.size()) {
-              throw std::invalid_argument(
-                  "dlfs_bread: arena too small for batch");
-            }
-            peer_served = co_await try_peer_read(us.sample_id, loc.len,
-                                                 arena.data() + arena_pos);
-          }
-          if (peer_served) {
-            (void)place(us.sample_id, loc.len);
-          } else if (!sample_reachable(us.sample_id)) {
-            // Peer miss and no live replica: skip exactly once.
-            skipped.insert(us.sample_id);
-          } else {
-            const auto off = place(us.sample_id, loc.len);
-            extents.push_back(ReadExtent{loc.nid, loc.offset, loc.len,
-                                         arena.data() + off, us.sample_id,
-                                         nullptr, {},
-                                         sample_routes(us.sample_id)});
-            extent_samples.push_back(us.sample_id);
-          }
-        }
-      }
-    }
-    if (!extents.empty()) {
-      auto ops = engine_->start_extents(std::move(extents));
-      dlsim::SimDuration inj = injected_;
-      std::exception_ptr fatal;
-      std::unordered_set<std::uint32_t> failed_ids;
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        co_await engine_->await_op(*io_core_, ops[i], inj);
-        inj = 0;
-        if (!ops[i]->error()) continue;
-        try {
-          std::rethrow_exception(ops[i]->error());
-        } catch (const IoError& e) {
-          if (e.kind == IoErrorKind::kMedia) {
-            if (!fatal) fatal = ops[i]->error();
-          } else {
-            failed_ids.insert(extent_samples[i]);
-          }
-        } catch (...) {
-          if (!fatal) fatal = ops[i]->error();
-        }
-      }
-      if (fatal) std::rethrow_exception(fatal);
-      if (!failed_ids.empty()) {
-        skipped.insert(failed_ids.begin(), failed_ids.end());
-        std::erase_if(batch.samples, [&](const BatchSample& s) {
-          return failed_ids.contains(s.sample_id);
-        });
-      }
-    }
   } else {
     // Chunk-level: fetch data chunks (and edge-sample extents); as
     // each chunk lands, its picked samples start copying out immediately
@@ -1803,7 +1629,7 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
       it->second.clear();
       schedule_copies(slot, std::move(list));
     };
-    co_await fetch_chunk_units(picks, use_pf, &skipped, &fatal, on_ready);
+    co_await fetch_chunk_units(picks, &skipped, &fatal, on_ready);
     for (auto& [slot, list] : inline_work) {
       FetchedUnit& fu = fetched_.at(slot);
       for (const auto& pc : list) {
@@ -1869,7 +1695,6 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
   auto picks = seq_->take(max_samples);
   batch.end_of_epoch = picks.empty();
   if (picks.empty()) co_return batch;
-  const bool use_pf = prefetcher_ != nullptr && !file_seq_active_;
 
   co_await charge_frontend(picks);
 
@@ -1882,7 +1707,7 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
   // handed out after everything settles (handing out a span costs no
   // CPU, so there is nothing to overlap).
   std::exception_ptr fatal;
-  co_await fetch_chunk_units(picks, use_pf, &skipped, &fatal, {});
+  co_await fetch_chunk_units(picks, &skipped, &fatal, {});
   // Fatal (media/unknown) read-ahead faults abort the batch before any
   // unit is pinned, exactly like the copy path's post-latch rethrow.
   if (fatal) std::rethrow_exception(fatal);
@@ -1906,7 +1731,7 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
   for (const auto& pk : picks) {
     FetchedUnit& fu = fetched_.at(pk.unit_slot);
     ++fu.view_pins;
-    if (fu.view_pins == 1 && prefetcher_) {
+    if (fu.view_pins == 1) {
       // First pin: the unit's chunks now sit outside the prefetcher's
       // window but still occupy the pool; tell the arbiter.
       prefetcher_->note_view_pins(
@@ -1967,7 +1792,7 @@ void DlfsInstance::release_views(ViewBatch& batch) {
     if (it->second.view_pins == 0) {
       throw std::logic_error("release_views: pin underflow");
     }
-    if (--it->second.view_pins == 0 && prefetcher_) {
+    if (--it->second.view_pins == 0) {
       // Last pin gone: the chunks leave the view-pinned pool share
       // (whether or not the unit itself is released below).
       prefetcher_->note_view_pins(
@@ -1981,114 +1806,48 @@ void DlfsInstance::release_views(ViewBatch& batch) {
   batch.fallback_storage.shrink_to_fit();
 }
 
-dlsim::Task<Batch> DlfsInstance::bread_unbatched(std::size_t max_samples,
-                                                 std::span<std::byte> arena) {
-  // DLFS-Base: each sample is a synchronous dlfs_read. With the daemon
-  // on, the reads themselves still land one at a time in epoch order —
-  // but the device works ahead of the cursor between them, so the
-  // per-sample wait collapses to a memcpy once the window is warm.
+dlsim::Task<Batch> DlfsInstance::bread_unbatched(
+    std::span<const EpochSequence::UnitPicks> picks,
+    std::span<std::byte> arena) {
+  // DLFS-Base: each sample is a synchronous dlfs_read, exactly what an
+  // application's own open_id()+read() loop over the epoch order costs.
   Batch batch;
-  auto picks = seq_->take(max_samples);
-  batch.end_of_epoch = picks.empty();
-  const bool use_pf = prefetcher_ != nullptr && !file_seq_active_;
-  if (use_pf && !picks.empty()) {
-    prefetcher_->ensure_issued_through(
-        epoch_provider_->unit_of(picks.back().unit_slot));
-  }
   std::uint64_t arena_pos = 0;
   // One entry per unreachable sample, whichever path notices it.
   std::unordered_set<std::uint32_t> skipped;
   for (const auto& pk : picks) {
     for (std::uint32_t i = 0; i < pk.count; ++i) {
-      const auto& us = pk.unit->samples[pk.first_sample + i];
-      const SampleLocation& loc = fleet_->layout_[us.sample_id];
-      if (arena_pos + loc.len > arena.size()) {
-        throw std::invalid_argument("dlfs_bread: arena too small for batch");
+      const std::uint32_t id = pk.unit->samples[pk.first_sample + i].sample_id;
+      const std::uint32_t len = fleet_->layout_[id].len;
+      // A cached sample serves even when every copy's node is down.
+      if (!cache_->valid(id) && !sample_reachable(id) && !peer_resident(id)) {
+        skipped.insert(id);
+        continue;
       }
-      PendingUnit* pun = nullptr;
-      if (use_pf) {
-        const std::size_t uslot = epoch_provider_->unit_of(pk.unit_slot);
-        auto pu = acq_units_.find(uslot);
-        if (pu == acq_units_.end()) {
-          PendingUnit fresh;
-          fresh.unit = co_await prefetcher_->acquire(uslot, *io_core_);
-          const std::size_t begin = uslot * epoch_provider_->group();
-          fresh.slots_left = static_cast<std::uint32_t>(
-              std::min<std::size_t>(begin + epoch_provider_->group(),
-                                    seq_->num_units()) -
-              begin);
-          pu = acq_units_.emplace(uslot, std::move(fresh)).first;
-        }
-        pun = &pu->second;
+      // read() tries the cache, then the peer cache, then the device
+      // with the replica failover route. A peer-resident but unreachable
+      // sample that then loses the peer race fails the engine read with a
+      // node fault — caught below, so the skipped set still counts it
+      // exactly once.
+      SampleHandle h{id, fleet_->directory_.lookup_id(id)};
+      co_await charge_lookup();
+      try {
+        co_await read(h, arena.subspan(arena_pos, len));
+      } catch (const IoError& e) {
+        if (e.kind == IoErrorKind::kMedia) throw;
+        skipped.insert(id);
+        continue;
       }
-      AcquiredExtent* ax = nullptr;
-      if (pun != nullptr) {
-        for (auto& x : pun->unit.extents) {
-          if (x.key == us.sample_id) {
-            ax = &x;
-            break;
-          }
-        }
-      }
-      bool served = false;
-      if (cache_->valid(us.sample_id)) {
-        SampleHandle h{us.sample_id,
-                       fleet_->directory_.lookup_id(us.sample_id)};
-        co_await charge_lookup();
-        co_await read(h, arena.subspan(arena_pos, loc.len));
-        served = true;
-      } else if (ax != nullptr && !ax->error) {
-        // The daemon already read this sample: the "read" is the
-        // directory walk plus a memcpy out of the prefetched chunks.
-        (void)fleet_->directory_.lookup_id(us.sample_id);
-        co_await charge_lookup();
-        cache_->note_miss();
-        CopyJob job;
-        job.owned_pieces = std::move(ax->buffers);
-        job.piece_lens = piece_lens_of(loc.len, fleet_->config_.chunk_bytes);
-        job.dst = arena.data() + arena_pos;
-        job.cache_sample_id = us.sample_id;
-        co_await engine_->run_copy_inline(*io_core_, std::move(job));
-        ++samples_delivered_;
-        bytes_delivered_ += loc.len;
-        served = true;
-      } else if (ax != nullptr && !is_node_fault(ax->error)) {
-        std::rethrow_exception(ax->error);
-      } else if (!sample_reachable(us.sample_id) &&
-                 !peer_resident(us.sample_id)) {
-        skipped.insert(us.sample_id);
-      } else {
-        // Demand read (never prefetched, elided for a peer, or read-ahead
-        // died on a node fault while a live copy remains): read() tries
-        // the peer cache first and carries the replica failover route. A
-        // peer-resident but unreachable sample that then loses the peer
-        // race fails the engine read with a node fault — caught below, so
-        // the skipped set still counts it exactly once.
-        SampleHandle h{us.sample_id,
-                       fleet_->directory_.lookup_id(us.sample_id)};
-        co_await charge_lookup();
-        try {
-          co_await read(h, arena.subspan(arena_pos, loc.len));
-          served = true;
-        } catch (const IoError& e) {
-          if (e.kind == IoErrorKind::kMedia) throw;
-          skipped.insert(us.sample_id);
-        }
-      }
-      if (pun != nullptr && --pun->slots_left == 0) {
-        acq_units_.erase(epoch_provider_->unit_of(pk.unit_slot));
-      }
-      if (!served) continue;
       batch.samples.push_back(BatchSample{
-          us.sample_id, fleet_->dataset_->sample(us.sample_id).class_id,
-          static_cast<std::uint32_t>(arena_pos), loc.len});
-      arena_pos += loc.len;
+          id, fleet_->dataset_->sample(id).class_id,
+          static_cast<std::uint32_t>(arena_pos), len});
+      arena_pos += len;
     }
   }
   batch.bytes = arena_pos;
   batch.samples_skipped = skipped.size();
   samples_skipped_ += batch.samples_skipped;
-  // read() / the inline copies above already counted samples/bytes.
+  // read() already counted samples/bytes.
   co_return batch;
 }
 

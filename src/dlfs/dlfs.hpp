@@ -110,14 +110,13 @@ struct DlfsConfig {
   std::uint32_t copy_threads = 2;          // SCQ copy-thread pool size
   BatchingMode batching = BatchingMode::kChunkLevel;
   std::size_t cache_chunks = 64;           // sample-cache LRU budget
-  // Asynchronous epoch-aware prefetcher (every batching mode and the
-  // record-file path): a per-instance daemon walks the read-unit order
-  // ahead of the consumer and keeps an adaptive window of units in
-  // flight across bread calls, so read-ahead overlaps application
-  // compute instead of inflating bread latency. `prefetch.enabled =
-  // false` falls back to the legacy synchronous read-ahead of
-  // `prefetch.initial_units` units (chunk mode) or pure demand fetching
-  // (sample-level / DLFS-Base), kept as the ablation baseline.
+  // Asynchronous epoch-aware prefetcher: a per-instance daemon walks the
+  // read-unit order ahead of the consumer and keeps an adaptive window of
+  // units in flight across bread calls, so read-ahead overlaps
+  // application compute instead of inflating bread latency. It serves
+  // every batched bread (chunk- and sample-level) and the record-file
+  // path; BatchingMode::kNone (DLFS-Base) reads one sample at a time and
+  // never reads ahead.
   PrefetcherConfig prefetch{};
   // > 0: store the dataset as TFRecord-style batched files of this many
   // samples each (8-byte length+crc header per record). The directory
@@ -238,8 +237,8 @@ struct InstanceStats {
   // Copy jobs executed on a different core than the one that produced
   // them (each paid DlfsCosts::cross_core_handoff).
   std::uint64_t cross_core_handoffs = 0;
-  // Asynchronous-prefetcher counters (zero-initialized when the
-  // prefetcher is off): resident-at-pick / stall / window telemetry.
+  // Asynchronous-prefetcher counters: resident-at-pick / stall / window
+  // telemetry.
   PrefetchStats prefetch{};
   // Self-healing replication telemetry (zero without replication):
   // permanent-loss declarations observed by this instance, samples this
@@ -299,8 +298,9 @@ class DlfsInstance {
   /// (record_file_samples > 0) and points the prefetch daemon at it:
   /// open_file()+read() calls that follow the returned order find their
   /// file already resident. Clients stride the shuffle exactly like
-  /// sequence(). A later sequence() re-targets the daemon back to the
-  /// sample epoch. Returns the file names in streaming order.
+  /// sequence(). It ends the sample epoch: bread and bread_views throw
+  /// until a later sequence() re-targets the daemon at a new one.
+  /// Returns the file names in streaming order.
   const std::vector<std::string>& sequence_files(std::uint64_t seed);
   [[nodiscard]] const std::vector<std::string>& file_sequence() const {
     return file_order_;
@@ -308,7 +308,8 @@ class DlfsInstance {
 
   /// dlfs_bread: reads up to `max_samples` of this client's share of the
   /// epoch into `arena`; returns the batch layout. Epoch end is reported
-  /// via `Batch::end_of_epoch`.
+  /// via `Batch::end_of_epoch`. Throws std::invalid_argument, before any
+  /// byte of `arena` is written, when the batch does not fit.
   [[nodiscard]] dlsim::Task<Batch> bread(std::size_t max_samples,
                                          std::span<std::byte> arena);
 
@@ -333,9 +334,7 @@ class DlfsInstance {
   [[nodiscard]] IoEngine& engine() { return *engine_; }
   [[nodiscard]] SampleCache& cache() { return *cache_; }
   [[nodiscard]] const mem::HugePagePool& pool() const { return *pool_; }
-  [[nodiscard]] const Prefetcher* prefetcher() const {
-    return prefetcher_.get();
-  }
+  [[nodiscard]] const Prefetcher& prefetcher() const { return *prefetcher_; }
   /// The client's partial directory view (sharded mount only; nullptr
   /// under the classic full allgather).
   [[nodiscard]] const DirectoryView* directory_view() const {
@@ -357,7 +356,7 @@ class DlfsInstance {
     s.bytes_zero_copy = bytes_zero_copy_;
     for (const auto& [slot, fu] : fetched_) s.view_pins_active += fu.view_pins;
     s.cross_core_handoffs = engine_->cross_core_handoffs();
-    if (prefetcher_) s.prefetch = prefetcher_->stats();
+    s.prefetch = prefetcher_->stats();
     s.nodes_declared_dead = nodes_declared_dead_;
     s.samples_rereplicated = samples_rereplicated_;
     s.repair_bytes = repair_bytes_;
@@ -400,8 +399,11 @@ class DlfsInstance {
   /// to a local-rate walk when no transport path is up (the fault paths
   /// keep their existing skip/failover semantics).
   dlsim::Task<void> charge_remote_lookup(std::uint16_t slot);
-  dlsim::Task<Batch> bread_unbatched(std::size_t max_samples,
-                                     std::span<std::byte> arena);
+  /// DLFS-Base (BatchingMode::kNone): one synchronous read() per picked
+  /// sample, no read-ahead.
+  dlsim::Task<Batch> bread_unbatched(
+      std::span<const EpochSequence::UnitPicks> picks,
+      std::span<std::byte> arena);
   /// Frontend charge for one batched call: the real directory tree walks
   /// plus per-sample accounting CPU (shared by bread and bread_views).
   dlsim::Task<void> charge_frontend(
@@ -413,9 +415,9 @@ class DlfsInstance {
   /// media/unknown faults in `*fatal`) — and fires `on_unit_ready(slot)`
   /// per pick once its unit settles (idempotent callbacks; empty
   /// std::function when the caller consumes units after the co_await).
-  /// Also drives read-ahead (daemon window or legacy synchronous).
+  /// Units come from the prefetch daemon's window.
   dlsim::Task<void> fetch_chunk_units(
-      std::span<const EpochSequence::UnitPicks> picks, bool use_pf,
+      std::span<const EpochSequence::UnitPicks> picks,
       std::unordered_set<std::uint32_t>* skipped, std::exception_ptr* fatal,
       std::function<void(std::size_t)> on_unit_ready);
   /// Degraded-unit recovery: re-reads this batch's picked samples of
@@ -424,8 +426,7 @@ class DlfsInstance {
   /// simply forgotten so a later bread can re-fetch the whole chunk.
   dlsim::Task<void> recover_chunk_slot(
       std::size_t slot, std::span<const EpochSequence::UnitPicks> picks,
-      bool use_pf, std::unordered_set<std::uint32_t>* skipped,
-      std::exception_ptr* fatal);
+      std::unordered_set<std::uint32_t>* skipped, std::exception_ptr* fatal);
   /// Injected poll-loop compute (Fig. 7b) as a concurrent task; counts
   /// `done` down when finished (immediately when nothing is injected).
   void spawn_injected(dlsim::CountdownLatch* done);
@@ -500,8 +501,8 @@ class DlfsInstance {
   // pressure reliever points at it) is still alive.
   std::unique_ptr<Prefetcher> prefetcher_;
   std::unordered_map<std::size_t, FetchedUnit> fetched_;
-  // Sample-level / unbatched prefetching: acquired units whose samples
-  // span bread calls (a fused unit rarely aligns with batch boundaries).
+  // Sample-level prefetching: acquired units whose samples span bread
+  // calls (a fused unit rarely aligns with batch boundaries).
   struct PendingUnit {
     AcquiredUnit unit;
     std::uint32_t slots_left = 0;  // epoch slots of the unit not consumed
@@ -511,7 +512,6 @@ class DlfsInstance {
   std::vector<std::string> file_order_;
   std::vector<UnitExtent> file_extents_;
   std::size_t file_cursor_ = 0;
-  bool file_seq_active_ = false;
   dlsim::SimDuration injected_ = 0;
   std::uint64_t samples_delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;

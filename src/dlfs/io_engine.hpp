@@ -117,11 +117,6 @@ struct ReadExtent {
   std::byte* dst = nullptr;
   std::optional<std::size_t> cache_sample_id{};
   std::vector<mem::DmaBuffer>* out_buffers = nullptr;
-  // Invoked as soon as this extent's buffers land in *out_buffers, while
-  // the remaining extents are still in flight — dlfs_bread uses it to
-  // start copying a data chunk's samples out without waiting for the
-  // whole batch (keeps copy threads and the NIC busy simultaneously).
-  std::function<void()> on_buffers_ready{};
   // Alternate placements of the same bytes (replica failover order). The
   // engine consumes hops from the front as it re-routes, so at any moment
   // the list holds exactly the untried alternates: when (nid, offset)

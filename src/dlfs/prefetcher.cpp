@@ -139,7 +139,7 @@ void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs,
     Extent ex;
     ex.key = x.key;
     ex.op = engine_->start_extent(ReadExtent{x.nid, x.offset, x.len, nullptr,
-                                             std::nullopt, nullptr, {},
+                                             std::nullopt, nullptr,
                                              std::move(x.routes)});
     e.extents.push_back(std::move(ex));
   }
@@ -324,7 +324,7 @@ std::uint32_t Prefetcher::reissue_failed() {
         const ReadExtent& rx = x.op->extent;
         x.op = engine_->start_extent(ReadExtent{rx.nid, rx.offset, rx.len,
                                                 nullptr, std::nullopt, nullptr,
-                                                {}, rx.routes});
+                                                rx.routes});
         ++stats_.units_reissued;
         ++n;
       }

@@ -5,18 +5,17 @@
 // dlfs_sequence hands every client the *entire* epoch access order up
 // front, so — exactly as clairvoyant prefetching systems (NoPFS) exploit
 // — there is nothing speculative about read-ahead: the next read units
-// are known. The seed implementation nevertheless appended its
-// "read-ahead" units to the same blocking read_extents call the consumer
-// waited on, inflating bread latency instead of hiding it.
+// are known. Appending them to the blocking fetch the consumer waits on
+// would inflate bread latency instead of hiding it.
 //
 // The Prefetcher is a per-instance daemon coroutine (own CpuCore, like
 // the SCQ copy threads) that walks a *read-unit* order ahead of the
 // consumer cursor and keeps a window of units in flight *across* bread
 // calls. A read unit is whatever the installed ReadUnitProvider says it
 // is — one data chunk (chunk-level batching), a group of consecutive
-// per-sample extents (sample-level batching and DLFS-Base), or one whole
-// record file (the open_file() streaming path) — so one windowed daemon
-// serves every BatchingMode and the file-oriented API. While the trainer
+// per-sample extents (sample-level batching), or one whole record file
+// (the open_file() streaming path) — so one windowed daemon serves every
+// batched bread and the file-oriented API. While the trainer
 // computes between breads, the daemon pumps the shared IoEngine and
 // upcoming units land in huge-page chunks; bread then finds its units
 // already resident (acquire() returns without stalling) and awaits only
@@ -94,21 +93,18 @@ class PrefetchArbiter {
   dlsim::Checked<std::vector<Prefetcher*>> members_{"prefetch-arbiter"};
 };
 
+/// Window policy of the per-instance prefetch daemon, which serves every
+/// batched bread and the record-file path.
 struct PrefetcherConfig {
-  // Off -> no daemon; bread falls back to the legacy synchronous
-  // read-ahead (chunk mode) or pure demand fetching (sample-level /
-  // DLFS-Base), kept as the ablation baseline.
-  bool enabled = true;
   std::uint32_t min_units = 1;      // adaptive window lower bound
   std::uint32_t max_units = 32;     // adaptive window upper bound
-  std::uint32_t initial_units = 4;  // starting window target; also the
-                                    // legacy sync read-ahead depth
+  std::uint32_t initial_units = 4;  // starting window target
   // Pool chunks kept free for demand fetches and the sample cache when
   // sizing read-ahead; top_up never takes the pool below this.
   std::uint32_t reserve_chunks = 8;
-  // Sample-level / unbatched modes: consecutive epoch slots fused into
-  // one read unit, so tiny per-sample extents amortize the window
-  // bookkeeping (chunk mode is always 1 unit = 1 chunk).
+  // Sample-level mode: consecutive epoch slots fused into one read
+  // unit, so tiny per-sample extents amortize the window bookkeeping
+  // (chunk mode is always 1 unit = 1 chunk).
   std::uint32_t group_samples = 8;
   // Register with the fleet's per-node PrefetchArbiter so co-located
   // instances share the node's read-ahead budget.

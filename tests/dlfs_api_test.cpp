@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <type_traits>
@@ -424,7 +425,114 @@ TEST(DlfsBread, DeviceReadsEqualDeliveredBytes) {
   EXPECT_EQ(device_read() - read_before, views_delivered);
   // The read-ahead daemon's CPU is visible through the const accessor.
   const DlfsInstance& reader = inst;
-  EXPECT_GT(reader.prefetcher()->core().busy_ns(), 0);
+  EXPECT_GT(reader.prefetcher().core().busy_ns(), 0);
+}
+
+TEST(DlfsBread, ArenaTooSmallThrowsBeforeWritingArena) {
+  // Sample-level bread into an arena that holds one and a half samples:
+  // the batch must be refused before any read or copy is issued, so once
+  // the simulator has run dry not a byte of the caller's arena changed.
+  DlfsConfig cfg;
+  cfg.batching = BatchingMode::kSampleLevel;
+  Rig rig(1, dlfs::dataset::make_fixed_size_dataset(64, 4096), cfg);
+  rig.mount();
+  auto& inst = rig.fleet.instance(0);
+  inst.sequence(3);
+  constexpr std::byte kSentinel{0x5a};
+  std::vector<std::byte> arena(6_KiB, kSentinel);
+  bool threw = false;
+  rig.sim.spawn([](DlfsInstance& inst, std::span<std::byte> arena,
+                   bool* threw) -> Task<void> {
+    try {
+      (void)co_await inst.bread(8, arena);
+    } catch (const std::invalid_argument&) {
+      *threw = true;
+    }
+  }(inst, arena, &threw));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(std::count(arena.begin(), arena.end(), kSentinel),
+            static_cast<std::ptrdiff_t>(arena.size()));
+}
+
+Task<void> read_loop(Simulator& sim, const Dataset& ds, DlfsInstance& inst,
+                     std::vector<std::uint32_t> ids, BreadResult& out,
+                     dlsim::SimTime& end) {
+  std::vector<std::byte> buf(ds.max_sample_bytes());
+  for (const std::uint32_t id : ids) {
+    SampleHandle h = co_await inst.open_id(id);
+    const auto got = std::span<std::byte>(buf).first(h.entry->len());
+    co_await inst.read(h, got);
+    out.order.push_back(id);
+    out.total_bytes += got.size();
+    if (!sample_matches(ds, id, got)) out.content_ok = false;
+  }
+  end = sim.now();
+}
+
+Task<void> bread_loop(Simulator& sim, const Dataset& ds, DlfsInstance& inst,
+                      BreadResult& out, dlsim::SimTime& end) {
+  co_await drain_epoch(ds, inst, 32, out);
+  end = sim.now();
+}
+
+TEST(DlfsBread, DlfsBaseIsPerSampleDlfsRead) {
+  // BatchingMode::kNone is the paper's DLFS-Base: a bread epoch is exactly
+  // the application's own open_id()+read() loop over the epoch order, run
+  // on a second rig that never calls sequence() — same samples in the
+  // same order, same bytes, same simulated time. It never reads ahead:
+  // no prefetch unit, one device command per 4 KiB sample. Checked under
+  // the default cache and Fig. 6's one-chunk cache.
+  constexpr std::size_t kSamples = 256;
+  constexpr std::uint64_t kSeed = 11;
+  for (const std::size_t cache_chunks : {std::size_t{64}, std::size_t{1}}) {
+    SCOPED_TRACE(cache_chunks);
+    DlfsConfig cfg;
+    cfg.batching = BatchingMode::kNone;
+    cfg.cache_chunks = cache_chunks;
+
+    Rig base(1, dlfs::dataset::make_fixed_size_dataset(kSamples, 4096), cfg);
+    base.mount();
+    auto& inst = base.fleet.instance(0);
+    inst.sequence(kSeed);
+    const auto cmds0 = base.cluster.node(0).device().commands_completed();
+    const dlsim::SimTime base_t0 = base.sim.now();
+    BreadResult got;
+    dlsim::SimTime base_end = 0;
+    base.sim.spawn(bread_loop(base.sim, base.ds, inst, got, base_end));
+    base.sim.run();
+    base.sim.rethrow_failures();
+
+    Rig app(1, dlfs::dataset::make_fixed_size_dataset(kSamples, 4096), cfg);
+    app.mount();
+    dlfs::core::EpochSequence seq(app.fleet.plan(), kSeed, 0, 1);
+    std::vector<std::uint32_t> order;
+    for (auto picks = seq.take(64); !picks.empty(); picks = seq.take(64)) {
+      for (const auto& pk : picks) {
+        for (std::uint32_t i = 0; i < pk.count; ++i) {
+          order.push_back(pk.unit->samples[pk.first_sample + i].sample_id);
+        }
+      }
+    }
+    const dlsim::SimTime app_t0 = app.sim.now();
+    BreadResult want;
+    dlsim::SimTime app_end = 0;
+    app.sim.spawn(read_loop(app.sim, app.ds, app.fleet.instance(0), order,
+                            want, app_end));
+    app.sim.run();
+    app.sim.rethrow_failures();
+
+    ASSERT_EQ(want.order.size(), kSamples);
+    EXPECT_TRUE(want.content_ok);
+    EXPECT_TRUE(got.content_ok);
+    EXPECT_EQ(got.order, want.order);
+    EXPECT_EQ(got.total_bytes, want.total_bytes);
+    EXPECT_EQ(base_end - base_t0, app_end - app_t0);
+    EXPECT_EQ(inst.stats().prefetch.units_issued, 0u);
+    EXPECT_EQ(base.cluster.node(0).device().commands_completed() - cmds0,
+              kSamples);
+  }
 }
 
 TEST(DlfsMount, FleetsAtDisjointDeviceBasesReadTheirOwnBytes) {

@@ -36,9 +36,6 @@ TEST(EvaluationClaims, Fig6SmallSampleOrdering) {
   const auto w = small_node_workload(1, 4096, 4096);
   dlfs::core::DlfsConfig base;
   base.batching = BatchingMode::kNone;
-  // DLFS-Base is the paper's synchronous per-sample baseline; the
-  // generalized daemon would otherwise read ahead for it too.
-  base.prefetch.enabled = false;
   const double ext4_base = dlfs::bench::run_ext4(w, 1).samples_per_sec;
   const double ext4_mc = dlfs::bench::run_ext4(w, 4).samples_per_sec;
   const double dlfs_base = dlfs::bench::run_dlfs(w, base).samples_per_sec;

@@ -174,21 +174,31 @@ TEST(IoEngine, BuffersHandedOverWhenDstIsNull) {
 }
 
 TEST(IoEngine, OnBuffersReadyFiresBeforeBatchEnd) {
-  // Two extents on one device: the first completes first; its hook must
-  // fire while the second is still outstanding.
+  // Two extents from one start_extents call on one device: awaiting op 0
+  // returns with its buffers while op 1 is still in flight, so a consumer
+  // can start on the first extent before the batch ends.
   EngineRig rig;
-  std::vector<dlfs::mem::DmaBuffer> b1, b2;
-  bool hook_fired_early = false;
-  std::vector<ReadExtent> xs(2);
-  xs[0] = ReadExtent{0, 0, 256_KiB, nullptr, std::nullopt, &b1, {}};
-  xs[1] = ReadExtent{0, 1_MiB, 256_KiB, nullptr, std::nullopt, &b2, {}};
-  xs[0].on_buffers_ready = [&] {
-    hook_fired_early = b2.empty();  // second extent not yet delivered
-  };
-  rig.read(std::move(xs));
-  EXPECT_TRUE(hook_fired_early);
-  EXPECT_EQ(b1.size(), 1u);
-  EXPECT_EQ(b2.size(), 1u);
+  struct Seen {
+    std::size_t first_pieces = 0;
+    bool second_in_flight = false;
+    std::size_t second_pieces = 0;
+  } seen;
+  rig.sim.spawn([](IoEngine& e, CpuCore& c, Seen* seen) -> Task<void> {
+    std::vector<ReadExtent> xs(2);
+    xs[0] = ReadExtent{0, 0, 256_KiB, nullptr, std::nullopt, nullptr};
+    xs[1] = ReadExtent{0, 1_MiB, 256_KiB, nullptr, std::nullopt, nullptr};
+    auto ops = e.start_extents(std::move(xs));
+    co_await e.await_op(c, ops[0]);
+    seen->first_pieces = ops[0]->take_buffers().size();
+    seen->second_in_flight = !ops[1]->finished();
+    co_await e.await_op(c, ops[1]);
+    seen->second_pieces = ops[1]->take_buffers().size();
+  }(*rig.engine, rig.core, &seen));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  EXPECT_EQ(seen.first_pieces, 1u);
+  EXPECT_TRUE(seen.second_in_flight);
+  EXPECT_EQ(seen.second_pieces, 1u);
 }
 
 TEST(IoEngine, CacheInsertionSetsVBit) {

@@ -3,9 +3,10 @@
 // shrink under pool pressure, epoch end must drain every pool chunk, the
 // record-file streaming order must warm open_file() reads, co-located
 // instances must share one node's read-ahead budget through the arbiter,
-// and turning the prefetcher on or off must never change what an epoch
-// delivers — only when. The PrefetcherMatrix suite is mode-agnostic: the
-// ctest registration runs it once per BatchingMode via DLFS_TEST_BATCHING.
+// and read-ahead must never change what an epoch delivers — only when:
+// every epoch matches the plan's EpochSequence order and the dataset's
+// generated bytes. The PrefetcherMatrix suite is mode-agnostic: the ctest
+// registration runs it once per BatchingMode via DLFS_TEST_BATCHING.
 
 #include <gtest/gtest.h>
 
@@ -88,6 +89,24 @@ BatchingMode mode_from_env() {
   if (s == "none") return BatchingMode::kNone;
   if (s == "sample") return BatchingMode::kSampleLevel;
   return BatchingMode::kChunkLevel;
+}
+
+/// Ground truth for an epoch's delivery order: client `client`'s share of
+/// the plan's shuffled units, in pick order.
+std::vector<std::uint32_t> expected_order(const DlfsFleet& fleet,
+                                          std::uint64_t seed,
+                                          std::uint32_t client = 0) {
+  dlfs::core::EpochSequence seq(fleet.plan(), seed, client,
+                                fleet.num_clients());
+  std::vector<std::uint32_t> ids;
+  for (auto picks = seq.take(64); !picks.empty(); picks = seq.take(64)) {
+    for (const auto& pk : picks) {
+      for (std::uint32_t i = 0; i < pk.count; ++i) {
+        ids.push_back(pk.unit->samples[pk.first_sample + i].sample_id);
+      }
+    }
+  }
+  return ids;
 }
 
 /// Drains a whole epoch with bread(batch) and returns delivered ids.
@@ -229,39 +248,36 @@ TEST(Prefetcher, EpochEndDrainsPoolAndNextEpochWorks) {
 }
 
 TEST(Prefetcher, DeliveryIdenticalWithChunkEdgeSamples) {
-  // Samples spanning chunk boundaries (edge units): same seed, same batch
-  // size, same delivered order and bytes whether read-ahead is async or
-  // synchronous.
-  auto run = [](bool async) {
-    auto cfg = chunk_cfg();
-    cfg.prefetch.enabled = async;
-    cfg.prefetch.initial_units = 8;
-    Rig rig(dlfs::dataset::make_fixed_size_dataset(192, 128_KiB), cfg);
-    rig.mount();
-    auto& inst = rig.fleet.instance(0);
-    inst.sequence(42);
-    return drain_epoch(rig, inst, 8, /*check_content=*/true);
-  };
-  const auto with_prefetcher = run(true);
-  const auto without = run(false);
-  EXPECT_EQ(with_prefetcher.size(), 192u);
-  EXPECT_EQ(with_prefetcher, without);
+  // Samples spanning chunk boundaries (edge units; 100 KiB does not
+  // divide the 256 KiB chunk grid): the daemon-fed epoch delivers exactly
+  // the plan's order, every byte as generated.
+  auto cfg = chunk_cfg();
+  cfg.prefetch.initial_units = 8;
+  Rig rig(dlfs::dataset::make_fixed_size_dataset(192, 100_KiB), cfg);
+  rig.mount();
+  ASSERT_GT(rig.fleet.plan().num_edge_units(), 0u);
+  auto& inst = rig.fleet.instance(0);
+  inst.sequence(42);
+  const auto ids = drain_epoch(rig, inst, 8, /*check_content=*/true);
+  EXPECT_EQ(ids.size(), 192u);
+  EXPECT_EQ(ids, expected_order(rig.fleet, 42));
 }
 
 TEST(Prefetcher, RecordFileSequenceWarmsWholeFileReads) {
   // sequence_files() re-targets the daemon at whole record files; reads
   // that follow the returned order find their file already resident, and
-  // the bytes delivered are byte-identical to the prefetch-off path
-  // (every record's CRC validates either way).
-  auto run = [](bool async, std::vector<std::vector<std::byte>>& files,
+  // the bytes are identical to direct open_file()+read() of the same
+  // names on a rig that never installs a file order (every record's CRC
+  // validates either way).
+  auto run = [](bool sequenced, std::vector<std::string>& order,
+                std::vector<std::vector<std::byte>>& files,
                 dlfs::core::PrefetchStats& stats) {
     DlfsConfig cfg;
     cfg.record_file_samples = 8;
-    cfg.prefetch.enabled = async;
     Rig rig(dlfs::dataset::make_fixed_size_dataset(64, 2048), cfg);
     rig.mount();
     auto& inst = rig.fleet.instance(0);
-    const auto& order = inst.sequence_files(5);
+    if (sequenced) order = inst.sequence_files(5);
     ASSERT_EQ(order.size(), 8u);
     rig.sim.spawn([](Rig& r, DlfsInstance& inst,
                      const std::vector<std::string>* order,
@@ -284,13 +300,53 @@ TEST(Prefetcher, RecordFileSequenceWarmsWholeFileReads) {
   };
   std::vector<std::vector<std::byte>> warm_files, cold_files;
   dlfs::core::PrefetchStats warm{}, cold{};
-  run(true, warm_files, warm);
-  run(false, cold_files, cold);
+  std::vector<std::string> order;
+  run(/*sequenced=*/true, order, warm_files, warm);
+  run(/*sequenced=*/false, order, cold_files, cold);
   EXPECT_EQ(warm_files, cold_files);
   EXPECT_GE(warm.units_issued, 8u);
   // Everything after the first file had idle time to land.
   EXPECT_GE(warm.units_resident_at_pick, 1u);
   EXPECT_EQ(cold.units_issued, 0u);
+}
+
+TEST(Prefetcher, SequenceFilesEndsTheSampleEpoch) {
+  // A record-file order replaces the sample epoch: bread and bread_views
+  // refuse to run, exactly as before any sequence(), until a fresh
+  // sequence() — which then delivers its whole epoch.
+  DlfsConfig cfg;
+  cfg.record_file_samples = 8;
+  Rig rig(dlfs::dataset::make_fixed_size_dataset(64, 2048), cfg);
+  rig.mount();
+  auto& inst = rig.fleet.instance(0);
+  inst.sequence(1);
+  (void)inst.sequence_files(5);
+  EXPECT_EQ(inst.epoch_remaining(), 0u);
+  bool bread_threw = false;
+  bool views_threw = false;
+  rig.sim.spawn([](DlfsInstance& inst, bool* bread_threw,
+                   bool* views_threw) -> Task<void> {
+    std::vector<std::byte> arena(8 * 2048);
+    try {
+      (void)co_await inst.bread(8, arena);
+    } catch (const std::logic_error&) {
+      *bread_threw = true;
+    }
+    try {
+      (void)co_await inst.bread_views(8);
+    } catch (const std::logic_error&) {
+      *views_threw = true;
+    }
+  }(inst, &bread_threw, &views_threw));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  EXPECT_TRUE(bread_threw);
+  EXPECT_TRUE(views_threw);
+
+  inst.sequence(2);
+  const auto ids = drain_epoch(rig, inst, 8, /*check_content=*/true);
+  EXPECT_EQ(ids, expected_order(rig.fleet, 2));
+  EXPECT_EQ(ids.size(), 64u);
 }
 
 TEST(Prefetcher, SharedArbiterBoundsCoLocatedReadAhead) {
@@ -401,26 +457,19 @@ TEST(Prefetcher, SampleLevelDegradedEpochSkipsThenReissuesAfterRecovery) {
 // (DLFS_TEST_BATCHING = none | sample | chunk).
 
 TEST(PrefetcherMatrix, DeliveryIsIdenticalWithPrefetchOnAndOff) {
-  // The prefetcher changes timing only: same seed, same batch size, same
-  // delivered order and bytes whether read-ahead is asynchronous or the
-  // legacy synchronous path, for whichever BatchingMode the environment
-  // selected.
-  const BatchingMode mode = mode_from_env();
-  auto run = [mode](bool async) {
-    DlfsConfig cfg;
-    cfg.batching = mode;
-    cfg.prefetch.enabled = async;
-    cfg.prefetch.initial_units = 8;
-    Rig rig(dlfs::dataset::make_fixed_size_dataset(192, 4096), cfg);
-    rig.mount();
-    auto& inst = rig.fleet.instance(0);
-    inst.sequence(42);
-    return drain_epoch(rig, inst, 8, /*check_content=*/true);
-  };
-  const auto with_prefetcher = run(true);
-  const auto without = run(false);
-  EXPECT_EQ(with_prefetcher.size(), 192u);
-  EXPECT_EQ(with_prefetcher, without);
+  // Read-ahead changes timing only: for whichever BatchingMode the
+  // environment selected, the epoch delivers exactly the plan's
+  // EpochSequence order, every byte as the dataset generates it.
+  DlfsConfig cfg;
+  cfg.batching = mode_from_env();
+  cfg.prefetch.initial_units = 8;
+  Rig rig(dlfs::dataset::make_fixed_size_dataset(192, 4096), cfg);
+  rig.mount();
+  auto& inst = rig.fleet.instance(0);
+  inst.sequence(42);
+  const auto ids = drain_epoch(rig, inst, 8, /*check_content=*/true);
+  EXPECT_EQ(ids.size(), 192u);
+  EXPECT_EQ(ids, expected_order(rig.fleet, 42));
 }
 
 TEST(PrefetcherMatrix, BackToBackEpochsDeliverEverySample) {

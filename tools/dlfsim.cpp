@@ -41,12 +41,14 @@ struct Options {
       "  --sample-bytes=B                 sample size (default 4096)\n"
       "  --samples-per-node=K             dataset shard size (default 2048)\n"
       "  --batch-size=B                   dlfs_bread batch (default 32)\n"
-      "  --batching=chunk|sample|none     DLFS mode (default chunk)\n"
+      "  --batching=chunk|sample|none     DLFS mode (default chunk); none is\n"
+      "                                   DLFS-Base: one synchronous read per\n"
+      "                                   sample, no read-ahead\n"
       "  --chunk-bytes=B                  data chunk size (default 262144)\n"
       "  --queue-depth=D                  SPDK queue depth (default 128)\n"
       "  --copy-threads=N                 SCQ copy pool (default 2)\n"
-      "  --prefetch=N                     read-ahead units; 0 = disable the\n"
-      "                                   async daemon (default 4)\n"
+      "  --prefetch=N                     starting read-ahead window in units\n"
+      "                                   (default 4)\n"
       "  --ext4-threads=N                 reader threads per node (default 1)\n"
       "  --seed=S                         workload seed (default 42)\n");
   std::exit(2);
@@ -89,9 +91,8 @@ Options parse(int argc, char** argv) {
     } else if (key == "copy-threads") {
       o.dlfs_cfg.copy_threads = static_cast<std::uint32_t>(parse_u64(val));
     } else if (key == "prefetch") {
-      const auto units = static_cast<std::uint32_t>(parse_u64(val));
-      o.dlfs_cfg.prefetch.enabled = units > 0;
-      if (units > 0) o.dlfs_cfg.prefetch.initial_units = units;
+      o.dlfs_cfg.prefetch.initial_units =
+          static_cast<std::uint32_t>(parse_u64(val));
     } else if (key == "ext4-threads") {
       o.ext4_threads = static_cast<std::uint32_t>(parse_u64(val));
     } else if (key == "seed") {
