@@ -2,11 +2,14 @@
 # byte for byte with a committed golden file. The simulator is
 # deterministic, so any difference is a real change to a printed figure.
 #
-#   cmake -DBENCH=<executable> -DGOLDEN=<golden .txt> -DWORKDIR=<dir>
-#         -P compare.cmake
+#   cmake -DBENCH=<executable> [-DARGS="<arg> <arg> ..."]
+#         -DGOLDEN=<golden .txt> -DWORKDIR=<dir> -P compare.cmake
+#
+# ARGS is optional: the bench's command-line arguments, space-separated.
+separate_arguments(args UNIX_COMMAND "${ARGS}")
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
-execute_process(COMMAND "${BENCH}"
+execute_process(COMMAND "${BENCH}" ${args}
                 WORKING_DIRECTORY "${WORKDIR}"
                 OUTPUT_FILE "${WORKDIR}/stdout.txt"
                 RESULT_VARIABLE rc)

@@ -169,6 +169,9 @@ struct SampleHandle {
   const SampleEntry* entry = nullptr;
 };
 
+/// One delivered sample of a Batch. Samples pack the arena densely in
+/// pick order: the first starts at offset 0 and each starts where the
+/// one before it ends. A skipped sample takes no arena space.
 struct BatchSample {
   std::uint32_t sample_id = 0;
   std::uint32_t class_id = 0;
@@ -192,11 +195,12 @@ struct BatchMeta {
 
 struct Batch : BatchMeta {
   std::vector<BatchSample> samples;
-  std::uint64_t bytes = 0;
+  std::uint64_t bytes = 0;  // sum of the samples' lengths
 };
 
-/// Zero-copy batch: samples are views into the huge-page sample cache
-/// (possibly split across chunk boundaries). The backing chunks stay
+/// Zero-copy batch: samples are views into the huge-page chunks their
+/// prefetch unit holds (possibly split across chunk boundaries), or into
+/// a degraded unit's per-sample replica extents. The backing chunks stay
 /// pinned until release_views(); reading a view after release is a
 /// use-after-free, exactly as with real DMA buffers.
 struct ViewSample {
@@ -211,10 +215,6 @@ struct ViewBatch : BatchMeta {
   std::uint64_t bytes = 0;
   std::vector<std::size_t> pinned_slots;  // internal: units held
   std::uint64_t token = 0;                // internal: release bookkeeping
-  // Internal: batch-owned bytes backing the views of degraded samples
-  // (replica-failover demand reads — the only copy on the views path).
-  // Sized once before any span is taken; freed by release_views().
-  std::vector<std::byte> fallback_storage;
 };
 
 /// One snapshot of a DlfsInstance's delivery/telemetry counters (the
@@ -287,6 +287,7 @@ class DlfsInstance {
   [[nodiscard]] dlsim::Task<SampleHandle> open_file(std::string_view name);
 
   /// dlfs_read: synchronous whole-sample read into dst (>= sample size).
+  /// Throws IoError (kNodeDown) when no copy of the sample is reachable.
   [[nodiscard]] dlsim::Task<void> read(const SampleHandle& h,
                                        std::span<std::byte> dst);
 
@@ -354,7 +355,7 @@ class DlfsInstance {
     s.lookup_time_total = lookup_time_total_;
     s.bytes_copied = engine_->bytes_copied();
     s.bytes_zero_copy = bytes_zero_copy_;
-    for (const auto& [slot, fu] : fetched_) s.view_pins_active += fu.view_pins;
+    for (const auto& [slot, hu] : held_) s.view_pins_active += hu.view_pins;
     s.cross_core_handoffs = engine_->cross_core_handoffs();
     s.prefetch = prefetcher_->stats();
     s.nodes_declared_dead = nodes_declared_dead_;
@@ -376,16 +377,23 @@ class DlfsInstance {
   DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
                cluster::Node& node, dlsim::CpuCore& core);
 
-  struct FetchedUnit {
-    std::vector<mem::DmaBuffer> buffers;
-    // Per-sample replica recovery (chunk units only): when the unit's
-    // chunk read failed on a down node, surviving samples are re-read
-    // individually from their replicas into fresh buffers keyed by
-    // sample id. Views/copies branch on `buffers` being empty.
-    std::unordered_map<std::uint32_t, std::vector<mem::DmaBuffer>> per_sample;
-    std::uint32_t delivered = 0;
+  /// One prefetch unit, held from its acquire until its last sample is
+  /// delivered and no ViewBatch pins it. Every batched read path keeps
+  /// its units in held_, keyed by prefetch slot.
+  struct HeldUnit {
+    // A healthy chunk-level unit: its extent, in chunk-size pieces.
+    std::vector<mem::DmaBuffer> chunk;
+    // Sample-level units, and chunk units degraded by a node fault:
+    // per-sample extents keyed by sample id. A sample-level extent may
+    // carry a stored media error instead of buffers.
+    std::unordered_map<std::uint32_t, AcquiredExtent> samples;
+    std::uint32_t remaining = 0;  // samples not yet delivered
     std::uint32_t view_pins = 0;  // live ViewBatches referencing this unit
+    // Pool chunks reported to the prefetcher at the first pin; the last
+    // release takes back exactly this many.
+    std::uint64_t pinned_chunks = 0;
   };
+  struct BatchFaults;
   void maybe_release_unit(std::size_t slot);
 
   dlsim::Task<void> charge_lookup();
@@ -399,8 +407,8 @@ class DlfsInstance {
   /// to a local-rate walk when no transport path is up (the fault paths
   /// keep their existing skip/failover semantics).
   dlsim::Task<void> charge_remote_lookup(std::uint16_t slot);
-  /// DLFS-Base (BatchingMode::kNone): one synchronous read() per picked
-  /// sample, no read-ahead.
+  /// DLFS-Base (BatchingMode::kNone): the application's own open_id() +
+  /// read() per picked sample, no read-ahead.
   dlsim::Task<Batch> bread_unbatched(
       std::span<const EpochSequence::UnitPicks> picks,
       std::span<std::byte> arena);
@@ -408,25 +416,22 @@ class DlfsInstance {
   /// plus per-sample accounting CPU (shared by bread and bread_views).
   dlsim::Task<void> charge_frontend(
       std::span<const EpochSequence::UnitPicks> picks);
-  /// Chunk-mode batch assembly, shared by bread and bread_views: brings
-  /// every unit this batch picks to a settled state — chunk buffers
-  /// resident, or degraded with surviving samples recovered into
-  /// FetchedUnit::per_sample (unreachable ones recorded in `skipped`,
-  /// media/unknown faults in `*fatal`) — and fires `on_unit_ready(slot)`
-  /// per pick once its unit settles (idempotent callbacks; empty
-  /// std::function when the caller consumes units after the co_await).
-  /// Units come from the prefetch daemon's window.
-  dlsim::Task<void> fetch_chunk_units(
-      std::span<const EpochSequence::UnitPicks> picks,
-      std::unordered_set<std::uint32_t>* skipped, std::exception_ptr* fatal,
-      std::function<void(std::size_t)> on_unit_ready);
-  /// Degraded-unit recovery: re-reads this batch's picked samples of
-  /// `slot` individually from their replicas (or the recovered primary)
-  /// into FetchedUnit::per_sample. Non-picked read-ahead slots are
-  /// simply forgotten so a later bread can re-fetch the whole chunk.
-  dlsim::Task<void> recover_chunk_slot(
-      std::size_t slot, std::span<const EpochSequence::UnitPicks> picks,
-      std::unordered_set<std::uint32_t>* skipped, std::exception_ptr* fatal);
+  /// The acquire step of bread and bread_views: holds the prefetch unit
+  /// behind `pk` in held_, acquiring it from the daemon on first touch.
+  /// A chunk unit degraded by a node fault re-reads the pick's samples
+  /// from their replicas (or the recovered primary) into its per-sample
+  /// extents. Unreachable samples and fatal faults land in `*faults`.
+  dlsim::Task<HeldUnit*> acquire_pick(EpochSequence::UnitPicks pk,
+                                      BatchFaults* faults);
+  /// Spans of one picked sample's bytes in its held chunk-level unit:
+  /// the chunk window, or the sample's own extent once the unit degraded.
+  /// Empty when the sample has no bytes (skipped, or a media fault).
+  [[nodiscard]] std::vector<std::span<const std::byte>> held_views(
+      const HeldUnit& hu, const UnitSample& us) const;
+  /// The demand read of one sample into `dst`: sample cache, then a
+  /// peer's DRAM, then the device along the replica route. False when no
+  /// copy is reachable; a device read that fails throws its IoError.
+  dlsim::Task<bool> demand_read(std::uint32_t sample_id, std::byte* dst);
   /// Injected poll-loop compute (Fig. 7b) as a concurrent task; counts
   /// `done` down when finished (immediately when nothing is injected).
   void spawn_injected(dlsim::CountdownLatch* done);
@@ -500,14 +505,9 @@ class DlfsInstance {
   // Declared after engine_: destroyed first, while the engine (whose
   // pressure reliever points at it) is still alive.
   std::unique_ptr<Prefetcher> prefetcher_;
-  std::unordered_map<std::size_t, FetchedUnit> fetched_;
-  // Sample-level prefetching: acquired units whose samples span bread
-  // calls (a fused unit rarely aligns with batch boundaries).
-  struct PendingUnit {
-    AcquiredUnit unit;
-    std::uint32_t slots_left = 0;  // epoch slots of the unit not consumed
-  };
-  std::unordered_map<std::size_t, PendingUnit> acq_units_;
+  // Keyed by prefetch slot. A unit may span bread calls (batches rarely
+  // align with unit boundaries).
+  std::unordered_map<std::size_t, HeldUnit> held_;
   // Record-file streaming order (sequence_files).
   std::vector<std::string> file_order_;
   std::vector<UnitExtent> file_extents_;

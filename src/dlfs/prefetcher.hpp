@@ -136,12 +136,6 @@ struct AcquiredExtent {
 
 struct AcquiredUnit {
   std::vector<AcquiredExtent> extents;
-  [[nodiscard]] std::exception_ptr first_error() const {
-    for (const auto& x : extents) {
-      if (x.error) return x.error;
-    }
-    return {};
-  }
 };
 
 class Prefetcher {

@@ -481,22 +481,49 @@ TEST(DlfsBread, DlfsBaseIsPerSampleDlfsRead) {
   // BatchingMode::kNone is the paper's DLFS-Base: a bread epoch is exactly
   // the application's own open_id()+read() loop over the epoch order, run
   // on a second rig that never calls sequence() — same samples in the
-  // same order, same bytes, same simulated time. It never reads ahead:
-  // no prefetch unit, one device command per 4 KiB sample. Checked under
-  // the default cache and Fig. 6's one-chunk cache.
+  // same order, same bytes, same simulated time, same directory RPCs. It
+  // never reads ahead: no prefetch unit, one device command per 4 KiB
+  // sample. Checked under the default cache, Fig. 6's one-chunk cache,
+  // and a sharded directory where node 1's ids are foreign to the client.
   constexpr std::size_t kSamples = 256;
   constexpr std::uint64_t kSeed = 11;
-  for (const std::size_t cache_chunks : {std::size_t{64}, std::size_t{1}}) {
-    SCOPED_TRACE(cache_chunks);
+  struct Case {
+    std::size_t cache_chunks;
+    dlfs::core::DirectoryMode directory;
+    std::uint32_t nodes;
+  };
+  for (const Case c :
+       {Case{64, dlfs::core::DirectoryMode::kFull, 1},
+        Case{1, dlfs::core::DirectoryMode::kFull, 1},
+        Case{64, dlfs::core::DirectoryMode::kSharded, 2}}) {
+    SCOPED_TRACE(testing::Message() << "cache_chunks=" << c.cache_chunks
+                                    << " nodes=" << c.nodes);
     DlfsConfig cfg;
     cfg.batching = BatchingMode::kNone;
-    cfg.cache_chunks = cache_chunks;
+    cfg.cache_chunks = c.cache_chunks;
+    cfg.directory.mode = c.directory;
+    // The client sits on node 0; every node stores.
+    std::vector<dlfs::hw::NodeId> storage;
+    for (std::uint32_t n = 0; n < c.nodes; ++n) storage.push_back(n);
+    auto commands = [&c](Rig& r) {
+      std::uint64_t n = 0;
+      for (std::uint32_t i = 0; i < c.nodes; ++i) {
+        n += r.cluster.node(i).device().commands_completed();
+      }
+      return n;
+    };
+    auto remote_lookups = [](const DlfsInstance& inst) -> std::uint64_t {
+      const auto* view = inst.directory_view();
+      return view ? view->stats().remote_lookups : 0;
+    };
 
-    Rig base(1, dlfs::dataset::make_fixed_size_dataset(kSamples, 4096), cfg);
+    Rig base(c.nodes, dlfs::dataset::make_fixed_size_dataset(kSamples, 4096),
+             cfg, {0}, storage);
     base.mount();
     auto& inst = base.fleet.instance(0);
     inst.sequence(kSeed);
-    const auto cmds0 = base.cluster.node(0).device().commands_completed();
+    const auto cmds0 = commands(base);
+    const auto lookups0 = remote_lookups(inst);
     const dlsim::SimTime base_t0 = base.sim.now();
     BreadResult got;
     dlsim::SimTime base_end = 0;
@@ -504,8 +531,10 @@ TEST(DlfsBread, DlfsBaseIsPerSampleDlfsRead) {
     base.sim.run();
     base.sim.rethrow_failures();
 
-    Rig app(1, dlfs::dataset::make_fixed_size_dataset(kSamples, 4096), cfg);
+    Rig app(c.nodes, dlfs::dataset::make_fixed_size_dataset(kSamples, 4096),
+            cfg, {0}, storage);
     app.mount();
+    auto& app_inst = app.fleet.instance(0);
     dlfs::core::EpochSequence seq(app.fleet.plan(), kSeed, 0, 1);
     std::vector<std::uint32_t> order;
     for (auto picks = seq.take(64); !picks.empty(); picks = seq.take(64)) {
@@ -515,11 +544,11 @@ TEST(DlfsBread, DlfsBaseIsPerSampleDlfsRead) {
         }
       }
     }
+    const auto app_lookups0 = remote_lookups(app_inst);
     const dlsim::SimTime app_t0 = app.sim.now();
     BreadResult want;
     dlsim::SimTime app_end = 0;
-    app.sim.spawn(read_loop(app.sim, app.ds, app.fleet.instance(0), order,
-                            want, app_end));
+    app.sim.spawn(read_loop(app.sim, app.ds, app_inst, order, want, app_end));
     app.sim.run();
     app.sim.rethrow_failures();
 
@@ -529,9 +558,13 @@ TEST(DlfsBread, DlfsBaseIsPerSampleDlfsRead) {
     EXPECT_EQ(got.order, want.order);
     EXPECT_EQ(got.total_bytes, want.total_bytes);
     EXPECT_EQ(base_end - base_t0, app_end - app_t0);
+    EXPECT_EQ(remote_lookups(inst) - lookups0,
+              remote_lookups(app_inst) - app_lookups0);
+    if (c.directory == dlfs::core::DirectoryMode::kSharded) {
+      EXPECT_GT(remote_lookups(app_inst) - app_lookups0, 0u);
+    }
     EXPECT_EQ(inst.stats().prefetch.units_issued, 0u);
-    EXPECT_EQ(base.cluster.node(0).device().commands_completed() - cmds0,
-              kSamples);
+    EXPECT_EQ(commands(base) - cmds0, kSamples);
   }
 }
 

@@ -229,8 +229,10 @@ struct EpochTally {
   std::uint64_t skipped = 0;
 };
 
-Task<void> run_epoch(dlfs::core::DlfsInstance& inst, EpochTally& t) {
+Task<void> run_epoch(const dlfs::dataset::Dataset& ds,
+                     dlfs::core::DlfsInstance& inst, EpochTally& t) {
   std::vector<std::byte> arena(64_KiB);
+  std::vector<std::byte> want;
   for (;;) {
     auto b = co_await inst.bread(16, arena);
     if (b.end_of_epoch) break;
@@ -239,6 +241,19 @@ Task<void> run_epoch(dlfs::core::DlfsInstance& inst, EpochTally& t) {
     EXPECT_LE(b.samples.size() + b.samples_skipped, 16u);
     t.served += b.samples.size();
     t.skipped += b.samples_skipped;
+    // Skipped samples take no arena space: the delivered ones pack
+    // densely from offset 0, each holding its own dataset bytes.
+    std::uint64_t packed = 0;
+    for (const auto& s : b.samples) {
+      EXPECT_EQ(s.offset_in_arena, packed) << "sample " << s.sample_id;
+      packed += s.len;
+      want.resize(s.len);
+      ds.fill_content(s.sample_id, 0, want);
+      EXPECT_EQ(
+          std::memcmp(arena.data() + s.offset_in_arena, want.data(), s.len), 0)
+          << "sample " << s.sample_id;
+    }
+    EXPECT_EQ(b.bytes, packed);
   }
 }
 
@@ -249,7 +264,7 @@ TEST(FaultInjection, TargetCrashMidEpochCompletesDegraded) {
   rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
   inst.sequence(1);
   EpochTally t;
-  rig.sim.spawn(run_epoch(inst, t), "degraded-epoch");
+  rig.sim.spawn(run_epoch(rig.ds, inst, t), "degraded-epoch");
   rig.sim.run_watchdog(rig.sim.now() + 1_sec);
   rig.sim.rethrow_failures();
   // The epoch completes over the surviving node; node-0 samples that were
@@ -475,47 +490,65 @@ TEST(FaultInjection, ReplicatedUnbatchedCrashServesFullEpoch) {
 }
 
 TEST(FaultInjection, ReplicatedViewsCrashServesFullEpoch) {
-  // Zero-copy path: a degraded chunk unit serves its samples from
-  // per-sample replica buffers instead of the chunk, with exact bytes.
-  ReplicaRig rig(ReplicaRig::cfg(2, dlfs::core::BatchingMode::kChunkLevel));
-  auto& inst = rig.fleet.instance(0);
-  rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
-  inst.sequence(1);
-  std::size_t served = 0;
-  std::uint64_t skipped = 0;
-  bool content_ok = true;
-  rig.sim.spawn(
-      [](ReplicaRig& r, dlfs::core::DlfsInstance& inst, std::size_t& served,
-         std::uint64_t& skipped, bool& content_ok) -> Task<void> {
-        std::vector<std::byte> want, got;
-        for (;;) {
-          auto b = co_await inst.bread_views(16);
-          if (b.end_of_epoch) break;
-          EXPECT_LE(b.samples.size() + b.samples_skipped, 16u);
-          for (const auto& s : b.samples) {
-            got.clear();
-            for (const auto piece : s.pieces) {
-              got.insert(got.end(), piece.begin(), piece.end());
+  // Zero-copy path: a degraded chunk unit hands out spans over the
+  // per-sample replica extents it holds instead of its chunk — exact
+  // bytes and no copy. Run once releasing every batch before the next
+  // bread_views and once holding each batch's lease across it (double
+  // buffering, as the bench harness does), so a pinned degraded unit
+  // recovers more samples for a later batch.
+  for (const bool double_buffer : {false, true}) {
+    SCOPED_TRACE(double_buffer ? "double-buffered" : "released per batch");
+    ReplicaRig rig(ReplicaRig::cfg(2, dlfs::core::BatchingMode::kChunkLevel));
+    auto& inst = rig.fleet.instance(0);
+    rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
+    inst.sequence(1);
+    std::size_t served = 0;
+    std::uint64_t skipped = 0;
+    bool content_ok = true;
+    rig.sim.spawn(
+        [](ReplicaRig& r, dlfs::core::DlfsInstance& inst, bool double_buffer,
+           std::size_t& served, std::uint64_t& skipped,
+           bool& content_ok) -> Task<void> {
+          std::vector<std::byte> want, got;
+          dlfs::core::ViewLease previous;
+          for (;;) {
+            dlfs::core::ViewLease lease(inst, co_await inst.bread_views(16));
+            const auto& b = lease.batch();
+            if (b.end_of_epoch) break;
+            EXPECT_LE(b.samples.size() + b.samples_skipped, 16u);
+            for (const auto& s : b.samples) {
+              got.clear();
+              for (const auto piece : s.pieces) {
+                got.insert(got.end(), piece.begin(), piece.end());
+              }
+              want.resize(s.len);
+              r.ds.fill_content(s.sample_id, 0, want);
+              if (got.size() != s.len ||
+                  std::memcmp(got.data(), want.data(), s.len) != 0) {
+                content_ok = false;
+              }
             }
-            want.resize(s.len);
-            r.ds.fill_content(s.sample_id, 0, want);
-            if (got.size() != s.len ||
-                std::memcmp(got.data(), want.data(), s.len) != 0) {
-              content_ok = false;
-            }
+            served += b.samples.size();
+            skipped += b.samples_skipped;
+            // Double buffering releases the batch before this one; the
+            // other run releases this one when `lease` leaves scope.
+            if (double_buffer) previous = std::move(lease);
           }
-          served += b.samples.size();
-          skipped += b.samples_skipped;
-          inst.release_views(b);
-        }
-      }(rig, inst, served, skipped, content_ok),
-      "views-epoch");
-  rig.sim.run_watchdog(rig.sim.now() + 2_sec);
-  rig.sim.rethrow_failures();
-  EXPECT_EQ(served, ReplicaRig::kSamples);
-  EXPECT_EQ(skipped, 0u);
-  EXPECT_TRUE(content_ok);
-  EXPECT_EQ(inst.engine().nodes_down(), 1u);
+        }(rig, inst, double_buffer, served, skipped, content_ok),
+        "views-epoch");
+    rig.sim.run_watchdog(rig.sim.now() + 2_sec);
+    rig.sim.rethrow_failures();
+    EXPECT_EQ(served, ReplicaRig::kSamples);
+    EXPECT_EQ(skipped, 0u);
+    EXPECT_TRUE(content_ok);
+    EXPECT_EQ(inst.engine().nodes_down(), 1u);
+    EXPECT_EQ(inst.engine().bytes_copied(), 0u);
+    EXPECT_EQ(inst.stats().bytes_zero_copy,
+              std::uint64_t{ReplicaRig::kSamples} * 4096);
+    // Every lease is gone: the pin accounting is back to zero.
+    EXPECT_EQ(inst.prefetcher().view_pinned_chunks(), 0u);
+    EXPECT_EQ(inst.stats().view_pins_active, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -949,7 +982,7 @@ TEST(FaultInjection, PrefetcherSurvivesTransientFaultSweep) {
     rig.cluster.node(0).device().inject_faults(c.rate, c.seed);
     inst.sequence(1);
     EpochTally t1;
-    rig.sim.spawn(run_epoch(inst, t1), "faulty-epoch");
+    rig.sim.spawn(run_epoch(rig.ds, inst, t1), "faulty-epoch");
     rig.sim.run_watchdog(rig.sim.now() + 1_sec);
     rig.sim.rethrow_failures();
     EXPECT_EQ(t1.served, 128u) << "rate " << c.rate;
@@ -957,7 +990,7 @@ TEST(FaultInjection, PrefetcherSurvivesTransientFaultSweep) {
     rig.cluster.node(0).device().inject_faults(0.0);
     inst.sequence(2);
     EpochTally t2;
-    rig.sim.spawn(run_epoch(inst, t2), "clean-epoch");
+    rig.sim.spawn(run_epoch(rig.ds, inst, t2), "clean-epoch");
     rig.sim.run_watchdog(rig.sim.now() + 1_sec);
     rig.sim.rethrow_failures();
     EXPECT_EQ(t2.served, 128u) << "rate " << c.rate;
@@ -993,7 +1026,7 @@ TEST(FaultInjection, ReadAheadErrorSurfacesOnOwningBreadAndDaemonSurvives) {
   rig.cluster.node(0).device().inject_faults(0.0);
   inst.sequence(2);
   EpochTally t;
-  auto p2 = rig.sim.spawn(run_epoch(inst, t), "recovered-epoch");
+  auto p2 = rig.sim.spawn(run_epoch(rig.ds, inst, t), "recovered-epoch");
   rig.sim.run();
   EXPECT_FALSE(p2.failed());
   EXPECT_EQ(t.served, 128u);
