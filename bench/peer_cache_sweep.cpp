@@ -15,7 +15,9 @@
 //  * every epoch in both modes delivers every sample exactly once, with
 //    zero skips and byte-identical content vs the canonical dataset;
 //  * the peer-on run records peer_hits_remote > 0;
-//  * warm epochs (2..N) are faster with the peer cache on than off.
+//  * warm epochs (2..N) are faster with the peer cache on than off;
+//  * the peer-on warm aggregate is at least kWarmFloorVsNic times the
+//    storage NIC's line rate — the floor batched peer pulls hold.
 //
 // Always writes BENCH_peer_cache_sweep.json (one row per mode x epoch).
 //
@@ -50,6 +52,10 @@ namespace {
 constexpr std::uint32_t kClients = 3;
 constexpr std::uint32_t kSampleBytes = 64 * 1024;
 constexpr std::size_t kBatch = 16;
+// A sample-level bread posts all of its remote peer pulls before it
+// consumes any, so a warm epoch clears the single storage NIC by at
+// least this factor (1.9x on the full sweep at seed 1).
+constexpr double kWarmFloorVsNic = 1.5;
 
 struct SweepParams {
   std::uint64_t seed = 1;
@@ -305,6 +311,13 @@ int run_sweep(const SweepParams& p) {
   if (warm_on <= warm_off) {
     std::fprintf(stderr, "FAIL: warm epochs did not speed up with the peer "
                          "cache on\n");
+    ok = false;
+  }
+  if (warm_on < kWarmFloorVsNic * nic_bw) {
+    std::fprintf(stderr,
+                 "FAIL: peer-on warm aggregate %.2f GB/s is below %.1fx the "
+                 "storage-NIC line rate\n",
+                 warm_on / 1e9, kWarmFloorVsNic);
     ok = false;
   }
   if (!ok) return 1;

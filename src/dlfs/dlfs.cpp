@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 #include <cstring>
+#include <deque>
 #include <iterator>
 #include <stdexcept>
 
@@ -730,74 +731,75 @@ bool DlfsInstance::sample_reachable(std::uint32_t sample_id) const {
 
 bool DlfsInstance::peer_resident(std::uint32_t sample_id) const {
   if (!fleet_->config_.peer_cache.enabled) return false;
-  if (peer_index_ != nullptr &&
-      peer_index_->find_holder(sample_id, client_idx_) != nullptr) {
-    return true;
-  }
-  PeerCacheDirectory* dir = fleet_->peer_directory_.get();
-  return dir != nullptr && dir->find(sample_id, client_idx_).found;
+  return peer_index_->find_holder(sample_id, client_idx_) != nullptr ||
+         fleet_->peer_directory_->find(sample_id, client_idx_).found;
 }
+
+/// One peer read, from its post to its finish.
+struct DlfsInstance::PeerPull {
+  std::uint32_t sample_id = 0;
+  std::uint32_t len = 0;
+  bool admitted = false;  // bread took the QoS grant when it posted it
+  bool local = false;     // a co-located holder serves it
+  dlsim::Process proc{};  // the posted step; empty when run in place
+  // Set once the bytes are reachable: the holder's cache, pinned until
+  // the pull is finished or bread drops it, and the pinned bytes.
+  SampleCache* holder = nullptr;
+  std::vector<std::span<const std::byte>> views{};
+};
 
 dlsim::Task<bool> DlfsInstance::try_peer_read(std::uint32_t sample_id,
                                               std::uint32_t len,
                                               std::byte* dst) {
   if (!fleet_->config_.peer_cache.enabled) co_return false;
-  const DlfsCosts& costs = fleet_->config_.calibration.dlfs;
-
   // Intra-node first: a co-located instance's resident copy is one pin
   // plus one DRAM copy away — no fabric, and no tenant admission (same
   // treatment as own-cache hits: host-memory copies never compete with
-  // other tenants for the devices or the wire).
-  if (peer_index_ != nullptr) {
-    const PeerCacheIndex::Member* m =
-        peer_index_->find_holder(sample_id, client_idx_);
-    if (m != nullptr) {
-      auto views = m->cache->pin(sample_id);
-      if (!views.empty()) {
-        co_await io_core_->compute(costs.peer_serve);
-        CopyJob job;
-        job.views = std::move(views);
-        job.dst = dst;
-        co_await engine_->run_copy_inline(*io_core_, std::move(job));
-        m->cache->unpin(sample_id);
-        ++peer_hits_local_;
-        peer_bytes_ += len;
-        co_return true;
-      }
-    }
+  // other tenants for the devices or the wire). Otherwise one cross-node
+  // pull, posted and finished in place.
+  PeerPull p{sample_id, len};
+  const PeerCacheIndex::Member* m =
+      peer_index_->find_holder(sample_id, client_idx_);
+  if (m != nullptr) p.views = m->cache->pin(sample_id);
+  if (!p.views.empty()) {
+    co_await io_core_->compute(fleet_->config_.calibration.dlfs.peer_serve);
+    p.holder = m->cache;
+    p.local = true;
+  } else {
+    co_await post_peer_pull(&p);
   }
+  co_return co_await finish_peer_pull(&p, dst);
+}
 
-  // Cross-node: ask the sample's consistent-hash home for a holder, then
-  // pull the bytes from the holder's DRAM over the fabric. Every refusal
-  // along the way (no holder, dropped leg, raced eviction) unwinds to a
-  // miss; the caller falls back to the normal replica read path.
-  PeerCacheDirectory* dir = fleet_->peer_directory_.get();
-  if (dir == nullptr) {
-    ++peer_misses_;
-    co_return false;
-  }
+dlsim::Task<void> DlfsInstance::post_peer_pull(PeerPull* p) {
+  // Ask the sample's consistent-hash home for a holder, then pull the
+  // bytes from the holder's DRAM over the fabric. Every refusal along
+  // the way (no holder, dropped leg, raced eviction) unwinds to a miss
+  // and hands back a grant bread took; demand_read then falls back to
+  // the replica read path.
+  const std::shared_ptr<TenantHandle>& tenant = fleet_->tenant_;
+  const auto refuse = [&] {
+    if (p->admitted) tenant->cancel_admit(p->len);
+  };
+  const PeerCacheDirectory& dir = *fleet_->peer_directory_;
   hw::Fabric& fabric = fleet_->cluster_->fabric();
   const hw::NodeId me = fleet_->client_nodes_[client_idx_];
-  const std::uint32_t home = dir->home_client(sample_id);
+  const std::uint32_t home = dir.home_client(p->sample_id);
   const hw::NodeId home_node = fleet_->client_nodes_[home];
   if (home != client_idx_) {
     // Request hop (skipped when this client is the home — the directory
     // slice is then local memory).
     const bool asked =
         co_await fabric.send(me, home_node, hw::kControlMessageBytes);
-    if (!asked) {
-      ++peer_misses_;
-      co_return false;
-    }
+    if (!asked) co_return refuse();
   }
-  const PeerCacheDirectory::Holder h = dir->find(sample_id, client_idx_);
+  const PeerCacheDirectory::Holder h = dir.find(p->sample_id, client_idx_);
   if (!h.found) {
     if (home != client_idx_) {
       // Miss reply from the home.
       co_await fabric.transfer(home_node, me, hw::kControlMessageBytes);
     }
-    ++peer_misses_;
-    co_return false;
+    co_return refuse();
   }
   const hw::NodeId holder_node = fleet_->client_nodes_[h.client];
   if (h.client != home) {
@@ -805,10 +807,7 @@ dlsim::Task<bool> DlfsInstance::try_peer_read(std::uint32_t sample_id,
     // (loopback when they share a node).
     const bool forwarded =
         co_await fabric.send(home_node, holder_node, hw::kControlMessageBytes);
-    if (!forwarded) {
-      ++peer_misses_;
-      co_return false;
-    }
+    if (!forwarded) co_return refuse();
   }
   // Pin the holder's entry. The fabric hops above suspended, so the
   // holder may have evicted (and retracted) meanwhile — an empty pin is
@@ -817,40 +816,53 @@ dlsim::Task<bool> DlfsInstance::try_peer_read(std::uint32_t sample_id,
   const PeerCacheIndex::Member* m =
       hidx != nullptr ? hidx->member_of(h.client) : nullptr;
   std::vector<std::span<const std::byte>> views;
-  if (m != nullptr) views = m->cache->pin(sample_id);
+  if (m != nullptr) views = m->cache->pin(p->sample_id);
   if (views.empty()) {
     co_await fabric.transfer(holder_node, me, hw::kControlMessageBytes);
-    ++peer_misses_;
-    co_return false;
+    co_return refuse();
   }
   // The bulk transfer is charged to the requesting tenant exactly like a
   // device read of the same bytes — a peer read must not let a capped
   // job dodge its QoS share.
-  if (fleet_->tenant_) {
-    while (!fleet_->tenant_->try_admit(len)) {
+  const DlfsCosts& costs = fleet_->config_.calibration.dlfs;
+  if (tenant && !p->admitted) {
+    while (!tenant->try_admit(p->len)) {
       co_await io_core_->compute(costs.poll_iteration);
     }
   }
-  // Holder-side serve (verbs recv + RDMA post) on the holder's core; the
-  // data path itself is one-sided, so there is no holder-side copy.
-  co_await m->core->compute(costs.peer_serve);
-  const bool delivered = co_await fabric.send(holder_node, me, len);
+  // Holder-side serve (verbs recv + RDMA post), queued behind the
+  // holder's earlier serves; the data path itself is one-sided, so there
+  // is no holder-side copy.
+  dlsim::Simulator& sim = node_->simulator();
+  m->serve_free = std::max(sim.now(), m->serve_free) + costs.peer_serve;
+  m->core->charge(costs.peer_serve);
+  co_await sim.delay(m->serve_free - sim.now());
+  const bool delivered = co_await fabric.send(holder_node, me, p->len);
+  if (tenant) tenant->on_complete(p->len);
   if (!delivered) {
-    m->cache->unpin(sample_id);
-    if (fleet_->tenant_) fleet_->tenant_->on_complete(len);
+    m->cache->unpin(p->sample_id);
+    co_return;
+  }
+  p->holder = m->cache;
+  p->views = std::move(views);
+}
+
+dlsim::Task<bool> DlfsInstance::finish_peer_pull(PeerPull* p,
+                                                 std::byte* dst) {
+  co_await p->proc.join();
+  if (p->holder == nullptr) {
     ++peer_misses_;
     co_return false;
   }
   // Requester-side placement of the landed bytes (real memcpy: delivery
   // stays byte-identical to the device path).
   CopyJob job;
-  job.views = std::move(views);
+  job.views = std::move(p->views);
   job.dst = dst;
   co_await engine_->run_copy_inline(*io_core_, std::move(job));
-  m->cache->unpin(sample_id);
-  if (fleet_->tenant_) fleet_->tenant_->on_complete(len);
-  ++peer_hits_remote_;
-  peer_bytes_ += len;
+  std::exchange(p->holder, nullptr)->unpin(p->sample_id);
+  ++(p->local ? peer_hits_local_ : peer_hits_remote_);
+  peer_bytes_ += p->len;
   co_return true;
 }
 
@@ -1147,7 +1159,8 @@ std::vector<std::span<const std::byte>> DlfsInstance::held_views(
 }
 
 dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
-                                            std::byte* dst) {
+                                            std::byte* dst,
+                                            PeerPull* posted) {
   if (cache_->valid(sample_id)) {
     cache_->note_hit();
     CopyJob job;
@@ -1166,7 +1179,10 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
   // A cooperating peer's DRAM beats any device: try it first, fall back
   // to the replica-routed device read on a peer miss.
   const SampleLocation& loc = fleet_->layout_[sample_id];
-  const bool peer_served = co_await try_peer_read(sample_id, loc.len, dst);
+  dlsim::Task<bool> peer = posted != nullptr
+                               ? finish_peer_pull(posted, dst)
+                               : try_peer_read(sample_id, loc.len, dst);
+  const bool peer_served = co_await std::move(peer);
   if (peer_served) co_return true;
   if (!sample_reachable(sample_id)) co_return false;
   co_await engine_->read_one(*io_core_, loc.nid, loc.offset, loc.len, dst,
@@ -1409,87 +1425,131 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   dlsim::CountdownLatch copies(node_->simulator(), 0);
   std::vector<CopyJob> inline_copies;
   BatchFaults faults;
+
+  // Sample-level: post a pull for every picked sample only a remote peer
+  // holds, in pick order and before consuming any, so their RPC chains
+  // overlap; the loop below finishes them in the same order. Their QoS
+  // grants are taken here: the first refused sample, and every one after
+  // it, is pulled in place when its turn comes.
+  std::deque<PeerPull> pulls;  // stable addresses: posts point into it
+  std::size_t next_pull = 0;
+  const std::shared_ptr<TenantHandle>& tenant = fleet_->tenant_;
+  bool posting = !chunk_mode && fleet_->config_.peer_cache.enabled;
   for (const auto& pk : picks) {
-    HeldUnit* hu = co_await acquire_pick(pk, &faults);
-    hu->remaining -= pk.count;
-    if (chunk_mode) {
-      // The pick's samples start copying out of the held unit as soon as
-      // it settles, while later units are still in flight. A detached
-      // process feeds the copy threads, so channel pushes never stall the
-      // I/O loop; without a pool the frontend core copies serially after
-      // the fetch (it cannot poll and memcpy at once).
-      std::vector<CopyJob> jobs;
-      for (std::uint32_t i = 0; i < pk.count; ++i) {
-        const UnitSample& us = pk.unit->samples[pk.first_sample + i];
-        auto views = held_views(*hu, us);
-        if (views.empty()) continue;
-        CopyJob job;
-        job.views = std::move(views);
-        job.dst = place(us.sample_id, us.len);
-        job.latch = &copies;
-        job.origin = io_core_;
-        jobs.push_back(std::move(job));
-      }
-      copies.add(jobs.size());
-      if (!copy_pool) {
-        std::move(jobs.begin(), jobs.end(),
-                  std::back_inserter(inline_copies));
-      } else if (!jobs.empty()) {
-        node_->simulator().spawn_daemon(
-            [](IoEngine* engine, std::vector<CopyJob> jobs)
-                -> dlsim::Task<void> {
-              for (CopyJob& job : jobs) {
-                co_await engine->enqueue_copy(std::move(job));
-              }
-            }(engine_.get(), std::move(jobs)),
-            "bread-copies");
-      }
-      continue;
-    }
-    // Sample-level: a prefetched extent copies through the SCQ pool and
-    // fills the sample cache; a sample with no usable read-ahead (cache
-    // hit, elided at issue time, or its node failed) is a demand read.
-    for (std::uint32_t i = 0; i < pk.count; ++i) {
+    for (std::uint32_t i = 0; posting && i < pk.count; ++i) {
       const UnitSample& us = pk.unit->samples[pk.first_sample + i];
-      auto x = hu->samples.find(us.sample_id);
-      if (x != hu->samples.end() && !cache_->valid(us.sample_id)) {
-        if (x->second.error) {
-          faults.note(x->second.error);
-          continue;
-        }
-        cache_->note_miss();
-        CopyJob job;
-        job.owned_pieces = std::move(x->second.buffers);
-        job.piece_lens = piece_lens_of(us.len, fleet_->config_.chunk_bytes);
-        job.cache_sample_id = us.sample_id;
-        job.dst = place(us.sample_id, us.len);
-        if (!copy_pool) {
-          co_await engine_->run_copy_inline(*io_core_, std::move(job));
-        } else {
+      if (cache_->valid(us.sample_id) ||
+          peer_index_->find_holder(us.sample_id, client_idx_) != nullptr ||
+          !fleet_->peer_directory_->find(us.sample_id, client_idx_).found) {
+        continue;
+      }
+      posting = !tenant || tenant->try_admit(us.len);
+      if (!posting) break;
+      PeerPull& p = pulls.emplace_back(
+          PeerPull{us.sample_id, us.len, tenant != nullptr});
+      p.proc = node_->simulator().spawn(post_peer_pull(&p), "peer-pull");
+    }
+  }
+
+  std::exception_ptr escaped;
+  try {
+    for (const auto& pk : picks) {
+      HeldUnit* hu = co_await acquire_pick(pk, &faults);
+      hu->remaining -= pk.count;
+      if (chunk_mode) {
+        // The pick's samples start copying out of the held unit as soon as
+        // it settles, while later units are still in flight. A detached
+        // process feeds the copy threads, so channel pushes never stall the
+        // I/O loop; without a pool the frontend core copies serially after
+        // the fetch (it cannot poll and memcpy at once).
+        std::vector<CopyJob> jobs;
+        for (std::uint32_t i = 0; i < pk.count; ++i) {
+          const UnitSample& us = pk.unit->samples[pk.first_sample + i];
+          auto views = held_views(*hu, us);
+          if (views.empty()) continue;
+          CopyJob job;
+          job.views = std::move(views);
+          job.dst = place(us.sample_id, us.len);
           job.latch = &copies;
-          copies.add(1);
-          co_await engine_->enqueue_copy(std::move(job));
+          job.origin = io_core_;
+          jobs.push_back(std::move(job));
+        }
+        copies.add(jobs.size());
+        if (!copy_pool) {
+          std::move(jobs.begin(), jobs.end(),
+                    std::back_inserter(inline_copies));
+        } else if (!jobs.empty()) {
+          node_->simulator().spawn_daemon(
+              [](IoEngine* engine, std::vector<CopyJob> jobs)
+                  -> dlsim::Task<void> {
+                for (CopyJob& job : jobs) {
+                  co_await engine->enqueue_copy(std::move(job));
+                }
+              }(engine_.get(), std::move(jobs)),
+              "bread-copies");
         }
         continue;
       }
-      try {
-        const bool served =
-            co_await demand_read(us.sample_id, arena.data() + batch.bytes);
-        if (served) {
-          (void)place(us.sample_id, us.len);
-        } else {
-          ++faults.skipped;
+      // Sample-level: a prefetched extent copies through the SCQ pool and
+      // fills the sample cache; a sample with no usable read-ahead (cache
+      // hit, elided at issue time, or its node failed) is a demand read.
+      for (std::uint32_t i = 0; i < pk.count; ++i) {
+        const UnitSample& us = pk.unit->samples[pk.first_sample + i];
+        PeerPull* pull = nullptr;
+        if (next_pull < pulls.size() &&
+            pulls[next_pull].sample_id == us.sample_id) {
+          pull = &pulls[next_pull++];
         }
-      } catch (const IoError&) {
-        faults.note(std::current_exception());
+        auto x = hu->samples.find(us.sample_id);
+        if (x != hu->samples.end() && !cache_->valid(us.sample_id)) {
+          if (x->second.error) {
+            faults.note(x->second.error);
+            continue;
+          }
+          cache_->note_miss();
+          CopyJob job;
+          job.owned_pieces = std::move(x->second.buffers);
+          job.piece_lens = piece_lens_of(us.len, fleet_->config_.chunk_bytes);
+          job.cache_sample_id = us.sample_id;
+          job.dst = place(us.sample_id, us.len);
+          if (!copy_pool) {
+            co_await engine_->run_copy_inline(*io_core_, std::move(job));
+          } else {
+            job.latch = &copies;
+            copies.add(1);
+            co_await engine_->enqueue_copy(std::move(job));
+          }
+          continue;
+        }
+        try {
+          const bool served = co_await demand_read(
+              us.sample_id, arena.data() + batch.bytes, pull);
+          if (served) {
+            (void)place(us.sample_id, us.len);
+          } else {
+            ++faults.skipped;
+          }
+        } catch (const IoError&) {
+          faults.note(std::current_exception());
+        }
       }
     }
+  } catch (...) {
+    escaped = std::current_exception();
   }
   co_await inj_done.wait();
   for (CopyJob& job : inline_copies) {
     co_await engine_->run_copy_inline(*io_core_, std::move(job));
   }
   co_await copies.wait();
+  // No pull outlives its bread: join every post, and unpin a landed pull
+  // the loop did not consume (its sample was served another way, or the
+  // loop threw).
+  for (PeerPull& p : pulls) {
+    co_await p.proc.join();
+    if (p.holder != nullptr) p.holder->unpin(p.sample_id);
+  }
+  if (escaped) std::rethrow_exception(escaped);
   if (faults.fatal) std::rethrow_exception(faults.fatal);
   for (const auto& pk : picks) {
     maybe_release_unit(epoch_provider_->unit_of(pk.unit_slot));

@@ -431,7 +431,11 @@ class DlfsInstance {
   /// The demand read of one sample into `dst`: sample cache, then a
   /// peer's DRAM, then the device along the replica route. False when no
   /// copy is reachable; a device read that fails throws its IoError.
-  dlsim::Task<bool> demand_read(std::uint32_t sample_id, std::byte* dst);
+  /// `posted` is a pull bread already posted for this sample: the peer
+  /// step finishes it instead of starting one.
+  struct PeerPull;
+  dlsim::Task<bool> demand_read(std::uint32_t sample_id, std::byte* dst,
+                                PeerPull* posted = nullptr);
   /// Injected poll-loop compute (Fig. 7b) as a concurrent task; counts
   /// `done` down when finished (immediately when nothing is injected).
   void spawn_injected(dlsim::CountdownLatch* done);
@@ -454,13 +458,22 @@ class DlfsInstance {
   /// skip decision consult this before giving up on a sample.
   [[nodiscard]] bool peer_resident(std::uint32_t sample_id) const;
   /// Peer-cache read: co-located holder first (shared-DRAM copy), then a
-  /// remote holder via the cache directory's home client (peer-read RPC
-  /// over the fabric, charged to this fleet's tenant). Copies the
-  /// sample's bytes into `dst` on success; a miss (no holder, raced
+  /// remote holder through one pull posted and finished in place. Copies
+  /// the sample's bytes into `dst` on success; a miss (no holder, raced
   /// eviction, transport refusal) counts peer_misses_ and returns false.
   [[nodiscard]] dlsim::Task<bool> try_peer_read(std::uint32_t sample_id,
                                                 std::uint32_t len,
                                                 std::byte* dst);
+  /// Post step of a cross-node pull (its own process when bread batches
+  /// it): request hop to the sample's home client, forward hop, holder
+  /// pin, QoS admission unless bread already took the grant, the
+  /// holder's queued serve and the bulk transfer. The grant returns when
+  /// the bytes land; a landed pull stays pinned at the holder.
+  [[nodiscard]] dlsim::Task<void> post_peer_pull(PeerPull* p);
+  /// Finish step, on the I/O core: waits for the post, copies the pinned
+  /// bytes into `dst` and unpins the holder. False (a miss) otherwise.
+  [[nodiscard]] dlsim::Task<bool> finish_peer_pull(PeerPull* p,
+                                                   std::byte* dst);
 
   // --- self-healing replication (failure detector + repair daemon) --------
   /// Availability-transition tap (runs inside the engine's node handler):

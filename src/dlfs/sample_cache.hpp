@@ -34,6 +34,7 @@
 
 #include "mem/hugepage_pool.hpp"
 #include "sim/check.hpp"
+#include "sim/time.hpp"
 
 namespace dlsim {
 class CpuCore;
@@ -188,6 +189,9 @@ class PeerCacheIndex {
     std::uint32_t client = 0;         // fleet client index
     SampleCache* cache = nullptr;     // that instance's sample cache
     dlsim::CpuCore* core = nullptr;   // core a peer serve is charged to
+    // Remote serves queue on `core` one at a time, booked like a NIC
+    // pipe: a serve starts at max(now, serve_free).
+    mutable dlsim::SimTime serve_free = 0;
   };
 
   void register_member(std::uint32_t client, SampleCache* cache,

@@ -4,12 +4,15 @@
 // budget), and the fleet-level read paths — intra-node peer hits, remote
 // peer pulls over the fabric, pin-protected serving under eviction
 // pressure, and exactly-once skip accounting when both the peer and the
-// replica route fail.
+// replica route fail. Sample-level breads post their remote pulls before
+// consuming any: the batched-pull tests pin down the overlap, the
+// holder's serve queue, QoS grants and the pin lifetime of posted pulls.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -162,6 +165,7 @@ struct DeliveryLog {
   std::vector<std::uint32_t> order;
   std::uint64_t skipped = 0;
   bool content_ok = true;
+  bool dense = true;  // every batch packed its arena from offset 0, no gaps
 };
 
 Task<void> run_epoch_logged(const dlfs::dataset::Dataset& ds,
@@ -175,7 +179,10 @@ Task<void> run_epoch_logged(const dlfs::dataset::Dataset& ds,
     // Skip accounting is per sample, exactly once: a batch that asked
     // for 16 samples can never report more than 16 outcomes in total.
     EXPECT_LE(b.samples.size() + b.samples_skipped, 16u);
+    std::uint64_t next_offset = 0;
     for (const auto& s : b.samples) {
+      if (s.offset_in_arena != next_offset) log.dense = false;
+      next_offset += s.len;
       log.order.push_back(s.sample_id);
       want.resize(s.len);
       ds.fill_content(s.sample_id, 0, want);
@@ -186,6 +193,48 @@ Task<void> run_epoch_logged(const dlfs::dataset::Dataset& ds,
     }
     log.skipped += b.samples_skipped;
   }
+}
+
+/// True when the logs together deliver every sample exactly once.
+bool exactly_once(const std::vector<const DeliveryLog*>& logs) {
+  std::vector<int> seen(PeerRig::kSamples, 0);
+  for (const DeliveryLog* log : logs) {
+    for (const std::uint32_t id : log->order) ++seen[id];
+  }
+  for (const int n : seen) {
+    if (n != 1) return false;
+  }
+  return true;
+}
+
+/// Evicts every cache down to empty: an entry a pull left pinned would
+/// refuse eviction and stay resident.
+void expect_caches_drain(dlfs::core::DlfsFleet& fleet) {
+  for (std::uint32_t c = 0; c < fleet.num_clients(); ++c) {
+    auto& cache = fleet.instance(c).cache();
+    while (cache.evict_lru_one()) {
+    }
+    EXPECT_EQ(cache.resident_samples(), 0u) << "pin leaked at client " << c;
+  }
+}
+
+/// Warms both clients with epoch 1 (seed 1), then reshuffles with seed 2
+/// and runs the warm epoch into `a2` and `b2`.
+void run_two_epochs(PeerRig& rig, DeliveryLog& a2, DeliveryLog& b2) {
+  auto& a = rig.fleet.instance(0);
+  auto& b = rig.fleet.instance(1);
+  a.sequence(1);
+  b.sequence(1);
+  DeliveryLog a1, b1;
+  rig.sim.spawn(run_epoch_logged(rig.ds, a, a1), "cold-a");
+  rig.sim.spawn(run_epoch_logged(rig.ds, b, b1), "cold-b");
+  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+  rig.sim.rethrow_failures();
+  ASSERT_EQ(a1.order.size() + b1.order.size(), PeerRig::kSamples);
+  a.sequence(2);
+  b.sequence(2);
+  rig.sim.spawn(run_epoch_logged(rig.ds, a, a2), "warm-a");
+  rig.sim.spawn(run_epoch_logged(rig.ds, b, b2), "warm-b");
 }
 
 TEST(PeerCache, CoLocatedInstancesServePeerHitsAfterReshuffle) {
@@ -307,6 +356,195 @@ TEST(PeerCache, PinnedPeerServeSurvivesEvictionPressure) {
   const auto sa = a.stats();
   const auto sb = b.stats();
   EXPECT_GT(sa.peer_hits_local + sb.peer_hits_local, 0u);
+}
+
+TEST(PeerCache, PinnedRemotePullSurvivesEvictionPressure) {
+  // The remote variant: clients on separate nodes, so every peer serve is
+  // a posted pull whose holder entry stays pinned from the holder's pin
+  // until the requester's copy, while the holder's own epoch inserts
+  // (and evicts) around it.
+  auto c = PeerRig::cfg(/*cache_chunks=*/96);  // share is 256 samples
+  c.scribble_on_free = true;
+  PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0}, c);
+  DeliveryLog a2, b2;
+  run_two_epochs(rig, a2, b2);
+  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+  rig.sim.rethrow_failures();
+  EXPECT_TRUE(exactly_once({&a2, &b2}));
+  EXPECT_EQ(a2.skipped + b2.skipped, 0u);
+  EXPECT_TRUE(a2.content_ok);
+  EXPECT_TRUE(b2.content_ok);
+  EXPECT_TRUE(a2.dense);
+  EXPECT_TRUE(b2.dense);
+  EXPECT_GT(rig.fleet.instance(0).stats().peer_hits_remote +
+                rig.fleet.instance(1).stats().peer_hits_remote,
+            0u);
+  expect_caches_drain(rig.fleet);
+}
+
+TEST(PeerCache, LinkCutMidEpochFallsBackToDevice) {
+  // The link between the two clients fails partway through the warm
+  // epoch. Posted pulls lose a leg (request, forward or bulk) and must
+  // fall back to the storage node, which both clients still reach: every
+  // sample arrives exactly once, packed densely, and no holder pin leaks.
+  PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0},
+              PeerRig::cfg(/*cache_chunks=*/320));
+  DeliveryLog a2, b2;
+  run_two_epochs(rig, a2, b2);
+  rig.cluster.fabric().fail_link_at(1, 2, rig.sim.now() + 150_us);
+  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+  rig.sim.rethrow_failures();
+  EXPECT_TRUE(exactly_once({&a2, &b2}));
+  EXPECT_EQ(a2.skipped + b2.skipped, 0u);
+  EXPECT_TRUE(a2.content_ok);
+  EXPECT_TRUE(b2.content_ok);
+  EXPECT_TRUE(a2.dense);
+  EXPECT_TRUE(b2.dense);
+  const auto sa = rig.fleet.instance(0).stats();
+  const auto sb = rig.fleet.instance(1).stats();
+  // Pulls landed before the cut and were refused after it.
+  EXPECT_GT(sa.peer_hits_remote + sb.peer_hits_remote, 0u);
+  EXPECT_GT(sa.peer_misses + sb.peer_misses, 0u);
+  EXPECT_GT(rig.cluster.fabric().messages_dropped(), 0u);
+  expect_caches_drain(rig.fleet);
+}
+
+TEST(PeerCache, QosCappedWarmEpochFinishesEveryPull) {
+  // A job-wide cap of two outstanding commands is far below the pulls one
+  // batch posts. Pulls admitted at post time return their grants when
+  // their bytes land, and the rest pull in place once a grant frees, so
+  // the epoch completes instead of waiting on a grant a later pull holds.
+  auto c = PeerRig::cfg(/*cache_chunks=*/320);
+  auto gov = std::make_shared<dlfs::core::TenantGovernor>();
+  c.tenant.name = "capped";
+  c.tenant.max_inflight = 2;
+  c.tenant.governor = gov;
+  PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0}, c);
+  auto& a = rig.fleet.instance(0);
+  auto& b = rig.fleet.instance(1);
+  DeliveryLog a2, b2;
+  run_two_epochs(rig, a2, b2);
+  const auto admitted0 = rig.fleet.tenant_handle()->stats().bytes_admitted;
+  const auto peer0 = a.stats().peer_bytes + b.stats().peer_bytes;
+  const dlsim::SimTime t0 = rig.sim.now();
+  const std::array<dlsim::SimDuration, 2> busy0{a.io_core().busy_ns(),
+                                                b.io_core().busy_ns()};
+  // A warm epoch takes about a millisecond; a stuck grant spins forever.
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  EXPECT_TRUE(exactly_once({&a2, &b2}));
+  EXPECT_EQ(a2.skipped + b2.skipped, 0u);
+  EXPECT_TRUE(a2.content_ok);
+  EXPECT_TRUE(b2.content_ok);
+  const auto peer_bytes = a.stats().peer_bytes + b.stats().peer_bytes - peer0;
+  EXPECT_GT(peer_bytes, 0u);
+  EXPECT_EQ(a.stats().peer_hits_local + b.stats().peer_hits_local, 0u);
+  // Remote peer bytes were admitted against the tenant like device reads.
+  EXPECT_GE(rig.fleet.tenant_handle()->stats().bytes_admitted - admitted0,
+            peer_bytes);
+  EXPECT_EQ(rig.fleet.tenant_handle()->inflight(), 0u);
+  // At most one admission poll loop charged an I/O core at a time: no
+  // core was busy for longer than the warm epoch lasted.
+  EXPECT_LE(a.io_core().busy_ns() - busy0[0], rig.sim.now() - t0);
+  EXPECT_LE(b.io_core().busy_ns() - busy0[1], rig.sim.now() - t0);
+}
+
+/// A rig where client 1 holds every sample and client 0 holds none: each
+/// sample of client 0's epoch is a remote pull from the one holder.
+struct OneHolderRig : PeerRig {
+  OneHolderRig() : PeerRig(3, {1, 2}, {0}, PeerRig::cfg(640)) {
+    sim.spawn(
+        [](dlfs::core::DlfsInstance& holder) -> Task<void> {
+          std::vector<std::byte> buf(4096);
+          for (std::uint32_t id = 0; id < kSamples; ++id) {
+            const auto h = co_await holder.open_id(id);
+            co_await holder.read(h, buf);
+          }
+        }(fleet.instance(1)),
+        "fill-holder");
+    sim.run_watchdog(sim.now() + 30_sec);
+    sim.rethrow_failures();
+    fleet.instance(0).sequence(7);
+  }
+};
+
+/// One bread of 16 by client 0; records its simulated duration.
+Task<void> timed_bread(Simulator& sim, dlfs::core::DlfsInstance& inst,
+                       std::vector<std::byte>& arena,
+                       dlsim::SimDuration& took, bool& done) {
+  const dlsim::SimTime t0 = sim.now();
+  auto b = co_await inst.bread(16, arena);
+  took = sim.now() - t0;
+  EXPECT_EQ(b.samples.size(), 16u);
+  done = true;
+}
+
+TEST(PeerCache, WarmBatchOverlapsRemotePulls) {
+  // Serial pulls need at least one NIC latency plus one sample's wire
+  // time each, after the frontend charge; posted pulls overlap their RPC
+  // chains, so every warm batch of n remote pulls beats that bound.
+  OneHolderRig rig;
+  auto& a = rig.fleet.instance(0);
+  const auto& costs = rig.fleet.config().calibration.dlfs;
+  const dlfs::NicParams nic = rig.cluster.fabric().params();
+  const dlsim::SimDuration frontend =
+      16 * (costs.dir_lookup + costs.bread_per_sample);
+  const dlsim::SimDuration per_pull =
+      nic.latency + dlsim::transfer_time(4096, nic.bw_bytes_per_sec);
+  std::vector<std::byte> arena(64_KiB);
+  for (int batch = 0; batch < 8; ++batch) {
+    const std::uint64_t pulls0 = a.stats().peer_hits_remote;
+    dlsim::SimDuration took = 0;
+    bool done = false;
+    rig.sim.spawn(timed_bread(rig.sim, a, arena, took, done), "timed-bread");
+    rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+    rig.sim.rethrow_failures();
+    ASSERT_TRUE(done);
+    const std::uint64_t n = a.stats().peer_hits_remote - pulls0;
+    EXPECT_EQ(n, 16u);
+    EXPECT_LT(took, frontend + static_cast<dlsim::SimDuration>(n) * per_pull)
+        << "batch " << batch << " ran its " << n << " pulls serially";
+  }
+}
+
+TEST(PeerCache, HolderServesQueueInOrder) {
+  // One batch posts k pulls to one holder at once. Its core serves them
+  // one after another: busy time grows by exactly k serves, and the last
+  // bulk transfer cannot start before k serve times have passed since the
+  // first serve began.
+  OneHolderRig rig;
+  auto& a = rig.fleet.instance(0);
+  dlsim::CpuCore& holder_core = rig.fleet.instance(1).io_core();
+  const dlfs::hw::Fabric& fabric = rig.cluster.fabric();
+  constexpr dlfs::hw::NodeId kHolderNode = 2;  // client 1's node
+  const dlsim::SimDuration serve =
+      rig.fleet.config().calibration.dlfs.peer_serve;
+  const dlsim::SimDuration busy0 = holder_core.busy_ns();
+  const std::uint64_t pulls0 = a.stats().peer_hits_remote;
+  std::uint64_t sent = fabric.bytes_sent(kHolderNode);
+  std::vector<std::byte> arena(64_KiB);
+  dlsim::SimDuration took = 0;
+  bool done = false;
+  rig.sim.spawn(timed_bread(rig.sim, a, arena, took, done), "timed-bread");
+  // Step the simulator by hand: the holder's core turns busy when its
+  // first serve begins, and it sends nothing but bulk transfers.
+  dlsim::SimTime first_serve = 0;
+  dlsim::SimTime last_bulk = 0;
+  while (!done && rig.sim.step()) {
+    if (first_serve == 0 && holder_core.busy_ns() > busy0) {
+      first_serve = rig.sim.now();
+    }
+    if (fabric.bytes_sent(kHolderNode) != sent) {
+      sent = fabric.bytes_sent(kHolderNode);
+      last_bulk = rig.sim.now();
+    }
+  }
+  ASSERT_TRUE(done);
+  const std::uint64_t k = a.stats().peer_hits_remote - pulls0;
+  ASSERT_EQ(k, 16u);
+  EXPECT_EQ(holder_core.busy_ns() - busy0, k * serve);
+  ASSERT_GT(first_serve, 0u);
+  EXPECT_GE(last_bulk - first_serve, k * serve);
 }
 
 TEST(PeerCache, CrashFailoverSkipsExactlyOncePerSample) {
