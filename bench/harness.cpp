@@ -131,7 +131,6 @@ RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
     r.prefetch.window_shrinks += ps.window_shrinks;
     r.prefetch.units_dropped += ps.units_dropped;
     r.prefetch.units_reissued += ps.units_reissued;
-    r.prefetch.arbiter_throttles += ps.arbiter_throttles;
     r.prefetch.in_flight_hwm =
         std::max(r.prefetch.in_flight_hwm, ps.in_flight_hwm);
     r.prefetch.window_target =
@@ -459,7 +458,6 @@ std::string JsonReport::write() const {
         << ", \"prefetch_window_shrinks\": " << p.window_shrinks
         << ", \"prefetch_units_dropped\": " << p.units_dropped
         << ", \"prefetch_units_reissued\": " << p.units_reissued
-        << ", \"prefetch_arbiter_throttles\": " << p.arbiter_throttles
         << ", \"prefetch_window_target\": " << p.window_target
         << ", \"io_retries\": " << r.io_retries
         << ", \"io_timeouts\": " << r.transport.timeouts

@@ -85,8 +85,8 @@ class BatchPlan {
 /// One device extent of a prefetchable read unit. `key` is whatever the
 /// provider's consumer uses to recognize the extent when the unit is
 /// acquired — the sample id for per-sample extents, the slot itself for
-/// chunks and record files — so a provider may elide extents (e.g.
-/// already cache-resident samples) without breaking the mapping.
+/// chunks — so the provider may elide extents (e.g. already
+/// cache-resident samples) without breaking the mapping.
 struct UnitExtent {
   std::uint16_t nid = 0;
   std::uint64_t offset = 0;
@@ -94,20 +94,6 @@ struct UnitExtent {
   std::uint64_t key = 0;
   // Replica failover order for these bytes (empty without replication).
   std::vector<RouteHop> routes{};
-};
-
-/// What the asynchronous prefetcher walks: an ordered list of read units,
-/// each a small set of device extents fetched as one window entry. One
-/// implementation per read path — chunk units, fused groups of per-sample
-/// extents, record files — so a single windowed daemon serves them all.
-class ReadUnitProvider {
- public:
-  virtual ~ReadUnitProvider() = default;
-  [[nodiscard]] virtual std::size_t num_units() const = 0;
-  /// Extents of unit `slot` worth fetching *at call time*: the provider
-  /// may skip extents that are already resident elsewhere (sample cache).
-  [[nodiscard]] virtual std::vector<UnitExtent> unit_extents(
-      std::size_t slot) const = 0;
 };
 
 class SampleCache;
@@ -120,7 +106,6 @@ class EpochSequence {
   EpochSequence(const BatchPlan& plan, std::uint64_t seed,
                 std::uint32_t client_idx, std::uint32_t num_clients);
 
-  [[nodiscard]] std::size_t my_units() const { return order_.size(); }
   [[nodiscard]] std::size_t remaining_samples() const {
     return total_samples_ - consumed_samples_;
   }
@@ -142,11 +127,7 @@ class EpochSequence {
     return order_.at(slot);
   }
 
-  /// Cursor-based read-ahead iteration (no per-call allocation): the
-  /// unit slot currently being consumed and the total slot count. The
-  /// slots ahead of the cursor are [cursor_unit(), num_units()) — the
-  /// prefetch window walks them directly.
-  [[nodiscard]] std::size_t cursor_unit() const { return cur_unit_; }
+  /// Units in this client's share of the epoch.
   [[nodiscard]] std::size_t num_units() const { return order_.size(); }
 
  private:
@@ -157,14 +138,15 @@ class EpochSequence {
   std::uint32_t cur_sample_ = 0;
 };
 
-/// ReadUnitProvider over an EpochSequence. Chunk mode maps 1:1 (group =
-/// 1, every epoch slot is one chunk/edge unit, keyed by the slot);
-/// sample-level mode fuses `group` consecutive epoch slots — each a
-/// single-sample unit — into one prefetch unit whose extents
-/// are keyed by sample id. With a cache attached, extents whose sample
-/// is already resident are elided at issue time, so warm epochs cost no
-/// device read-ahead.
-class EpochUnitProvider final : public ReadUnitProvider {
+/// What the asynchronous prefetcher walks: an EpochSequence as an ordered
+/// list of read units, each a small set of device extents fetched as one
+/// window entry. Chunk mode maps 1:1 (group = 1, every epoch slot is one
+/// chunk/edge unit, keyed by the slot); sample-level mode fuses `group`
+/// consecutive epoch slots — each a single-sample unit — into one
+/// prefetch unit whose extents are keyed by sample id. With a cache
+/// attached, extents whose sample is already resident are elided at
+/// issue time, so warm epochs cost no device read-ahead.
+class EpochUnitProvider {
  public:
   /// `routes` (optional) resolves a sample id to its replica failover
   /// list; per-sample extents carry it so prefetched reads can fail over.
@@ -181,9 +163,10 @@ class EpochUnitProvider final : public ReadUnitProvider {
                     const SampleCache* cache, RouteResolver routes = {},
                     PeerProbe peers = {});
 
-  [[nodiscard]] std::size_t num_units() const override;
-  [[nodiscard]] std::vector<UnitExtent> unit_extents(
-      std::size_t slot) const override;
+  [[nodiscard]] std::size_t num_units() const;
+  /// Extents of unit `slot` worth fetching *at call time*: extents whose
+  /// sample is already resident elsewhere (sample cache, peer) are skipped.
+  [[nodiscard]] std::vector<UnitExtent> unit_extents(std::size_t slot) const;
 
   /// The prefetch unit covering epoch slot `epoch_slot`.
   [[nodiscard]] std::size_t unit_of(std::size_t epoch_slot) const {
@@ -197,26 +180,6 @@ class EpochUnitProvider final : public ReadUnitProvider {
   const SampleCache* cache_;  // may be null: no elision
   RouteResolver routes_;      // may be null: no replication
   PeerProbe peers_;           // may be null: no peer cache
-};
-
-/// Trivial provider over a precomputed extent list, one unit per extent
-/// (keyed by its slot). The record-file streaming path shuffles the
-/// mounted record files and hands them here.
-class ExtentListProvider final : public ReadUnitProvider {
- public:
-  explicit ExtentListProvider(std::vector<UnitExtent> units)
-      : units_(std::move(units)) {}
-
-  [[nodiscard]] std::size_t num_units() const override {
-    return units_.size();
-  }
-  [[nodiscard]] std::vector<UnitExtent> unit_extents(
-      std::size_t slot) const override {
-    return {units_.at(slot)};
-  }
-
- private:
-  std::vector<UnitExtent> units_;
 };
 
 }  // namespace dlfs::core

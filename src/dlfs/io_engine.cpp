@@ -12,7 +12,7 @@ IoEngine::IoEngine(dlsim::Simulator& sim, mem::HugePagePool& pool,
                    SampleCache& cache, const Calibration& cal,
                    const IoEngineConfig& config)
     : sim_(&sim), pool_(&pool), cache_(&cache), cal_(&cal), config_(config) {
-  scq_ = std::make_unique<dlsim::Channel<CopyJob>>(sim, config_.scq_capacity);
+  scq_ = std::make_unique<dlsim::Channel<CopyJob>>(sim, kScqCapacity);
   for (std::uint32_t i = 0; i < config_.copy_threads; ++i) {
     copy_cores_.push_back(
         std::make_unique<dlsim::CpuCore>(sim, "copy-" + std::to_string(i)));
@@ -176,7 +176,7 @@ dlsim::Task<void> IoEngine::wait_any(dlsim::CpuCore& core) {
   if (!any_unknown && known && *known > now) {
     co_await core.compute(*known - now);
   } else {
-    co_await core.compute(config_.poll_quantum);
+    co_await core.compute(kPollQuantum);
   }
 }
 
@@ -198,10 +198,6 @@ bool IoEngine::advance_route(ReadExtent& x) {
   while (!x.routes.empty()) {
     const RouteHop hop = x.routes.front();
     x.routes.erase(x.routes.begin());
-    // Peer hops name a client's DRAM cache, not an NVMe-oF target; they
-    // are consumed by the DLFS peer-read path before start_extents and
-    // must never be posted as device reads here.
-    if (hop.cls == HopClass::kPeer) continue;
     if (hop.nid < targets_.size() && targets_[hop.nid] != nullptr &&
         node_available(hop.nid)) {
       x.nid = hop.nid;
@@ -592,7 +588,7 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
           // until the retry budget runs out, backing off per attempt so
           // retries don't hot-loop the device queue.
           if (c.status == spdk::IoStatus::kTimeout) ++timeouts_;
-          if (p.attempts > config_.max_retries) {
+          if (p.attempts > kMaxRetries) {
             if (c.status == spdk::IoStatus::kTimeout) {
               // Timeout budget spent: before declaring the read failed,
               // try a replica — the node may be slow or partitioned while
@@ -611,15 +607,10 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
           }
           ++retries_;
           const dlsim::SimDuration backoff =
-              config_.retry_backoff
-              << std::min<std::uint32_t>(p.attempts - 1, 10);
+              kRetryBackoff << std::min<std::uint32_t>(p.attempts - 1, 10);
           dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
-          if (backoff == 0) {
-            to_post_.push_back(std::move(p));
-          } else {
-            p.not_before = sim_->now() + backoff;
-            delayed_.push_back(std::move(p));
-          }
+          p.not_before = sim_->now() + backoff;
+          delayed_.push_back(std::move(p));
           continue;
         }
         ++harvested_;

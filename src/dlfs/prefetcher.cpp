@@ -7,54 +7,6 @@
 namespace dlfs::core {
 
 // ---------------------------------------------------------------------------
-// PrefetchArbiter
-
-void PrefetchArbiter::register_member(Prefetcher& p) {
-  auto m = members_.write();
-  if (std::find(m->begin(), m->end(), &p) == m->end()) m->push_back(&p);
-}
-
-void PrefetchArbiter::unregister_member(Prefetcher& p) {
-  std::erase(*members_.write(), &p);
-}
-
-std::uint64_t PrefetchArbiter::chunk_allowance(const Prefetcher& p) const {
-  // Node-wide budget: every member's pool headroom beyond its reserve,
-  // plus what is already committed to read-ahead (so a full window is
-  // not counted as vanished budget). Split proportionally to the
-  // adaptive window targets — the daemons that stall grow their target
-  // and thereby their share.
-  // Each member's claim is weight × target: the tenant QoS weight scales
-  // the adaptive target, so co-located jobs of unequal priority split the
-  // node's read-ahead budget by their bandwidth shares.
-  std::uint64_t budget = 0;
-  double total_claim = 0;
-  for (const Prefetcher* m : *members_.read()) {
-    budget += m->readahead_chunks() + m->pool_headroom_chunks();
-    total_claim += m->share_weight() * m->window_target();
-  }
-  const double claim = p.share_weight() * p.window_target();
-  std::uint64_t share =
-      total_claim > 0
-          ? static_cast<std::uint64_t>(static_cast<double>(budget) * claim /
-                                       total_claim)
-          : budget;
-  // The share can never exceed what p's own pool actually holds (pools
-  // are per-instance; a neighbour's free chunks are not allocatable
-  // here), and never starves below one unit's worth.
-  share = std::min(share, p.readahead_chunks() + p.pool_headroom_chunks());
-  // Chunks of acquired units still pinned by live ViewBatches are
-  // read-ahead output the consumer has not returned: they occupy p's
-  // pool but are no longer in ra_chunks_, so without this deduction the
-  // same huge pages would be counted once as "held by p" and once as
-  // window headroom — and a co-located daemon's share computed against a
-  // budget p cannot actually honour.
-  const std::uint64_t pinned = p.view_pinned_chunks();
-  share = share > pinned ? share - pinned : 0;
-  return std::max<std::uint64_t>(share, 1);
-}
-
-// ---------------------------------------------------------------------------
 // Prefetcher
 
 Prefetcher::Prefetcher(dlsim::Simulator& sim, IoEngine& engine,
@@ -75,24 +27,8 @@ Prefetcher::Prefetcher(dlsim::Simulator& sim, IoEngine& engine,
 }
 
 Prefetcher::~Prefetcher() {
-  if (arbiter_) arbiter_->unregister_member(*this);
   shutdown_ = true;
   wake_.set();
-}
-
-void Prefetcher::set_arbiter(std::shared_ptr<PrefetchArbiter> arbiter) {
-  if (arbiter_) arbiter_->unregister_member(*this);
-  arbiter_ = std::move(arbiter);
-  if (arbiter_) arbiter_->register_member(*this);
-}
-
-void Prefetcher::set_share_weight(double w) {
-  share_weight_ = w > 0 ? w : 1.0;
-}
-
-std::uint64_t Prefetcher::pool_headroom_chunks() const {
-  const std::uint64_t free = pool_->free_chunks();
-  return free > cfg_.reserve_chunks ? free - cfg_.reserve_chunks : 0;
 }
 
 std::size_t Prefetcher::window_size() const {
@@ -101,7 +37,7 @@ std::size_t Prefetcher::window_size() const {
   return n;
 }
 
-void Prefetcher::start_epoch(const ReadUnitProvider* provider) {
+void Prefetcher::start_epoch(const EpochUnitProvider* provider) {
   // Extents cannot be cancelled: unfinished read-ahead from the previous
   // epoch keeps draining on the daemon and its buffers drop on arrival.
   // Finished entries release their chunks right here, with the ops.
@@ -114,7 +50,6 @@ void Prefetcher::start_epoch(const ReadUnitProvider* provider) {
     }
     w->clear();
   }
-  ra_chunks_ = 0;
   provider_ = provider;
   next_issue_ = 0;
   demand_floor_ = 0;
@@ -143,7 +78,6 @@ void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs,
                                              std::move(x.routes)});
     e.extents.push_back(std::move(ex));
   }
-  ra_chunks_ += e.chunks;
   {
     auto w = shard_for(slot).write();
     if (front) {
@@ -178,17 +112,9 @@ void Prefetcher::top_up() {
   while (next_issue_ < limit) {
     auto xs = provider_->unit_extents(next_issue_);
     const std::uint64_t need = extents_chunks(xs, chunk_bytes_);
-    const bool pool_blocked =
-        pool_->free_chunks() < need + cfg_.reserve_chunks;
-    const bool arbiter_blocked =
-        arbiter_ != nullptr && need > 0 &&
-        ra_chunks_ + view_pinned_chunks_ + need >
-            arbiter_->chunk_allowance(*this);
-    if (pool_blocked || arbiter_blocked) {
-      // No headroom for more read-ahead — locally (pool) or node-wide
-      // (arbiter share): adapt the target down to the depth actually
-      // sustained instead of thrashing.
-      if (arbiter_blocked) ++stats_.arbiter_throttles;
+    if (pool_->free_chunks() < need + kReserveChunks) {
+      // No pool headroom for more read-ahead: adapt the target down to
+      // the depth actually sustained instead of thrashing.
       const auto depth = static_cast<std::uint32_t>(
           next_issue_ > demand_floor_ ? next_issue_ - demand_floor_ : 0);
       const auto floor_target =
@@ -275,7 +201,6 @@ bool Prefetcher::relieve_pressure() {
     ++stats_.window_shrinks;
     stats_.window_target = window_target_;
   }
-  ra_chunks_ -= it->chunks;
   w->erase(it);
   return true;
 }
@@ -300,7 +225,6 @@ void Prefetcher::discard(std::size_t slot) {
       (void)x.op->take_buffers();  // DmaBuffers drop -> chunks freed
     }
   }
-  ra_chunks_ -= it->chunks;
   w->erase(it);
   wake_.set();
 }
@@ -404,7 +328,6 @@ dlsim::Task<AcquiredUnit> Prefetcher::acquire(
       if (!ax.error) ax.buffers = x.op->take_buffers();
       unit.extents.push_back(std::move(ax));
     }
-    ra_chunks_ -= it->chunks;
     w->erase(it);
   }
   wake_.set();  // window space freed; the daemon can read further ahead

@@ -102,11 +102,10 @@ class TenantGovernor {
   /// kHigh tenants behave like a tenant with weight * kHighBoost.
   static constexpr std::uint32_t kHighBoost = 8;
 
-  /// Effective weight after the priority-class multiplier.
-  static double effective_weight(const TenantQos& q);
-
  private:
   friend class TenantHandle;
+  /// Effective weight after the priority-class multiplier.
+  static double effective_weight(const TenantQos& q);
   bool admit(TenantHandle& t, std::uint32_t bytes);
   void cancel(TenantHandle& t, std::uint32_t bytes);
   void complete(TenantHandle& t, std::uint32_t bytes);

@@ -210,10 +210,6 @@ void PeerCacheDirectory::advertise(std::uint32_t holder, std::uint16_t node,
   NodeBook& book = books_[node];
   if (cfg_.advertise_budget_bytes != 0 &&
       book.bytes + bytes > cfg_.advertise_budget_bytes) {
-    if (cfg_.eviction == PeerCacheConfig::Eviction::kRefuseNew) {
-      ++refused_;
-      return;
-    }
     while (book.bytes + bytes > cfg_.advertise_budget_bytes &&
            !book.order.empty()) {
       const auto [old_sample, old_holder] = book.order.front();

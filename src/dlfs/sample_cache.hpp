@@ -48,19 +48,12 @@ namespace dlfs::core {
 /// knobs are whether to cooperate at all and how much residency a node
 /// may advertise into the cluster cache directory.
 struct PeerCacheConfig {
-  /// What happens when new residency would push a node past its
-  /// advertise budget.
-  enum class Eviction : std::uint8_t {
-    kLru,        // retract the node's oldest advertisement to make room
-    kRefuseNew,  // keep the old set; the new residency goes unadvertised
-  };
-
   bool enabled = false;
   /// Advertised-residency budget per client node, in bytes. 0 means
   /// every resident sample is advertised (already bounded by the cache
-  /// capacity itself).
+  /// capacity itself). New residency that would push a node past it
+  /// retracts the node's oldest advertisements to make room.
   std::uint64_t advertise_budget_bytes = 0;
-  Eviction eviction = Eviction::kLru;
 
   friend bool operator==(const PeerCacheConfig&,
                          const PeerCacheConfig&) = default;
@@ -177,8 +170,8 @@ class SampleCache {
 };
 
 /// PeerCacheIndex: the intra-node half of the cooperative cache. One per
-/// *client node*, registered on the fleet alongside the PrefetchArbiter:
-/// every co-located DlfsInstance registers its SampleCache (and the I/O
+/// *client node*, created lazily by the fleet as instances mount: every
+/// co-located DlfsInstance registers its SampleCache (and the I/O
 /// core its peer serves are charged to), so a sample resident in any
 /// local instance is a local hit for all of them — UnifyFS-style
 /// ephemeral node-local aggregation. Like DirectoryView, the object is
@@ -230,7 +223,8 @@ class PeerCacheDirectory {
   [[nodiscard]] std::uint32_t home_client(std::size_t sample_id) const;
 
   /// Client `holder` (on `node`) now holds `sample_id` (`bytes` long).
-  /// Subject to the node's advertise budget and eviction policy.
+  /// Over the node's advertise budget, its oldest advertisements are
+  /// retracted first; a sample larger than the whole budget is refused.
   void advertise(std::uint32_t holder, std::uint16_t node,
                  std::size_t sample_id, std::uint32_t bytes);
   void retract(std::uint32_t holder, std::size_t sample_id);
@@ -260,8 +254,8 @@ class PeerCacheDirectory {
   };
   struct NodeBook {
     std::uint64_t bytes = 0;
-    // Advertise order, front = oldest: the kLru budget policy retracts
-    // from the front.
+    // Advertise order, front = oldest: the budget retracts from the
+    // front.
     std::list<std::pair<std::size_t, std::uint32_t>> order;
   };
 

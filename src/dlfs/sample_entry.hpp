@@ -69,12 +69,6 @@ class SampleEntry {
 static_assert(sizeof(SampleEntry) == 16,
               "a sample entry must be exactly 128 bits (paper, Fig. 3b)");
 
-// What kind of endpoint a route hop names. kStorage hops are NVMe-oF
-// extents the IoEngine reads; kPeer hops name a peer client's DRAM cache
-// and are consumed by the DLFS peer-read path before the extent ever
-// reaches the engine (the engine skips them when advancing routes).
-enum class HopClass : std::uint8_t { kStorage, kPeer };
-
 // RouteHop: one alternate placement of a sample (replica location). Read
 // paths carry a short list of these alongside the primary (nid, offset)
 // so a downed node becomes a routing decision instead of a skip. The
@@ -82,11 +76,8 @@ enum class HopClass : std::uint8_t { kStorage, kPeer };
 struct RouteHop {
   std::uint16_t nid = 0;
   std::uint64_t offset = 0;
-  HopClass cls = HopClass::kStorage;
 
-  friend bool operator==(const RouteHop& a, const RouteHop& b) {
-    return a.nid == b.nid && a.offset == b.offset && a.cls == b.cls;
-  }
+  bool operator==(const RouteHop&) const = default;
 };
 
 }  // namespace dlfs::core

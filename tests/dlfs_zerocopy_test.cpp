@@ -345,17 +345,16 @@ TEST(ZeroCopyBread, UseAfterReleaseIsCaughtByScribble) {
 }
 
 TEST(ZeroCopyBread, CoLocatedInstancesCompleteWithPinnedUnits) {
-  // Regression for the arbiter/pinned-unit budget: two instances share
-  // one node, each double-buffering view batches (the previous batch
-  // stays pinned across the next bread_views). Pinned chunks must count
-  // against the read-ahead allowance — if they did not, top-ups sized
-  // for the nominal pool would exhaust it and the epoch would die with
-  // PoolExhausted instead of throttling.
+  // Two instances share one node, each double-buffering view batches (the
+  // previous batch stays pinned across the next bread_views). Each
+  // instance's read-ahead must fit beside its own pinned units: top_up
+  // sizes the window from its pool's free chunks, which leave pinned
+  // chunks out, so the epoch completes instead of dying with
+  // PoolExhausted.
   DlfsConfig cfg;
   cfg.batching = BatchingMode::kChunkLevel;
   cfg.prefetch.initial_units = 16;
   cfg.prefetch.max_units = 32;
-  cfg.prefetch.shared_arbiter = true;
   cfg.pool_bytes = 24ull * 256 * 1024;
   Rig rig(2048, 2000, cfg, /*client_nodes=*/{0, 0});
   std::set<std::uint32_t> seen;

@@ -76,7 +76,6 @@ TEST(PeerCacheDirectory, LruBudgetRetractsOldestAdvertisement) {
   PeerCacheConfig cfg;
   cfg.enabled = true;
   cfg.advertise_budget_bytes = 8192;  // room for two 4 KiB samples
-  cfg.eviction = PeerCacheConfig::Eviction::kLru;
   PeerCacheDirectory dir(cfg, 4);
   dir.advertise(0, 5, 1, 4096);
   dir.advertise(0, 5, 2, 4096);
@@ -87,27 +86,10 @@ TEST(PeerCacheDirectory, LruBudgetRetractsOldestAdvertisement) {
   EXPECT_EQ(dir.advertised_bytes(5), 8192u);
   EXPECT_EQ(dir.budget_retractions(), 1u);
   EXPECT_EQ(dir.refused_adverts(), 0u);
-}
-
-TEST(PeerCacheDirectory, RefuseNewBudgetKeepsOldSet) {
-  PeerCacheConfig cfg;
-  cfg.enabled = true;
-  cfg.advertise_budget_bytes = 8192;
-  cfg.eviction = PeerCacheConfig::Eviction::kRefuseNew;
-  PeerCacheDirectory dir(cfg, 4);
-  dir.advertise(0, 5, 1, 4096);
-  dir.advertise(0, 5, 2, 4096);
-  dir.advertise(0, 5, 3, 4096);  // refused: the old set stays
-  EXPECT_TRUE(dir.find(1, 9).found);
-  EXPECT_TRUE(dir.find(2, 9).found);
-  EXPECT_FALSE(dir.find(3, 9).found);
-  EXPECT_EQ(dir.advertised_bytes(5), 8192u);
-  EXPECT_EQ(dir.budget_retractions(), 0u);
-  EXPECT_EQ(dir.refused_adverts(), 1u);
   // retract_all clears the holder's whole advertised set.
   dir.retract_all(0);
-  EXPECT_FALSE(dir.find(1, 9).found);
   EXPECT_FALSE(dir.find(2, 9).found);
+  EXPECT_FALSE(dir.find(3, 9).found);
   EXPECT_EQ(dir.advertised_bytes(5), 0u);
 }
 
