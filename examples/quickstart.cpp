@@ -1,5 +1,6 @@
 // Quickstart: mount DLFS on a single node, read one sample by name, then
-// stream a mini-batch epoch with dlfs_sequence / dlfs_bread.
+// stream a mini-batch epoch with dlfs_sequence / dlfs_bread. Exits 1 when
+// the read's bytes do not match the dataset or the epoch misses a sample.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -46,29 +47,33 @@ int main() {
 
   // dlfs_open + dlfs_read a single sample by name.
   auto& instance = fleet.instance(0);
+  bool verified = false;
   sim.spawn(
-      [](dlfs::core::DlfsInstance& inst, const dlfs::dataset::Dataset& ds)
-          -> Task<void> {
+      [](dlfs::core::DlfsInstance& inst, const dlfs::dataset::Dataset& ds,
+         bool& verified) -> Task<void> {
         auto handle = co_await inst.open("fixed4096_42");
         std::vector<std::byte> buf(handle.entry->len());
         co_await inst.read(handle, buf);
         // Verify against the dataset's content function.
         std::vector<std::byte> want(buf.size());
         ds.fill_content(handle.sample_id, 0, want);
+        verified = buf == want;
         std::printf("read sample 42: %zu bytes, content %s\n", buf.size(),
-                    buf == want ? "verified" : "MISMATCH");
-      }(instance, dataset),
+                    verified ? "verified" : "MISMATCH");
+      }(instance, dataset, verified),
       "single-read");
   sim.run();
   sim.rethrow_failures();
 
   // dlfs_sequence + dlfs_bread: one epoch of mini-batches.
   instance.sequence(/*seed=*/2024);
+  std::size_t samples = 0;
   sim.spawn(
-      [](dlsim::Simulator& s, dlfs::core::DlfsInstance& inst) -> Task<void> {
+      [](dlsim::Simulator& s, dlfs::core::DlfsInstance& inst,
+         std::size_t& samples) -> Task<void> {
         std::vector<std::byte> arena(64 * 4_KiB);
         const auto t0 = s.now();
-        std::size_t batches = 0, samples = 0;
+        std::size_t batches = 0;
         for (;;) {
           auto batch = co_await inst.bread(32, arena);
           if (batch.end_of_epoch) break;
@@ -81,9 +86,16 @@ int main() {
             "(simulated), cache hits %llu\n",
             samples, batches, static_cast<double>(samples) / secs,
             static_cast<unsigned long long>(inst.cache().hits()));
-      }(sim, instance),
+      }(sim, instance, samples),
       "epoch");
   sim.run();
   sim.rethrow_failures();
+  if (!verified || samples != dataset.num_samples()) {
+    std::fprintf(stderr,
+                 "quickstart: FAILED (read %s, epoch %zu of %zu samples)\n",
+                 verified ? "verified" : "mismatched", samples,
+                 dataset.num_samples());
+    return 1;
+  }
   return 0;
 }
