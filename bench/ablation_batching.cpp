@@ -216,10 +216,11 @@ int main() {
         cfg.prefetch.initial_units = depth;
         const auto r = dlfs::bench::run_dlfs(w, cfg, compute);
         report.add(label + " depth=" + std::to_string(depth), r);
-        const double stall_ms = static_cast<double>(r.prefetch.stall_ns) / 1e6;
+        const double stall_ms =
+            static_cast<double>(r.stats.prefetch.stall_ns) / 1e6;
         t.add_row({Table::integer(depth),
                    Table::num(r.samples_per_sec / 1e3, 1),
-                   Table::integer(r.prefetch.units_stalled),
+                   Table::integer(r.stats.prefetch.units_stalled),
                    Table::num(stall_ms, 2)});
       }
       return t;

@@ -103,8 +103,9 @@ int main(int argc, char** argv) {
             : std::vector<double>{0.1, 0.3, 0.5, 0.7, 0.9};
   Table ta({"crash_at", "epoch", "served", "skipped", "timeouts", "unit"});
   ta.add_row({"never", Table::num(epoch_ms, 2), Table::integer(baseline.samples),
-              Table::integer(baseline.samples_skipped),
-              Table::integer(baseline.transport.timeouts), "ms/samples"});
+              Table::integer(baseline.stats.samples_skipped),
+              Table::integer(baseline.stats.transport.timeouts),
+              "ms/samples"});
   for (const double frac : fracs) {
     FaultPlan plan;
     plan.crash_slot = 0;
@@ -114,9 +115,12 @@ int main(int argc, char** argv) {
     report.add("fault=crash frac=" + Table::num(frac, 1), r);
     ta.add_row({Table::num(frac * 100, 0) + "%",
                 Table::num(dlsim::to_micros(r.elapsed) / 1e3, 2),
-                Table::integer(r.samples), Table::integer(r.samples_skipped),
-                Table::integer(r.transport.timeouts), "ms/samples"});
-    if (replication >= 2 && r.samples_skipped != 0) replication_held = false;
+                Table::integer(r.samples),
+                Table::integer(r.stats.samples_skipped),
+                Table::integer(r.stats.transport.timeouts), "ms/samples"});
+    if (replication >= 2 && r.stats.samples_skipped != 0) {
+      replication_held = false;
+    }
   }
   std::printf("\nSweep A: permanent crash of 1 of 2 targets\n");
   ta.print();
@@ -139,9 +143,10 @@ int main(int argc, char** argv) {
     report.add("fault=crash-recover outage_ms=" + Table::num(out_ms, 1), r);
     tb.add_row({Table::num(out_ms, 1) + "ms",
                 Table::num(dlsim::to_micros(r.elapsed) / 1e3, 2),
-                Table::integer(r.samples), Table::integer(r.samples_skipped),
-                Table::integer(r.transport.reconnects),
-                Table::integer(r.transport.replays), "ms/samples"});
+                Table::integer(r.samples),
+                Table::integer(r.stats.samples_skipped),
+                Table::integer(r.stats.transport.reconnects),
+                Table::integer(r.stats.transport.replays), "ms/samples"});
   }
   std::printf("\nSweep B: crash at 30%%, recover after an outage\n");
   tb.print();

@@ -63,7 +63,7 @@ dlfs::core::DlfsConfig pinned_config() {
 }
 
 double stall_us(const RunResult& r) {
-  return static_cast<double>(r.prefetch.stall_ns) / 1e3;
+  return static_cast<double>(r.stats.prefetch.stall_ns) / 1e3;
 }
 
 /// Minimal flat-JSON number lookup — enough for the baseline file this
@@ -153,11 +153,13 @@ int main(int argc, char** argv) {
   Table t({"path", "samples/s", "stall_us", "bytes_copied",
            "bytes_zero_copy"});
   t.add_row({"copy", Table::num(copy.samples_per_sec, 1),
-             Table::num(stall_us(copy), 1), Table::integer(copy.bytes_copied),
-             Table::integer(copy.bytes_zero_copy)});
+             Table::num(stall_us(copy), 1),
+             Table::integer(copy.stats.bytes_copied),
+             Table::integer(copy.stats.bytes_zero_copy)});
   t.add_row({"zero_copy", Table::num(zc.samples_per_sec, 1),
-             Table::num(stall_us(zc), 1), Table::integer(zc.bytes_copied),
-             Table::integer(zc.bytes_zero_copy)});
+             Table::num(stall_us(zc), 1),
+             Table::integer(zc.stats.bytes_copied),
+             Table::integer(zc.stats.bytes_zero_copy)});
   t.print();
 
   dlfs::bench::JsonReport report("perf_smoke");
@@ -177,14 +179,14 @@ int main(int argc, char** argv) {
   // epoch through bread_views must not memcpy sample bytes, and the
   // zero-copy path must not lose to the path that does strictly more
   // work per sample.
-  if (zc.bytes_copied != 0) {
+  if (zc.stats.bytes_copied != 0) {
     std::fprintf(stderr,
                  "FAIL [zero_copy] copied %llu bytes; warm chunk units must "
                  "deliver as views\n",
-                 static_cast<unsigned long long>(zc.bytes_copied));
+                 static_cast<unsigned long long>(zc.stats.bytes_copied));
     ok = false;
   }
-  if (zc.bytes_zero_copy == 0) {
+  if (zc.stats.bytes_zero_copy == 0) {
     std::fprintf(stderr, "FAIL [zero_copy] no bytes delivered as views\n");
     ok = false;
   }

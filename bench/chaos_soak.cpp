@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "cluster/pfs.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -44,6 +43,9 @@
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
+using dlfs::bench::EpochLog;
+using dlfs::bench::FleetRig;
+using dlfs::bench::read_epoch_checked;
 using dlsim::Task;
 using namespace dlsim::literals;
 using namespace dlfs::byte_literals;
@@ -69,13 +71,6 @@ struct ChaosEvent {
   dlsim::SimDuration outage = 0;
 };
 
-struct EpochLog {
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> offsets;
-  std::uint64_t skipped = 0;
-  bool content_ok = true;
-};
-
 dlfs::core::DlfsConfig soak_config() {
   dlfs::core::DlfsConfig c;
   c.batching = dlfs::core::BatchingMode::kChunkLevel;
@@ -93,49 +88,12 @@ dlfs::core::DlfsConfig soak_config() {
 
 // Four storage nodes and one pure client; RAM-backed stores so delivered
 // bytes can be checked against the canonical dataset content.
-struct SoakRig {
-  dlsim::Simulator sim;
-  dlfs::cluster::Cluster cluster;
-  dlfs::dataset::Dataset ds;
-  dlfs::cluster::Pfs pfs;
-  dlfs::core::DlfsFleet fleet;
-
-  SoakRig(std::size_t samples, const dlfs::core::DlfsConfig& cfg)
-      : cluster(sim, 5, node_config()),
-        ds(dlfs::dataset::make_fixed_size_dataset(samples, 4096)),
-        pfs(sim, ds),
-        fleet(cluster, pfs, ds, cfg, /*client_nodes=*/{4},
-              /*storage_nodes=*/{0, 1, 2, 3}) {
-    fleet.mount();
-  }
-
-  static dlfs::cluster::NodeConfig node_config() {
-    dlfs::cluster::NodeConfig nc;
-    nc.synthetic_store = false;
-    nc.device_capacity = 256_MiB;
-    return nc;
-  }
-};
-
-Task<void> run_epoch_logged(const dlfs::dataset::Dataset& ds,
-                            dlfs::core::DlfsInstance& inst, EpochLog& log) {
-  std::vector<std::byte> arena(64_KiB);
-  std::vector<std::byte> want;
-  for (;;) {
-    auto b = co_await inst.bread(16, arena);
-    if (b.end_of_epoch) break;
-    for (const auto& s : b.samples) {
-      log.order.push_back(s.sample_id);
-      log.offsets.push_back(s.offset_in_arena);
-      want.resize(s.len);
-      ds.fill_content(s.sample_id, 0, want);
-      if (std::memcmp(arena.data() + s.offset_in_arena, want.data(), s.len) !=
-          0) {
-        log.content_ok = false;
-      }
-    }
-    log.skipped += b.samples_skipped;
-  }
+FleetRig soak_rig(std::size_t samples, const dlfs::core::DlfsConfig& cfg) {
+  dlfs::cluster::NodeConfig nc;
+  nc.synthetic_store = false;
+  nc.device_capacity = 256_MiB;
+  return FleetRig(5, nc, dlfs::dataset::make_fixed_size_dataset(samples, 4096),
+                  cfg, /*client_nodes=*/{4}, /*storage_nodes=*/{0, 1, 2, 3});
 }
 
 // Applies the schedule one event at a time. The wait before each crash
@@ -145,7 +103,7 @@ Task<void> run_epoch_logged(const dlfs::dataset::Dataset& ds,
 // it lags a target heal by a reprobe interval, so gating on the target
 // state alone would overlap outages from the reader's perspective and
 // can drop a sample's last reachable copy.
-Task<void> chaos_driver(SoakRig& rig, const std::vector<ChaosEvent>& schedule,
+Task<void> chaos_driver(FleetRig& rig, const std::vector<ChaosEvent>& schedule,
                         bool& done) {
   auto& engine = rig.fleet.instance(0).engine();
   for (const auto& ev : schedule) {
@@ -168,12 +126,12 @@ Task<void> chaos_driver(SoakRig& rig, const std::vector<ChaosEvent>& schedule,
   done = true;
 }
 
-Task<void> soak_epochs(SoakRig& rig, std::uint32_t epochs,
+Task<void> soak_epochs(FleetRig& rig, std::uint32_t epochs,
                        std::vector<EpochLog>& logs, const bool& chaos_done) {
   auto& inst = rig.fleet.instance(0);
   for (std::uint32_t e = 0; e < epochs; ++e) {
     inst.sequence(e + 1);
-    co_await run_epoch_logged(rig.ds, inst, logs[e]);
+    co_await read_epoch_checked(rig.ds, inst, 16, logs[e]);
   }
   // Teardown: let the schedule finish, then wait for reconciliation —
   // every declared-dead node back in, repair backlog empty. Bounded by
@@ -250,11 +208,9 @@ void write_artifact(const SoakParams& p, const std::vector<ChaosEvent>& sched,
         << ", \"matches_reference\": " << (matched[e] ? "true" : "false")
         << "}" << (e + 1 < logs.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"stats\": {\"samples_skipped\": " << st.samples_skipped
-      << ", \"nodes_declared_dead\": " << st.nodes_declared_dead
-      << ", \"samples_rereplicated\": " << st.samples_rereplicated
-      << ", \"repair_bytes\": " << st.repair_bytes
-      << ", \"repair_throttles\": " << st.repair_throttles << "}\n}\n";
+  out << "  ],\n  \"stats\": {";
+  dlfs::bench::write_stats_json(out, st);
+  out << "}\n}\n";
   std::printf("wrote %s\n", path.c_str());
 }
 
@@ -268,15 +224,15 @@ int run_soak(const SoakParams& p) {
   std::vector<EpochLog> good(p.epochs);
   dlsim::SimDuration epoch_len = 0;
   {
-    SoakRig healthy(p.samples, soak_config());
+    FleetRig healthy = soak_rig(p.samples, soak_config());
     auto& inst = healthy.fleet.instance(0);
     const dlsim::SimTime t0 = healthy.sim.now();
     healthy.sim.spawn(
-        [](SoakRig& r, dlfs::core::DlfsInstance& inst,
+        [](FleetRig& r, dlfs::core::DlfsInstance& inst,
            std::vector<EpochLog>& logs, std::uint32_t epochs) -> Task<void> {
           for (std::uint32_t e = 0; e < epochs; ++e) {
             inst.sequence(e + 1);
-            co_await run_epoch_logged(r.ds, inst, logs[e]);
+            co_await read_epoch_checked(r.ds, inst, 16, logs[e]);
           }
         }(healthy, inst, good, p.epochs),
         "reference-epochs");
@@ -293,7 +249,7 @@ int run_soak(const SoakParams& p) {
                 dlsim::to_micros(schedule[i].outage) / 1e3);
   }
 
-  SoakRig rig(p.samples, soak_config());
+  FleetRig rig = soak_rig(p.samples, soak_config());
   rig.sim.seed_rng(p.seed);  // reconnect jitter follows the soak seed
   std::vector<EpochLog> logs(p.epochs);
   bool chaos_done = false;
@@ -370,18 +326,19 @@ int run_repair_sweep(bool smoke) {
     cfg.batching = dlfs::core::BatchingMode::kChunkLevel;
     cfg.fault.replication = dlfs::core::ReplicationConfig(2);
     cfg.fault.replication.repair_bytes_per_sec = budget;
-    SoakRig rig(samples, cfg);
+    FleetRig rig = soak_rig(samples, cfg);
     auto& inst = rig.fleet.instance(0);
     EpochLog log;
     dlsim::SimTime t0 = 0, t_epoch = 0, t_drain = 0;
     rig.sim.spawn(
-        [](SoakRig& r, dlfs::core::DlfsInstance& inst, EpochLog& log,
+        [](FleetRig& r, dlfs::core::DlfsInstance& inst, EpochLog& log,
            dlsim::SimTime& t0, dlsim::SimTime& t_epoch,
            dlsim::SimTime& t_drain) -> Task<void> {
           t0 = r.sim.now();
+          inst.io_core().reset_accounting();
           r.fleet.declare_dead(0);
           inst.sequence(1);
-          co_await run_epoch_logged(r.ds, inst, log);
+          co_await read_epoch_checked(r.ds, inst, 16, log);
           t_epoch = r.sim.now();
           while (!r.fleet.repair_backlog().empty()) {
             co_await r.sim.delay(1_ms);
@@ -391,7 +348,9 @@ int run_repair_sweep(bool smoke) {
         "sweep-epoch");
     rig.sim.run_watchdog(rig.sim.now() + 300_sec);
     rig.sim.rethrow_failures();
-    const auto st = inst.stats();
+    const dlfs::bench::RunResult r = dlfs::bench::fleet_result(
+        rig.fleet, t_epoch - t0, log.order.size(), 4096);
+    const dlfs::core::InstanceStats& st = r.stats;
     const double drain_s = dlsim::to_seconds(t_drain - t0);
     const double rate =
         drain_s > 0 ? static_cast<double>(st.repair_bytes) / drain_s : 0.0;
@@ -400,17 +359,6 @@ int run_repair_sweep(bool smoke) {
     if (log.skipped != 0 || !log.content_ok || log.order.size() != samples) {
       ok = false;
     }
-    dlfs::bench::RunResult r;
-    r.elapsed = t_epoch - t0;
-    r.samples = log.order.size();
-    r.samples_per_sec =
-        static_cast<double>(r.samples) / dlsim::to_seconds(r.elapsed);
-    r.bytes_per_sec = r.samples_per_sec * 4096.0;
-    r.samples_skipped = log.skipped;
-    r.nodes_declared_dead = st.nodes_declared_dead;
-    r.samples_rereplicated = st.samples_rereplicated;
-    r.repair_bytes = st.repair_bytes;
-    r.repair_throttles = st.repair_throttles;
     report.add(budget == 0 ? "budget=unthrottled"
                            : "budget=" + std::to_string(budget / 1_MiB) +
                                  "MiBps",

@@ -1,20 +1,19 @@
 #include "harness.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "cluster/cluster.hpp"
-#include "cluster/pfs.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "dataset/dataset.hpp"
 #include "octofs/octofs.hpp"
 #include "osfs/ext4.hpp"
-#include "sim/simulator.hpp"
 
 namespace dlfs::bench {
 
@@ -35,25 +34,99 @@ cluster::NodeConfig node_config(const Workload& w) {
 
 }  // namespace
 
+FleetRig::FleetRig(std::uint32_t num_nodes, const cluster::NodeConfig& nodes,
+                   dataset::Dataset dataset, const core::DlfsConfig& cfg,
+                   std::vector<hw::NodeId> client_nodes,
+                   std::vector<hw::NodeId> storage_nodes)
+    : cluster(sim, num_nodes, nodes, cfg.calibration.nic),
+      ds(std::move(dataset)),
+      pfs(sim, ds, cfg.calibration.pfs),
+      fleet(cluster, pfs, ds, cfg, std::move(client_nodes),
+            std::move(storage_nodes)) {
+  fleet.mount();
+}
+
+Task<void> read_epoch_checked(const dataset::Dataset& ds,
+                              core::DlfsInstance& inst, std::size_t batch,
+                              EpochLog& log) {
+  std::vector<std::byte> arena(batch * ds.max_sample_bytes());
+  std::vector<std::byte> want;
+  for (;;) {
+    auto b = co_await inst.bread(batch, arena);
+    if (b.end_of_epoch) break;
+    for (const auto& s : b.samples) {
+      log.order.push_back(s.sample_id);
+      log.offsets.push_back(s.offset_in_arena);
+      want.resize(s.len);
+      ds.fill_content(s.sample_id, 0, want);
+      if (std::memcmp(arena.data() + s.offset_in_arena, want.data(), s.len) !=
+          0) {
+        log.content_ok = false;
+      }
+    }
+    log.skipped += b.samples_skipped;
+  }
+}
+
+core::InstanceStats fleet_stats(core::DlfsFleet& fleet) {
+  core::InstanceStats s;
+  for (std::uint32_t c = 0; c < fleet.num_clients(); ++c) {
+    s += fleet.instance(c).stats();
+  }
+  return s;
+}
+
+RunResult fleet_result(core::DlfsFleet& fleet, dlsim::SimDuration elapsed,
+                       std::uint64_t samples, std::uint32_t sample_bytes,
+                       const core::InstanceStats& before) {
+  RunResult r;
+  r.elapsed = elapsed;
+  r.samples = samples;
+  r.samples_per_sec = static_cast<double>(samples) / dlsim::to_seconds(elapsed);
+  r.bytes_per_sec = r.samples_per_sec * sample_bytes;
+  double util = 0.0;
+  for (std::uint32_t c = 0; c < fleet.num_clients(); ++c) {
+    util += fleet.instance(c).io_core().utilization();
+  }
+  r.client_cpu_util = util / fleet.num_clients();
+  r.stats = fleet_stats(fleet) - before;
+  const double lookup_us = dlsim::to_micros(r.stats.lookup_time_total);
+  r.lookup_us_avg = samples ? lookup_us / static_cast<double>(samples) : 0.0;
+  return r;
+}
+
+void write_stats_json(std::ostream& out, const core::InstanceStats& stats) {
+  const char* sep = "";
+  core::for_each_stat(
+      [&](std::string_view key, core::StatKind kind, std::uint64_t v) {
+        out << sep << '"' << key << "\": ";
+        if (kind == core::StatKind::kDuration) {
+          out << dlsim::to_micros(v);
+        } else {
+          out << v;
+        }
+        sep = ", ";
+      },
+      stats);
+}
+
 RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
                    dlsim::SimDuration injected_poll_compute,
                    const FaultPlan& faults) {
-  dlsim::Simulator sim;
-  cluster::Cluster cluster(sim, w.num_nodes, node_config(w),
-                           w.calibration.nic);
   const std::uint32_t n_storage = w.storage == 0 ? w.num_nodes : w.storage;
   const std::uint32_t n_clients = w.clients == 0 ? w.num_nodes : w.clients;
-  auto ds = dataset::make_fixed_size_dataset(
-      w.samples_per_node * n_storage, w.sample_bytes, w.seed);
-  cluster::Pfs pfs(sim, ds, w.calibration.pfs);
   cfg.calibration = w.calibration;
   std::vector<hw::NodeId> client_nodes, storage_nodes;
   for (std::uint32_t i = 0; i < n_clients; ++i) {
     client_nodes.push_back((w.client_node_offset + i) % w.num_nodes);
   }
   for (std::uint32_t i = 0; i < n_storage; ++i) storage_nodes.push_back(i);
-  core::DlfsFleet fleet(cluster, pfs, ds, cfg, client_nodes, storage_nodes);
-  fleet.mount();
+  FleetRig rig(w.num_nodes, node_config(w),
+               dataset::make_fixed_size_dataset(w.samples_per_node * n_storage,
+                                                w.sample_bytes, w.seed),
+               cfg, std::move(client_nodes), std::move(storage_nodes));
+  dlsim::Simulator& sim = rig.sim;
+  core::DlfsFleet& fleet = rig.fleet;
 
   const SimTime start = sim.now();
   if (faults.crash_slot >= 0) {
@@ -101,84 +174,21 @@ RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
   sim.run();
   sim.rethrow_failures();
 
-  RunResult r;
-  r.elapsed = readers_done - start;
-  r.samples = total_samples;
-  r.samples_per_sec =
-      static_cast<double>(total_samples) / dlsim::to_seconds(r.elapsed);
-  r.bytes_per_sec = r.samples_per_sec * w.sample_bytes;
-  double util = 0.0;
-  double lookup_us = 0.0;
-  std::uint64_t delivered_samples = 0;
-  std::uint64_t delivered_bytes = 0;
-  for (std::uint32_t c = 0; c < n_clients; ++c) {
-    auto& inst = fleet.instance(c);
-    util += inst.io_core().utilization();
-    const core::InstanceStats st = inst.stats();
-    lookup_us += dlsim::to_micros(st.lookup_time_total);
-    r.cache_hits += inst.cache().hits();
-    r.cache_misses += inst.cache().misses();
-    r.bytes_copied += st.bytes_copied;
-    r.bytes_zero_copy += st.bytes_zero_copy;
-    r.view_pins_active += st.view_pins_active;
-    r.cross_core_handoffs += st.cross_core_handoffs;
-    const core::PrefetchStats& ps = st.prefetch;
-    r.prefetch.units_issued += ps.units_issued;
-    r.prefetch.units_resident_at_pick += ps.units_resident_at_pick;
-    r.prefetch.units_stalled += ps.units_stalled;
-    r.prefetch.stall_ns += ps.stall_ns;
-    r.prefetch.window_grows += ps.window_grows;
-    r.prefetch.window_shrinks += ps.window_shrinks;
-    r.prefetch.units_dropped += ps.units_dropped;
-    r.prefetch.units_reissued += ps.units_reissued;
-    r.prefetch.in_flight_hwm =
-        std::max(r.prefetch.in_flight_hwm, ps.in_flight_hwm);
-    r.prefetch.window_target =
-        std::max(r.prefetch.window_target, ps.window_target);
-    auto& eng = inst.engine();
-    r.io_retries += eng.retries();
-    const spdk::IoQueueStats ts = eng.transport_stats();
-    r.transport.timeouts += ts.timeouts;
-    r.transport.connections_lost += ts.connections_lost;
-    r.transport.reconnects += ts.reconnects;
-    r.transport.replays += ts.replays;
-    r.samples_skipped += st.samples_skipped;
-    r.nodes_down = std::max(r.nodes_down, eng.nodes_down());
-    r.nodes_declared_dead += st.nodes_declared_dead;
-    r.samples_rereplicated += st.samples_rereplicated;
-    r.repair_bytes += st.repair_bytes;
-    r.repair_throttles += st.repair_throttles;
-    r.qos_deferrals += st.qos_deferrals;
-    r.directory.local_hits += st.directory.local_hits;
-    r.directory.cache_hits += st.directory.cache_hits;
-    r.directory.negative_hits += st.directory.negative_hits;
-    r.directory.remote_lookups += st.directory.remote_lookups;
-    r.directory.cache_evictions += st.directory.cache_evictions;
-    r.directory.stale_invalidations += st.directory.stale_invalidations;
-    r.directory_bytes += st.directory_bytes;
-    r.peer_hits_local += st.peer_hits_local;
-    r.peer_hits_remote += st.peer_hits_remote;
-    r.peer_misses += st.peer_misses;
-    r.peer_bytes += st.peer_bytes;
-    delivered_samples += st.samples_delivered;
-    delivered_bytes += st.bytes_delivered;
-  }
+  RunResult r =
+      fleet_result(fleet, readers_done - start, total_samples, w.sample_bytes);
   // Cross-check the instances' own delivery counters against the
   // reader-side tally: a mismatch means a batch was double-counted or
   // silently dropped between the instance and the application.
-  if (delivered_samples != total_samples ||
-      delivered_bytes != total_samples * w.sample_bytes) {
+  if (r.stats.samples_delivered != total_samples ||
+      r.stats.bytes_delivered != total_samples * w.sample_bytes) {
     throw std::logic_error(
         "run_dlfs: delivery counters disagree with the reader tally: "
         "instances report " +
-        std::to_string(delivered_samples) + " samples / " +
-        std::to_string(delivered_bytes) + " bytes, readers saw " +
+        std::to_string(r.stats.samples_delivered) + " samples / " +
+        std::to_string(r.stats.bytes_delivered) + " bytes, readers saw " +
         std::to_string(total_samples) + " samples / " +
         std::to_string(total_samples * w.sample_bytes) + " bytes");
   }
-  r.client_cpu_util = util / n_clients;
-  r.lookup_us_avg =
-      total_samples ? lookup_us / static_cast<double>(total_samples) : 0.0;
   return r;
 }
 
@@ -434,56 +444,15 @@ std::string JsonReport::write() const {
   out << "[\n";
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const auto& [config, r] = rows_[i];
-    const auto& p = r.prefetch;
     out << "  {\"config\": \"" << config << "\""
         << ", \"samples_per_sec\": " << r.samples_per_sec
         << ", \"bytes_per_sec\": " << r.bytes_per_sec
         << ", \"client_cpu_util\": " << r.client_cpu_util
         << ", \"elapsed_us\": " << dlsim::to_micros(r.elapsed)
         << ", \"samples\": " << r.samples
-        << ", \"lookup_us_avg\": " << r.lookup_us_avg
-        << ", \"cache_hits\": " << r.cache_hits
-        << ", \"cache_misses\": " << r.cache_misses
-        << ", \"bytes_copied\": " << r.bytes_copied
-        << ", \"bytes_zero_copy\": " << r.bytes_zero_copy
-        << ", \"view_pins_active\": " << r.view_pins_active
-        << ", \"cross_core_handoffs\": " << r.cross_core_handoffs
-        << ", \"prefetch_units_issued\": " << p.units_issued
-        << ", \"prefetch_units_resident_at_pick\": "
-        << p.units_resident_at_pick
-        << ", \"prefetch_units_stalled\": " << p.units_stalled
-        << ", \"prefetch_stall_us\": " << dlsim::to_micros(p.stall_ns)
-        << ", \"prefetch_in_flight_hwm\": " << p.in_flight_hwm
-        << ", \"prefetch_window_grows\": " << p.window_grows
-        << ", \"prefetch_window_shrinks\": " << p.window_shrinks
-        << ", \"prefetch_units_dropped\": " << p.units_dropped
-        << ", \"prefetch_units_reissued\": " << p.units_reissued
-        << ", \"prefetch_window_target\": " << p.window_target
-        << ", \"io_retries\": " << r.io_retries
-        << ", \"io_timeouts\": " << r.transport.timeouts
-        << ", \"connections_lost\": " << r.transport.connections_lost
-        << ", \"reconnects\": " << r.transport.reconnects
-        << ", \"replays\": " << r.transport.replays
-        << ", \"samples_skipped\": " << r.samples_skipped
-        << ", \"nodes_down\": " << r.nodes_down
-        << ", \"nodes_declared_dead\": " << r.nodes_declared_dead
-        << ", \"samples_rereplicated\": " << r.samples_rereplicated
-        << ", \"repair_bytes\": " << r.repair_bytes
-        << ", \"repair_throttles\": " << r.repair_throttles
-        << ", \"qos_deferrals\": " << r.qos_deferrals
-        << ", \"directory_local_hits\": " << r.directory.local_hits
-        << ", \"directory_cache_hits\": " << r.directory.cache_hits
-        << ", \"directory_negative_hits\": " << r.directory.negative_hits
-        << ", \"directory_remote_lookups\": " << r.directory.remote_lookups
-        << ", \"directory_cache_evictions\": " << r.directory.cache_evictions
-        << ", \"directory_stale_invalidations\": "
-        << r.directory.stale_invalidations
-        << ", \"directory_bytes\": " << r.directory_bytes
-        << ", \"peer_hits_local\": " << r.peer_hits_local
-        << ", \"peer_hits_remote\": " << r.peer_hits_remote
-        << ", \"peer_misses\": " << r.peer_misses
-        << ", \"peer_bytes\": " << r.peer_bytes << "}"
-        << (i + 1 < rows_.size() ? "," : "") << "\n";
+        << ", \"lookup_us_avg\": " << r.lookup_us_avg << ", ";
+    write_stats_json(out, r.stats);
+    out << "}" << (i + 1 < rows_.size() ? "," : "") << "\n";
   }
   out << "]\n";
   return path;

@@ -3,7 +3,8 @@
 // Shared workload harness for the figure-reproduction benches: builds a
 // cluster, stages a fixed-size dataset on DLFS / Ext4 / OctoFS, runs one
 // epoch of random sample reads, and reports throughput and CPU numbers
-// out of the deterministic simulation.
+// out of the deterministic simulation. The multi-epoch sweeps share its
+// fleet rig, checked epoch reader and BENCH row builder.
 //
 // Methodology notes (mirrors the paper's §IV setup):
 //  * random reads, batch of 32 samples unless a figure says otherwise;
@@ -15,14 +16,19 @@
 //    five-run averaging guards against noise we don't have.
 
 #include <cstdint>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.hpp"
+#include "cluster/pfs.hpp"
 #include "common/calibration.hpp"
+#include "dataset/dataset.hpp"
 #include "dlfs/dlfs.hpp"
+#include "sim/simulator.hpp"
+#include "sim/task.hpp"
 #include "sim/time.hpp"
-#include "spdk/io_queue.hpp"
 
 namespace dlfs::bench {
 
@@ -55,6 +61,9 @@ struct FaultPlan {
   std::optional<dlsim::SimDuration> recover_at;
 };
 
+/// One measured window of a run: the reader-side window figures, and
+/// the fleet's InstanceStats over the same window — summed over clients,
+/// gauges by max, all zero for the Ext4 and OctoFS baselines.
 struct RunResult {
   double samples_per_sec = 0.0;
   double bytes_per_sec = 0.0;
@@ -62,55 +71,62 @@ struct RunResult {
   dlsim::SimDuration elapsed = 0;
   std::uint64_t samples = 0;
   double lookup_us_avg = 0.0;  // mean per-sample lookup/open time
-  // DLFS-only counters (zero for the baselines): sample-cache traffic and
-  // the async prefetcher's window statistics, summed over clients (window
-  // high-water mark and target are maxima).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  // Delivery-path byte split (DLFS only): memcpy'd bytes vs bytes handed
-  // out as zero-copy views, plus units still pinned at epoch end and
-  // copy jobs that ran on a core other than their producer's.
-  std::uint64_t bytes_copied = 0;
-  std::uint64_t bytes_zero_copy = 0;
-  std::uint64_t view_pins_active = 0;
-  std::uint64_t cross_core_handoffs = 0;
-  core::PrefetchStats prefetch{};
-  // Fault-domain counters, summed over clients: device-level retries, the
-  // transport's timeout/reconnect tallies, samples the degraded epoch
-  // skipped, and how many storage nodes were still down at the end.
-  std::uint64_t io_retries = 0;
-  spdk::IoQueueStats transport{};
-  std::uint64_t samples_skipped = 0;
-  std::uint32_t nodes_down = 0;
-  // Self-healing counters, summed over clients: permanent-loss
-  // declarations observed, samples re-replicated by the repair engine,
-  // bytes of repair traffic, and repair submissions delayed by the
-  // repair-bandwidth budget.
-  std::uint64_t nodes_declared_dead = 0;
-  std::uint64_t samples_rereplicated = 0;
-  std::uint64_t repair_bytes = 0;
-  std::uint64_t repair_throttles = 0;
-  // Multi-tenant QoS and sharded-directory counters, summed over
-  // clients: batch deliveries deferred by the token-bucket arbiter, the
-  // directory view's hit/miss split, and bytes of directory fill
-  // traffic. (tools/dlfslint/telemetry_check enforces that every
-  // InstanceStats counter reaches this struct and the json report.)
-  std::uint64_t qos_deferrals = 0;
-  core::DirectoryViewStats directory{};
-  std::uint64_t directory_bytes = 0;
-  // Cooperative peer-cache counters, summed over clients: samples served
-  // out of a co-located instance's cache, samples pulled from a remote
-  // client's DRAM over the fabric, peer lookups that fell back to the
-  // replica read path, and total peer-served bytes.
-  std::uint64_t peer_hits_local = 0;
-  std::uint64_t peer_hits_remote = 0;
-  std::uint64_t peer_misses = 0;
-  std::uint64_t peer_bytes = 0;
+  core::InstanceStats stats{};
 };
+
+/// A mounted DLFS fleet and everything it runs on: the simulator, a
+/// cluster of `num_nodes` nodes built from `nodes`, the dataset staged on
+/// a PFS, and the fleet. The cluster's NIC and the PFS take
+/// `cfg.calibration`.
+struct FleetRig {
+  FleetRig(std::uint32_t num_nodes, const cluster::NodeConfig& nodes,
+           dataset::Dataset dataset, const core::DlfsConfig& cfg,
+           std::vector<hw::NodeId> client_nodes,
+           std::vector<hw::NodeId> storage_nodes);
+
+  dlsim::Simulator sim;
+  cluster::Cluster cluster;
+  dataset::Dataset ds;
+  cluster::Pfs pfs;
+  core::DlfsFleet fleet;
+};
+
+/// One client's epoch as the application saw it: pick order, arena
+/// offsets, skips, and whether every delivered byte matched the dataset.
+struct EpochLog {
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> offsets;
+  std::uint64_t skipped = 0;
+  bool content_ok = true;
+};
+
+/// Reads `inst`'s share of the current epoch, `batch` samples per bread,
+/// and checks each delivered sample against `ds.fill_content`.
+[[nodiscard]] dlsim::Task<void> read_epoch_checked(const dataset::Dataset& ds,
+                                                   core::DlfsInstance& inst,
+                                                   std::size_t batch,
+                                                   EpochLog& log);
+
+/// Every client's stats() merged with InstanceStats::operator+=.
+[[nodiscard]] core::InstanceStats fleet_stats(core::DlfsFleet& fleet);
+
+/// The row for a window of `elapsed` in which the readers received
+/// `samples` samples of `sample_bytes` each: stats are what accrued
+/// since `before`, CPU utilization is since each I/O core's last
+/// reset_accounting().
+[[nodiscard]] RunResult fleet_result(core::DlfsFleet& fleet,
+                                     dlsim::SimDuration elapsed,
+                                     std::uint64_t samples,
+                                     std::uint32_t sample_bytes,
+                                     const core::InstanceStats& before = {});
+
+/// Writes every stats leaf as `"key": value`, comma-separated, in
+/// for_each_stat order; durations in µs.
+void write_stats_json(std::ostream& out, const core::InstanceStats& stats);
 
 /// One epoch of dlfs_bread across all clients. A FaultPlan crashes one
 /// storage node mid-epoch; the epoch then completes over the surviving
-/// subset (RunResult::samples_skipped counts what was lost).
+/// subset (RunResult::stats.samples_skipped counts what was lost).
 [[nodiscard]] RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
                                  dlsim::SimDuration injected_poll_compute = 0,
                                  const FaultPlan& faults = {});

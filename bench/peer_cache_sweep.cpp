@@ -34,16 +34,13 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "cluster/pfs.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "dataset/dataset.hpp"
 #include "dlfs/dlfs.hpp"
 #include "harness.hpp"
-#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
-using dlsim::Task;
 using namespace dlsim::literals;
 using namespace dlfs::byte_literals;
 
@@ -77,119 +74,52 @@ dlfs::core::DlfsConfig sweep_config(const SweepParams& p, bool peer_on) {
 
 // One storage node (0) and one client per remaining node; RAM-backed
 // store so delivered bytes can be checked against the dataset content.
-struct SweepRig {
-  dlsim::Simulator sim;
-  dlfs::cluster::Cluster cluster;
-  dlfs::dataset::Dataset ds;
-  dlfs::cluster::Pfs pfs;
-  dlfs::core::DlfsFleet fleet;
-
-  SweepRig(std::size_t samples, const dlfs::core::DlfsConfig& cfg)
-      : cluster(sim, kClients + 1, node_config()),
-        ds(dlfs::dataset::make_fixed_size_dataset(samples, kSampleBytes)),
-        pfs(sim, ds),
-        fleet(cluster, pfs, ds, cfg, /*client_nodes=*/{1, 2, 3},
-              /*storage_nodes=*/{0}) {
-    fleet.mount();
-  }
-
-  static dlfs::cluster::NodeConfig node_config() {
-    dlfs::cluster::NodeConfig nc;
-    nc.synthetic_store = false;
-    nc.device_capacity = 512_MiB;
-    return nc;
-  }
-};
-
-struct EpochLog {
-  std::vector<std::uint32_t> order;
-  std::uint64_t skipped = 0;
-  bool content_ok = true;
-};
+dlfs::bench::FleetRig sweep_rig(const SweepParams& p, bool peer_on) {
+  dlfs::cluster::NodeConfig nc;
+  nc.synthetic_store = false;
+  nc.device_capacity = 512_MiB;
+  return dlfs::bench::FleetRig(
+      kClients + 1, nc,
+      dlfs::dataset::make_fixed_size_dataset(p.samples, kSampleBytes),
+      sweep_config(p, peer_on), /*client_nodes=*/{1, 2, 3},
+      /*storage_nodes=*/{0});
+}
 
 struct EpochResult {
-  dlsim::SimDuration elapsed = 0;
-  std::uint64_t served = 0;
-  std::uint64_t skipped = 0;
+  dlfs::bench::RunResult row;
+  std::uint64_t skipped = 0;  // reader-side tally
   bool content_ok = true;
   bool exactly_once = true;
-  // Per-epoch deltas of the fleet-summed cumulative instance counters.
-  std::uint64_t peer_hits_local = 0;
-  std::uint64_t peer_hits_remote = 0;
-  std::uint64_t peer_misses = 0;
-  std::uint64_t peer_bytes = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
 };
-
-Task<void> run_epoch_logged(const dlfs::dataset::Dataset& ds,
-                            dlfs::core::DlfsInstance& inst, EpochLog& log) {
-  std::vector<std::byte> arena(kBatch * kSampleBytes);
-  std::vector<std::byte> want;
-  for (;;) {
-    auto b = co_await inst.bread(kBatch, arena);
-    if (b.end_of_epoch) break;
-    for (const auto& s : b.samples) {
-      log.order.push_back(s.sample_id);
-      want.resize(s.len);
-      ds.fill_content(s.sample_id, 0, want);
-      if (std::memcmp(arena.data() + s.offset_in_arena, want.data(), s.len) !=
-          0) {
-        log.content_ok = false;
-      }
-    }
-    log.skipped += b.samples_skipped;
-  }
-}
-
-struct PeerTally {
-  std::uint64_t hits_local = 0;
-  std::uint64_t hits_remote = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-};
-
-PeerTally fleet_tally(dlfs::core::DlfsFleet& fleet) {
-  PeerTally t;
-  for (std::uint32_t c = 0; c < kClients; ++c) {
-    const auto st = fleet.instance(c).stats();
-    t.hits_local += st.peer_hits_local;
-    t.hits_remote += st.peer_hits_remote;
-    t.misses += st.peer_misses;
-    t.bytes += st.peer_bytes;
-    t.cache_hits += fleet.instance(c).cache().hits();
-    t.cache_misses += fleet.instance(c).cache().misses();
-  }
-  return t;
-}
 
 // Runs `epochs` epochs on a fresh rig; epoch e shuffles with seed
 // base+e-1, all clients in lockstep (the run_watchdog drain between
 // epochs is the epoch barrier every client already observes).
 std::vector<EpochResult> run_mode(const SweepParams& p, bool peer_on) {
-  SweepRig rig(p.samples, sweep_config(p, peer_on));
+  dlfs::bench::FleetRig rig = sweep_rig(p, peer_on);
   std::vector<EpochResult> out;
-  PeerTally prev{};
   for (std::uint32_t e = 1; e <= p.epochs; ++e) {
+    const dlfs::core::InstanceStats before =
+        dlfs::bench::fleet_stats(rig.fleet);
     for (std::uint32_t c = 0; c < kClients; ++c) {
+      rig.fleet.instance(c).io_core().reset_accounting();
       rig.fleet.instance(c).sequence(p.seed + e - 1);
     }
-    std::vector<EpochLog> logs(kClients);
+    std::vector<dlfs::bench::EpochLog> logs(kClients);
     const dlsim::SimTime t0 = rig.sim.now();
     for (std::uint32_t c = 0; c < kClients; ++c) {
-      rig.sim.spawn(run_epoch_logged(rig.ds, rig.fleet.instance(c), logs[c]),
+      rig.sim.spawn(dlfs::bench::read_epoch_checked(
+                        rig.ds, rig.fleet.instance(c), kBatch, logs[c]),
                     "peer-sweep-client");
     }
     rig.sim.run_watchdog(rig.sim.now() + 600_sec);
     rig.sim.rethrow_failures();
 
     EpochResult r;
-    r.elapsed = rig.sim.now() - t0;
+    std::uint64_t served = 0;
     std::vector<std::uint32_t> delivered(p.samples, 0);
     for (const auto& log : logs) {
-      r.served += log.order.size();
+      served += log.order.size();
       r.skipped += log.skipped;
       if (!log.content_ok) r.content_ok = false;
       for (const std::uint32_t id : log.order) ++delivered[id];
@@ -197,44 +127,11 @@ std::vector<EpochResult> run_mode(const SweepParams& p, bool peer_on) {
     for (const std::uint32_t n : delivered) {
       if (n != 1) r.exactly_once = false;
     }
-    const PeerTally now = fleet_tally(rig.fleet);
-    r.peer_hits_local = now.hits_local - prev.hits_local;
-    r.peer_hits_remote = now.hits_remote - prev.hits_remote;
-    r.peer_misses = now.misses - prev.misses;
-    r.peer_bytes = now.bytes - prev.bytes;
-    r.cache_hits = now.cache_hits - prev.cache_hits;
-    r.cache_misses = now.cache_misses - prev.cache_misses;
-    prev = now;
+    r.row = dlfs::bench::fleet_result(rig.fleet, rig.sim.now() - t0, served,
+                                      kSampleBytes, before);
     out.push_back(r);
   }
   return out;
-}
-
-double aggregate_bytes_per_sec(const EpochResult& r) {
-  const double secs = dlsim::to_seconds(r.elapsed);
-  return secs > 0
-             ? static_cast<double>(r.served) * kSampleBytes / secs
-             : 0.0;
-}
-
-void add_report_row(dlfs::bench::JsonReport& report, bool peer_on,
-                    std::uint32_t epoch, const EpochResult& r) {
-  dlfs::bench::RunResult row;
-  row.elapsed = r.elapsed;
-  row.samples = r.served;
-  row.samples_per_sec =
-      static_cast<double>(r.served) / dlsim::to_seconds(r.elapsed);
-  row.bytes_per_sec = aggregate_bytes_per_sec(r);
-  row.samples_skipped = r.skipped;
-  row.cache_hits = r.cache_hits;
-  row.cache_misses = r.cache_misses;
-  row.peer_hits_local = r.peer_hits_local;
-  row.peer_hits_remote = r.peer_hits_remote;
-  row.peer_misses = r.peer_misses;
-  row.peer_bytes = r.peer_bytes;
-  report.add(std::string("peer=") + (peer_on ? "on" : "off") +
-                 " epoch=" + std::to_string(epoch),
-             row);
 }
 
 int run_sweep(const SweepParams& p) {
@@ -249,11 +146,7 @@ int run_sweep(const SweepParams& p) {
 
   // Both runs share the storage NIC's line rate as the replica-path
   // ceiling; report warm-epoch aggregates against it.
-  double nic_bw = 0.0;
-  {
-    SweepRig probe(16, sweep_config(p, false));
-    nic_bw = probe.cluster.fabric().params().bw_bytes_per_sec;
-  }
+  const double nic_bw = sweep_config(p, false).calibration.nic.bw_bytes_per_sec;
 
   dlfs::bench::JsonReport report("peer_cache_sweep");
   dlfs::Table table({"epoch", "mode", "epoch_ms", "agg_GBps", "peer_local",
@@ -262,17 +155,20 @@ int run_sweep(const SweepParams& p) {
   for (std::uint32_t e = 0; e < p.epochs; ++e) {
     for (const bool peer_on : {false, true}) {
       const EpochResult& r = peer_on ? on[e] : off[e];
-      if (r.served != p.samples || r.skipped != 0 || !r.content_ok ||
+      const dlfs::bench::RunResult& row = r.row;
+      if (row.samples != p.samples || r.skipped != 0 || !r.content_ok ||
           !r.exactly_once) {
         delivery_ok = false;
       }
-      add_report_row(report, peer_on, e + 1, r);
+      report.add(std::string("peer=") + (peer_on ? "on" : "off") +
+                     " epoch=" + std::to_string(e + 1),
+                 row);
       table.add_row({dlfs::Table::integer(e + 1), peer_on ? "on" : "off",
-                     dlfs::Table::num(dlsim::to_micros(r.elapsed) / 1e3, 2),
-                     dlfs::Table::num(aggregate_bytes_per_sec(r) / 1e9, 2),
-                     dlfs::Table::integer(r.peer_hits_local),
-                     dlfs::Table::integer(r.peer_hits_remote),
-                     dlfs::Table::integer(r.peer_misses),
+                     dlfs::Table::num(dlsim::to_micros(row.elapsed) / 1e3, 2),
+                     dlfs::Table::num(row.bytes_per_sec / 1e9, 2),
+                     dlfs::Table::integer(row.stats.peer_hits_local),
+                     dlfs::Table::integer(row.stats.peer_hits_remote),
+                     dlfs::Table::integer(row.stats.peer_misses),
                      dlfs::Table::integer(r.skipped)});
     }
   }
@@ -283,9 +179,9 @@ int run_sweep(const SweepParams& p) {
   double warm_on = 0.0, warm_off = 0.0;
   std::uint64_t remote_hits = 0;
   for (std::uint32_t e = 1; e < p.epochs; ++e) {
-    warm_on += aggregate_bytes_per_sec(on[e]);
-    warm_off += aggregate_bytes_per_sec(off[e]);
-    remote_hits += on[e].peer_hits_remote;
+    warm_on += on[e].row.bytes_per_sec;
+    warm_off += off[e].row.bytes_per_sec;
+    remote_hits += on[e].row.stats.peer_hits_remote;
   }
   warm_on /= static_cast<double>(p.epochs - 1);
   warm_off /= static_cast<double>(p.epochs - 1);

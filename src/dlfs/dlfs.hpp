@@ -22,6 +22,7 @@
 //   bread(n, arena)   -> read the next n samples of this client's share
 //                        with the configured batching optimizations
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -212,8 +213,8 @@ struct ViewBatch : BatchMeta {
   std::uint64_t token = 0;                // internal: release bookkeeping
 };
 
-/// One snapshot of a DlfsInstance's delivery/telemetry counters (the
-/// former loose per-counter getters, consolidated).
+/// One snapshot of a DlfsInstance's counters, the only telemetry record;
+/// a field missing from for_each_stat below fails the build.
 struct InstanceStats {
   std::uint64_t samples_delivered = 0;
   // Samples skipped across all breads because their storage node was
@@ -260,7 +261,104 @@ struct InstanceStats {
   std::uint64_t peer_hits_remote = 0;
   std::uint64_t peer_misses = 0;
   std::uint64_t peer_bytes = 0;
+  // Sample cache, device retries, transport faults, storage nodes down.
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+  std::uint64_t io_retries = 0;
+  spdk::IoQueueStats transport{};
+  std::uint64_t nodes_down = 0;
 };
+
+/// How an InstanceStats leaf reduces over a fleet and over a window.
+enum class StatKind : std::uint8_t {
+  kCount,     ///< summed; a window takes the difference
+  kDuration,  ///< a SimDuration, summed like a count, reported in µs
+  kLevel,     ///< what each client holds now: summed, kept over a window
+  kGauge,     ///< a fleet-wide level or peak: max, kept over a window
+};
+
+/// Calls f(key, kind, s.leaf...) once per InstanceStats leaf, `key` being
+/// its BENCH_*.json key: the one list every merge, window and report uses.
+template <typename F, typename... S>
+constexpr void for_each_stat(F&& f, S&&... s) {
+  using enum StatKind;
+  f("cache_hits", kCount, s.cache_hits...);
+  f("cache_misses", kCount, s.cache_misses...);
+  f("bytes_copied", kCount, s.bytes_copied...);
+  f("bytes_zero_copy", kCount, s.bytes_zero_copy...);
+  f("view_pins_active", kLevel, s.view_pins_active...);
+  f("cross_core_handoffs", kCount, s.cross_core_handoffs...);
+  f("prefetch_units_issued", kCount, s.prefetch.units_issued...);
+  f("prefetch_units_resident_at_pick", kCount,
+    s.prefetch.units_resident_at_pick...);
+  f("prefetch_units_stalled", kCount, s.prefetch.units_stalled...);
+  f("prefetch_stall_us", kDuration, s.prefetch.stall_ns...);
+  f("prefetch_in_flight_hwm", kGauge, s.prefetch.in_flight_hwm...);
+  f("prefetch_window_grows", kCount, s.prefetch.window_grows...);
+  f("prefetch_window_shrinks", kCount, s.prefetch.window_shrinks...);
+  f("prefetch_units_dropped", kCount, s.prefetch.units_dropped...);
+  f("prefetch_units_reissued", kCount, s.prefetch.units_reissued...);
+  f("prefetch_window_target", kGauge, s.prefetch.window_target...);
+  f("io_retries", kCount, s.io_retries...);
+  f("io_timeouts", kCount, s.transport.timeouts...);
+  f("connections_lost", kCount, s.transport.connections_lost...);
+  f("reconnects", kCount, s.transport.reconnects...);
+  f("replays", kCount, s.transport.replays...);
+  f("samples_skipped", kCount, s.samples_skipped...);
+  f("nodes_down", kGauge, s.nodes_down...);
+  f("nodes_declared_dead", kCount, s.nodes_declared_dead...);
+  f("samples_rereplicated", kCount, s.samples_rereplicated...);
+  f("repair_bytes", kCount, s.repair_bytes...);
+  f("repair_throttles", kCount, s.repair_throttles...);
+  f("qos_deferrals", kCount, s.qos_deferrals...);
+  f("directory_local_hits", kCount, s.directory.local_hits...);
+  f("directory_cache_hits", kCount, s.directory.cache_hits...);
+  f("directory_negative_hits", kCount, s.directory.negative_hits...);
+  f("directory_remote_lookups", kCount, s.directory.remote_lookups...);
+  f("directory_cache_evictions", kCount, s.directory.cache_evictions...);
+  f("directory_stale_invalidations", kCount,
+    s.directory.stale_invalidations...);
+  f("directory_bytes", kLevel, s.directory_bytes...);
+  f("peer_hits_local", kCount, s.peer_hits_local...);
+  f("peer_hits_remote", kCount, s.peer_hits_remote...);
+  f("peer_misses", kCount, s.peer_misses...);
+  f("peer_bytes", kCount, s.peer_bytes...);
+  f("samples_delivered", kCount, s.samples_delivered...);
+  f("bytes_delivered", kCount, s.bytes_delivered...);
+  f("lookup_us_total", kDuration, s.lookup_time_total...);
+}
+
+// Every leaf is 8 bytes, so the sizes add up only when no field is unlisted.
+static_assert(
+    [] {
+      std::size_t listed = 0;
+      auto add = [&listed](std::string_view, StatKind, const auto& leaf) {
+        listed += sizeof(leaf);
+      };
+      for_each_stat(add, InstanceStats{});
+      return listed;
+    }() == sizeof(InstanceStats),
+    "an InstanceStats field is missing from for_each_stat");
+
+/// Fleet reduction: gauges take the max, every other kind adds.
+constexpr InstanceStats& operator+=(InstanceStats& a, const InstanceStats& b) {
+  auto add = [](std::string_view, StatKind kind, auto& x, const auto& y) {
+    x = kind == StatKind::kGauge ? std::max(x, y) : x + y;
+  };
+  for_each_stat(add, a, b);
+  return a;
+}
+
+/// What accrued since the snapshot `before`; levels and gauges keep
+/// their current value.
+constexpr InstanceStats operator-(InstanceStats now,
+                                  const InstanceStats& before) {
+  auto sub = [](std::string_view, StatKind kind, auto& x, const auto& y) {
+    if (kind == StatKind::kCount || kind == StatKind::kDuration) x -= y;
+  };
+  for_each_stat(sub, now, before);
+  return now;
+}
 
 class DlfsFleet;
 
@@ -352,6 +450,11 @@ class DlfsInstance {
     s.peer_hits_remote = peer_hits_remote_;
     s.peer_misses = peer_misses_;
     s.peer_bytes = peer_bytes_;
+    s.cache_hits = cache_->hits();
+    s.cache_misses = cache_->misses();
+    s.io_retries = engine_->retries();
+    s.transport = engine_->transport_stats();
+    s.nodes_down = engine_->nodes_down();
     return s;
   }
 

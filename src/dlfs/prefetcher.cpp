@@ -87,8 +87,8 @@ void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs,
     }
   }
   ++stats_.units_issued;
-  stats_.in_flight_hwm = std::max(
-      stats_.in_flight_hwm, static_cast<std::uint32_t>(window_size()));
+  stats_.in_flight_hwm =
+      std::max<std::uint64_t>(stats_.in_flight_hwm, window_size());
   wake_.set();
 }
 

@@ -71,12 +71,12 @@ struct PrefetchStats {
   std::uint64_t units_resident_at_pick = 0;  // finished before acquire()
   std::uint64_t units_stalled = 0;           // acquire() had to wait
   dlsim::SimDuration stall_ns = 0;           // total wait on needed units
-  std::uint32_t in_flight_hwm = 0;           // window depth high-water mark
+  std::uint64_t in_flight_hwm = 0;           // window depth high-water mark
   std::uint64_t window_grows = 0;
   std::uint64_t window_shrinks = 0;
   std::uint64_t units_dropped = 0;   // shed under pool pressure
   std::uint64_t units_reissued = 0;  // retried after a node came back
-  std::uint32_t window_target = 0;   // current adaptive target
+  std::uint64_t window_target = 0;   // current adaptive target
 };
 
 /// One extent of an acquired read unit, identified by the provider's

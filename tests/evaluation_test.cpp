@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/units.hpp"
 #include "harness.hpp"
 
@@ -121,6 +125,99 @@ TEST(EvaluationClaims, Fig11NicBottleneckShape) {
   EXPECT_LT(at8, 1.6 * at2);   // NIC cap: not 4x
   EXPECT_LT(at8, 6.8e9);       // never beats the wire
   EXPECT_GT(at8, 3.0e9);       // but gets a good fraction of it
+}
+
+// The fleet reduction maxes gauges and adds every other kind; a window
+// subtracts counts and durations and keeps levels and gauges.
+TEST(Telemetry, ReduceAddsCountersAndMaxesGauges) {
+  dlfs::core::InstanceStats a;
+  a.transport.reconnects = 2;
+  a.prefetch.stall_ns = 1500;
+  a.prefetch.in_flight_hwm = 7;
+  a.prefetch.window_target = 3;
+  a.nodes_down = 1;
+  a.directory_bytes = 100;
+  dlfs::core::InstanceStats b;
+  b.transport.reconnects = 5;
+  b.prefetch.stall_ns = 500;
+  b.prefetch.in_flight_hwm = 4;
+  b.prefetch.window_target = 9;
+  b.directory_bytes = 40;
+
+  dlfs::core::InstanceStats sum = a;
+  sum += b;
+  EXPECT_EQ(sum.transport.reconnects, 7u);
+  EXPECT_EQ(sum.prefetch.stall_ns, 2000u);
+  EXPECT_EQ(sum.prefetch.in_flight_hwm, 7u);
+  EXPECT_EQ(sum.prefetch.window_target, 9u);
+  EXPECT_EQ(sum.nodes_down, 1u);
+  EXPECT_EQ(sum.directory_bytes, 140u);
+
+  const dlfs::core::InstanceStats window = sum - a;
+  EXPECT_EQ(window.transport.reconnects, 5u);
+  EXPECT_EQ(window.prefetch.stall_ns, 500u);
+  EXPECT_EQ(window.prefetch.in_flight_hwm, 7u);
+  EXPECT_EQ(window.prefetch.window_target, 9u);
+  EXPECT_EQ(window.nodes_down, 1u);
+  EXPECT_EQ(window.directory_bytes, 140u);
+
+  std::ostringstream json;
+  dlfs::bench::write_stats_json(json, sum);
+  EXPECT_NE(json.str().find("\"reconnects\": 7, "), std::string::npos);
+  EXPECT_NE(json.str().find("\"prefetch_stall_us\": 2, "), std::string::npos);
+}
+
+// A row built at the end of the second epoch counts that epoch only,
+// while its levels and gauges read the fleet's current values.
+TEST(Telemetry, EpochRowCountsOnlyItsEpoch) {
+  constexpr std::size_t kSamples = 256;
+  constexpr std::uint32_t kBytes = 4096;
+  dlfs::core::DlfsConfig cfg;
+  cfg.batching = BatchingMode::kSampleLevel;
+  dlfs::cluster::NodeConfig nc;
+  nc.synthetic_store = false;
+  nc.device_capacity = 64_MiB;
+  dlfs::bench::FleetRig rig(
+      2, nc, dlfs::dataset::make_fixed_size_dataset(kSamples, kBytes), cfg,
+      /*client_nodes=*/{0, 1}, /*storage_nodes=*/{0, 1});
+  dlfs::bench::RunResult row;
+  for (std::uint64_t epoch = 1; epoch <= 2; ++epoch) {
+    const dlfs::core::InstanceStats before =
+        dlfs::bench::fleet_stats(rig.fleet);
+    std::vector<dlfs::bench::EpochLog> logs(2);
+    for (std::uint32_t c = 0; c < 2; ++c) {
+      auto& inst = rig.fleet.instance(c);
+      inst.io_core().reset_accounting();
+      inst.sequence(epoch);
+      rig.sim.spawn(dlfs::bench::read_epoch_checked(rig.ds, inst, 16, logs[c]),
+                    "epoch-reader");
+    }
+    const dlsim::SimTime t0 = rig.sim.now();
+    rig.sim.run();
+    rig.sim.rethrow_failures();
+    std::uint64_t served = 0;
+    for (const auto& log : logs) {
+      served += log.order.size();
+      EXPECT_TRUE(log.content_ok);
+    }
+    row = dlfs::bench::fleet_result(rig.fleet, rig.sim.now() - t0, served,
+                                    kBytes, before);
+  }
+  const dlfs::core::InstanceStats now = dlfs::bench::fleet_stats(rig.fleet);
+  EXPECT_EQ(now.samples_delivered, 2 * kSamples);
+  EXPECT_EQ(row.samples, kSamples);
+  EXPECT_EQ(row.stats.samples_delivered, kSamples);
+  EXPECT_EQ(row.stats.bytes_delivered, kSamples * kBytes);
+  EXPECT_GT(row.stats.prefetch.units_issued, 0u);
+  EXPECT_LT(row.stats.prefetch.units_issued, now.prefetch.units_issued);
+  EXPECT_GT(row.client_cpu_util, 0.0);
+  EXPECT_GT(row.lookup_us_avg, 0.0);
+  EXPECT_GT(row.stats.prefetch.in_flight_hwm, 0u);
+  EXPECT_EQ(row.stats.prefetch.in_flight_hwm, now.prefetch.in_flight_hwm);
+  EXPECT_EQ(row.stats.prefetch.window_target, now.prefetch.window_target);
+  EXPECT_EQ(row.stats.nodes_down, now.nodes_down);
+  EXPECT_GT(row.stats.directory_bytes, 0u);
+  EXPECT_EQ(row.stats.directory_bytes, now.directory_bytes);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Shared scanning utilities for the dlfslint tool family (dlfslint.cpp,
-// telemetry_check.cpp). Zero-dependency, AST-less: comment/literal
-// stripping that preserves byte offsets, a line index, and small token /
-// bracket helpers. Header-only on purpose — the tools are single-file
-// builds in CI (`g++ -o dlfslint tools/dlfslint/dlfslint.cpp`).
+// Scanning utilities for dlfslint.cpp. Zero-dependency, AST-less:
+// comment/literal stripping that preserves byte offsets, a line index,
+// and small token / bracket helpers. Header-only on purpose — the lint is
+// a single-file build in CI (`g++ -o dlfslint tools/dlfslint/dlfslint.cpp`).
 #pragma once
 
 #include <algorithm>
