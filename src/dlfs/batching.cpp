@@ -10,7 +10,7 @@ namespace dlfs::core {
 
 BatchPlan::BatchPlan(const std::vector<SampleLocation>& layout,
                      std::uint64_t chunk_bytes, BatchingMode mode)
-    : mode_(mode), num_samples_(layout.size()) {
+    : num_samples_(layout.size()) {
   if (chunk_bytes == 0) throw std::invalid_argument("chunk_bytes must be > 0");
 
   if (mode != BatchingMode::kChunkLevel) {

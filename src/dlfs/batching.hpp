@@ -68,14 +68,12 @@ class BatchPlan {
   BatchPlan(const std::vector<SampleLocation>& layout,
             std::uint64_t chunk_bytes, BatchingMode mode);
 
-  [[nodiscard]] BatchingMode mode() const { return mode_; }
   [[nodiscard]] const std::vector<ReadUnit>& units() const { return units_; }
   [[nodiscard]] std::size_t num_samples() const { return num_samples_; }
   [[nodiscard]] std::size_t num_chunk_units() const { return chunk_units_; }
   [[nodiscard]] std::size_t num_edge_units() const { return edge_units_; }
 
  private:
-  BatchingMode mode_;
   std::vector<ReadUnit> units_;
   std::size_t num_samples_ = 0;
   std::size_t chunk_units_ = 0;

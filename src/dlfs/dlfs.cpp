@@ -350,15 +350,14 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
       continue;
     }
     const SampleLocation& loc = fleet_->layout_[id];
-    AcquiredExtent x{id, {}, {}};
     auto op = engine_->start_extent(ReadExtent{loc.nid, loc.offset, loc.len,
                                                nullptr, std::nullopt,
-                                               &x.buffers, sample_routes(id)});
-    co_await engine_->await_op(*io_core_, op, 0);
+                                               sample_routes(id)});
+    co_await engine_->await_op(*io_core_, op);
     if (op->error()) {
       faults->note(op->error());
     } else {
-      hu->samples.emplace(id, std::move(x));
+      hu->samples.emplace(id, AcquiredExtent{id, op->take_buffers(), {}});
     }
   }
   co_return hu;

@@ -93,11 +93,7 @@ struct FaultConfig {
 /// Tenant identity of one job (one fleet) under a shared TenantGovernor.
 /// Fleets that share storage register with the same governor; a fleet
 /// with no governor runs ungoverned (standalone behavior, no overhead).
-struct TenantConfig {
-  std::string name;                       ///< telemetry / error messages
-  std::uint32_t weight = 1;               ///< relative bandwidth share
-  QosClass priority = QosClass::kNormal;  ///< kHigh / kNormal / kBackground
-  std::uint32_t max_inflight = 0;         ///< job-wide outstanding cap; 0=off
+struct TenantConfig : TenantQos {
   std::shared_ptr<TenantGovernor> governor;  ///< null = no QoS
 };
 

@@ -36,9 +36,7 @@ DlfsFleet::DlfsFleet(cluster::Cluster& cluster, cluster::Pfs& pfs,
                                                 : storage_nodes_.size()),
       ready_barrier_(cluster.simulator(), 1) {
   if (config_.tenant.governor) {
-    tenant_ = config_.tenant.governor->register_tenant(
-        TenantQos{config_.tenant.name, config_.tenant.weight,
-                  config_.tenant.priority, config_.tenant.max_inflight});
+    tenant_ = config_.tenant.governor->register_tenant(config_.tenant);
   }
   if (client_nodes_.empty()) {
     for (std::uint32_t i = 0; i < cluster.size(); ++i) {

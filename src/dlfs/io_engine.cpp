@@ -132,14 +132,7 @@ dlsim::Task<void> IoEngine::copy_thread_loop(std::size_t idx) {
 }
 
 dlsim::Task<void> IoEngine::enqueue_copy(CopyJob job) {
-  if (config_.copy_threads == 0) {
-    // No pool configured: the caller's context performs the copy. The
-    // cost is charged by run_copy_inline; here we only have the engine's
-    // own context, so execute directly with a bare delay.
-    co_await sim_->delay(cal_->dlfs.completion_handling + copy_cost(job));
-    do_copy(job);
-    co_return;
-  }
+  assert(config_.copy_threads > 0);
   co_await scq_->push(std::move(job));
 }
 
@@ -380,17 +373,12 @@ dlsim::Task<void> IoEngine::finish_extent(dlsim::CpuCore& core,
       co_await enqueue_copy(std::move(job));
     }
   } else {
-    if (x.out_buffers != nullptr) {
-      *x.out_buffers = std::move(op->buffers_);
-    }
     op->finished_ = true;
     op->done.set();
   }
 }
 
-dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
-                                 dlsim::SimDuration injected_compute) {
-  bool injected_done = injected_compute == 0;
+dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
   // The pump serves the whole engine, not just `until`: any queued or
   // in-flight piece (another bread's demand fetch, a prefetched unit) is
   // posted and harvested by whichever coroutine is pumping. We stop as
@@ -587,7 +575,6 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
           // Transient fault: re-post the same piece (same cache chunk)
           // until the retry budget runs out, backing off per attempt so
           // retries don't hot-loop the device queue.
-          if (c.status == spdk::IoStatus::kTimeout) ++timeouts_;
           if (p.attempts > kMaxRetries) {
             if (c.status == spdk::IoStatus::kTimeout) {
               // Timeout budget spent: before declaring the read failed,
@@ -623,37 +610,24 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
       }
     }
 
-    // Fig. 7b: application compute folded into this batch's polling loop,
-    // once per read batch — the paper measures how much concurrent
-    // computation one mini-batch's I/O can hide. It runs after the first
-    // posting round so the device works underneath it.
-    if (!injected_done) {
-      injected_done = true;
-      co_await core.compute(injected_compute);
-      progress = true;  // time passed; re-poll before deciding to wait
-    }
-
     if (!progress && !satisfied()) {
       co_await wait_any(core);
     }
   }
 }
 
-dlsim::Task<void> IoEngine::await_op(dlsim::CpuCore& core, ExtentOpPtr op,
-                                     dlsim::SimDuration injected_compute) {
-  co_await pump(core, *op, injected_compute);
+dlsim::Task<void> IoEngine::await_op(dlsim::CpuCore& core, ExtentOpPtr op) {
+  co_await pump(core, *op);
   if (!op->finished_) co_await op->done.wait();  // copy stage completing
 }
 
 dlsim::Task<void> IoEngine::read_extents(dlsim::CpuCore& core,
-                                         std::vector<ReadExtent> extents,
-                                         dlsim::SimDuration injected_compute) {
+                                         std::vector<ReadExtent> extents) {
   if (extents.empty()) co_return;
   auto ops = start_extents(std::move(extents));
   std::exception_ptr first_error;
   for (auto& op : ops) {
-    co_await await_op(core, op, injected_compute);
-    injected_compute = 0;
+    co_await await_op(core, op);
     if (op->error() && !first_error) first_error = op->error();
   }
   if (first_error) std::rethrow_exception(first_error);
@@ -666,8 +640,8 @@ dlsim::Task<void> IoEngine::read_one(dlsim::CpuCore& core, std::uint16_t nid,
                                          cache_sample_id,
                                      std::vector<RouteHop> routes) {
   std::vector<ReadExtent> one(1);
-  one[0] = ReadExtent{nid,     offset, len, dst, cache_sample_id,
-                      nullptr, std::move(routes)};
+  one[0] = ReadExtent{nid, offset, len, dst, cache_sample_id,
+                      std::move(routes)};
   co_await read_extents(core, std::move(one));
 }
 

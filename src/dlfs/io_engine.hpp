@@ -26,9 +26,7 @@
 // The pump runs *in the awaiting coroutine* (the paper drives DLFS with
 // one I/O thread on one core; that core is charged for all prep, post,
 // poll and completion-handling work it performs). Copy threads are
-// separate daemons with their own cores. Fig. 7(b)'s experiment — how
-// much application compute can be folded into the polling loop — is the
-// `injected_compute` hook, executed once per read batch.
+// separate daemons with their own cores.
 
 #include <algorithm>
 #include <cstdint>
@@ -99,16 +97,14 @@ class IoError : public std::runtime_error {
 /// One device extent to read. If `dst` is non-null the data is copied
 /// there by the copy stage; if additionally `cache_sample_id` is set, the
 /// chunks are retained in the sample cache afterwards (V bit set). If
-/// `dst` is null the chunks are handed back through `out_buffers`, or —
-/// when that is also null — retained on the ExtentOp for take_buffers()
-/// (the prefetcher's read-ahead path).
+/// `dst` is null the chunks are retained on the ExtentOp for
+/// take_buffers().
 struct ReadExtent {
   std::uint16_t nid = 0;
   std::uint64_t offset = 0;
   std::uint32_t len = 0;
   std::byte* dst = nullptr;
   std::optional<std::size_t> cache_sample_id{};
-  std::vector<mem::DmaBuffer>* out_buffers = nullptr;
   // Alternate placements of the same bytes (replica failover order). The
   // engine consumes hops from the front as it re-routes, so at any moment
   // the list holds exactly the untried alternates: when (nid, offset)
@@ -139,9 +135,8 @@ class ExtentOp {
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] std::exception_ptr error() const { return error_; }
 
-  /// Chunk buffers of a buffer-handover extent (dst == nullptr,
-  /// out_buffers == nullptr), in on-device order. Transfers ownership;
-  /// call once, after done.
+  /// Chunk buffers of a buffer-handover extent (dst == nullptr), in
+  /// on-device order. Transfers ownership; call once, after done.
   [[nodiscard]] std::vector<mem::DmaBuffer> take_buffers() {
     return std::move(buffers_);
   }
@@ -203,7 +198,6 @@ class IoEngine {
 
   /// Registers the queue used to reach storage node `nid`.
   void attach_target(std::uint16_t nid, std::unique_ptr<spdk::IoQueue> queue);
-  [[nodiscard]] std::size_t num_targets() const { return targets_.size(); }
 
   /// Splits the extents into chunk-sized pieces and queues them for
   /// posting. Nothing is submitted until some coroutine drives the pump
@@ -228,17 +222,14 @@ class IoEngine {
   /// delivered or failed). Extent failures are recorded on the op, not
   /// thrown; pool livelock (exhausted + nothing evictable + nothing in
   /// flight) still throws.
-  [[nodiscard]] dlsim::Task<void> await_op(
-      dlsim::CpuCore& core, ExtentOpPtr op,
-      dlsim::SimDuration injected_compute = 0);
+  [[nodiscard]] dlsim::Task<void> await_op(dlsim::CpuCore& core,
+                                           ExtentOpPtr op);
 
   /// Reads a batch of extents; resumes when every extent's data has been
   /// copied (or its buffers handed over). `core` is the I/O thread's CPU.
-  /// `injected_compute` > 0 folds that much application computation into
-  /// the batch's polling loop (Fig. 7b). Rethrows the first extent error.
-  [[nodiscard]] dlsim::Task<void> read_extents(
-      dlsim::CpuCore& core, std::vector<ReadExtent> extents,
-      dlsim::SimDuration injected_compute = 0);
+  /// Rethrows the first extent error.
+  [[nodiscard]] dlsim::Task<void> read_extents(dlsim::CpuCore& core,
+                                               std::vector<ReadExtent> extents);
 
   /// Convenience: one extent, synchronously (the dlfs_read fast path —
   /// "DLFS-Base" when used for every sample).
@@ -251,7 +242,8 @@ class IoEngine {
                                            std::vector<RouteHop> routes = {});
 
   /// Enqueues a copy of already-resident bytes (cache hits, chunk-batched
-  /// sample delivery). The latch is counted down after the memcpy.
+  /// sample delivery) on the copy-thread pool, which must exist
+  /// (copy_threads > 0). The latch is counted down after the memcpy.
   [[nodiscard]] dlsim::Task<void> enqueue_copy(CopyJob job);
 
   /// Copy-stage work executed inline when copy_threads == 0; exposed so
@@ -276,7 +268,6 @@ class IoEngine {
   void set_tenant(std::shared_ptr<TenantHandle> tenant) {
     tenant_ = std::move(tenant);
   }
-  [[nodiscard]] const TenantHandle* tenant() const { return tenant_.get(); }
   /// Posting-loop stalls caused by QoS admission (not queue depth).
   [[nodiscard]] std::uint64_t qos_deferrals() const { return qos_deferrals_; }
 
@@ -298,13 +289,11 @@ class IoEngine {
   /// Aggregated transport counters across all attached queues.
   [[nodiscard]] spdk::IoQueueStats transport_stats() const;
 
-  [[nodiscard]] const IoEngineConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t requests_posted() const { return posted_; }
   [[nodiscard]] std::uint64_t completions_harvested() const {
     return harvested_;
   }
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
-  [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
   [[nodiscard]] std::uint64_t bytes_copied() const { return bytes_copied_; }
   /// Aggregate busy time of the copy-thread pool.
   [[nodiscard]] dlsim::SimDuration copy_busy_ns() const;
@@ -350,8 +339,7 @@ class IoEngine {
   bool reroute_piece(Piece& p);
   dlsim::Task<void> probe_loop(std::shared_ptr<bool> alive);
   void promote_delayed();
-  dlsim::Task<void> pump(dlsim::CpuCore& core, const ExtentOp& until,
-                         dlsim::SimDuration injected_compute);
+  dlsim::Task<void> pump(dlsim::CpuCore& core, const ExtentOp& until);
   dlsim::Task<void> finish_extent(dlsim::CpuCore& core, ExtentOpPtr op);
   static void fail_op(ExtentOp& op, std::exception_ptr e);
   dlsim::Task<void> copy_thread_loop(std::size_t idx);
@@ -396,7 +384,6 @@ class IoEngine {
   std::uint64_t posted_ = 0;
   std::uint64_t harvested_ = 0;
   std::uint64_t retries_ = 0;
-  std::uint64_t timeouts_ = 0;
   std::uint64_t bytes_copied_ = 0;
   std::uint64_t next_tag_ = 1;
 };

@@ -31,18 +31,12 @@ Prefetcher::~Prefetcher() {
   wake_.set();
 }
 
-std::size_t Prefetcher::window_size() const {
-  std::size_t n = 0;
-  for (const WindowShard& s : window_shards_) n += s.read()->size();
-  return n;
-}
-
 void Prefetcher::start_epoch(const EpochUnitProvider* provider) {
   // Extents cannot be cancelled: unfinished read-ahead from the previous
   // epoch keeps draining on the daemon and its buffers drop on arrival.
   // Finished entries release their chunks right here, with the ops.
-  for (WindowShard& s : window_shards_) {
-    auto w = s.write();
+  {
+    auto w = window_.write();
     for (auto& e : *w) {
       for (auto& x : e.extents) {
         if (!x.op->finished()) draining_.push_back(x.op);
@@ -64,8 +58,7 @@ std::uint64_t Prefetcher::extents_chunks(const std::vector<UnitExtent>& xs,
   return n;
 }
 
-void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs,
-                             bool front) {
+void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs) {
   Entry e;
   e.slot = slot;
   e.chunks = extents_chunks(xs, chunk_bytes_);
@@ -73,18 +66,19 @@ void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs,
   for (auto& x : xs) {
     Extent ex;
     ex.key = x.key;
-    ex.op = engine_->start_extent(ReadExtent{x.nid, x.offset, x.len, nullptr,
-                                             std::nullopt, nullptr,
-                                             std::move(x.routes)});
+    ex.op = engine_->start_extent(ReadExtent{
+        x.nid, x.offset, x.len, nullptr, std::nullopt, std::move(x.routes)});
     e.extents.push_back(std::move(ex));
   }
   {
-    auto w = shard_for(slot).write();
-    if (front) {
-      w->push_front(std::move(e));
-    } else {
-      w->push_back(std::move(e));
-    }
+    // Read-ahead lands at the back; a shed unit demanded again lands at
+    // the front, since consumption is in slot order.
+    auto w = window_.write();
+    w->insert(std::upper_bound(w->begin(), w->end(), slot,
+                               [](std::size_t s, const Entry& x) {
+                                 return s < x.slot;
+                               }),
+              std::move(e));
   }
   ++stats_.units_issued;
   stats_.in_flight_hwm =
@@ -96,8 +90,7 @@ void Prefetcher::ensure_issued_through(std::size_t slot) {
   if (provider_ == nullptr) return;
   demand_floor_ = std::max(demand_floor_, slot + 1);
   while (next_issue_ <= slot && next_issue_ < total_units_) {
-    issue_entry(next_issue_, provider_->unit_extents(next_issue_),
-                /*front=*/false);
+    issue_entry(next_issue_, provider_->unit_extents(next_issue_));
     ++next_issue_;
   }
 }
@@ -126,7 +119,7 @@ void Prefetcher::top_up() {
       }
       return;
     }
-    issue_entry(next_issue_, std::move(xs), /*front=*/false);
+    issue_entry(next_issue_, std::move(xs));
     ++next_issue_;
   }
 }
@@ -135,38 +128,20 @@ ExtentOpPtr Prefetcher::oldest_unfinished() {
   for (const auto& op : draining_) {
     if (!op->finished()) return op;
   }
-  // Shards are individually slot-ordered; the globally oldest entry with
-  // an unfinished op is the slot-minimum of the per-shard firsts.
-  ExtentOpPtr best;
-  std::size_t best_slot = 0;
-  for (const WindowShard& s : window_shards_) {
-    auto w = s.read();
-    for (const auto& e : *w) {
-      ExtentOpPtr found;
-      for (const auto& x : e.extents) {
-        if (!x.op->finished()) {
-          found = x.op;
-          break;
-        }
-      }
-      if (!found) continue;
-      if (!best || e.slot < best_slot) {
-        best = std::move(found);
-        best_slot = e.slot;
-      }
-      break;
+  auto w = window_.read();
+  for (const auto& e : *w) {
+    for (const auto& x : e.extents) {
+      if (!x.op->finished()) return x.op;
     }
   }
-  return best;
+  return nullptr;
 }
 
 bool Prefetcher::relieve_pressure() {
   // Shed the farthest resident, unconsumed unit: its chunks unblock
   // demand I/O now, and the consumer demand-fetches it again when the
   // cursor gets there. Entries being awaited (pinned) and unfinished ones
-  // (chunks still in flight) cannot yield memory. Per shard, the first
-  // candidate from the back is that shard's farthest; the global farthest
-  // is the slot-maximum across shards.
+  // (chunks still in flight) cannot yield memory.
   auto is_candidate = [](const Entry& e) {
     if (e.pinned || e.chunks == 0) return false;
     return std::all_of(e.extents.begin(), e.extents.end(),
@@ -174,25 +149,10 @@ bool Prefetcher::relieve_pressure() {
                          return x.op->finished() && !x.op->error();
                        });
   };
-  bool found = false;
-  std::size_t victim_slot = 0;
-  for (const WindowShard& s : window_shards_) {
-    auto w = s.read();
-    for (auto it = w->rbegin(); it != w->rend(); ++it) {
-      if (!is_candidate(*it)) continue;
-      if (!found || it->slot > victim_slot) {
-        found = true;
-        victim_slot = it->slot;
-      }
-      break;
-    }
-  }
-  if (!found) return false;
-  auto w = shard_for(victim_slot).write();
-  auto it = std::find_if(
-      w->begin(), w->end(),
-      [victim_slot](const Entry& e) { return e.slot == victim_slot; });
-  for (auto& x : it->extents) {
+  auto w = window_.write();
+  auto rit = std::find_if(w->rbegin(), w->rend(), is_candidate);
+  if (rit == w->rend()) return false;
+  for (auto& x : rit->extents) {
     (void)x.op->take_buffers();  // DmaBuffers drop -> chunks freed
   }
   ++stats_.units_dropped;
@@ -201,7 +161,7 @@ bool Prefetcher::relieve_pressure() {
     ++stats_.window_shrinks;
     stats_.window_target = window_target_;
   }
-  w->erase(it);
+  w->erase(std::next(rit).base());
   return true;
 }
 
@@ -214,7 +174,7 @@ void Prefetcher::discard(std::size_t slot) {
     wake_.set();
     return;
   }
-  auto w = shard_for(slot).write();
+  auto w = window_.write();
   auto it = std::find_if(w->begin(), w->end(),
                          [slot](const Entry& e) { return e.slot == slot; });
   if (it == w->end() || it->pinned) return;
@@ -232,26 +192,23 @@ void Prefetcher::discard(std::size_t slot) {
 std::uint32_t Prefetcher::reissue_failed() {
   if (provider_ == nullptr) return 0;
   std::uint32_t n = 0;
-  for (WindowShard& s : window_shards_) {
-    auto w = s.write();
-    for (auto& e : *w) {
-      if (e.pinned) continue;
-      for (auto& x : e.extents) {
-        if (!x.op->error()) continue;
-        // An op can carry an error while pieces still drain; those buffers
-        // cannot be reused, so the old op keeps draining off to the side.
-        if (!x.op->finished()) draining_.push_back(x.op);
-        // The failed op's extent already consumed the routes it tried, so
-        // rx.routes holds exactly the untried alternates: the reissue
-        // resumes the failover walk instead of restarting it. A reissue
-        // after the node *recovered* simply succeeds on rx.nid directly.
-        const ReadExtent& rx = x.op->extent;
-        x.op = engine_->start_extent(ReadExtent{rx.nid, rx.offset, rx.len,
-                                                nullptr, std::nullopt, nullptr,
-                                                rx.routes});
-        ++stats_.units_reissued;
-        ++n;
-      }
+  auto w = window_.write();
+  for (auto& e : *w) {
+    if (e.pinned) continue;
+    for (auto& x : e.extents) {
+      if (!x.op->error()) continue;
+      // An op can carry an error while pieces still drain; those buffers
+      // cannot be reused, so the old op keeps draining off to the side.
+      if (!x.op->finished()) draining_.push_back(x.op);
+      // The failed op's extent already consumed the routes it tried, so
+      // rx.routes holds exactly the untried alternates: the reissue
+      // resumes the failover walk instead of restarting it. A reissue
+      // after the node *recovered* simply succeeds on rx.nid directly.
+      const ReadExtent& rx = x.op->extent;
+      x.op = engine_->start_extent(ReadExtent{
+          rx.nid, rx.offset, rx.len, nullptr, std::nullopt, rx.routes});
+      ++stats_.units_reissued;
+      ++n;
     }
   }
   if (n > 0) wake_.set();
@@ -267,22 +224,18 @@ dlsim::Task<AcquiredUnit> Prefetcher::acquire(
                         [slot](const Entry& e) { return e.slot == slot; });
   };
   // First slice: locate (or demand-issue) the unit and decide whether we
-  // must stall. The shard guard is scoped to end *before* the awaits —
-  // the daemon legitimately tops the window up while we are parked. Only
-  // slot's own shard is touched, so a concurrent top-up of another shard
-  // never even shares this slice's ledger.
+  // must stall. The window guard is scoped to end *before* the awaits —
+  // the daemon legitimately tops the window up while we are parked.
   std::vector<ExtentOpPtr> ops;  // non-empty => the stall path was taken
   {
-    auto w = shard_for(slot).write();
+    auto w = window_.write();
     auto it = find_entry(*w);
     if (it == w->end()) {
       if (slot >= next_issue_) {
         ensure_issued_through(slot);
       } else {
-        // The unit was shed under pool pressure; demand re-fetch it. With
-        // in-order consumption every windowed slot in this shard is
-        // larger, so it goes back to the front.
-        issue_entry(slot, provider_->unit_extents(slot), /*front=*/true);
+        // The unit was shed under pool pressure; demand re-fetch it.
+        issue_entry(slot, provider_->unit_extents(slot));
       }
       it = find_entry(*w);
     }
@@ -318,7 +271,7 @@ dlsim::Task<AcquiredUnit> Prefetcher::acquire(
   // Second slice: hand the unit over and release its window entry.
   AcquiredUnit unit;
   {
-    auto w = shard_for(slot).write();
+    auto w = window_.write();
     auto it = find_entry(*w);
     unit.extents.reserve(it->extents.size());
     for (auto& x : it->extents) {

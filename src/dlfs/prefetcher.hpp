@@ -41,7 +41,6 @@
 // it would a synchronous fetch failure (media fatal, node faults skip
 // just the affected samples).
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -140,10 +139,10 @@ class Prefetcher {
   std::uint32_t reissue_failed();
 
   [[nodiscard]] const PrefetchStats& stats() const { return stats_; }
-  [[nodiscard]] dlsim::CpuCore& core() { return *core_; }
   [[nodiscard]] const dlsim::CpuCore& core() const { return *core_; }
-  [[nodiscard]] std::size_t window_size() const;
-  [[nodiscard]] std::uint32_t window_target() const { return window_target_; }
+  [[nodiscard]] std::size_t window_size() const {
+    return window_.read()->size();
+  }
 
  private:
   // Pool chunks kept free for demand fetches and the sample cache when
@@ -161,25 +160,12 @@ class Prefetcher {
     bool pinned = false;  // a consumer is awaiting it; reliever must skip
   };
 
-  // The in-flight window, sharded by slot. Each shard is its own Checked
-  // deque (slot order within a shard; shard front = next to consume), so
-  // the daemon's top-up touching slot s and a consumer acquiring slot t
-  // form disjoint critical slices whenever s % kWindowShards !=
-  // t % kWindowShards — only same-shard overlap would trip the ledger.
-  // Operations that need a cross-window view (farthest entry, oldest
-  // unfinished, total size) visit the shards one guard at a time.
-  static constexpr std::size_t kWindowShards = 4;
-  using WindowShard = dlsim::Checked<std::deque<Entry>>;
-
-  [[nodiscard]] WindowShard& shard_for(std::size_t slot) {
-    return window_shards_[slot % kWindowShards];
-  }
-
   [[nodiscard]] static std::uint64_t extents_chunks(
       const std::vector<UnitExtent>& xs, std::uint64_t chunk_bytes);
-  /// Issues unit `slot` into its shard (self-guarded; reentrant from a
-  /// caller already holding that shard's guard — same-task slices nest).
-  void issue_entry(std::size_t slot, std::vector<UnitExtent> xs, bool front);
+  /// Issues unit `slot` into the window at its slot position
+  /// (self-guarded; reentrant from a caller already holding the window's
+  /// guard — same-task slices nest).
+  void issue_entry(std::size_t slot, std::vector<UnitExtent> xs);
   void top_up();
   [[nodiscard]] ExtentOpPtr oldest_unfinished();
   dlsim::Task<void> daemon_loop();
@@ -192,9 +178,9 @@ class Prefetcher {
   std::unique_ptr<dlsim::CpuCore> core_;
   dlsim::Event wake_;
   const EpochUnitProvider* provider_ = nullptr;
-  std::array<WindowShard, kWindowShards> window_shards_{
-      WindowShard{"prefetch-window-0"}, WindowShard{"prefetch-window-1"},
-      WindowShard{"prefetch-window-2"}, WindowShard{"prefetch-window-3"}};
+  // The in-flight window in slot order, front = next to consume. Every
+  // touch is one suspension-free slice on its ledger.
+  dlsim::Checked<std::deque<Entry>> window_{"prefetch-window"};
   std::vector<ExtentOpPtr> draining_;  // abandoned epochs' unfinished ops
   std::size_t next_issue_ = 0;
   std::size_t demand_floor_ = 0;  // one past the highest demanded slot

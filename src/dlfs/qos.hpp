@@ -97,7 +97,6 @@ class TenantGovernor {
   std::shared_ptr<TenantHandle> register_tenant(TenantQos cfg);
 
   [[nodiscard]] std::size_t tenant_count() const { return tenants_.size(); }
-  [[nodiscard]] std::uint64_t burst_bytes() const { return burst_bytes_; }
 
   /// kHigh tenants behave like a tenant with weight * kHighBoost.
   static constexpr std::uint32_t kHighBoost = 8;

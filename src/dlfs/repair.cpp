@@ -233,22 +233,20 @@ dlsim::Task<bool> DlfsInstance::repair_one(std::uint32_t sample_id,
 
   // Stream the bytes from a surviving copy through the shared engine —
   // same pump, tag space and queue-depth budget as demand reads.
-  std::vector<mem::DmaBuffer> pieces;
   ReadExtent x;
   x.nid = sources.front().nid;
   x.offset = sources.front().offset;
   x.len = loc.len;
-  x.out_buffers = &pieces;
   x.routes.assign(sources.begin() + 1, sources.end());
   const ExtentOpPtr rop = engine_->start_extent(std::move(x));
-  co_await engine_->await_op(*repair_core_, rop, 0);
+  co_await engine_->await_op(*repair_core_, rop);
   if (!*alive) co_return false;
   if (rop->error()) co_return false;  // next membership wake retries
 
   const ExtentOpPtr wop = engine_->start_write(
-      dst->nid, dst->offset, std::move(pieces),
+      dst->nid, dst->offset, rop->take_buffers(),
       piece_lens_of(loc.len, fleet_->config_.chunk_bytes));
-  co_await engine_->await_op(*repair_core_, wop, 0);
+  co_await engine_->await_op(*repair_core_, wop);
   if (!*alive) co_return false;
   if (wop->error()) co_return false;  // allocated extent is wasted, not wrong
 

@@ -12,31 +12,14 @@ SampleCache::SampleCache(mem::HugePagePool& pool, std::size_t capacity_chunks,
                          std::size_t num_samples)
     : pool_(&pool), capacity_(capacity_chunks), valid_bits_(num_samples, 0) {}
 
-std::size_t SampleCache::resident_samples() const {
-  std::size_t n = 0;
-  for (const Shard& sh : shards_) n += sh.map.size();
-  return n;
-}
-
-std::size_t SampleCache::resident_chunks() const {
-  std::size_t n = 0;
-  for (const Shard& sh : shards_) n += sh.chunks_used;
-  return n;
-}
-
 std::vector<std::span<const std::byte>> SampleCache::pin(
     std::size_t sample_id) {
-  Shard& sh = shard_of(sample_id);
-  dlsim::AccessSlice slice{sh.ledger, /*write=*/true};  // LRU refresh mutates
-  auto it = sh.map.find(sample_id);
-  if (it == sh.map.end()) return {};
+  dlsim::AccessSlice slice{ledger_, /*write=*/true};  // LRU refresh mutates
+  auto it = map_.find(sample_id);
+  if (it == map_.end()) return {};
   Entry& e = it->second;
   ++e.pins;
-  // Refresh recency: shard-list position plus the global stamp.
-  sh.lru.erase(e.lru_pos);
-  sh.lru.push_front(sample_id);
-  e.lru_pos = sh.lru.begin();
-  e.last_use = ++tick_;
+  lru_.splice(lru_.begin(), lru_, e.lru_pos);  // refresh recency
   std::vector<std::span<const std::byte>> out;
   out.reserve(e.pieces.size());
   for (std::size_t i = 0; i < e.pieces.size(); ++i) {
@@ -46,10 +29,9 @@ std::vector<std::span<const std::byte>> SampleCache::pin(
 }
 
 void SampleCache::unpin(std::size_t sample_id) {
-  Shard& sh = shard_of(sample_id);
-  dlsim::AccessSlice slice{sh.ledger, /*write=*/true};
-  auto it = sh.map.find(sample_id);
-  if (it == sh.map.end()) {
+  dlsim::AccessSlice slice{ledger_, /*write=*/true};
+  auto it = map_.find(sample_id);
+  if (it == map_.end()) {
     throw std::logic_error("unpin of non-resident sample");
   }
   if (it->second.pins == 0) throw std::logic_error("unpin without pin");
@@ -59,90 +41,55 @@ void SampleCache::unpin(std::size_t sample_id) {
 void SampleCache::insert(std::size_t sample_id,
                          std::vector<mem::DmaBuffer> pieces,
                          std::vector<std::uint32_t> piece_lens) {
-  Shard& sh = shard_of(sample_id);
-  dlsim::AccessSlice slice{sh.ledger, /*write=*/true};
+  dlsim::AccessSlice slice{ledger_, /*write=*/true};
   assert(pieces.size() == piece_lens.size());
   if (sample_id >= valid_bits_.size()) {
     throw std::out_of_range("sample id beyond dataset size");
   }
-  if (sh.map.contains(sample_id)) return;  // already resident (racing reads)
+  if (map_.contains(sample_id)) return;  // already resident (racing reads)
   const std::size_t need = pieces.size();
   if (need > capacity_) return;  // can never fit; don't retain
   evict_until_fits(need);
-  if (resident_chunks() + need > capacity_) return;  // everything pinned
-  Entry e;
-  e.pieces = std::move(pieces);
-  e.piece_lens = std::move(piece_lens);
-  sh.lru.push_front(sample_id);
-  e.lru_pos = sh.lru.begin();
-  e.last_use = ++tick_;
-  sh.chunks_used += need;
-  sh.map.emplace(sample_id, std::move(e));
+  if (chunks_used_ + need > capacity_) return;  // everything pinned
+  lru_.push_front(sample_id);
+  chunks_used_ += need;
+  map_.emplace(sample_id,
+               Entry{std::move(pieces), std::move(piece_lens), lru_.begin()});
   valid_bits_[sample_id] = 1;
   if (residency_listener_) residency_listener_(sample_id, true);
 }
 
 void SampleCache::evict(std::size_t sample_id) {
-  Shard& sh = shard_of(sample_id);
-  dlsim::AccessSlice slice{sh.ledger, /*write=*/true};
-  auto it = sh.map.find(sample_id);
-  if (it == sh.map.end() || it->second.pins > 0) return;
-  sh.chunks_used -= it->second.pieces.size();
-  sh.lru.erase(it->second.lru_pos);
-  valid_bits_[sample_id] = 0;
-  sh.map.erase(it);
-  if (residency_listener_) residency_listener_(sample_id, false);
+  dlsim::AccessSlice slice{ledger_, /*write=*/true};
+  auto it = map_.find(sample_id);
+  if (it != map_.end() && it->second.pins == 0) erase(it);
 }
 
-SampleCache::Victim SampleCache::find_global_lru_victim() const {
-  // Within one shard the list is recency-ordered, so the first unpinned
-  // entry from the back is that shard's oldest unpinned candidate; the
-  // globally oldest is the stamp-minimum across the shard candidates.
-  Victim v;
-  std::uint64_t oldest = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const Shard& sh = shards_[s];
-    dlsim::AccessSlice slice{sh.ledger, /*write=*/false};
-    for (auto it = sh.lru.rbegin(); it != sh.lru.rend(); ++it) {
-      const Entry& e = sh.map.at(*it);
-      if (e.pins > 0) continue;
-      if (!v.found || e.last_use < oldest) {
-        v.found = true;
-        v.shard = s;
-        v.sample_id = *it;
-        oldest = e.last_use;
-      }
-      break;
-    }
-  }
-  return v;
-}
-
-void SampleCache::evict_from_shard(std::size_t shard_idx,
-                                   std::size_t sample_id) {
-  Shard& sh = shards_[shard_idx];
-  dlsim::AccessSlice slice{sh.ledger, /*write=*/true};
-  auto it = sh.map.find(sample_id);
-  assert(it != sh.map.end() && it->second.pins == 0);
-  sh.chunks_used -= it->second.pieces.size();
-  sh.lru.erase(it->second.lru_pos);
+void SampleCache::erase(Map::iterator it) {
+  const std::size_t sample_id = it->first;
+  chunks_used_ -= it->second.pieces.size();
+  lru_.erase(it->second.lru_pos);
   valid_bits_[sample_id] = 0;
-  sh.map.erase(it);
+  map_.erase(it);
   if (residency_listener_) residency_listener_(sample_id, false);
 }
 
 bool SampleCache::evict_lru_one() {
-  const Victim v = find_global_lru_victim();
-  if (!v.found) return false;
-  evict_from_shard(v.shard, v.sample_id);
-  return true;
+  dlsim::AccessSlice slice{ledger_, /*write=*/true};
+  // The list is recency-ordered, so the first unpinned entry from the
+  // back is the least recently used one that may go.
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+    auto e = map_.find(*it);
+    if (e->second.pins > 0) continue;
+    erase(e);
+    return true;
+  }
+  return false;
 }
 
 void SampleCache::evict_until_fits(std::size_t incoming_chunks) {
-  while (resident_chunks() + incoming_chunks > capacity_) {
-    const Victim v = find_global_lru_victim();
-    if (!v.found) return;  // everything pinned
-    evict_from_shard(v.shard, v.sample_id);
+  while (chunks_used_ + incoming_chunks > capacity_) {
+    if (!evict_lru_one()) return;  // everything pinned
   }
 }
 

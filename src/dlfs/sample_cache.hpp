@@ -12,19 +12,7 @@
 // dlfs_read can serve a hit with a memcpy and no device I/O. Entries
 // pinned by an in-flight copy are never evicted. Capacity is counted in
 // pool chunks, mirroring how the real cache is carved.
-//
-// The index is sharded by sample id: each shard owns its own hash map,
-// recency list and access ledger, so the hot-path operations (valid/pin/
-// unpin/insert) form per-shard critical slices instead of funnelling
-// every reader and the read-ahead inserter through one cache-wide slice.
-// Recency and capacity stay *global*: entries carry a monotonically
-// increasing last-use stamp, eviction always removes the globally
-// least-recently-used unpinned entry (comparing the shard LRU tails by
-// stamp), and the chunk budget is enforced across all shards — so the
-// observable hit/miss/eviction behaviour is identical to a single-list
-// LRU of the same capacity.
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -99,10 +87,9 @@ class SampleCache {
   /// so a full cache must yield chunks back to keep I/O flowing.
   bool evict_lru_one();
 
-  [[nodiscard]] std::size_t resident_samples() const;
-  [[nodiscard]] std::size_t resident_chunks() const;
+  [[nodiscard]] std::size_t resident_samples() const { return map_.size(); }
+  [[nodiscard]] std::size_t resident_chunks() const { return chunks_used_; }
   [[nodiscard]] std::size_t capacity_chunks() const { return capacity_; }
-  [[nodiscard]] static constexpr std::size_t num_shards() { return kShards; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
   void note_hit() { ++hits_; }
@@ -117,53 +104,28 @@ class SampleCache {
   }
 
  private:
-  static constexpr std::size_t kShards = 4;
-
   struct Entry {
     std::vector<mem::DmaBuffer> pieces;
     std::vector<std::uint32_t> piece_lens;
     std::list<std::size_t>::iterator lru_pos;
     std::uint32_t pins = 0;
-    std::uint64_t last_use = 0;  // global recency stamp (tick_)
   };
+  using Map = std::unordered_map<std::size_t, Entry>;
 
-  struct Shard {
-    explicit Shard(const char* ledger_name) : ledger(ledger_name) {}
-    // Each shard's map/lru/chunks_used form one suspension-free slice;
-    // the ledger enforces that should a co_await ever creep in.
-    mutable dlsim::AccessLedger ledger;
-    std::unordered_map<std::size_t, Entry> map;
-    std::list<std::size_t> lru;  // front = most recent within the shard
-    std::size_t chunks_used = 0;
-  };
-
-  [[nodiscard]] Shard& shard_of(std::size_t sample_id) {
-    return shards_[sample_id % kShards];
-  }
-
-  /// Globally least-recently-used unpinned entry, as (shard, sample id);
-  /// found == false when every resident entry is pinned. Suspension-free;
-  /// takes a read slice on every shard scanned.
-  struct Victim {
-    bool found = false;
-    std::size_t shard = 0;
-    std::size_t sample_id = 0;
-  };
-  [[nodiscard]] Victim find_global_lru_victim() const;
-
-  /// Removes one entry from its shard (caller already picked it; entry
-  /// must be unpinned). Opens the shard's write slice.
-  void evict_from_shard(std::size_t shard_idx, std::size_t sample_id);
-
+  /// Removes an unpinned entry and clears its V bit. The caller holds a
+  /// write slice.
+  void erase(Map::iterator it);
   void evict_until_fits(std::size_t incoming_chunks);
 
   mem::HugePagePool* pool_;
   std::size_t capacity_;
   std::vector<std::uint8_t> valid_bits_;
-  std::array<Shard, kShards> shards_{
-      Shard{"sample-cache-0"}, Shard{"sample-cache-1"},
-      Shard{"sample-cache-2"}, Shard{"sample-cache-3"}};
-  std::uint64_t tick_ = 0;  // global recency clock; bumped on pin/insert
+  // map_, lru_ and chunks_used_ form one suspension-free slice; the
+  // ledger enforces that should a co_await ever creep in.
+  mutable dlsim::AccessLedger ledger_{"sample-cache"};
+  Map map_;
+  std::list<std::size_t> lru_;  // front = most recently used
+  std::size_t chunks_used_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::function<void(std::size_t, bool)> residency_listener_;

@@ -346,6 +346,23 @@ TEST(SampleCache, PinnedEntriesSurviveEviction) {
   rig.cache.unpin(0);
 }
 
+TEST(SampleCache, EvictLruOneSkipsPinnedEntries) {
+  CacheRig rig;
+  for (std::size_t id = 0; id < 4; ++id) rig.insert_sample(id);
+  (void)rig.cache.pin(0);
+  (void)rig.cache.pin(1);
+  EXPECT_TRUE(rig.cache.evict_lru_one());  // oldest unpinned: 2
+  EXPECT_FALSE(rig.cache.valid(2));
+  EXPECT_TRUE(rig.cache.valid(3));
+  (void)rig.cache.pin(3);
+  EXPECT_FALSE(rig.cache.evict_lru_one());  // everything left is pinned
+  EXPECT_EQ(rig.cache.resident_samples(), 3u);
+  EXPECT_TRUE(rig.cache.valid(0));
+  EXPECT_TRUE(rig.cache.valid(1));
+  EXPECT_TRUE(rig.cache.valid(3));
+  for (const std::size_t id : {0, 1, 3}) rig.cache.unpin(id);
+}
+
 TEST(SampleCache, OversizedInsertIsSkipped) {
   CacheRig rig;  // capacity 4
   rig.insert_sample(1, 5);

@@ -73,14 +73,14 @@ TEST(IoEngine, SingleExtentCopiesExactBytes) {
   EngineRig rig;
   std::vector<std::byte> dst(10000), want(10000);
   rig.devices[0]->store().read(4096, want);
-  rig.read({ReadExtent{0, 4096, 10000, dst.data(), std::nullopt, nullptr}});
+  rig.read({ReadExtent{0, 4096, 10000, dst.data(), std::nullopt}});
   EXPECT_EQ(std::memcmp(dst.data(), want.data(), want.size()), 0);
 }
 
 TEST(IoEngine, LargeExtentSplitsIntoChunkRequests) {
   EngineRig rig;
   std::vector<std::byte> dst(1_MiB);
-  rig.read({ReadExtent{0, 0, 1_MiB, dst.data(), std::nullopt, nullptr}});
+  rig.read({ReadExtent{0, 0, 1_MiB, dst.data(), std::nullopt}});
   // 1 MiB at 256 KiB chunks = 4 requests.
   EXPECT_EQ(rig.engine->requests_posted(), 4u);
   EXPECT_EQ(rig.engine->completions_harvested(), 4u);
@@ -96,8 +96,8 @@ TEST(IoEngine, PoolBackpressureStillCompletes) {
                                            std::vector<std::byte>(64_KiB));
   std::vector<ReadExtent> xs;
   for (std::size_t i = 0; i < dsts.size(); ++i) {
-    xs.push_back(ReadExtent{0, i * 64_KiB, 64_KiB, dsts[i].data(),
-                            std::nullopt, nullptr});
+    xs.push_back(
+        ReadExtent{0, i * 64_KiB, 64_KiB, dsts[i].data(), std::nullopt});
   }
   rig.read(std::move(xs));
   EXPECT_EQ(rig.engine->bytes_copied(), 12 * 64_KiB);
@@ -116,7 +116,7 @@ TEST(IoEngine, CacheYieldsChunksUnderPoolPressure) {
     rig.sim.spawn([](IoEngine& e, CpuCore& c, std::byte* d,
                      std::size_t id) -> Task<void> {
       std::vector<ReadExtent> xs = {
-          ReadExtent{0, id * 4096, 4096, d, id, nullptr}};
+          ReadExtent{0, id * 4096, 4096, d, id}};
       co_await e.read_extents(c, std::move(xs));
     }(*rig.engine, rig.core, dst.data(), id));
     rig.sim.run();
@@ -132,8 +132,7 @@ TEST(IoEngine, MultiTargetBatchReadsInParallel) {
   std::vector<std::vector<std::byte>> dsts(4, std::vector<std::byte>(128_KiB));
   std::vector<ReadExtent> xs;
   for (std::uint16_t d = 0; d < 4; ++d) {
-    xs.push_back(ReadExtent{d, 0, 128_KiB, dsts[d].data(), std::nullopt,
-                            nullptr});
+    xs.push_back(ReadExtent{d, 0, 128_KiB, dsts[d].data(), std::nullopt});
   }
   const auto t0 = rig.sim.now();
   rig.read(std::move(xs));
@@ -152,8 +151,8 @@ TEST(IoEngine, QueueDepthPipelinesOneTarget) {
   std::vector<std::vector<std::byte>> dsts(kN, std::vector<std::byte>(4096));
   std::vector<ReadExtent> xs;
   for (std::size_t i = 0; i < kN; ++i) {
-    xs.push_back(ReadExtent{0, i * 4096, 4096, dsts[i].data(), std::nullopt,
-                            nullptr});
+    xs.push_back(
+        ReadExtent{0, i * 4096, 4096, dsts[i].data(), std::nullopt});
   }
   const auto t0 = rig.sim.now();
   rig.read(std::move(xs));
@@ -166,7 +165,15 @@ TEST(IoEngine, QueueDepthPipelinesOneTarget) {
 TEST(IoEngine, BuffersHandedOverWhenDstIsNull) {
   EngineRig rig;
   std::vector<dlfs::mem::DmaBuffer> buffers;
-  rig.read({ReadExtent{0, 0, 600 * 1024, nullptr, std::nullopt, &buffers}});
+  rig.sim.spawn([](IoEngine& e, CpuCore& c,
+                   std::vector<dlfs::mem::DmaBuffer>* out) -> Task<void> {
+    auto op =
+        e.start_extent(ReadExtent{0, 0, 600 * 1024, nullptr, std::nullopt});
+    co_await e.await_op(c, op);
+    *out = op->take_buffers();
+  }(*rig.engine, rig.core, &buffers));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
   ASSERT_EQ(buffers.size(), 3u);  // ceil(600K / 256K)
   std::vector<std::byte> want(256_KiB);
   rig.devices[0]->store().read(0, want);
@@ -185,8 +192,8 @@ TEST(IoEngine, OnBuffersReadyFiresBeforeBatchEnd) {
   } seen;
   rig.sim.spawn([](IoEngine& e, CpuCore& c, Seen* seen) -> Task<void> {
     std::vector<ReadExtent> xs(2);
-    xs[0] = ReadExtent{0, 0, 256_KiB, nullptr, std::nullopt, nullptr};
-    xs[1] = ReadExtent{0, 1_MiB, 256_KiB, nullptr, std::nullopt, nullptr};
+    xs[0] = ReadExtent{0, 0, 256_KiB, nullptr, std::nullopt};
+    xs[1] = ReadExtent{0, 1_MiB, 256_KiB, nullptr, std::nullopt};
     auto ops = e.start_extents(std::move(xs));
     co_await e.await_op(c, ops[0]);
     seen->first_pieces = ops[0]->take_buffers().size();
@@ -204,8 +211,7 @@ TEST(IoEngine, OnBuffersReadyFiresBeforeBatchEnd) {
 TEST(IoEngine, CacheInsertionSetsVBit) {
   EngineRig rig;
   std::vector<std::byte> dst(4096);
-  rig.read({ReadExtent{0, 0, 4096, dst.data(), /*cache_sample_id=*/7,
-                       nullptr}});
+  rig.read({ReadExtent{0, 0, 4096, dst.data(), /*cache_sample_id=*/7}});
   EXPECT_TRUE(rig.cache.valid(7));
   auto views = rig.cache.pin(7);
   ASSERT_EQ(views.size(), 1u);
@@ -218,7 +224,7 @@ TEST(IoEngine, CopyThreadsAccrueBusyTime) {
   cfg.copy_threads = 2;
   EngineRig rig(cfg);
   std::vector<std::byte> dst(1_MiB);
-  rig.read({ReadExtent{0, 0, 1_MiB, dst.data(), std::nullopt, nullptr}});
+  rig.read({ReadExtent{0, 0, 1_MiB, dst.data(), std::nullopt}});
   // 1 MiB at 8 GB/s ~= 131us of copy time across the pool.
   EXPECT_GT(rig.engine->copy_busy_ns(), 100_us);
 }
@@ -229,7 +235,7 @@ TEST(IoEngine, InlineCopyChargesCallerCore) {
   EngineRig rig(cfg);
   std::vector<std::byte> dst(1_MiB);
   const auto busy0 = rig.core.busy_ns();
-  rig.read({ReadExtent{0, 0, 1_MiB, dst.data(), std::nullopt, nullptr}});
+  rig.read({ReadExtent{0, 0, 1_MiB, dst.data(), std::nullopt}});
   EXPECT_GT(rig.core.busy_ns() - busy0, 100_us);
   EXPECT_EQ(rig.engine->copy_busy_ns(), 0u);
 }
@@ -240,7 +246,7 @@ TEST(IoEngine, UnknownTargetThrows) {
   auto p = rig.sim.spawn([](IoEngine& e, CpuCore& c,
                             std::byte* d) -> Task<void> {
     std::vector<ReadExtent> xs = {
-        ReadExtent{9, 0, 512, d, std::nullopt, nullptr}};
+        ReadExtent{9, 0, 512, d, std::nullopt}};
     co_await e.read_extents(c, std::move(xs));
   }(*rig.engine, rig.core, dst.data()));
   rig.sim.run(/*allow_blocked=*/true);
@@ -266,7 +272,7 @@ TEST_P(EngineSweep, ExactBytesAndRequestAccounting) {
   EngineRig rig(cfg, 1, /*pool_chunks=*/256);
   std::vector<std::byte> dst(len), want(len);
   rig.devices[0]->store().read(12345, want);
-  rig.read({ReadExtent{0, 12345, len, dst.data(), std::nullopt, nullptr}});
+  rig.read({ReadExtent{0, 12345, len, dst.data(), std::nullopt}});
   EXPECT_EQ(std::memcmp(dst.data(), want.data(), len), 0);
   EXPECT_EQ(rig.engine->requests_posted(), dlfs::ceil_div(len, chunk));
   EXPECT_EQ(rig.engine->bytes_copied(), len);
