@@ -10,10 +10,10 @@
 //   record  := u32 length | u32 crc32(payload) | payload
 //   file    := record*
 //
-// plus a per-record offset index, which is what lets DLFS "have direct
-// access to any samples in a TFRecord file" (§III-B.1): its sample
-// directory can point at (record offset + header) inside a batched file
-// rather than at whole files only.
+// plus a per-record offset index — the paper's basis for DLFS's "direct
+// access to any samples in a TFRecord file" (§III-B.1). The DLFS mount
+// here stores raw per-sample extents; examples/shuffle_quality reads
+// this format.
 
 #include <cstdint>
 #include <optional>

@@ -125,25 +125,18 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
   engine_->set_pressure_reliever(
       [this] { return prefetcher_->relieve_pressure(); });
   if (cfg.peer_cache.enabled) {
-    // Cooperative peer cache: join the node's member index so co-located
-    // instances can serve out of this cache, and mirror V-bit flips into
-    // the cluster directory so remote ones can find it. The listener runs
-    // inside cache slices, so it must stay suspension-free — directory
-    // updates are plain bookkeeping (the model's stand-in for residency
-    // deltas piggybacked on existing metadata traffic).
-    peer_index_ = fleet.peer_index_for(fleet.client_nodes_[client_idx]);
-    peer_index_->register_member(client_idx_, cache_.get(), io_core_);
+    // Cooperative peer cache: mirror V-bit flips into the fleet's cache
+    // directory so other instances, co-located or remote, can find this
+    // cache. The listener runs inside cache slices, so it must stay
+    // suspension-free — directory updates are plain bookkeeping (the
+    // model's stand-in for residency deltas piggybacked on existing
+    // metadata traffic).
     cache_->set_residency_listener(
-        [this, pnode = static_cast<std::uint16_t>(
-                   fleet.client_nodes_[client_idx])](std::size_t id,
-                                                     bool resident) {
-          PeerCacheDirectory* dir = fleet_->peer_directory_.get();
-          if (dir == nullptr) return;
+        [this, node = peer_node()](std::size_t id, bool resident) {
           if (resident) {
-            dir->advertise(client_idx_, pnode, id,
-                           fleet_->layout_[id].len);
+            fleet_->peer_directory_->advertise(client_idx_, node, id);
           } else {
-            dir->retract(client_idx_, id);
+            fleet_->peer_directory_->retract(client_idx_, id);
           }
         });
   }
@@ -155,11 +148,10 @@ DlfsInstance::~DlfsInstance() {
   // member; the alive token (checked after every suspension) is the only
   // teardown signal.
   *repair_alive_ = false;
-  // Leave the cooperative cache before members start dying: co-located
-  // instances must stop probing this cache, and advertised residency
-  // must vanish from the cluster directory (the cache tears entries down
-  // without firing the listener).
-  if (peer_index_) peer_index_->unregister_member(client_idx_);
+  // Leave the cooperative cache before members start dying: advertised
+  // residency must vanish from the fleet directory, so no other instance
+  // probes this cache again (the cache tears entries down without firing
+  // the listener).
   if (fleet_->peer_directory_) {
     fleet_->peer_directory_->retract_all(client_idx_);
   }
@@ -451,29 +443,11 @@ dlsim::Task<SampleHandle> DlfsInstance::open_id(std::uint32_t sample_id) {
   co_return SampleHandle{sample_id, e};
 }
 
-dlsim::Task<SampleHandle> DlfsInstance::open_file(std::string_view name) {
-  co_await charge_lookup();
-  const SampleEntry* e = fleet_->directory_.lookup_file(name);
-  if (e == nullptr) {
-    throw std::invalid_argument("dlfs_open: no such batched file '" +
-                                std::string(name) + "'");
-  }
-  co_return SampleHandle{SampleHandle::kNoSample, e};
-}
-
 dlsim::Task<void> DlfsInstance::read(const SampleHandle& h,
                                      std::span<std::byte> dst) {
   const SampleEntry& e = *h.entry;
   if (dst.size() < e.len()) {
     throw std::invalid_argument("dlfs_read: destination too small");
-  }
-  if (h.sample_id == SampleHandle::kNoSample) {
-    // File-oriented read: straight through the engine, no sample cache.
-    co_await engine_->read_one(*io_core_, e.nid(), e.offset(), e.len(),
-                               dst.data());
-    ++samples_delivered_;
-    bytes_delivered_ += e.len();
-    co_return;
   }
   const bool served = co_await demand_read(h.sample_id, dst.data());
   if (!served) throw IoError(e.nid(), e.offset(), IoErrorKind::kNodeDown);
@@ -587,11 +561,10 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   for (const auto& pk : picks) {
     for (std::uint32_t i = 0; posting && i < pk.count; ++i) {
       const UnitSample& us = pk.unit->samples[pk.first_sample + i];
-      if (cache_->valid(us.sample_id) ||
-          peer_index_->find_holder(us.sample_id, client_idx_) != nullptr ||
-          !fleet_->peer_directory_->find(us.sample_id, client_idx_).found) {
-        continue;
-      }
+      if (cache_->valid(us.sample_id)) continue;
+      const PeerCacheDirectory::Holder h = fleet_->peer_directory_->find(
+          us.sample_id, client_idx_, peer_node());
+      if (!h.found || h.node == peer_node()) continue;  // none, or local
       posting = !tenant || tenant->try_admit(us.len);
       if (!posting) break;
       PeerPull& p = pulls.emplace_back(

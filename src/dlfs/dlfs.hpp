@@ -6,8 +6,7 @@
 // A DlfsFleet is one mounted DLFS job: it owns the shared sample
 // directory, the data layout, the batch plan, the NVMe-oF targets that
 // export every storage node's device, and one DlfsInstance per client.
-// dlfs_mount is collective — the caller spawns mount_participant(p) for
-// every participant and the implementation does what the paper
+// dlfs_mount (DlfsFleet::mount) is collective and does what the paper
 // describes: each storage node uploads its shard from the PFS to its
 // NVMe device, builds its slice of the in-memory sample directory, and
 // the slices are all-gathered; each client then attaches a local SPDK
@@ -77,7 +76,7 @@ struct ReplicationConfig {
 /// replication/repair policy.
 struct FaultConfig {
   // NVMe-oF transport fault handling (command deadline, reconnect
-  // backoff/budget, reconnect admission cap).
+  // backoff/budget).
   spdk::NvmfFaultParams nvmf{};
   // k-way deterministic replica placement + the permanent-loss policy
   // (declare-dead deadline, repair-traffic budget).
@@ -110,13 +109,6 @@ struct DlfsConfig {
   // every batched bread (chunk- and sample-level); BatchingMode::kNone
   // (DLFS-Base) reads one sample at a time and never reads ahead.
   PrefetcherConfig prefetch{};
-  // > 0: store the dataset as TFRecord-style batched files of this many
-  // samples each (8-byte length+crc header per record). The directory
-  // still indexes every sample individually — "we are able to have direct
-  // access to any samples in a TFRecord file" (§III-B.1) — and each
-  // batched file additionally gets a file-oriented entry readable through
-  // open_file().
-  std::uint32_t record_file_samples = 0;
   std::uint64_t pool_bytes = 96ull * 1024 * 1024;  // client huge-page pool
   // Consolidated fault handling: transport (nvmf), replication/repair
   // and reprobe cadence. See FaultConfig.
@@ -127,11 +119,12 @@ struct DlfsConfig {
   // lazily over NVMe-oF metadata RPCs through a bounded lookup cache +
   // negative cache, so per-client directory memory is O(dataset / S).
   DirectoryConfig directory{};
-  // Cooperative peer sample cache: co-located instances serve each
-  // other's cached samples through a per-node PeerCacheIndex, and a
-  // consistent-hash cache directory lets a client fetch a hot sample
-  // from a remote peer's DRAM over the fabric instead of re-reading
-  // NVMe. Coherence-free because the dataset is immutable after mount.
+  // Cooperative peer sample cache: one fleet-wide PeerCacheDirectory
+  // records every instance's resident samples. A holder on the reader's
+  // own node serves a shared-DRAM copy; a remote holder is reached
+  // through the sample's consistent-hash home and serves over the fabric
+  // instead of a re-read from NVMe. Coherence-free because the dataset
+  // is immutable after mount.
   PeerCacheConfig peer_cache{};
   // Tenant identity under a shared TenantGovernor (multi-job QoS). A
   // default-constructed TenantConfig (null governor) means no QoS.
@@ -155,8 +148,6 @@ struct DlfsConfig {
 };
 
 struct SampleHandle {
-  /// kNoSample marks file-oriented handles (whole batched files).
-  static constexpr std::uint32_t kNoSample = 0xffffffffu;
   std::uint32_t sample_id = 0;
   const SampleEntry* entry = nullptr;
 };
@@ -370,11 +361,6 @@ class DlfsInstance {
   /// Handle by dataset index (the sequence/bread path uses ids).
   [[nodiscard]] dlsim::Task<SampleHandle> open_id(std::uint32_t sample_id);
 
-  /// File-oriented access to a whole batched record file (only available
-  /// when the fleet was mounted with record_file_samples > 0). The file
-  /// bytes parse with dataset::RecordFileReader, checksums included.
-  [[nodiscard]] dlsim::Task<SampleHandle> open_file(std::string_view name);
-
   /// dlfs_read: synchronous whole-sample read into dst (>= sample size).
   /// Throws IoError (kNodeDown) when no copy of the sample is reachable.
   [[nodiscard]] dlsim::Task<void> read(const SampleHandle& h,
@@ -532,14 +518,19 @@ class DlfsInstance {
   [[nodiscard]] bool sample_reachable(std::uint32_t sample_id) const;
 
   // --- cooperative peer cache ----------------------------------------------
+  /// This instance's node, as the peer-cache directory records holders.
+  [[nodiscard]] std::uint16_t peer_node() const {
+    return static_cast<std::uint16_t>(node_->id());
+  }
   /// Cost-free probe: is the sample resident in some *other* instance's
   /// cache (co-located or remote) right now? Issue-time elision and the
   /// skip decision consult this before giving up on a sample.
   [[nodiscard]] bool peer_resident(std::uint32_t sample_id) const;
-  /// Peer-cache read: co-located holder first (shared-DRAM copy), then a
-  /// remote holder through one pull posted and finished in place. Copies
-  /// the sample's bytes into `dst` on success; a miss (no holder, raced
-  /// eviction, transport refusal) counts peer_misses_ and returns false.
+  /// Peer-cache read: a holder on this node first (shared-DRAM copy),
+  /// then a remote holder through one pull posted and finished in place.
+  /// Copies the sample's bytes into `dst` on success; a miss (no holder,
+  /// raced eviction, transport refusal) counts peer_misses_ and returns
+  /// false.
   [[nodiscard]] dlsim::Task<bool> try_peer_read(std::uint32_t sample_id,
                                                 std::uint32_t len,
                                                 std::byte* dst);
@@ -629,9 +620,10 @@ class DlfsInstance {
   std::uint64_t repair_bytes_ = 0;
   std::uint64_t repair_throttles_ = 0;
   // --- cooperative peer cache state ----------------------------------------
-  // The node-local index this instance registered its cache with (null
-  // with peer_cache.enabled off); shared by every co-located instance.
-  std::shared_ptr<PeerCacheIndex> peer_index_;
+  // Remote pulls of this instance's cached samples are served on io_core_
+  // one at a time, booked like a NIC pipe: a serve starts at
+  // max(now, peer_serve_free_).
+  dlsim::SimTime peer_serve_free_ = 0;
   std::uint64_t peer_hits_local_ = 0;
   std::uint64_t peer_hits_remote_ = 0;
   std::uint64_t peer_misses_ = 0;
@@ -643,7 +635,7 @@ struct DlfsInstance::PeerPull {
   std::uint32_t sample_id = 0;
   std::uint32_t len = 0;
   bool admitted = false;  // bread took the QoS grant when it posted it
-  bool local = false;     // a co-located holder serves it
+  bool local = false;     // a holder on the requester's node serves it
   dlsim::Process proc{};  // the posted step; empty when run in place
   // Set once the bytes are reachable: the holder's cache, pinned until
   // the pull is finished or bread drops it, and the pinned bytes.
@@ -707,17 +699,7 @@ class DlfsFleet {
   /// dlfs_mount, consolidated: spawns every mount participant internally
   /// and runs the simulator until the collective mount completes. Call
   /// from outside coroutine context. Throws if the mount cannot finish.
-  /// mount_participant() below stays as the advanced escape hatch for
-  /// callers orchestrating participants themselves.
   void mount();
-
-  /// Collective mount, manual orchestration: spawn one per participant
-  /// p in [0, participants()).
-  [[nodiscard]] dlsim::Task<void> mount_participant(std::uint32_t p);
-  [[nodiscard]] std::uint32_t participants() const {
-    return static_cast<std::uint32_t>(
-        std::max(client_nodes_.size(), storage_nodes_.size()));
-  }
   [[nodiscard]] bool mounted() const { return mounted_; }
 
   [[nodiscard]] std::uint32_t num_clients() const {
@@ -764,26 +746,6 @@ class DlfsFleet {
     return b;
   }
 
-  /// Batched-file layout (record_file_samples > 0): the record files of
-  /// one storage slot, in on-device order.
-  struct RecordFileInfo {
-    std::string name;
-    std::uint64_t offset = 0;
-    std::uint32_t len = 0;
-    std::vector<std::uint32_t> sample_ids;
-  };
-  [[nodiscard]] const std::vector<std::vector<RecordFileInfo>>& record_files()
-      const {
-    return record_files_;
-  }
-
-  /// The per-node cooperative cache index (created lazily when a mounted
-  /// instance has peer_cache.enabled); nullptr when no instance on `nid`
-  /// registered.
-  [[nodiscard]] PeerCacheIndex* peer_index(hw::NodeId nid) const {
-    auto it = peer_indexes_.find(nid);
-    return it == peer_indexes_.end() ? nullptr : it->second.get();
-  }
   /// The cluster-wide cooperative cache directory (created at
   /// construction when peer_cache.enabled; nullptr otherwise).
   [[nodiscard]] PeerCacheDirectory* peer_directory() const {
@@ -828,7 +790,13 @@ class DlfsFleet {
  private:
   friend class DlfsInstance;
 
-  [[nodiscard]] std::shared_ptr<PeerCacheIndex> peer_index_for(hw::NodeId nid);
+  /// One mount participant p in [0, participants()): the storage role
+  /// for slot p, then the client role for client p. mount() spawns them.
+  [[nodiscard]] dlsim::Task<void> mount_participant(std::uint32_t p);
+  [[nodiscard]] std::uint32_t participants() const {
+    return static_cast<std::uint32_t>(
+        std::max(client_nodes_.size(), storage_nodes_.size()));
+  }
 
   /// Picks the deterministic replacement for a new copy of `sample_id` —
   /// the same hash(name ‖ r) probe chain as mount-time placement, skipping
@@ -868,16 +836,13 @@ class DlfsFleet {
   };
   std::vector<std::vector<ReplicaRow>> shard_replicas_;  // slot -> rows
   std::unordered_map<std::uint64_t, std::uint32_t> name_to_id_;
-  std::vector<std::vector<RecordFileInfo>> record_files_;  // per slot
   std::unique_ptr<BatchPlan> plan_;
   std::vector<std::unique_ptr<spdk::NvmfTarget>> targets_;  // per slot
-  // Cooperative peer cache (config.peer_cache.enabled): per-node member
-  // indexes and the cluster-wide consistent-hash cache directory.
-  // Declared before instances_ —
-  // ~DlfsInstance unregisters from both, so they must outlive the
-  // instances during fleet destruction.
-  std::unordered_map<hw::NodeId, std::shared_ptr<PeerCacheIndex>> peer_indexes_;
-  std::shared_ptr<PeerCacheDirectory> peer_directory_;
+  // Cooperative peer cache (config.peer_cache.enabled): the cluster-wide
+  // cache directory. Declared before instances_ — ~DlfsInstance retracts
+  // its adverts, so the directory must outlive the instances during fleet
+  // destruction.
+  std::unique_ptr<PeerCacheDirectory> peer_directory_;
   std::vector<std::unique_ptr<DlfsInstance>> instances_;
   cluster::Barrier upload_barrier_;
   cluster::Barrier allgather_barrier_;

@@ -1,12 +1,10 @@
 #include "dlfs/dlfs.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <stdexcept>
 
 #include "common/units.hpp"
-#include "dataset/record_file.hpp"
 
 namespace dlfs::core {
 
@@ -51,15 +49,11 @@ DlfsFleet::DlfsFleet(cluster::Cluster& cluster, cluster::Pfs& pfs,
   ready_barrier_ = cluster::Barrier(cluster.simulator(), participants());
 
   // Deterministic layout: every sample is owned by hash(name) % S; shards
-  // pack samples back-to-back from device offset 0 in dataset order —
-  // either raw (one extent per sample) or grouped into TFRecord-style
-  // batched files of record_file_samples each (8-byte header per record;
-  // the sample entry points at the payload, so the directory gives
-  // direct access to any sample inside a batched file).
+  // pack samples back-to-back, one raw extent per sample, in dataset
+  // order.
   const std::size_t n = dataset_->num_samples();
   layout_.resize(n);
   shard_samples_.resize(storage_nodes_.size());
-  record_files_.resize(storage_nodes_.size());
   name_to_id_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto& spec = dataset_->sample(i);
@@ -71,43 +65,19 @@ DlfsFleet::DlfsFleet(cluster::Cluster& cluster, cluster::Pfs& pfs,
   // same physical devices; each fleet's shards start at its own base.
   std::vector<std::uint64_t> next_offset(storage_nodes_.size(),
                                          config_.device_base);
-  const std::uint32_t per_file = config_.record_file_samples;
   for (std::uint16_t slot = 0; slot < storage_nodes_.size(); ++slot) {
-    auto& files = record_files_[slot];
-    for (std::size_t k = 0; k < shard_samples_[slot].size(); ++k) {
-      const std::uint32_t id = shard_samples_[slot][k];
+    for (const std::uint32_t id : shard_samples_[slot]) {
       const std::uint32_t size = dataset_->sample(id).size;
-      if (per_file > 0) {
-        if (k % per_file == 0) {
-          files.push_back(RecordFileInfo{
-              "rf" + std::to_string(slot) + "_" +
-                  std::to_string(files.size()),
-              next_offset[slot], 0, {}});
-        }
-        next_offset[slot] += 8;  // record header
-        files.back().sample_ids.push_back(id);
-      }
       layout_[id] = SampleLocation{slot, next_offset[slot], size};
       next_offset[slot] += size;
-      if (per_file > 0) {
-        auto& f = files.back();
-        const std::uint64_t len = next_offset[slot] - f.offset;
-        if (len > core::SampleEntry::kMaxLen) {
-          throw std::invalid_argument(
-              "record_file_samples groups more than 8 MiB per file; the "
-              "23-bit length field cannot address it");
-        }
-        f.len = static_cast<std::uint32_t>(len);
-      }
     }
   }
   // Replica placement (replication > 1): sample i's copy r lives on
   // hash(name ‖ r) % S, skipping nodes that already hold one; a bounded
   // linear fallback guarantees k distinct nodes when the hash keeps
-  // colliding. Replica bytes are always raw per-sample extents (no
-  // record headers — replica reads return exactly the payload) appended
-  // after each slot's primary region, so primary offsets — and therefore
-  // every healthy run — stay byte-identical to replication = 1.
+  // colliding. Replica bytes are raw per-sample extents appended after
+  // each slot's primary region, so primary offsets — and therefore every
+  // healthy run — stay byte-identical to replication = 1.
   const std::uint32_t reps = std::min<std::uint32_t>(
       std::max<std::uint32_t>(config_.fault.replication.k, 1),
       static_cast<std::uint32_t>(storage_nodes_.size()));
@@ -159,10 +129,9 @@ DlfsFleet::DlfsFleet(cluster::Cluster& cluster, cluster::Pfs& pfs,
   repair_next_offset_ = std::move(next_offset);
   if (config_.peer_cache.enabled) {
     // Cooperative peer cache: one cluster-wide consistent-hash directory
-    // of advertised residency. The per-node member indexes grow lazily
-    // (peer_index_for) as instances mount.
-    peer_directory_ = std::make_shared<PeerCacheDirectory>(
-        config_.peer_cache, static_cast<std::uint32_t>(client_nodes_.size()));
+    // of advertised residency.
+    peer_directory_ = std::make_unique<PeerCacheDirectory>(
+        static_cast<std::uint32_t>(client_nodes_.size()));
   }
 }
 
@@ -236,13 +205,6 @@ dlsim::Task<void> DlfsFleet::mount_participant(std::uint32_t p) {
         const SampleLocation& loc = layout_[id];
         scratch.resize(loc.len);
         dataset_->fill_content(id, 0, scratch);
-        if (config_.record_file_samples > 0) {
-          // TFRecord-style header: length | crc32(payload).
-          std::array<std::byte, 8> header;
-          dataset::write_record_header(header, loc.len,
-                                       dataset::crc32(scratch));
-          co_await emit(header);
-        }
         co_await emit(scratch);
       }
       // Replica region: the rows were assigned contiguous offsets right
@@ -276,13 +238,8 @@ dlsim::Task<void> DlfsFleet::mount_participant(std::uint32_t p) {
         }
       }
     }
-    // File-oriented entries for the batched record files on this node.
-    for (const auto& f : record_files_[p]) {
-      directory_.insert_file(f.name, p, f.offset, f.len);
-    }
     co_await node.core(0).compute(
-        300ull * std::max<std::size_t>(ids.size() + record_files_[p].size(),
-                                       1));
+        300ull * std::max<std::size_t>(ids.size(), 1));
 
     co_await upload_barrier_.arrive();
     if (config_.directory.mode == DirectoryMode::kSharded) {
@@ -354,12 +311,6 @@ void DlfsFleet::mount() {
         "DlfsFleet::mount: collective did not complete (a participant "
         "blocked before the ready barrier)");
   }
-}
-
-std::shared_ptr<PeerCacheIndex> DlfsFleet::peer_index_for(hw::NodeId nid) {
-  auto& idx = peer_indexes_[nid];
-  if (!idx) idx = std::make_shared<PeerCacheIndex>();
-  return idx;
 }
 
 }  // namespace dlfs::core

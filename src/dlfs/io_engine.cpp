@@ -426,13 +426,13 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
           }
         }
         q = targets_[nid].get();
-        if (q->outstanding() >= q->admission_depth()) {
-          // A healthy queue at its natural depth frees slots via the poll
-          // phase below — stop posting. A *degraded* queue (reconnecting
-          // at its admission cap) must not head-block work for healthy
-          // nodes: rotate the piece to the back. One full pass without a
-          // post means everything left is capped — stop then too.
-          if (q->connected() && q->admission_depth() >= q->depth()) break;
+        if (q->outstanding() >= q->depth()) {
+          // A healthy full queue frees slots via the poll phase below —
+          // stop posting. A full queue that is reconnecting must not
+          // head-block work for healthy nodes: rotate the piece to the
+          // back. One full pass without a post means every queue left is
+          // full — stop then too.
+          if (q->connected()) break;
           if (rotated >= to_post_.size()) break;
           ++rotated;
           to_post_.push_back(std::move(to_post_.front()));
@@ -488,9 +488,9 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
           to_post_.push_front(std::move(p));
           break;
         }
-        // The queue slipped into reconnecting (and hit its admission cap)
-        // mid-prep: park the piece at the back so healthy nodes keep
-        // posting; its route advances when the node is declared down.
+        // The queue slipped into reconnecting, full, mid-prep: park the
+        // piece at the back so healthy nodes keep posting; its route
+        // advances when the node is declared down.
         to_post_.push_back(std::move(p));
         continue;
       }

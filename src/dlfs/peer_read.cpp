@@ -9,26 +9,29 @@ namespace dlfs::core {
 
 bool DlfsInstance::peer_resident(std::uint32_t sample_id) const {
   if (!fleet_->config_.peer_cache.enabled) return false;
-  return peer_index_->find_holder(sample_id, client_idx_) != nullptr ||
-         fleet_->peer_directory_->find(sample_id, client_idx_).found;
+  return fleet_->peer_directory_->find(sample_id, client_idx_).found;
 }
 
 dlsim::Task<bool> DlfsInstance::try_peer_read(std::uint32_t sample_id,
                                               std::uint32_t len,
                                               std::byte* dst) {
   if (!fleet_->config_.peer_cache.enabled) co_return false;
-  // Intra-node first: a co-located instance's resident copy is one pin
-  // plus one DRAM copy away — no fabric, and no tenant admission (same
-  // treatment as own-cache hits: host-memory copies never compete with
-  // other tenants for the devices or the wire). Otherwise one cross-node
-  // pull, posted and finished in place.
+  // Intra-node first: a holder on this node has its resident copy one
+  // pin plus one DRAM copy away — no fabric, and no tenant admission
+  // (same treatment as own-cache hits: host-memory copies never compete
+  // with other tenants for the devices or the wire). Otherwise one
+  // cross-node pull, posted and finished in place.
   PeerPull p{sample_id, len};
-  const PeerCacheIndex::Member* m =
-      peer_index_->find_holder(sample_id, client_idx_);
-  if (m != nullptr) p.views = m->cache->pin(sample_id);
+  const PeerCacheDirectory::Holder h =
+      fleet_->peer_directory_->find(sample_id, client_idx_, peer_node());
+  SampleCache* local = nullptr;
+  if (h.found && h.node == peer_node()) {
+    local = fleet_->instances_[h.client]->cache_.get();
+    p.views = local->pin(sample_id);
+  }
   if (!p.views.empty()) {
     co_await io_core_->compute(fleet_->config_.calibration.dlfs.peer_serve);
-    p.holder = m->cache;
+    p.holder = local;
     p.local = true;
   } else {
     co_await post_peer_pull(&p);
@@ -77,11 +80,9 @@ dlsim::Task<void> DlfsInstance::post_peer_pull(PeerPull* p) {
   // Pin the holder's entry. The fabric hops above suspended, so the
   // holder may have evicted (and retracted) meanwhile — an empty pin is
   // that race, answered with a miss reply.
-  PeerCacheIndex* hidx = fleet_->peer_index(holder_node);
-  const PeerCacheIndex::Member* m =
-      hidx != nullptr ? hidx->member_of(h.client) : nullptr;
-  std::vector<std::span<const std::byte>> views;
-  if (m != nullptr) views = m->cache->pin(p->sample_id);
+  DlfsInstance& holder = *fleet_->instances_[h.client];
+  std::vector<std::span<const std::byte>> views =
+      holder.cache_->pin(p->sample_id);
   if (views.empty()) {
     co_await fabric.transfer(holder_node, me, hw::kControlMessageBytes);
     co_return refuse();
@@ -99,16 +100,17 @@ dlsim::Task<void> DlfsInstance::post_peer_pull(PeerPull* p) {
   // holder's earlier serves; the data path itself is one-sided, so there
   // is no holder-side copy.
   dlsim::Simulator& sim = node_->simulator();
-  m->serve_free = std::max(sim.now(), m->serve_free) + costs.peer_serve;
-  m->core->charge(costs.peer_serve);
-  co_await sim.delay(m->serve_free - sim.now());
+  holder.peer_serve_free_ =
+      std::max(sim.now(), holder.peer_serve_free_) + costs.peer_serve;
+  holder.io_core_->charge(costs.peer_serve);
+  co_await sim.delay(holder.peer_serve_free_ - sim.now());
   const bool delivered = co_await fabric.send(holder_node, me, p->len);
   if (tenant) tenant->on_complete(p->len);
   if (!delivered) {
-    m->cache->unpin(p->sample_id);
+    holder.cache_->unpin(p->sample_id);
     co_return;
   }
-  p->holder = m->cache;
+  p->holder = holder.cache_.get();
   p->views = std::move(views);
 }
 

@@ -1,6 +1,7 @@
 #include "dlfs/sample_cache.hpp"
 
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -93,49 +94,10 @@ void SampleCache::evict_until_fits(std::size_t incoming_chunks) {
   }
 }
 
-// --- PeerCacheIndex ---------------------------------------------------------
-
-void PeerCacheIndex::register_member(std::uint32_t client, SampleCache* cache,
-                                     dlsim::CpuCore* core) {
-  dlsim::AccessSlice slice{ledger_, /*write=*/true};
-  for (const Member& m : members_) {
-    if (m.client == client) {
-      throw std::logic_error("peer-cache member registered twice");
-    }
-  }
-  members_.push_back(Member{client, cache, core});
-}
-
-void PeerCacheIndex::unregister_member(std::uint32_t client) {
-  dlsim::AccessSlice slice{ledger_, /*write=*/true};
-  std::erase_if(members_,
-                [client](const Member& m) { return m.client == client; });
-}
-
-const PeerCacheIndex::Member* PeerCacheIndex::find_holder(
-    std::size_t sample_id, std::uint32_t asking) const {
-  dlsim::AccessSlice slice{ledger_, /*write=*/false};
-  for (const Member& m : members_) {
-    if (m.client == asking) continue;
-    if (m.cache != nullptr && m.cache->valid(sample_id)) return &m;
-  }
-  return nullptr;
-}
-
-const PeerCacheIndex::Member* PeerCacheIndex::member_of(
-    std::uint32_t client) const {
-  dlsim::AccessSlice slice{ledger_, /*write=*/false};
-  for (const Member& m : members_) {
-    if (m.client == client) return &m;
-  }
-  return nullptr;
-}
-
 // --- PeerCacheDirectory -----------------------------------------------------
 
-PeerCacheDirectory::PeerCacheDirectory(PeerCacheConfig cfg,
-                                       std::uint32_t num_clients)
-    : cfg_(cfg), num_clients_(num_clients) {
+PeerCacheDirectory::PeerCacheDirectory(std::uint32_t num_clients)
+    : num_clients_(num_clients) {
   if (num_clients == 0) {
     throw std::invalid_argument("peer-cache directory needs >= 1 client");
   }
@@ -151,90 +113,47 @@ std::uint32_t PeerCacheDirectory::home_client(std::size_t sample_id) const {
 }
 
 void PeerCacheDirectory::advertise(std::uint32_t holder, std::uint16_t node,
-                                   std::size_t sample_id,
-                                   std::uint32_t bytes) {
+                                   std::size_t sample_id) {
   dlsim::AccessSlice slice{ledger_, /*write=*/true};
-  NodeBook& book = books_[node];
-  if (cfg_.advertise_budget_bytes != 0 &&
-      book.bytes + bytes > cfg_.advertise_budget_bytes) {
-    while (book.bytes + bytes > cfg_.advertise_budget_bytes &&
-           !book.order.empty()) {
-      const auto [old_sample, old_holder] = book.order.front();
-      retract_locked(old_holder, old_sample);
-      ++budget_retractions_;
-    }
-    if (book.bytes + bytes > cfg_.advertise_budget_bytes) {
-      ++refused_;  // one sample larger than the whole budget
-      return;
-    }
-  }
   auto& rows = ads_[sample_id];
   for (const Ad& a : rows) {
     if (a.holder == holder) return;  // already advertised
   }
-  rows.push_back(Ad{holder, node, bytes});
-  book.bytes += bytes;
-  book.order.emplace_back(sample_id, holder);
-}
-
-void PeerCacheDirectory::retract_locked(std::uint32_t holder,
-                                        std::size_t sample_id) {
-  auto it = ads_.find(sample_id);
-  if (it == ads_.end()) return;
-  auto& rows = it->second;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].holder != holder) continue;
-    NodeBook& book = books_[rows[i].node];
-    book.bytes -= rows[i].bytes;
-    for (auto oit = book.order.begin(); oit != book.order.end(); ++oit) {
-      if (oit->first == sample_id && oit->second == holder) {
-        book.order.erase(oit);
-        break;
-      }
-    }
-    rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(i));
-    break;
-  }
-  if (rows.empty()) ads_.erase(it);
+  rows.push_back(Ad{holder, node});
 }
 
 void PeerCacheDirectory::retract(std::uint32_t holder, std::size_t sample_id) {
   dlsim::AccessSlice slice{ledger_, /*write=*/true};
-  retract_locked(holder, sample_id);
+  auto it = ads_.find(sample_id);
+  if (it == ads_.end()) return;
+  std::erase_if(it->second,
+                [holder](const Ad& a) { return a.holder == holder; });
+  if (it->second.empty()) ads_.erase(it);
 }
 
 void PeerCacheDirectory::retract_all(std::uint32_t holder) {
   dlsim::AccessSlice slice{ledger_, /*write=*/true};
-  std::vector<std::size_t> samples;
-  for (const auto& [sample_id, rows] : ads_) {
-    for (const Ad& a : rows) {
-      if (a.holder == holder) {
-        samples.push_back(sample_id);
-        break;
-      }
-    }
-  }
-  for (const std::size_t sample_id : samples) {
-    retract_locked(holder, sample_id);
+  for (auto it = ads_.begin(); it != ads_.end();) {
+    std::erase_if(it->second,
+                  [holder](const Ad& a) { return a.holder == holder; });
+    it = it->second.empty() ? ads_.erase(it) : std::next(it);
   }
 }
 
 PeerCacheDirectory::Holder PeerCacheDirectory::find(
-    std::size_t sample_id, std::uint32_t asking) const {
+    std::size_t sample_id, std::uint32_t asking,
+    std::optional<std::uint16_t> node) const {
   dlsim::AccessSlice slice{ledger_, /*write=*/false};
   auto it = ads_.find(sample_id);
   if (it == ads_.end()) return {};
+  const Ad* first = nullptr;
   for (const Ad& a : it->second) {
     if (a.holder == asking) continue;
-    return Holder{true, a.holder, a.node};
+    if (!node || a.node == *node) return Holder{true, a.holder, a.node};
+    if (first == nullptr) first = &a;
   }
-  return {};
-}
-
-std::uint64_t PeerCacheDirectory::advertised_bytes(std::uint16_t node) const {
-  dlsim::AccessSlice slice{ledger_, /*write=*/false};
-  auto it = books_.find(node);
-  return it == books_.end() ? 0 : it->second.bytes;
+  if (first == nullptr) return {};
+  return Holder{true, first->holder, first->node};
 }
 
 }  // namespace dlfs::core

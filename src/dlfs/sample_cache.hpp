@@ -1,7 +1,8 @@
 #pragma once
 
 // SampleCache: the huge-page-backed sample cache of §III-C.1, plus the
-// per-instance V-bit sidecar.
+// per-instance V-bit sidecar; and PeerCacheDirectory, the fleet-wide
+// record of which instance's cache holds which sample.
 //
 // "We allocate the sample cache on huge pages to store the data read from
 // local/remote NVMe devices ... the cache is divided into many fixed-size
@@ -16,35 +17,22 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "mem/hugepage_pool.hpp"
 #include "sim/check.hpp"
-#include "sim/time.hpp"
-
-namespace dlsim {
-class CpuCore;
-}
 
 namespace dlfs::core {
 
 /// Cooperative peer sample cache configuration (nested in DlfsConfig).
 /// The dataset is immutable after mount, so serving another instance's
 /// cached bytes is coherence-free by construction — the only policy
-/// knobs are whether to cooperate at all and how much residency a node
-/// may advertise into the cluster cache directory.
+/// knob is whether to cooperate at all.
 struct PeerCacheConfig {
   bool enabled = false;
-  /// Advertised-residency budget per client node, in bytes. 0 means
-  /// every resident sample is advertised (already bounded by the cache
-  /// capacity itself). New residency that would push a node past it
-  /// retracts the node's oldest advertisements to make room.
-  std::uint64_t advertise_budget_bytes = 0;
-
-  friend bool operator==(const PeerCacheConfig&,
-                         const PeerCacheConfig&) = default;
 };
 
 class SampleCache {
@@ -89,7 +77,6 @@ class SampleCache {
 
   [[nodiscard]] std::size_t resident_samples() const { return map_.size(); }
   [[nodiscard]] std::size_t resident_chunks() const { return chunks_used_; }
-  [[nodiscard]] std::size_t capacity_chunks() const { return capacity_; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
   void note_hit() { ++hits_; }
@@ -131,52 +118,18 @@ class SampleCache {
   std::function<void(std::size_t, bool)> residency_listener_;
 };
 
-/// PeerCacheIndex: the intra-node half of the cooperative cache. One per
-/// *client node*, created lazily by the fleet as instances mount: every
-/// co-located DlfsInstance registers its SampleCache (and the I/O
-/// core its peer serves are charged to), so a sample resident in any
-/// local instance is a local hit for all of them — UnifyFS-style
-/// ephemeral node-local aggregation. Like DirectoryView, the object is
-/// cost-free bookkeeping; callers charge CPU/copy time.
-class PeerCacheIndex {
- public:
-  struct Member {
-    std::uint32_t client = 0;         // fleet client index
-    SampleCache* cache = nullptr;     // that instance's sample cache
-    dlsim::CpuCore* core = nullptr;   // core a peer serve is charged to
-    // Remote serves queue on `core` one at a time, booked like a NIC
-    // pipe: a serve starts at max(now, serve_free).
-    mutable dlsim::SimTime serve_free = 0;
-  };
-
-  void register_member(std::uint32_t client, SampleCache* cache,
-                       dlsim::CpuCore* core);
-  void unregister_member(std::uint32_t client);
-
-  /// First co-located member other than `asking` holding `sample_id`.
-  /// Returned pointer stays valid until that member unregisters.
-  [[nodiscard]] const Member* find_holder(std::size_t sample_id,
-                                          std::uint32_t asking) const;
-
-  /// Registered record for `client`, or nullptr.
-  [[nodiscard]] const Member* member_of(std::uint32_t client) const;
-
- private:
-  mutable dlsim::AccessLedger ledger_{"peer-cache-index"};
-  std::vector<Member> members_;
-};
-
-/// PeerCacheDirectory: the cross-node half. A consistent-hash cache
-/// directory mapping sample id -> the client instances currently holding
-/// it in DRAM, with a per-node advertised-bytes budget. Residency deltas
-/// are published synchronously by the SampleCache residency listener —
-/// the model's stand-in for piggybacking them on existing metadata
-/// traffic; consumers of the directory charge the fabric/CPU cost of the
-/// home-directed request/forward hops (see the DlfsInstance peer-read
-/// path). The object itself is cost-free bookkeeping.
+/// PeerCacheDirectory: the one record of which client instances hold
+/// which sample in DRAM, fleet-wide, with each holder's node. Residency
+/// deltas are published synchronously by the SampleCache residency
+/// listener — the model's stand-in for piggybacking them on existing
+/// metadata traffic. A holder on the asker's own node is a co-located
+/// hit (a shared-DRAM copy); any other holder is reached through the
+/// sample's consistent-hash home (see the DlfsInstance peer-read path,
+/// which charges the fabric and CPU cost). The object itself is
+/// cost-free bookkeeping.
 class PeerCacheDirectory {
  public:
-  PeerCacheDirectory(PeerCacheConfig cfg, std::uint32_t num_clients);
+  explicit PeerCacheDirectory(std::uint32_t num_clients);
 
   /// Home client of a sample — the consistent-hash probe discipline the
   /// replica placement uses (hash of the key with a '\x1f'-separated
@@ -184,11 +137,9 @@ class PeerCacheDirectory {
   /// answers or forwards peer-read requests for the sample.
   [[nodiscard]] std::uint32_t home_client(std::size_t sample_id) const;
 
-  /// Client `holder` (on `node`) now holds `sample_id` (`bytes` long).
-  /// Over the node's advertise budget, its oldest advertisements are
-  /// retracted first; a sample larger than the whole budget is refused.
+  /// Client `holder` (on `node`) now holds `sample_id`.
   void advertise(std::uint32_t holder, std::uint16_t node,
-                 std::size_t sample_id, std::uint32_t bytes);
+                 std::size_t sample_id);
   void retract(std::uint32_t holder, std::size_t sample_id);
   void retract_all(std::uint32_t holder);
 
@@ -197,39 +148,20 @@ class PeerCacheDirectory {
     std::uint32_t client = 0;
     std::uint16_t node = 0;
   };
-  /// Some advertised holder of `sample_id` other than `asking`
-  /// (deterministic: first surviving advertisement wins).
-  [[nodiscard]] Holder find(std::size_t sample_id,
-                            std::uint32_t asking) const;
-
-  [[nodiscard]] std::uint64_t advertised_bytes(std::uint16_t node) const;
-  [[nodiscard]] std::uint64_t budget_retractions() const {
-    return budget_retractions_;
-  }
-  [[nodiscard]] std::uint64_t refused_adverts() const { return refused_; }
+  /// An advertised holder of `sample_id` other than `asking`: the first
+  /// one on `node` when there is one, else the first advertised.
+  [[nodiscard]] Holder find(std::size_t sample_id, std::uint32_t asking,
+                            std::optional<std::uint16_t> node = {}) const;
 
  private:
   struct Ad {
     std::uint32_t holder = 0;
     std::uint16_t node = 0;
-    std::uint32_t bytes = 0;
-  };
-  struct NodeBook {
-    std::uint64_t bytes = 0;
-    // Advertise order, front = oldest: the budget retracts from the
-    // front.
-    std::list<std::pair<std::size_t, std::uint32_t>> order;
   };
 
-  void retract_locked(std::uint32_t holder, std::size_t sample_id);
-
-  PeerCacheConfig cfg_;
   std::uint32_t num_clients_;
   mutable dlsim::AccessLedger ledger_{"peer-cache-directory"};
-  std::unordered_map<std::size_t, std::vector<Ad>> ads_;
-  std::unordered_map<std::uint16_t, NodeBook> books_;
-  std::uint64_t budget_retractions_ = 0;
-  std::uint64_t refused_ = 0;
+  std::unordered_map<std::size_t, std::vector<Ad>> ads_;  // advertise order
 };
 
 }  // namespace dlfs::core

@@ -64,31 +64,6 @@ const SampleEntry* SampleDirectory::lookup(std::string_view name) const {
   return trees_[nid].find(key);
 }
 
-void SampleDirectory::insert_file(std::string_view name, std::uint16_t nid,
-                                  std::uint64_t offset, std::uint32_t len) {
-  const std::uint64_t full = hash64(name);
-  if (file_index_.contains(full)) {
-    throw std::invalid_argument("duplicate file entry '" + std::string(name) +
-                                "'");
-  }
-  std::uint64_t key = full & probe_mask_;
-  Tree& tree = trees_.at(nid);
-  if (!tree.insert(key, SampleEntry(nid, key, offset, len))) {
-    // Probe past sample entries — with the same full-wrap termination
-    // guard as insert(); a saturated tree must throw, not spin forever.
-    std::uint64_t probe = key;
-    for (;;) {
-      probe = (probe + 1) & probe_mask_;
-      if (probe == key) {
-        throw std::overflow_error("sample directory tree is full");
-      }
-      if (tree.insert(probe, SampleEntry(nid, probe, offset, len))) break;
-    }
-    key = probe;
-  }
-  file_index_.emplace(full, IdLoc{nid, key});
-}
-
 void SampleDirectory::add_replica(std::size_t sample_id, std::uint16_t nid,
                                   std::uint64_t offset) {
   if (nid >= trees_.size()) {
@@ -104,7 +79,6 @@ void SampleDirectory::add_replica(std::size_t sample_id, std::uint16_t nid,
   if (replica_index_.size() <= sample_id) replica_index_.resize(sample_id + 1);
   replica_index_[sample_id].push_back(RouteHop{nid, offset});
   ++replica_counts_.at(nid);
-  ++replica_rows_;
   if (route_versions_.size() <= sample_id) {
     route_versions_.resize(sample_id + 1, 0);
   }
@@ -128,7 +102,6 @@ std::size_t SampleDirectory::drop_replicas_on(std::uint16_t nid) {
   }
   if (dropped > 0) ++route_epoch_;
   replica_counts_.at(nid) -= dropped;
-  replica_rows_ -= dropped;
   return dropped;
 }
 
@@ -137,12 +110,6 @@ const std::vector<RouteHop>& SampleDirectory::replicas(
   static const std::vector<RouteHop> kNone;
   if (sample_id >= replica_index_.size()) return kNone;
   return replica_index_[sample_id];
-}
-
-const SampleEntry* SampleDirectory::lookup_file(std::string_view name) const {
-  auto it = file_index_.find(hash64(name));
-  if (it == file_index_.end()) return nullptr;
-  return trees_.at(it->second.nid).find(it->second.key);
 }
 
 const SampleEntry* SampleDirectory::lookup_id(std::size_t sample_id) const {

@@ -62,16 +62,6 @@ class SampleDirectory {
   /// walk a name lookup performs, so the charged cost is identical.
   [[nodiscard]] const SampleEntry* lookup_id(std::size_t sample_id) const;
 
-  /// File-oriented entries (§III-B.1: "there is also an entry taking by
-  /// the batched file for file-oriented access"): a whole batched record
-  /// file gets an entry in the tree of the node that stores it. Files
-  /// are placed with their samples, so (unlike sample entries) the tree
-  /// is remembered in a side index rather than derived from the hash.
-  void insert_file(std::string_view name, std::uint16_t nid,
-                   std::uint64_t offset, std::uint32_t len);
-  [[nodiscard]] const SampleEntry* lookup_file(std::string_view name) const;
-  [[nodiscard]] std::size_t num_files() const { return file_index_.size(); }
-
   // --- replica placement ---------------------------------------------------
   // k-way deterministic replication: the primary stays at `hash % N`
   // (owner_of); replica r lives on node `hash(name ‖ r) % N`, skipping
@@ -97,8 +87,6 @@ class SampleDirectory {
   /// this is the "atomic publication" half of hop mutation. Returns the
   /// number of hops dropped.
   std::size_t drop_replicas_on(std::uint16_t nid);
-
-  [[nodiscard]] std::size_t num_replicas() const { return replica_rows_; }
 
   /// Monotone per-sample route-set version: bumped whenever the hop set
   /// of `sample_id` changes (add_replica / drop_replicas_on). Cached
@@ -147,10 +135,6 @@ class SampleDirectory {
     return shard_counts_.at(nid);
   }
 
-  [[nodiscard]] std::size_t collision_count() const {
-    return collision_keys_.size();
-  }
-
   // --- node availability ---------------------------------------------------
   // Wholesale V-bit state for one node's tree: when a storage node's
   // reconnect budget is exhausted the I/O engine clears its availability
@@ -163,15 +147,6 @@ class SampleDirectory {
   [[nodiscard]] bool node_available(std::uint16_t nid) const {
     return nid < node_available_.size() && node_available_[nid] != 0;
   }
-  [[nodiscard]] std::uint32_t nodes_available() const {
-    std::uint32_t n = 0;
-    for (const std::uint8_t a : node_available_) n += a;
-    return n;
-  }
-
-  /// Test-only: shrink the linear-probe key space so saturation (and the
-  /// wrap-around overflow guard) can be exercised without 2^48 inserts.
-  void set_probe_mask_for_test(std::uint64_t mask) { probe_mask_ = mask; }
 
  private:
   struct IdLoc {
@@ -182,14 +157,11 @@ class SampleDirectory {
   std::vector<Tree> trees_;
   std::vector<std::uint8_t> node_available_;  // index = nid; 1 = serving
   std::vector<IdLoc> id_index_;          // sample id -> (nid, key)
-  std::unordered_map<std::uint64_t, IdLoc> file_index_;  // file hash -> loc
   std::vector<std::uint64_t> shard_counts_;
   std::vector<std::vector<RouteHop>> replica_index_;  // sample id -> routes
   std::vector<std::uint64_t> replica_counts_;  // replicas hosted per nid
-  std::size_t replica_rows_ = 0;
   std::vector<std::uint32_t> route_versions_;  // sample id -> hop-set version
   std::uint64_t route_epoch_ = 0;              // any-route mutation counter
-  std::uint64_t probe_mask_ = SampleEntry::kKeyMask;
   // full 64-bit name hash -> probed key, for the rare 48-bit collisions.
   std::unordered_map<std::uint64_t, std::uint64_t> collision_keys_;
 };

@@ -59,16 +59,6 @@ class IoQueue {
   [[nodiscard]] virtual std::uint32_t outstanding() const = 0;
   [[nodiscard]] virtual std::uint32_t depth() const = 0;
 
-  /// How many commands the queue is willing to accept *right now* — the
-  /// client-side admission bound. Equal to depth() on healthy paths; a
-  /// degraded transport (e.g. an NVMe-oF initiator mid-reconnect) may
-  /// report less so replay storms don't starve healthy nodes. Callers
-  /// should gate posting on outstanding() < admission_depth() and treat a
-  /// shrunken value as backpressure, not an error.
-  [[nodiscard]] virtual std::uint32_t admission_depth() const {
-    return depth();
-  }
-
   /// If the time of the earliest outstanding completion is knowable
   /// (local device queues), returns it; nullopt for event-driven queues
   /// (NVMe-oF initiators) — callers then busy-poll at a fixed quantum,

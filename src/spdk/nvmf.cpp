@@ -88,7 +88,7 @@ class RemoteIoQueue final : public IoQueue {
   IoStatus submit(IoOp op, std::uint64_t offset, std::span<std::byte> buf,
                   std::uint64_t user_tag) override {
     if (state_ == ConnState::kDead) return IoStatus::kConnectionLost;
-    if (outstanding_ >= admission_depth()) return IoStatus::kQueueFull;
+    if (outstanding_ >= depth_) return IoStatus::kQueueFull;
     if (!buf.empty() && !pool_->owns(buf.data())) {
       return IoStatus::kInvalidBuffer;
     }
@@ -130,16 +130,6 @@ class RemoteIoQueue final : public IoQueue {
 
   std::uint32_t outstanding() const override { return outstanding_; }
   std::uint32_t depth() const override { return depth_; }
-  std::uint32_t admission_depth() const override {
-    // Admission control (NvmfFaultParams::max_inflight_during_reconnect):
-    // while reconnecting, every accepted command is parked for replay, so
-    // capping admissions here caps the replay burst on the recovered path.
-    if (state_ == ConnState::kReconnecting &&
-        fault_.max_inflight_during_reconnect != 0) {
-      return std::min(depth_, fault_.max_inflight_during_reconnect);
-    }
-    return depth_;
-  }
   bool connected() const override { return state_ == ConnState::kConnected; }
   IoQueueStats transport_stats() const override { return stats_; }
 

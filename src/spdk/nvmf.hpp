@@ -49,12 +49,6 @@ struct NvmfFaultParams {
   // (Simulator::rand64), not from per-queue state: one seed_rng() call
   // reproduces every reconnect schedule in the run, which is what lets
   // chaos-soak failures replay deterministically.
-  /// Client-side admission control: while the connection is reconnecting,
-  /// cap the number of in-flight commands (parked for replay) at this
-  /// value; further submits see kQueueFull. 0 = no cap (full queue depth).
-  /// Bounding the parked set bounds the replay burst that hits a freshly
-  /// recovered target — and frees the caller to route around the node.
-  std::uint32_t max_inflight_during_reconnect = 0;
 
   bool operator==(const NvmfFaultParams&) const = default;
 };

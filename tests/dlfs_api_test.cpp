@@ -110,19 +110,6 @@ TEST(DlfsMount, MountTakesSimulatedTime) {
   EXPECT_GT(rig.sim.now(), 1_ms);
 }
 
-TEST(DlfsMount, ManualParticipantSpawnStillWorks) {
-  // mount_participant stays as the advanced escape hatch: spawning the
-  // collective by hand must end in the same mounted state mount() gives.
-  Rig rig(2, dlfs::dataset::make_fixed_size_dataset(100, 4096));
-  for (std::uint32_t p = 0; p < rig.fleet.participants(); ++p) {
-    rig.sim.spawn(rig.fleet.mount_participant(p));
-  }
-  rig.sim.run();
-  rig.sim.rethrow_failures();
-  EXPECT_TRUE(rig.fleet.mounted());
-  EXPECT_EQ(rig.fleet.directory().num_samples(), 100u);
-}
-
 // ---------------------------------------------------------------------------
 // dlfs_open / dlfs_read
 

@@ -1,12 +1,12 @@
-// Cooperative peer sample cache: the per-node PeerCacheIndex (co-located
-// instances serving each other's resident samples), the consistent-hash
-// PeerCacheDirectory (cross-node holder discovery with an advertise
-// budget), and the fleet-level read paths — intra-node peer hits, remote
-// peer pulls over the fabric, pin-protected serving under eviction
-// pressure, and exactly-once skip accounting when both the peer and the
-// replica route fail. Sample-level breads post their remote pulls before
-// consuming any: the batched-pull tests pin down the overlap, the
-// holder's serve queue, QoS grants and the pin lifetime of posted pulls.
+// Cooperative peer sample cache: the PeerCacheDirectory (the one
+// fleet-wide record of which client, on which node, holds a sample, with
+// consistent-hash homes), and the fleet-level read paths — intra-node
+// peer hits from a holder on the reader's node, remote peer pulls over
+// the fabric, pin-protected serving under eviction pressure, and
+// exactly-once skip accounting when both the peer and the replica route
+// fail. Sample-level breads post their remote pulls before consuming
+// any: the batched-pull tests pin down the overlap, the holder's serve
+// queue, QoS grants and the pin lifetime of posted pulls.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 
 namespace {
 
-using dlfs::core::PeerCacheConfig;
 using dlfs::core::PeerCacheDirectory;
 using dlsim::Simulator;
 using dlsim::Task;
@@ -36,9 +35,7 @@ using namespace dlfs::byte_literals;
 // PeerCacheDirectory unit behaviour
 
 TEST(PeerCacheDirectory, HomeClientIsDeterministicAndSpread) {
-  PeerCacheConfig cfg;
-  cfg.enabled = true;
-  PeerCacheDirectory dir(cfg, 4);
+  PeerCacheDirectory dir(4);
   std::array<bool, 4> seen{};
   for (std::size_t id = 0; id < 64; ++id) {
     const std::uint32_t home = dir.home_client(id);
@@ -53,44 +50,49 @@ TEST(PeerCacheDirectory, HomeClientIsDeterministicAndSpread) {
 }
 
 TEST(PeerCacheDirectory, AdvertiseFindRetractRoundTrip) {
-  PeerCacheConfig cfg;
-  cfg.enabled = true;  // budget 0 = unlimited
-  PeerCacheDirectory dir(cfg, 3);
-  dir.advertise(/*holder=*/1, /*node=*/10, /*sample=*/7, /*bytes=*/4096);
+  PeerCacheDirectory dir(3);
+  dir.advertise(/*holder=*/1, /*node=*/10, /*sample=*/7);
   const auto h = dir.find(7, /*asking=*/0);
   ASSERT_TRUE(h.found);
   EXPECT_EQ(h.client, 1u);
   EXPECT_EQ(h.node, 10u);
   // The only holder is the asker itself: no peer to serve it.
   EXPECT_FALSE(dir.find(7, 1).found);
-  EXPECT_EQ(dir.advertised_bytes(10), 4096u);
-  // Re-advertising the same (holder, sample) is idempotent.
-  dir.advertise(1, 10, 7, 4096);
-  EXPECT_EQ(dir.advertised_bytes(10), 4096u);
+  // Re-advertising the same (holder, sample) is idempotent: one retract
+  // clears it.
+  dir.advertise(1, 10, 7);
   dir.retract(1, 7);
   EXPECT_FALSE(dir.find(7, 0).found);
-  EXPECT_EQ(dir.advertised_bytes(10), 0u);
+  // retract_all clears the holder's whole advertised set, and only its.
+  dir.advertise(0, 5, 2);
+  dir.advertise(0, 5, 3);
+  dir.advertise(2, 6, 3);
+  dir.retract_all(0);
+  EXPECT_FALSE(dir.find(2, 1).found);
+  const auto left = dir.find(3, 1);
+  ASSERT_TRUE(left.found);
+  EXPECT_EQ(left.client, 2u);
 }
 
-TEST(PeerCacheDirectory, LruBudgetRetractsOldestAdvertisement) {
-  PeerCacheConfig cfg;
-  cfg.enabled = true;
-  cfg.advertise_budget_bytes = 8192;  // room for two 4 KiB samples
-  PeerCacheDirectory dir(cfg, 4);
-  dir.advertise(0, 5, 1, 4096);
-  dir.advertise(0, 5, 2, 4096);
-  dir.advertise(0, 5, 3, 4096);  // pushes sample 1 out
-  EXPECT_FALSE(dir.find(1, 9).found);
-  EXPECT_TRUE(dir.find(2, 9).found);
-  EXPECT_TRUE(dir.find(3, 9).found);
-  EXPECT_EQ(dir.advertised_bytes(5), 8192u);
-  EXPECT_EQ(dir.budget_retractions(), 1u);
-  EXPECT_EQ(dir.refused_adverts(), 0u);
-  // retract_all clears the holder's whole advertised set.
-  dir.retract_all(0);
-  EXPECT_FALSE(dir.find(2, 9).found);
-  EXPECT_FALSE(dir.find(3, 9).found);
-  EXPECT_EQ(dir.advertised_bytes(5), 0u);
+TEST(PeerCacheDirectory, FindPrefersHolderOnGivenNode) {
+  PeerCacheDirectory dir(4);
+  dir.advertise(/*holder=*/1, /*node=*/20, /*sample=*/7);
+  dir.advertise(2, 10, 7);
+  dir.advertise(3, 10, 7);
+  // With no node given, the first advertised holder wins.
+  EXPECT_EQ(dir.find(7, /*asking=*/0).client, 1u);
+  // The first holder on the given node beats an earlier one elsewhere.
+  const auto local = dir.find(7, 0, /*node=*/10);
+  ASSERT_TRUE(local.found);
+  EXPECT_EQ(local.client, 2u);
+  EXPECT_EQ(local.node, 10u);
+  // The asker never finds itself, on its own node either.
+  EXPECT_EQ(dir.find(7, 2, 10).client, 3u);
+  // No holder on the given node: the first advertised one, elsewhere.
+  const auto remote = dir.find(7, 0, 30);
+  ASSERT_TRUE(remote.found);
+  EXPECT_EQ(remote.client, 1u);
+  EXPECT_EQ(remote.node, 20u);
 }
 
 // ---------------------------------------------------------------------------
@@ -223,8 +225,8 @@ TEST(PeerCache, CoLocatedInstancesServePeerHitsAfterReshuffle) {
   // Two instances on one client node. Epoch 1 (seed 1) leaves each
   // client's strided half resident in its own cache; epoch 2 reshuffles
   // with a new seed, so about half of each client's share is resident
-  // only at its co-located peer — served through the PeerCacheIndex with
-  // no fabric traffic.
+  // only at its co-located peer — served from that holder's DRAM with no
+  // fabric traffic.
   PeerRig rig(2, /*clients=*/{1, 1}, /*storage=*/{0},
               PeerRig::cfg(/*cache_chunks=*/320));
   auto& a = rig.fleet.instance(0);
@@ -295,11 +297,14 @@ TEST(PeerCache, RemotePeerPullsOverFabricAfterReshuffle) {
   EXPECT_GT(sa.peer_hits_remote + sb.peer_hits_remote, 0u);
   EXPECT_EQ(sa.peer_hits_local + sb.peer_hits_local, 0u);
   EXPECT_GT(sa.peer_bytes + sb.peer_bytes, 0u);
-  // Directory bookkeeping stayed consistent with the caches.
-  ASSERT_NE(rig.fleet.peer_directory(), nullptr);
-  EXPECT_GT(rig.fleet.peer_directory()->advertised_bytes(1) +
-                rig.fleet.peer_directory()->advertised_bytes(2),
-            0u);
+  // Directory bookkeeping stayed consistent with the caches: asked by
+  // client 0, the directory finds a sample exactly when client 1 holds it.
+  const PeerCacheDirectory* dir = rig.fleet.peer_directory();
+  ASSERT_NE(dir, nullptr);
+  EXPECT_GT(b.cache().resident_samples(), 0u);
+  for (std::uint32_t id = 0; id < PeerRig::kSamples; ++id) {
+    EXPECT_EQ(dir->find(id, 0).found, b.cache().valid(id)) << "sample " << id;
+  }
 }
 
 TEST(PeerCache, PinnedPeerServeSurvivesEvictionPressure) {
@@ -431,21 +436,27 @@ TEST(PeerCache, QosCappedWarmEpochFinishesEveryPull) {
   EXPECT_LE(b.io_core().busy_ns() - busy0[1], rig.sim.now() - t0);
 }
 
+/// Reads every sample through `holder`, so its cache (sized for the whole
+/// dataset) holds them all, save any a peer served instead.
+void fill_holder(PeerRig& rig, dlfs::core::DlfsInstance& holder) {
+  rig.sim.spawn(
+      [](dlfs::core::DlfsInstance& inst) -> Task<void> {
+        std::vector<std::byte> buf(4096);
+        for (std::uint32_t id = 0; id < PeerRig::kSamples; ++id) {
+          const auto h = co_await inst.open_id(id);
+          co_await inst.read(h, buf);
+        }
+      }(holder),
+      "fill-holder");
+  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+  rig.sim.rethrow_failures();
+}
+
 /// A rig where client 1 holds every sample and client 0 holds none: each
 /// sample of client 0's epoch is a remote pull from the one holder.
 struct OneHolderRig : PeerRig {
   OneHolderRig() : PeerRig(3, {1, 2}, {0}, PeerRig::cfg(640)) {
-    sim.spawn(
-        [](dlfs::core::DlfsInstance& holder) -> Task<void> {
-          std::vector<std::byte> buf(4096);
-          for (std::uint32_t id = 0; id < kSamples; ++id) {
-            const auto h = co_await holder.open_id(id);
-            co_await holder.read(h, buf);
-          }
-        }(fleet.instance(1)),
-        "fill-holder");
-    sim.run_watchdog(sim.now() + 30_sec);
-    sim.rethrow_failures();
+    fill_holder(*this, fleet.instance(1));
     fleet.instance(0).sequence(7);
   }
 };
@@ -529,6 +540,40 @@ TEST(PeerCache, HolderServesQueueInOrder) {
   EXPECT_GE(last_bulk - first_serve, k * serve);
 }
 
+TEST(PeerCache, CoLocatedHolderBeatsRemoteHolder) {
+  // Client 0 shares node 1 with client 1; client 2 is on node 2. Both
+  // holders cache every sample, client 2 first, so client 2 is the first
+  // holder the directory lists for each. Client 0's epoch must still take
+  // every sample from its co-located holder: a shared-DRAM copy beats a
+  // pull over the fabric.
+  PeerRig rig(3, /*clients=*/{1, 1, 2}, /*storage=*/{0}, PeerRig::cfg(640));
+  fill_holder(rig, rig.fleet.instance(2));
+  // Node 1 is cut off from node 2 while client 1 fills, so its pulls from
+  // client 2 are refused and its reads come from the device.
+  rig.cluster.fabric().fail_link(1, 2);
+  fill_holder(rig, rig.fleet.instance(1));
+  rig.cluster.fabric().heal_link(1, 2);
+  ASSERT_EQ(rig.fleet.instance(1).cache().resident_samples(),
+            PeerRig::kSamples);
+  ASSERT_EQ(rig.fleet.instance(2).cache().resident_samples(),
+            PeerRig::kSamples);
+
+  auto& a = rig.fleet.instance(0);
+  a.sequence(3);
+  const std::uint64_t sent0 = rig.cluster.fabric().bytes_sent(2);
+  DeliveryLog log;
+  rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "colocated-beats-remote");
+  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+  rig.sim.rethrow_failures();
+  EXPECT_GT(log.order.size(), 0u);
+  EXPECT_EQ(log.skipped, 0u);
+  EXPECT_TRUE(log.content_ok);
+  const auto s = a.stats();
+  EXPECT_EQ(s.peer_hits_local, s.samples_delivered);
+  EXPECT_EQ(s.peer_hits_remote, 0u);
+  EXPECT_EQ(rig.cluster.fabric().bytes_sent(2), sent0);
+}
+
 TEST(PeerCache, CrashFailoverSkipsExactlyOncePerSample) {
   // Two storage nodes, two remote clients, no replication, peer cache on.
   // A mid-epoch-2 crash of one target makes its samples retry through
@@ -574,7 +619,7 @@ TEST(PeerCache, CrashFailoverSkipsExactlyOncePerSample) {
 
 TEST(PeerCache, DisabledConfigKeepsCountersAtZero) {
   // peer_cache.enabled = false must leave the read path untouched: no
-  // index, no directory, all peer counters pinned at zero.
+  // directory, all peer counters pinned at zero.
   auto c = PeerRig::cfg(/*cache_chunks=*/320);
   c.peer_cache.enabled = false;
   PeerRig rig(2, /*clients=*/{1, 1}, /*storage=*/{0}, c);

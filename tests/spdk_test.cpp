@@ -390,63 +390,10 @@ TEST(Nvmf, CrashTimesOutReconnectFailsThenReprobeRevives) {
   rig.sim.rethrow_failures();
 }
 
-TEST(Nvmf, AdmissionCapLimitsInflightDuringReconnect) {
-  // Client-side admission control: while the connection is reconnecting,
-  // max_inflight_during_reconnect caps how many commands may be parked
-  // for replay; further submits see kQueueFull instead of piling onto a
-  // node that may never come back.
-  FabricRig rig;
-  dlfs::spdk::NvmfFaultParams fp;
-  fp.command_timeout = 1_ms;
-  fp.reconnect_backoff = 500_us;
-  fp.reconnect_backoff_max = 1_ms;
-  fp.reconnect_attempts = 4;
-  fp.max_inflight_during_reconnect = 2;
-  auto q = rig.target->connect(0, rig.client_pool, /*depth=*/16, fp);
-  auto dma = rig.client_pool.allocate();
-  rig.sim.spawn([](FabricRig& r, IoQueue& q,
-                   std::span<std::byte> b) -> Task<void> {
-    EXPECT_EQ(q.admission_depth(), 16u);  // healthy: full queue depth
-    r.target->crash();
-    EXPECT_EQ(q.submit(IoOp::kRead, 0, b.subspan(0, 512), 1), IoStatus::kOk);
-    co_await q.wait_for_completion();  // command timeout starts reconnect
-    auto done = q.poll();
-    EXPECT_EQ(done.size(), 1u);
-    if (!done.empty()) {
-      EXPECT_EQ(done[0].status, IoStatus::kTimeout);
-    }
-    EXPECT_FALSE(q.connected());
-    EXPECT_EQ(q.admission_depth(), 2u);  // reconnecting: the cap binds
-    EXPECT_EQ(q.submit(IoOp::kRead, 0, b.subspan(0, 512), 2), IoStatus::kOk);
-    EXPECT_EQ(q.submit(IoOp::kRead, 4096, b.subspan(512, 512), 3),
-              IoStatus::kOk);
-    EXPECT_EQ(q.submit(IoOp::kRead, 8192, b.subspan(1024, 512), 4),
-              IoStatus::kQueueFull);
-    // The target heals before the budget burns out; the replay burst is
-    // exactly the capped parked set, and the cap lifts with the reconnect.
-    r.target->recover();
-    std::size_t got = 0;
-    while (got < 2) {
-      co_await q.wait_for_completion();
-      for (const auto& c : q.poll()) {
-        EXPECT_EQ(c.status, IoStatus::kOk);
-        ++got;
-      }
-    }
-    EXPECT_TRUE(q.connected());
-    EXPECT_EQ(q.transport_stats().replays, 2u);
-    EXPECT_EQ(q.admission_depth(), 16u);
-  }(rig, *q, dma.span()));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
-}
-
 TEST(Nvmf, ParkedCommandsReplayOnceAndCompleteOnce) {
-  // The exact admission boundary, and the replay invariant behind it:
-  // exactly max_inflight_during_reconnect commands park, the next submit
-  // is kQueueFull, and — even when several reconnect attempts fail before
-  // one succeeds — each parked command is replayed exactly once and
-  // completes exactly once.
+  // The replay invariant: even when several reconnect attempts fail
+  // before one succeeds, each command parked while reconnecting is
+  // replayed exactly once and completes exactly once.
   FabricRig rig;
   dlfs::spdk::NvmfFaultParams fp;
   // Long command timeout relative to the reconnect dance: the parked
@@ -456,7 +403,6 @@ TEST(Nvmf, ParkedCommandsReplayOnceAndCompleteOnce) {
   fp.reconnect_backoff = 500_us;
   fp.reconnect_backoff_max = 1_ms;
   fp.reconnect_attempts = 6;
-  fp.max_inflight_during_reconnect = 2;
   auto q = rig.target->connect(0, rig.client_pool, /*depth=*/16, fp);
   auto dma = rig.client_pool.allocate();
   rig.target->crash();
@@ -473,12 +419,10 @@ TEST(Nvmf, ParkedCommandsReplayOnceAndCompleteOnce) {
       EXPECT_EQ(done[0].status, IoStatus::kTimeout);
     }
     EXPECT_FALSE(q.connected());
-    // Boundary: the cap admits exactly two, the third is rejected.
+    // Two commands park while the queue reconnects.
     EXPECT_EQ(q.submit(IoOp::kRead, 0, b.subspan(0, 512), 2), IoStatus::kOk);
     EXPECT_EQ(q.submit(IoOp::kRead, 4096, b.subspan(512, 512), 3),
               IoStatus::kOk);
-    EXPECT_EQ(q.submit(IoOp::kRead, 8192, b.subspan(1024, 512), 4),
-              IoStatus::kQueueFull);
     std::map<std::uint64_t, int> completions;
     std::size_t got = 0;
     while (got < 2) {
@@ -498,7 +442,6 @@ TEST(Nvmf, ParkedCommandsReplayOnceAndCompleteOnce) {
     EXPECT_EQ(completions[3], 1);
     // A healthy follow-up completes exactly once too — no stragglers from
     // the reconnect window surface later as duplicates.
-    EXPECT_EQ(q.admission_depth(), 16u);
     EXPECT_EQ(q.submit(IoOp::kRead, 0, b.subspan(0, 512), 5), IoStatus::kOk);
     co_await q.wait_for_completion();
     auto last = q.poll();
