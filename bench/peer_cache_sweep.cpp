@@ -17,7 +17,7 @@
 //  * the peer-on run records peer_hits_remote > 0;
 //  * warm epochs (2..N) are faster with the peer cache on than off;
 //  * the peer-on warm aggregate is at least kWarmFloorVsNic times the
-//    storage NIC's line rate — the floor batched peer pulls hold.
+//    storage NIC's line rate — the floor read-ahead peer pulls hold.
 //
 // Always writes BENCH_peer_cache_sweep.json (one row per mode x epoch).
 //
@@ -49,10 +49,12 @@ namespace {
 constexpr std::uint32_t kClients = 3;
 constexpr std::uint32_t kSampleBytes = 64 * 1024;
 constexpr std::size_t kBatch = 16;
-// A sample-level bread posts all of its remote peer pulls before it
-// consumes any, so a warm epoch clears the single storage NIC by at
-// least this factor (1.9x on the full sweep at seed 1).
-constexpr double kWarmFloorVsNic = 1.5;
+// The prefetch daemon pulls a warm batch's remote samples while the
+// trainer steps, so a warm epoch clears the single storage NIC by at
+// least this factor (2.9x on the full sweep at seed 1). Pulls posted by
+// bread itself reached 1.9x; pulls read ahead past the window's starting
+// depth queue bulk bytes ahead of control hops and reached 1.8x.
+constexpr double kWarmFloorVsNic = 2.5;
 
 struct SweepParams {
   std::uint64_t seed = 1;

@@ -157,11 +157,15 @@ std::vector<UnitExtent> EpochUnitProvider::unit_extents(
     // samples are served from it at consume time — don't re-read them.
     const std::uint32_t id = u->samples.front().sample_id;
     if (cache_ != nullptr && cache_->valid(id)) continue;
-    // Peer-resident samples are likewise elided: the consume path serves
-    // them from a co-located or remote peer cache instead of the device.
-    if (peers_ && peers_(id)) continue;
+    const PeerServe peer = peers_ ? peers_(id) : PeerServe::kNone;
+    if (peer == PeerServe::kInPlace) continue;
     UnitExtent x{u->nid, u->offset, u->len, id};
     if (routes_) x.routes = routes_(id);
+    if (peer == PeerServe::kPull) {
+      x.routes.insert(x.routes.begin(), RouteHop{u->nid, u->offset});
+      x.offset = id;
+      x.cls = HopClass::kPeer;
+    }
     out.push_back(std::move(x));
   }
   return out;

@@ -80,7 +80,7 @@ class BatchPlan {
   std::size_t edge_units_ = 0;
 };
 
-/// One device extent of a prefetchable read unit. `key` is whatever the
+/// One extent of a prefetchable read unit. `key` is whatever the
 /// provider's consumer uses to recognize the extent when the unit is
 /// acquired — the sample id for per-sample extents, the slot itself for
 /// chunks — so the provider may elide extents (e.g. already
@@ -90,8 +90,10 @@ struct UnitExtent {
   std::uint64_t offset = 0;
   std::uint32_t len = 0;
   std::uint64_t key = 0;
-  // Replica failover order for these bytes (empty without replication).
+  // Failover order for these bytes: replicas (empty without
+  // replication), after the device itself when the first route is a pull.
   std::vector<RouteHop> routes{};
+  HopClass cls = HopClass::kStorage;  // the first route's class
 };
 
 class SampleCache;
@@ -151,11 +153,14 @@ class EpochUnitProvider {
   /// Chunk units read record regions, not samples — they get no routes.
   using RouteResolver = std::function<std::vector<RouteHop>(std::uint32_t)>;
 
-  /// `peers` (optional) answers "is this sample currently resident in a
-  /// cooperative peer cache?". Issue-time elision consults it after the
-  /// local cache, so a warm peer set costs no device read-ahead either —
-  /// the consume path fetches those bytes from the peer instead.
-  using PeerProbe = std::function<bool(std::uint32_t)>;
+  /// Where a peer cache serves a sample the local cache lacks, as the
+  /// cost-free probe `peers` (optional) sees it at issue time.
+  enum class PeerServe : std::uint8_t {
+    kNone,     // no peer holds it: a device extent
+    kInPlace,  // elided: the pick loop's demand read serves it in place
+    kPull,     // a remote holder: a read-ahead pull, then the device
+  };
+  using PeerProbe = std::function<PeerServe(std::uint32_t)>;
 
   EpochUnitProvider(const EpochSequence& seq, std::uint32_t group,
                     const SampleCache* cache, RouteResolver routes = {},
@@ -163,7 +168,8 @@ class EpochUnitProvider {
 
   [[nodiscard]] std::size_t num_units() const;
   /// Extents of unit `slot` worth fetching *at call time*: extents whose
-  /// sample is already resident elsewhere (sample cache, peer) are skipped.
+  /// sample the sample cache or a co-located peer holds are skipped, and
+  /// one only a remote peer holds is pulled from it first.
   [[nodiscard]] std::vector<UnitExtent> unit_extents(std::size_t slot) const;
 
   /// The prefetch unit covering epoch slot `epoch_slot`.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <iterator>
 #include <stdexcept>
 
@@ -125,6 +124,10 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
   engine_->set_pressure_reliever(
       [this] { return prefetcher_->relieve_pressure(); });
   if (cfg.peer_cache.enabled) {
+    engine_->set_peer_puller(
+        [this](std::uint32_t id, std::uint32_t len, mem::DmaBuffer* into) {
+          return pull_ahead(id, len, into);
+        });
     // Cooperative peer cache: mirror V-bit flips into the fleet's cache
     // directory so other instances, co-located or remote, can find this
     // cache. The listener runs inside cache slices, so it must stay
@@ -367,8 +370,7 @@ std::vector<std::span<const std::byte>> DlfsInstance::held_views(
 }
 
 dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
-                                            std::byte* dst,
-                                            PeerPull* posted) {
+                                            std::byte* dst) {
   if (cache_->valid(sample_id)) {
     cache_->note_hit();
     CopyJob job;
@@ -387,10 +389,7 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
   // A cooperating peer's DRAM beats any device: try it first, fall back
   // to the replica-routed device read on a peer miss.
   const SampleLocation& loc = fleet_->layout_[sample_id];
-  dlsim::Task<bool> peer = posted != nullptr
-                               ? finish_peer_pull(posted, dst)
-                               : try_peer_read(sample_id, loc.len, dst);
-  const bool peer_served = co_await std::move(peer);
+  const bool peer_served = co_await try_peer_read(sample_id, loc.len, dst);
   if (peer_served) co_return true;
   if (!sample_reachable(sample_id)) co_return false;
   co_await engine_->read_one(*io_core_, loc.nid, loc.offset, loc.len, dst,
@@ -484,13 +483,21 @@ void DlfsInstance::sequence(std::uint64_t seed) {
   if (fleet_->config_.fault.replication.k > 1) {
     routes = [this](std::uint32_t id) { return sample_routes(id); };
   }
-  // Peer-resident samples are elided from read-ahead like cache hits:
-  // the consume path pulls them from the peer instead of the device.
+  // A sample a co-located peer holds is elided from read-ahead like a
+  // cache hit; one only a remote peer holds is pulled ahead of the
+  // cursor, into one pool chunk (a larger sample is pulled in place).
   // Chunk units fetch their full extent regardless (their samples never
   // populate the sample cache), so chunk mode takes no probe.
   EpochUnitProvider::PeerProbe peers;
   if (fleet_->config_.peer_cache.enabled && !chunk) {
-    peers = [this](std::uint32_t id) { return peer_resident(id); };
+    peers = [this](std::uint32_t id) {
+      using enum EpochUnitProvider::PeerServe;
+      const auto h =
+          fleet_->peer_directory_->find(id, client_idx_, peer_node());
+      if (!h.found) return kNone;
+      const bool fits = fleet_->layout_[id].len <= fleet_->config_.chunk_bytes;
+      return h.node != peer_node() && fits ? kPull : kInPlace;
+    };
   }
   epoch_provider_ = std::make_unique<EpochUnitProvider>(
       *seq_, chunk ? 1u : kSampleGroup,
@@ -548,31 +555,6 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   dlsim::CountdownLatch copies(node_->simulator(), 0);
   std::vector<CopyJob> inline_copies;
   BatchFaults faults;
-
-  // Sample-level: post a pull for every picked sample only a remote peer
-  // holds, in pick order and before consuming any, so their RPC chains
-  // overlap; the loop below finishes them in the same order. Their QoS
-  // grants are taken here: the first refused sample, and every one after
-  // it, is pulled in place when its turn comes.
-  std::deque<PeerPull> pulls;  // stable addresses: posts point into it
-  std::size_t next_pull = 0;
-  const std::shared_ptr<TenantHandle>& tenant = fleet_->tenant_;
-  bool posting = !chunk_mode && fleet_->config_.peer_cache.enabled;
-  for (const auto& pk : picks) {
-    for (std::uint32_t i = 0; posting && i < pk.count; ++i) {
-      const UnitSample& us = pk.unit->samples[pk.first_sample + i];
-      if (cache_->valid(us.sample_id)) continue;
-      const PeerCacheDirectory::Holder h = fleet_->peer_directory_->find(
-          us.sample_id, client_idx_, peer_node());
-      if (!h.found || h.node == peer_node()) continue;  // none, or local
-      posting = !tenant || tenant->try_admit(us.len);
-      if (!posting) break;
-      PeerPull& p = pulls.emplace_back(
-          PeerPull{us.sample_id, us.len, tenant != nullptr});
-      p.proc = node_->simulator().spawn(post_peer_pull(&p), "peer-pull");
-    }
-  }
-
   std::exception_ptr escaped;
   try {
     for (const auto& pk : picks) {
@@ -612,16 +594,12 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
         }
         continue;
       }
-      // Sample-level: a prefetched extent copies through the SCQ pool and
-      // fills the sample cache; a sample with no usable read-ahead (cache
-      // hit, elided at issue time, or its node failed) is a demand read.
+      // Sample-level: a device extent copies through the SCQ pool into the
+      // sample cache, a landed pull inline on the I/O core (uncached); a
+      // sample with no usable read-ahead (cache hit, elided at issue time,
+      // or its node failed) is a demand read.
       for (std::uint32_t i = 0; i < pk.count; ++i) {
         const UnitSample& us = pk.unit->samples[pk.first_sample + i];
-        PeerPull* pull = nullptr;
-        if (next_pull < pulls.size() &&
-            pulls[next_pull].sample_id == us.sample_id) {
-          pull = &pulls[next_pull++];
-        }
         auto x = hu->samples.find(us.sample_id);
         if (x != hu->samples.end() && !cache_->valid(us.sample_id)) {
           if (x->second.error) {
@@ -632,8 +610,15 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
           CopyJob job;
           job.owned_pieces = std::move(x->second.buffers);
           job.piece_lens = piece_lens_of(us.len, fleet_->config_.chunk_bytes);
-          job.cache_sample_id = us.sample_id;
           job.dst = place(us.sample_id, us.len);
+          if (x->second.pulled) {
+            co_await engine_->run_copy_inline(*io_core_, std::move(job));
+            ++peer_hits_remote_;
+            peer_bytes_ += us.len;
+            continue;
+          }
+          job.cache_sample_id = us.sample_id;
+          job.origin = io_core_;
           if (!copy_pool) {
             co_await engine_->run_copy_inline(*io_core_, std::move(job));
           } else {
@@ -644,8 +629,8 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
           continue;
         }
         try {
-          const bool served = co_await demand_read(
-              us.sample_id, arena.data() + batch.bytes, pull);
+          const bool served =
+              co_await demand_read(us.sample_id, arena.data() + batch.bytes);
           if (served) {
             (void)place(us.sample_id, us.len);
           } else {
@@ -664,13 +649,6 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
     co_await engine_->run_copy_inline(*io_core_, std::move(job));
   }
   co_await copies.wait();
-  // No pull outlives its bread: join every post, and unpin a landed pull
-  // the loop did not consume (its sample was served another way, or the
-  // loop threw).
-  for (PeerPull& p : pulls) {
-    co_await p.proc.join();
-    if (p.holder != nullptr) p.holder->unpin(p.sample_id);
-  }
   if (escaped) std::rethrow_exception(escaped);
   if (faults.fatal) std::rethrow_exception(faults.fatal);
   for (const auto& pk : picks) {

@@ -494,13 +494,10 @@ class DlfsInstance {
   [[nodiscard]] std::vector<std::span<const std::byte>> held_views(
       const HeldUnit& hu, const UnitSample& us) const;
   /// The demand read of one sample into `dst`: sample cache, then a
-  /// peer's DRAM, then the device along the replica route. False when no
-  /// copy is reachable; a device read that fails throws its IoError.
-  /// `posted` is a pull bread already posted for this sample: the peer
-  /// step finishes it instead of starting one.
-  struct PeerPull;
-  dlsim::Task<bool> demand_read(std::uint32_t sample_id, std::byte* dst,
-                                PeerPull* posted = nullptr);
+  /// peer's DRAM (a pull in place; read-ahead pulls run in the engine),
+  /// then the device along the replica route. False when no copy is
+  /// reachable; a device read that fails throws its IoError.
+  dlsim::Task<bool> demand_read(std::uint32_t sample_id, std::byte* dst);
   /// Injected poll-loop compute (Fig. 7b) as a concurrent task; counts
   /// `done` down when finished (immediately when nothing is injected).
   void spawn_injected(dlsim::CountdownLatch* done);
@@ -523,8 +520,8 @@ class DlfsInstance {
     return static_cast<std::uint16_t>(node_->id());
   }
   /// Cost-free probe: is the sample resident in some *other* instance's
-  /// cache (co-located or remote) right now? Issue-time elision and the
-  /// skip decision consult this before giving up on a sample.
+  /// cache (co-located or remote) right now? The skip decision consults
+  /// this before giving up on a sample.
   [[nodiscard]] bool peer_resident(std::uint32_t sample_id) const;
   /// Peer-cache read: a holder on this node first (shared-DRAM copy),
   /// then a remote holder through one pull posted and finished in place.
@@ -534,16 +531,23 @@ class DlfsInstance {
   [[nodiscard]] dlsim::Task<bool> try_peer_read(std::uint32_t sample_id,
                                                 std::uint32_t len,
                                                 std::byte* dst);
-  /// Post step of a cross-node pull (its own process when bread batches
-  /// it): request hop to the sample's home client, forward hop, holder
-  /// pin, QoS admission unless bread already took the grant, the
-  /// holder's queued serve and the bulk transfer. The grant returns when
-  /// the bytes land; a landed pull stays pinned at the holder.
+  /// Post step of a cross-node pull: request hop to the sample's home
+  /// client, forward hop, holder pin, QoS admission unless the engine's
+  /// pump already took the grant, the holder's queued serve and the bulk
+  /// transfer. The grant returns when the bytes land; a landed pull stays
+  /// pinned at the holder until its finish (or pull_ahead) unpins it.
+  struct PeerPull;
   [[nodiscard]] dlsim::Task<void> post_peer_pull(PeerPull* p);
-  /// Finish step, on the I/O core: waits for the post, copies the pinned
-  /// bytes into `dst` and unpins the holder. False (a miss) otherwise.
+  /// Finish step, on the I/O core: copies the pinned bytes into `dst`
+  /// and unpins the holder. False (a miss) when the post was refused.
   [[nodiscard]] dlsim::Task<bool> finish_peer_pull(PeerPull* p,
                                                    std::byte* dst);
+  /// The engine's peer puller (IoEngine::PeerPuller): one read-ahead
+  /// pull, run by its own process. The landed bytes go into `into` and
+  /// the holder is unpinned at once; a refusal counts one peer miss.
+  [[nodiscard]] dlsim::Task<bool> pull_ahead(std::uint32_t sample_id,
+                                             std::uint32_t len,
+                                             mem::DmaBuffer* into);
 
   // --- self-healing replication (failure detector + repair daemon) --------
   /// Availability-transition tap (runs inside the engine's node handler):
@@ -634,11 +638,10 @@ class DlfsInstance {
 struct DlfsInstance::PeerPull {
   std::uint32_t sample_id = 0;
   std::uint32_t len = 0;
-  bool admitted = false;  // bread took the QoS grant when it posted it
+  bool admitted = false;  // the engine's pump took the QoS grant
   bool local = false;     // a holder on the requester's node serves it
-  dlsim::Process proc{};  // the posted step; empty when run in place
   // Set once the bytes are reachable: the holder's cache, pinned until
-  // the pull is finished or bread drops it, and the pinned bytes.
+  // the bytes are copied out, and the pinned bytes.
   SampleCache* holder = nullptr;
   std::vector<std::span<const std::byte>> views{};
 };

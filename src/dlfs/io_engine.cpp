@@ -272,11 +272,13 @@ std::vector<ExtentOpPtr> IoEngine::start_extents(
   std::vector<ExtentOpPtr> ops;
   ops.reserve(extents.size());
   for (auto& x : extents) {
-    if (x.nid >= targets_.size() || targets_[x.nid] == nullptr) {
+    if (x.cls == HopClass::kPeer) {
+      assert(peer_puller_ && x.dst == nullptr && !x.routes.empty() &&
+             x.len <= config_.chunk_bytes);
+    } else if (x.nid >= targets_.size() || targets_[x.nid] == nullptr) {
       throw std::logic_error("read_extents: no queue for storage node " +
                              std::to_string(x.nid));
-    }
-    if (!node_available(x.nid) && !advance_route(x)) {
+    } else if (!node_available(x.nid) && !advance_route(x)) {
       // The node is known-down and no replica route survives: fail fast
       // instead of queueing pieces that would only burn a timeout each.
       // Callers route on the error kind.
@@ -308,6 +310,29 @@ std::vector<ExtentOpPtr> IoEngine::start_extents(
     ops.push_back(std::move(op));
   }
   return ops;
+}
+
+dlsim::Task<void> IoEngine::run_pull(Piece p) {
+  const auto id = static_cast<std::uint32_t>(p.offset);  // a pull's sample
+  const bool landed = co_await peer_puller_(id, p.len, &p.buffer);
+  dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
+  ExtentOp& op = *p.op;
+  --pulls_;
+  op.pull_.reset();
+  if (landed) {
+    op.buffers_[0] = std::move(p.buffer);
+    op.finished_ = true;
+    op.done.set();
+    co_return;
+  }
+  // Refused: the piece, chunk and all, moves to the device route, which
+  // the posting loop fails over to a replica if its node is down.
+  ReadExtent& x = op.extent;
+  x.cls = HopClass::kStorage;
+  x.nid = x.routes.front().nid;
+  x.offset = x.routes.front().offset;
+  x.routes.erase(x.routes.begin());
+  to_post_.push_back(std::move(p));
 }
 
 ExtentOpPtr IoEngine::start_extent(ReadExtent extent) {
@@ -385,7 +410,8 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
   // soon as `until` has all its pieces (its copy, if any, is awaited by
   // the caller through the op event).
   auto satisfied = [&] {
-    return until.finished_ || until.pieces_done_ == until.pieces_total_;
+    return until.finished_ || until.pieces_done_ == until.pieces_total_ ||
+           until.pull_.has_value();
   };
   while (!satisfied()) {
     bool progress = false;
@@ -411,7 +437,9 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
           continue;
         }
         std::uint16_t nid = to_post_.front().op->extent.nid;
-        if (!node_available(nid)) {
+        // A pull has no queue: it needs only a chunk and a grant.
+        const bool pull = to_post_.front().op->extent.cls == HopClass::kPeer;
+        if (!pull && !node_available(nid)) {
           // The current route is down: re-point the extent at the first
           // live replica before giving up on its pieces.
           if (advance_route(to_post_.front().op->extent)) {
@@ -425,8 +453,8 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
             continue;
           }
         }
-        q = targets_[nid].get();
-        if (q->outstanding() >= q->depth()) {
+        q = pull ? nullptr : targets_[nid].get();
+        if (q != nullptr && q->outstanding() >= q->depth()) {
           // A healthy full queue frees slots via the poll phase below —
           // stop posting. A full queue that is reconnecting must not
           // head-block work for healthy nodes: rotate the piece to the
@@ -444,7 +472,7 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
           if (!freed && pressure_reliever_) freed = pressure_reliever_();
           if (!freed) {
             if (in_flight_.empty() && scq_->empty() && copies_pending_ == 0 &&
-                delayed_.empty()) {
+                delayed_.empty() && pulls_ == 0) {
               throw std::runtime_error(
                   "huge-page pool exhausted: cache pinned + nothing in "
                   "flight");
@@ -473,6 +501,13 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
         }
       }
       if (!p.buffer.valid()) p.buffer = pool_->allocate();  // retry keeps its
+      if (q == nullptr) {  // a pull: its own process, no prep or post charge
+        ++pulls_;
+        ExtentOp& op = *p.op;
+        op.pull_ = sim_->spawn(run_pull(std::move(p)), "peer-pull");
+        progress = true;
+        continue;
+      }
       ++p.attempts;
       co_await core.compute(cal_->dlfs.prep_request + cal_->dlfs.sq_post);
       const std::uint64_t tag = next_tag_++;
@@ -618,6 +653,11 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
 
 dlsim::Task<void> IoEngine::await_op(dlsim::CpuCore& core, ExtentOpPtr op) {
   co_await pump(core, *op);
+  while (op->pull_) {  // park on the pull: no poll loop while it flies
+    const dlsim::Process pull = *op->pull_;
+    co_await pull.join();
+    co_await pump(core, *op);  // the device route, if it failed over
+  }
   if (!op->finished_) co_await op->done.wait();  // copy stage completing
 }
 

@@ -111,6 +111,9 @@ struct ReadExtent {
   // stops being reachable the extent is re-pointed at the first hop whose
   // node is up and the read restarts there instead of failing kNodeDown.
   std::vector<RouteHop> routes{};
+  // kPeer: a read-ahead pull (dst null, one pool chunk) whose refusal
+  // moves the extent to routes.front(), the device.
+  HopClass cls = HopClass::kStorage;
   // Direction. Write extents (start_write) carry their payload in the
   // piece buffers instead of allocating them at post time; they have no
   // failover routes — a write targets one specific placement, and a dead
@@ -144,6 +147,7 @@ class ExtentOp {
  private:
   friend class IoEngine;
   bool finished_ = false;
+  std::optional<dlsim::Process> pull_{};  // engaged while a pull runs
   std::exception_ptr error_{};
   std::uint32_t pieces_total_ = 0;
   std::uint32_t pieces_done_ = 0;
@@ -221,7 +225,7 @@ class IoEngine {
   /// Drives the shared pump on `core` until `op` completes (data
   /// delivered or failed). Extent failures are recorded on the op, not
   /// thrown; pool livelock (exhausted + nothing evictable + nothing in
-  /// flight) still throws.
+  /// flight) still throws. A pull in flight is awaited without polling.
   [[nodiscard]] dlsim::Task<void> await_op(dlsim::CpuCore& core,
                                            ExtentOpPtr op);
 
@@ -270,6 +274,13 @@ class IoEngine {
   }
   /// Posting-loop stalls caused by QoS admission (not queue depth).
   [[nodiscard]] std::uint64_t qos_deferrals() const { return qos_deferrals_; }
+
+  /// Pulls sample `sample_id` (`len` bytes) from a peer's DRAM into
+  /// `into`; false is a refusal. The pump admits a pull like a device
+  /// piece (a chunk, then a grant the puller returns) and spawns it.
+  using PeerPuller = std::function<dlsim::Task<bool>(
+      std::uint32_t sample_id, std::uint32_t len, mem::DmaBuffer* into)>;
+  void set_peer_puller(PeerPuller p) { peer_puller_ = std::move(p); }
 
   // --- node fault domain ---------------------------------------------------
   /// Fired on availability transitions of a storage node: (nid, false)
@@ -337,6 +348,8 @@ class IoEngine {
   /// retry budget. False = no route left, the caller fails the op. Must
   /// run inside a pieces_ledger_ write slice.
   bool reroute_piece(Piece& p);
+  /// One admitted pull: lands it, or fails the extent over to the device.
+  dlsim::Task<void> run_pull(Piece p);
   dlsim::Task<void> probe_loop(std::shared_ptr<bool> alive);
   void promote_delayed();
   dlsim::Task<void> pump(dlsim::CpuCore& core, const ExtentOp& until);
@@ -376,6 +389,8 @@ class IoEngine {
   std::vector<Piece> delayed_;  // retries waiting out their backoff
   std::unordered_map<std::uint64_t, Piece> in_flight_;
   std::uint32_t copies_pending_ = 0;  // engine copy jobs not yet executed
+  std::uint32_t pulls_ = 0;           // pulls in flight
+  PeerPuller peer_puller_;
   std::function<bool()> pressure_reliever_;
   std::shared_ptr<TenantHandle> tenant_;  // null = ungoverned
   std::uint64_t qos_deferrals_ = 0;

@@ -43,8 +43,8 @@ dlsim::Task<void> DlfsInstance::post_peer_pull(PeerPull* p) {
   // Ask the sample's consistent-hash home for a holder, then pull the
   // bytes from the holder's DRAM over the fabric. Every refusal along
   // the way (no holder, dropped leg, raced eviction) unwinds to a miss
-  // and hands back a grant bread took; demand_read then falls back to
-  // the replica read path.
+  // and hands back a grant the engine's pump took; the caller then falls
+  // back to the replica read path.
   const std::shared_ptr<TenantHandle>& tenant = fleet_->tenant_;
   const auto refuse = [&] {
     if (p->admitted) tenant->cancel_admit(p->len);
@@ -116,7 +116,6 @@ dlsim::Task<void> DlfsInstance::post_peer_pull(PeerPull* p) {
 
 dlsim::Task<bool> DlfsInstance::finish_peer_pull(PeerPull* p,
                                                  std::byte* dst) {
-  co_await p->proc.join();
   if (p->holder == nullptr) {
     ++peer_misses_;
     co_return false;
@@ -130,6 +129,23 @@ dlsim::Task<bool> DlfsInstance::finish_peer_pull(PeerPull* p,
   std::exchange(p->holder, nullptr)->unpin(p->sample_id);
   ++(p->local ? peer_hits_local_ : peer_hits_remote_);
   peer_bytes_ += p->len;
+  co_return true;
+}
+
+dlsim::Task<bool> DlfsInstance::pull_ahead(std::uint32_t sample_id,
+                                           std::uint32_t len,
+                                           mem::DmaBuffer* into) {
+  PeerPull p{sample_id, len, /*admitted=*/fleet_->tenant_ != nullptr};
+  co_await post_peer_pull(&p);
+  if (p.holder == nullptr) {
+    ++peer_misses_;
+    co_return false;
+  }
+  // The one-sided bulk send wrote the requester's chunk: place the bytes
+  // there (no CPU charge on either side) and release the holder's pin.
+  std::byte* out = into->data();
+  for (const auto& v : p.views) out = std::copy(v.begin(), v.end(), out);
+  p.holder->unpin(sample_id);
   co_return true;
 }
 

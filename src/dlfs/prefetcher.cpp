@@ -21,6 +21,7 @@ Prefetcher::Prefetcher(dlsim::Simulator& sim, IoEngine& engine,
   cfg_.max_units = std::max(cfg_.max_units, cfg_.min_units);
   window_target_ =
       std::clamp(cfg_.initial_units, cfg_.min_units, cfg_.max_units);
+  pull_depth_ = window_target_;
   stats_.window_target = window_target_;
   core_ = std::make_unique<dlsim::CpuCore>(sim, name);
   sim.spawn_daemon(daemon_loop(), name);
@@ -66,8 +67,9 @@ void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs) {
   for (auto& x : xs) {
     Extent ex;
     ex.key = x.key;
-    ex.op = engine_->start_extent(ReadExtent{
-        x.nid, x.offset, x.len, nullptr, std::nullopt, std::move(x.routes)});
+    ex.op = engine_->start_extent(ReadExtent{x.nid, x.offset, x.len, nullptr,
+                                             std::nullopt,
+                                             std::move(x.routes), x.cls});
     e.extents.push_back(std::move(ex));
   }
   {
@@ -104,6 +106,9 @@ void Prefetcher::top_up() {
       total_units_, demand_floor_ + window_target_);
   while (next_issue_ < limit) {
     auto xs = provider_->unit_extents(next_issue_);
+    const bool pulls = std::ranges::any_of(
+        xs, [](const UnitExtent& x) { return x.cls == HopClass::kPeer; });
+    if (pulls && next_issue_ >= demand_floor_ + pull_depth_) return;
     const std::uint64_t need = extents_chunks(xs, chunk_bytes_);
     if (pool_->free_chunks() < need + kReserveChunks) {
       // No pool headroom for more read-ahead: adapt the target down to
@@ -204,6 +209,8 @@ std::uint32_t Prefetcher::reissue_failed() {
       // rx.routes holds exactly the untried alternates: the reissue
       // resumes the failover walk instead of restarting it. A reissue
       // after the node *recovered* simply succeeds on rx.nid directly.
+      // A pull only fails after its refusal moved it to the device, so
+      // the reissue is a device read, never a second pull.
       const ReadExtent& rx = x.op->extent;
       x.op = engine_->start_extent(ReadExtent{
           rx.nid, rx.offset, rx.len, nullptr, std::nullopt, rx.routes});
@@ -279,6 +286,7 @@ dlsim::Task<AcquiredUnit> Prefetcher::acquire(
       ax.key = x.key;
       ax.error = x.op->error();
       if (!ax.error) ax.buffers = x.op->take_buffers();
+      ax.pulled = x.op->extent.cls == HopClass::kPeer;
       unit.extents.push_back(std::move(ax));
     }
     w->erase(it);

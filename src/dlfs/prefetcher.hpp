@@ -28,6 +28,9 @@
 //   * target starts at clamp(initial_units, min, max) and grows by one
 //     on every acquire() that had to stall — a stall means the window was
 //     not deep enough to cover the consumer's inter-arrival time;
+//   * a unit with a peer pull reads ahead no deeper than the starting
+//     target: the fabric books whole messages FIFO per NIC pipe, so every
+//     bulk pull booked into this client's ingress delays later control hops;
 //   * it shrinks when the huge-page pool cannot hold more read-ahead
 //     (top_up blocked with less than kReserveChunks of headroom), and when
 //     the engine invokes the pressure reliever — pool exhausted and
@@ -85,6 +88,7 @@ struct AcquiredExtent {
   std::uint64_t key = 0;
   std::vector<mem::DmaBuffer> buffers;
   std::exception_ptr error{};
+  bool pulled = false;  // the bytes landed from a peer's DRAM
 };
 
 struct AcquiredUnit {
@@ -186,6 +190,7 @@ class Prefetcher {
   std::size_t demand_floor_ = 0;  // one past the highest demanded slot
   std::size_t total_units_ = 0;
   std::uint32_t window_target_;
+  std::uint32_t pull_depth_;  // the starting target, for units with pulls
   PrefetchStats stats_;
   std::exception_ptr daemon_error_{};
   bool shutdown_ = false;

@@ -69,6 +69,11 @@ class SampleEntry {
 static_assert(sizeof(SampleEntry) == 16,
               "a sample entry must be exactly 128 bits (paper, Fig. 3b)");
 
+// The class of an extent's current route: kStorage reads the device
+// extent (nid, offset); kPeer pulls sample `offset` out of a peer's DRAM
+// (nid unused) and fails over to the extent's routes.
+enum class HopClass : std::uint8_t { kStorage, kPeer };
+
 // RouteHop: one alternate placement of a sample (replica location). Read
 // paths carry a short list of these alongside the primary (nid, offset)
 // so a downed node becomes a routing decision instead of a skip. The

@@ -415,6 +415,33 @@ TEST(DlfsBread, DeviceReadsEqualDeliveredBytes) {
   EXPECT_GT(reader.prefetcher().core().busy_ns(), 0);
 }
 
+TEST(DlfsBread, ReadAheadCopiesCountHandoffs) {
+  // Every SCQ copy job records the core that produced it, so a copy
+  // thread draining one pays the cross-core handoff. On a cold one-client
+  // epoch every sample is a prefetched copy, whichever batching mode
+  // planned it.
+  for (const BatchingMode mode :
+       {BatchingMode::kSampleLevel, BatchingMode::kChunkLevel}) {
+    DlfsConfig cfg;
+    cfg.batching = mode;
+    cfg.copy_threads = 2;
+    Rig rig(1, dlfs::dataset::make_fixed_size_dataset(256, 4096), cfg);
+    rig.mount();
+    auto& inst = rig.fleet.instance(0);
+    inst.sequence(3);
+    BreadResult res;
+    rig.sim.spawn(drain_epoch(rig.ds, inst, 32, res));
+    rig.sim.run();
+    rig.sim.rethrow_failures();
+    ASSERT_EQ(res.order.size(), 256u);
+    EXPECT_TRUE(res.content_ok);
+    const auto s = inst.stats();
+    EXPECT_EQ(s.cross_core_handoffs, s.samples_delivered)
+        << (mode == BatchingMode::kSampleLevel ? "sample" : "chunk")
+        << "-level";
+  }
+}
+
 TEST(DlfsBread, ArenaTooSmallThrowsBeforeWritingArena) {
   // Sample-level bread into an arena that holds one and a half samples:
   // the batch must be refused before any read or copy is issued, so once

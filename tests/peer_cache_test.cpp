@@ -4,12 +4,17 @@
 // peer hits from a holder on the reader's node, remote peer pulls over
 // the fabric, pin-protected serving under eviction pressure, and
 // exactly-once skip accounting when both the peer and the replica route
-// fail. Sample-level breads post their remote pulls before consuming
-// any: the batched-pull tests pin down the overlap, the holder's serve
-// queue, QoS grants and the pin lifetime of posted pulls.
+// fail. Under sample-level batching a remote pull is a read-ahead unit:
+// the prefetch daemon issues it ahead of the cursor, the engine runs it
+// into a requester pool chunk and the pick loop copies what landed. The
+// read-ahead-pull tests pin down the overlap, pulls that land before
+// their bread, the holder's serve queue, QoS grants, the device failover
+// of a refused pull, and that no holder pin or landing chunk outlives
+// its pull.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <memory>
@@ -501,10 +506,12 @@ TEST(PeerCache, WarmBatchOverlapsRemotePulls) {
 }
 
 TEST(PeerCache, HolderServesQueueInOrder) {
-  // One batch posts k pulls to one holder at once. Its core serves them
-  // one after another: busy time grows by exactly k serves, and the last
-  // bulk transfer cannot start before k serve times have passed since the
-  // first serve began.
+  // One bread and the read-ahead behind it pull k samples from one
+  // holder, many of them in flight at once. Its core serves them one
+  // after another: busy time grows by exactly k serves, and the last bulk
+  // transfer cannot start before k serve times have passed since the
+  // first serve began. k counts the pulls the holder served: its bulk
+  // sends, one 4 KiB sample each.
   OneHolderRig rig;
   auto& a = rig.fleet.instance(0);
   dlsim::CpuCore& holder_core = rig.fleet.instance(1).io_core();
@@ -513,17 +520,19 @@ TEST(PeerCache, HolderServesQueueInOrder) {
   const dlsim::SimDuration serve =
       rig.fleet.config().calibration.dlfs.peer_serve;
   const dlsim::SimDuration busy0 = holder_core.busy_ns();
-  const std::uint64_t pulls0 = a.stats().peer_hits_remote;
-  std::uint64_t sent = fabric.bytes_sent(kHolderNode);
+  const std::uint64_t sent0 = fabric.bytes_sent(kHolderNode);
+  std::uint64_t sent = sent0;
   std::vector<std::byte> arena(64_KiB);
   dlsim::SimDuration took = 0;
   bool done = false;
   rig.sim.spawn(timed_bread(rig.sim, a, arena, took, done), "timed-bread");
-  // Step the simulator by hand: the holder's core turns busy when its
-  // first serve begins, and it sends nothing but bulk transfers.
+  // Step the simulator by hand until it is idle, so every issued pull has
+  // been served and sent: the holder's core turns busy when its first
+  // serve begins, and it sends nothing but bulk transfers.
+  const dlsim::SimTime deadline = rig.sim.now() + 1_sec;
   dlsim::SimTime first_serve = 0;
   dlsim::SimTime last_bulk = 0;
-  while (!done && rig.sim.step()) {
+  while (rig.sim.now() < deadline && rig.sim.step()) {
     if (first_serve == 0 && holder_core.busy_ns() > busy0) {
       first_serve = rig.sim.now();
     }
@@ -533,11 +542,97 @@ TEST(PeerCache, HolderServesQueueInOrder) {
     }
   }
   ASSERT_TRUE(done);
-  const std::uint64_t k = a.stats().peer_hits_remote - pulls0;
-  ASSERT_EQ(k, 16u);
+  ASSERT_EQ((sent - sent0) % 4096, 0u);
+  const std::uint64_t k = (sent - sent0) / 4096;
+  ASSERT_GE(k, 16u);
   EXPECT_EQ(holder_core.busy_ns() - busy0, k * serve);
   ASSERT_GT(first_serve, 0u);
   EXPECT_GE(last_bulk - first_serve, k * serve);
+}
+
+TEST(PeerCache, PullsLandBeforeTheirBread) {
+  // The daemon pulls the first units of the epoch while the trainer is
+  // away (the simulator runs idle after sequence()), so the first bread
+  // pays its frontend and one inline copy per sample, and no round trip:
+  // one NIC latency is all the slack it gets.
+  OneHolderRig rig;
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  auto& a = rig.fleet.instance(0);
+  const auto& costs = rig.fleet.config().calibration.dlfs;
+  const dlsim::SimDuration bound =
+      16 * (costs.dir_lookup + costs.bread_per_sample +
+            costs.completion_handling +
+            dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec)) +
+      rig.cluster.fabric().params().latency;
+  std::vector<std::byte> arena(64_KiB);
+  dlsim::SimDuration took = 0;
+  bool done = false;
+  rig.sim.spawn(timed_bread(rig.sim, a, arena, took, done), "timed-bread");
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(a.stats().peer_hits_remote, 16u);
+  EXPECT_LE(took, bound);
+}
+
+TEST(PeerCache, RefusedReadAheadPullFallsBackOnce) {
+  // The holder evicts client 0's first sample after the daemon issued its
+  // pull and before the holder pins it. The refusal counts one miss and
+  // the extent fails over to the device inside the engine, ahead of the
+  // first bread: the sample arrives once, read once from the device, and
+  // enters the cache the way a demand read's device copy does.
+  OneHolderRig rig;
+  auto& a = rig.fleet.instance(0);
+  auto& holder = rig.fleet.instance(1);
+  const dlfs::core::EpochSequence order(rig.fleet.plan(), 7, 0,
+                                        rig.fleet.num_clients());
+  const std::uint32_t victim = order.unit_at(0)->samples.front().sample_id;
+  const std::uint64_t posted0 = a.engine().requests_posted();
+  // Every pull's request or forward hop takes a NIC latency, so running
+  // the current instant issues the first units' pulls and pins nothing.
+  rig.sim.run_until(rig.sim.now());
+  ASSERT_GT(a.prefetcher().stats().units_issued, 0u);
+  ASSERT_TRUE(holder.cache().valid(victim));
+  holder.cache().evict(victim);
+  ASSERT_FALSE(holder.cache().valid(victim));
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  EXPECT_EQ(a.stats().peer_misses, 1u);
+  EXPECT_EQ(a.engine().requests_posted() - posted0, 1u);
+  DeliveryLog log;
+  rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "refused-pull-epoch");
+  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+  rig.sim.rethrow_failures();
+  EXPECT_EQ(std::count(log.order.begin(), log.order.end(), victim), 1);
+  EXPECT_EQ(log.order.size(), PeerRig::kSamples / 2);
+  EXPECT_EQ(log.skipped, 0u);
+  EXPECT_TRUE(log.content_ok);
+  EXPECT_TRUE(log.dense);
+  const auto s = a.stats();
+  EXPECT_EQ(s.peer_misses, 1u);
+  EXPECT_EQ(s.peer_hits_remote, log.order.size() - 1);
+  EXPECT_EQ(a.engine().requests_posted() - posted0, 1u);
+  EXPECT_TRUE(a.cache().valid(victim));
+}
+
+TEST(PeerCache, LandingChunksReturnToThePool) {
+  // A pull lands in a requester pool chunk that lives until its inline
+  // copy: after a warm epoch of pulls the requester's pool holds only
+  // its own cache, and no pulled sample entered that cache.
+  OneHolderRig rig;
+  auto& a = rig.fleet.instance(0);
+  DeliveryLog log;
+  rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "pull-epoch");
+  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+  rig.sim.rethrow_failures();
+  ASSERT_EQ(log.order.size(), PeerRig::kSamples / 2);
+  EXPECT_TRUE(log.content_ok);
+  EXPECT_EQ(a.stats().peer_hits_remote, log.order.size());
+  EXPECT_EQ(a.pool().used_chunks(), a.cache().resident_chunks());
+  for (const std::uint32_t id : log.order) {
+    EXPECT_FALSE(a.cache().valid(id)) << "pulled sample " << id;
+  }
 }
 
 TEST(PeerCache, CoLocatedHolderBeatsRemoteHolder) {
