@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -31,6 +32,51 @@ cluster::NodeConfig node_config(const Workload& w) {
   nc.nvme = w.calibration.nvme;
   return nc;
 }
+
+/// Ground truth for run_dlfs: a delivered sample must equal the bytes one
+/// of its placements holds — its primary extent, or a replica hop. The
+/// synthetic stores derive bytes from the node's seed and the device
+/// offset, so a replica's bytes differ from the primary's. Storage slot s
+/// is cluster node s in run_dlfs.
+class PlacementCheck {
+ public:
+  PlacementCheck(cluster::Cluster& cluster, const core::DlfsFleet& fleet)
+      : cluster_(&cluster), fleet_(&fleet) {}
+
+  /// Throws std::logic_error unless `pieces`, concatenated, equal what
+  /// one of sample `id`'s placements holds.
+  void check(std::uint32_t id,
+             std::span<const std::span<const std::byte>> pieces) {
+    const core::SampleLocation& loc = fleet_->layout()[id];
+    if (holds(loc.nid, loc.offset, loc.len, pieces)) return;
+    for (const core::RouteHop& h : fleet_->directory().replicas(id)) {
+      if (holds(h.nid, h.offset, loc.len, pieces)) return;
+    }
+    throw std::logic_error("run_dlfs: sample " + std::to_string(id) +
+                           " was delivered with bytes none of its "
+                           "placements holds");
+  }
+
+ private:
+  bool holds(std::uint16_t slot, std::uint64_t offset, std::uint32_t len,
+             std::span<const std::span<const std::byte>> pieces) {
+    want_.resize(len);
+    cluster_->node(slot).device().store().read(offset, want_);
+    std::size_t at = 0;
+    for (const auto& p : pieces) {
+      if (p.size() > len - at ||
+          std::memcmp(want_.data() + at, p.data(), p.size()) != 0) {
+        return false;
+      }
+      at += p.size();
+    }
+    return at == len;
+  }
+
+  cluster::Cluster* cluster_;
+  const core::DlfsFleet* fleet_;
+  std::vector<std::byte> want_;
+};
 
 }  // namespace
 
@@ -144,18 +190,25 @@ RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
   // Epoch end is when the last reader finishes, not when the event queue
   // drains — a scheduled recovery can outlive the epoch.
   SimTime readers_done = start;
+  // Every delivered sample is checked against its placements; a mismatch
+  // fails the reader, and sim.rethrow_failures() below throws it.
+  PlacementCheck truth(rig.cluster, fleet);
   for (std::uint32_t c = 0; c < n_clients; ++c) {
     sim.spawn([](dlsim::Simulator& sim, core::DlfsInstance& inst,
-                 const Workload& w, std::uint64_t& total,
-                 SimTime& done) -> Task<void> {
+                 const Workload& w, PlacementCheck& truth,
+                 std::uint64_t& total, SimTime& done) -> Task<void> {
       if (w.zero_copy) {
         // Double-buffered zero-copy reader: each view batch stays pinned
         // (consumed by "the application") while the next is fetched; the
-        // lease handoff releases the previous batch's units.
+        // lease handoff releases the previous batch's units, so its views
+        // are checked first.
         core::ViewLease prev;
         for (;;) {
           auto vb = co_await inst.bread_views(w.batch_size);
           if (vb.end_of_epoch) break;
+          for (const core::ViewSample& s : vb.samples) {
+            truth.check(s.sample_id, s.pieces);
+          }
           total += vb.samples.size();
           prev = core::ViewLease(inst, std::move(vb));
         }
@@ -165,11 +218,16 @@ RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
         for (;;) {
           auto batch = co_await inst.bread(w.batch_size, arena);
           if (batch.end_of_epoch) break;
+          for (const core::BatchSample& s : batch.samples) {
+            const std::span<const std::byte> bytes(
+                arena.data() + s.offset_in_arena, s.len);
+            truth.check(s.sample_id, {&bytes, 1});
+          }
           total += batch.samples.size();
         }
       }
       done = std::max(done, sim.now());
-    }(sim, fleet.instance(c), w, total_samples, readers_done));
+    }(sim, fleet.instance(c), w, truth, total_samples, readers_done));
   }
   sim.run();
   sim.rethrow_failures();

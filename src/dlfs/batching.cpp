@@ -158,17 +158,25 @@ std::vector<UnitExtent> EpochUnitProvider::unit_extents(
     const std::uint32_t id = u->samples.front().sample_id;
     if (cache_ != nullptr && cache_->valid(id)) continue;
     const PeerServe peer = peers_ ? peers_(id) : PeerServe::kNone;
-    if (peer == PeerServe::kInPlace) continue;
-    UnitExtent x{u->nid, u->offset, u->len, id};
-    if (routes_) x.routes = routes_(id);
-    if (peer == PeerServe::kPull) {
-      x.routes.insert(x.routes.begin(), RouteHop{u->nid, u->offset});
-      x.offset = id;
-      x.cls = HopClass::kPeer;
-    }
-    out.push_back(std::move(x));
+    if (peer == PeerServe::kLocal) continue;
+    out.push_back(sample_extent(id, SampleLocation{u->nid, u->offset, u->len},
+                                routes_ ? routes_(id) : std::vector<RouteHop>{},
+                                peer));
   }
   return out;
+}
+
+UnitExtent EpochUnitProvider::sample_extent(std::uint32_t id,
+                                            const SampleLocation& loc,
+                                            std::vector<RouteHop> routes,
+                                            PeerServe peer) {
+  UnitExtent x{loc.nid, loc.offset, loc.len, id, std::move(routes)};
+  if (peer == PeerServe::kPull) {
+    x.routes.insert(x.routes.begin(), RouteHop{loc.nid, loc.offset});
+    x.offset = id;
+    x.cls = HopClass::kPeer;
+  }
+  return x;
 }
 
 }  // namespace dlfs::core

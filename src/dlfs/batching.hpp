@@ -156,15 +156,25 @@ class EpochUnitProvider {
   /// Where a peer cache serves a sample the local cache lacks, as the
   /// cost-free probe `peers` (optional) sees it at issue time.
   enum class PeerServe : std::uint8_t {
-    kNone,     // no peer holds it: a device extent
-    kInPlace,  // elided: the pick loop's demand read serves it in place
-    kPull,     // a remote holder: a read-ahead pull, then the device
+    kNone,   // no peer serves it: a device extent
+    kLocal,  // a holder on this node: elided, the demand read copies it
+    kPull,   // a remote holder: a pull, then the device
   };
   using PeerProbe = std::function<PeerServe(std::uint32_t)>;
 
   EpochUnitProvider(const EpochSequence& seq, std::uint32_t group,
                     const SampleCache* cache, RouteResolver routes = {},
                     PeerProbe peers = {});
+
+  /// The one extent that fetches sample `id`, which lives at `loc` with
+  /// `routes` as its replica failover list: the device extent, or for
+  /// kPull a pull (the sample id as its offset) that fails over to the
+  /// device and then the replicas. Read-ahead and demand reads both
+  /// issue it.
+  [[nodiscard]] static UnitExtent sample_extent(std::uint32_t id,
+                                                const SampleLocation& loc,
+                                                std::vector<RouteHop> routes,
+                                                PeerServe peer);
 
   [[nodiscard]] std::size_t num_units() const;
   /// Extents of unit `slot` worth fetching *at call time*: extents whose

@@ -126,7 +126,7 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
   if (cfg.peer_cache.enabled) {
     engine_->set_peer_puller(
         [this](std::uint32_t id, std::uint32_t len, mem::DmaBuffer* into) {
-          return pull_ahead(id, len, into);
+          return pull_from_peer(id, len, into);
         });
     // Cooperative peer cache: mirror V-bit flips into the fleet's cache
     // directory so other instances, co-located or remote, can find this
@@ -345,9 +345,8 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
       continue;
     }
     const SampleLocation& loc = fleet_->layout_[id];
-    auto op = engine_->start_extent(ReadExtent{loc.nid, loc.offset, loc.len,
-                                               nullptr, std::nullopt,
-                                               sample_routes(id)});
+    auto op = engine_->start_extent(
+        ReadExtent{loc.nid, loc.offset, loc.len, sample_routes(id)});
     co_await engine_->await_op(*io_core_, op);
     if (op->error()) {
       faults->note(op->error());
@@ -380,21 +379,75 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
     cache_->unpin(sample_id);
     co_return true;
   }
-  // Cost-free probes first: with no live copy and no peer holder there
-  // is nothing to read.
-  if (!sample_reachable(sample_id) && !peer_resident(sample_id)) {
-    co_return false;
-  }
+  // The cost-free probe first: with no peer to serve it and no live copy
+  // there is nothing to read.
+  using enum EpochUnitProvider::PeerServe;
+  const EpochUnitProvider::PeerServe peer = peer_route(sample_id);
+  if (peer == kNone && !sample_reachable(sample_id)) co_return false;
   cache_->note_miss();
-  // A cooperating peer's DRAM beats any device: try it first, fall back
-  // to the replica-routed device read on a peer miss.
   const SampleLocation& loc = fleet_->layout_[sample_id];
-  const bool peer_served = co_await try_peer_read(sample_id, loc.len, dst);
-  if (peer_served) co_return true;
-  if (!sample_reachable(sample_id)) co_return false;
-  co_await engine_->read_one(*io_core_, loc.nid, loc.offset, loc.len, dst,
-                             sample_id, sample_routes(sample_id));
+  if (peer == kLocal) {
+    // A holder on this node has its resident copy one pin plus one DRAM
+    // copy away: no fabric, and no tenant admission (same treatment as
+    // own-cache hits: host-memory copies never compete with other tenants
+    // for the devices or the wire).
+    const std::uint32_t h =
+        fleet_->peer_directory_->find(sample_id, client_idx_, peer_node())
+            .client;
+    SampleCache& holder = *fleet_->instances_[h]->cache_;
+    CopyJob job;
+    job.views = holder.pin(sample_id);
+    job.dst = dst;
+    assert(!job.views.empty());
+    co_await io_core_->compute(fleet_->config_.calibration.dlfs.peer_serve);
+    co_await engine_->run_copy_inline(*io_core_, std::move(job));
+    holder.unpin(sample_id);
+    ++peer_hits_local_;
+    peer_bytes_ += loc.len;
+    co_return true;
+  }
+  // Otherwise the extent read-ahead would issue: a pull from the remote
+  // holder, then the device, then its replicas — or the device and its
+  // replicas — with every failover inside the engine.
+  UnitExtent x = EpochUnitProvider::sample_extent(
+      sample_id, loc, sample_routes(sample_id), peer);
+  const ExtentOpPtr op = engine_->start_extent(
+      ReadExtent{x.nid, x.offset, x.len, std::move(x.routes), x.cls});
+  co_await engine_->await_op(*io_core_, op);
+  if (op->error()) std::rethrow_exception(op->error());
+  AcquiredExtent landed{sample_id, op->take_buffers(), {},
+                        op->extent.cls == HopClass::kPeer};
+  dlsim::CountdownLatch copied(node_->simulator(), 0);
+  co_await deliver(std::move(landed), dst, &copied);
+  co_await copied.wait();
   co_return true;
+}
+
+dlsim::Task<void> DlfsInstance::deliver(AcquiredExtent x, std::byte* dst,
+                                        dlsim::CountdownLatch* copies) {
+  const auto id = static_cast<std::uint32_t>(x.key);
+  const std::uint32_t len = fleet_->layout_[id].len;
+  CopyJob job;
+  job.owned_pieces = std::move(x.buffers);
+  job.piece_lens = piece_lens_of(len, fleet_->config_.chunk_bytes);
+  job.dst = dst;
+  if (x.pulled) {
+    // A landed pull: copied on the I/O core and never cached, so the hit
+    // mix holds; its landing chunk returns to the pool after the copy.
+    co_await engine_->run_copy_inline(*io_core_, std::move(job));
+    ++peer_hits_remote_;
+    peer_bytes_ += len;
+    co_return;
+  }
+  job.cache_sample_id = id;
+  job.origin = io_core_;
+  if (fleet_->config_.copy_threads == 0) {
+    co_await engine_->run_copy_inline(*io_core_, std::move(job));
+  } else {
+    job.latch = copies;
+    copies->add(1);
+    co_await engine_->enqueue_copy(std::move(job));
+  }
 }
 
 dlsim::Task<SampleHandle> DlfsInstance::open(std::string_view name) {
@@ -485,19 +538,12 @@ void DlfsInstance::sequence(std::uint64_t seed) {
   }
   // A sample a co-located peer holds is elided from read-ahead like a
   // cache hit; one only a remote peer holds is pulled ahead of the
-  // cursor, into one pool chunk (a larger sample is pulled in place).
-  // Chunk units fetch their full extent regardless (their samples never
-  // populate the sample cache), so chunk mode takes no probe.
+  // cursor, into one pool chunk. Chunk units fetch their full extent
+  // regardless (their samples never populate the sample cache), so chunk
+  // mode takes no probe.
   EpochUnitProvider::PeerProbe peers;
   if (fleet_->config_.peer_cache.enabled && !chunk) {
-    peers = [this](std::uint32_t id) {
-      using enum EpochUnitProvider::PeerServe;
-      const auto h =
-          fleet_->peer_directory_->find(id, client_idx_, peer_node());
-      if (!h.found) return kNone;
-      const bool fits = fleet_->layout_[id].len <= fleet_->config_.chunk_bytes;
-      return h.node != peer_node() && fits ? kPull : kInPlace;
-    };
+    peers = [this](std::uint32_t id) { return peer_route(id); };
   }
   epoch_provider_ = std::make_unique<EpochUnitProvider>(
       *seq_, chunk ? 1u : kSampleGroup,
@@ -594,8 +640,7 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
         }
         continue;
       }
-      // Sample-level: a device extent copies through the SCQ pool into the
-      // sample cache, a landed pull inline on the I/O core (uncached); a
+      // Sample-level: a landed extent goes through the delivery step; a
       // sample with no usable read-ahead (cache hit, elided at issue time,
       // or its node failed) is a demand read.
       for (std::uint32_t i = 0; i < pk.count; ++i) {
@@ -607,25 +652,8 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
             continue;
           }
           cache_->note_miss();
-          CopyJob job;
-          job.owned_pieces = std::move(x->second.buffers);
-          job.piece_lens = piece_lens_of(us.len, fleet_->config_.chunk_bytes);
-          job.dst = place(us.sample_id, us.len);
-          if (x->second.pulled) {
-            co_await engine_->run_copy_inline(*io_core_, std::move(job));
-            ++peer_hits_remote_;
-            peer_bytes_ += us.len;
-            continue;
-          }
-          job.cache_sample_id = us.sample_id;
-          job.origin = io_core_;
-          if (!copy_pool) {
-            co_await engine_->run_copy_inline(*io_core_, std::move(job));
-          } else {
-            job.latch = &copies;
-            copies.add(1);
-            co_await engine_->enqueue_copy(std::move(job));
-          }
+          co_await deliver(std::move(x->second), place(us.sample_id, us.len),
+                           &copies);
           continue;
         }
         try {

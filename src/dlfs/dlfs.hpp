@@ -242,8 +242,10 @@ struct InstanceStats {
   std::uint64_t directory_bytes = 0;
   // Cooperative peer-cache telemetry (all zero with peer_cache.enabled
   // off): samples served from a co-located instance's DRAM, samples
-  // served from a remote client's DRAM over the fabric, consultations
-  // that found no live holder, and total bytes peers served either way.
+  // served from a remote client's DRAM over the fabric, pulls refused
+  // before their bytes landed (no holder at the home, a dropped leg or a
+  // raced eviction; the device then served the sample), and total bytes
+  // peers served either way.
   std::uint64_t peer_hits_local = 0;
   std::uint64_t peer_hits_remote = 0;
   std::uint64_t peer_misses = 0;
@@ -493,11 +495,20 @@ class DlfsInstance {
   /// Empty when the sample has no bytes (skipped, or a media fault).
   [[nodiscard]] std::vector<std::span<const std::byte>> held_views(
       const HeldUnit& hu, const UnitSample& us) const;
-  /// The demand read of one sample into `dst`: sample cache, then a
-  /// peer's DRAM (a pull in place; read-ahead pulls run in the engine),
-  /// then the device along the replica route. False when no copy is
-  /// reachable; a device read that fails throws its IoError.
+  /// The demand read of one sample into `dst`: the sample cache, then a
+  /// holder on this node, else the one extent read-ahead would issue (a
+  /// pull from a remote holder, else the device, each failing over
+  /// inside the engine), awaited on the I/O core and delivered. False
+  /// when no peer serves it and no copy is reachable; an extent that
+  /// fails throws its IoError.
   dlsim::Task<bool> demand_read(std::uint32_t sample_id, std::byte* dst);
+  /// The one delivery step of a landed per-sample extent (a demand read,
+  /// or a sample-level read-ahead extent the pick loop consumes): a
+  /// pulled sample is copied inline on the I/O core and not cached;
+  /// device bytes go to the copy threads (counting `copies` down) and
+  /// into the sample cache, or are copied inline without copy threads.
+  dlsim::Task<void> deliver(AcquiredExtent x, std::byte* dst,
+                            dlsim::CountdownLatch* copies);
   /// Injected poll-loop compute (Fig. 7b) as a concurrent task; counts
   /// `done` down when finished (immediately when nothing is injected).
   void spawn_injected(dlsim::CountdownLatch* done);
@@ -519,35 +530,20 @@ class DlfsInstance {
   [[nodiscard]] std::uint16_t peer_node() const {
     return static_cast<std::uint16_t>(node_->id());
   }
-  /// Cost-free probe: is the sample resident in some *other* instance's
-  /// cache (co-located or remote) right now? The skip decision consults
-  /// this before giving up on a sample.
-  [[nodiscard]] bool peer_resident(std::uint32_t sample_id) const;
-  /// Peer-cache read: a holder on this node first (shared-DRAM copy),
-  /// then a remote holder through one pull posted and finished in place.
-  /// Copies the sample's bytes into `dst` on success; a miss (no holder,
-  /// raced eviction, transport refusal) counts peer_misses_ and returns
-  /// false.
-  [[nodiscard]] dlsim::Task<bool> try_peer_read(std::uint32_t sample_id,
-                                                std::uint32_t len,
-                                                std::byte* dst);
-  /// Post step of a cross-node pull: request hop to the sample's home
-  /// client, forward hop, holder pin, QoS admission unless the engine's
-  /// pump already took the grant, the holder's queued serve and the bulk
-  /// transfer. The grant returns when the bytes land; a landed pull stays
-  /// pinned at the holder until its finish (or pull_ahead) unpins it.
-  struct PeerPull;
-  [[nodiscard]] dlsim::Task<void> post_peer_pull(PeerPull* p);
-  /// Finish step, on the I/O core: copies the pinned bytes into `dst`
-  /// and unpins the holder. False (a miss) when the post was refused.
-  [[nodiscard]] dlsim::Task<bool> finish_peer_pull(PeerPull* p,
-                                                   std::byte* dst);
-  /// The engine's peer puller (IoEngine::PeerPuller): one read-ahead
-  /// pull, run by its own process. The landed bytes go into `into` and
-  /// the holder is unpinned at once; a refusal counts one peer miss.
-  [[nodiscard]] dlsim::Task<bool> pull_ahead(std::uint32_t sample_id,
-                                             std::uint32_t len,
-                                             mem::DmaBuffer* into);
+  /// The one cost-free peer probe, asked by the epoch provider at issue
+  /// time and by demand_read: kLocal for a holder on this node, kPull for
+  /// a holder only on another node when the sample fits one pool chunk,
+  /// kNone otherwise.
+  [[nodiscard]] EpochUnitProvider::PeerServe peer_route(
+      std::uint32_t sample_id) const;
+  /// The engine's peer puller (IoEngine::PeerPuller), run by its own
+  /// process for every pull, demand or read-ahead: request hop to the
+  /// sample's home client, forward hop, holder pin, the holder's queued
+  /// serve and the bulk send into `into`. The holder is unpinned when the
+  /// bytes land; a refusal counts one peer miss.
+  [[nodiscard]] dlsim::Task<bool> pull_from_peer(std::uint32_t sample_id,
+                                                 std::uint32_t len,
+                                                 mem::DmaBuffer* into);
 
   // --- self-healing replication (failure detector + repair daemon) --------
   /// Availability-transition tap (runs inside the engine's node handler):
@@ -632,18 +628,6 @@ class DlfsInstance {
   std::uint64_t peer_hits_remote_ = 0;
   std::uint64_t peer_misses_ = 0;
   std::uint64_t peer_bytes_ = 0;
-};
-
-/// One peer read, from its post to its finish.
-struct DlfsInstance::PeerPull {
-  std::uint32_t sample_id = 0;
-  std::uint32_t len = 0;
-  bool admitted = false;  // the engine's pump took the QoS grant
-  bool local = false;     // a holder on the requester's node serves it
-  // Set once the bytes are reachable: the holder's cache, pinned until
-  // the bytes are copied out, and the pinned bytes.
-  SampleCache* holder = nullptr;
-  std::vector<std::span<const std::byte>> views{};
 };
 
 /// RAII holder for a zero-copy batch: releases the pinned units when the

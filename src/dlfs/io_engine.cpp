@@ -91,12 +91,6 @@ void IoEngine::do_copy(CopyJob& job) {
                    std::move(job.piece_lens));
   }
   if (job.latch != nullptr) job.latch->count_down();
-  if (job.op) {
-    assert(copies_pending_ > 0);
-    --copies_pending_;
-    job.op->finished_ = true;
-    job.op->done.set();
-  }
 }
 
 dlsim::Task<void> IoEngine::copy_thread_loop(std::size_t idx) {
@@ -176,7 +170,6 @@ dlsim::Task<void> IoEngine::wait_any(dlsim::CpuCore& core) {
 void IoEngine::fail_op(ExtentOp& op, std::exception_ptr e) {
   op.error_ = std::move(e);
   op.finished_ = true;
-  op.done.set();
 }
 
 void IoEngine::mark_node_down(std::uint16_t nid) {
@@ -273,23 +266,23 @@ std::vector<ExtentOpPtr> IoEngine::start_extents(
   ops.reserve(extents.size());
   for (auto& x : extents) {
     if (x.cls == HopClass::kPeer) {
-      assert(peer_puller_ && x.dst == nullptr && !x.routes.empty() &&
+      assert(peer_puller_ && !x.routes.empty() &&
              x.len <= config_.chunk_bytes);
     } else if (x.nid >= targets_.size() || targets_[x.nid] == nullptr) {
-      throw std::logic_error("read_extents: no queue for storage node " +
+      throw std::logic_error("start_extents: no queue for storage node " +
                              std::to_string(x.nid));
     } else if (!node_available(x.nid) && !advance_route(x)) {
       // The node is known-down and no replica route survives: fail fast
       // instead of queueing pieces that would only burn a timeout each.
       // Callers route on the error kind.
-      auto op = std::make_shared<ExtentOp>(*sim_, std::move(x));
+      auto op = std::make_shared<ExtentOp>(std::move(x));
       fail_op(*op, std::make_exception_ptr(IoError(
                        op->extent.nid, op->extent.offset,
                        IoErrorKind::kNodeDown)));
       ops.push_back(std::move(op));
       continue;
     }
-    auto op = std::make_shared<ExtentOp>(*sim_, std::move(x));
+    auto op = std::make_shared<ExtentOp>(std::move(x));
     std::uint64_t off = op->extent.offset;
     std::uint32_t left = op->extent.len;
     std::uint32_t idx = 0;
@@ -302,11 +295,7 @@ std::vector<ExtentOpPtr> IoEngine::start_extents(
     }
     op->pieces_total_ = idx;
     op->buffers_.resize(idx);
-    op->lens_.resize(idx);
-    if (idx == 0) {  // zero-length extent: trivially done
-      op->finished_ = true;
-      op->done.set();
-    }
+    op->finished_ = idx == 0;  // zero-length extent: trivially done
     ops.push_back(std::move(op));
   }
   return ops;
@@ -322,7 +311,6 @@ dlsim::Task<void> IoEngine::run_pull(Piece p) {
   if (landed) {
     op.buffers_[0] = std::move(p.buffer);
     op.finished_ = true;
-    op.done.set();
     co_return;
   }
   // Refused: the piece, chunk and all, moves to the device route, which
@@ -357,7 +345,7 @@ ExtentOpPtr IoEngine::start_write(std::uint16_t nid, std::uint64_t offset,
   x.write = true;
   for (const std::uint32_t l : lens) x.len += l;
   dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
-  auto op = std::make_shared<ExtentOp>(*sim_, std::move(x));
+  auto op = std::make_shared<ExtentOp>(std::move(x));
   if (!node_available(nid)) {
     // Writes do not fail over: the placement was chosen against live
     // membership, so a down target means the plan is stale — surface it.
@@ -367,52 +355,21 @@ ExtentOpPtr IoEngine::start_write(std::uint16_t nid, std::uint64_t offset,
   }
   op->pieces_total_ = static_cast<std::uint32_t>(pieces.size());
   op->buffers_.resize(pieces.size());
-  op->lens_ = lens;
   std::uint64_t off = offset;
   for (std::uint32_t i = 0; i < pieces.size(); ++i) {
     to_post_.push_back(Piece{op, i, off, lens[i], std::move(pieces[i])});
     off += lens[i];
   }
-  if (pieces.empty()) {
-    op->finished_ = true;
-    op->done.set();
-  }
+  op->finished_ = pieces.empty();
   return op;
-}
-
-dlsim::Task<void> IoEngine::finish_extent(dlsim::CpuCore& core,
-                                          ExtentOpPtr op) {
-  ReadExtent& x = op->extent;
-  if (x.dst != nullptr) {
-    CopyJob job;
-    job.owned_pieces = std::move(op->buffers_);
-    job.piece_lens = std::move(op->lens_);
-    job.dst = x.dst;
-    job.cache_sample_id = x.cache_sample_id;
-    job.origin = &core;
-    job.op = op;
-    ++copies_pending_;
-    if (config_.copy_threads == 0) {
-      co_await run_copy_inline(core, std::move(job));
-    } else {
-      co_await enqueue_copy(std::move(job));
-    }
-  } else {
-    op->finished_ = true;
-    op->done.set();
-  }
 }
 
 dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
   // The pump serves the whole engine, not just `until`: any queued or
   // in-flight piece (another bread's demand fetch, a prefetched unit) is
   // posted and harvested by whichever coroutine is pumping. We stop as
-  // soon as `until` has all its pieces (its copy, if any, is awaited by
-  // the caller through the op event).
-  auto satisfied = [&] {
-    return until.finished_ || until.pieces_done_ == until.pieces_total_ ||
-           until.pull_.has_value();
-  };
+  // soon as `until` has all its pieces, or its pull is in flight.
+  auto satisfied = [&] { return until.finished_ || until.pull_.has_value(); };
   while (!satisfied()) {
     bool progress = false;
     promote_delayed();  // backed-off retries whose delay has elapsed
@@ -471,8 +428,8 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
           bool freed = cache_->evict_lru_one();
           if (!freed && pressure_reliever_) freed = pressure_reliever_();
           if (!freed) {
-            if (in_flight_.empty() && scq_->empty() && copies_pending_ == 0 &&
-                delayed_.empty() && pulls_ == 0) {
+            if (in_flight_.empty() && scq_->empty() && delayed_.empty() &&
+                pulls_ == 0) {
               throw std::runtime_error(
                   "huge-page pool exhausted: cache pinned + nothing in "
                   "flight");
@@ -546,7 +503,7 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
         continue;
       }
       if (st != spdk::IoStatus::kOk) {
-        throw std::runtime_error("unexpected submit failure in read_extents");
+        throw std::runtime_error("unexpected submit failure in the pump");
       }
       ++posted_;
       {
@@ -638,10 +595,7 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
         ++harvested_;
         ExtentOp& op = *p.op;
         op.buffers_[p.idx] = std::move(p.buffer);
-        op.lens_[p.idx] = p.len;
-        if (++op.pieces_done_ == op.pieces_total_) {
-          co_await finish_extent(core, p.op);
-        }
+        if (++op.pieces_done_ == op.pieces_total_) op.finished_ = true;
       }
     }
 
@@ -658,31 +612,6 @@ dlsim::Task<void> IoEngine::await_op(dlsim::CpuCore& core, ExtentOpPtr op) {
     co_await pull.join();
     co_await pump(core, *op);  // the device route, if it failed over
   }
-  if (!op->finished_) co_await op->done.wait();  // copy stage completing
-}
-
-dlsim::Task<void> IoEngine::read_extents(dlsim::CpuCore& core,
-                                         std::vector<ReadExtent> extents) {
-  if (extents.empty()) co_return;
-  auto ops = start_extents(std::move(extents));
-  std::exception_ptr first_error;
-  for (auto& op : ops) {
-    co_await await_op(core, op);
-    if (op->error() && !first_error) first_error = op->error();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-dlsim::Task<void> IoEngine::read_one(dlsim::CpuCore& core, std::uint16_t nid,
-                                     std::uint64_t offset, std::uint32_t len,
-                                     std::byte* dst,
-                                     std::optional<std::size_t>
-                                         cache_sample_id,
-                                     std::vector<RouteHop> routes) {
-  std::vector<ReadExtent> one(1);
-  one[0] = ReadExtent{nid, offset, len, dst, cache_sample_id,
-                      std::move(routes)};
-  co_await read_extents(core, std::move(one));
 }
 
 dlsim::SimDuration IoEngine::copy_busy_ns() const {

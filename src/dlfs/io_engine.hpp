@@ -7,21 +7,23 @@
 //           larger than the chunk size split into multiple, each with its
 //           own cache chunk, exactly as §III-C.1 describes)
 //   post  — submit to the target's queue pair, bounded by queue depth
-//   poll  — busy-poll completion queues; every harvested completion is
-//           pushed to the shared completion queue (SCQ)
-//   copy  — a pool of copy threads drains the SCQ and memcpys sample data
-//           from the huge-page cache chunks to the application buffer
+//   poll  — busy-poll completion queues; every harvested piece lands in
+//           its extent's pool chunk
+//   copy  — a pool of copy threads drains the shared completion queue
+//           (SCQ) and memcpys sample data from the huge-page chunks to the
+//           application buffer
 //
 // Reads are modeled as *extent operations* (ExtentOp): start_extents()
 // splits each extent into chunk-sized pieces and queues them; await_op()
 // drives the shared post/poll pump from the awaiting coroutine's core
-// until that one extent's data is delivered. Every ExtentOp carries its
-// own completion event, so independent consumers — dlfs_bread demand
-// fetches and the asynchronous prefetcher's read-ahead — share one
-// engine, one tag space and one queue-depth budget, and each awaits only
-// the extents it actually needs while the rest complete in the
-// background. read_extents() is the batch convenience built on top (start
-// everything, await everything).
+// until that one extent's chunks are in. Every ExtentOp carries its own
+// completion state, so independent consumers — demand reads and the
+// asynchronous prefetcher's read-ahead — share one engine, one tag space
+// and one queue-depth budget, and each awaits only the extents it
+// actually needs while the rest complete in the background. The engine
+// only fetches: a consumer takes a landed extent's chunks
+// (ExtentOp::take_buffers) and queues its own copy (enqueue_copy, or
+// run_copy_inline without copy threads).
 //
 // The pump runs *in the awaiting coroutine* (the paper drives DLFS with
 // one I/O thread on one core; that core is charged for all prep, post,
@@ -94,25 +96,20 @@ class IoError : public std::runtime_error {
   IoErrorKind kind;
 };
 
-/// One device extent to read. If `dst` is non-null the data is copied
-/// there by the copy stage; if additionally `cache_sample_id` is set, the
-/// chunks are retained in the sample cache afterwards (V bit set). If
-/// `dst` is null the chunks are retained on the ExtentOp for
+/// One extent to fetch into pool chunks, which land on the ExtentOp for
 /// take_buffers().
 struct ReadExtent {
   std::uint16_t nid = 0;
   std::uint64_t offset = 0;
   std::uint32_t len = 0;
-  std::byte* dst = nullptr;
-  std::optional<std::size_t> cache_sample_id{};
   // Alternate placements of the same bytes (replica failover order). The
   // engine consumes hops from the front as it re-routes, so at any moment
   // the list holds exactly the untried alternates: when (nid, offset)
   // stops being reachable the extent is re-pointed at the first hop whose
   // node is up and the read restarts there instead of failing kNodeDown.
   std::vector<RouteHop> routes{};
-  // kPeer: a read-ahead pull (dst null, one pool chunk) whose refusal
-  // moves the extent to routes.front(), the device.
+  // kPeer: a pull of sample `offset` out of a peer's DRAM into one pool
+  // chunk, whose refusal moves the extent to routes.front(), the device.
   HopClass cls = HopClass::kStorage;
   // Direction. Write extents (start_write) carry their payload in the
   // piece buffers instead of allocating them at post time; they have no
@@ -122,24 +119,22 @@ struct ReadExtent {
 };
 
 /// Shared state of one in-flight extent read. Created by start_extents();
-/// `done` fires when the extent's data is delivered (copied, or its
-/// buffers handed over) or when it failed — check error() before touching
-/// the data. Failures are *stored*, never thrown from the pump, so a
-/// read-ahead error surfaces on whichever consumer eventually needs the
-/// extent instead of killing the prefetch daemon.
+/// finished() turns true when the extent's chunks are all in or when it
+/// failed — check error() before touching the data. Failures are
+/// *stored*, never thrown from the pump, so a read-ahead error surfaces on
+/// whichever consumer eventually needs the extent instead of killing the
+/// prefetch daemon.
 class ExtentOp {
  public:
-  ExtentOp(dlsim::Simulator& sim, ReadExtent x)
-      : extent(std::move(x)), done(sim) {}
+  explicit ExtentOp(ReadExtent x) : extent(std::move(x)) {}
 
   ReadExtent extent;
-  dlsim::Event done;
 
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] std::exception_ptr error() const { return error_; }
 
-  /// Chunk buffers of a buffer-handover extent (dst == nullptr), in
-  /// on-device order. Transfers ownership; call once, after done.
+  /// The extent's chunk buffers, in on-device order. Transfers
+  /// ownership; call once, once finished() without an error.
   [[nodiscard]] std::vector<mem::DmaBuffer> take_buffers() {
     return std::move(buffers_);
   }
@@ -152,7 +147,6 @@ class ExtentOp {
   std::uint32_t pieces_total_ = 0;
   std::uint32_t pieces_done_ = 0;
   std::vector<mem::DmaBuffer> buffers_;  // placed by piece index
-  std::vector<std::uint32_t> lens_;
 };
 
 using ExtentOpPtr = std::shared_ptr<ExtentOp>;
@@ -172,7 +166,6 @@ struct CopyJob {
   // job + first-touch misses on the data) and counts the event, so
   // locality shows up in CPU results instead of being free.
   const dlsim::CpuCore* origin = nullptr;
-  ExtentOpPtr op{};  // engine-internal: completes the op after the memcpy
 };
 
 /// Piece lengths of a `len`-byte extent split at the chunk size — the
@@ -222,32 +215,17 @@ class IoEngine {
                                         std::vector<mem::DmaBuffer> pieces,
                                         std::vector<std::uint32_t> lens);
 
-  /// Drives the shared pump on `core` until `op` completes (data
-  /// delivered or failed). Extent failures are recorded on the op, not
-  /// thrown; pool livelock (exhausted + nothing evictable + nothing in
-  /// flight) still throws. A pull in flight is awaited without polling.
+  /// Drives the shared pump on `core` until `op` completes (chunks in or
+  /// failed). Extent failures are recorded on the op, not thrown; pool
+  /// livelock (exhausted + nothing evictable + nothing in flight) still
+  /// throws. A pull in flight is awaited without polling.
   [[nodiscard]] dlsim::Task<void> await_op(dlsim::CpuCore& core,
                                            ExtentOpPtr op);
 
-  /// Reads a batch of extents; resumes when every extent's data has been
-  /// copied (or its buffers handed over). `core` is the I/O thread's CPU.
-  /// Rethrows the first extent error.
-  [[nodiscard]] dlsim::Task<void> read_extents(dlsim::CpuCore& core,
-                                               std::vector<ReadExtent> extents);
-
-  /// Convenience: one extent, synchronously (the dlfs_read fast path —
-  /// "DLFS-Base" when used for every sample).
-  [[nodiscard]] dlsim::Task<void> read_one(dlsim::CpuCore& core,
-                                           std::uint16_t nid,
-                                           std::uint64_t offset,
-                                           std::uint32_t len, std::byte* dst,
-                                           std::optional<std::size_t>
-                                               cache_sample_id = {},
-                                           std::vector<RouteHop> routes = {});
-
-  /// Enqueues a copy of already-resident bytes (cache hits, chunk-batched
-  /// sample delivery) on the copy-thread pool, which must exist
-  /// (copy_threads > 0). The latch is counted down after the memcpy.
+  /// Enqueues a copy of landed or resident bytes on the copy-thread pool,
+  /// which must exist (copy_threads > 0). The latch is counted down after
+  /// the memcpy; a job with `cache_sample_id` then retains its owned
+  /// pieces in the sample cache (V bit set).
   [[nodiscard]] dlsim::Task<void> enqueue_copy(CopyJob job);
 
   /// Copy-stage work executed inline when copy_threads == 0; exposed so
@@ -277,7 +255,8 @@ class IoEngine {
 
   /// Pulls sample `sample_id` (`len` bytes) from a peer's DRAM into
   /// `into`; false is a refusal. The pump admits a pull like a device
-  /// piece (a chunk, then a grant the puller returns) and spawns it.
+  /// piece (a chunk, then a grant the puller returns, or cancels on a
+  /// refusal before the bulk send) and spawns it.
   using PeerPuller = std::function<dlsim::Task<bool>(
       std::uint32_t sample_id, std::uint32_t len, mem::DmaBuffer* into)>;
   void set_peer_puller(PeerPuller p) { peer_puller_ = std::move(p); }
@@ -353,7 +332,6 @@ class IoEngine {
   dlsim::Task<void> probe_loop(std::shared_ptr<bool> alive);
   void promote_delayed();
   dlsim::Task<void> pump(dlsim::CpuCore& core, const ExtentOp& until);
-  dlsim::Task<void> finish_extent(dlsim::CpuCore& core, ExtentOpPtr op);
   static void fail_op(ExtentOp& op, std::exception_ptr e);
   dlsim::Task<void> copy_thread_loop(std::size_t idx);
   void do_copy(CopyJob& job);
@@ -388,8 +366,7 @@ class IoEngine {
   std::deque<Piece> to_post_;
   std::vector<Piece> delayed_;  // retries waiting out their backoff
   std::unordered_map<std::uint64_t, Piece> in_flight_;
-  std::uint32_t copies_pending_ = 0;  // engine copy jobs not yet executed
-  std::uint32_t pulls_ = 0;           // pulls in flight
+  std::uint32_t pulls_ = 0;  // pulls in flight
   PeerPuller peer_puller_;
   std::function<bool()> pressure_reliever_;
   std::shared_ptr<TenantHandle> tenant_;  // null = ungoverned

@@ -67,9 +67,8 @@ void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs) {
   for (auto& x : xs) {
     Extent ex;
     ex.key = x.key;
-    ex.op = engine_->start_extent(ReadExtent{x.nid, x.offset, x.len, nullptr,
-                                             std::nullopt,
-                                             std::move(x.routes), x.cls});
+    ex.op = engine_->start_extent(
+        ReadExtent{x.nid, x.offset, x.len, std::move(x.routes), x.cls});
     e.extents.push_back(std::move(ex));
   }
   {
@@ -212,8 +211,8 @@ std::uint32_t Prefetcher::reissue_failed() {
       // A pull only fails after its refusal moved it to the device, so
       // the reissue is a device read, never a second pull.
       const ReadExtent& rx = x.op->extent;
-      x.op = engine_->start_extent(ReadExtent{
-          rx.nid, rx.offset, rx.len, nullptr, std::nullopt, rx.routes});
+      x.op = engine_->start_extent(
+          ReadExtent{rx.nid, rx.offset, rx.len, rx.routes});
       ++stats_.units_reissued;
       ++n;
     }

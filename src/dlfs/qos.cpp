@@ -82,7 +82,7 @@ bool TenantGovernor::admit(TenantHandle& t, std::uint32_t bytes) {
   //    more than one burst ahead of the slowest active tenant.
   const double ew = effective_weight(t.cfg_);
   const double floor = floor_vtime(t);
-  if (t.vtime_ > floor + static_cast<double>(burst_bytes_) / ew) {
+  if (t.vtime_ > floor + static_cast<double>(kBurstBytes) / ew) {
     ++t.stats_.deferred;
     return false;
   }

@@ -88,11 +88,10 @@ class TenantHandle {
 /// returned handle into its engines.
 class TenantGovernor {
  public:
-  /// `burst_bytes`: how far one tenant's virtual clock may run ahead of
-  /// the fairness floor (divided by its effective weight), i.e. the
-  /// scheduling granularity. Defaults to 1 MiB — a handful of chunks.
-  explicit TenantGovernor(std::uint64_t burst_bytes = 1ull << 20)
-      : burst_bytes_(burst_bytes) {}
+  /// How far one tenant's virtual clock may run ahead of the fairness
+  /// floor (divided by its effective weight), i.e. the scheduling
+  /// granularity: 1 MiB, a handful of chunks.
+  static constexpr std::uint64_t kBurstBytes = 1 << 20;
 
   std::shared_ptr<TenantHandle> register_tenant(TenantQos cfg);
 
@@ -113,7 +112,6 @@ class TenantGovernor {
   [[nodiscard]] double floor_vtime(const TenantHandle& t) const;
   [[nodiscard]] bool foreground_busy(const TenantHandle& t) const;
 
-  std::uint64_t burst_bytes_;
   std::vector<std::shared_ptr<TenantHandle>> tenants_;
 };
 

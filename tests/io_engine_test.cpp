@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <exception>
 #include <memory>
+#include <optional>
 #include <tuple>
 
 #include "common/units.hpp"
@@ -19,6 +21,7 @@
 
 namespace {
 
+using dlfs::core::CopyJob;
 using dlfs::core::IoEngine;
 using dlfs::core::IoEngineConfig;
 using dlfs::core::ReadExtent;
@@ -32,8 +35,19 @@ using dlsim::Task;
 using namespace dlsim::literals;
 using namespace dlfs::byte_literals;
 
+/// One read the rig performs: a device extent, the buffer its bytes are
+/// copied to, and optionally the id they are then cached under.
+struct RigRead {
+  std::uint16_t nid = 0;
+  std::uint64_t offset = 0;
+  std::uint32_t len = 0;
+  std::byte* dst = nullptr;
+  std::optional<std::size_t> cache_sample_id{};
+};
+
 struct EngineRig {
   Simulator sim;
+  IoEngineConfig cfg;
   HugePagePool pool;
   SampleCache cache;
   std::vector<std::unique_ptr<NvmeDevice>> devices;
@@ -41,10 +55,11 @@ struct EngineRig {
   std::unique_ptr<IoEngine> engine;
   CpuCore core{sim, "io"};
 
-  explicit EngineRig(IoEngineConfig cfg = IoEngineConfig{},
+  explicit EngineRig(IoEngineConfig config = IoEngineConfig{},
                      std::size_t num_devices = 1,
                      std::size_t pool_chunks = 64)
-      : pool(pool_chunks * cfg.chunk_bytes, cfg.chunk_bytes),
+      : cfg(config),
+        pool(pool_chunks * cfg.chunk_bytes, cfg.chunk_bytes),
         cache(pool, 16, 1000) {
     driver = std::make_unique<dlfs::spdk::NvmeDriver>(sim, pool);
     engine = std::make_unique<IoEngine>(sim, pool, cache,
@@ -59,11 +74,44 @@ struct EngineRig {
     }
   }
 
-  void read(std::vector<ReadExtent> extents) {
-    sim.spawn([](IoEngine& e, CpuCore& c,
-                 std::vector<ReadExtent> xs) -> Task<void> {
-      co_await e.read_extents(c, std::move(xs));
-    }(*engine, core, std::move(extents)));
+  /// Reads the way DLFS consumes extents: starts them all, then awaits
+  /// each in order on `core`, takes its buffers and queues one copy of
+  /// them (inline without copy threads), which lands before the next
+  /// await. Rethrows the first extent error.
+  Task<void> read_copy(std::vector<RigRead> reads) {
+    std::vector<ReadExtent> xs;
+    for (const RigRead& r : reads) {
+      xs.push_back(ReadExtent{r.nid, r.offset, r.len});
+    }
+    const auto ops = engine->start_extents(std::move(xs));
+    std::exception_ptr first_error;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      co_await engine->await_op(core, ops[i]);
+      if (ops[i]->error()) {
+        if (!first_error) first_error = ops[i]->error();
+        continue;
+      }
+      dlsim::CountdownLatch copied(sim, 0);
+      CopyJob job;
+      job.owned_pieces = ops[i]->take_buffers();
+      job.piece_lens = dlfs::core::piece_lens_of(reads[i].len, cfg.chunk_bytes);
+      job.dst = reads[i].dst;
+      job.cache_sample_id = reads[i].cache_sample_id;
+      job.origin = &core;
+      if (cfg.copy_threads == 0) {
+        co_await engine->run_copy_inline(core, std::move(job));
+      } else {
+        job.latch = &copied;
+        copied.add(1);
+        co_await engine->enqueue_copy(std::move(job));
+      }
+      co_await copied.wait();
+    }
+    if (first_error) std::rethrow_exception(first_error);
+  }
+
+  void read(std::vector<RigRead> reads) {
+    sim.spawn(read_copy(std::move(reads)));
     sim.run();
     sim.rethrow_failures();
   }
@@ -73,14 +121,14 @@ TEST(IoEngine, SingleExtentCopiesExactBytes) {
   EngineRig rig;
   std::vector<std::byte> dst(10000), want(10000);
   rig.devices[0]->store().read(4096, want);
-  rig.read({ReadExtent{0, 4096, 10000, dst.data(), std::nullopt}});
+  rig.read({RigRead{0, 4096, 10000, dst.data()}});
   EXPECT_EQ(std::memcmp(dst.data(), want.data(), want.size()), 0);
 }
 
 TEST(IoEngine, LargeExtentSplitsIntoChunkRequests) {
   EngineRig rig;
   std::vector<std::byte> dst(1_MiB);
-  rig.read({ReadExtent{0, 0, 1_MiB, dst.data(), std::nullopt}});
+  rig.read({RigRead{0, 0, 1_MiB, dst.data()}});
   // 1 MiB at 256 KiB chunks = 4 requests.
   EXPECT_EQ(rig.engine->requests_posted(), 4u);
   EXPECT_EQ(rig.engine->completions_harvested(), 4u);
@@ -94,10 +142,9 @@ TEST(IoEngine, PoolBackpressureStillCompletes) {
   EngineRig rig(cfg, 1, /*pool_chunks=*/2);
   std::vector<std::vector<std::byte>> dsts(12,
                                            std::vector<std::byte>(64_KiB));
-  std::vector<ReadExtent> xs;
+  std::vector<RigRead> xs;
   for (std::size_t i = 0; i < dsts.size(); ++i) {
-    xs.push_back(
-        ReadExtent{0, i * 64_KiB, 64_KiB, dsts[i].data(), std::nullopt});
+    xs.push_back(RigRead{0, i * 64_KiB, 64_KiB, dsts[i].data()});
   }
   rig.read(std::move(xs));
   EXPECT_EQ(rig.engine->bytes_copied(), 12 * 64_KiB);
@@ -113,14 +160,7 @@ TEST(IoEngine, CacheYieldsChunksUnderPoolPressure) {
   // rig.cache capacity is 16 chunks > 4 pool chunks.
   std::vector<std::byte> dst(4096);
   for (std::size_t id = 0; id < 10; ++id) {
-    rig.sim.spawn([](IoEngine& e, CpuCore& c, std::byte* d,
-                     std::size_t id) -> Task<void> {
-      std::vector<ReadExtent> xs = {
-          ReadExtent{0, id * 4096, 4096, d, id}};
-      co_await e.read_extents(c, std::move(xs));
-    }(*rig.engine, rig.core, dst.data(), id));
-    rig.sim.run();
-    rig.sim.rethrow_failures();
+    rig.read({RigRead{0, id * 4096, 4096, dst.data(), id}});
   }
   // All ten reads completed; the cache holds at most what the pool allows.
   EXPECT_LE(rig.cache.resident_chunks(), 4u);
@@ -130,9 +170,9 @@ TEST(IoEngine, CacheYieldsChunksUnderPoolPressure) {
 TEST(IoEngine, MultiTargetBatchReadsInParallel) {
   EngineRig rig(IoEngineConfig{}, /*num_devices=*/4);
   std::vector<std::vector<std::byte>> dsts(4, std::vector<std::byte>(128_KiB));
-  std::vector<ReadExtent> xs;
+  std::vector<RigRead> xs;
   for (std::uint16_t d = 0; d < 4; ++d) {
-    xs.push_back(ReadExtent{d, 0, 128_KiB, dsts[d].data(), std::nullopt});
+    xs.push_back(RigRead{d, 0, 128_KiB, dsts[d].data()});
   }
   const auto t0 = rig.sim.now();
   rig.read(std::move(xs));
@@ -149,10 +189,9 @@ TEST(IoEngine, QueueDepthPipelinesOneTarget) {
   EngineRig rig;
   constexpr std::size_t kN = 32;
   std::vector<std::vector<std::byte>> dsts(kN, std::vector<std::byte>(4096));
-  std::vector<ReadExtent> xs;
+  std::vector<RigRead> xs;
   for (std::size_t i = 0; i < kN; ++i) {
-    xs.push_back(
-        ReadExtent{0, i * 4096, 4096, dsts[i].data(), std::nullopt});
+    xs.push_back(RigRead{0, i * 4096, 4096, dsts[i].data()});
   }
   const auto t0 = rig.sim.now();
   rig.read(std::move(xs));
@@ -167,8 +206,7 @@ TEST(IoEngine, BuffersHandedOverWhenDstIsNull) {
   std::vector<dlfs::mem::DmaBuffer> buffers;
   rig.sim.spawn([](IoEngine& e, CpuCore& c,
                    std::vector<dlfs::mem::DmaBuffer>* out) -> Task<void> {
-    auto op =
-        e.start_extent(ReadExtent{0, 0, 600 * 1024, nullptr, std::nullopt});
+    auto op = e.start_extent(ReadExtent{0, 0, 600 * 1024});
     co_await e.await_op(c, op);
     *out = op->take_buffers();
   }(*rig.engine, rig.core, &buffers));
@@ -192,8 +230,8 @@ TEST(IoEngine, OnBuffersReadyFiresBeforeBatchEnd) {
   } seen;
   rig.sim.spawn([](IoEngine& e, CpuCore& c, Seen* seen) -> Task<void> {
     std::vector<ReadExtent> xs(2);
-    xs[0] = ReadExtent{0, 0, 256_KiB, nullptr, std::nullopt};
-    xs[1] = ReadExtent{0, 1_MiB, 256_KiB, nullptr, std::nullopt};
+    xs[0] = ReadExtent{0, 0, 256_KiB};
+    xs[1] = ReadExtent{0, 1_MiB, 256_KiB};
     auto ops = e.start_extents(std::move(xs));
     co_await e.await_op(c, ops[0]);
     seen->first_pieces = ops[0]->take_buffers().size();
@@ -211,7 +249,7 @@ TEST(IoEngine, OnBuffersReadyFiresBeforeBatchEnd) {
 TEST(IoEngine, CacheInsertionSetsVBit) {
   EngineRig rig;
   std::vector<std::byte> dst(4096);
-  rig.read({ReadExtent{0, 0, 4096, dst.data(), /*cache_sample_id=*/7}});
+  rig.read({RigRead{0, 0, 4096, dst.data(), /*cache_sample_id=*/7}});
   EXPECT_TRUE(rig.cache.valid(7));
   auto views = rig.cache.pin(7);
   ASSERT_EQ(views.size(), 1u);
@@ -224,7 +262,7 @@ TEST(IoEngine, CopyThreadsAccrueBusyTime) {
   cfg.copy_threads = 2;
   EngineRig rig(cfg);
   std::vector<std::byte> dst(1_MiB);
-  rig.read({ReadExtent{0, 0, 1_MiB, dst.data(), std::nullopt}});
+  rig.read({RigRead{0, 0, 1_MiB, dst.data()}});
   // 1 MiB at 8 GB/s ~= 131us of copy time across the pool.
   EXPECT_GT(rig.engine->copy_busy_ns(), 100_us);
 }
@@ -235,7 +273,7 @@ TEST(IoEngine, InlineCopyChargesCallerCore) {
   EngineRig rig(cfg);
   std::vector<std::byte> dst(1_MiB);
   const auto busy0 = rig.core.busy_ns();
-  rig.read({ReadExtent{0, 0, 1_MiB, dst.data(), std::nullopt}});
+  rig.read({RigRead{0, 0, 1_MiB, dst.data()}});
   EXPECT_GT(rig.core.busy_ns() - busy0, 100_us);
   EXPECT_EQ(rig.engine->copy_busy_ns(), 0u);
 }
@@ -243,12 +281,7 @@ TEST(IoEngine, InlineCopyChargesCallerCore) {
 TEST(IoEngine, UnknownTargetThrows) {
   EngineRig rig;
   std::vector<std::byte> dst(512);
-  auto p = rig.sim.spawn([](IoEngine& e, CpuCore& c,
-                            std::byte* d) -> Task<void> {
-    std::vector<ReadExtent> xs = {
-        ReadExtent{9, 0, 512, d, std::nullopt}};
-    co_await e.read_extents(c, std::move(xs));
-  }(*rig.engine, rig.core, dst.data()));
+  auto p = rig.sim.spawn(rig.read_copy({RigRead{9, 0, 512, dst.data()}}));
   rig.sim.run(/*allow_blocked=*/true);
   EXPECT_TRUE(p.failed());
 }
@@ -272,7 +305,7 @@ TEST_P(EngineSweep, ExactBytesAndRequestAccounting) {
   EngineRig rig(cfg, 1, /*pool_chunks=*/256);
   std::vector<std::byte> dst(len), want(len);
   rig.devices[0]->store().read(12345, want);
-  rig.read({ReadExtent{0, 12345, len, dst.data(), std::nullopt}});
+  rig.read({RigRead{0, 12345, len, dst.data()}});
   EXPECT_EQ(std::memcmp(dst.data(), want.data(), len), 0);
   EXPECT_EQ(rig.engine->requests_posted(), dlfs::ceil_div(len, chunk));
   EXPECT_EQ(rig.engine->bytes_copied(), len);

@@ -10,7 +10,8 @@
 // read-ahead-pull tests pin down the overlap, pulls that land before
 // their bread, the holder's serve queue, QoS grants, the device failover
 // of a refused pull, and that no holder pin or landing chunk outlives
-// its pull.
+// its pull. A demand read issues the same extent: a pull when only a
+// remote peer holds the sample, else the device, with no home RPC.
 
 #include <gtest/gtest.h>
 
@@ -402,10 +403,10 @@ TEST(PeerCache, LinkCutMidEpochFallsBackToDevice) {
 }
 
 TEST(PeerCache, QosCappedWarmEpochFinishesEveryPull) {
-  // A job-wide cap of two outstanding commands is far below the pulls one
-  // batch posts. Pulls admitted at post time return their grants when
-  // their bytes land, and the rest pull in place once a grant frees, so
-  // the epoch completes instead of waiting on a grant a later pull holds.
+  // A job-wide cap of two outstanding commands is far below the pulls the
+  // read-ahead issues. The pump admits every pull before spawning it, and
+  // a pull returns its grant when its bytes land, so the epoch completes
+  // instead of waiting on a grant a later pull holds.
   auto c = PeerRig::cfg(/*cache_chunks=*/320);
   auto gov = std::make_shared<dlfs::core::TenantGovernor>();
   c.tenant.name = "capped";
@@ -614,6 +615,108 @@ TEST(PeerCache, RefusedReadAheadPullFallsBackOnce) {
   EXPECT_EQ(s.peer_hits_remote, log.order.size() - 1);
   EXPECT_EQ(a.engine().requests_posted() - posted0, 1u);
   EXPECT_TRUE(a.cache().valid(victim));
+}
+
+TEST(PeerCache, ReadWithNoPeerHolderPostsNoPull) {
+  // OneHolderRig's fill: client 1 reads every sample while no one else
+  // holds any. A miss no peer holds reads the device at once, so no read
+  // asks a home client (client 0's node receives nothing) and none counts
+  // a peer miss.
+  PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0}, PeerRig::cfg(640));
+  const std::uint64_t received0 = rig.cluster.fabric().bytes_received(1);
+  fill_holder(rig, rig.fleet.instance(1));
+  EXPECT_EQ(rig.fleet.instance(1).cache().resident_samples(),
+            PeerRig::kSamples);
+  EXPECT_EQ(rig.fleet.instance(1).stats().peer_misses, 0u);
+  EXPECT_EQ(rig.cluster.fabric().bytes_received(1), received0);
+}
+
+/// Reads samples `ids` through `inst`'s read(), one at a time; clears
+/// `ok` on a byte that differs from the dataset's.
+Task<void> read_checked(const dlfs::dataset::Dataset& ds,
+                        dlfs::core::DlfsInstance& inst,
+                        std::vector<std::uint32_t> ids, bool& ok) {
+  std::vector<std::byte> buf(4096);
+  std::vector<std::byte> want(4096);
+  for (const std::uint32_t id : ids) {
+    const auto h = co_await inst.open_id(id);
+    co_await inst.read(h, buf);
+    ds.fill_content(id, 0, want);
+    if (buf != want) ok = false;
+  }
+}
+
+TEST(PeerCache, DemandReadPullsFromRemotePeer) {
+  // OneHolderRig's topology and fill under a TenantGovernor, with no epoch
+  // sequenced at client 0, so nothing reads ahead: each read() of a sample
+  // only client 1 holds is a demand pull. The pump admits it (a pool
+  // chunk and a grant), the bytes are copied on client 0's I/O core, and
+  // no device command is posted and no pulled sample is cached.
+  auto c = PeerRig::cfg(640);
+  c.tenant.name = "puller";
+  c.tenant.governor = std::make_shared<dlfs::core::TenantGovernor>();
+  PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0}, c);
+  fill_holder(rig, rig.fleet.instance(1));
+  auto& a = rig.fleet.instance(0);
+  const auto& tenant = *rig.fleet.tenant_handle();
+  const auto s0 = a.stats();
+  const std::uint64_t posted0 = a.engine().requests_posted();
+  const std::uint64_t admitted0 = tenant.stats().bytes_admitted;
+  std::vector<std::uint32_t> ids(16);
+  for (std::uint32_t i = 0; i < ids.size(); ++i) ids[i] = i * 31;
+  bool content_ok = true;
+  rig.sim.spawn(read_checked(rig.ds, a, ids, content_ok), "demand-pulls");
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  EXPECT_TRUE(content_ok);
+  const auto s = a.stats();
+  EXPECT_EQ(s.peer_hits_remote - s0.peer_hits_remote, 16u);
+  EXPECT_EQ(s.peer_bytes - s0.peer_bytes, 16u * 4096);
+  EXPECT_EQ(s.peer_misses, s0.peer_misses);
+  EXPECT_EQ(a.engine().requests_posted(), posted0);
+  EXPECT_GE(tenant.stats().bytes_admitted - admitted0, 16u * 4096);
+  EXPECT_EQ(tenant.inflight(), 0u);
+  EXPECT_EQ(a.pool().used_chunks(), a.cache().resident_chunks());
+  for (const std::uint32_t id : ids) {
+    EXPECT_FALSE(a.cache().valid(id)) << "pulled sample " << id;
+  }
+  expect_caches_drain(rig.fleet);
+}
+
+TEST(PeerCache, RefusedDemandPullReadsDeviceOnce) {
+  // The holder evicts the sample after the demand pull's request hop left
+  // and before the holder pins it. The refusal counts one miss and the
+  // extent fails over to the device inside the engine: one device
+  // command, the right bytes, and the sample cached like any device read.
+  PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0}, PeerRig::cfg(640));
+  fill_holder(rig, rig.fleet.instance(1));
+  auto& a = rig.fleet.instance(0);
+  auto& holder = rig.fleet.instance(1);
+  constexpr std::uint32_t kVictim = 5;
+  const dlfs::core::SampleHandle h{kVictim,
+                                   rig.fleet.directory().lookup_id(kVictim)};
+  const std::uint64_t posted0 = a.engine().requests_posted();
+  std::vector<std::byte> buf(4096);
+  rig.sim.spawn(
+      [](dlfs::core::DlfsInstance& inst, dlfs::core::SampleHandle h,
+         std::vector<std::byte>& buf) -> Task<void> {
+        co_await inst.read(h, buf);
+      }(a, h, buf),
+      "refused-demand-pull");
+  // The pull's request or forward hop takes a NIC latency, so running
+  // the current instant starts the pull and pins nothing.
+  rig.sim.run_until(rig.sim.now());
+  ASSERT_TRUE(holder.cache().valid(kVictim));
+  holder.cache().evict(kVictim);
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  std::vector<std::byte> want(4096);
+  rig.ds.fill_content(kVictim, 0, want);
+  EXPECT_EQ(buf, want);
+  EXPECT_EQ(a.stats().peer_misses, 1u);
+  EXPECT_EQ(a.stats().peer_hits_remote, 0u);
+  EXPECT_EQ(a.engine().requests_posted() - posted0, 1u);
+  EXPECT_TRUE(a.cache().valid(kVictim));
 }
 
 TEST(PeerCache, LandingChunksReturnToThePool) {

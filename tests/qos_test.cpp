@@ -35,7 +35,7 @@ TEST(TenantGovernor, HeavierTenantAdmitsProportionallyMore) {
   // Both tenants keep work in flight; the vtime clocks advance at
   // bytes / weight, so with the burst window exhausted the weight-3
   // tenant admits ~3x the bytes of the weight-1 tenant.
-  TenantGovernor gov(/*burst_bytes=*/1 << 20);
+  TenantGovernor gov;
   auto heavy = gov.register_tenant(TenantQos{"heavy", 3});
   auto light = gov.register_tenant(TenantQos{"light", 1});
   // Seed both with one in-flight grant so neither is "idle" (idle tenants
@@ -62,7 +62,7 @@ TEST(TenantGovernor, HeavierTenantAdmitsProportionallyMore) {
 }
 
 TEST(TenantGovernor, HighPriorityOutweighsNormal) {
-  TenantGovernor gov(/*burst_bytes=*/1 << 18);
+  TenantGovernor gov;
   auto high = gov.register_tenant(TenantQos{"high", 1, QosClass::kHigh});
   auto norm = gov.register_tenant(TenantQos{"norm", 1, QosClass::kNormal});
   ASSERT_TRUE(high->try_admit(4096));
@@ -125,7 +125,7 @@ TEST(TenantGovernor, CancelAdmitRewindsTheClock) {
 TEST(TenantGovernor, IdleTenantDoesNotBankShare) {
   // A tenant that sat idle while another streamed must not monopolize on
   // return: its vtime snaps to the current floor, so both make progress.
-  TenantGovernor gov(/*burst_bytes=*/1 << 18);
+  TenantGovernor gov;
   auto busy = gov.register_tenant(TenantQos{"busy", 1});
   auto idle = gov.register_tenant(TenantQos{"idle", 1});
   for (int i = 0; i < 500; ++i) {
@@ -148,7 +148,7 @@ TEST(TenantGovernor, IdleTenantDoesNotBankShare) {
 }
 
 TEST(TenantGovernor, LateRegistrantStartsAtTheFloor) {
-  TenantGovernor gov(/*burst_bytes=*/1 << 18);
+  TenantGovernor gov;
   auto first = gov.register_tenant(TenantQos{"first", 1});
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(first->try_admit(1 << 16));

@@ -28,6 +28,19 @@
 //          await-in-condition shape GCC 12 miscompiles (frame clobber).
 //          Hoist the await into a named local first.
 //
+//   CL008  A braced temporary among a co_awaited call's arguments:
+//          `co_await f(..., Name{...}, ...)`, member and qualified calls
+//          included. g++ 12.2 destroys such a temporary twice: a coroutine
+//          taking an aggregate with a std::vector member by value, awaited
+//          as `co_await take(Agg{1, std::vector<int>(4), {}, true}, out)`
+//          from another coroutine over sim/task.hpp, double-frees at -O1,
+//          and ASan reports a heap-use-after-free where the read path once
+//          had this shape. A named local moved in, a function-call prvalue,
+//          or the same call outside a coroutine is clean; so is
+//          `co_await Awaiter{...}`, where the braced temporary is the
+//          awaited operand, not an argument. Fix: hoist the temporary into
+//          a named local and move it in, as CL004 hoists an await.
+//
 //   CL005  Lock held across a suspension point, two passes:
 //          (a) an AccessSlice variable live in scope at a co_await —
 //              slices assert whole-method suspension-free critical
@@ -482,6 +495,92 @@ void scan_negated_await(const SourceFile& f, std::vector<Finding>& out) {
                            " condition — GCC 12 miscompiles this shape "
                            "(frame clobber); hoist the await into a named "
                            "local first"});
+      }
+    }
+  }
+}
+
+// True when `arg` (one trimmed call argument) is a braced temporary
+// `Name{...}`: a possibly qualified or templated name immediately
+// followed by a braced initializer that ends the argument.
+bool braced_temporary(const std::string& arg) {
+  std::size_t i = arg.compare(0, 2, "::") == 0 ? 2 : 0;
+  for (;;) {
+    if (i >= arg.size() || !ident_char(arg[i]) ||
+        std::isdigit(static_cast<unsigned char>(arg[i])) != 0) {
+      return false;
+    }
+    while (i < arg.size() && ident_char(arg[i])) ++i;
+    i = skip_ws(arg, i);
+    if (i < arg.size() && arg[i] == '<') {
+      const std::size_t close = match_forward(arg, i, '<', '>');
+      if (close == std::string::npos) return false;
+      i = skip_ws(arg, close + 1);
+    }
+    if (arg.compare(i, 2, "::") != 0) break;
+    i = skip_ws(arg, i + 2);
+  }
+  if (i >= arg.size() || arg[i] != '{') return false;
+  return match_forward(arg, i, '{', '}') == arg.size() - 1;
+}
+
+// CL008: `co_await f(..., Name{...}, ...)`. Walks the awaited operand —
+// a chain of names, `.`/`->`/`::`, template arguments and calls — and
+// checks the top-level arguments of every call in it. A braced operand
+// (`co_await Awaiter{...}`) is skipped, not flagged.
+void scan_braced_temporary_arg(const SourceFile& f,
+                               std::vector<Finding>& out) {
+  const std::string& code = f.code;
+  const auto chain_continues = [&code](std::size_t q) {
+    return q < code.size() &&
+           (code[q] == '.' || code[q] == '(' || code[q] == ':' ||
+            code[q] == '{' || code.compare(q, 2, "->") == 0);
+  };
+  std::size_t pos = 0;
+  while ((pos = find_word(code, "co_await", pos)) != std::string::npos) {
+    pos += 8;
+    std::size_t p = skip_ws(code, pos);
+    std::string callee;  // the name a '(' calls; empty after a call
+    while (p < code.size()) {
+      const char c = code[p];
+      if (ident_char(c)) {
+        const std::size_t b = p;
+        while (p < code.size() && ident_char(code[p])) ++p;
+        callee = code.substr(b, p - b);
+      } else if (c == '.' || c == ':') {
+        ++p;
+      } else if (code.compare(p, 2, "->") == 0) {
+        p += 2;
+      } else if (c == '<' && !callee.empty()) {
+        const std::size_t close = match_forward(code, p, '<', '>');
+        if (close == std::string::npos ||
+            !chain_continues(skip_ws(code, close + 1))) {
+          break;
+        }
+        p = skip_ws(code, close + 1);
+      } else if (c == '{' || c == '(') {
+        const std::size_t close =
+            match_forward(code, p, c, c == '{' ? '}' : ')');
+        if (close == std::string::npos) break;
+        if (c == '(' && !callee.empty()) {
+          for (const auto& [off, arg] :
+               split_args(code.substr(p + 1, close - p - 1))) {
+            if (!braced_temporary(arg)) continue;
+            out.push_back(
+                {"CL008", f.path, f.line_of(p + 1 + off), callee,
+                 "braced temporary '" + arg.substr(0, arg.find('{')) +
+                     "{...}' passed to co_awaited call " + callee +
+                     "() — g++ 12 destroys it twice; move a named local "
+                     "in instead"});
+          }
+        }
+        callee.clear();
+        p = close + 1;
+      } else if (std::isspace(static_cast<unsigned char>(c)) != 0 &&
+                 chain_continues(skip_ws(code, p))) {
+        p = skip_ws(code, p);
+      } else {
+        break;
       }
     }
   }
@@ -991,6 +1090,7 @@ ScanOutput scan_all(const std::vector<std::string>& files) {
     scan_lambda_coroutines(f, fnd);
     scan_detached_this(f, fnd);
     scan_negated_await(f, fnd);
+    scan_braced_temporary_arg(f, fnd);
     scan_slice_across_await(f, fnd);
     scan_view_escape(f, fnd);
     scan_daemon_hygiene(f, fnd);
