@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace dlfs::core {
 
@@ -316,15 +318,16 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
       prefetcher_->discard(slot);
     } else {
       AcquiredUnit au = co_await prefetcher_->acquire(slot, *io_core_);
+      std::vector<std::uint32_t> issued;
       // Read-ahead faults surface here, on the bread that owns the unit.
       // A node fault leaves the bytes to recovery (chunk units) or to the
       // demand read (samples); a media error stays fatal, and a chunk
       // unit that hit one settles empty.
       for (AcquiredExtent& x : au.extents) {
+        issued.push_back(static_cast<std::uint32_t>(x.key));
         if (x.error && is_node_fault(x.error)) continue;
         if (!chunk_mode) {
-          const auto id = static_cast<std::uint32_t>(x.key);
-          hu->samples.emplace(id, std::move(x));
+          hu->samples.emplace(issued.back(), std::move(x));
         } else if (x.error) {
           faults->note(x.error);
           co_return hu;
@@ -332,6 +335,7 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
           hu->chunk = std::move(x.buffers);
         }
       }
+      if (!chunk_mode) co_await read_elided(begin, end, std::move(issued), hu);
     }
   }
   if (!chunk_mode || !hu->chunk.empty()) co_return hu;
@@ -355,6 +359,42 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
     }
   }
   co_return hu;
+}
+
+dlsim::Task<void> DlfsInstance::read_elided(std::size_t begin,
+                                            std::size_t end,
+                                            std::vector<std::uint32_t> issued,
+                                            HeldUnit* hu) {
+  // Read-ahead skipped a sample the cache or a co-located holder had at
+  // issue time. One that is gone now gets the extent read-ahead would
+  // issue today; every such read is posted before any is awaited.
+  using enum EpochUnitProvider::PeerServe;
+  std::vector<std::uint32_t> ids;
+  std::vector<ReadExtent> reads;
+  for (std::size_t s = begin; s < end; ++s) {
+    const std::uint32_t id = seq_->unit_at(s)->samples.front().sample_id;
+    if (std::ranges::find(issued, id) != issued.end() || cache_->valid(id)) {
+      continue;
+    }
+    const EpochUnitProvider::PeerServe peer = peer_route(id);
+    if (peer == kLocal || (peer == kNone && !sample_reachable(id))) continue;
+    UnitExtent x = EpochUnitProvider::sample_extent(
+        id, fleet_->layout_[id], sample_routes(id), peer);
+    reads.push_back(
+        ReadExtent{x.nid, x.offset, x.len, std::move(x.routes), x.cls});
+    ids.push_back(id);
+  }
+  if (reads.empty()) co_return;
+  const std::vector<ExtentOpPtr> ops = engine_->start_extents(std::move(reads));
+  for (const ExtentOpPtr& op : ops) co_await engine_->await_op(*io_core_, op);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    // As for read-ahead, a node fault is left to the demand read.
+    AcquiredExtent x{ids[i], {}, ops[i]->error(),
+                     ops[i]->extent.cls == HopClass::kPeer};
+    if (x.error && is_node_fault(x.error)) continue;
+    if (!x.error) x.buffers = ops[i]->take_buffers();
+    hu->samples.emplace(ids[i], std::move(x));
+  }
 }
 
 std::vector<std::span<const std::byte>> DlfsInstance::held_views(
@@ -417,14 +457,18 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
   if (op->error()) std::rethrow_exception(op->error());
   AcquiredExtent landed{sample_id, op->take_buffers(), {},
                         op->extent.cls == HopClass::kPeer};
+  // A landed pull is a run of one sample.
   dlsim::CountdownLatch copied(node_->simulator(), 0);
-  co_await deliver(std::move(landed), dst, &copied);
+  CopyJob run;
+  co_await deliver(std::move(landed), dst, &copied, &run);
+  co_await enqueue_run(&run, &copied);
   co_await copied.wait();
   co_return true;
 }
 
 dlsim::Task<void> DlfsInstance::deliver(AcquiredExtent x, std::byte* dst,
-                                        dlsim::CountdownLatch* copies) {
+                                        dlsim::CountdownLatch* copies,
+                                        CopyJob* run) {
   const auto id = static_cast<std::uint32_t>(x.key);
   const std::uint32_t len = fleet_->layout_[id].len;
   CopyJob job;
@@ -432,9 +476,27 @@ dlsim::Task<void> DlfsInstance::deliver(AcquiredExtent x, std::byte* dst,
   job.piece_lens = piece_lens_of(len, fleet_->config_.chunk_bytes);
   job.dst = dst;
   if (x.pulled) {
-    // A landed pull: copied on the I/O core and never cached, so the hit
-    // mix holds; its landing chunk returns to the pool after the copy.
-    co_await engine_->run_copy_inline(*io_core_, std::move(job));
+    // A landed pull is never cached, so the hit mix holds; its landing
+    // chunk returns to the pool after the copy. Without copy threads the
+    // I/O core copies it. Otherwise it joins the caller's open run, whose
+    // samples sit side by side in the arena, and the caller queues the
+    // run as one copy job.
+    if (fleet_->config_.copy_threads == 0) {
+      co_await engine_->run_copy_inline(*io_core_, std::move(job));
+    } else if (run->owned_pieces.empty()) {
+      job.origin = io_core_;
+      *run = std::move(job);
+    } else {
+      assert(run->dst + std::accumulate(run->piece_lens.begin(),
+                                        run->piece_lens.end(),
+                                        std::uint64_t{0}) ==
+             dst);
+      std::move(job.owned_pieces.begin(), job.owned_pieces.end(),
+                std::back_inserter(run->owned_pieces));
+      run->piece_lens.insert(run->piece_lens.end(), job.piece_lens.begin(),
+                             job.piece_lens.end());
+      ++run->samples;
+    }
     ++peer_hits_remote_;
     peer_bytes_ += len;
     co_return;
@@ -448,6 +510,15 @@ dlsim::Task<void> DlfsInstance::deliver(AcquiredExtent x, std::byte* dst,
     copies->add(1);
     co_await engine_->enqueue_copy(std::move(job));
   }
+}
+
+dlsim::Task<void> DlfsInstance::enqueue_run(CopyJob* run,
+                                            dlsim::CountdownLatch* copies) {
+  if (run->owned_pieces.empty()) co_return;
+  CopyJob job = std::exchange(*run, CopyJob());
+  job.latch = copies;
+  copies->add(1);
+  co_await engine_->enqueue_copy(std::move(job));
 }
 
 dlsim::Task<SampleHandle> DlfsInstance::open(std::string_view name) {
@@ -600,10 +671,18 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   spawn_injected(&inj_done);
   dlsim::CountdownLatch copies(node_->simulator(), 0);
   std::vector<CopyJob> inline_copies;
+  // Sample-level: the open run of landed pulls, consecutive in the arena
+  // and within one read-ahead unit, queued as one copy job.
+  CopyJob run;
+  std::size_t run_unit = epoch_provider_->unit_of(picks.front().unit_slot);
   BatchFaults faults;
   std::exception_ptr escaped;
   try {
     for (const auto& pk : picks) {
+      if (epoch_provider_->unit_of(pk.unit_slot) != run_unit) {
+        co_await enqueue_run(&run, &copies);
+        run_unit = epoch_provider_->unit_of(pk.unit_slot);
+      }
       HeldUnit* hu = co_await acquire_pick(pk, &faults);
       hu->remaining -= pk.count;
       if (chunk_mode) {
@@ -641,8 +720,9 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
         continue;
       }
       // Sample-level: a landed extent goes through the delivery step; a
-      // sample with no usable read-ahead (cache hit, elided at issue time,
-      // or its node failed) is a demand read.
+      // sample with no usable read-ahead (a cache hit, a co-located
+      // holder's, or one whose node failed) is a demand read. A sample
+      // delivered any way but as a landed pull ends the open run.
       for (std::uint32_t i = 0; i < pk.count; ++i) {
         const UnitSample& us = pk.unit->samples[pk.first_sample + i];
         auto x = hu->samples.find(us.sample_id);
@@ -652,10 +732,12 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
             continue;
           }
           cache_->note_miss();
+          if (!x->second.pulled) co_await enqueue_run(&run, &copies);
           co_await deliver(std::move(x->second), place(us.sample_id, us.len),
-                           &copies);
+                           &copies, &run);
           continue;
         }
+        co_await enqueue_run(&run, &copies);
         try {
           const bool served =
               co_await demand_read(us.sample_id, arena.data() + batch.bytes);
@@ -672,6 +754,8 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   } catch (...) {
     escaped = std::current_exception();
   }
+  // The last run, or one a throw left open: its copy drains with the rest.
+  co_await enqueue_run(&run, &copies);
   co_await inj_done.wait();
   for (CopyJob& job : inline_copies) {
     co_await engine_->run_copy_inline(*io_core_, std::move(job));

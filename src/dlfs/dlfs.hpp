@@ -485,11 +485,21 @@ class DlfsInstance {
       std::span<const EpochSequence::UnitPicks> picks);
   /// The acquire step of bread and bread_views: holds the prefetch unit
   /// behind `pk` in held_, acquiring it from the daemon on first touch.
-  /// A chunk unit degraded by a node fault re-reads the pick's samples
-  /// from their replicas (or the recovered primary) into its per-sample
-  /// extents. Unreachable samples and fatal faults land in `*faults`.
+  /// A sample-level unit's first acquire also reads what read-ahead
+  /// elided and the cache has lost since (read_elided). A chunk unit
+  /// degraded by a node fault re-reads the pick's samples from their
+  /// replicas (or the recovered primary) into its per-sample extents.
+  /// Unreachable samples and fatal faults land in `*faults`.
   dlsim::Task<HeldUnit*> acquire_pick(EpochSequence::UnitPicks pk,
                                       BatchFaults* faults);
+  /// Part of a sample-level unit's first acquire: a sample of epoch slots
+  /// [begin, end) that read-ahead never `issued` (the cache or a
+  /// co-located holder had it) and that neither has now gets the extent
+  /// read-ahead would issue today. All of them are posted before any is
+  /// awaited, and the landed extents join `hu->samples`.
+  dlsim::Task<void> read_elided(std::size_t begin, std::size_t end,
+                                std::vector<std::uint32_t> issued,
+                                HeldUnit* hu);
   /// Spans of one picked sample's bytes in its held chunk-level unit:
   /// the chunk window, or the sample's own extent once the unit degraded.
   /// Empty when the sample has no bytes (skipped, or a media fault).
@@ -503,12 +513,17 @@ class DlfsInstance {
   /// fails throws its IoError.
   dlsim::Task<bool> demand_read(std::uint32_t sample_id, std::byte* dst);
   /// The one delivery step of a landed per-sample extent (a demand read,
-  /// or a sample-level read-ahead extent the pick loop consumes): a
-  /// pulled sample is copied inline on the I/O core and not cached;
-  /// device bytes go to the copy threads (counting `copies` down) and
-  /// into the sample cache, or are copied inline without copy threads.
+  /// or a sample-level read-ahead extent the pick loop consumes). A
+  /// pulled sample is never cached: it joins the caller's open `run` of
+  /// pulls, which must end at `dst`, or is copied inline on the I/O core
+  /// without copy threads. Device bytes go to the copy threads (counting
+  /// `copies` down) and into the sample cache, or are copied inline
+  /// without copy threads.
   dlsim::Task<void> deliver(AcquiredExtent x, std::byte* dst,
-                            dlsim::CountdownLatch* copies);
+                            dlsim::CountdownLatch* copies, CopyJob* run);
+  /// Queues the open run of landed pulls, if any, as one copy job that
+  /// counts `copies` down, and leaves `run` empty.
+  dlsim::Task<void> enqueue_run(CopyJob* run, dlsim::CountdownLatch* copies);
   /// Injected poll-loop compute (Fig. 7b) as a concurrent task; counts
   /// `done` down when finished (immediately when nothing is injected).
   void spawn_injected(dlsim::CountdownLatch* done);

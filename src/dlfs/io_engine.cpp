@@ -102,8 +102,8 @@ dlsim::Task<void> IoEngine::copy_thread_loop(std::size_t idx) {
     // of the jobs already queued behind it in the same acquisition —
     // leaving the rest for the sibling copy threads — instead of a
     // park/wake round-trip through the channel per job. Per-job costs
-    // (handling + memcpy time) are still charged individually so the
-    // timeline of each copy is unchanged.
+    // (handling per sample + memcpy time) are still charged individually
+    // so the timeline of each copy is unchanged.
     std::vector<CopyJob> batch;
     batch.push_back(std::move(*job));
     std::size_t extra = scq_->size() / copy_cores_.size();
@@ -114,7 +114,8 @@ dlsim::Task<void> IoEngine::copy_thread_loop(std::size_t idx) {
       --extra;
     }
     for (CopyJob& j : batch) {
-      dlsim::SimDuration cost = cal_->dlfs.completion_handling + copy_cost(j);
+      dlsim::SimDuration cost =
+          j.samples * cal_->dlfs.completion_handling + copy_cost(j);
       if (j.origin != nullptr && j.origin != &core) {
         core.note_cross_core_handoff();
         cost += cal_->dlfs.cross_core_handoff;

@@ -151,7 +151,10 @@ class ExtentOp {
 
 using ExtentOpPtr = std::shared_ptr<ExtentOp>;
 
-/// Work item on the shared completion queue.
+/// Work item on the shared completion queue. One job copies `samples`
+/// samples whose bytes are consecutive at `dst`: one sample's extent, or
+/// a run of landed peer pulls, one piece per sample, that sit side by
+/// side in the arena.
 struct CopyJob {
   // Either owned pieces (sample-level reads) ...
   std::vector<mem::DmaBuffer> owned_pieces;
@@ -163,9 +166,12 @@ struct CopyJob {
   dlsim::CountdownLatch* latch = nullptr;
   // Core that produced the job. A copy thread running on a different
   // core pays the cross-core handoff cost (cache-line transfer of the
-  // job + first-touch misses on the data) and counts the event, so
-  // locality shows up in CPU results instead of being free.
+  // job + first-touch misses on the data) once per job and counts the
+  // event, so locality shows up in CPU results instead of being free.
   const dlsim::CpuCore* origin = nullptr;
+  // Completions the job handles: on a copy thread each sample pays
+  // completion_handling. Inline copies are always of one sample.
+  std::uint32_t samples = 1;
 };
 
 /// Piece lengths of a `len`-byte extent split at the chunk size — the

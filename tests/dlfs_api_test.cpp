@@ -442,6 +442,61 @@ TEST(DlfsBread, ReadAheadCopiesCountHandoffs) {
   }
 }
 
+TEST(DlfsBread, SamplesEvictedAfterIssueAreReadTogether) {
+  // A warm epoch's read-ahead skips the samples the cache holds. Four of
+  // the first unit's samples are evicted after it was issued and before
+  // the first bread: the unit's acquire posts all four reads before it
+  // delivers any sample, and every byte is the dataset's.
+  DlfsConfig cfg;
+  cfg.batching = BatchingMode::kSampleLevel;
+  cfg.cache_chunks = 128;  // the whole dataset stays resident
+  Rig rig(1, dlfs::dataset::make_fixed_size_dataset(64, 4096), cfg);
+  rig.mount();
+  auto& inst = rig.fleet.instance(0);
+  inst.sequence(1);
+  BreadResult cold;
+  rig.sim.spawn(drain_epoch(rig.ds, inst, 16, cold));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  ASSERT_EQ(inst.cache().resident_samples(), 64u);
+  inst.sequence(2);
+  rig.sim.run();  // the daemon issues the first units, every sample elided
+  ASSERT_GT(inst.prefetcher().stats().units_issued, 0u);
+  // The first four epoch slots lie in the first read-ahead unit (8 slots).
+  const dlfs::core::EpochSequence order(rig.fleet.plan(), 2, 0, 1);
+  for (std::size_t slot = 0; slot < 4; ++slot) {
+    const std::uint32_t id = order.unit_at(slot)->samples.front().sample_id;
+    ASSERT_TRUE(inst.cache().valid(id));
+    inst.cache().evict(id);
+  }
+  const std::uint64_t posted0 = inst.engine().requests_posted();
+  const std::uint64_t copied0 = inst.engine().bytes_copied();
+  std::vector<std::byte> arena(16 * 4096);
+  Batch batch;
+  rig.sim.spawn(
+      [](DlfsInstance& inst, std::span<std::byte> arena,
+         Batch* out) -> Task<void> {
+        *out = co_await inst.bread(16, arena);
+      }(inst, arena, &batch));
+  std::uint64_t posted_at_first_copy = 0;
+  while (rig.sim.step()) {
+    if (posted_at_first_copy == 0 &&
+        inst.engine().bytes_copied() != copied0) {
+      posted_at_first_copy = inst.engine().requests_posted() - posted0;
+    }
+  }
+  rig.sim.rethrow_failures();
+  EXPECT_EQ(posted_at_first_copy, 4u);
+  EXPECT_EQ(inst.engine().requests_posted() - posted0, 4u);
+  ASSERT_EQ(batch.samples.size(), 16u);
+  for (const auto& s : batch.samples) {
+    EXPECT_TRUE(sample_matches(
+        rig.ds, s.sample_id,
+        std::span<const std::byte>(arena.data() + s.offset_in_arena, s.len)))
+        << "sample " << s.sample_id;
+  }
+}
+
 TEST(DlfsBread, ArenaTooSmallThrowsBeforeWritingArena) {
   // Sample-level bread into an arena that holds one and a half samples:
   // the batch must be refused before any read or copy is issued, so once

@@ -6,12 +6,14 @@
 // exactly-once skip accounting when both the peer and the replica route
 // fail. Under sample-level batching a remote pull is a read-ahead unit:
 // the prefetch daemon issues it ahead of the cursor, the engine runs it
-// into a requester pool chunk and the pick loop copies what landed. The
+// into a requester pool chunk and the pick loop hands what landed to the
+// copy threads, one job per run of a read-ahead unit's pulls. The
 // read-ahead-pull tests pin down the overlap, pulls that land before
-// their bread, the holder's serve queue, QoS grants, the device failover
-// of a refused pull, and that no holder pin or landing chunk outlives
-// its pull. A demand read issues the same extent: a pull when only a
-// remote peer holds the sample, else the device, with no home RPC.
+// their bread, the copy jobs' charges, the holder's serve queue, QoS
+// grants, the device failover of a refused pull, and that no holder pin
+// or landing chunk outlives its pull. A demand read issues the same
+// extent: a pull when only a remote peer holds the sample, else the
+// device, with no home RPC.
 
 #include <gtest/gtest.h>
 
@@ -353,9 +355,9 @@ TEST(PeerCache, PinnedPeerServeSurvivesEvictionPressure) {
 
 TEST(PeerCache, PinnedRemotePullSurvivesEvictionPressure) {
   // The remote variant: clients on separate nodes, so every peer serve is
-  // a posted pull whose holder entry stays pinned from the holder's pin
-  // until the requester's copy, while the holder's own epoch inserts
-  // (and evicts) around it.
+  // a pull whose holder entry stays pinned from the holder's pin until
+  // its bytes land in the requester's chunk, while the holder's own epoch
+  // inserts (and evicts) around it.
   auto c = PeerRig::cfg(/*cache_chunks=*/96);  // share is 256 samples
   c.scribble_on_free = true;
   PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0}, c);
@@ -554,8 +556,8 @@ TEST(PeerCache, HolderServesQueueInOrder) {
 TEST(PeerCache, PullsLandBeforeTheirBread) {
   // The daemon pulls the first units of the epoch while the trainer is
   // away (the simulator runs idle after sequence()), so the first bread
-  // pays its frontend and one inline copy per sample, and no round trip:
-  // one NIC latency is all the slack it gets.
+  // pays its frontend and its copies, and no round trip: it finishes
+  // within 16 serial frontend-plus-copy charges and one NIC latency.
   OneHolderRig rig;
   rig.sim.run_watchdog(rig.sim.now() + 1_sec);
   rig.sim.rethrow_failures();
@@ -575,6 +577,114 @@ TEST(PeerCache, PullsLandBeforeTheirBread) {
   ASSERT_TRUE(done);
   EXPECT_EQ(a.stats().peer_hits_remote, 16u);
   EXPECT_LE(took, bound);
+}
+
+/// Sample-level read-ahead fuses this many consecutive epoch slots into
+/// one unit (`kSampleGroup` in src/dlfs/dlfs.cpp).
+constexpr std::size_t kReadAheadGroup = 8;
+
+/// Copy jobs a copy pool runs for client 0's epoch in OneHolderRig, read
+/// in breads of 16: one per run of consecutive landed pulls, and a run
+/// ends at its bread's and its read-ahead unit's end.
+std::uint64_t pulled_runs(const OneHolderRig& rig) {
+  dlfs::core::EpochSequence order(rig.fleet.plan(), 7, 0,
+                                  rig.fleet.num_clients());
+  std::uint64_t runs = 0;
+  for (auto picks = order.take(16); !picks.empty(); picks = order.take(16)) {
+    for (std::size_t i = 0; i < picks.size(); ++i) {
+      if (i == 0 || picks[i].unit_slot / kReadAheadGroup !=
+                        picks[i - 1].unit_slot / kReadAheadGroup) {
+        ++runs;
+      }
+    }
+  }
+  return runs;
+}
+
+TEST(PeerCache, PulledRunsCopyOnTheCopyThreads) {
+  // Client 0's epoch is all remote pulls. The pick loop hands each run
+  // of them to the SCQ copy threads as one job: one cross-core handoff
+  // per run, completion handling and the memcpy per sample, and the I/O
+  // core is charged only the breads' frontend.
+  OneHolderRig rig;
+  auto& a = rig.fleet.instance(0);
+  ASSERT_EQ(rig.fleet.config().copy_threads, 2u);
+  const auto& costs = rig.fleet.config().calibration.dlfs;
+  const std::uint64_t runs = pulled_runs(rig);
+  const dlsim::SimDuration io0 = a.io_core().busy_ns();
+  const dlsim::SimDuration copy0 = a.engine().copy_busy_ns();
+  const std::uint64_t handoffs0 = a.engine().cross_core_handoffs();
+  DeliveryLog log;
+  rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "pulled-runs");
+  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+  rig.sim.rethrow_failures();
+  ASSERT_EQ(log.order.size(), PeerRig::kSamples / 2);
+  EXPECT_TRUE(log.content_ok);
+  EXPECT_TRUE(log.dense);
+  const std::uint64_t n = a.stats().peer_hits_remote;
+  ASSERT_EQ(n, log.order.size());
+  const std::uint64_t handoffs = a.engine().cross_core_handoffs() - handoffs0;
+  EXPECT_EQ(handoffs, runs);
+  EXPECT_LT(handoffs, n);
+  const dlsim::SimDuration per_sample =
+      costs.completion_handling +
+      dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec);
+  EXPECT_EQ(a.engine().copy_busy_ns() - copy0,
+            n * per_sample + runs * costs.cross_core_handoff);
+  EXPECT_EQ(a.io_core().busy_ns() - io0,
+            n * (costs.dir_lookup + costs.bread_per_sample));
+}
+
+TEST(PeerCache, PulledCopiesStayInlineWithoutCopyThreads) {
+  // With no copy threads each landed pull is copied on the I/O core, one
+  // sample at a time, and nothing crosses cores.
+  auto c = PeerRig::cfg(640);
+  c.copy_threads = 0;
+  PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0}, c);
+  fill_holder(rig, rig.fleet.instance(1));
+  auto& a = rig.fleet.instance(0);
+  a.sequence(7);
+  const auto& costs = rig.fleet.config().calibration.dlfs;
+  const dlsim::SimDuration io0 = a.io_core().busy_ns();
+  DeliveryLog log;
+  rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "inline-pulls");
+  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+  rig.sim.rethrow_failures();
+  ASSERT_EQ(log.order.size(), PeerRig::kSamples / 2);
+  EXPECT_TRUE(log.content_ok);
+  EXPECT_TRUE(log.dense);
+  const std::uint64_t n = a.stats().peer_hits_remote;
+  ASSERT_EQ(n, log.order.size());
+  EXPECT_EQ(a.engine().cross_core_handoffs(), 0u);
+  EXPECT_EQ(a.engine().copy_busy_ns(), 0u);
+  EXPECT_EQ(a.io_core().busy_ns() - io0,
+            n * (costs.dir_lookup + costs.bread_per_sample +
+                 costs.completion_handling +
+                 dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec)));
+}
+
+TEST(PeerCache, WarmBreadBeatsSerialInlineCopies) {
+  // The pulls behind the first bread land while the trainer is away. Its
+  // frontend is serial, but its copies run on the copy threads, so it
+  // finishes before 16 serial frontend-plus-inline-copy charges would.
+  OneHolderRig rig;
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  auto& a = rig.fleet.instance(0);
+  const auto& costs = rig.fleet.config().calibration.dlfs;
+  const dlsim::SimDuration serial =
+      16 * (costs.dir_lookup + costs.bread_per_sample +
+            costs.completion_handling +
+            dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec));
+  std::vector<std::byte> arena(64_KiB);
+  dlsim::SimDuration took = 0;
+  bool done = false;
+  rig.sim.spawn(timed_bread(rig.sim, a, arena, took, done), "timed-bread");
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(a.stats().peer_hits_remote, 16u);
+  EXPECT_LT(took, serial);
 }
 
 TEST(PeerCache, RefusedReadAheadPullFallsBackOnce) {
@@ -650,8 +760,8 @@ TEST(PeerCache, DemandReadPullsFromRemotePeer) {
   // OneHolderRig's topology and fill under a TenantGovernor, with no epoch
   // sequenced at client 0, so nothing reads ahead: each read() of a sample
   // only client 1 holds is a demand pull. The pump admits it (a pool
-  // chunk and a grant), the bytes are copied on client 0's I/O core, and
-  // no device command is posted and no pulled sample is cached.
+  // chunk and a grant), the bytes are copied by a one-sample copy job,
+  // and no device command is posted and no pulled sample is cached.
   auto c = PeerRig::cfg(640);
   c.tenant.name = "puller";
   c.tenant.governor = std::make_shared<dlfs::core::TenantGovernor>();
@@ -720,9 +830,10 @@ TEST(PeerCache, RefusedDemandPullReadsDeviceOnce) {
 }
 
 TEST(PeerCache, LandingChunksReturnToThePool) {
-  // A pull lands in a requester pool chunk that lives until its inline
-  // copy: after a warm epoch of pulls the requester's pool holds only
-  // its own cache, and no pulled sample entered that cache.
+  // A pull lands in a requester pool chunk that lives until the copy job
+  // carrying it has run: after a warm epoch of pulls the requester's
+  // pool holds only its own cache, and no pulled sample entered that
+  // cache.
   OneHolderRig rig;
   auto& a = rig.fleet.instance(0);
   DeliveryLog log;
