@@ -4,6 +4,7 @@
 // sample directory) and for deterministic synthetic data generation.
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace dlfs {
@@ -40,6 +41,21 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
 /// Combines two hashes.
 constexpr std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) {
   return mix64(a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2)));
+}
+
+/// Rank `rank` of `key`'s placement probe chain over `slots` slots: while
+/// rank <= `hashed` the slot is hash64(key ‖ '\x1f' ‖ rank) % slots; later
+/// ranks walk on linearly from `origin`, so a chain whose hashes keep
+/// colliding still reaches every slot. Replica placement and repair walk
+/// ranks 1, 2, ... from a sample's name; a peer-cache home is rank 0.
+inline std::uint64_t probe_slot(std::string_view key, std::uint32_t rank,
+                                std::uint64_t slots, std::uint32_t hashed = ~0u,
+                                std::uint64_t origin = 0) {
+  if (rank > hashed) return (origin + rank) % slots;
+  std::string probe(key);
+  probe += '\x1f';
+  probe += std::to_string(rank);
+  return hash64(probe) % slots;
 }
 
 }  // namespace dlfs

@@ -4,8 +4,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "dlfs/sample_cache.hpp"
-
 namespace dlfs::core {
 
 BatchPlan::BatchPlan(const std::vector<SampleLocation>& layout,
@@ -120,63 +118,6 @@ std::vector<EpochSequence::UnitPicks> EpochSequence::take(std::size_t n) {
     }
   }
   return out;
-}
-
-EpochUnitProvider::EpochUnitProvider(const EpochSequence& seq,
-                                     std::uint32_t group,
-                                     const SampleCache* cache,
-                                     RouteResolver routes, PeerProbe peers)
-    : seq_(&seq),
-      group_(std::max<std::uint32_t>(group, 1)),
-      cache_(cache),
-      routes_(std::move(routes)),
-      peers_(std::move(peers)) {}
-
-std::size_t EpochUnitProvider::num_units() const {
-  return (seq_->num_units() + group_ - 1) / group_;
-}
-
-std::vector<UnitExtent> EpochUnitProvider::unit_extents(
-    std::size_t slot) const {
-  std::vector<UnitExtent> out;
-  const std::size_t begin = slot * group_;
-  const std::size_t end =
-      std::min<std::size_t>(begin + group_, seq_->num_units());
-  out.reserve(end - begin);
-  for (std::size_t s = begin; s < end; ++s) {
-    const ReadUnit* u = seq_->unit_at(s);
-    if (u->is_chunk) {
-      // Chunk units are keyed by the epoch slot and fetch their whole
-      // (trimmed) extent even when some of their samples are resident:
-      // the chunk path always consumes every sample of the unit.
-      out.push_back(UnitExtent{u->nid, u->offset, u->len, s});
-      continue;
-    }
-    // Single-sample extents (sample-level units and chunk-mode edge
-    // samples), keyed by sample id. With a cache attached, resident
-    // samples are served from it at consume time — don't re-read them.
-    const std::uint32_t id = u->samples.front().sample_id;
-    if (cache_ != nullptr && cache_->valid(id)) continue;
-    const PeerServe peer = peers_ ? peers_(id) : PeerServe::kNone;
-    if (peer == PeerServe::kLocal) continue;
-    out.push_back(sample_extent(id, SampleLocation{u->nid, u->offset, u->len},
-                                routes_ ? routes_(id) : std::vector<RouteHop>{},
-                                peer));
-  }
-  return out;
-}
-
-UnitExtent EpochUnitProvider::sample_extent(std::uint32_t id,
-                                            const SampleLocation& loc,
-                                            std::vector<RouteHop> routes,
-                                            PeerServe peer) {
-  UnitExtent x{loc.nid, loc.offset, loc.len, id, std::move(routes)};
-  if (peer == PeerServe::kPull) {
-    x.routes.insert(x.routes.begin(), RouteHop{loc.nid, loc.offset});
-    x.offset = id;
-    x.cls = HopClass::kPeer;
-  }
-  return x;
 }
 
 }  // namespace dlfs::core

@@ -23,11 +23,9 @@
 // not hurt training accuracy.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "dlfs/sample_entry.hpp"
 
 namespace dlfs::core {
 
@@ -80,24 +78,6 @@ class BatchPlan {
   std::size_t edge_units_ = 0;
 };
 
-/// One extent of a prefetchable read unit. `key` is whatever the
-/// provider's consumer uses to recognize the extent when the unit is
-/// acquired — the sample id for per-sample extents, the slot itself for
-/// chunks — so the provider may elide extents (e.g. already
-/// cache-resident samples) without breaking the mapping.
-struct UnitExtent {
-  std::uint16_t nid = 0;
-  std::uint64_t offset = 0;
-  std::uint32_t len = 0;
-  std::uint64_t key = 0;
-  // Failover order for these bytes: replicas (empty without
-  // replication), after the device itself when the first route is a pull.
-  std::vector<RouteHop> routes{};
-  HopClass cls = HopClass::kStorage;  // the first route's class
-};
-
-class SampleCache;
-
 /// One client's walk through an epoch's shuffled unit list.
 class EpochSequence {
  public:
@@ -136,64 +116,6 @@ class EpochSequence {
   std::size_t consumed_samples_ = 0;
   std::size_t cur_unit_ = 0;
   std::uint32_t cur_sample_ = 0;
-};
-
-/// What the asynchronous prefetcher walks: an EpochSequence as an ordered
-/// list of read units, each a small set of device extents fetched as one
-/// window entry. Chunk mode maps 1:1 (group = 1, every epoch slot is one
-/// chunk/edge unit, keyed by the slot); sample-level mode fuses `group`
-/// consecutive epoch slots — each a single-sample unit — into one
-/// prefetch unit whose extents are keyed by sample id. With a cache
-/// attached, extents whose sample is already resident are elided at
-/// issue time, so warm epochs cost no device read-ahead.
-class EpochUnitProvider {
- public:
-  /// `routes` (optional) resolves a sample id to its replica failover
-  /// list; per-sample extents carry it so prefetched reads can fail over.
-  /// Chunk units read record regions, not samples — they get no routes.
-  using RouteResolver = std::function<std::vector<RouteHop>(std::uint32_t)>;
-
-  /// Where a peer cache serves a sample the local cache lacks, as the
-  /// cost-free probe `peers` (optional) sees it at issue time.
-  enum class PeerServe : std::uint8_t {
-    kNone,   // no peer serves it: a device extent
-    kLocal,  // a holder on this node: elided, the demand read copies it
-    kPull,   // a remote holder: a pull, then the device
-  };
-  using PeerProbe = std::function<PeerServe(std::uint32_t)>;
-
-  EpochUnitProvider(const EpochSequence& seq, std::uint32_t group,
-                    const SampleCache* cache, RouteResolver routes = {},
-                    PeerProbe peers = {});
-
-  /// The one extent that fetches sample `id`, which lives at `loc` with
-  /// `routes` as its replica failover list: the device extent, or for
-  /// kPull a pull (the sample id as its offset) that fails over to the
-  /// device and then the replicas. Read-ahead and demand reads both
-  /// issue it.
-  [[nodiscard]] static UnitExtent sample_extent(std::uint32_t id,
-                                                const SampleLocation& loc,
-                                                std::vector<RouteHop> routes,
-                                                PeerServe peer);
-
-  [[nodiscard]] std::size_t num_units() const;
-  /// Extents of unit `slot` worth fetching *at call time*: extents whose
-  /// sample the sample cache or a co-located peer holds are skipped, and
-  /// one only a remote peer holds is pulled from it first.
-  [[nodiscard]] std::vector<UnitExtent> unit_extents(std::size_t slot) const;
-
-  /// The prefetch unit covering epoch slot `epoch_slot`.
-  [[nodiscard]] std::size_t unit_of(std::size_t epoch_slot) const {
-    return epoch_slot / group_;
-  }
-  [[nodiscard]] std::uint32_t group() const { return group_; }
-
- private:
-  const EpochSequence* seq_;
-  std::uint32_t group_;
-  const SampleCache* cache_;  // may be null: no elision
-  RouteResolver routes_;      // may be null: no replication
-  PeerProbe peers_;           // may be null: no peer cache
 };
 
 }  // namespace dlfs::core

@@ -302,13 +302,13 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
     EpochSequence::UnitPicks pk, BatchFaults* faults) {
   const bool chunk_mode =
       fleet_->config_.batching == BatchingMode::kChunkLevel;
-  const std::size_t slot = epoch_provider_->unit_of(pk.unit_slot);
+  const std::size_t slot = unit_of(pk.unit_slot);
   auto [it, fresh] = held_.try_emplace(slot);
   HeldUnit* hu = &it->second;
   if (fresh) {
-    const std::size_t begin = slot * epoch_provider_->group();
-    const std::size_t end = std::min<std::size_t>(
-        begin + epoch_provider_->group(), seq_->num_units());
+    const std::size_t begin = slot * group_;
+    const std::size_t end =
+        std::min<std::size_t>(begin + group_, seq_->num_units());
     for (std::size_t s = begin; s < end; ++s) {
       hu->remaining +=
           static_cast<std::uint32_t>(seq_->unit_at(s)->samples.size());
@@ -317,22 +317,23 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
       // The chunk's node is down: drop its read-ahead, recover below.
       prefetcher_->discard(slot);
     } else {
-      AcquiredUnit au = co_await prefetcher_->acquire(slot, *io_core_);
+      std::vector<ExtentOpPtr> ops =
+          co_await prefetcher_->acquire(slot, *io_core_);
       std::vector<std::uint32_t> issued;
       // Read-ahead faults surface here, on the bread that owns the unit.
       // A node fault leaves the bytes to recovery (chunk units) or to the
       // demand read (samples); a media error stays fatal, and a chunk
       // unit that hit one settles empty.
-      for (AcquiredExtent& x : au.extents) {
-        issued.push_back(static_cast<std::uint32_t>(x.key));
-        if (x.error && is_node_fault(x.error)) continue;
+      for (ExtentOpPtr& op : ops) {
+        issued.push_back(static_cast<std::uint32_t>(op->extent.key));
+        if (op->error() && is_node_fault(op->error())) continue;
         if (!chunk_mode) {
-          hu->samples.emplace(issued.back(), std::move(x));
-        } else if (x.error) {
-          faults->note(x.error);
+          hu->samples.emplace(issued.back(), std::move(op));
+        } else if (op->error()) {
+          faults->note(op->error());
           co_return hu;
         } else {
-          hu->chunk = std::move(x.buffers);
+          hu->chunk = op->take_buffers();
         }
       }
       if (!chunk_mode) co_await read_elided(begin, end, std::move(issued), hu);
@@ -348,14 +349,12 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
       ++faults->skipped;
       continue;
     }
-    const SampleLocation& loc = fleet_->layout_[id];
-    auto op = engine_->start_extent(
-        ReadExtent{loc.nid, loc.offset, loc.len, sample_routes(id)});
+    auto op = engine_->start_extent(sample_read(id, PeerServe::kNone));
     co_await engine_->await_op(*io_core_, op);
     if (op->error()) {
       faults->note(op->error());
     } else {
-      hu->samples.emplace(id, AcquiredExtent{id, op->take_buffers(), {}});
+      hu->samples.emplace(id, std::move(op));
     }
   }
   co_return hu;
@@ -366,34 +365,30 @@ dlsim::Task<void> DlfsInstance::read_elided(std::size_t begin,
                                             std::vector<std::uint32_t> issued,
                                             HeldUnit* hu) {
   // Read-ahead skipped a sample the cache or a co-located holder had at
-  // issue time. One that is gone now gets the extent read-ahead would
-  // issue today; every such read is posted before any is awaited.
-  using enum EpochUnitProvider::PeerServe;
-  std::vector<std::uint32_t> ids;
+  // issue time. One that is gone now gets its sample_read; every such
+  // read is posted before any is awaited.
+  using enum PeerServe;
   std::vector<ReadExtent> reads;
   for (std::size_t s = begin; s < end; ++s) {
     const std::uint32_t id = seq_->unit_at(s)->samples.front().sample_id;
     if (std::ranges::find(issued, id) != issued.end() || cache_->valid(id)) {
       continue;
     }
-    const EpochUnitProvider::PeerServe peer = peer_route(id);
+    const PeerServe peer = peer_route(id);
     if (peer == kLocal || (peer == kNone && !sample_reachable(id))) continue;
-    UnitExtent x = EpochUnitProvider::sample_extent(
-        id, fleet_->layout_[id], sample_routes(id), peer);
-    reads.push_back(
-        ReadExtent{x.nid, x.offset, x.len, std::move(x.routes), x.cls});
-    ids.push_back(id);
+    reads.push_back(sample_read(id, peer));
   }
   if (reads.empty()) co_return;
   const std::vector<ExtentOpPtr> ops = engine_->start_extents(std::move(reads));
   for (const ExtentOpPtr& op : ops) co_await engine_->await_op(*io_core_, op);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    // As for read-ahead, a node fault is left to the demand read.
-    AcquiredExtent x{ids[i], {}, ops[i]->error(),
-                     ops[i]->extent.cls == HopClass::kPeer};
-    if (x.error && is_node_fault(x.error)) continue;
-    if (!x.error) x.buffers = ops[i]->take_buffers();
-    hu->samples.emplace(ids[i], std::move(x));
+  for (const ExtentOpPtr& op : ops) {
+    // As for read-ahead, a node fault is left to the demand read, and a
+    // failed op's landed chunks go back to the pool.
+    if (op->error()) {
+      if (is_node_fault(op->error())) continue;
+      (void)op->take_buffers();
+    }
+    hu->samples.emplace(static_cast<std::uint32_t>(op->extent.key), op);
   }
 }
 
@@ -405,7 +400,7 @@ std::vector<std::span<const std::byte>> DlfsInstance::held_views(
   }
   auto x = hu.samples.find(us.sample_id);
   if (x == hu.samples.end()) return {};
-  return window_views(x->second.buffers, chunk, 0, us.len);
+  return window_views(x->second->buffers(), chunk, 0, us.len);
 }
 
 dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
@@ -421,8 +416,8 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
   }
   // The cost-free probe first: with no peer to serve it and no live copy
   // there is nothing to read.
-  using enum EpochUnitProvider::PeerServe;
-  const EpochUnitProvider::PeerServe peer = peer_route(sample_id);
+  using enum PeerServe;
+  const PeerServe peer = peer_route(sample_id);
   if (peer == kNone && !sample_reachable(sample_id)) co_return false;
   cache_->note_miss();
   const SampleLocation& loc = fleet_->layout_[sample_id];
@@ -449,33 +444,28 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
   // Otherwise the extent read-ahead would issue: a pull from the remote
   // holder, then the device, then its replicas — or the device and its
   // replicas — with every failover inside the engine.
-  UnitExtent x = EpochUnitProvider::sample_extent(
-      sample_id, loc, sample_routes(sample_id), peer);
-  const ExtentOpPtr op = engine_->start_extent(
-      ReadExtent{x.nid, x.offset, x.len, std::move(x.routes), x.cls});
+  ExtentOpPtr op = engine_->start_extent(sample_read(sample_id, peer));
   co_await engine_->await_op(*io_core_, op);
   if (op->error()) std::rethrow_exception(op->error());
-  AcquiredExtent landed{sample_id, op->take_buffers(), {},
-                        op->extent.cls == HopClass::kPeer};
   // A landed pull is a run of one sample.
   dlsim::CountdownLatch copied(node_->simulator(), 0);
   CopyJob run;
-  co_await deliver(std::move(landed), dst, &copied, &run);
+  co_await deliver(std::move(op), dst, &copied, &run);
   co_await enqueue_run(&run, &copied);
   co_await copied.wait();
   co_return true;
 }
 
-dlsim::Task<void> DlfsInstance::deliver(AcquiredExtent x, std::byte* dst,
+dlsim::Task<void> DlfsInstance::deliver(ExtentOpPtr x, std::byte* dst,
                                         dlsim::CountdownLatch* copies,
                                         CopyJob* run) {
-  const auto id = static_cast<std::uint32_t>(x.key);
+  const auto id = static_cast<std::uint32_t>(x->extent.key);
   const std::uint32_t len = fleet_->layout_[id].len;
   CopyJob job;
-  job.owned_pieces = std::move(x.buffers);
+  job.owned_pieces = x->take_buffers();
   job.piece_lens = piece_lens_of(len, fleet_->config_.chunk_bytes);
   job.dst = dst;
-  if (x.pulled) {
+  if (x->extent.cls == HopClass::kPeer) {
     // A landed pull is never cached, so the hit mix holds; its landing
     // chunk returns to the pool after the copy. Without copy threads the
     // I/O core copies it. Otherwise it joins the caller's open run, whose
@@ -592,34 +582,55 @@ void DlfsInstance::sequence(std::uint64_t seed) {
   if (fleet_->config_.batching == BatchingMode::kNone) {
     // DLFS-Base is a synchronous read() per sample: the daemon gets no
     // epoch order, so nothing is read ahead of the cursor.
-    prefetcher_->start_epoch(nullptr);
+    prefetcher_->start_epoch(0, {});
     return;
   }
-  // Chunk mode prefetches 1 unit = 1 chunk/edge extent (a chunk extent
-  // is trimmed to its samples and fetched in full); sample-level mode
-  // fuses kSampleGroup consecutive per-sample slots into one unit and
-  // elides extents whose sample is already cache-resident.
+  // Chunk mode prefetches 1 unit = 1 chunk/edge extent; sample-level mode
+  // fuses kSampleGroup consecutive per-sample slots into one unit.
+  group_ = fleet_->config_.batching == BatchingMode::kSampleLevel
+               ? kSampleGroup
+               : 1;
+  prefetcher_->start_epoch(
+      (seq_->num_units() + group_ - 1) / group_,
+      [this](std::size_t slot) { return unit_reads(slot); });
+}
+
+ReadExtent DlfsInstance::sample_read(std::uint32_t id, PeerServe peer) const {
+  const SampleLocation& loc = fleet_->layout_[id];
+  return ReadExtent{loc.nid, loc.offset, loc.len, id, sample_routes(id),
+                    peer == PeerServe::kPull ? HopClass::kPeer
+                                             : HopClass::kStorage};
+}
+
+std::vector<ReadExtent> DlfsInstance::unit_reads(std::size_t slot) const {
   const bool chunk = fleet_->config_.batching == BatchingMode::kChunkLevel;
-  // With replication, per-sample extents (sample-level units and
-  // chunk-mode edge samples) carry their replica failover list so
-  // read-ahead re-routes inside the engine instead of failing.
-  EpochUnitProvider::RouteResolver routes;
-  if (fleet_->config_.fault.replication.k > 1) {
-    routes = [this](std::uint32_t id) { return sample_routes(id); };
+  const std::size_t begin = slot * group_;
+  const std::size_t end =
+      std::min<std::size_t>(begin + group_, seq_->num_units());
+  std::vector<ReadExtent> out;
+  out.reserve(end - begin);
+  for (std::size_t s = begin; s < end; ++s) {
+    const ReadUnit* u = seq_->unit_at(s);
+    if (u->is_chunk) {
+      // A chunk unit fetches its whole (trimmed) extent even when some of
+      // its samples are resident: the chunk path consumes every sample of
+      // the unit, and its samples never enter the sample cache.
+      out.push_back(ReadExtent{u->nid, u->offset, u->len, s});
+      continue;
+    }
+    const std::uint32_t id = u->samples.front().sample_id;
+    if (chunk) {
+      out.push_back(sample_read(id, PeerServe::kNone));
+      continue;
+    }
+    // A resident sample is served from the cache at pick time, and one a
+    // co-located peer holds is copied from it: don't read either ahead.
+    if (cache_->valid(id)) continue;
+    const PeerServe peer = peer_route(id);
+    if (peer == PeerServe::kLocal) continue;
+    out.push_back(sample_read(id, peer));
   }
-  // A sample a co-located peer holds is elided from read-ahead like a
-  // cache hit; one only a remote peer holds is pulled ahead of the
-  // cursor, into one pool chunk. Chunk units fetch their full extent
-  // regardless (their samples never populate the sample cache), so chunk
-  // mode takes no probe.
-  EpochUnitProvider::PeerProbe peers;
-  if (fleet_->config_.peer_cache.enabled && !chunk) {
-    peers = [this](std::uint32_t id) { return peer_route(id); };
-  }
-  epoch_provider_ = std::make_unique<EpochUnitProvider>(
-      *seq_, chunk ? 1u : kSampleGroup,
-      chunk ? nullptr : cache_.get(), std::move(routes), std::move(peers));
-  prefetcher_->start_epoch(epoch_provider_.get());
+  return out;
 }
 
 dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
@@ -665,8 +676,7 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
     return dst;
   };
 
-  prefetcher_->ensure_issued_through(
-      epoch_provider_->unit_of(picks.back().unit_slot));
+  prefetcher_->ensure_issued_through(unit_of(picks.back().unit_slot));
   dlsim::CountdownLatch inj_done(node_->simulator(), 1);
   spawn_injected(&inj_done);
   dlsim::CountdownLatch copies(node_->simulator(), 0);
@@ -674,14 +684,14 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   // Sample-level: the open run of landed pulls, consecutive in the arena
   // and within one read-ahead unit, queued as one copy job.
   CopyJob run;
-  std::size_t run_unit = epoch_provider_->unit_of(picks.front().unit_slot);
+  std::size_t run_unit = unit_of(picks.front().unit_slot);
   BatchFaults faults;
   std::exception_ptr escaped;
   try {
     for (const auto& pk : picks) {
-      if (epoch_provider_->unit_of(pk.unit_slot) != run_unit) {
+      if (unit_of(pk.unit_slot) != run_unit) {
         co_await enqueue_run(&run, &copies);
-        run_unit = epoch_provider_->unit_of(pk.unit_slot);
+        run_unit = unit_of(pk.unit_slot);
       }
       HeldUnit* hu = co_await acquire_pick(pk, &faults);
       hu->remaining -= pk.count;
@@ -727,12 +737,14 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
         const UnitSample& us = pk.unit->samples[pk.first_sample + i];
         auto x = hu->samples.find(us.sample_id);
         if (x != hu->samples.end() && !cache_->valid(us.sample_id)) {
-          if (x->second.error) {
-            faults.note(x->second.error);
+          if (x->second->error()) {
+            faults.note(x->second->error());
             continue;
           }
           cache_->note_miss();
-          if (!x->second.pulled) co_await enqueue_run(&run, &copies);
+          if (x->second->extent.cls != HopClass::kPeer) {
+            co_await enqueue_run(&run, &copies);
+          }
           co_await deliver(std::move(x->second), place(us.sample_id, us.len),
                            &copies, &run);
           continue;
@@ -764,7 +776,7 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   if (escaped) std::rethrow_exception(escaped);
   if (faults.fatal) std::rethrow_exception(faults.fatal);
   for (const auto& pk : picks) {
-    maybe_release_unit(epoch_provider_->unit_of(pk.unit_slot));
+    maybe_release_unit(unit_of(pk.unit_slot));
   }
   batch.samples_skipped = faults.skipped;
   samples_skipped_ += batch.samples_skipped;

@@ -454,14 +454,38 @@ class DlfsInstance {
     // A healthy chunk-level unit: its extent, in chunk-size pieces.
     std::vector<mem::DmaBuffer> chunk;
     // Sample-level units, and chunk units degraded by a node fault:
-    // per-sample extents keyed by sample id. A sample-level extent may
+    // per-sample finished ops keyed by sample id. A sample-level op may
     // carry a stored media error instead of buffers.
-    std::unordered_map<std::uint32_t, AcquiredExtent> samples;
+    std::unordered_map<std::uint32_t, ExtentOpPtr> samples;
     std::uint32_t remaining = 0;  // samples not yet delivered
     std::uint32_t view_pins = 0;  // live ViewBatches referencing this unit
   };
   struct BatchFaults;
   void maybe_release_unit(std::size_t slot);
+
+  /// Where a peer cache serves a sample the local cache lacks, as the
+  /// cost-free probe peer_route sees it.
+  enum class PeerServe : std::uint8_t {
+    kNone,   // no peer serves it: a device extent
+    kLocal,  // a holder on this node: elided, the demand read copies it
+    kPull,   // a remote holder: a pull, then the device
+  };
+  /// The one extent that reads sample `id`, keyed by the id: its device
+  /// extent with the replicas as failover routes, or for kPull a pull of
+  /// its bytes from a peer's DRAM that, refused, reads them instead.
+  /// Read-ahead, read_elided, demand_read and the degraded chunk recovery
+  /// all issue it.
+  [[nodiscard]] ReadExtent sample_read(std::uint32_t id, PeerServe peer) const;
+  /// The prefetcher's UnitReads: the extents of prefetch unit `slot` worth
+  /// fetching at call time. A chunk unit is one extent keyed by its epoch
+  /// slot. Under sample-level batching a sample the cache or a co-located
+  /// peer holds is skipped, and one only a remote peer holds is pulled;
+  /// chunk mode's edge samples skip nothing and take no peer probe.
+  [[nodiscard]] std::vector<ReadExtent> unit_reads(std::size_t slot) const;
+  /// The prefetch unit covering epoch slot `epoch_slot`.
+  [[nodiscard]] std::size_t unit_of(std::size_t epoch_slot) const {
+    return epoch_slot / group_;
+  }
 
   dlsim::Task<void> charge_lookup();
   /// Sharded-mount resolution of one sample id, costs included: resident
@@ -494,9 +518,9 @@ class DlfsInstance {
                                       BatchFaults* faults);
   /// Part of a sample-level unit's first acquire: a sample of epoch slots
   /// [begin, end) that read-ahead never `issued` (the cache or a
-  /// co-located holder had it) and that neither has now gets the extent
-  /// read-ahead would issue today. All of them are posted before any is
-  /// awaited, and the landed extents join `hu->samples`.
+  /// co-located holder had it) and that neither has now gets its
+  /// sample_read. All of them are posted before any is awaited, and the
+  /// finished ops join `hu->samples`.
   dlsim::Task<void> read_elided(std::size_t begin, std::size_t end,
                                 std::vector<std::uint32_t> issued,
                                 HeldUnit* hu);
@@ -506,20 +530,19 @@ class DlfsInstance {
   [[nodiscard]] std::vector<std::span<const std::byte>> held_views(
       const HeldUnit& hu, const UnitSample& us) const;
   /// The demand read of one sample into `dst`: the sample cache, then a
-  /// holder on this node, else the one extent read-ahead would issue (a
-  /// pull from a remote holder, else the device, each failing over
-  /// inside the engine), awaited on the I/O core and delivered. False
-  /// when no peer serves it and no copy is reachable; an extent that
-  /// fails throws its IoError.
+  /// holder on this node, else its sample_read (a pull from a remote
+  /// holder, else the device, each failing over inside the engine),
+  /// awaited on the I/O core and delivered. False when no peer serves it
+  /// and no copy is reachable; an extent that fails throws its IoError.
   dlsim::Task<bool> demand_read(std::uint32_t sample_id, std::byte* dst);
   /// The one delivery step of a landed per-sample extent (a demand read,
-  /// or a sample-level read-ahead extent the pick loop consumes). A
-  /// pulled sample is never cached: it joins the caller's open `run` of
-  /// pulls, which must end at `dst`, or is copied inline on the I/O core
-  /// without copy threads. Device bytes go to the copy threads (counting
-  /// `copies` down) and into the sample cache, or are copied inline
-  /// without copy threads.
-  dlsim::Task<void> deliver(AcquiredExtent x, std::byte* dst,
+  /// or a sample-level read-ahead extent the pick loop consumes); `x` is
+  /// its finished op. A pulled sample (still kPeer) is never cached: it
+  /// joins the caller's open `run` of pulls, which must end at `dst`, or
+  /// is copied inline on the I/O core without copy threads. Device bytes
+  /// go to the copy threads (counting `copies` down) and into the sample
+  /// cache, or are copied inline without copy threads.
+  dlsim::Task<void> deliver(ExtentOpPtr x, std::byte* dst,
                             dlsim::CountdownLatch* copies, CopyJob* run);
   /// Queues the open run of landed pulls, if any, as one copy job that
   /// counts `copies` down, and leaves `run` empty.
@@ -545,12 +568,11 @@ class DlfsInstance {
   [[nodiscard]] std::uint16_t peer_node() const {
     return static_cast<std::uint16_t>(node_->id());
   }
-  /// The one cost-free peer probe, asked by the epoch provider at issue
-  /// time and by demand_read: kLocal for a holder on this node, kPull for
-  /// a holder only on another node when the sample fits one pool chunk,
-  /// kNone otherwise.
-  [[nodiscard]] EpochUnitProvider::PeerServe peer_route(
-      std::uint32_t sample_id) const;
+  /// The one cost-free peer probe, asked by unit_reads at issue time and
+  /// by read_elided and demand_read: kLocal for a holder on this node,
+  /// kPull for a holder only on another node when the sample fits one
+  /// pool chunk, kNone otherwise.
+  [[nodiscard]] PeerServe peer_route(std::uint32_t sample_id) const;
   /// The engine's peer puller (IoEngine::PeerPuller), run by its own
   /// process for every pull, demand or read-ahead: request hop to the
   /// sample's home client, forward hop, holder pin, the holder's queued
@@ -593,11 +615,12 @@ class DlfsInstance {
   // Sharded mount only: this client's partial directory view (partition
   // map + resident shards + lookup caches). Null under kFull.
   std::unique_ptr<DirectoryView> view_;
-  // The provider is declared before prefetcher_ (and the sequence before
-  // it): the daemon holds raw pointers into them, so they must outlive it
-  // on destruction.
+  // The sequence is declared before prefetcher_: the daemon's unit_reads
+  // walks it, so it must outlive the daemon on destruction.
   std::optional<EpochSequence> seq_;
-  std::unique_ptr<EpochUnitProvider> epoch_provider_;
+  // Epoch slots per prefetch unit: kSampleGroup under sample-level
+  // batching, else 1 (one chunk or edge unit).
+  std::uint32_t group_ = 1;
   // Declared after engine_: destroyed first, while the engine (whose
   // pressure reliever points at it) is still alive.
   std::unique_ptr<Prefetcher> prefetcher_;
@@ -812,7 +835,7 @@ class DlfsFleet {
       std::uint32_t sample_id,
       const std::function<bool(std::uint16_t)>& usable);
   /// Atomically publishes a repaired copy: one directory add_replica call
-  /// (no suspension), so advance_route / RouteResolver / failover see the
+  /// (no suspension), so advance_route / sample_read / failover see the
   /// new hop on their next issue.
   void publish_repair(std::uint32_t sample_id, RouteHop hop);
 

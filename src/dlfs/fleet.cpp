@@ -91,12 +91,8 @@ DlfsFleet::DlfsFleet(cluster::Cluster& cluster, cluster::Pfs& pfs,
       const std::uint16_t primary = layout_[i].nid;
       std::vector<std::uint16_t> chosen{primary};
       for (std::uint32_t r = 1; chosen.size() < reps; ++r) {
-        const auto cand = static_cast<std::uint16_t>(
-            r <= hash_probes
-                ? hash64(std::string(spec.name) + '\x1f' +
-                         std::to_string(r)) %
-                      storage_nodes_.size()
-                : (primary + r) % storage_nodes_.size());
+        const auto cand = static_cast<std::uint16_t>(probe_slot(
+            spec.name, r, storage_nodes_.size(), hash_probes, primary));
         if (std::find(chosen.begin(), chosen.end(), cand) != chosen.end()) {
           continue;
         }

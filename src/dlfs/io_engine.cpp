@@ -267,8 +267,7 @@ std::vector<ExtentOpPtr> IoEngine::start_extents(
   ops.reserve(extents.size());
   for (auto& x : extents) {
     if (x.cls == HopClass::kPeer) {
-      assert(peer_puller_ && !x.routes.empty() &&
-             x.len <= config_.chunk_bytes);
+      assert(peer_puller_ && x.len <= config_.chunk_bytes);
     } else if (x.nid >= targets_.size() || targets_[x.nid] == nullptr) {
       throw std::logic_error("start_extents: no queue for storage node " +
                              std::to_string(x.nid));
@@ -303,7 +302,7 @@ std::vector<ExtentOpPtr> IoEngine::start_extents(
 }
 
 dlsim::Task<void> IoEngine::run_pull(Piece p) {
-  const auto id = static_cast<std::uint32_t>(p.offset);  // a pull's sample
+  const auto id = static_cast<std::uint32_t>(p.op->extent.key);
   const bool landed = co_await peer_puller_(id, p.len, &p.buffer);
   dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
   ExtentOp& op = *p.op;
@@ -314,13 +313,10 @@ dlsim::Task<void> IoEngine::run_pull(Piece p) {
     op.finished_ = true;
     co_return;
   }
-  // Refused: the piece, chunk and all, moves to the device route, which
-  // the posting loop fails over to a replica if its node is down.
-  ReadExtent& x = op.extent;
-  x.cls = HopClass::kStorage;
-  x.nid = x.routes.front().nid;
-  x.offset = x.routes.front().offset;
-  x.routes.erase(x.routes.begin());
+  // Refused: the piece, chunk and all, reads the extent's device
+  // placement, which the posting loop fails over to a replica if its
+  // node is down.
+  op.extent.cls = HopClass::kStorage;
   to_post_.push_back(std::move(p));
 }
 

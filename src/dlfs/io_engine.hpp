@@ -97,19 +97,23 @@ class IoError : public std::runtime_error {
 };
 
 /// One extent to fetch into pool chunks, which land on the ExtentOp for
-/// take_buffers().
+/// take_buffers(). It carries a read from issue to delivery.
 struct ReadExtent {
   std::uint16_t nid = 0;
   std::uint64_t offset = 0;
   std::uint32_t len = 0;
+  // The consumer's name for the extent: the sample id of a per-sample
+  // extent, the epoch slot of a chunk unit. The engine reads it only as
+  // a pull's sample.
+  std::uint64_t key = 0;
   // Alternate placements of the same bytes (replica failover order). The
   // engine consumes hops from the front as it re-routes, so at any moment
   // the list holds exactly the untried alternates: when (nid, offset)
   // stops being reachable the extent is re-pointed at the first hop whose
   // node is up and the read restarts there instead of failing kNodeDown.
   std::vector<RouteHop> routes{};
-  // kPeer: a pull of sample `offset` out of a peer's DRAM into one pool
-  // chunk, whose refusal moves the extent to routes.front(), the device.
+  // kPeer: a pull of sample `key` out of a peer's DRAM into one pool
+  // chunk, whose refusal turns the extent into a read of (nid, offset).
   HopClass cls = HopClass::kStorage;
   // Direction. Write extents (start_write) carry their payload in the
   // piece buffers instead of allocating them at post time; they have no
@@ -132,6 +136,11 @@ class ExtentOp {
 
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] std::exception_ptr error() const { return error_; }
+
+  /// The extent's chunk buffers, in on-device order, left on the op.
+  [[nodiscard]] const std::vector<mem::DmaBuffer>& buffers() const {
+    return buffers_;
+  }
 
   /// The extent's chunk buffers, in on-device order. Transfers
   /// ownership; call once, once finished() without an error.

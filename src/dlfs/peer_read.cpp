@@ -7,9 +7,9 @@ namespace dlfs::core {
 // ---------------------------------------------------------------------------
 // Cooperative peer cache (read side)
 
-EpochUnitProvider::PeerServe DlfsInstance::peer_route(
+DlfsInstance::PeerServe DlfsInstance::peer_route(
     std::uint32_t sample_id) const {
-  using enum EpochUnitProvider::PeerServe;
+  using enum PeerServe;
   if (!fleet_->config_.peer_cache.enabled) return kNone;
   const PeerCacheDirectory::Holder h =
       fleet_->peer_directory_->find(sample_id, client_idx_, peer_node());

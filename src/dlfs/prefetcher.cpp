@@ -32,45 +32,38 @@ Prefetcher::~Prefetcher() {
   wake_.set();
 }
 
-void Prefetcher::start_epoch(const EpochUnitProvider* provider) {
+void Prefetcher::start_epoch(std::size_t units, UnitReads reads) {
   // Extents cannot be cancelled: unfinished read-ahead from the previous
   // epoch keeps draining on the daemon and its buffers drop on arrival.
   // Finished entries release their chunks right here, with the ops.
   {
     auto w = window_.write();
     for (auto& e : *w) {
-      for (auto& x : e.extents) {
-        if (!x.op->finished()) draining_.push_back(x.op);
+      for (const ExtentOpPtr& op : e.ops) {
+        if (!op->finished()) draining_.push_back(op);
       }
     }
     w->clear();
   }
-  provider_ = provider;
+  reads_ = std::move(reads);
   next_issue_ = 0;
   demand_floor_ = 0;
-  total_units_ = provider ? provider->num_units() : 0;
+  total_units_ = reads_ ? units : 0;
   wake_.set();
 }
 
-std::uint64_t Prefetcher::extents_chunks(const std::vector<UnitExtent>& xs,
+std::uint64_t Prefetcher::extents_chunks(const std::vector<ReadExtent>& xs,
                                          std::uint64_t chunk_bytes) {
   std::uint64_t n = 0;
   for (const auto& x : xs) n += ceil_div(x.len, chunk_bytes);
   return n;
 }
 
-void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs) {
+void Prefetcher::issue_entry(std::size_t slot, std::vector<ReadExtent> xs) {
   Entry e;
   e.slot = slot;
   e.chunks = extents_chunks(xs, chunk_bytes_);
-  e.extents.reserve(xs.size());
-  for (auto& x : xs) {
-    Extent ex;
-    ex.key = x.key;
-    ex.op = engine_->start_extent(
-        ReadExtent{x.nid, x.offset, x.len, std::move(x.routes), x.cls});
-    e.extents.push_back(std::move(ex));
-  }
+  e.ops = engine_->start_extents(std::move(xs));
   {
     // Read-ahead lands at the back; a shed unit demanded again lands at
     // the front, since consumption is in slot order.
@@ -88,25 +81,25 @@ void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs) {
 }
 
 void Prefetcher::ensure_issued_through(std::size_t slot) {
-  if (provider_ == nullptr) return;
+  if (!reads_) return;
   demand_floor_ = std::max(demand_floor_, slot + 1);
   while (next_issue_ <= slot && next_issue_ < total_units_) {
-    issue_entry(next_issue_, provider_->unit_extents(next_issue_));
+    issue_entry(next_issue_, reads_(next_issue_));
     ++next_issue_;
   }
 }
 
 void Prefetcher::top_up() {
-  if (provider_ == nullptr) return;
+  if (!reads_) return;
   // The target is read-ahead depth beyond the demanded batch: demand
   // issues never count against it, so the device keeps working on future
   // units even while the consumer drains the current batch.
   const std::size_t limit = std::min<std::size_t>(
       total_units_, demand_floor_ + window_target_);
   while (next_issue_ < limit) {
-    auto xs = provider_->unit_extents(next_issue_);
+    auto xs = reads_(next_issue_);
     const bool pulls = std::ranges::any_of(
-        xs, [](const UnitExtent& x) { return x.cls == HopClass::kPeer; });
+        xs, [](const ReadExtent& x) { return x.cls == HopClass::kPeer; });
     if (pulls && next_issue_ >= demand_floor_ + pull_depth_) return;
     const std::uint64_t need = extents_chunks(xs, chunk_bytes_);
     if (pool_->free_chunks() < need + kReserveChunks) {
@@ -134,8 +127,8 @@ ExtentOpPtr Prefetcher::oldest_unfinished() {
   }
   auto w = window_.read();
   for (const auto& e : *w) {
-    for (const auto& x : e.extents) {
-      if (!x.op->finished()) return x.op;
+    for (const ExtentOpPtr& op : e.ops) {
+      if (!op->finished()) return op;
     }
   }
   return nullptr;
@@ -148,16 +141,15 @@ bool Prefetcher::relieve_pressure() {
   // (chunks still in flight) cannot yield memory.
   auto is_candidate = [](const Entry& e) {
     if (e.pinned || e.chunks == 0) return false;
-    return std::all_of(e.extents.begin(), e.extents.end(),
-                       [](const Extent& x) {
-                         return x.op->finished() && !x.op->error();
-                       });
+    return std::ranges::all_of(e.ops, [](const ExtentOpPtr& op) {
+      return op->finished() && !op->error();
+    });
   };
   auto w = window_.write();
   auto rit = std::find_if(w->rbegin(), w->rend(), is_candidate);
   if (rit == w->rend()) return false;
-  for (auto& x : rit->extents) {
-    (void)x.op->take_buffers();  // DmaBuffers drop -> chunks freed
+  for (const ExtentOpPtr& op : rit->ops) {
+    (void)op->take_buffers();  // DmaBuffers drop -> chunks freed
   }
   ++stats_.units_dropped;
   if (window_target_ > cfg_.min_units) {
@@ -182,11 +174,11 @@ void Prefetcher::discard(std::size_t slot) {
   auto it = std::find_if(w->begin(), w->end(),
                          [slot](const Entry& e) { return e.slot == slot; });
   if (it == w->end() || it->pinned) return;
-  for (auto& x : it->extents) {
-    if (!x.op->finished()) {
-      draining_.push_back(x.op);
-    } else if (!x.op->error()) {
-      (void)x.op->take_buffers();  // DmaBuffers drop -> chunks freed
+  for (const ExtentOpPtr& op : it->ops) {
+    if (!op->finished()) {
+      draining_.push_back(op);
+    } else if (!op->error()) {
+      (void)op->take_buffers();  // DmaBuffers drop -> chunks freed
     }
   }
   w->erase(it);
@@ -194,25 +186,23 @@ void Prefetcher::discard(std::size_t slot) {
 }
 
 std::uint32_t Prefetcher::reissue_failed() {
-  if (provider_ == nullptr) return 0;
+  if (!reads_) return 0;
   std::uint32_t n = 0;
   auto w = window_.write();
   for (auto& e : *w) {
     if (e.pinned) continue;
-    for (auto& x : e.extents) {
-      if (!x.op->error()) continue;
+    for (ExtentOpPtr& op : e.ops) {
+      if (!op->error()) continue;
       // An op can carry an error while pieces still drain; those buffers
       // cannot be reused, so the old op keeps draining off to the side.
-      if (!x.op->finished()) draining_.push_back(x.op);
+      if (!op->finished()) draining_.push_back(op);
       // The failed op's extent already consumed the routes it tried, so
-      // rx.routes holds exactly the untried alternates: the reissue
-      // resumes the failover walk instead of restarting it. A reissue
-      // after the node *recovered* simply succeeds on rx.nid directly.
-      // A pull only fails after its refusal moved it to the device, so
-      // the reissue is a device read, never a second pull.
-      const ReadExtent& rx = x.op->extent;
-      x.op = engine_->start_extent(
-          ReadExtent{rx.nid, rx.offset, rx.len, rx.routes});
+      // its routes hold exactly the untried alternates: the restart
+      // resumes the failover walk instead of restarting it, under the
+      // same key. A restart after the node *recovered* simply succeeds on
+      // its nid directly. A pull only fails after its refusal made it a
+      // device read, so the restart is a device read, never a second pull.
+      op = engine_->start_extent(op->extent);
       ++stats_.units_reissued;
       ++n;
     }
@@ -221,7 +211,7 @@ std::uint32_t Prefetcher::reissue_failed() {
   return n;
 }
 
-dlsim::Task<AcquiredUnit> Prefetcher::acquire(
+dlsim::Task<std::vector<ExtentOpPtr>> Prefetcher::acquire(
     std::size_t slot, dlsim::CpuCore& consumer_core) {
   if (daemon_error_) std::rethrow_exception(daemon_error_);
   demand_floor_ = std::max(demand_floor_, slot + 1);
@@ -241,13 +231,12 @@ dlsim::Task<AcquiredUnit> Prefetcher::acquire(
         ensure_issued_through(slot);
       } else {
         // The unit was shed under pool pressure; demand re-fetch it.
-        issue_entry(slot, provider_->unit_extents(slot));
+        issue_entry(slot, reads_(slot));
       }
       it = find_entry(*w);
     }
-    const bool resident = std::all_of(
-        it->extents.begin(), it->extents.end(),
-        [](const Extent& x) { return x.op->finished(); });
+    const bool resident = std::ranges::all_of(
+        it->ops, [](const ExtentOpPtr& op) { return op->finished(); });
     if (resident) {
       ++stats_.units_resident_at_pick;
     } else {
@@ -262,8 +251,7 @@ dlsim::Task<AcquiredUnit> Prefetcher::acquire(
       }
       it->pinned = true;
       // Snapshot the ops: the window may shift while awaiting.
-      ops.reserve(it->extents.size());
-      for (const auto& x : it->extents) ops.push_back(x.op);
+      ops = it->ops;
     }
   }
   if (!ops.empty()) {
@@ -274,24 +262,19 @@ dlsim::Task<AcquiredUnit> Prefetcher::acquire(
     }
     stats_.stall_ns += sim_->now() - t0;
   }
-  // Second slice: hand the unit over and release its window entry.
-  AcquiredUnit unit;
+  // Second slice: hand the unit's ops over and release its window entry.
   {
     auto w = window_.write();
     auto it = find_entry(*w);
-    unit.extents.reserve(it->extents.size());
-    for (auto& x : it->extents) {
-      AcquiredExtent ax;
-      ax.key = x.key;
-      ax.error = x.op->error();
-      if (!ax.error) ax.buffers = x.op->take_buffers();
-      ax.pulled = x.op->extent.cls == HopClass::kPeer;
-      unit.extents.push_back(std::move(ax));
-    }
+    ops = std::move(it->ops);
     w->erase(it);
   }
+  // A failed op's landed chunks go back to the pool now.
+  for (const ExtentOpPtr& op : ops) {
+    if (op->error()) (void)op->take_buffers();
+  }
   wake_.set();  // window space freed; the daemon can read further ahead
-  co_return unit;
+  co_return ops;
 }
 
 dlsim::Task<void> Prefetcher::daemon_loop() {

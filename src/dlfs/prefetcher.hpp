@@ -11,14 +11,14 @@
 // The Prefetcher is a per-instance daemon coroutine (own CpuCore, like
 // the SCQ copy threads) that walks a *read-unit* order ahead of the
 // consumer cursor and keeps a window of units in flight *across* bread
-// calls. A read unit is whatever the installed EpochUnitProvider says it
-// is — one data chunk (chunk-level batching) or a group of consecutive
-// per-sample extents (sample-level batching) — so one windowed daemon
-// serves every batched bread. While the trainer computes between breads,
-// the daemon pumps the shared IoEngine and upcoming units land in
-// huge-page chunks; bread then finds its units already resident
-// (acquire() returns without stalling) and awaits only what is genuinely
-// missing.
+// calls. The daemon knows only the epoch's unit count and how to list a
+// unit's extents (UnitReads); a unit is one data chunk (chunk-level
+// batching) or a group of consecutive per-sample extents (sample-level
+// batching), so one windowed daemon serves every batched bread. While
+// the trainer computes between breads, the daemon pumps the shared
+// IoEngine and upcoming units land in huge-page chunks; bread then finds
+// its units already resident (acquire() returns without stalling) and
+// awaits only what is genuinely missing.
 //
 // Window policy (adaptive):
 //   * the target is the read-ahead depth *beyond* the highest slot the
@@ -39,18 +39,18 @@
 //     returned.
 //
 // Failure model: a prefetched extent's IoError is stored on its ExtentOp
-// and handed back *per extent* by acquire() — the daemon never dies on a
+// and handed back *per op* by acquire() — the daemon never dies on a
 // bad read-ahead, and the consumer routes each extent's error exactly as
 // it would a synchronous fetch failure (media fatal, node faults skip
 // just the affected samples).
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "dlfs/batching.hpp"
 #include "dlfs/io_engine.hpp"
 #include "mem/hugepage_pool.hpp"
 #include "sim/check.hpp"
@@ -81,20 +81,6 @@ struct PrefetchStats {
   std::uint64_t window_target = 0;   // current adaptive target
 };
 
-/// One extent of an acquired read unit, identified by the provider's
-/// key. `error` is the stored IoError of a failed read-ahead (buffers
-/// empty); the consumer routes it exactly like a demand-fetch failure.
-struct AcquiredExtent {
-  std::uint64_t key = 0;
-  std::vector<mem::DmaBuffer> buffers;
-  std::exception_ptr error{};
-  bool pulled = false;  // the bytes landed from a peer's DRAM
-};
-
-struct AcquiredUnit {
-  std::vector<AcquiredExtent> extents;
-};
-
 class Prefetcher {
  public:
   Prefetcher(dlsim::Simulator& sim, IoEngine& engine, mem::HugePagePool& pool,
@@ -105,11 +91,15 @@ class Prefetcher {
   Prefetcher(const Prefetcher&) = delete;
   Prefetcher& operator=(const Prefetcher&) = delete;
 
-  /// Installs a new read-unit order (null: none, nothing is read ahead).
-  /// Unfinished read-ahead from the previous order keeps draining in the
-  /// background (extents cannot be cancelled) and its buffers are dropped
-  /// on completion.
-  void start_epoch(const EpochUnitProvider* provider);
+  /// The extents of read unit `slot` worth fetching at call time, each
+  /// keyed by the consumer's name for it.
+  using UnitReads = std::function<std::vector<ReadExtent>(std::size_t slot)>;
+
+  /// Installs a new read-unit order of `units` units (an empty `reads`:
+  /// none, nothing is read ahead). Unfinished read-ahead from the previous
+  /// order keeps draining in the background (extents cannot be cancelled)
+  /// and its buffers are dropped on completion.
+  void start_epoch(std::size_t units, UnitReads reads);
 
   /// Demand-issues every unit up to and including `slot` that is not
   /// already in the window — bread calls this for its whole pick list
@@ -117,13 +107,13 @@ class Prefetcher {
   /// fetches all its units concurrently.
   void ensure_issued_through(std::size_t slot);
 
-  /// Hands over unit `slot`'s extents (buffers in on-device order, or a
-  /// stored error per failed extent), waiting — and pumping the engine on
-  /// `consumer_core` — only if the unit is not fully resident yet.
-  /// Consumption must be in slot order (the provider contract). Extents
-  /// the provider elided at issue time (e.g. already cache-resident
-  /// samples) are simply absent.
-  [[nodiscard]] dlsim::Task<AcquiredUnit> acquire(
+  /// Hands over unit `slot`'s finished ops (buffers in on-device order,
+  /// or a stored error; a failed op's landed chunks are dropped), waiting
+  /// — and pumping the engine on `consumer_core` — only if the unit is
+  /// not fully resident yet. Consumption must be in slot order. Extents
+  /// `reads` elided at issue time (e.g. already cache-resident samples)
+  /// are simply absent.
+  [[nodiscard]] dlsim::Task<std::vector<ExtentOpPtr>> acquire(
       std::size_t slot, dlsim::CpuCore& consumer_core);
 
   /// Engine pressure callback: drops the farthest resident unconsumed
@@ -144,32 +134,28 @@ class Prefetcher {
 
   [[nodiscard]] const PrefetchStats& stats() const { return stats_; }
   [[nodiscard]] const dlsim::CpuCore& core() const { return *core_; }
-  [[nodiscard]] std::size_t window_size() const {
-    return window_.read()->size();
-  }
 
  private:
   // Pool chunks kept free for demand fetches and the sample cache when
   // sizing read-ahead; top_up never takes the pool below this.
   static constexpr std::uint64_t kReserveChunks = 8;
 
-  struct Extent {
-    std::uint64_t key = 0;
-    ExtentOpPtr op;
-  };
   struct Entry {
     std::size_t slot = 0;
-    std::vector<Extent> extents;
+    std::vector<ExtentOpPtr> ops;
     std::uint64_t chunks = 0;  // pool chunks this unit's extents occupy
     bool pinned = false;  // a consumer is awaiting it; reliever must skip
   };
 
   [[nodiscard]] static std::uint64_t extents_chunks(
-      const std::vector<UnitExtent>& xs, std::uint64_t chunk_bytes);
+      const std::vector<ReadExtent>& xs, std::uint64_t chunk_bytes);
+  [[nodiscard]] std::size_t window_size() const {
+    return window_.read()->size();
+  }
   /// Issues unit `slot` into the window at its slot position
   /// (self-guarded; reentrant from a caller already holding the window's
   /// guard — same-task slices nest).
-  void issue_entry(std::size_t slot, std::vector<UnitExtent> xs);
+  void issue_entry(std::size_t slot, std::vector<ReadExtent> xs);
   void top_up();
   [[nodiscard]] ExtentOpPtr oldest_unfinished();
   dlsim::Task<void> daemon_loop();
@@ -181,7 +167,7 @@ class Prefetcher {
   PrefetcherConfig cfg_;
   std::unique_ptr<dlsim::CpuCore> core_;
   dlsim::Event wake_;
-  const EpochUnitProvider* provider_ = nullptr;
+  UnitReads reads_;  // empty: no unit order installed
   // The in-flight window in slot order, front = next to consume. Every
   // touch is one suspension-free slice on its ledger.
   dlsim::Checked<std::deque<Entry>> window_{"prefetch-window"};

@@ -61,7 +61,6 @@ struct TenantQosStats {
 /// governor so the fairness floor sees every tenant.
 class TenantHandle {
  public:
-  [[nodiscard]] const TenantQos& qos() const { return cfg_; }
   [[nodiscard]] const TenantQosStats& stats() const { return stats_; }
   [[nodiscard]] std::uint32_t inflight() const { return inflight_; }
 

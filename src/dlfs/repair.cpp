@@ -77,10 +77,7 @@ std::optional<RouteHop> DlfsFleet::claim_repair_target(
   const std::uint32_t hash_probes = 8 * effective_reps_ + 32;
   for (std::uint32_t r = 1; r <= hash_probes + num_slots; ++r) {
     const auto cand = static_cast<std::uint16_t>(
-        r <= hash_probes
-            ? hash64(std::string(spec.name) + '\x1f' + std::to_string(r)) %
-                  num_slots
-            : (loc.nid + r) % num_slots);
+        probe_slot(spec.name, r, num_slots, hash_probes, loc.nid));
     if (declared_dead_[cand] != 0 || cand == loc.nid) continue;
     bool holds = false;
     for (const RouteHop& h : directory_.replicas(sample_id)) {
@@ -251,8 +248,8 @@ dlsim::Task<bool> DlfsInstance::repair_one(std::uint32_t sample_id,
   if (wop->error()) co_return false;  // allocated extent is wasted, not wrong
 
   // Atomic publication: one directory call, no suspension — failover,
-  // the prefetcher's RouteResolver and advance_route see the new hop on
-  // their next issue, mid-epoch.
+  // sample_read and advance_route see the new hop on their next issue,
+  // mid-epoch.
   fleet_->publish_repair(sample_id, *dst);
   ++samples_rereplicated_;
   repair_bytes_ += loc.len;

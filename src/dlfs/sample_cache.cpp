@@ -104,12 +104,10 @@ PeerCacheDirectory::PeerCacheDirectory(std::uint32_t num_clients)
 }
 
 std::uint32_t PeerCacheDirectory::home_client(std::size_t sample_id) const {
-  // Same probe discipline as replica placement: hash the key with a
-  // '\x1f'-separated probe rank. Only rank 0 (the home) is used today;
-  // ranks > 0 are the natural successor chain if homes ever fail over.
+  // Rank 0 of the replica-placement probe chain; ranks > 0 are the
+  // natural successor chain if homes ever fail over.
   return static_cast<std::uint32_t>(
-      hash64("peer\x1f" + std::to_string(sample_id) + "\x1f" + "0") %
-      num_clients_);
+      probe_slot("peer\x1f" + std::to_string(sample_id), 0, num_clients_));
 }
 
 void PeerCacheDirectory::advertise(std::uint32_t holder, std::uint16_t node,

@@ -70,8 +70,8 @@ static_assert(sizeof(SampleEntry) == 16,
               "a sample entry must be exactly 128 bits (paper, Fig. 3b)");
 
 // The class of an extent's current route: kStorage reads the device
-// extent (nid, offset); kPeer pulls sample `offset` out of a peer's DRAM
-// (nid unused) and fails over to the extent's routes.
+// extent (nid, offset); kPeer pulls the extent's sample (its key) out of
+// a peer's DRAM and, refused, reads the device extent instead.
 enum class HopClass : std::uint8_t { kStorage, kPeer };
 
 // RouteHop: one alternate placement of a sample (replica location). Read

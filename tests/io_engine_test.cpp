@@ -201,7 +201,7 @@ TEST(IoEngine, QueueDepthPipelinesOneTarget) {
   EXPECT_LT(elapsed, 120_us);
 }
 
-TEST(IoEngine, BuffersHandedOverWhenDstIsNull) {
+TEST(IoEngine, TakeBuffersHandsOverChunkSplitPieces) {
   EngineRig rig;
   std::vector<dlfs::mem::DmaBuffer> buffers;
   rig.sim.spawn([](IoEngine& e, CpuCore& c,
@@ -218,7 +218,7 @@ TEST(IoEngine, BuffersHandedOverWhenDstIsNull) {
   EXPECT_EQ(std::memcmp(buffers[0].data(), want.data(), want.size()), 0);
 }
 
-TEST(IoEngine, OnBuffersReadyFiresBeforeBatchEnd) {
+TEST(IoEngine, AwaitOpReturnsBeforeLaterExtentLands) {
   // Two extents from one start_extents call on one device: awaiting op 0
   // returns with its buffers while op 1 is still in flight, so a consumer
   // can start on the first extent before the batch ends.

@@ -829,6 +829,37 @@ TEST(PeerCache, RefusedDemandPullReadsDeviceOnce) {
   EXPECT_TRUE(a.cache().valid(kVictim));
 }
 
+TEST(PeerCache, RefusedPullOfDeadPrimaryReadsItsReplica) {
+  // Client 1 holds every sample, but the link between the two clients'
+  // nodes is cut, so every pull client 0 issues is refused. The extent
+  // then moves to its device placement, whose storage node has crashed,
+  // and fails over to the replica: the right bytes, one miss per sample
+  // and no peer hit.
+  auto c = PeerRig::cfg(640);
+  c.fault.replication = dlfs::core::ReplicationConfig(2);
+  PeerRig rig(4, /*clients=*/{2, 3}, /*storage=*/{0, 1}, c);
+  fill_holder(rig, rig.fleet.instance(1));
+  ASSERT_NE(rig.fleet.target(0), nullptr);
+  rig.fleet.target(0)->crash();
+  rig.cluster.fabric().fail_link(2, 3);
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t id = 0; id < PeerRig::kSamples; ++id) {
+    if (rig.fleet.layout()[id].nid == 0) ids.push_back(id);
+  }
+  ASSERT_FALSE(ids.empty());
+  auto& a = rig.fleet.instance(0);
+  bool content_ok = true;
+  rig.sim.spawn(read_checked(rig.ds, a, ids, content_ok), "refused-dead");
+  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+  rig.sim.rethrow_failures();
+  EXPECT_TRUE(content_ok);
+  const auto s = a.stats();
+  EXPECT_EQ(s.peer_misses, ids.size());
+  EXPECT_EQ(s.peer_hits_remote, 0u);
+  EXPECT_EQ(s.samples_delivered, ids.size());
+  EXPECT_EQ(s.nodes_down, 1u);
+}
+
 TEST(PeerCache, LandingChunksReturnToThePool) {
   // A pull lands in a requester pool chunk that lives until the copy job
   // carrying it has run: after a warm epoch of pulls the requester's
