@@ -20,7 +20,17 @@ execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
                         "${WORKDIR}/stdout.txt" "${GOLDEN}"
                 RESULT_VARIABLE differs)
 if(differs)
-  message(FATAL_ERROR
-          "stdout of ${BENCH} differs from ${GOLDEN}: "
-          "diff ${WORKDIR}/stdout.txt against it")
+  # Show which figures moved, so a CI log names them: a unified diff of
+  # the golden against this run's stdout, when `diff` is installed.
+  set(delta "diff ${WORKDIR}/stdout.txt against it")
+  find_program(DIFF_EXE diff)
+  if(DIFF_EXE)
+    execute_process(COMMAND "${DIFF_EXE}" -u "${GOLDEN}"
+                            "${WORKDIR}/stdout.txt"
+                    OUTPUT_VARIABLE delta)
+    # message() reflows lines that start without whitespace; indented
+    # lines are printed as they are.
+    string(REPLACE "\n" "\n  " delta "  ${delta}")
+  endif()
+  message(FATAL_ERROR "stdout of ${BENCH} differs from ${GOLDEN}:\n${delta}")
 endif()

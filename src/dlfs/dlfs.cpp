@@ -251,7 +251,7 @@ void DlfsInstance::spawn_injected(dlsim::CountdownLatch* done) {
       }(io_core_, injected_, done));
 }
 
-dlsim::Task<void> DlfsInstance::charge_frontend(
+dlsim::Task<dlsim::SimDuration> DlfsInstance::charge_frontend(
     std::span<const EpochSequence::UnitPicks> picks) {
   std::size_t total = 0;
   std::size_t local = 0;  // resolutions served at the local walk rate
@@ -277,9 +277,11 @@ dlsim::Task<void> DlfsInstance::charge_frontend(
     }
   }
   lookup_time_total_ += local * fleet_->config_.calibration.dlfs.dir_lookup;
-  co_await io_core_->compute(
+  const dlsim::SimDuration charged =
       local * fleet_->config_.calibration.dlfs.dir_lookup +
-      total * fleet_->config_.calibration.dlfs.bread_per_sample);
+      total * fleet_->config_.calibration.dlfs.bread_per_sample;
+  co_await io_core_->compute(charged);
+  co_return charged;
 }
 
 /// Faults one batched read noticed while settling its units.
@@ -365,13 +367,16 @@ dlsim::Task<void> DlfsInstance::read_elided(std::size_t begin,
                                             std::vector<std::uint32_t> issued,
                                             HeldUnit* hu) {
   // Read-ahead skipped a sample the cache or a co-located holder had at
-  // issue time. One that is gone now gets its sample_read; every such
-  // read is posted before any is awaited.
+  // issue time. One the cache still holds stays pinned until its pick;
+  // one that is gone now gets its sample_read, and every such read is
+  // posted before any is awaited.
   using enum PeerServe;
   std::vector<ReadExtent> reads;
   for (std::size_t s = begin; s < end; ++s) {
     const std::uint32_t id = seq_->unit_at(s)->samples.front().sample_id;
-    if (std::ranges::find(issued, id) != issued.end() || cache_->valid(id)) {
+    if (std::ranges::find(issued, id) != issued.end()) continue;
+    if (cache_->valid(id)) {
+      hu->cached.emplace(id, cache_->pin(id));
       continue;
     }
     const PeerServe peer = peer_route(id);
@@ -409,9 +414,9 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
     cache_->note_hit();
     CopyJob job;
     job.views = cache_->pin(sample_id);
+    job.unpin_sample_id = sample_id;
     job.dst = dst;
     co_await engine_->run_copy_inline(*io_core_, std::move(job));
-    cache_->unpin(sample_id);
     co_return true;
   }
   // The cost-free probe first: with no peer to serve it and no live copy
@@ -474,7 +479,6 @@ dlsim::Task<void> DlfsInstance::deliver(ExtentOpPtr x, std::byte* dst,
     if (fleet_->config_.copy_threads == 0) {
       co_await engine_->run_copy_inline(*io_core_, std::move(job));
     } else if (run->owned_pieces.empty()) {
-      job.origin = io_core_;
       *run = std::move(job);
     } else {
       assert(run->dst + std::accumulate(run->piece_lens.begin(),
@@ -492,20 +496,22 @@ dlsim::Task<void> DlfsInstance::deliver(ExtentOpPtr x, std::byte* dst,
     co_return;
   }
   job.cache_sample_id = id;
-  job.origin = io_core_;
-  if (fleet_->config_.copy_threads == 0) {
-    co_await engine_->run_copy_inline(*io_core_, std::move(job));
-  } else {
-    job.latch = copies;
-    copies->add(1);
-    co_await engine_->enqueue_copy(std::move(job));
-  }
+  co_await copy_out(std::move(job), copies);
 }
 
 dlsim::Task<void> DlfsInstance::enqueue_run(CopyJob* run,
                                             dlsim::CountdownLatch* copies) {
   if (run->owned_pieces.empty()) co_return;
-  CopyJob job = std::exchange(*run, CopyJob());
+  co_await copy_out(std::exchange(*run, CopyJob()), copies);
+}
+
+dlsim::Task<void> DlfsInstance::copy_out(CopyJob job,
+                                         dlsim::CountdownLatch* copies) {
+  if (fleet_->config_.copy_threads == 0) {
+    co_await engine_->run_copy_inline(*io_core_, std::move(job));
+    co_return;
+  }
+  job.origin = io_core_;
   job.latch = copies;
   copies->add(1);
   co_await engine_->enqueue_copy(std::move(job));
@@ -577,6 +583,7 @@ void DlfsInstance::sequence(std::uint64_t seed) {
     }
   }
   seq_.emplace(*fleet_->plan_, seed, client_idx_, fleet_->num_clients());
+  for (auto& [slot, hu] : held_) unpin_cached(hu);
   held_.clear();
   reprobe_pending_ = true;  // epoch boundary: revalidate down nodes once
   if (fleet_->config_.batching == BatchingMode::kNone) {
@@ -662,8 +669,10 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
       fleet_->config_.batching == BatchingMode::kChunkLevel;
   const bool copy_pool = fleet_->config_.copy_threads > 0;
 
-  // Frontend: directory lookups for every sample in the mini-batch.
-  co_await charge_frontend(picks);
+  // Frontend: chunk mode looks up every sample in the mini-batch before
+  // its first acquire; sample-level mode looks up each pick just before
+  // its acquire, while the copy threads drain earlier picks.
+  if (chunk_mode) co_await charge_frontend(picks);
 
   // Arena layout: a sample takes space once it has bytes, so delivered
   // samples pack densely in pick order.
@@ -677,9 +686,14 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   };
 
   prefetcher_->ensure_issued_through(unit_of(picks.back().unit_slot));
-  dlsim::CountdownLatch inj_done(node_->simulator(), 1);
+  dlsim::Simulator& sim = node_->simulator();
+  dlsim::CountdownLatch inj_done(sim, 1);
   spawn_injected(&inj_done);
-  dlsim::CountdownLatch copies(node_->simulator(), 0);
+  // Sample-level lookups share the I/O core with the injected compute,
+  // and the core does one at a time: a lookup that starts before that
+  // compute ends pushes its end out by what the lookup charged the core.
+  dlsim::SimTime inj_end = sim.now() + injected_;
+  dlsim::CountdownLatch copies(sim, 0);
   std::vector<CopyJob> inline_copies;
   // Sample-level: the open run of landed pulls, consecutive in the arena
   // and within one read-ahead unit, queued as one copy job.
@@ -692,6 +706,12 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
       if (unit_of(pk.unit_slot) != run_unit) {
         co_await enqueue_run(&run, &copies);
         run_unit = unit_of(pk.unit_slot);
+      }
+      if (!chunk_mode) {
+        const dlsim::SimDuration lookup =
+            co_await charge_frontend(std::span(&pk, 1));
+        // The core ran the lookup over [now - lookup, now).
+        if (sim.now() - lookup < inj_end) inj_end += lookup;
       }
       HeldUnit* hu = co_await acquire_pick(pk, &faults);
       hu->remaining -= pk.count;
@@ -729,12 +749,24 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
         }
         continue;
       }
-      // Sample-level: a landed extent goes through the delivery step; a
-      // sample with no usable read-ahead (a cache hit, a co-located
-      // holder's, or one whose node failed) is a demand read. A sample
-      // delivered any way but as a landed pull ends the open run.
+      // Sample-level: a sample the cache held at the unit's acquire is
+      // copied from its pin, and a landed extent goes through the
+      // delivery step; a sample with neither (a co-located holder's, or
+      // one whose node failed) is a demand read. A sample delivered any
+      // way but as a landed pull ends the open run.
       for (std::uint32_t i = 0; i < pk.count; ++i) {
         const UnitSample& us = pk.unit->samples[pk.first_sample + i];
+        if (auto c = hu->cached.find(us.sample_id); c != hu->cached.end()) {
+          co_await enqueue_run(&run, &copies);
+          cache_->note_hit();
+          CopyJob job;
+          job.views = std::move(c->second);
+          job.unpin_sample_id = us.sample_id;
+          job.dst = place(us.sample_id, us.len);
+          hu->cached.erase(c);
+          co_await copy_out(std::move(job), &copies);
+          continue;
+        }
         auto x = hu->samples.find(us.sample_id);
         if (x != hu->samples.end() && !cache_->valid(us.sample_id)) {
           if (x->second->error()) {
@@ -769,6 +801,7 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   // The last run, or one a throw left open: its copy drains with the rest.
   co_await enqueue_run(&run, &copies);
   co_await inj_done.wait();
+  if (sim.now() < inj_end) co_await sim.delay(inj_end - sim.now());
   for (CopyJob& job : inline_copies) {
     co_await engine_->run_copy_inline(*io_core_, std::move(job));
   }
@@ -785,10 +818,17 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   co_return batch;
 }
 
+void DlfsInstance::unpin_cached(HeldUnit& hu) {
+  for (const auto& [id, views] : hu.cached) cache_->unpin(id);
+  hu.cached.clear();
+}
+
 void DlfsInstance::maybe_release_unit(std::size_t slot) {
   auto it = held_.find(slot);
   if (it != held_.end() && it->second.remaining == 0 &&
       it->second.view_pins == 0) {
+    // A pick a throw cut short leaves its later samples' pins behind.
+    unpin_cached(it->second);
     held_.erase(it);
   }
 }

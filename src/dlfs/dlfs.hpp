@@ -457,10 +457,18 @@ class DlfsInstance {
     // per-sample finished ops keyed by sample id. A sample-level op may
     // carry a stored media error instead of buffers.
     std::unordered_map<std::uint32_t, ExtentOpPtr> samples;
+    // Sample-level units: the cache's pinned views of each sample the
+    // cache held at the unit's first acquire, keyed by sample id. The
+    // pick that delivers the sample hands the pin to its copy job, which
+    // releases it once the bytes are copied.
+    std::unordered_map<std::uint32_t, std::vector<std::span<const std::byte>>>
+        cached;
     std::uint32_t remaining = 0;  // samples not yet delivered
     std::uint32_t view_pins = 0;  // live ViewBatches referencing this unit
   };
   struct BatchFaults;
+  /// Releases the cache pins of the unit's samples no pick delivered.
+  void unpin_cached(HeldUnit& hu);
   void maybe_release_unit(std::size_t slot);
 
   /// Where a peer cache serves a sample the local cache lacks, as the
@@ -503,24 +511,32 @@ class DlfsInstance {
   dlsim::Task<Batch> bread_unbatched(
       std::span<const EpochSequence::UnitPicks> picks,
       std::span<std::byte> arena);
-  /// Frontend charge for one batched call: the real directory tree walks
-  /// plus per-sample accounting CPU (shared by bread and bread_views).
-  dlsim::Task<void> charge_frontend(
+  /// Frontend charge for `picks`: the real directory tree walks plus
+  /// per-sample accounting CPU. Chunk-level bread and bread_views charge
+  /// the whole batch before its first acquire; sample-level bread charges
+  /// each pick just before its acquire, so copies of earlier picks run on
+  /// the copy threads while later lookups run. Returns what it charged
+  /// the I/O core for local walks and accounting; remote lookups are not
+  /// in it.
+  dlsim::Task<dlsim::SimDuration> charge_frontend(
       std::span<const EpochSequence::UnitPicks> picks);
   /// The acquire step of bread and bread_views: holds the prefetch unit
   /// behind `pk` in held_, acquiring it from the daemon on first touch.
-  /// A sample-level unit's first acquire also reads what read-ahead
-  /// elided and the cache has lost since (read_elided). A chunk unit
-  /// degraded by a node fault re-reads the pick's samples from their
-  /// replicas (or the recovered primary) into its per-sample extents.
+  /// A sample-level unit's first acquire also pins what read-ahead elided
+  /// and the cache still holds, and reads what it has lost since
+  /// (read_elided). A chunk unit degraded by a node fault re-reads the
+  /// pick's samples from their replicas (or the recovered primary) into
+  /// its per-sample extents.
   /// Unreachable samples and fatal faults land in `*faults`.
   dlsim::Task<HeldUnit*> acquire_pick(EpochSequence::UnitPicks pk,
                                       BatchFaults* faults);
   /// Part of a sample-level unit's first acquire: a sample of epoch slots
   /// [begin, end) that read-ahead never `issued` (the cache or a
-  /// co-located holder had it) and that neither has now gets its
-  /// sample_read. All of them are posted before any is awaited, and the
-  /// finished ops join `hu->samples`.
+  /// co-located holder had it) is pinned into `hu->cached` when the cache
+  /// holds it now, so no eviction turns it into a demand read before its
+  /// pick. One that neither holds now gets its sample_read. All of them
+  /// are posted before any is awaited, and the finished ops join
+  /// `hu->samples`.
   dlsim::Task<void> read_elided(std::size_t begin, std::size_t end,
                                 std::vector<std::uint32_t> issued,
                                 HeldUnit* hu);
@@ -529,11 +545,13 @@ class DlfsInstance {
   /// Empty when the sample has no bytes (skipped, or a media fault).
   [[nodiscard]] std::vector<std::span<const std::byte>> held_views(
       const HeldUnit& hu, const UnitSample& us) const;
-  /// The demand read of one sample into `dst`: the sample cache, then a
-  /// holder on this node, else its sample_read (a pull from a remote
-  /// holder, else the device, each failing over inside the engine),
-  /// awaited on the I/O core and delivered. False when no peer serves it
-  /// and no copy is reachable; an extent that fails throws its IoError.
+  /// The demand read of one sample into `dst` (read(), DLFS-Base, and a
+  /// sample-level pick with no landed extent and no pin): the sample
+  /// cache, then a holder on this node, else its sample_read (a pull from
+  /// a remote holder, else the device, each failing over inside the
+  /// engine), awaited on the I/O core and delivered. False when no peer
+  /// serves it and no copy is reachable; an extent that fails throws its
+  /// IoError.
   dlsim::Task<bool> demand_read(std::uint32_t sample_id, std::byte* dst);
   /// The one delivery step of a landed per-sample extent (a demand read,
   /// or a sample-level read-ahead extent the pick loop consumes); `x` is
@@ -547,8 +565,13 @@ class DlfsInstance {
   /// Queues the open run of landed pulls, if any, as one copy job that
   /// counts `copies` down, and leaves `run` empty.
   dlsim::Task<void> enqueue_run(CopyJob* run, dlsim::CountdownLatch* copies);
+  /// The copy stage of one job from the I/O core: queued on the copy
+  /// threads, counting `copies` down, or copied inline without them.
+  dlsim::Task<void> copy_out(CopyJob job, dlsim::CountdownLatch* copies);
   /// Injected poll-loop compute (Fig. 7b) as a concurrent task; counts
   /// `done` down when finished (immediately when nothing is injected).
+  /// It hides under the batch's waits but not under its lookups: bread
+  /// awaits it longer by each sample-level lookup made inside its window.
   void spawn_injected(dlsim::CountdownLatch* done);
   /// Node health as every read path sees it: engine transport state AND
   /// the directory's wholesale V bit.

@@ -86,6 +86,7 @@ void IoEngine::do_copy(CopyJob& job) {
     copied += v.size();
   }
   bytes_copied_ += copied;
+  if (job.unpin_sample_id) cache_->unpin(*job.unpin_sample_id);
   if (job.cache_sample_id && !job.owned_pieces.empty()) {
     cache_->insert(*job.cache_sample_id, std::move(job.owned_pieces),
                    std::move(job.piece_lens));

@@ -172,6 +172,9 @@ struct CopyJob {
   std::vector<std::span<const std::byte>> views;
   std::byte* dst = nullptr;
   std::optional<std::size_t> cache_sample_id{};
+  // The sample cache entry `views` point into, pinned by the caller:
+  // unpinned as soon as its bytes are copied.
+  std::optional<std::size_t> unpin_sample_id{};
   dlsim::CountdownLatch* latch = nullptr;
   // Core that produced the job. A copy thread running on a different
   // core pays the cross-core handoff cost (cache-line transfer of the
@@ -240,7 +243,8 @@ class IoEngine {
   /// Enqueues a copy of landed or resident bytes on the copy-thread pool,
   /// which must exist (copy_threads > 0). The latch is counted down after
   /// the memcpy; a job with `cache_sample_id` then retains its owned
-  /// pieces in the sample cache (V bit set).
+  /// pieces in the sample cache (V bit set), and one with
+  /// `unpin_sample_id` has already released its pin.
   [[nodiscard]] dlsim::Task<void> enqueue_copy(CopyJob job);
 
   /// Copy-stage work executed inline when copy_threads == 0; exposed so

@@ -442,25 +442,51 @@ TEST(DlfsBread, ReadAheadCopiesCountHandoffs) {
   }
 }
 
+/// One sample-level rig whose cache holds the whole dataset, warmed by an
+/// epoch, and sequenced for a warm epoch with seed 2 whose first
+/// read-ahead units the daemon has issued, every sample elided.
+struct WarmRig : Rig {
+  WarmRig()
+      : Rig(1, dlfs::dataset::make_fixed_size_dataset(64, 4096), config()) {
+    mount();
+    auto& inst = fleet.instance(0);
+    inst.sequence(1);
+    BreadResult cold;
+    sim.spawn(drain_epoch(ds, inst, 16, cold));
+    sim.run();
+    sim.rethrow_failures();
+    inst.sequence(2);
+    sim.run();
+  }
+
+  static DlfsConfig config() {
+    DlfsConfig cfg;
+    cfg.batching = BatchingMode::kSampleLevel;
+    cfg.cache_chunks = 128;  // the whole dataset stays resident
+    return cfg;
+  }
+
+  /// Runs one bread of `n` at client 0 into `arena`.
+  Batch bread(std::size_t n, std::span<std::byte> arena) {
+    Batch batch;
+    sim.spawn([](DlfsInstance& inst, std::size_t n, std::span<std::byte> arena,
+                 Batch* out) -> Task<void> {
+      *out = co_await inst.bread(n, arena);
+    }(fleet.instance(0), n, arena, &batch));
+    sim.run();
+    sim.rethrow_failures();
+    return batch;
+  }
+};
+
 TEST(DlfsBread, SamplesEvictedAfterIssueAreReadTogether) {
   // A warm epoch's read-ahead skips the samples the cache holds. Four of
   // the first unit's samples are evicted after it was issued and before
   // the first bread: the unit's acquire posts all four reads before it
   // delivers any sample, and every byte is the dataset's.
-  DlfsConfig cfg;
-  cfg.batching = BatchingMode::kSampleLevel;
-  cfg.cache_chunks = 128;  // the whole dataset stays resident
-  Rig rig(1, dlfs::dataset::make_fixed_size_dataset(64, 4096), cfg);
-  rig.mount();
+  WarmRig rig;
   auto& inst = rig.fleet.instance(0);
-  inst.sequence(1);
-  BreadResult cold;
-  rig.sim.spawn(drain_epoch(rig.ds, inst, 16, cold));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
   ASSERT_EQ(inst.cache().resident_samples(), 64u);
-  inst.sequence(2);
-  rig.sim.run();  // the daemon issues the first units, every sample elided
   ASSERT_GT(inst.prefetcher().stats().units_issued, 0u);
   // The first four epoch slots lie in the first read-ahead unit (8 slots).
   const dlfs::core::EpochSequence order(rig.fleet.plan(), 2, 0, 1);
@@ -495,6 +521,76 @@ TEST(DlfsBread, SamplesEvictedAfterIssueAreReadTogether) {
         std::span<const std::byte>(arena.data() + s.offset_in_arena, s.len)))
         << "sample " << s.sample_id;
   }
+}
+
+TEST(DlfsBread, SampleCachedAtAcquireIsServedAtItsPick) {
+  // The first bread acquires the epoch's first read-ahead unit (8 slots),
+  // whose samples the cache holds. One of its unpicked samples cannot be
+  // evicted before its pick, so the second bread serves it from the cache
+  // too: no device request, and the dataset's bytes.
+  WarmRig rig;
+  auto& inst = rig.fleet.instance(0);
+  std::vector<std::byte> arena(4 * 4096);
+  ASSERT_EQ(rig.bread(4, arena).samples.size(), 4u);
+  const dlfs::core::EpochSequence order(rig.fleet.plan(), 2, 0, 1);
+  const std::uint32_t victim = order.unit_at(5)->samples.front().sample_id;
+  inst.cache().evict(victim);
+  EXPECT_TRUE(inst.cache().valid(victim));
+  const std::uint64_t posted0 = inst.engine().requests_posted();
+  const Batch batch = rig.bread(4, arena);
+  EXPECT_EQ(inst.engine().requests_posted() - posted0, 0u);
+  ASSERT_EQ(batch.samples.size(), 4u);
+  EXPECT_EQ(batch.samples[1].sample_id, victim);
+  for (const auto& s : batch.samples) {
+    EXPECT_TRUE(sample_matches(
+        rig.ds, s.sample_id,
+        std::span<const std::byte>(arena.data() + s.offset_in_arena, s.len)))
+        << "sample " << s.sample_id;
+  }
+}
+
+TEST(DlfsBread, SequenceReleasesAPartialUnitsPins) {
+  // A bread of 4 leaves the other 4 samples of its read-ahead unit
+  // pinned for their picks. A new epoch drops the unit and its pins, so
+  // every cache entry can be evicted again.
+  WarmRig rig;
+  auto& inst = rig.fleet.instance(0);
+  std::vector<std::byte> arena(4 * 4096);
+  ASSERT_EQ(rig.bread(4, arena).samples.size(), 4u);
+  auto& cache = inst.cache();
+  while (cache.evict_lru_one()) {
+  }
+  EXPECT_EQ(cache.resident_samples(), 4u);
+  inst.sequence(3);
+  while (cache.evict_lru_one()) {
+  }
+  EXPECT_EQ(cache.resident_samples(), 0u);
+}
+
+TEST(DlfsBread, InjectedComputeWaitsOutSampleLevelLookups) {
+  // The I/O core does one thing at a time. A warm sample-level bread of
+  // 16 own hits looks each pick up while the injected poll-loop compute
+  // runs, so it ends no sooner than the compute plus the lookups.
+  WarmRig rig;
+  auto& inst = rig.fleet.instance(0);
+  const auto& costs = rig.fleet.config().calibration.dlfs;
+  inst.set_injected_poll_compute(200_us);
+  std::vector<std::byte> arena(16 * 4096);
+  const dlsim::SimTime t0 = rig.sim.now();
+  const dlsim::SimDuration busy0 = inst.io_core().busy_ns();
+  dlsim::SimTime done = 0;
+  rig.sim.spawn([](Simulator& sim, DlfsInstance& inst,
+                   std::span<std::byte> arena,
+                   dlsim::SimTime* done) -> Task<void> {
+    EXPECT_EQ((co_await inst.bread(16, arena)).samples.size(), 16u);
+    *done = sim.now();
+  }(rig.sim, inst, arena, &done));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  const dlsim::SimDuration lookups =
+      16 * (costs.dir_lookup + costs.bread_per_sample);
+  EXPECT_EQ(inst.io_core().busy_ns() - busy0, 200_us + lookups);
+  EXPECT_GE(done - t0, 200_us + lookups);
 }
 
 TEST(DlfsBread, ArenaTooSmallThrowsBeforeWritingArena) {

@@ -7,9 +7,11 @@
 // fail. Under sample-level batching a remote pull is a read-ahead unit:
 // the prefetch daemon issues it ahead of the cursor, the engine runs it
 // into a requester pool chunk and the pick loop hands what landed to the
-// copy threads, one job per run of a read-ahead unit's pulls. The
-// read-ahead-pull tests pin down the overlap, pulls that land before
-// their bread, the copy jobs' charges, the holder's serve queue, QoS
+// copy threads, one job per run of a read-ahead unit's pulls; an
+// own-cache hit is a job of its own, and each pick pays its own lookup
+// just before its acquire. The read-ahead-pull tests pin down the
+// overlap, pulls that land before their bread, the copy jobs' charges
+// and when the first one starts, the holder's serve queue, QoS
 // grants, the device failover of a refused pull, and that no holder pin
 // or landing chunk outlives its pull. A demand read issues the same
 // extent: a pull when only a remote peer holds the sample, else the
@@ -637,30 +639,74 @@ TEST(PeerCache, PulledRunsCopyOnTheCopyThreads) {
 
 TEST(PeerCache, PulledCopiesStayInlineWithoutCopyThreads) {
   // With no copy threads each landed pull is copied on the I/O core, one
-  // sample at a time, and nothing crosses cores.
-  auto c = PeerRig::cfg(640);
-  c.copy_threads = 0;
-  PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0}, c);
-  fill_holder(rig, rig.fleet.instance(1));
+  // sample at a time, and nothing crosses cores. So is each own-cache
+  // hit: when client 0 is the holder, its whole epoch is served from its
+  // own cache.
+  for (const std::uint32_t holder : {1u, 0u}) {
+    auto c = PeerRig::cfg(640);
+    c.copy_threads = 0;
+    PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0}, c);
+    fill_holder(rig, rig.fleet.instance(holder));
+    auto& a = rig.fleet.instance(0);
+    a.sequence(7);
+    const auto& costs = rig.fleet.config().calibration.dlfs;
+    const dlsim::SimDuration io0 = a.io_core().busy_ns();
+    const std::uint64_t hits0 = a.stats().cache_hits;
+    DeliveryLog log;
+    rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "inline-copies");
+    rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+    rig.sim.rethrow_failures();
+    ASSERT_EQ(log.order.size(), PeerRig::kSamples / 2);
+    EXPECT_TRUE(log.content_ok);
+    EXPECT_TRUE(log.dense);
+    const auto s = a.stats();
+    const std::uint64_t n =
+        holder == 0 ? s.cache_hits - hits0 : s.peer_hits_remote;
+    ASSERT_EQ(n, log.order.size()) << "holder " << holder;
+    EXPECT_EQ(a.engine().cross_core_handoffs(), 0u);
+    EXPECT_EQ(a.engine().copy_busy_ns(), 0u);
+    EXPECT_EQ(a.io_core().busy_ns() - io0,
+              n * (costs.dir_lookup + costs.bread_per_sample +
+                   costs.completion_handling +
+                   dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec)))
+        << "holder " << holder;
+  }
+}
+
+TEST(PeerCache, OwnCacheHitsCopyOnTheCopyThreads) {
+  // One client whose cache holds the whole dataset: its warm epoch is all
+  // own-cache hits. Each is pinned at its read-ahead unit's acquire and
+  // copied from the pin by the SCQ copy threads as a job of its own, so
+  // the I/O core is charged only the breads' frontend, and the copy
+  // threads completion handling, the memcpy and one handoff per hit.
+  PeerRig rig(2, /*clients=*/{1}, /*storage=*/{0}, PeerRig::cfg(640));
   auto& a = rig.fleet.instance(0);
+  fill_holder(rig, a);
+  ASSERT_EQ(a.cache().resident_samples(), PeerRig::kSamples);
+  ASSERT_EQ(rig.fleet.config().copy_threads, 2u);
   a.sequence(7);
   const auto& costs = rig.fleet.config().calibration.dlfs;
   const dlsim::SimDuration io0 = a.io_core().busy_ns();
+  const dlsim::SimDuration copy0 = a.engine().copy_busy_ns();
+  const std::uint64_t handoffs0 = a.engine().cross_core_handoffs();
+  const std::uint64_t hits0 = a.stats().cache_hits;
   DeliveryLog log;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "inline-pulls");
+  rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "own-hits");
   rig.sim.run_watchdog(rig.sim.now() + 30_sec);
   rig.sim.rethrow_failures();
-  ASSERT_EQ(log.order.size(), PeerRig::kSamples / 2);
+  const std::uint64_t n = PeerRig::kSamples;
+  ASSERT_EQ(log.order.size(), n);
   EXPECT_TRUE(log.content_ok);
   EXPECT_TRUE(log.dense);
-  const std::uint64_t n = a.stats().peer_hits_remote;
-  ASSERT_EQ(n, log.order.size());
-  EXPECT_EQ(a.engine().cross_core_handoffs(), 0u);
-  EXPECT_EQ(a.engine().copy_busy_ns(), 0u);
+  EXPECT_EQ(a.stats().cache_hits - hits0, n);
+  EXPECT_EQ(a.engine().cross_core_handoffs() - handoffs0, n);
   EXPECT_EQ(a.io_core().busy_ns() - io0,
-            n * (costs.dir_lookup + costs.bread_per_sample +
-                 costs.completion_handling +
-                 dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec)));
+            n * (costs.dir_lookup + costs.bread_per_sample));
+  EXPECT_EQ(a.engine().copy_busy_ns() - copy0,
+            n * (costs.completion_handling +
+                 dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec) +
+                 costs.cross_core_handoff));
+  expect_caches_drain(rig.fleet);
 }
 
 TEST(PeerCache, WarmBreadBeatsSerialInlineCopies) {
@@ -685,6 +731,38 @@ TEST(PeerCache, WarmBreadBeatsSerialInlineCopies) {
   ASSERT_TRUE(done);
   EXPECT_EQ(a.stats().peer_hits_remote, 16u);
   EXPECT_LT(took, serial);
+}
+
+TEST(PeerCache, FirstCopyStartsBeforeTheLastLookup) {
+  // The pulls behind the first bread land while the trainer is away. Each
+  // pick pays its own lookup just before its acquire, so the first
+  // read-ahead unit's run of pulls reaches the copy threads while later
+  // picks are still being looked up: the copy threads start before the 16
+  // lookups of the whole batch could have finished.
+  OneHolderRig rig;
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  auto& a = rig.fleet.instance(0);
+  const auto& costs = rig.fleet.config().calibration.dlfs;
+  const dlsim::SimDuration frontend =
+      16 * (costs.dir_lookup + costs.bread_per_sample);
+  const dlsim::SimDuration copy0 = a.engine().copy_busy_ns();
+  std::vector<std::byte> arena(64_KiB);
+  dlsim::SimDuration took = 0;
+  bool done = false;
+  const dlsim::SimTime t0 = rig.sim.now();
+  rig.sim.spawn(timed_bread(rig.sim, a, arena, took, done), "timed-bread");
+  const dlsim::SimTime deadline = t0 + 1_sec;
+  dlsim::SimTime first_copy = 0;
+  while (!done && rig.sim.now() < deadline && rig.sim.step()) {
+    if (first_copy == 0 && a.engine().copy_busy_ns() != copy0) {
+      first_copy = rig.sim.now();
+    }
+  }
+  rig.sim.rethrow_failures();
+  ASSERT_TRUE(done);
+  ASSERT_GT(first_copy, 0u);
+  EXPECT_LT(first_copy - t0, frontend);
 }
 
 TEST(PeerCache, RefusedReadAheadPullFallsBackOnce) {
