@@ -234,24 +234,25 @@ bool DlfsInstance::sample_reachable(std::uint32_t sample_id) const {
   return false;
 }
 
-void DlfsInstance::spawn_injected(dlsim::CountdownLatch* done) {
-  if (injected_ <= 0) {
-    done->count_down();
-    return;
-  }
-  // Injected poll-loop compute (Fig. 7b) runs concurrently with the
-  // fetches — the daemon keeps pumping I/O meanwhile, so the compute
-  // hides under the batch's stalls exactly as it hid under the
-  // synchronous pump's poll loop.
-  node_->simulator().spawn(
-      [](dlsim::CpuCore* core, dlsim::SimDuration d,
-         dlsim::CountdownLatch* latch) -> dlsim::Task<void> {
-        co_await core->compute(d);
-        latch->count_down();
-      }(io_core_, injected_, done));
+void DlfsInstance::start_injected() {
+  // Injected poll-loop compute (Fig. 7b) overlaps the fetches — the
+  // daemon keeps pumping I/O meanwhile, so the compute hides under the
+  // batch's stalls exactly as it hid under the synchronous pump's poll
+  // loop.
+  io_core_->charge(injected_);
+  injected_end_ = node_->simulator().now() + injected_;
 }
 
-dlsim::Task<dlsim::SimDuration> DlfsInstance::charge_frontend(
+void DlfsInstance::occupy_io_core(dlsim::SimDuration d) {
+  if (node_->simulator().now() < injected_end_) injected_end_ += d;
+}
+
+dlsim::Task<void> DlfsInstance::injected_done() {
+  dlsim::Simulator& sim = node_->simulator();
+  if (sim.now() < injected_end_) co_await sim.delay(injected_end_ - sim.now());
+}
+
+dlsim::Task<void> DlfsInstance::charge_frontend(
     std::span<const EpochSequence::UnitPicks> picks) {
   std::size_t total = 0;
   std::size_t local = 0;  // resolutions served at the local walk rate
@@ -280,8 +281,8 @@ dlsim::Task<dlsim::SimDuration> DlfsInstance::charge_frontend(
   const dlsim::SimDuration charged =
       local * fleet_->config_.calibration.dlfs.dir_lookup +
       total * fleet_->config_.calibration.dlfs.bread_per_sample;
+  occupy_io_core(charged);
   co_await io_core_->compute(charged);
-  co_return charged;
 }
 
 /// Faults one batched read noticed while settling its units.
@@ -416,6 +417,7 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
     job.views = cache_->pin(sample_id);
     job.unpin_sample_id = sample_id;
     job.dst = dst;
+    occupy_io_core(engine_->copy_cost(job));
     co_await engine_->run_copy_inline(*io_core_, std::move(job));
     co_return true;
   }
@@ -439,7 +441,10 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
     job.views = holder.pin(sample_id);
     job.dst = dst;
     assert(!job.views.empty());
-    co_await io_core_->compute(fleet_->config_.calibration.dlfs.peer_serve);
+    const dlsim::SimDuration serve =
+        fleet_->config_.calibration.dlfs.peer_serve;
+    occupy_io_core(serve + engine_->copy_cost(job));
+    co_await io_core_->compute(serve);
     co_await engine_->run_copy_inline(*io_core_, std::move(job));
     holder.unpin(sample_id);
     ++peer_hits_local_;
@@ -472,13 +477,10 @@ dlsim::Task<void> DlfsInstance::deliver(ExtentOpPtr x, std::byte* dst,
   job.dst = dst;
   if (x->extent.cls == HopClass::kPeer) {
     // A landed pull is never cached, so the hit mix holds; its landing
-    // chunk returns to the pool after the copy. Without copy threads the
-    // I/O core copies it. Otherwise it joins the caller's open run, whose
-    // samples sit side by side in the arena, and the caller queues the
-    // run as one copy job.
-    if (fleet_->config_.copy_threads == 0) {
-      co_await engine_->run_copy_inline(*io_core_, std::move(job));
-    } else if (run->owned_pieces.empty()) {
+    // chunk returns to the pool after the copy. It joins the caller's open
+    // run, whose samples sit side by side in the arena, and the caller
+    // sends the run to the copy stage as one job.
+    if (run->owned_pieces.empty()) {
       *run = std::move(job);
     } else {
       assert(run->dst + std::accumulate(run->piece_lens.begin(),
@@ -508,6 +510,7 @@ dlsim::Task<void> DlfsInstance::enqueue_run(CopyJob* run,
 dlsim::Task<void> DlfsInstance::copy_out(CopyJob job,
                                          dlsim::CountdownLatch* copies) {
   if (fleet_->config_.copy_threads == 0) {
+    occupy_io_core(engine_->copy_cost(job));
     co_await engine_->run_copy_inline(*io_core_, std::move(job));
     co_return;
   }
@@ -667,7 +670,6 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   }
   const bool chunk_mode =
       fleet_->config_.batching == BatchingMode::kChunkLevel;
-  const bool copy_pool = fleet_->config_.copy_threads > 0;
 
   // Frontend: chunk mode looks up every sample in the mini-batch before
   // its first acquire; sample-level mode looks up each pick just before
@@ -686,17 +688,10 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   };
 
   prefetcher_->ensure_issued_through(unit_of(picks.back().unit_slot));
-  dlsim::Simulator& sim = node_->simulator();
-  dlsim::CountdownLatch inj_done(sim, 1);
-  spawn_injected(&inj_done);
-  // Sample-level lookups share the I/O core with the injected compute,
-  // and the core does one at a time: a lookup that starts before that
-  // compute ends pushes its end out by what the lookup charged the core.
-  dlsim::SimTime inj_end = sim.now() + injected_;
-  dlsim::CountdownLatch copies(sim, 0);
-  std::vector<CopyJob> inline_copies;
+  start_injected();
+  dlsim::CountdownLatch copies(node_->simulator(), 0);
   // Sample-level: the open run of landed pulls, consecutive in the arena
-  // and within one read-ahead unit, queued as one copy job.
+  // and within one read-ahead unit, sent to copy_out as one job.
   CopyJob run;
   std::size_t run_unit = unit_of(picks.front().unit_slot);
   BatchFaults faults;
@@ -707,45 +702,19 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
         co_await enqueue_run(&run, &copies);
         run_unit = unit_of(pk.unit_slot);
       }
-      if (!chunk_mode) {
-        const dlsim::SimDuration lookup =
-            co_await charge_frontend(std::span(&pk, 1));
-        // The core ran the lookup over [now - lookup, now).
-        if (sim.now() - lookup < inj_end) inj_end += lookup;
-      }
+      if (!chunk_mode) co_await charge_frontend(std::span(&pk, 1));
       HeldUnit* hu = co_await acquire_pick(pk, &faults);
       hu->remaining -= pk.count;
       if (chunk_mode) {
         // The pick's samples start copying out of the held unit as soon as
-        // it settles, while later units are still in flight. A detached
-        // process feeds the copy threads, so channel pushes never stall the
-        // I/O loop; without a pool the frontend core copies serially after
-        // the fetch (it cannot poll and memcpy at once).
-        std::vector<CopyJob> jobs;
+        // it settles, while later units are still in flight.
         for (std::uint32_t i = 0; i < pk.count; ++i) {
           const UnitSample& us = pk.unit->samples[pk.first_sample + i];
-          auto views = held_views(*hu, us);
-          if (views.empty()) continue;
           CopyJob job;
-          job.views = std::move(views);
+          job.views = held_views(*hu, us);
+          if (job.views.empty()) continue;
           job.dst = place(us.sample_id, us.len);
-          job.latch = &copies;
-          job.origin = io_core_;
-          jobs.push_back(std::move(job));
-        }
-        copies.add(jobs.size());
-        if (!copy_pool) {
-          std::move(jobs.begin(), jobs.end(),
-                    std::back_inserter(inline_copies));
-        } else if (!jobs.empty()) {
-          node_->simulator().spawn_daemon(
-              [](IoEngine* engine, std::vector<CopyJob> jobs)
-                  -> dlsim::Task<void> {
-                for (CopyJob& job : jobs) {
-                  co_await engine->enqueue_copy(std::move(job));
-                }
-              }(engine_.get(), std::move(jobs)),
-              "bread-copies");
+          co_await copy_out(std::move(job), &copies);
         }
         continue;
       }
@@ -800,11 +769,7 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   }
   // The last run, or one a throw left open: its copy drains with the rest.
   co_await enqueue_run(&run, &copies);
-  co_await inj_done.wait();
-  if (sim.now() < inj_end) co_await sim.delay(inj_end - sim.now());
-  for (CopyJob& job : inline_copies) {
-    co_await engine_->run_copy_inline(*io_core_, std::move(job));
-  }
+  co_await injected_done();
   co_await copies.wait();
   if (escaped) std::rethrow_exception(escaped);
   if (faults.fatal) std::rethrow_exception(faults.fatal);
@@ -854,11 +819,10 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
   // unit settles: handing out a span costs no CPU, so there is nothing
   // to overlap.
   prefetcher_->ensure_issued_through(picks.back().unit_slot);
-  dlsim::CountdownLatch inj_done(node_->simulator(), 1);
-  spawn_injected(&inj_done);
+  start_injected();
   BatchFaults faults;
   for (const auto& pk : picks) (void)co_await acquire_pick(pk, &faults);
-  co_await inj_done.wait();
+  co_await injected_done();
   // Fatal (media/unknown) read-ahead faults abort the batch before any
   // unit is pinned, exactly like the copy path's post-latch rethrow.
   if (faults.fatal) std::rethrow_exception(faults.fatal);

@@ -515,10 +515,8 @@ class DlfsInstance {
   /// per-sample accounting CPU. Chunk-level bread and bread_views charge
   /// the whole batch before its first acquire; sample-level bread charges
   /// each pick just before its acquire, so copies of earlier picks run on
-  /// the copy threads while later lookups run. Returns what it charged
-  /// the I/O core for local walks and accounting; remote lookups are not
-  /// in it.
-  dlsim::Task<dlsim::SimDuration> charge_frontend(
+  /// the copy threads while later lookups run.
+  dlsim::Task<void> charge_frontend(
       std::span<const EpochSequence::UnitPicks> picks);
   /// The acquire step of bread and bread_views: holds the prefetch unit
   /// behind `pk` in held_, acquiring it from the daemon on first touch.
@@ -556,23 +554,28 @@ class DlfsInstance {
   /// The one delivery step of a landed per-sample extent (a demand read,
   /// or a sample-level read-ahead extent the pick loop consumes); `x` is
   /// its finished op. A pulled sample (still kPeer) is never cached: it
-  /// joins the caller's open `run` of pulls, which must end at `dst`, or
-  /// is copied inline on the I/O core without copy threads. Device bytes
-  /// go to the copy threads (counting `copies` down) and into the sample
-  /// cache, or are copied inline without copy threads.
+  /// joins the caller's open `run` of pulls, which must end at `dst`.
+  /// Device bytes go to copy_out and into the sample cache.
   dlsim::Task<void> deliver(ExtentOpPtr x, std::byte* dst,
                             dlsim::CountdownLatch* copies, CopyJob* run);
-  /// Queues the open run of landed pulls, if any, as one copy job that
-  /// counts `copies` down, and leaves `run` empty.
+  /// Sends the open run of landed pulls, if any, to copy_out as one job,
+  /// and leaves `run` empty.
   dlsim::Task<void> enqueue_run(CopyJob* run, dlsim::CountdownLatch* copies);
-  /// The copy stage of one job from the I/O core: queued on the copy
-  /// threads, counting `copies` down, or copied inline without them.
+  /// The one way a sample bread copies reaches the copy stage: queued on
+  /// the copy threads, counting `copies` down, or copied inline on the
+  /// I/O core without them. Past the constructor, the instance reads
+  /// `copy_threads` nowhere else.
   dlsim::Task<void> copy_out(CopyJob job, dlsim::CountdownLatch* copies);
-  /// Injected poll-loop compute (Fig. 7b) as a concurrent task; counts
-  /// `done` down when finished (immediately when nothing is injected).
-  /// It hides under the batch's waits but not under its lookups: bread
-  /// awaits it longer by each sample-level lookup made inside its window.
-  void spawn_injected(dlsim::CountdownLatch* done);
+  /// Injected poll-loop compute (Fig. 7b) of one batched read, as a
+  /// deadline: start_injected charges `injected_` to the I/O core up
+  /// front and sets its end, and injected_done waits for that end. The
+  /// compute hides under the batch's waits, which poll, but the core
+  /// does one thing at a time: `d` of other work (a frontend charge, an
+  /// inline copy) that starts before the end pushes it out by `d`
+  /// (occupy_io_core).
+  void start_injected();
+  void occupy_io_core(dlsim::SimDuration d);
+  dlsim::Task<void> injected_done();
   /// Node health as every read path sees it: engine transport state AND
   /// the directory's wholesale V bit.
   [[nodiscard]] bool node_up(std::uint16_t nid) const;
@@ -651,6 +654,7 @@ class DlfsInstance {
   // align with unit boundaries).
   std::unordered_map<std::size_t, HeldUnit> held_;
   dlsim::SimDuration injected_ = 0;
+  dlsim::SimTime injected_end_ = 0;  // see start_injected
   std::uint64_t samples_delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;
   std::uint64_t samples_skipped_ = 0;

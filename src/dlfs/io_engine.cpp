@@ -64,7 +64,8 @@ dlsim::SimDuration IoEngine::copy_cost(const CopyJob& job) const {
   std::uint64_t bytes = 0;
   for (auto l : job.piece_lens) bytes += l;
   for (const auto& v : job.views) bytes += v.size();
-  return dlsim::transfer_time(bytes, cal_->dlfs.copy_bw_bytes_per_sec);
+  return job.samples * cal_->dlfs.completion_handling +
+         dlsim::transfer_time(bytes, cal_->dlfs.copy_bw_bytes_per_sec);
 }
 
 void IoEngine::do_copy(CopyJob& job) {
@@ -115,8 +116,7 @@ dlsim::Task<void> IoEngine::copy_thread_loop(std::size_t idx) {
       --extra;
     }
     for (CopyJob& j : batch) {
-      dlsim::SimDuration cost =
-          j.samples * cal_->dlfs.completion_handling + copy_cost(j);
+      dlsim::SimDuration cost = copy_cost(j);
       if (j.origin != nullptr && j.origin != &core) {
         core.note_cross_core_handoff();
         cost += cal_->dlfs.cross_core_handoff;
@@ -134,7 +134,7 @@ dlsim::Task<void> IoEngine::enqueue_copy(CopyJob job) {
 
 dlsim::Task<void> IoEngine::run_copy_inline(dlsim::CpuCore& core,
                                             CopyJob job) {
-  co_await core.compute(cal_->dlfs.completion_handling + copy_cost(job));
+  co_await core.compute(copy_cost(job));
   do_copy(job);
 }
 

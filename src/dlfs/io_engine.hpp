@@ -181,8 +181,8 @@ struct CopyJob {
   // job + first-touch misses on the data) once per job and counts the
   // event, so locality shows up in CPU results instead of being free.
   const dlsim::CpuCore* origin = nullptr;
-  // Completions the job handles: on a copy thread each sample pays
-  // completion_handling. Inline copies are always of one sample.
+  // Completions the job handles: each sample pays completion_handling,
+  // inline or on a copy thread.
   std::uint32_t samples = 1;
 };
 
@@ -251,6 +251,9 @@ class IoEngine {
   /// the API layer can account hits identically.
   [[nodiscard]] dlsim::Task<void> run_copy_inline(dlsim::CpuCore& core,
                                                   CopyJob job);
+  /// CPU time of one job, inline or on a copy thread before any handoff:
+  /// completion_handling per sample plus the memcpy.
+  [[nodiscard]] dlsim::SimDuration copy_cost(const CopyJob& job) const;
 
   /// Called when the pool is exhausted, the sample cache has nothing
   /// evictable, and a read still needs chunks. Returns true if the
@@ -354,7 +357,6 @@ class IoEngine {
   static void fail_op(ExtentOp& op, std::exception_ptr e);
   dlsim::Task<void> copy_thread_loop(std::size_t idx);
   void do_copy(CopyJob& job);
-  [[nodiscard]] dlsim::SimDuration copy_cost(const CopyJob& job) const;
   dlsim::Task<void> wait_any(dlsim::CpuCore& core);
 
   dlsim::Simulator* sim_;

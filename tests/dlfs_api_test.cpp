@@ -446,8 +446,9 @@ TEST(DlfsBread, ReadAheadCopiesCountHandoffs) {
 /// epoch, and sequenced for a warm epoch with seed 2 whose first
 /// read-ahead units the daemon has issued, every sample elided.
 struct WarmRig : Rig {
-  WarmRig()
-      : Rig(1, dlfs::dataset::make_fixed_size_dataset(64, 4096), config()) {
+  explicit WarmRig(std::uint32_t copy_threads = DlfsConfig{}.copy_threads)
+      : Rig(1, dlfs::dataset::make_fixed_size_dataset(64, 4096),
+            config(copy_threads)) {
     mount();
     auto& inst = fleet.instance(0);
     inst.sequence(1);
@@ -459,9 +460,10 @@ struct WarmRig : Rig {
     sim.run();
   }
 
-  static DlfsConfig config() {
+  static DlfsConfig config(std::uint32_t copy_threads) {
     DlfsConfig cfg;
     cfg.batching = BatchingMode::kSampleLevel;
+    cfg.copy_threads = copy_threads;
     cfg.cache_chunks = 128;  // the whole dataset stays resident
     return cfg;
   }
@@ -567,30 +569,87 @@ TEST(DlfsBread, SequenceReleasesAPartialUnitsPins) {
   EXPECT_EQ(cache.resident_samples(), 0u);
 }
 
-TEST(DlfsBread, InjectedComputeWaitsOutSampleLevelLookups) {
+TEST(DlfsBread, InjectedComputeWaitsOutLookupsAndInlineCopies) {
   // The I/O core does one thing at a time. A warm sample-level bread of
   // 16 own hits looks each pick up while the injected poll-loop compute
-  // runs, so it ends no sooner than the compute plus the lookups.
-  WarmRig rig;
+  // runs, and without copy threads it also copies each hit inline, so it
+  // ends no sooner than the compute plus that work.
+  for (const std::uint32_t copy_threads : {2u, 0u}) {
+    WarmRig rig(copy_threads);
+    auto& inst = rig.fleet.instance(0);
+    const auto& costs = rig.fleet.config().calibration.dlfs;
+    inst.set_injected_poll_compute(200_us);
+    std::vector<std::byte> arena(16 * 4096);
+    const dlsim::SimTime t0 = rig.sim.now();
+    const dlsim::SimDuration busy0 = inst.io_core().busy_ns();
+    dlsim::SimTime done = 0;
+    rig.sim.spawn([](Simulator& sim, DlfsInstance& inst,
+                     std::span<std::byte> arena,
+                     dlsim::SimTime* done) -> Task<void> {
+      EXPECT_EQ((co_await inst.bread(16, arena)).samples.size(), 16u);
+      *done = sim.now();
+    }(rig.sim, inst, arena, &done));
+    rig.sim.run();
+    rig.sim.rethrow_failures();
+    dlsim::SimDuration work = 16 * (costs.dir_lookup + costs.bread_per_sample);
+    if (copy_threads == 0) {
+      work += 16 * (costs.completion_handling +
+                    dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec));
+    }
+    EXPECT_EQ(inst.io_core().busy_ns() - busy0, 200_us + work)
+        << copy_threads << " copy threads";
+    EXPECT_GE(done - t0, 200_us + work) << copy_threads << " copy threads";
+  }
+}
+
+TEST(DlfsBread, ChunkLevelCopiesInlineWithoutCopyThreads) {
+  // Without copy threads a chunk-level pick's samples are copied inline
+  // on the I/O core, and nothing crosses cores. The core does one thing
+  // at a time, so each bread of 16 takes no less than its lookups, the
+  // injected poll-loop compute and its 16 copies.
+  DlfsConfig cfg;
+  cfg.batching = BatchingMode::kChunkLevel;
+  cfg.copy_threads = 0;
+  Rig rig(1, dlfs::dataset::make_fixed_size_dataset(64, 4096), cfg);
+  rig.mount();
   auto& inst = rig.fleet.instance(0);
   const auto& costs = rig.fleet.config().calibration.dlfs;
   inst.set_injected_poll_compute(200_us);
-  std::vector<std::byte> arena(16 * 4096);
-  const dlsim::SimTime t0 = rig.sim.now();
-  const dlsim::SimDuration busy0 = inst.io_core().busy_ns();
-  dlsim::SimTime done = 0;
-  rig.sim.spawn([](Simulator& sim, DlfsInstance& inst,
-                   std::span<std::byte> arena,
-                   dlsim::SimTime* done) -> Task<void> {
-    EXPECT_EQ((co_await inst.bread(16, arena)).samples.size(), 16u);
-    *done = sim.now();
-  }(rig.sim, inst, arena, &done));
+  inst.sequence(3);
+  BreadResult res;
+  std::vector<dlsim::SimDuration> took;
+  rig.sim.spawn([](Simulator& sim, const Dataset& ds, DlfsInstance& inst,
+                   BreadResult* res,
+                   std::vector<dlsim::SimDuration>* took) -> Task<void> {
+    std::vector<std::byte> arena(16 * 4096);
+    for (;;) {
+      const dlsim::SimTime t0 = sim.now();
+      const Batch b = co_await inst.bread(16, arena);
+      if (b.end_of_epoch) break;
+      took->push_back(sim.now() - t0);
+      for (const auto& s : b.samples) {
+        res->order.push_back(s.sample_id);
+        if (!sample_matches(ds, s.sample_id,
+                            std::span<const std::byte>(
+                                arena.data() + s.offset_in_arena, s.len))) {
+          res->content_ok = false;
+        }
+      }
+    }
+  }(rig.sim, rig.ds, inst, &res, &took));
   rig.sim.run();
   rig.sim.rethrow_failures();
-  const dlsim::SimDuration lookups =
-      16 * (costs.dir_lookup + costs.bread_per_sample);
-  EXPECT_EQ(inst.io_core().busy_ns() - busy0, 200_us + lookups);
-  EXPECT_GE(done - t0, 200_us + lookups);
+  EXPECT_EQ(res.order.size(), 64u);
+  EXPECT_TRUE(res.content_ok);
+  EXPECT_EQ(inst.engine().copy_busy_ns(), 0);
+  EXPECT_EQ(inst.engine().cross_core_handoffs(), 0u);
+  EXPECT_EQ(inst.stats().bytes_copied, 64u * 4096u);
+  const dlsim::SimDuration per_bread =
+      16 * (costs.dir_lookup + costs.bread_per_sample) + 200_us +
+      16 * (costs.completion_handling +
+            dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec));
+  ASSERT_EQ(took.size(), 4u);
+  for (const dlsim::SimDuration d : took) EXPECT_GE(d, per_bread);
 }
 
 TEST(DlfsBread, ArenaTooSmallThrowsBeforeWritingArena) {

@@ -638,10 +638,10 @@ TEST(PeerCache, PulledRunsCopyOnTheCopyThreads) {
 }
 
 TEST(PeerCache, PulledCopiesStayInlineWithoutCopyThreads) {
-  // With no copy threads each landed pull is copied on the I/O core, one
-  // sample at a time, and nothing crosses cores. So is each own-cache
-  // hit: when client 0 is the holder, its whole epoch is served from its
-  // own cache.
+  // With no copy threads each run of landed pulls is copied on the I/O
+  // core as one job, paying completion handling and the memcpy per
+  // sample, and nothing crosses cores. So is each own-cache hit: when
+  // client 0 is the holder, its whole epoch is served from its own cache.
   for (const std::uint32_t holder : {1u, 0u}) {
     auto c = PeerRig::cfg(640);
     c.copy_threads = 0;

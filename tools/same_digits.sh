@@ -12,13 +12,15 @@
 #     -DCMAKE_BUILD_TYPE=Release
 #   cmake --build PARENT_ROOT/bb --target dlfsbench
 # and this tree the same way into build and build-bench. The check
-#   1. runs dlfsbench --seed 1 --trace on both sides, one after the
-#      other, and compares every end_to_end and per_layer value except
-#      the host-time setup_s, sim.host_s and trace.host_overhead_frac;
+#   1. runs dlfsbench --seed 1 --trace on both sides at once, and
+#      compares every end_to_end and per_layer value except the
+#      host-time setup_s, sim.host_s and trace.host_overhead_frac;
 #      every workload must also be correct with 0 failed;
-#   2. runs 16 benches no golden covers on both sides and diffs their
-#      stdout, stderr, exit status and BENCH_*/CHAOS_* JSON byte for byte.
-# It exits 0 only when everything matches. About 5 minutes.
+#   2. runs 16 benches no golden covers on both sides, the two sides at
+#      once, and diffs their stdout, stderr, exit status and
+#      BENCH_*/CHAOS_* JSON byte for byte.
+# Each side writes only under its own root. It exits 0 only when
+# everything matches. About 2 minutes.
 
 set -u
 
@@ -41,9 +43,10 @@ status=0
 # 1. dlfsbench, seed 1, traced.
 mkdir -p "$P/tr" "$C/build-bench/tr"
 "$P/bb/dlfsbench" --seed 1 --trace --json "$P/db.json" --trace-dir "$P/tr" \
-  > /dev/null 2>&1
+  > /dev/null 2>&1 &
 "$C/build-bench/dlfsbench" --seed 1 --trace --json "$C/build-bench/db.json" \
-  --trace-dir "$C/build-bench/tr" > /dev/null 2>&1
+  --trace-dir "$C/build-bench/tr" > /dev/null 2>&1 &
+wait
 python3 - "$P/db.json" "$C/build-bench/db.json" <<'PY' || status=1
 import json, sys
 host = {"setup_s", "sim.host_s", "trace.host_overhead_frac"}
@@ -84,8 +87,9 @@ same_runs() {  # build dir, output dir, checkout root
   run dlfsim "$B/tools/dlfsim"
   run dlfsim_base "$B/tools/dlfsim" --system=dlfs --batching=none
 }
-same_runs "$P/build" "$P/runs" "$P"
-same_runs "$C/build" "$C/build/runs" "$C"
+same_runs "$P/build" "$P/runs" "$P" &
+same_runs "$C/build" "$C/build/runs" "$C" &
+wait
 if diff -r "$P/runs" "$C/build/runs"; then
   echo "same runs: byte-identical"
 else
