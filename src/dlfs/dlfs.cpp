@@ -252,37 +252,39 @@ dlsim::Task<void> DlfsInstance::injected_done() {
   if (sim.now() < injected_end_) co_await sim.delay(injected_end_ - sim.now());
 }
 
-dlsim::Task<void> DlfsInstance::charge_frontend(
+dlsim::Task<std::vector<dlsim::SimDuration>> DlfsInstance::resolve_frontend(
     std::span<const EpochSequence::UnitPicks> picks) {
-  std::size_t total = 0;
-  std::size_t local = 0;  // resolutions served at the local walk rate
+  const dlsim::SimDuration walk = fleet_->config_.calibration.dlfs.dir_lookup;
+  const dlsim::SimDuration per_sample =
+      fleet_->config_.calibration.dlfs.bread_per_sample;
+  std::vector<dlsim::SimDuration> cpu;
   for (const auto& pk : picks) {
-    total += pk.count;
     for (std::uint32_t i = 0; i < pk.count; ++i) {
       const std::uint32_t id = pk.unit->samples[pk.first_sample + i].sample_id;
+      bool local = true;  // resolved at the local walk rate
       if (view_ == nullptr) {
         (void)fleet_->directory_.lookup_id(id);  // real tree walk
-        ++local;
-        continue;
-      }
-      // Sharded mount: resident/cached ids stay at the local rate;
-      // foreign ids pay one metadata RPC and fill the lookup cache, so
-      // a steady epoch's bread converges to mostly cache hits.
-      DirectoryView::Resolution r = view_->resolve_id(id);
-      if (r.served == DirectoryView::Served::kRemote) {
-        co_await charge_remote_lookup(r.owner_slot);
-        view_->complete_remote(r, fleet_->directory_.lookup_id(id));
       } else {
-        ++local;
+        // Sharded mount: resident/cached ids stay at the local rate;
+        // foreign ids pay one metadata RPC and fill the lookup cache, so
+        // a steady epoch's bread converges to mostly cache hits.
+        DirectoryView::Resolution r = view_->resolve_id(id);
+        if (r.served == DirectoryView::Served::kRemote) {
+          co_await charge_remote_lookup(r.owner_slot);
+          view_->complete_remote(r, fleet_->directory_.lookup_id(id));
+          local = false;
+        }
       }
+      if (local) lookup_time_total_ += walk;
+      cpu.push_back((local ? walk : 0) + per_sample);
     }
   }
-  lookup_time_total_ += local * fleet_->config_.calibration.dlfs.dir_lookup;
-  const dlsim::SimDuration charged =
-      local * fleet_->config_.calibration.dlfs.dir_lookup +
-      total * fleet_->config_.calibration.dlfs.bread_per_sample;
-  occupy_io_core(charged);
-  co_await io_core_->compute(charged);
+  co_return cpu;
+}
+
+dlsim::Task<void> DlfsInstance::charge_frontend(dlsim::SimDuration cpu) {
+  occupy_io_core(cpu);
+  co_await io_core_->compute(cpu);
 }
 
 /// Faults one batched read noticed while settling its units.
@@ -671,10 +673,14 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   const bool chunk_mode =
       fleet_->config_.batching == BatchingMode::kChunkLevel;
 
-  // Frontend: chunk mode looks up every sample in the mini-batch before
-  // its first acquire; sample-level mode looks up each pick just before
-  // its acquire, while the copy threads drain earlier picks.
-  if (chunk_mode) co_await charge_frontend(picks);
+  // Frontend: the batch's ids resolve before its first acquire, so a
+  // sharded mount's metadata RPCs come first (spread between the copies,
+  // they split batch latency into two modes; DESIGN §5f). Each sample's
+  // frontend CPU is charged just before that sample is delivered, so the
+  // copy threads drain earlier samples while later ones are charged.
+  const std::vector<dlsim::SimDuration> frontend =
+      co_await resolve_frontend(picks);
+  auto frontend_cpu = frontend.begin();
 
   // Arena layout: a sample takes space once it has bytes, so delivered
   // samples pack densely in pick order.
@@ -702,29 +708,29 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
         co_await enqueue_run(&run, &copies);
         run_unit = unit_of(pk.unit_slot);
       }
-      if (!chunk_mode) co_await charge_frontend(std::span(&pk, 1));
-      HeldUnit* hu = co_await acquire_pick(pk, &faults);
-      hu->remaining -= pk.count;
-      if (chunk_mode) {
-        // The pick's samples start copying out of the held unit as soon as
-        // it settles, while later units are still in flight.
-        for (std::uint32_t i = 0; i < pk.count; ++i) {
-          const UnitSample& us = pk.unit->samples[pk.first_sample + i];
+      // A pick's unit is acquired after its first sample's frontend.
+      HeldUnit* hu = nullptr;
+      for (std::uint32_t i = 0; i < pk.count; ++i) {
+        co_await charge_frontend(*frontend_cpu++);
+        if (hu == nullptr) {
+          hu = co_await acquire_pick(pk, &faults);
+          hu->remaining -= pk.count;
+        }
+        const UnitSample& us = pk.unit->samples[pk.first_sample + i];
+        if (chunk_mode) {
           CopyJob job;
           job.views = held_views(*hu, us);
           if (job.views.empty()) continue;
           job.dst = place(us.sample_id, us.len);
           co_await copy_out(std::move(job), &copies);
+          continue;
         }
-        continue;
-      }
-      // Sample-level: a sample the cache held at the unit's acquire is
-      // copied from its pin, and a landed extent goes through the
-      // delivery step; a sample with neither (a co-located holder's, or
-      // one whose node failed) is a demand read. A sample delivered any
-      // way but as a landed pull ends the open run.
-      for (std::uint32_t i = 0; i < pk.count; ++i) {
-        const UnitSample& us = pk.unit->samples[pk.first_sample + i];
+        // Sample-level (a pick is one sample): a sample the cache held at
+        // the unit's acquire is copied from its pin, and a landed extent
+        // goes through the delivery step; a sample with neither (a
+        // co-located holder's, or one whose node failed) is a demand read.
+        // A sample delivered any way but as a landed pull ends the open
+        // run.
         if (auto c = hu->cached.find(us.sample_id); c != hu->cached.end()) {
           co_await enqueue_run(&run, &copies);
           cache_->note_hit();
@@ -813,7 +819,10 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
   batch.end_of_epoch = picks.empty();
   if (picks.empty()) co_return batch;
 
-  co_await charge_frontend(picks);
+  const std::vector<dlsim::SimDuration> frontend =
+      co_await resolve_frontend(picks);
+  co_await charge_frontend(
+      std::accumulate(frontend.begin(), frontend.end(), dlsim::SimDuration{0}));
 
   // The same acquire step as bread. Views are handed out after every
   // unit settles: handing out a span costs no CPU, so there is nothing

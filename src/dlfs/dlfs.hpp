@@ -511,13 +511,19 @@ class DlfsInstance {
   dlsim::Task<Batch> bread_unbatched(
       std::span<const EpochSequence::UnitPicks> picks,
       std::span<std::byte> arena);
-  /// Frontend charge for `picks`: the real directory tree walks plus
-  /// per-sample accounting CPU. Chunk-level bread and bread_views charge
-  /// the whole batch before its first acquire; sample-level bread charges
-  /// each pick just before its acquire, so copies of earlier picks run on
-  /// the copy threads while later lookups run.
-  dlsim::Task<void> charge_frontend(
+  /// The frontend's directory step, for a whole batch before its first
+  /// acquire: the real tree walk of each of `picks`' ids, and on a
+  /// sharded mount one metadata RPC per foreign id. Returns each sample's
+  /// frontend CPU in pick order: the walk when its id resolved at the
+  /// local rate, plus the per-sample accounting.
+  dlsim::Task<std::vector<dlsim::SimDuration>> resolve_frontend(
       std::span<const EpochSequence::UnitPicks> picks);
+  /// Charges `cpu` of frontend work to the I/O core. bread charges each
+  /// sample's just before it is delivered, in both batching modes, so
+  /// copies of earlier samples run on the copy threads while later
+  /// samples are charged. bread_views charges the whole batch before its
+  /// first acquire: a view costs no copy to overlap.
+  dlsim::Task<void> charge_frontend(dlsim::SimDuration cpu);
   /// The acquire step of bread and bread_views: holds the prefetch unit
   /// behind `pk` in held_, acquiring it from the daemon on first touch.
   /// A sample-level unit's first acquire also pins what read-ahead elided

@@ -61,6 +61,23 @@ struct Rig {
     fleet.mount();
     ASSERT_TRUE(fleet.mounted());
   }
+
+  /// Runs one bread of `n` at client 0 into `arena`; `*took`, when given,
+  /// is how long it took.
+  Batch bread(std::size_t n, std::span<std::byte> arena,
+              dlsim::SimDuration* took = nullptr) {
+    Batch batch;
+    sim.spawn([](Simulator& sim, DlfsInstance& inst, std::size_t n,
+                 std::span<std::byte> arena, Batch* out,
+                 dlsim::SimDuration* took) -> Task<void> {
+      const dlsim::SimTime t0 = sim.now();
+      *out = co_await inst.bread(n, arena);
+      if (took != nullptr) *took = sim.now() - t0;
+    }(sim, fleet.instance(0), n, arena, &batch, took));
+    sim.run();
+    sim.rethrow_failures();
+    return batch;
+  }
 };
 
 // samples_skipped / end_of_epoch live once, in the shared BatchMeta base
@@ -467,17 +484,24 @@ struct WarmRig : Rig {
     cfg.cache_chunks = 128;  // the whole dataset stays resident
     return cfg;
   }
+};
 
-  /// Runs one bread of `n` at client 0 into `arena`.
-  Batch bread(std::size_t n, std::span<std::byte> arena) {
-    Batch batch;
-    sim.spawn([](DlfsInstance& inst, std::size_t n, std::span<std::byte> arena,
-                 Batch* out) -> Task<void> {
-      *out = co_await inst.bread(n, arena);
-    }(fleet.instance(0), n, arena, &batch));
+/// One chunk-level rig of 64 samples of `len` bytes, sequenced with seed
+/// 3 and run until its read-ahead has landed.
+struct LandedChunkRig : Rig {
+  LandedChunkRig(std::uint32_t len, std::uint32_t copy_threads)
+      : Rig(1, dlfs::dataset::make_fixed_size_dataset(64, len),
+            config(copy_threads)) {
+    mount();
+    fleet.instance(0).sequence(3);
     sim.run();
-    sim.rethrow_failures();
-    return batch;
+  }
+
+  static DlfsConfig config(std::uint32_t copy_threads) {
+    DlfsConfig cfg;
+    cfg.batching = BatchingMode::kChunkLevel;
+    cfg.copy_threads = copy_threads;
+    return cfg;
   }
 };
 
@@ -570,36 +594,64 @@ TEST(DlfsBread, SequenceReleasesAPartialUnitsPins) {
 }
 
 TEST(DlfsBread, InjectedComputeWaitsOutLookupsAndInlineCopies) {
-  // The I/O core does one thing at a time. A warm sample-level bread of
-  // 16 own hits looks each pick up while the injected poll-loop compute
-  // runs, and without copy threads it also copies each hit inline, so it
-  // ends no sooner than the compute plus that work.
-  for (const std::uint32_t copy_threads : {2u, 0u}) {
-    WarmRig rig(copy_threads);
+  // The I/O core does one thing at a time. A bread of 16 looks each
+  // sample up while the injected poll-loop compute runs, and without copy
+  // threads it also copies each sample inline, so it ends no sooner than
+  // the compute plus that work. Sample-level, the 16 are own hits of a
+  // warm epoch; chunk-level, samples of a landed chunk.
+  auto check = [](Rig& rig, const char* mode, std::uint32_t copy_threads) {
     auto& inst = rig.fleet.instance(0);
     const auto& costs = rig.fleet.config().calibration.dlfs;
     inst.set_injected_poll_compute(200_us);
     std::vector<std::byte> arena(16 * 4096);
-    const dlsim::SimTime t0 = rig.sim.now();
     const dlsim::SimDuration busy0 = inst.io_core().busy_ns();
-    dlsim::SimTime done = 0;
-    rig.sim.spawn([](Simulator& sim, DlfsInstance& inst,
-                     std::span<std::byte> arena,
-                     dlsim::SimTime* done) -> Task<void> {
-      EXPECT_EQ((co_await inst.bread(16, arena)).samples.size(), 16u);
-      *done = sim.now();
-    }(rig.sim, inst, arena, &done));
-    rig.sim.run();
-    rig.sim.rethrow_failures();
+    dlsim::SimDuration took = 0;
+    EXPECT_EQ(rig.bread(16, arena, &took).samples.size(), 16u) << mode;
     dlsim::SimDuration work = 16 * (costs.dir_lookup + costs.bread_per_sample);
     if (copy_threads == 0) {
       work += 16 * (costs.completion_handling +
                     dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec));
     }
     EXPECT_EQ(inst.io_core().busy_ns() - busy0, 200_us + work)
-        << copy_threads << " copy threads";
-    EXPECT_GE(done - t0, 200_us + work) << copy_threads << " copy threads";
+        << mode << ", " << copy_threads << " copy threads";
+    EXPECT_GE(took, 200_us + work)
+        << mode << ", " << copy_threads << " copy threads";
+  };
+  for (const std::uint32_t copy_threads : {2u, 0u}) {
+    WarmRig warm(copy_threads);
+    check(warm, "sample-level", copy_threads);
+    LandedChunkRig chunk(4096, copy_threads);
+    check(chunk, "chunk-level", copy_threads);
   }
+}
+
+TEST(DlfsBread, ChunkLevelCopiesOverlapLookups) {
+  // A chunk-level bread looks each sample up just before its copy, so the
+  // copy threads drain earlier samples while later lookups run on the I/O
+  // core. A copy job is shorter than a lookup, so a bread of 32 landed
+  // samples ends one copy job after its last lookup.
+  LandedChunkRig rig(512, 2);
+  auto& inst = rig.fleet.instance(0);
+  const auto& costs = rig.fleet.config().calibration.dlfs;
+  std::vector<std::byte> arena(32 * 512);
+  const dlsim::SimDuration busy0 = inst.io_core().busy_ns();
+  dlsim::SimDuration took = 0;
+  const Batch batch = rig.bread(32, arena, &took);
+  ASSERT_EQ(batch.samples.size(), 32u);
+  for (const auto& s : batch.samples) {
+    EXPECT_TRUE(sample_matches(
+        rig.ds, s.sample_id,
+        std::span<const std::byte>(arena.data() + s.offset_in_arena, s.len)))
+        << "sample " << s.sample_id;
+  }
+  const dlsim::SimDuration lookups =
+      32 * (costs.dir_lookup + costs.bread_per_sample);
+  const dlsim::SimDuration last_copy =
+      costs.completion_handling +
+      dlsim::transfer_time(512, costs.copy_bw_bytes_per_sec) +
+      costs.cross_core_handoff;
+  EXPECT_EQ(inst.io_core().busy_ns() - busy0, lookups);
+  EXPECT_EQ(took, lookups + last_copy);
 }
 
 TEST(DlfsBread, ChunkLevelCopiesInlineWithoutCopyThreads) {

@@ -215,6 +215,39 @@ TEST(ShardedDirectory, LookupCacheEvictsAtCapacity) {
   EXPECT_EQ(st.cache_hits, 0u);
 }
 
+TEST(ShardedDirectory, BreadResolvesForeignIdsBeforeItsFirstAcquire) {
+  // A bread's metadata RPCs all run before its first acquire (DESIGN
+  // §5f), so a cold bread's read-ahead lands while its foreign ids
+  // resolve: 32 round trips outlast two 64 KiB unit reads, and both
+  // units are resident when they are acquired. Were each sample's RPC
+  // issued just before its copy, the first unit would be acquired one
+  // round trip in, before it landed.
+  auto cfg = sharded_cfg();
+  cfg.chunk_bytes = 64_KiB;
+  Rig rig(dlfs::dataset::make_fixed_size_dataset(256, 4096), cfg,
+          /*nodes=*/5, /*clients=*/{4}, /*storage=*/{0, 1, 2, 3});
+  auto& inst = rig.fleet.instance(0);
+
+  run_in_sim(rig, [](Rig& r, DlfsInstance& inst) -> Task<void> {
+    inst.sequence(3);
+    std::vector<std::byte> arena(32 * r.ds.max_sample_bytes());
+    const auto b = co_await inst.bread(32, arena);
+    EXPECT_EQ(b.samples.size(), 32u);
+    for (const auto& s : b.samples) {
+      std::vector<std::byte> want(s.len);
+      r.ds.fill_content(s.sample_id, 0, want);
+      EXPECT_EQ(std::memcmp(arena.data() + s.offset_in_arena, want.data(),
+                            want.size()),
+                0);
+    }
+  }(rig, inst));
+
+  const auto st = inst.stats();
+  EXPECT_EQ(st.directory.remote_lookups, 32u);
+  EXPECT_EQ(st.prefetch.units_stalled, 0u);
+  EXPECT_EQ(st.prefetch.units_resident_at_pick, 2u);
+}
+
 TEST(ShardedDirectory, PerClientBytesStrictlyBelowFullAllgather) {
   // The acceptance bar: at S >= 4 the sharded client's accounted
   // directory memory stays strictly below the full-allgather copy — even

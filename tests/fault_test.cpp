@@ -631,14 +631,21 @@ TEST(SelfHealing, SequentialPermanentLossesRereplicateByteIdentical) {
          bool& backlog_drained) -> Task<void> {
         inst.sequence(1);
         co_await run_epoch_logged(r.ds, inst, logs[0]);
-        // Wait for the first loss's repairs to drain before losing the
-        // second node: sequential losses spaced past the repair-drain
-        // time keep at least one live copy of everything.
-        while (!r.fleet.repair_backlog().empty()) co_await r.sim.delay(1_ms);
+        // Wait for the first loss to be declared and its repairs to drain
+        // before losing the second node: sequential losses spaced past the
+        // repair-drain time keep at least one live copy of everything. An
+        // empty backlog alone also holds before the loss is declared.
+        while (r.fleet.num_declared_dead() < 1 ||
+               !r.fleet.repair_backlog().empty()) {
+          co_await r.sim.delay(1_ms);
+        }
         r.fleet.target(1)->crash();
         inst.sequence(2);
         co_await run_epoch_logged(r.ds, inst, logs[1]);
-        while (!r.fleet.repair_backlog().empty()) co_await r.sim.delay(1_ms);
+        while (r.fleet.num_declared_dead() < 2 ||
+               !r.fleet.repair_backlog().empty()) {
+          co_await r.sim.delay(1_ms);
+        }
         inst.sequence(3);
         co_await run_epoch_logged(r.ds, inst, logs[2]);
         dead_at_end = r.fleet.num_declared_dead();
