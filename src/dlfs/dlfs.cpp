@@ -346,23 +346,34 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
   }
   if (!chunk_mode || !hu->chunk.empty()) co_return hu;
   // Degraded chunk unit (now or in an earlier batch): re-read this
-  // pick's samples one at a time from their replicas or the recovered
-  // primary.
+  // pick's samples from their replicas or the recovered primary, all of
+  // them posted before any is awaited.
+  std::vector<ReadExtent> reads;
   for (std::uint32_t i = 0; i < pk.count; ++i) {
     const std::uint32_t id = pk.unit->samples[pk.first_sample + i].sample_id;
     if (!sample_reachable(id)) {
       ++faults->skipped;
       continue;
     }
-    auto op = engine_->start_extent(sample_read(id, PeerServe::kNone));
-    co_await engine_->await_op(*io_core_, op);
+    reads.push_back(sample_read(id, PeerServe::kNone));
+  }
+  std::vector<ExtentOpPtr> ops = co_await read_together(std::move(reads));
+  for (ExtentOpPtr& op : ops) {
     if (op->error()) {
       faults->note(op->error());
     } else {
-      hu->samples.emplace(id, std::move(op));
+      hu->samples.emplace(static_cast<std::uint32_t>(op->extent.key),
+                          std::move(op));
     }
   }
   co_return hu;
+}
+
+dlsim::Task<std::vector<ExtentOpPtr>> DlfsInstance::read_together(
+    std::vector<ReadExtent> reads) {
+  std::vector<ExtentOpPtr> ops = engine_->start_extents(std::move(reads));
+  for (const ExtentOpPtr& op : ops) co_await engine_->await_op(*io_core_, op);
+  co_return ops;
 }
 
 dlsim::Task<void> DlfsInstance::read_elided(std::size_t begin,
@@ -387,16 +398,16 @@ dlsim::Task<void> DlfsInstance::read_elided(std::size_t begin,
     reads.push_back(sample_read(id, peer));
   }
   if (reads.empty()) co_return;
-  const std::vector<ExtentOpPtr> ops = engine_->start_extents(std::move(reads));
-  for (const ExtentOpPtr& op : ops) co_await engine_->await_op(*io_core_, op);
-  for (const ExtentOpPtr& op : ops) {
+  std::vector<ExtentOpPtr> ops = co_await read_together(std::move(reads));
+  for (ExtentOpPtr& op : ops) {
     // As for read-ahead, a node fault is left to the demand read, and a
     // failed op's landed chunks go back to the pool.
     if (op->error()) {
       if (is_node_fault(op->error())) continue;
       (void)op->take_buffers();
     }
-    hu->samples.emplace(static_cast<std::uint32_t>(op->extent.key), op);
+    hu->samples.emplace(static_cast<std::uint32_t>(op->extent.key),
+                        std::move(op));
   }
 }
 

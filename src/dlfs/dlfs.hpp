@@ -530,17 +530,24 @@ class DlfsInstance {
   /// and the cache still holds, and reads what it has lost since
   /// (read_elided). A chunk unit degraded by a node fault re-reads the
   /// pick's samples from their replicas (or the recovered primary) into
-  /// its per-sample extents.
-  /// Unreachable samples and fatal faults land in `*faults`.
+  /// its per-sample extents, all of them read together (read_together).
+  /// Unreachable samples and faults land in `*faults`: a node fault is a
+  /// skip, a media error is fatal.
   dlsim::Task<HeldUnit*> acquire_pick(EpochSequence::UnitPicks pk,
                                       BatchFaults* faults);
+  /// Posts every one of `reads` with one start_extents, then awaits each
+  /// op on the I/O core, so their device and fabric round trips overlap
+  /// (opportunistic batching, as bread's read-ahead has it). Returns the
+  /// finished ops in `reads`' order; each caller routes their faults.
+  dlsim::Task<std::vector<ExtentOpPtr>> read_together(
+      std::vector<ReadExtent> reads);
   /// Part of a sample-level unit's first acquire: a sample of epoch slots
   /// [begin, end) that read-ahead never `issued` (the cache or a
   /// co-located holder had it) is pinned into `hu->cached` when the cache
   /// holds it now, so no eviction turns it into a demand read before its
-  /// pick. One that neither holds now gets its sample_read. All of them
-  /// are posted before any is awaited, and the finished ops join
-  /// `hu->samples`.
+  /// pick. One that neither holds now gets its sample_read, and all of
+  /// them are read together (read_together). The finished ops join
+  /// `hu->samples`; a node fault is left to the demand read.
   dlsim::Task<void> read_elided(std::size_t begin, std::size_t end,
                                 std::vector<std::uint32_t> issued,
                                 HeldUnit* hu);

@@ -22,12 +22,38 @@ namespace dlfs::mem {
 
 class HugePagePool;
 
+namespace detail {
+
+/// A pool's memory: its chunks and its free list. The pool owns it, but
+/// a pool destroyed while some of its buffers are still out leaves it to
+/// them, and the last one returned frees it. A simulator destroys the
+/// frames of its suspended processes, and the buffers they hold, after
+/// the objects that own their pools.
+struct PoolArena {
+  PoolArena(std::size_t chunk_bytes, std::size_t chunks);
+  ~PoolArena();
+  PoolArena(const PoolArena&) = delete;
+  PoolArena& operator=(const PoolArena&) = delete;
+
+  /// Returns chunk `idx`; an orphaned arena frees itself with its last.
+  void free_chunk(std::size_t idx);
+
+  std::size_t chunk_size;
+  std::size_t total_chunks;
+  std::unique_ptr<std::byte[]> bytes;
+  std::vector<std::size_t> free_list;
+  bool scribble_on_free = false;
+  bool orphaned = false;  // the pool is gone
+};
+
+}  // namespace detail
+
 /// RAII handle to one pool chunk. Movable; returns the chunk on destruction.
 class DmaBuffer {
  public:
   DmaBuffer() = default;
   DmaBuffer(DmaBuffer&& o) noexcept
-      : pool_(std::exchange(o.pool_, nullptr)),
+      : arena_(std::exchange(o.arena_, nullptr)),
         chunk_(std::exchange(o.chunk_, 0)),
         span_(std::exchange(o.span_, {})) {}
   DmaBuffer& operator=(DmaBuffer&& o) noexcept;
@@ -35,7 +61,7 @@ class DmaBuffer {
   DmaBuffer& operator=(const DmaBuffer&) = delete;
   ~DmaBuffer() { release(); }
 
-  [[nodiscard]] bool valid() const { return pool_ != nullptr; }
+  [[nodiscard]] bool valid() const { return arena_ != nullptr; }
   [[nodiscard]] std::span<std::byte> span() const { return span_; }
   [[nodiscard]] std::byte* data() const { return span_.data(); }
   [[nodiscard]] std::size_t size() const { return span_.size(); }
@@ -45,10 +71,11 @@ class DmaBuffer {
 
  private:
   friend class HugePagePool;
-  DmaBuffer(HugePagePool* pool, std::size_t chunk, std::span<std::byte> span)
-      : pool_(pool), chunk_(chunk), span_(span) {}
+  DmaBuffer(detail::PoolArena* arena, std::size_t chunk,
+            std::span<std::byte> span)
+      : arena_(arena), chunk_(chunk), span_(span) {}
 
-  HugePagePool* pool_ = nullptr;
+  detail::PoolArena* arena_ = nullptr;
   std::size_t chunk_ = 0;
   std::span<std::byte> span_{};
 };
@@ -72,8 +99,10 @@ class HugePagePool {
   /// scribbled with 0xDD on free — and poisoned under AddressSanitizer —
   /// so a stale view (read after release) sees garbage / faults instead
   /// of silently reading recycled bytes. Off by default (memset cost).
-  void set_scribble_on_free(bool on) { scribble_on_free_ = on; }
-  [[nodiscard]] bool scribble_on_free() const { return scribble_on_free_; }
+  void set_scribble_on_free(bool on) { arena_->scribble_on_free = on; }
+  [[nodiscard]] bool scribble_on_free() const {
+    return arena_->scribble_on_free;
+  }
 
   /// Allocates one chunk; throws PoolExhausted when empty.
   [[nodiscard]] DmaBuffer allocate();
@@ -84,29 +113,26 @@ class HugePagePool {
   /// True if `p` points inside this pool — the SPDK "is this DMA-safe
   /// memory" check enforced by the user-level driver.
   [[nodiscard]] bool owns(const std::byte* p) const {
-    return p >= arena_.get() && p < arena_.get() + arena_bytes_;
+    const std::byte* base = arena_->bytes.get();
+    return p >= base && p < base + total_chunks() * chunk_size();
   }
 
-  [[nodiscard]] std::size_t chunk_size() const { return chunk_size_; }
-  [[nodiscard]] std::size_t total_chunks() const { return total_chunks_; }
-  [[nodiscard]] std::size_t free_chunks() const { return free_list_.size(); }
+  [[nodiscard]] std::size_t chunk_size() const { return arena_->chunk_size; }
+  [[nodiscard]] std::size_t total_chunks() const {
+    return arena_->total_chunks;
+  }
+  [[nodiscard]] std::size_t free_chunks() const {
+    return arena_->free_list.size();
+  }
   [[nodiscard]] std::size_t used_chunks() const {
-    return total_chunks_ - free_list_.size();
+    return total_chunks() - free_chunks();
   }
   /// High-water mark of simultaneously used chunks.
   [[nodiscard]] std::size_t peak_used_chunks() const { return peak_used_; }
 
  private:
-  friend class DmaBuffer;
-  void free_chunk(std::size_t idx);
-
-  std::size_t chunk_size_;
-  std::size_t total_chunks_;
-  std::size_t arena_bytes_;
-  std::unique_ptr<std::byte[]> arena_;
-  std::vector<std::size_t> free_list_;
+  std::unique_ptr<detail::PoolArena> arena_;
   std::size_t peak_used_ = 0;
-  bool scribble_on_free_ = false;
 };
 
 }  // namespace dlfs::mem

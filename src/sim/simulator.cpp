@@ -28,6 +28,7 @@ Simulator::~Simulator() {
   // suspended coroutine runs the destructors of its locals, which recursively
   // destroys every child Task frame it owns (including any whose handle sits
   // in the queue).
+  tearing_down_ = true;
   while (!queue_.empty()) queue_.pop();
   for (auto& p : processes_) {
     if (p->root) {

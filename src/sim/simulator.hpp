@@ -121,6 +121,10 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
   [[nodiscard]] std::size_t live_processes() const { return live_; }
+  /// True while the destructor destroys the frames of suspended
+  /// processes. Their locals may point into objects that were destroyed
+  /// before the simulator, so their destructors must not touch them.
+  [[nodiscard]] bool tearing_down() const { return tearing_down_; }
 
   /// Schedules a raw coroutine resumption (used by awaitables and the sync
   /// primitives; application code should prefer delay()/spawn()). The
@@ -258,6 +262,7 @@ class Simulator {
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;
   std::size_t live_ = 0;
+  bool tearing_down_ = false;
 
   static Simulator* current_sim_;  // the instance inside step(), if any
 };

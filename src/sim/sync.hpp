@@ -95,15 +95,19 @@ class Event {
 
 class Mutex;
 
-/// RAII lock ownership for Mutex (analogous to std::unique_lock).
+/// RAII lock ownership for Mutex (analogous to std::unique_lock). A guard
+/// in a suspended frame that the simulator's destructor destroys leaves
+/// its mutex alone: the mutex may have died with its owner first.
 class ScopedLock {
  public:
   ScopedLock() = default;
-  explicit ScopedLock(Mutex& m) : m_(&m) {}
-  ScopedLock(ScopedLock&& o) noexcept : m_(std::exchange(o.m_, nullptr)) {}
+  explicit ScopedLock(Mutex& m);
+  ScopedLock(ScopedLock&& o) noexcept
+      : m_(std::exchange(o.m_, nullptr)), sim_(o.sim_) {}
   ScopedLock& operator=(ScopedLock&& o) noexcept {
     release();
     m_ = std::exchange(o.m_, nullptr);
+    sim_ = o.sim_;
     return *this;
   }
   ScopedLock(const ScopedLock&) = delete;
@@ -114,6 +118,7 @@ class ScopedLock {
 
  private:
   Mutex* m_ = nullptr;
+  const Simulator* sim_ = nullptr;
 };
 
 /// FIFO mutex. Ownership hands off directly to the oldest waiter, so the
@@ -173,6 +178,7 @@ class Mutex {
   }
 
  private:
+  friend class ScopedLock;
   Simulator* sim_;
   bool locked_ = false;
   detail::WaitList waiters_;
@@ -180,11 +186,11 @@ class Mutex {
   detail::ProcessState* owner_ = nullptr;
 };
 
+inline ScopedLock::ScopedLock(Mutex& m) : m_(&m), sim_(m.sim_) {}
+
 inline void ScopedLock::release() {
-  if (m_) {
-    m_->unlock();
-    m_ = nullptr;
-  }
+  if (m_ && !sim_->tearing_down()) m_->unlock();
+  m_ = nullptr;
 }
 
 /// Counting semaphore with FIFO wakeup.

@@ -550,6 +550,87 @@ TEST(FaultInjection, ReplicatedViewsCrashServesFullEpoch) {
   }
 }
 
+// What one bread (or bread_views) of a test delivered, and how long it
+// took.
+struct BreadOutcome {
+  std::size_t served = 0;
+  std::uint64_t skipped = 0;
+  bool content_ok = true;
+  dlsim::SimDuration took = 0;
+};
+
+Task<void> timed_bread(ReplicaRig& r, dlfs::core::DlfsInstance& inst,
+                       bool views, BreadOutcome& o) {
+  std::vector<std::byte> arena(16 * 4096);
+  std::vector<std::pair<std::uint32_t, std::vector<std::byte>>> got;
+  const dlsim::SimTime t0 = r.sim.now();
+  if (views) {
+    dlfs::core::ViewLease lease(inst, co_await inst.bread_views(16));
+    o.took = r.sim.now() - t0;
+    o.skipped = lease.batch().samples_skipped;
+    for (const auto& s : lease.batch().samples) {
+      std::vector<std::byte> bytes;
+      for (const auto piece : s.pieces) {
+        bytes.insert(bytes.end(), piece.begin(), piece.end());
+      }
+      got.emplace_back(s.sample_id, std::move(bytes));
+    }
+  } else {
+    const dlfs::core::Batch b = co_await inst.bread(16, arena);
+    o.took = r.sim.now() - t0;
+    o.skipped = b.samples_skipped;
+    for (const auto& s : b.samples) {
+      const std::byte* at = arena.data() + s.offset_in_arena;
+      got.emplace_back(s.sample_id, std::vector<std::byte>(at, at + s.len));
+    }
+  }
+  o.served = got.size();
+  std::vector<std::byte> want;
+  for (const auto& [id, bytes] : got) {
+    want.resize(r.ds.sample(id).size);
+    r.ds.fill_content(id, 0, want);
+    if (bytes != want) o.content_ok = false;
+  }
+}
+
+TEST(FaultInjection, DegradedChunkPickPostsItsReplicaReadsTogether) {
+  // The first chunk unit's node is down before its pick, so each pick of
+  // it re-reads its samples from their replicas, every read posted before
+  // the first is awaited. Two breads of 16 take the unit's first 32
+  // samples: the first also pays the epoch's reprobe of the dead node, and
+  // the second, once the read-ahead has landed, is timed.
+  for (const bool views : {false, true}) {
+    SCOPED_TRACE(views ? "bread_views" : "bread");
+    ReplicaRig rig(ReplicaRig::cfg(2, dlfs::core::BatchingMode::kChunkLevel));
+    auto& inst = rig.fleet.instance(0);
+    const dlfs::core::EpochSequence order(rig.fleet.plan(), 1, 0, 1);
+    ASSERT_TRUE(order.unit_at(0)->is_chunk);
+    ASSERT_GE(order.unit_at(0)->samples.size(), 32u);
+    rig.fleet.target(order.unit_at(0)->nid)->crash();
+    inst.sequence(1);
+    // The unit's read-ahead times out, and the engine marks its node down.
+    rig.sim.run();
+    ASSERT_EQ(inst.engine().nodes_down(), 1u);
+    std::array<BreadOutcome, 2> out;
+    for (BreadOutcome& o : out) {
+      rig.sim.spawn(timed_bread(rig, inst, views, o), "degraded-pick");
+      rig.sim.run();
+      rig.sim.rethrow_failures();
+      EXPECT_EQ(o.served, 16u);
+      EXPECT_EQ(o.skipped, 0u);
+      EXPECT_TRUE(o.content_ok);
+    }
+    // The timed pick posts its 16 replica reads at once, so it ends about
+    // one replica round trip after its first lookup, plus the device's
+    // command slot (1.8 us) for each of the other 15 reads and the other
+    // 15 lookups. Reads awaited one at a time would take more than 16
+    // device read latencies.
+    const auto& nvme = rig.fleet.config().calibration.nvme;
+    EXPECT_LT(out[1].took, 16 * nvme.read_latency);
+    EXPECT_EQ(out[1].took, views ? 55'800 : 56'662);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Self-healing replication: permanent-loss detection, background
 // re-replication, late rejoin, and the zero-copy pin guard.
@@ -925,6 +1006,86 @@ TEST(SelfHealing, ShardedDirectoryInvalidatesStaleRowsAfterRepair) {
   // The fix is observable: post-repair resolutions hit versioned rows
   // and invalidated them instead of serving the stale entries.
   EXPECT_GT(stats.directory.stale_invalidations, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Teardown mid-I/O. These rigs declare their Simulator before their
+// fleet, as the benches' rigs do, so the fleet and its huge-page pools
+// are destroyed first; the simulator then destroys the frames of its
+// suspended processes, and the pool chunks those frames hold go back
+// after their pool is gone.
+
+/// Steps `rig` until `holding()`, which must be true only while a
+/// suspended frame holds a chunk of client 0's pool, then destroys it.
+template <typename Holding>
+void destroy_when(std::unique_ptr<SelfHealRig> rig, Holding holding) {
+  bool held = false;
+  while (!held && rig->sim.step()) held = holding();
+  ASSERT_TRUE(held);
+  EXPECT_GT(rig->fleet.instance(0).pool().used_chunks(), 0u);
+  rig.reset();
+}
+
+std::unique_ptr<SelfHealRig> teardown_rig(dlfs::core::BatchingMode mode) {
+  return std::make_unique<SelfHealRig>(
+      SelfHealRig::cfg(dlfs::core::ReplicationConfig(2), mode));
+}
+
+TEST(Teardown, FleetBeforeSimulatorMidRepairRead) {
+  // The repair daemon's first read is being posted: its piece and pool
+  // chunk sit in the pump frame under repair_one.
+  auto rig = teardown_rig(dlfs::core::BatchingMode::kChunkLevel);
+  auto& inst = rig->fleet.instance(0);
+  ASSERT_EQ(inst.pool().used_chunks(), 0u);
+  const std::uint64_t posted0 = inst.engine().requests_posted();
+  rig->fleet.declare_dead(0);
+  destroy_when(std::move(rig), [&inst, posted0] {
+    return inst.pool().used_chunks() == 1 &&
+           inst.engine().requests_posted() == posted0;
+  });
+}
+
+TEST(Teardown, FleetBeforeSimulatorMidRepairWrite) {
+  // The first repair's read has landed and its write is being posted,
+  // with the read's pool chunk as its payload.
+  auto rig = teardown_rig(dlfs::core::BatchingMode::kChunkLevel);
+  auto& inst = rig->fleet.instance(0);
+  const std::uint64_t posted0 = inst.engine().requests_posted();
+  const std::uint64_t harvested0 = inst.engine().completions_harvested();
+  rig->fleet.declare_dead(0);
+  destroy_when(std::move(rig), [&inst, posted0, harvested0] {
+    return inst.engine().completions_harvested() == harvested0 + 1 &&
+           inst.engine().requests_posted() == posted0 + 1;
+  });
+}
+
+TEST(Teardown, FleetBeforeSimulatorMidReadAhead) {
+  // The prefetch daemon is posting its first read-ahead piece.
+  auto rig = teardown_rig(dlfs::core::BatchingMode::kChunkLevel);
+  auto& inst = rig->fleet.instance(0);
+  ASSERT_EQ(inst.pool().used_chunks(), 0u);
+  inst.sequence(1);
+  destroy_when(std::move(rig),
+               [&inst] { return inst.pool().used_chunks() > 0; });
+}
+
+TEST(Teardown, FleetBeforeSimulatorMidCopy) {
+  // A sample-level bread's first copy job is on a copy thread: the job,
+  // with its sample's pool chunk, sits in the thread's frame.
+  std::vector<std::byte> arena(16 * 4096);
+  auto rig = teardown_rig(dlfs::core::BatchingMode::kSampleLevel);
+  auto& inst = rig->fleet.instance(0);
+  inst.sequence(1);
+  rig->sim.spawn(
+      [](dlfs::core::DlfsInstance& inst,
+         std::span<std::byte> arena) -> Task<void> {
+        (void)co_await inst.bread(16, arena);
+      }(inst, arena),
+      "bread");
+  destroy_when(std::move(rig), [&inst] {
+    return inst.engine().copy_busy_ns() > 0 &&
+           inst.engine().bytes_copied() == 0;
+  });
 }
 
 TEST(FaultInjection, MidEpochReprobeRejoinsNodeWithoutEpochBoundary) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -409,6 +410,21 @@ TEST(SimMutex, ScopedLockMoveTransfersOwnership) {
   }(mu));
   sim.run();
   EXPECT_FALSE(mu.locked());
+}
+
+TEST(SimMutex, TeardownLeavesAGoneMutexAlone) {
+  // The simulator destroys its suspended frames after the objects they
+  // point into: a guard held across a suspension must not unlock a mutex
+  // whose owner is already gone.
+  Simulator sim;
+  auto mu = std::make_unique<Mutex>(sim);
+  sim.spawn([](Simulator& sim, Mutex& m) -> Task<void> {
+    auto guard = co_await m.scoped_lock();
+    co_await sim.delay(1_ms);
+  }(sim, *mu));
+  sim.run_until(500_us);
+  EXPECT_TRUE(mu->locked());
+  mu.reset();
 }
 
 // ---------------------------------------------------------------------------

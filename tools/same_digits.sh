@@ -15,7 +15,8 @@
 #   1. runs dlfsbench --seed 1 --trace on both sides at once, and
 #      compares every end_to_end and per_layer value except the
 #      host-time setup_s, sim.host_s and trace.host_overhead_frac;
-#      every workload must also be correct with 0 failed;
+#      every workload must also be correct with 0 failed, and a side
+#      that exits non-zero is named ("change side exited 139");
 #   2. runs 16 benches no golden covers on both sides, the two sides at
 #      once, and diffs their stdout, stderr, exit status and
 #      BENCH_*/CHAOS_* JSON byte for byte.
@@ -40,14 +41,23 @@ done
 
 status=0
 
-# 1. dlfsbench, seed 1, traced.
+# 1. dlfsbench, seed 1, traced. The values are compared only when both
+# sides exit 0.
 mkdir -p "$P/tr" "$C/build-bench/tr"
+rm -f "$P/db.json" "$C/build-bench/db.json"
 "$P/bb/dlfsbench" --seed 1 --trace --json "$P/db.json" --trace-dir "$P/tr" \
   > /dev/null 2>&1 &
+parent_pid=$!
 "$C/build-bench/dlfsbench" --seed 1 --trace --json "$C/build-bench/db.json" \
   --trace-dir "$C/build-bench/tr" > /dev/null 2>&1 &
-wait
-python3 - "$P/db.json" "$C/build-bench/db.json" <<'PY' || status=1
+change_pid=$!
+exited=0
+wait "$parent_pid" || { echo "dlfsbench: parent side exited $?"; exited=1; }
+wait "$change_pid" || { echo "dlfsbench: change side exited $?"; exited=1; }
+if [ $exited -ne 0 ]; then
+  status=1
+else
+  python3 - "$P/db.json" "$C/build-bench/db.json" <<'PY' || status=1
 import json, sys
 host = {"setup_s", "sim.host_s", "trace.host_overhead_frac"}
 p, c = (json.load(open(f))["workloads"] for f in sys.argv[1:])
@@ -63,6 +73,7 @@ print("dlfsbench:", "correct" if ok else "INCORRECT",
       "with different digits" if bad else "with the same digits")
 sys.exit(1 if bad or not ok else 0)
 PY
+fi
 
 # 2. The runs no golden pins.
 same_runs() {  # build dir, output dir, checkout root
