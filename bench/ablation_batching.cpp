@@ -126,22 +126,11 @@ int main() {
       inst.sequence(1);
       inst.io_core().reset_accounting();
       const auto t0 = sim.now();
-      sim.spawn([](dlfs::core::DlfsInstance& inst, bool zc)
-                    -> dlsim::Task<void> {
-        std::vector<std::byte> arena(64 * 4096);
-        for (;;) {
-          if (zc) {
-            auto b = co_await inst.bread_views(32);
-            if (b.end_of_epoch) break;
-            inst.release_views(b);
-          } else {
-            auto b = co_await inst.bread(32, arena);
-            if (b.end_of_epoch) break;
-          }
-        }
-      }(inst, zero_copy));
-      sim.run();
-      sim.rethrow_failures();
+      if (!dlfs::bench::read_epoch(inst, {cluster, fleet}, 32, zero_copy)
+               .content_ok) {
+        std::fprintf(stderr, "FAIL: a delivered sample's bytes are wrong\n");
+        return 1;
+      }
       const double secs = dlsim::to_seconds(sim.now() - t0);
       const double cpu_us =
           dlsim::to_micros(inst.io_core().busy_ns() +
@@ -180,15 +169,10 @@ int main() {
       const auto t0 = sim.now();
       const auto hits0 = inst.cache().hits();
       const auto reads0 = cluster.node(0).device().commands_completed();
-      sim.spawn([](dlfs::core::DlfsInstance& inst) -> dlsim::Task<void> {
-        std::vector<std::byte> arena(64 * 4096);
-        for (;;) {
-          auto b = co_await inst.bread(32, arena);
-          if (b.end_of_epoch) break;
-        }
-      }(inst));
-      sim.run();
-      sim.rethrow_failures();
+      if (!dlfs::bench::read_epoch(inst, {cluster, fleet}, 32).content_ok) {
+        std::fprintf(stderr, "FAIL: a delivered sample's bytes are wrong\n");
+        return 1;
+      }
       const double secs = dlsim::to_seconds(sim.now() - t0);
       t.add_row({Table::integer(static_cast<std::uint64_t>(epoch + 1)),
                  Table::num(1024.0 / secs / 1e3, 1),

@@ -13,6 +13,7 @@
 //   * either run's samples/sec drops below 90% of its baseline;
 //   * either run's prefetch stall time exceeds baseline * 1.10 + 50 us
 //     (the epsilon keeps a zero-stall baseline from forbidding noise);
+//   * either run's p99 batch latency exceeds baseline * 1.10 + 2 us;
 //   * the zero-copy run memcpy'd anything (warm chunk units must be
 //     handed out as views: bytes_copied == 0 steady-state);
 //   * the zero-copy run is slower than the copy path.
@@ -45,6 +46,8 @@ namespace {
 constexpr double kSpsFloorFraction = 0.90;   // fail below 90% of baseline
 constexpr double kStallCeilFraction = 1.10;  // fail above 110% of baseline
 constexpr double kStallEpsilonUs = 50.0;     // slack for zero-stall baselines
+constexpr double kP99CeilFraction = 1.10;    // fail above 110% of baseline
+constexpr double kP99EpsilonUs = 2.0;        // slack for near-zero baselines
 
 Workload pinned_workload() {
   Workload w;
@@ -86,18 +89,20 @@ void write_baseline(const std::string& path, const RunResult& copy,
                 "{\n"
                 "  \"copy_samples_per_sec\": %.1f,\n"
                 "  \"copy_stall_us\": %.1f,\n"
+                "  \"copy_batch_p99_us\": %.1f,\n"
                 "  \"zero_copy_samples_per_sec\": %.1f,\n"
-                "  \"zero_copy_stall_us\": %.1f\n"
+                "  \"zero_copy_stall_us\": %.1f,\n"
+                "  \"zero_copy_batch_p99_us\": %.1f\n"
                 "}\n",
-                copy.samples_per_sec, stall_us(copy), zc.samples_per_sec,
-                stall_us(zc));
+                copy.samples_per_sec, stall_us(copy), copy.batch_p99_us,
+                zc.samples_per_sec, stall_us(zc), zc.batch_p99_us);
   out << buf;
 }
 
-/// One run vs. its baseline pair; returns false (and prints why) on
+/// One run vs. its baseline values; returns false (and prints why) on
 /// regression.
 bool gate_run(const char* label, const RunResult& r, double base_sps,
-              double base_stall_us) {
+              double base_stall_us, double base_p99_us) {
   bool ok = true;
   if (r.samples_per_sec < base_sps * kSpsFloorFraction) {
     std::fprintf(stderr,
@@ -114,6 +119,14 @@ bool gate_run(const char* label, const RunResult& r, double base_sps,
                  "FAIL [%s] prefetch stall grew: %.1f us > ceiling %.1f us "
                  "(baseline %.1f us)\n",
                  label, stall_us(r), stall_ceil, base_stall_us);
+    ok = false;
+  }
+  const double p99_ceil = base_p99_us * kP99CeilFraction + kP99EpsilonUs;
+  if (r.batch_p99_us > p99_ceil) {
+    std::fprintf(stderr,
+                 "FAIL [%s] p99 batch latency grew: %.1f us > ceiling %.1f "
+                 "us (baseline %.1f us)\n",
+                 label, r.batch_p99_us, p99_ceil, base_p99_us);
     ok = false;
   }
   return ok;
@@ -150,14 +163,14 @@ int main(int argc, char** argv) {
   zc_w.zero_copy = true;
   const RunResult zc = dlfs::bench::run_dlfs(zc_w, cfg);
 
-  Table t({"path", "samples/s", "stall_us", "bytes_copied",
+  Table t({"path", "samples/s", "stall_us", "p99_us", "bytes_copied",
            "bytes_zero_copy"});
   t.add_row({"copy", Table::num(copy.samples_per_sec, 1),
-             Table::num(stall_us(copy), 1),
+             Table::num(stall_us(copy), 1), Table::num(copy.batch_p99_us, 1),
              Table::integer(copy.stats.bytes_copied),
              Table::integer(copy.stats.bytes_zero_copy)});
   t.add_row({"zero_copy", Table::num(zc.samples_per_sec, 1),
-             Table::num(stall_us(zc), 1),
+             Table::num(stall_us(zc), 1), Table::num(zc.batch_p99_us, 1),
              Table::integer(zc.stats.bytes_copied),
              Table::integer(zc.stats.bytes_zero_copy)});
   t.print();
@@ -212,15 +225,17 @@ int main(int argc, char** argv) {
     const std::string text = ss.str();
     const auto c_sps = find_number(text, "copy_samples_per_sec");
     const auto c_stall = find_number(text, "copy_stall_us");
+    const auto c_p99 = find_number(text, "copy_batch_p99_us");
     const auto z_sps = find_number(text, "zero_copy_samples_per_sec");
     const auto z_stall = find_number(text, "zero_copy_stall_us");
-    if (!c_sps || !c_stall || !z_sps || !z_stall) {
+    const auto z_p99 = find_number(text, "zero_copy_batch_p99_us");
+    if (!c_sps || !c_stall || !c_p99 || !z_sps || !z_stall || !z_p99) {
       std::fprintf(stderr, "FAIL baseline %s is missing keys\n",
                    baseline_path.c_str());
       return 1;
     }
-    ok &= gate_run("copy", copy, *c_sps, *c_stall);
-    ok &= gate_run("zero_copy", zc, *z_sps, *z_stall);
+    ok &= gate_run("copy", copy, *c_sps, *c_stall, *c_p99);
+    ok &= gate_run("zero_copy", zc, *z_sps, *z_stall, *z_p99);
   }
 
   std::printf("perf smoke: %s\n", ok ? "PASS" : "FAIL");

@@ -131,7 +131,7 @@ Task<void> soak_epochs(FleetRig& rig, std::uint32_t epochs,
   auto& inst = rig.fleet.instance(0);
   for (std::uint32_t e = 0; e < epochs; ++e) {
     inst.sequence(e + 1);
-    co_await read_epoch_checked(rig.ds, inst, 16, logs[e]);
+    co_await read_epoch_checked(inst, rig.ds, 16, logs[e]);
   }
   // Teardown: let the schedule finish, then wait for reconciliation —
   // every declared-dead node back in, repair backlog empty. Bounded by
@@ -232,7 +232,7 @@ int run_soak(const SoakParams& p) {
            std::vector<EpochLog>& logs, std::uint32_t epochs) -> Task<void> {
           for (std::uint32_t e = 0; e < epochs; ++e) {
             inst.sequence(e + 1);
-            co_await read_epoch_checked(r.ds, inst, 16, logs[e]);
+            co_await read_epoch_checked(inst, r.ds, 16, logs[e]);
           }
         }(healthy, inst, good, p.epochs),
         "reference-epochs");
@@ -338,7 +338,7 @@ int run_repair_sweep(bool smoke) {
           inst.io_core().reset_accounting();
           r.fleet.declare_dead(0);
           inst.sequence(1);
-          co_await read_epoch_checked(r.ds, inst, 16, log);
+          co_await read_epoch_checked(inst, r.ds, 16, log);
           t_epoch = r.sim.now();
           while (!r.fleet.repair_backlog().empty()) {
             co_await r.sim.delay(1_ms);
@@ -349,7 +349,7 @@ int run_repair_sweep(bool smoke) {
     rig.sim.run_watchdog(rig.sim.now() + 300_sec);
     rig.sim.rethrow_failures();
     const dlfs::bench::RunResult r = dlfs::bench::fleet_result(
-        rig.fleet, t_epoch - t0, log.order.size(), 4096);
+        rig.fleet, t_epoch - t0, {&log, 1}, 4096);
     const dlfs::core::InstanceStats& st = r.stats;
     const double drain_s = dlsim::to_seconds(t_drain - t0);
     const double rate =

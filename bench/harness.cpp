@@ -1,6 +1,7 @@
 #include "harness.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -33,52 +34,77 @@ cluster::NodeConfig node_config(const Workload& w) {
   return nc;
 }
 
-/// Ground truth for run_dlfs: a delivered sample must equal the bytes one
-/// of its placements holds — its primary extent, or a replica hop. The
-/// synthetic stores derive bytes from the node's seed and the device
-/// offset, so a replica's bytes differ from the primary's. Storage slot s
-/// is cluster node s in run_dlfs.
-class PlacementCheck {
- public:
-  PlacementCheck(cluster::Cluster& cluster, const core::DlfsFleet& fleet)
-      : cluster_(&cluster), fleet_(&fleet) {}
-
-  /// Throws std::logic_error unless `pieces`, concatenated, equal what
-  /// one of sample `id`'s placements holds.
-  void check(std::uint32_t id,
-             std::span<const std::span<const std::byte>> pieces) {
-    const core::SampleLocation& loc = fleet_->layout()[id];
-    if (holds(loc.nid, loc.offset, loc.len, pieces)) return;
-    for (const core::RouteHop& h : fleet_->directory().replicas(id)) {
-      if (holds(h.nid, h.offset, loc.len, pieces)) return;
+/// True when `pieces`, concatenated, are `len` bytes equal to what
+/// `fill(offset, out)` writes, compared a block at a time.
+template <typename Fill>
+bool same_bytes(std::span<const std::span<const std::byte>> pieces,
+                std::uint64_t len, const Fill& fill) {
+  std::array<std::byte, 4096> want;
+  std::uint64_t at = 0;
+  for (std::span<const std::byte> p : pieces) {
+    if (p.size() > len - at) return false;
+    while (!p.empty()) {
+      const std::size_t n = std::min(p.size(), want.size());
+      fill(at, std::span(want).first(n));
+      if (std::memcmp(want.data(), p.data(), n) != 0) return false;
+      at += n;
+      p = p.subspan(n);
     }
-    throw std::logic_error("run_dlfs: sample " + std::to_string(id) +
-                           " was delivered with bytes none of its "
-                           "placements holds");
   }
+  return at == len;
+}
 
- private:
-  bool holds(std::uint16_t slot, std::uint64_t offset, std::uint32_t len,
-             std::span<const std::span<const std::byte>> pieces) {
-    want_.resize(len);
-    cluster_->node(slot).device().store().read(offset, want_);
-    std::size_t at = 0;
-    for (const auto& p : pieces) {
-      if (p.size() > len - at ||
-          std::memcmp(want_.data() + at, p.data(), p.size()) != 0) {
-        return false;
-      }
-      at += p.size();
-    }
-    return at == len;
+/// Logs batch `b`, which took `took` and whose delivered samples' lengths
+/// sum to `lens`. Throws std::logic_error unless it reported at most
+/// `asked` outcomes and counted those lengths in its `bytes`.
+template <typename BatchT>
+void log_batch(EpochLog& log, const BatchT& b, std::size_t asked,
+               std::uint64_t lens, dlsim::SimDuration took) {
+  const std::size_t delivered = b.samples.size();
+  if (delivered + b.samples_skipped > asked) {
+    throw std::logic_error(
+        "read_epoch_checked: a bread of " + std::to_string(asked) +
+        " reported " + std::to_string(delivered) + " delivered and " +
+        std::to_string(b.samples_skipped) + " skipped samples");
   }
-
-  cluster::Cluster* cluster_;
-  const core::DlfsFleet* fleet_;
-  std::vector<std::byte> want_;
-};
+  if (b.bytes != lens) {
+    throw std::logic_error("read_epoch_checked: a batch's bytes (" +
+                           std::to_string(b.bytes) +
+                           ") are not its samples' lengths (" +
+                           std::to_string(lens) + ")");
+  }
+  log.batch_ns.push_back(took);
+  log.batch_samples.push_back(static_cast<std::uint32_t>(delivered));
+  log.bytes += lens;
+  log.skipped += b.samples_skipped;
+}
 
 }  // namespace
+
+bool SampleTruth::matches(
+    std::uint32_t id,
+    std::span<const std::span<const std::byte>> pieces) const {
+  if (cluster_ == nullptr) {
+    return same_bytes(pieces, ds_->sample(id).size,
+                      [&](std::uint64_t at, std::span<std::byte> out) {
+                        ds_->fill_content(id, at, out);
+                      });
+  }
+  const auto holds = [&](std::uint16_t slot, std::uint64_t offset,
+                         std::uint32_t len) {
+    const hw::BackingStore& store = cluster_->node(slot).device().store();
+    return same_bytes(pieces, len,
+                      [&](std::uint64_t at, std::span<std::byte> out) {
+                        store.read(offset + at, out);
+                      });
+  };
+  const core::SampleLocation& loc = fleet_->layout()[id];
+  if (holds(loc.nid, loc.offset, loc.len)) return true;
+  for (const core::RouteHop& h : fleet_->directory().replicas(id)) {
+    if (holds(h.nid, h.offset, loc.len)) return true;
+  }
+  return false;
+}
 
 FleetRig::FleetRig(std::uint32_t num_nodes, const cluster::NodeConfig& nodes,
                    dataset::Dataset dataset, const core::DlfsConfig& cfg,
@@ -92,26 +118,79 @@ FleetRig::FleetRig(std::uint32_t num_nodes, const cluster::NodeConfig& nodes,
   fleet.mount();
 }
 
-Task<void> read_epoch_checked(const dataset::Dataset& ds,
-                              core::DlfsInstance& inst, std::size_t batch,
-                              EpochLog& log) {
-  std::vector<std::byte> arena(batch * ds.max_sample_bytes());
-  std::vector<std::byte> want;
+Task<void> read_epoch_checked(core::DlfsInstance& inst, SampleTruth truth,
+                              std::size_t batch, EpochLog& log, bool views) {
+  const dlsim::Simulator& sim = inst.io_core().simulator();
+  const std::size_t arena_bytes = batch * truth.dataset().max_sample_bytes();
+  std::vector<std::byte> arena(views ? 0 : arena_bytes);
+  // The application consumes a view batch while it fetches the next, so
+  // each lease is handed back only once the next batch has arrived.
+  core::ViewLease previous;
   for (;;) {
-    auto b = co_await inst.bread(batch, arena);
-    if (b.end_of_epoch) break;
-    for (const auto& s : b.samples) {
-      log.order.push_back(s.sample_id);
-      log.offsets.push_back(s.offset_in_arena);
-      want.resize(s.len);
-      ds.fill_content(s.sample_id, 0, want);
-      if (std::memcmp(arena.data() + s.offset_in_arena, want.data(), s.len) !=
-          0) {
-        log.content_ok = false;
+    const SimTime t0 = sim.now();
+    std::uint64_t lens = 0;
+    if (views) {
+      core::ViewBatch b = co_await inst.bread_views(batch);
+      if (b.end_of_epoch) break;
+      for (const core::ViewSample& s : b.samples) {
+        log.order.push_back(s.sample_id);
+        lens += s.len;
+        if (!truth.matches(s.sample_id, s.pieces)) log.content_ok = false;
       }
+      log_batch(log, b, batch, lens, sim.now() - t0);
+      previous = core::ViewLease(inst, std::move(b));
+    } else {
+      const core::Batch b = co_await inst.bread(batch, arena);
+      if (b.end_of_epoch) break;
+      for (const core::BatchSample& s : b.samples) {
+        // Dense packing: each sample starts where the one before it ends.
+        if (s.offset_in_arena != lens) {
+          throw std::logic_error(
+              "read_epoch_checked: sample " + std::to_string(s.sample_id) +
+              " sits at arena offset " + std::to_string(s.offset_in_arena) +
+              ", not " + std::to_string(lens));
+        }
+        log.order.push_back(s.sample_id);
+        log.offsets.push_back(s.offset_in_arena);
+        lens += s.len;
+        const std::span<const std::byte> bytes(
+            arena.data() + s.offset_in_arena, s.len);
+        if (!truth.matches(s.sample_id, {&bytes, 1})) log.content_ok = false;
+      }
+      log_batch(log, b, batch, lens, sim.now() - t0);
     }
-    log.skipped += b.samples_skipped;
   }
+  log.end = sim.now();
+}
+
+EpochLog read_epoch(core::DlfsInstance& inst, SampleTruth truth,
+                    std::size_t batch, bool views) {
+  dlsim::Simulator& sim = inst.io_core().simulator();
+  EpochLog log;
+  sim.spawn(read_epoch_checked(inst, truth, batch, log, views), "epoch-reader");
+  sim.run();
+  sim.rethrow_failures();
+  return log;
+}
+
+bool exactly_once(std::span<const EpochLog> logs, std::size_t samples) {
+  std::vector<std::uint32_t> seen(samples, 0);
+  for (const EpochLog& log : logs) {
+    for (const std::uint32_t id : log.order) {
+      if (id >= samples || ++seen[id] > 1) return false;
+    }
+  }
+  return std::find(seen.begin(), seen.end(), 0u) == seen.end();
+}
+
+double percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const double pos = p * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
 core::InstanceStats fleet_stats(core::DlfsFleet& fleet) {
@@ -123,12 +202,22 @@ core::InstanceStats fleet_stats(core::DlfsFleet& fleet) {
 }
 
 RunResult fleet_result(core::DlfsFleet& fleet, dlsim::SimDuration elapsed,
-                       std::uint64_t samples, std::uint32_t sample_bytes,
+                       std::span<const EpochLog> logs,
+                       std::uint32_t sample_bytes,
                        const core::InstanceStats& before) {
   RunResult r;
   r.elapsed = elapsed;
-  r.samples = samples;
-  r.samples_per_sec = static_cast<double>(samples) / dlsim::to_seconds(elapsed);
+  std::vector<double> batch_us;
+  for (const EpochLog& log : logs) {
+    r.samples += log.order.size();
+    for (const dlsim::SimDuration d : log.batch_ns) {
+      batch_us.push_back(dlsim::to_micros(d));
+    }
+  }
+  r.batch_p50_us = percentile(batch_us, 0.50);
+  r.batch_p99_us = percentile(std::move(batch_us), 0.99);
+  const auto samples = static_cast<double>(r.samples);
+  r.samples_per_sec = samples / dlsim::to_seconds(elapsed);
   r.bytes_per_sec = r.samples_per_sec * sample_bytes;
   double util = 0.0;
   for (std::uint32_t c = 0; c < fleet.num_clients(); ++c) {
@@ -137,7 +226,7 @@ RunResult fleet_result(core::DlfsFleet& fleet, dlsim::SimDuration elapsed,
   r.client_cpu_util = util / fleet.num_clients();
   r.stats = fleet_stats(fleet) - before;
   const double lookup_us = dlsim::to_micros(r.stats.lookup_time_total);
-  r.lookup_us_avg = samples ? lookup_us / static_cast<double>(samples) : 0.0;
+  r.lookup_us_avg = r.samples ? lookup_us / samples : 0.0;
   return r;
 }
 
@@ -158,7 +247,7 @@ void write_stats_json(std::ostream& out, const core::InstanceStats& stats) {
 
 RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
                    dlsim::SimDuration injected_poll_compute,
-                   const FaultPlan& faults) {
+                   const FaultPlan& faults, std::vector<EpochLog>* logs) {
   const std::uint32_t n_storage = w.storage == 0 ? w.num_nodes : w.storage;
   const std::uint32_t n_clients = w.clients == 0 ? w.num_nodes : w.clients;
   cfg.calibration = w.calibration;
@@ -186,67 +275,45 @@ RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
     inst.io_core().reset_accounting();
     inst.sequence(w.seed + 1);
   }
-  std::uint64_t total_samples = 0;
-  // Epoch end is when the last reader finishes, not when the event queue
-  // drains — a scheduled recovery can outlive the epoch.
-  SimTime readers_done = start;
-  // Every delivered sample is checked against its placements; a mismatch
-  // fails the reader, and sim.rethrow_failures() below throws it.
-  PlacementCheck truth(rig.cluster, fleet);
+  // Every delivered sample is checked against its placements; run_dlfs
+  // throws on a mismatch below.
+  std::vector<EpochLog> client_logs(n_clients);
   for (std::uint32_t c = 0; c < n_clients; ++c) {
-    sim.spawn([](dlsim::Simulator& sim, core::DlfsInstance& inst,
-                 const Workload& w, PlacementCheck& truth,
-                 std::uint64_t& total, SimTime& done) -> Task<void> {
-      if (w.zero_copy) {
-        // Double-buffered zero-copy reader: each view batch stays pinned
-        // (consumed by "the application") while the next is fetched; the
-        // lease handoff releases the previous batch's units, so its views
-        // are checked first.
-        core::ViewLease prev;
-        for (;;) {
-          auto vb = co_await inst.bread_views(w.batch_size);
-          if (vb.end_of_epoch) break;
-          for (const core::ViewSample& s : vb.samples) {
-            truth.check(s.sample_id, s.pieces);
-          }
-          total += vb.samples.size();
-          prev = core::ViewLease(inst, std::move(vb));
-        }
-      } else {
-        std::vector<std::byte> arena(
-            (w.batch_size + 1) * static_cast<std::size_t>(w.sample_bytes));
-        for (;;) {
-          auto batch = co_await inst.bread(w.batch_size, arena);
-          if (batch.end_of_epoch) break;
-          for (const core::BatchSample& s : batch.samples) {
-            const std::span<const std::byte> bytes(
-                arena.data() + s.offset_in_arena, s.len);
-            truth.check(s.sample_id, {&bytes, 1});
-          }
-          total += batch.samples.size();
-        }
-      }
-      done = std::max(done, sim.now());
-    }(sim, fleet.instance(c), w, truth, total_samples, readers_done));
+    sim.spawn(read_epoch_checked(fleet.instance(c),
+                                 SampleTruth(rig.cluster, fleet), w.batch_size,
+                                 client_logs[c], w.zero_copy),
+              "epoch-reader");
   }
   sim.run();
   sim.rethrow_failures();
 
+  // Epoch end is when the last reader finishes, not when the event queue
+  // drains — a scheduled recovery can outlive the epoch.
+  SimTime readers_done = start;
+  for (const EpochLog& log : client_logs) {
+    if (!log.content_ok) {
+      throw std::logic_error(
+          "run_dlfs: a sample was delivered with bytes none of its "
+          "placements holds");
+    }
+    readers_done = std::max(readers_done, log.end);
+  }
   RunResult r =
-      fleet_result(fleet, readers_done - start, total_samples, w.sample_bytes);
+      fleet_result(fleet, readers_done - start, client_logs, w.sample_bytes);
   // Cross-check the instances' own delivery counters against the
   // reader-side tally: a mismatch means a batch was double-counted or
   // silently dropped between the instance and the application.
-  if (r.stats.samples_delivered != total_samples ||
-      r.stats.bytes_delivered != total_samples * w.sample_bytes) {
+  if (r.stats.samples_delivered != r.samples ||
+      r.stats.bytes_delivered != r.samples * w.sample_bytes) {
     throw std::logic_error(
         "run_dlfs: delivery counters disagree with the reader tally: "
         "instances report " +
         std::to_string(r.stats.samples_delivered) + " samples / " +
         std::to_string(r.stats.bytes_delivered) + " bytes, readers saw " +
-        std::to_string(total_samples) + " samples / " +
-        std::to_string(total_samples * w.sample_bytes) + " bytes");
+        std::to_string(r.samples) + " samples / " +
+        std::to_string(r.samples * w.sample_bytes) + " bytes");
   }
+  if (logs != nullptr) *logs = std::move(client_logs);
   return r;
 }
 
@@ -508,7 +575,9 @@ std::string JsonReport::write() const {
         << ", \"client_cpu_util\": " << r.client_cpu_util
         << ", \"elapsed_us\": " << dlsim::to_micros(r.elapsed)
         << ", \"samples\": " << r.samples
-        << ", \"lookup_us_avg\": " << r.lookup_us_avg << ", ";
+        << ", \"lookup_us_avg\": " << r.lookup_us_avg
+        << ", \"batch_p50_us\": " << r.batch_p50_us
+        << ", \"batch_p99_us\": " << r.batch_p99_us << ", ";
     write_stats_json(out, r.stats);
     out << "}" << (i + 1 < rows_.size() ? "," : "") << "\n";
   }

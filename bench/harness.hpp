@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,7 +64,8 @@ struct FaultPlan {
 
 /// One measured window of a run: the reader-side window figures, and
 /// the fleet's InstanceStats over the same window — summed over clients,
-/// gauges by max, all zero for the Ext4 and OctoFS baselines.
+/// gauges by max. The batch latencies and stats are zero for the Ext4
+/// and OctoFS baselines, which read no batches.
 struct RunResult {
   double samples_per_sec = 0.0;
   double bytes_per_sec = 0.0;
@@ -71,6 +73,8 @@ struct RunResult {
   dlsim::SimDuration elapsed = 0;
   std::uint64_t samples = 0;
   double lookup_us_avg = 0.0;  // mean per-sample lookup/open time
+  double batch_p50_us = 0.0;   // over every client's bread calls
+  double batch_p99_us = 0.0;
   core::InstanceStats stats{};
 };
 
@@ -91,32 +95,87 @@ struct FleetRig {
   core::DlfsFleet fleet;
 };
 
-/// One client's epoch as the application saw it: pick order, arena
-/// offsets, skips, and whether every delivered byte matched the dataset.
-struct EpochLog {
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> offsets;
-  std::uint64_t skipped = 0;
-  bool content_ok = true;
+/// What a delivered sample must equal. On RAM-backed stores that is the
+/// dataset's own bytes (Dataset::fill_content). Synthetic stores derive
+/// their bytes from the node seed and the device offset, so a replica's
+/// bytes differ from its primary's: there the truth is the bytes one of
+/// the sample's placements holds, its primary extent or a replica hop.
+/// Holds only pointers, so a reader can take it by value.
+class SampleTruth {
+ public:
+  /// The dataset's bytes. Implicit, so a RAM-backed caller passes its
+  /// dataset where a truth is asked for.
+  SampleTruth(const dataset::Dataset& ds)  // NOLINT(google-explicit-constructor)
+      : ds_(&ds) {}
+  /// The placements' bytes; storage slot s must be cluster node s.
+  SampleTruth(cluster::Cluster& cluster, const core::DlfsFleet& fleet)
+      : ds_(&fleet.dataset()), cluster_(&cluster), fleet_(&fleet) {}
+
+  /// True when `pieces`, concatenated, equal what sample `id` must hold.
+  [[nodiscard]] bool matches(
+      std::uint32_t id,
+      std::span<const std::span<const std::byte>> pieces) const;
+  [[nodiscard]] const dataset::Dataset& dataset() const { return *ds_; }
+
+ private:
+  const dataset::Dataset* ds_;
+  cluster::Cluster* cluster_ = nullptr;
+  const core::DlfsFleet* fleet_ = nullptr;
 };
 
-/// Reads `inst`'s share of the current epoch, `batch` samples per bread,
-/// and checks each delivered sample against `ds.fill_content`.
-[[nodiscard]] dlsim::Task<void> read_epoch_checked(const dataset::Dataset& ds,
-                                                   core::DlfsInstance& inst,
+/// One client's epoch as the application saw it. A batch is a bread call
+/// that delivered or skipped samples; the call that reports the epoch's
+/// end is not one.
+struct EpochLog {
+  std::vector<std::uint32_t> order;    // delivered ids, in delivery order
+  std::vector<std::uint32_t> offsets;  // their arena offsets (copy only)
+  std::vector<dlsim::SimDuration> batch_ns;  // each batch's call, sim time
+  std::vector<std::uint32_t> batch_samples;  // samples each batch delivered
+  std::uint64_t bytes = 0;  // delivered bytes
+  std::uint64_t skipped = 0;
+  dlsim::SimTime end = 0;   // when the epoch's end was reported
+  bool content_ok = true;   // every delivered byte matched the truth
+};
+
+/// The one loop that reads an epoch to its end: `inst`'s share of the
+/// current epoch, `batch` samples per call, through bread or — `views` —
+/// bread_views, double-buffered: each view batch stays leased while the
+/// next is fetched. Every delivered sample is checked against `truth`
+/// (a mismatch clears `log.content_ok`), and every batch must report at
+/// most `batch` outcomes, pack its samples densely from offset 0 and
+/// count their bytes in `bytes`; a batch that does not throws
+/// std::logic_error.
+[[nodiscard]] dlsim::Task<void> read_epoch_checked(core::DlfsInstance& inst,
+                                                   SampleTruth truth,
                                                    std::size_t batch,
-                                                   EpochLog& log);
+                                                   EpochLog& log,
+                                                   bool views = false);
+
+/// read_epoch_checked alone on `inst`'s simulator: runs it until the
+/// simulator drains, rethrows any process's failure, and returns the log.
+[[nodiscard]] EpochLog read_epoch(core::DlfsInstance& inst, SampleTruth truth,
+                                  std::size_t batch, bool views = false);
+
+/// True when `logs` together deliver each of samples 0..samples-1
+/// exactly once.
+[[nodiscard]] bool exactly_once(std::span<const EpochLog> logs,
+                                std::size_t samples);
+
+/// The `p` quantile (0..1) of `v`, interpolated linearly between the two
+/// nearest ranks; 0 for an empty `v`.
+[[nodiscard]] double percentile(std::vector<double> v, double p);
 
 /// Every client's stats() merged with InstanceStats::operator+=.
 [[nodiscard]] core::InstanceStats fleet_stats(core::DlfsFleet& fleet);
 
-/// The row for a window of `elapsed` in which the readers received
-/// `samples` samples of `sample_bytes` each: stats are what accrued
-/// since `before`, CPU utilization is since each I/O core's last
+/// The row for a window of `elapsed` in which the readers logged `logs`
+/// with samples of `sample_bytes` each: the samples and the batch
+/// latency percentiles come from the logs, stats are what accrued since
+/// `before`, CPU utilization is since each I/O core's last
 /// reset_accounting().
 [[nodiscard]] RunResult fleet_result(core::DlfsFleet& fleet,
                                      dlsim::SimDuration elapsed,
-                                     std::uint64_t samples,
+                                     std::span<const EpochLog> logs,
                                      std::uint32_t sample_bytes,
                                      const core::InstanceStats& before = {});
 
@@ -124,12 +183,15 @@ struct EpochLog {
 /// for_each_stat order; durations in µs.
 void write_stats_json(std::ostream& out, const core::InstanceStats& stats);
 
-/// One epoch of dlfs_bread across all clients. A FaultPlan crashes one
+/// One epoch of dlfs_bread across all clients, each read by
+/// read_epoch_checked against its placements. A FaultPlan crashes one
 /// storage node mid-epoch; the epoch then completes over the surviving
 /// subset (RunResult::stats.samples_skipped counts what was lost).
+/// `logs`, when given, receives each client's EpochLog.
 [[nodiscard]] RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
                                  dlsim::SimDuration injected_poll_compute = 0,
-                                 const FaultPlan& faults = {});
+                                 const FaultPlan& faults = {},
+                                 std::vector<EpochLog>* logs = nullptr);
 
 /// One epoch of open/pread/close over node-local Ext4, `threads_per_node`
 /// reader threads per node (1 = Ext4-Base, >1 = Ext4-MC).

@@ -110,26 +110,20 @@ std::vector<EpochResult> run_mode(const SweepParams& p, bool peer_on) {
     std::vector<dlfs::bench::EpochLog> logs(kClients);
     const dlsim::SimTime t0 = rig.sim.now();
     for (std::uint32_t c = 0; c < kClients; ++c) {
-      rig.sim.spawn(dlfs::bench::read_epoch_checked(
-                        rig.ds, rig.fleet.instance(c), kBatch, logs[c]),
+      rig.sim.spawn(dlfs::bench::read_epoch_checked(rig.fleet.instance(c),
+                                                    rig.ds, kBatch, logs[c]),
                     "peer-sweep-client");
     }
     rig.sim.run_watchdog(rig.sim.now() + 600_sec);
     rig.sim.rethrow_failures();
 
     EpochResult r;
-    std::uint64_t served = 0;
-    std::vector<std::uint32_t> delivered(p.samples, 0);
     for (const auto& log : logs) {
-      served += log.order.size();
       r.skipped += log.skipped;
       if (!log.content_ok) r.content_ok = false;
-      for (const std::uint32_t id : log.order) ++delivered[id];
     }
-    for (const std::uint32_t n : delivered) {
-      if (n != 1) r.exactly_once = false;
-    }
-    r.row = dlfs::bench::fleet_result(rig.fleet, rig.sim.now() - t0, served,
+    r.exactly_once = dlfs::bench::exactly_once(logs, p.samples);
+    r.row = dlfs::bench::fleet_result(rig.fleet, rig.sim.now() - t0, logs,
                                       kSampleBytes, before);
     out.push_back(r);
   }

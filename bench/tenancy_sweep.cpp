@@ -23,17 +23,19 @@
 //             the QoS-off run shows the regression the governor is
 //             there to prevent.
 //
-// Per tenant the bench reports throughput, p50/p99 samples/sec (batch
-// rates; p99 = the rate of the 99th-percentile-slowest batch), p50/p99
-// batch latency, and admission deferrals; per scenario the Jain
-// fairness index (sum x)^2 / (n * sum x^2) over throughput / weight.
-// Always writes BENCH_tenancy_sweep.json for CI upload.
+// Each tenant reads on RAM-backed stores through the harness's checked
+// reader, so every delivered byte is checked against the dataset and
+// every epoch must deliver each sample exactly once; either failing
+// fails the run. Per tenant the bench reports throughput, p50/p99
+// samples/sec (batch rates; p99 = the rate of the
+// 99th-percentile-slowest batch), p50/p99 batch latency, and admission
+// deferrals; per scenario the Jain fairness index
+// (sum x)^2 / (n * sum x^2) over throughput / weight. Always writes
+// BENCH_tenancy_sweep.json (one row per scenario x tenant) for CI
+// upload.
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,22 +67,9 @@ struct TenantSpec {
   std::size_t samples = 4096;
   std::uint32_t epochs = 2;
   // Loop epochs until the stop flag rises (the noisy neighbor keeps the
-  // devices saturated for exactly as long as the victim is measuring).
+  // devices saturated for as long as the victim is measuring, and stops
+  // at the first epoch boundary after).
   bool run_until_stopped = false;
-};
-
-struct TenantResult {
-  std::string name;
-  std::uint32_t weight = 1;
-  std::uint64_t samples = 0;
-  std::uint64_t skipped = 0;
-  std::uint64_t deferrals = 0;
-  double elapsed_ms = 0.0;
-  double throughput = 0.0;  // samples/sec over the tenant's own run
-  double p50_sps = 0.0;     // median per-batch rate
-  double p99_sps = 0.0;     // rate of the 99th-percentile-slowest batch
-  double p50_batch_us = 0.0;
-  double p99_batch_us = 0.0;
 };
 
 struct Scenario {
@@ -89,11 +78,18 @@ struct Scenario {
   std::vector<TenantSpec> tenants;
 };
 
+// One tenant's run: its row over its own run, and its epochs' logs.
+struct TenantRun {
+  TenantSpec spec;
+  dlfs::bench::RunResult row;
+  std::vector<dlfs::bench::EpochLog> logs;
+};
+
 struct ScenarioResult {
   std::string name;
   bool qos = false;
   double fairness = 0.0;
-  std::vector<TenantResult> tenants;
+  std::vector<TenantRun> tenants;
 };
 
 dlfs::core::DlfsConfig tenant_config(
@@ -124,10 +120,8 @@ struct Job {
   dlfs::cluster::Pfs pfs;
   dlfs::core::DlfsFleet fleet;
   TenantSpec spec;
-  std::vector<dlsim::SimDuration> batch_lat;
-  std::vector<std::size_t> batch_samples;
-  dlsim::SimTime t_start = 0;
-  dlsim::SimTime t_end = 0;
+  std::vector<dlfs::bench::EpochLog> logs;  // one per epoch
+  dlfs::bench::RunResult row;               // over the tenant's own run
 
   Job(dlsim::Simulator& sim, dlfs::cluster::Cluster& cl,
       const TenantSpec& s, std::size_t idx,
@@ -141,76 +135,30 @@ struct Job {
   }
 };
 
-Task<void> tenant_reader(dlsim::Simulator& sim, Job& job, const bool& stop,
-                         bool& done) {
+Task<void> tenant_epochs(Job& job, const bool& stop, bool& done) {
   auto& inst = job.fleet.instance(0);
-  std::vector<std::byte> arena(64_KiB);
-  job.t_start = sim.now();
-  std::uint32_t epoch = 0;
-  bool running = true;
-  while (running) {
-    inst.sequence(++epoch);
-    for (;;) {
-      const dlsim::SimTime t0 = sim.now();
-      auto b = co_await inst.bread(kBatch, arena);
-      if (b.end_of_epoch) break;
-      job.batch_lat.push_back(sim.now() - t0);
-      job.batch_samples.push_back(b.samples.size());
-      if (stop && job.spec.run_until_stopped) break;
-    }
-    if (job.spec.run_until_stopped) {
-      running = !stop;
-    } else {
-      running = epoch < job.spec.epochs;
-    }
+  const dlsim::Simulator& sim = inst.io_core().simulator();
+  // The row covers this tenant's run alone: its CPU share is measured
+  // from here, and its row is taken when its last epoch ends.
+  const dlsim::SimTime start = sim.now();
+  inst.io_core().reset_accounting();
+  for (std::uint32_t epoch = 1;; ++epoch) {
+    inst.sequence(epoch);
+    dlfs::bench::EpochLog& log = job.logs.emplace_back();
+    co_await dlfs::bench::read_epoch_checked(inst, job.ds, kBatch, log);
+    if (job.spec.run_until_stopped ? stop : epoch == job.spec.epochs) break;
   }
-  job.t_end = sim.now();
+  job.row = dlfs::bench::fleet_result(job.fleet, sim.now() - start, job.logs,
+                                      kSampleBytes);
   done = true;
 }
 
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double pos = p * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
-}
-
-TenantResult summarize(Job& job) {
-  TenantResult r;
-  r.name = job.spec.name;
-  r.weight = job.spec.weight;
-  r.skipped = job.fleet.instance(0).stats().samples_skipped;
-  r.deferrals = job.fleet.instance(0).stats().qos_deferrals;
-  std::vector<double> lat_us;
-  std::vector<double> rates;
-  for (std::size_t i = 0; i < job.batch_lat.size(); ++i) {
-    r.samples += job.batch_samples[i];
-    const double us = dlsim::to_micros(job.batch_lat[i]);
-    lat_us.push_back(us);
-    if (us > 0.0) {
-      rates.push_back(static_cast<double>(job.batch_samples[i]) /
-                      (us / 1e6));
-    }
-  }
-  const double elapsed_s = dlsim::to_seconds(job.t_end - job.t_start);
-  r.elapsed_ms = elapsed_s * 1e3;
-  r.throughput =
-      elapsed_s > 0 ? static_cast<double>(r.samples) / elapsed_s : 0.0;
-  r.p50_batch_us = percentile(lat_us, 0.50);
-  r.p99_batch_us = percentile(lat_us, 0.99);
-  r.p50_sps = percentile(rates, 0.50);
-  r.p99_sps = percentile(rates, 0.01);  // slow tail
-  return r;
-}
-
-double jain_fairness(const std::vector<TenantResult>& tenants) {
+double jain_fairness(const std::vector<TenantRun>& tenants) {
   double sum = 0.0;
   double sum_sq = 0.0;
   for (const auto& t : tenants) {
-    const double x = t.throughput / static_cast<double>(t.weight);
+    const double x =
+        t.row.samples_per_sec / static_cast<double>(t.spec.weight);
     sum += x;
     sum_sq += x * x;
   }
@@ -221,7 +169,9 @@ double jain_fairness(const std::vector<TenantResult>& tenants) {
 
 ScenarioResult run_scenario(const Scenario& sc) {
   dlsim::Simulator sim;
-  dlfs::cluster::Cluster cluster(sim, 5, dlfs::cluster::NodeConfig{});
+  dlfs::cluster::NodeConfig nc;
+  nc.synthetic_store = false;  // the reader checks the dataset's bytes
+  dlfs::cluster::Cluster cluster(sim, 5, nc);
   std::shared_ptr<dlfs::core::TenantGovernor> gov;
   if (sc.qos) gov = std::make_shared<dlfs::core::TenantGovernor>();
 
@@ -237,7 +187,7 @@ ScenarioResult run_scenario(const Scenario& sc) {
   bool all_finite_done = false;
   for (auto& job : jobs) {
     done.push_back(std::make_unique<bool>(false));
-    sim.spawn(tenant_reader(sim, *job, all_finite_done, *done.back()),
+    sim.spawn(tenant_epochs(*job, all_finite_done, *done.back()),
               "tenant-" + job->spec.name);
   }
   sim.spawn(
@@ -262,9 +212,26 @@ ScenarioResult run_scenario(const Scenario& sc) {
   ScenarioResult res;
   res.name = sc.name;
   res.qos = sc.qos;
-  for (auto& job : jobs) res.tenants.push_back(summarize(*job));
+  for (auto& job : jobs) {
+    res.tenants.push_back({job->spec, job->row, std::move(job->logs)});
+  }
   res.fairness = jain_fairness(res.tenants);
   return res;
+}
+
+/// The `p` quantile of a tenant's per-batch rates (samples/s).
+double batch_rate(const TenantRun& t, double p) {
+  std::vector<double> rates;
+  for (const auto& log : t.logs) {
+    for (std::size_t i = 0; i < log.batch_ns.size(); ++i) {
+      const double us = dlsim::to_micros(log.batch_ns[i]);
+      if (us > 0.0) {
+        rates.push_back(static_cast<double>(log.batch_samples[i]) /
+                        (us / 1e6));
+      }
+    }
+  }
+  return dlfs::bench::percentile(std::move(rates), p);
 }
 
 void print_scenario(const ScenarioResult& res) {
@@ -273,48 +240,54 @@ void print_scenario(const ScenarioResult& res) {
   dlfs::Table table({"tenant", "w", "samples", "skipped", "sps", "p50_sps",
                      "p99_sps", "p50_us", "p99_us", "deferrals"});
   for (const auto& t : res.tenants) {
-    table.add_row({t.name, dlfs::Table::integer(t.weight),
-                   dlfs::Table::integer(t.samples),
-                   dlfs::Table::integer(t.skipped),
-                   dlfs::Table::num(t.throughput, 0),
-                   dlfs::Table::num(t.p50_sps, 0),
-                   dlfs::Table::num(t.p99_sps, 0),
-                   dlfs::Table::num(t.p50_batch_us, 1),
-                   dlfs::Table::num(t.p99_batch_us, 1),
-                   dlfs::Table::integer(t.deferrals)});
+    table.add_row({t.spec.name, dlfs::Table::integer(t.spec.weight),
+                   dlfs::Table::integer(t.row.samples),
+                   dlfs::Table::integer(t.row.stats.samples_skipped),
+                   dlfs::Table::num(t.row.samples_per_sec, 0),
+                   dlfs::Table::num(batch_rate(t, 0.50), 0),
+                   dlfs::Table::num(batch_rate(t, 0.01), 0),  // slow tail
+                   dlfs::Table::num(t.row.batch_p50_us, 1),
+                   dlfs::Table::num(t.row.batch_p99_us, 1),
+                   dlfs::Table::integer(t.row.stats.qos_deferrals)});
   }
   table.print();
 }
 
-void write_artifact(const std::string& mode,
-                    const std::vector<ScenarioResult>& scenarios,
-                    bool passed) {
-  const std::string path = "BENCH_tenancy_sweep.json";
-  std::ofstream out(path);
-  out << "{\n  \"mode\": \"" << mode << "\",\n  \"passed\": "
-      << (passed ? "true" : "false") << ",\n  \"scenarios\": [\n";
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    const auto& sc = scenarios[s];
-    out << "    {\"name\": \"" << sc.name << "\", \"qos\": "
-        << (sc.qos ? "true" : "false") << ", \"fairness\": " << sc.fairness
-        << ", \"tenants\": [\n";
-    for (std::size_t t = 0; t < sc.tenants.size(); ++t) {
-      const auto& tr = sc.tenants[t];
-      out << "      {\"name\": \"" << tr.name << "\", \"weight\": "
-          << tr.weight << ", \"samples\": " << tr.samples
-          << ", \"skipped\": " << tr.skipped
-          << ", \"samples_per_sec\": " << tr.throughput
-          << ", \"p50_samples_per_sec\": " << tr.p50_sps
-          << ", \"p99_samples_per_sec\": " << tr.p99_sps
-          << ", \"p50_batch_us\": " << tr.p50_batch_us
-          << ", \"p99_batch_us\": " << tr.p99_batch_us
-          << ", \"qos_deferrals\": " << tr.deferrals << "}"
-          << (t + 1 < sc.tenants.size() ? "," : "") << "\n";
+/// One BENCH row per scenario x tenant.
+void write_report(const std::vector<ScenarioResult>& scenarios) {
+  dlfs::bench::JsonReport report("tenancy_sweep");
+  for (const auto& sc : scenarios) {
+    for (const auto& t : sc.tenants) {
+      report.add("scenario=" + sc.name + " tenant=" + t.spec.name, t.row);
     }
-    out << "    ]}" << (s + 1 < scenarios.size() ? "," : "") << "\n";
   }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
+  std::printf("wrote %s\n", report.write().c_str());
+}
+
+/// False, with a message, when a tenant skipped a sample, delivered a
+/// byte the dataset does not hold, or delivered a sample twice.
+bool deliveries_ok(const ScenarioResult& res) {
+  bool ok = true;
+  for (const auto& t : res.tenants) {
+    if (t.row.stats.samples_skipped != 0) {
+      std::fprintf(stderr, "FAIL: tenant %s skipped %llu samples\n",
+                   t.spec.name.c_str(),
+                   static_cast<unsigned long long>(
+                       t.row.stats.samples_skipped));
+      ok = false;
+    }
+    for (const auto& log : t.logs) {
+      if (!log.content_ok ||
+          !dlfs::bench::exactly_once({&log, 1}, t.spec.samples)) {
+        std::fprintf(stderr,
+                     "FAIL: tenant %s delivered wrong bytes, or a sample "
+                     "not exactly once, in an epoch\n",
+                     t.spec.name.c_str());
+        ok = false;
+      }
+    }
+  }
+  return ok;
 }
 
 int run_smoke() {
@@ -333,27 +306,21 @@ int run_smoke() {
   print_scenario(res);
 
   double total = 0.0;
-  for (const auto& t : res.tenants) total += t.throughput;
+  for (const auto& t : res.tenants) total += t.row.samples_per_sec;
   const double fair = total / static_cast<double>(res.tenants.size());
-  bool ok = res.fairness >= 0.9;
+  bool ok = deliveries_ok(res) && res.fairness >= 0.9;
   for (const auto& t : res.tenants) {
-    if (t.skipped != 0) {
-      std::fprintf(stderr, "FAIL: tenant %s skipped %llu samples\n",
-                   t.name.c_str(),
-                   static_cast<unsigned long long>(t.skipped));
-      ok = false;
-    }
-    if (t.throughput < 0.75 * fair) {
+    if (t.row.samples_per_sec < 0.75 * fair) {
       std::fprintf(stderr,
                    "FAIL: tenant %s below fair share: %.0f < 0.75 * %.0f\n",
-                   t.name.c_str(), t.throughput, fair);
+                   t.spec.name.c_str(), t.row.samples_per_sec, fair);
       ok = false;
     }
   }
   if (res.fairness < 0.9) {
     std::fprintf(stderr, "FAIL: fairness index %.4f < 0.9\n", res.fairness);
   }
-  write_artifact("smoke", {res}, ok);
+  write_report({res});
   std::printf("%s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }
@@ -384,32 +351,29 @@ int run_sweep() {
     print_scenario(results.back());
   }
 
-  const double base_p99 = results[0].tenants[0].p99_batch_us;
-  const double off_p99 = results[1].tenants[0].p99_batch_us;
-  const double on_p99 = results[2].tenants[0].p99_batch_us;
+  const double base_p99 = results[0].tenants[0].row.batch_p99_us;
+  const double off_p99 = results[1].tenants[0].row.batch_p99_us;
+  const double on_p99 = results[2].tenants[0].row.batch_p99_us;
   const double deg_off = base_p99 > 0 ? off_p99 / base_p99 - 1.0 : 0.0;
   const double deg_on = base_p99 > 0 ? on_p99 / base_p99 - 1.0 : 0.0;
   std::printf(
-      "victim p99 batch latency: alone=%.1fus qos_off=%.1fus (+%.1f%%) "
-      "qos_on=%.1fus (+%.1f%%)\n",
+      "victim p99 batch latency: alone=%.1fus qos_off=%.1fus (%+.1f%%) "
+      "qos_on=%.1fus (%+.1f%%)\n",
       base_p99, off_p99, deg_off * 100.0, on_p99, deg_on * 100.0);
 
   // Acceptance: with QoS the noisy tenant costs the victim < 10% of p99;
   // without it the regression the governor prevents must actually show.
-  bool ok = deg_on < 0.10 && deg_off > deg_on;
-  for (const auto& res : results) {
-    for (const auto& t : res.tenants) {
-      if (t.skipped != 0) ok = false;
-    }
-  }
-  write_artifact("sweep", results, ok);
-  if (!ok) {
+  const bool qos_ok = deg_on < 0.10 && deg_off > deg_on;
+  bool ok = qos_ok;
+  for (const auto& res : results) ok &= deliveries_ok(res);
+  write_report(results);
+  if (!qos_ok) {
     std::fprintf(stderr,
                  "FAIL: QoS did not protect the victim (deg_on=%.1f%% "
                  "deg_off=%.1f%%)\n",
                  deg_on * 100.0, deg_off * 100.0);
-    return 1;
   }
+  if (!ok) return 1;
   std::printf("PASS\n");
   return 0;
 }

@@ -209,11 +209,9 @@ dlsim::Task<void> DlfsInstance::maybe_reprobe() {
   if (!reprobe_pending_) co_return;
   reprobe_pending_ = false;
   if (engine_->nodes_down() == 0) co_return;
-  const std::uint32_t recovered =
-      co_await engine_->reprobe_down_nodes(*io_core_);
-  // Read-ahead issued while the node was down carries baked-in
-  // failures; retry it now that the node answers again.
-  if (recovered > 0) (void)prefetcher_->reissue_failed();
+  // A node that answers again reports up through the node-down handler,
+  // which reissues the read-ahead that failed while it was down.
+  (void)co_await engine_->reprobe_down_nodes(*io_core_);
 }
 
 std::vector<RouteHop> DlfsInstance::sample_routes(

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
 #include <type_traits>
 
 #include "cluster/cluster.hpp"
@@ -15,6 +14,7 @@
 #include "common/units.hpp"
 #include "dataset/dataset.hpp"
 #include "dlfs/dlfs.hpp"
+#include "harness.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -27,6 +27,10 @@ using dlfs::core::BatchingMode;
 using dlfs::core::DlfsConfig;
 using dlfs::core::DlfsFleet;
 using dlfs::core::DlfsInstance;
+using dlfs::bench::EpochLog;
+using dlfs::bench::exactly_once;
+using dlfs::bench::read_epoch;
+using dlfs::bench::read_epoch_checked;
 using dlfs::core::SampleHandle;
 using dlfs::dataset::Dataset;
 using dlsim::Simulator;
@@ -199,30 +203,6 @@ TEST(DlfsRead, ReadIntoTooSmallBufferThrows) {
 // ---------------------------------------------------------------------------
 // dlfs_sequence / dlfs_bread
 
-struct BreadResult {
-  std::vector<std::uint32_t> order;
-  std::uint64_t total_bytes = 0;
-  bool content_ok = true;
-};
-
-Task<void> drain_epoch(const Dataset& ds, DlfsInstance& inst,
-                       std::size_t batch_size, BreadResult& out) {
-  std::vector<std::byte> arena(batch_size * (ds.max_sample_bytes() + 16));
-  for (;;) {
-    Batch b = co_await inst.bread(batch_size, arena);
-    if (b.end_of_epoch) break;
-    for (const auto& s : b.samples) {
-      out.order.push_back(s.sample_id);
-      out.total_bytes += s.len;
-      if (!sample_matches(ds, s.sample_id,
-                          std::span<const std::byte>(
-                              arena.data() + s.offset_in_arena, s.len))) {
-        out.content_ok = false;
-      }
-    }
-  }
-}
-
 class BreadModeTest : public ::testing::TestWithParam<BatchingMode> {};
 
 TEST_P(BreadModeTest, EpochDeliversEverySampleOnceWithCorrectContent) {
@@ -232,15 +212,10 @@ TEST_P(BreadModeTest, EpochDeliversEverySampleOnceWithCorrectContent) {
   rig.mount();
   auto& inst = rig.fleet.instance(0);
   inst.sequence(12345);
-  BreadResult res;
-  rig.sim.spawn(drain_epoch(rig.ds, inst, 32, res));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
-  EXPECT_EQ(res.order.size(), 300u);
-  std::set<std::uint32_t> unique(res.order.begin(), res.order.end());
-  EXPECT_EQ(unique.size(), 300u);
+  const EpochLog res = read_epoch(inst, rig.ds, 32);
+  EXPECT_TRUE(exactly_once({&res, 1}, 300));
   EXPECT_TRUE(res.content_ok);
-  EXPECT_EQ(res.total_bytes, 300u * 3000u);
+  EXPECT_EQ(res.bytes, 300u * 3000u);
 }
 
 TEST_P(BreadModeTest, MultiNodeEpochCoversDatasetAcrossClients) {
@@ -248,21 +223,17 @@ TEST_P(BreadModeTest, MultiNodeEpochCoversDatasetAcrossClients) {
   cfg.batching = GetParam();
   Rig rig(4, dlfs::dataset::make_fixed_size_dataset(400, 2048), cfg);
   rig.mount();
-  std::vector<BreadResult> res(4);
+  std::vector<EpochLog> res(4);
   for (std::uint32_t c = 0; c < 4; ++c) {
     rig.fleet.instance(c).sequence(777);  // same seed everywhere
   }
   for (std::uint32_t c = 0; c < 4; ++c) {
-    rig.sim.spawn(drain_epoch(rig.ds, rig.fleet.instance(c), 16, res[c]));
+    rig.sim.spawn(read_epoch_checked(rig.fleet.instance(c), rig.ds, 16, res[c]));
   }
   rig.sim.run();
   rig.sim.rethrow_failures();
-  std::set<std::uint32_t> all;
-  for (const auto& r : res) {
-    EXPECT_TRUE(r.content_ok);
-    for (auto id : r.order) EXPECT_TRUE(all.insert(id).second);
-  }
-  EXPECT_EQ(all.size(), 400u);  // disjoint cover of the whole dataset
+  for (const auto& r : res) EXPECT_TRUE(r.content_ok);
+  EXPECT_TRUE(exactly_once(res, 400));  // disjoint cover of the dataset
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, BreadModeTest,
@@ -288,15 +259,10 @@ TEST(DlfsBread, SameSeedReproducesOrder) {
   Rig rig(1, dlfs::dataset::make_fixed_size_dataset(200, 1000), cfg);
   rig.mount();
   auto& inst = rig.fleet.instance(0);
-  BreadResult r1, r2;
   inst.sequence(99);
-  rig.sim.spawn(drain_epoch(rig.ds, inst, 32, r1));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
+  const EpochLog r1 = read_epoch(inst, rig.ds, 32);
   inst.sequence(99);
-  rig.sim.spawn(drain_epoch(rig.ds, inst, 32, r2));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
+  const EpochLog r2 = read_epoch(inst, rig.ds, 32);
   EXPECT_EQ(r1.order, r2.order);
 }
 
@@ -309,11 +275,8 @@ TEST(DlfsBread, ChunkModeShufflesAtChunkGranularity) {
   Rig rig(1, dlfs::dataset::make_fixed_size_dataset(1024, 512), cfg);
   rig.mount();
   auto& inst = rig.fleet.instance(0);
-  BreadResult res;
   inst.sequence(5);
-  rig.sim.spawn(drain_epoch(rig.ds, inst, 64, res));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
+  const EpochLog res = read_epoch(inst, rig.ds, 64);
   ASSERT_EQ(res.order.size(), 1024u);
   // Samples within one chunk arrive in ascending on-device order.
   for (std::size_t i = 1; i < 512; ++i) {
@@ -333,10 +296,7 @@ TEST(DlfsBread, ChunkBatchingIssuesFarFewerRequests) {
     rig.mount();
     auto& inst = rig.fleet.instance(0);
     inst.sequence(1);
-    BreadResult res;
-    rig.sim.spawn(drain_epoch(rig.ds, inst, 32, res));
-    rig.sim.run();
-    rig.sim.rethrow_failures();
+    EXPECT_TRUE(read_epoch(inst, rig.ds, 32).content_ok);
     *pair = inst.engine().requests_posted();
   }
   // 2048 samples at 512 B = 1 MiB = 4 chunks vs 2048 per-sample requests.
@@ -351,40 +311,18 @@ TEST(DlfsBread, VariableSizeDatasetWithEdgeSamples) {
   rig.mount();
   EXPECT_GT(rig.fleet.plan().num_edge_units(), 0u);  // big samples cross
   for (std::uint32_t c = 0; c < 2; ++c) rig.fleet.instance(c).sequence(4);
-  std::vector<BreadResult> res(2);
+  std::vector<EpochLog> res(2);
   for (std::uint32_t c = 0; c < 2; ++c) {
-    rig.sim.spawn(drain_epoch(rig.ds, rig.fleet.instance(c), 8, res[c]));
+    rig.sim.spawn(read_epoch_checked(rig.fleet.instance(c), rig.ds, 8, res[c]));
   }
   rig.sim.run();
   rig.sim.rethrow_failures();
-  std::set<std::uint32_t> all;
-  for (const auto& r : res) {
-    EXPECT_TRUE(r.content_ok);
-    for (auto id : r.order) all.insert(id);
-  }
-  EXPECT_EQ(all.size(), 150u);
+  for (const auto& r : res) EXPECT_TRUE(r.content_ok);
+  EXPECT_TRUE(exactly_once(res, 150));
 }
 
 // ---------------------------------------------------------------------------
 // Chunk-read extents
-
-Task<void> drain_views_epoch(const Dataset& ds, DlfsInstance& inst,
-                             std::size_t batch_size, BreadResult& out) {
-  for (;;) {
-    dlfs::core::ViewBatch b = co_await inst.bread_views(batch_size);
-    if (b.end_of_epoch) break;
-    for (const auto& vs : b.samples) {
-      std::vector<std::byte> got;
-      for (const auto& p : vs.pieces) {
-        got.insert(got.end(), p.begin(), p.end());
-      }
-      out.order.push_back(vs.sample_id);
-      out.total_bytes += vs.len;
-      if (!sample_matches(ds, vs.sample_id, got)) out.content_ok = false;
-    }
-    inst.release_views(b);
-  }
-}
 
 TEST(DlfsBread, DeviceReadsEqualDeliveredBytes) {
   // One client, two remote storage nodes, ImageNet-like sizes (many edge
@@ -405,27 +343,21 @@ TEST(DlfsBread, DeviceReadsEqualDeliveredBytes) {
   };
 
   inst.sequence(11);
-  BreadResult copy;
-  rig.sim.spawn(drain_epoch(rig.ds, inst, 16, copy));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
+  const EpochLog copy = read_epoch(inst, rig.ds, 16);
   EXPECT_EQ(copy.order.size(), 400u);
   EXPECT_TRUE(copy.content_ok);
   const std::uint64_t copy_delivered = inst.stats().bytes_delivered;
-  EXPECT_EQ(copy.total_bytes, copy_delivered);
+  EXPECT_EQ(copy.bytes, copy_delivered);
   EXPECT_EQ(device_read(), copy_delivered);
 
   const std::uint64_t read_before = device_read();
   inst.sequence(12);
-  BreadResult views;
-  rig.sim.spawn(drain_views_epoch(rig.ds, inst, 16, views));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
+  const EpochLog views = read_epoch(inst, rig.ds, 16, /*views=*/true);
   EXPECT_EQ(views.order.size(), 400u);
   EXPECT_TRUE(views.content_ok);
   const std::uint64_t views_delivered =
       inst.stats().bytes_delivered - copy_delivered;
-  EXPECT_EQ(views.total_bytes, views_delivered);
+  EXPECT_EQ(views.bytes, views_delivered);
   EXPECT_EQ(device_read() - read_before, views_delivered);
   // The read-ahead daemon's CPU is visible through the const accessor.
   const DlfsInstance& reader = inst;
@@ -446,10 +378,7 @@ TEST(DlfsBread, ReadAheadCopiesCountHandoffs) {
     rig.mount();
     auto& inst = rig.fleet.instance(0);
     inst.sequence(3);
-    BreadResult res;
-    rig.sim.spawn(drain_epoch(rig.ds, inst, 32, res));
-    rig.sim.run();
-    rig.sim.rethrow_failures();
+    const EpochLog res = read_epoch(inst, rig.ds, 32);
     ASSERT_EQ(res.order.size(), 256u);
     EXPECT_TRUE(res.content_ok);
     const auto s = inst.stats();
@@ -469,10 +398,7 @@ struct WarmRig : Rig {
     mount();
     auto& inst = fleet.instance(0);
     inst.sequence(1);
-    BreadResult cold;
-    sim.spawn(drain_epoch(ds, inst, 16, cold));
-    sim.run();
-    sim.rethrow_failures();
+    EXPECT_TRUE(read_epoch(inst, ds, 16).content_ok);
     inst.sequence(2);
     sim.run();
   }
@@ -668,29 +594,7 @@ TEST(DlfsBread, ChunkLevelCopiesInlineWithoutCopyThreads) {
   const auto& costs = rig.fleet.config().calibration.dlfs;
   inst.set_injected_poll_compute(200_us);
   inst.sequence(3);
-  BreadResult res;
-  std::vector<dlsim::SimDuration> took;
-  rig.sim.spawn([](Simulator& sim, const Dataset& ds, DlfsInstance& inst,
-                   BreadResult* res,
-                   std::vector<dlsim::SimDuration>* took) -> Task<void> {
-    std::vector<std::byte> arena(16 * 4096);
-    for (;;) {
-      const dlsim::SimTime t0 = sim.now();
-      const Batch b = co_await inst.bread(16, arena);
-      if (b.end_of_epoch) break;
-      took->push_back(sim.now() - t0);
-      for (const auto& s : b.samples) {
-        res->order.push_back(s.sample_id);
-        if (!sample_matches(ds, s.sample_id,
-                            std::span<const std::byte>(
-                                arena.data() + s.offset_in_arena, s.len))) {
-          res->content_ok = false;
-        }
-      }
-    }
-  }(rig.sim, rig.ds, inst, &res, &took));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
+  const EpochLog res = read_epoch(inst, rig.ds, 16);
   EXPECT_EQ(res.order.size(), 64u);
   EXPECT_TRUE(res.content_ok);
   EXPECT_EQ(inst.engine().copy_busy_ns(), 0);
@@ -700,8 +604,8 @@ TEST(DlfsBread, ChunkLevelCopiesInlineWithoutCopyThreads) {
       16 * (costs.dir_lookup + costs.bread_per_sample) + 200_us +
       16 * (costs.completion_handling +
             dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec));
-  ASSERT_EQ(took.size(), 4u);
-  for (const dlsim::SimDuration d : took) EXPECT_GE(d, per_bread);
+  ASSERT_EQ(res.batch_ns.size(), 4u);
+  for (const dlsim::SimDuration d : res.batch_ns) EXPECT_GE(d, per_bread);
 }
 
 TEST(DlfsBread, ArenaTooSmallThrowsBeforeWritingArena) {
@@ -732,25 +636,20 @@ TEST(DlfsBread, ArenaTooSmallThrowsBeforeWritingArena) {
             static_cast<std::ptrdiff_t>(arena.size()));
 }
 
-Task<void> read_loop(Simulator& sim, const Dataset& ds, DlfsInstance& inst,
-                     std::vector<std::uint32_t> ids, BreadResult& out,
-                     dlsim::SimTime& end) {
+/// The application's own open_id()+read() loop over `ids`, logged as an
+/// epoch.
+Task<void> read_loop(const Dataset& ds, DlfsInstance& inst,
+                     std::vector<std::uint32_t> ids, EpochLog& out) {
   std::vector<std::byte> buf(ds.max_sample_bytes());
   for (const std::uint32_t id : ids) {
     SampleHandle h = co_await inst.open_id(id);
     const auto got = std::span<std::byte>(buf).first(h.entry->len());
     co_await inst.read(h, got);
     out.order.push_back(id);
-    out.total_bytes += got.size();
+    out.bytes += got.size();
     if (!sample_matches(ds, id, got)) out.content_ok = false;
   }
-  end = sim.now();
-}
-
-Task<void> bread_loop(Simulator& sim, const Dataset& ds, DlfsInstance& inst,
-                      BreadResult& out, dlsim::SimTime& end) {
-  co_await drain_epoch(ds, inst, 32, out);
-  end = sim.now();
+  out.end = inst.io_core().simulator().now();
 }
 
 TEST(DlfsBread, DlfsBaseIsPerSampleDlfsRead) {
@@ -801,11 +700,7 @@ TEST(DlfsBread, DlfsBaseIsPerSampleDlfsRead) {
     const auto cmds0 = commands(base);
     const auto lookups0 = remote_lookups(inst);
     const dlsim::SimTime base_t0 = base.sim.now();
-    BreadResult got;
-    dlsim::SimTime base_end = 0;
-    base.sim.spawn(bread_loop(base.sim, base.ds, inst, got, base_end));
-    base.sim.run();
-    base.sim.rethrow_failures();
+    const EpochLog got = read_epoch(inst, base.ds, 32);
 
     Rig app(c.nodes, dlfs::dataset::make_fixed_size_dataset(kSamples, 4096),
             cfg, {0}, storage);
@@ -822,9 +717,8 @@ TEST(DlfsBread, DlfsBaseIsPerSampleDlfsRead) {
     }
     const auto app_lookups0 = remote_lookups(app_inst);
     const dlsim::SimTime app_t0 = app.sim.now();
-    BreadResult want;
-    dlsim::SimTime app_end = 0;
-    app.sim.spawn(read_loop(app.sim, app.ds, app_inst, order, want, app_end));
+    EpochLog want;
+    app.sim.spawn(read_loop(app.ds, app_inst, order, want));
     app.sim.run();
     app.sim.rethrow_failures();
 
@@ -832,8 +726,8 @@ TEST(DlfsBread, DlfsBaseIsPerSampleDlfsRead) {
     EXPECT_TRUE(want.content_ok);
     EXPECT_TRUE(got.content_ok);
     EXPECT_EQ(got.order, want.order);
-    EXPECT_EQ(got.total_bytes, want.total_bytes);
-    EXPECT_EQ(base_end - base_t0, app_end - app_t0);
+    EXPECT_EQ(got.bytes, want.bytes);
+    EXPECT_EQ(got.end - base_t0, want.end - app_t0);
     EXPECT_EQ(remote_lookups(inst) - lookups0,
               remote_lookups(app_inst) - app_lookups0);
     if (c.directory == dlfs::core::DirectoryMode::kSharded) {
@@ -861,16 +755,12 @@ TEST(DlfsMount, FleetsAtDisjointDeviceBasesReadTheirOwnBytes) {
   fleet_a.mount();
   fleet_b.mount();
 
-  auto epoch_of = [&sim](DlfsInstance& inst, const Dataset& ds) {
+  auto epoch_of = [](DlfsInstance& inst, const Dataset& ds) {
     inst.sequence(3);
-    BreadResult res;
-    sim.spawn(drain_epoch(ds, inst, 16, res));
-    sim.run();
-    sim.rethrow_failures();
-    return res;
+    return read_epoch(inst, ds, 16);
   };
-  const BreadResult a = epoch_of(fleet_a.instance(0), ds_a);
-  const BreadResult b = epoch_of(fleet_b.instance(0), ds_b);
+  const EpochLog a = epoch_of(fleet_a.instance(0), ds_a);
+  const EpochLog b = epoch_of(fleet_b.instance(0), ds_b);
   EXPECT_EQ(a.order.size(), 300u);
   EXPECT_TRUE(a.content_ok);
   EXPECT_EQ(b.order.size(), 200u);
@@ -891,10 +781,7 @@ TEST(DlfsTopology, OneClientManyStorageNodes) {
   EXPECT_EQ(rig.fleet.num_storage(), 4u);
   auto& inst = rig.fleet.instance(0);
   inst.sequence(6);
-  BreadResult res;
-  rig.sim.spawn(drain_epoch(rig.ds, inst, 32, res));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
+  const EpochLog res = read_epoch(inst, rig.ds, 32);
   EXPECT_EQ(res.order.size(), 400u);
   EXPECT_TRUE(res.content_ok);
   // Remote devices actually served data.

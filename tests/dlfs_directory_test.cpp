@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -19,12 +18,15 @@
 #include "common/units.hpp"
 #include "dataset/dataset.hpp"
 #include "dlfs/dlfs.hpp"
+#include "harness.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
 
 using dlfs::cluster::Cluster;
 using dlfs::cluster::NodeConfig;
+using dlfs::bench::EpochLog;
+using dlfs::bench::read_epoch;
 using dlfs::cluster::Pfs;
 using dlfs::core::BatchingMode;
 using dlfs::core::DirectoryMode;
@@ -83,33 +85,6 @@ void run_in_sim(Rig& rig, Body&& body) {
   rig.sim.spawn(std::forward<Body>(body));
   rig.sim.run();
   rig.sim.rethrow_failures();
-}
-
-/// Drains one epoch with bread() and returns (ids, content ok).
-std::vector<std::uint32_t> drain_epoch(Rig& rig, DlfsInstance& inst,
-                                       std::uint64_t seed,
-                                       std::size_t batch = 16) {
-  inst.sequence(seed);
-  std::vector<std::uint32_t> ids;
-  rig.sim.spawn([](Rig& r, DlfsInstance& inst, std::size_t batch,
-                   std::vector<std::uint32_t>& out) -> Task<void> {
-    std::vector<std::byte> arena(batch * r.ds.max_sample_bytes());
-    for (;;) {
-      auto b = co_await inst.bread(batch, arena);
-      if (b.end_of_epoch) break;
-      for (const auto& s : b.samples) {
-        out.push_back(s.sample_id);
-        std::vector<std::byte> want(s.len);
-        r.ds.fill_content(s.sample_id, 0, want);
-        EXPECT_EQ(std::memcmp(arena.data() + s.offset_in_arena, want.data(),
-                              want.size()),
-                  0);
-      }
-    }
-  }(rig, inst, batch, ids));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
-  return ids;
 }
 
 // ---------------------------------------------------------------------------
@@ -262,8 +237,10 @@ TEST(ShardedDirectory, PerClientBytesStrictlyBelowFullAllgather) {
   const std::uint64_t full = rig.fleet.full_directory_bytes();
   EXPECT_LT(inst.directory_bytes(), full);
 
-  const auto ids = drain_epoch(rig, inst, /*seed=*/42);
-  EXPECT_EQ(ids.size(), 2048u);
+  inst.sequence(42);
+  const EpochLog log = read_epoch(inst, rig.ds, 16);
+  EXPECT_TRUE(log.content_ok);
+  EXPECT_EQ(log.order.size(), 2048u);
   EXPECT_LT(inst.directory_bytes(), full);
   // The cache is bounded, so the resident figure is partition map +
   // caps, not O(dataset).
@@ -279,18 +256,21 @@ TEST(ShardedDirectory, PerClientBytesStrictlyBelowFullAllgather) {
 TEST(ShardedDirectory, EpochByteIdenticalToFullMount) {
   // Same dataset, same seed, both directory modes: the delivered id
   // sequence must match exactly and every sample's bytes must verify
-  // (drain_epoch checks content against the dataset generator).
+  // against the dataset generator.
   auto run = [](DirectoryMode mode) {
     auto cfg = sharded_cfg();
     cfg.directory.mode = mode;
     Rig rig(dlfs::dataset::make_fixed_size_dataset(512, 4096), cfg,
             /*nodes=*/5, /*clients=*/{4}, /*storage=*/{0, 1, 2, 3});
-    return drain_epoch(rig, rig.fleet.instance(0), /*seed=*/1234);
+    rig.fleet.instance(0).sequence(1234);
+    return read_epoch(rig.fleet.instance(0), rig.ds, 16);
   };
-  const auto full = run(DirectoryMode::kFull);
-  const auto sharded = run(DirectoryMode::kSharded);
-  EXPECT_EQ(full, sharded);
-  EXPECT_EQ(full.size(), 512u);
+  const EpochLog full = run(DirectoryMode::kFull);
+  const EpochLog sharded = run(DirectoryMode::kSharded);
+  EXPECT_TRUE(full.content_ok);
+  EXPECT_TRUE(sharded.content_ok);
+  EXPECT_EQ(full.order, sharded.order);
+  EXPECT_EQ(full.order.size(), 512u);
 }
 
 // ---------------------------------------------------------------------------
@@ -305,14 +285,13 @@ TEST(DirectoryMatrix, EpochDeliversEverySampleWithContent) {
   cfg.directory.mode = mode_from_env();
   Rig rig(dlfs::dataset::make_fixed_size_dataset(384, 4096), cfg,
           /*nodes=*/4, /*clients=*/{0, 1}, /*storage=*/{0, 1, 2, 3});
-  std::vector<std::uint32_t> ids;
+  std::vector<EpochLog> logs;
   for (std::uint32_t c = 0; c < 2; ++c) {
-    const auto part = drain_epoch(rig, rig.fleet.instance(c), /*seed=*/7);
-    ids.insert(ids.end(), part.begin(), part.end());
+    rig.fleet.instance(c).sequence(7);
+    logs.push_back(read_epoch(rig.fleet.instance(c), rig.ds, 16));
+    EXPECT_TRUE(logs.back().content_ok);
   }
-  std::sort(ids.begin(), ids.end());
-  ASSERT_EQ(ids.size(), 384u);
-  for (std::uint32_t i = 0; i < 384; ++i) EXPECT_EQ(ids[i], i);
+  EXPECT_TRUE(dlfs::bench::exactly_once(logs, 384));
 }
 
 TEST(DirectoryMatrix, OpenByNameReadsCorrectBytes) {

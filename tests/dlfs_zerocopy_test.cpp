@@ -5,9 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
-#include <map>
-#include <set>
 #include <string>
 
 #include "cluster/cluster.hpp"
@@ -15,6 +12,7 @@
 #include "common/units.hpp"
 #include "dataset/dataset.hpp"
 #include "dlfs/dlfs.hpp"
+#include "harness.hpp"
 #include "sim/simulator.hpp"
 
 // Mirror of the pool's ASan gating (hugepage_pool.cpp): under ASan a
@@ -33,6 +31,10 @@
 
 namespace {
 
+using dlfs::bench::EpochLog;
+using dlfs::bench::exactly_once;
+using dlfs::bench::read_epoch;
+using dlfs::bench::read_epoch_checked;
 using dlfs::core::BatchingMode;
 using dlfs::core::DlfsConfig;
 using dlfs::core::DlfsFleet;
@@ -107,43 +109,26 @@ TEST(ZeroCopyBread, EpochCoversDatasetExactly) {
   Rig rig(300, 1234);
   auto& inst = rig.fleet.instance(0);
   inst.sequence(3);
-  std::set<std::uint32_t> seen;
-  bool ok = true;
-  rig.sim.spawn([](Rig& r, DlfsInstance& inst, std::set<std::uint32_t>& s,
-                   bool& ok) -> Task<void> {
-    for (;;) {
-      ViewBatch b = co_await inst.bread_views(17);
-      if (b.end_of_epoch) break;
-      for (const auto& vs : b.samples) {
-        if (!s.insert(vs.sample_id).second) ok = false;
-        if (!view_matches(r.ds, vs)) ok = false;
-      }
-      inst.release_views(b);
-    }
-  }(rig, inst, seen, ok));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
-  EXPECT_EQ(seen.size(), 300u);
-  EXPECT_TRUE(ok);
+  const EpochLog log = read_epoch(inst, rig.ds, 17, /*views=*/true);
+  EXPECT_TRUE(exactly_once({&log, 1}, 300));
+  EXPECT_TRUE(log.content_ok);
 }
 
 TEST(ZeroCopyBread, ChunksStayPinnedUntilRelease) {
   Rig rig(512, 512);  // one 256 KiB chunk holds the whole epoch
   auto& inst = rig.fleet.instance(0);
   inst.sequence(1);
-  rig.sim.spawn([](DlfsInstance& inst) -> Task<void> {
+  rig.sim.spawn([](Rig& r, DlfsInstance& inst) -> Task<void> {
     ViewBatch b1 = co_await inst.bread_views(32);
     const std::byte first = b1.samples[0].pieces[0][0];
     // Drain the rest of the epoch while b1 stays pinned: the shared chunk
     // must not be recycled underneath b1's views.
-    for (;;) {
-      ViewBatch b = co_await inst.bread_views(64);
-      if (b.end_of_epoch) break;
-      inst.release_views(b);
-    }
+    EpochLog rest;
+    co_await read_epoch_checked(inst, r.ds, 64, rest, /*views=*/true);
+    EXPECT_TRUE(rest.content_ok);
     EXPECT_EQ(b1.samples[0].pieces[0][0], first);  // still readable
     inst.release_views(b1);
-  }(inst));
+  }(rig, inst));
   rig.sim.run();
   rig.sim.rethrow_failures();
 }
@@ -201,21 +186,7 @@ TEST(ZeroCopyBread, EliminatesTheCopyStage) {
     auto& inst = rig.fleet.instance(0);
     inst.sequence(5);
     const auto t0 = rig.sim.now();
-    rig.sim.spawn([](DlfsInstance& inst, bool zc) -> Task<void> {
-      std::vector<std::byte> arena(64 * 2000);
-      for (;;) {
-        if (zc) {
-          ViewBatch b = co_await inst.bread_views(32);
-          if (b.end_of_epoch) break;
-          inst.release_views(b);
-        } else {
-          auto b = co_await inst.bread(32, arena);
-          if (b.end_of_epoch) break;
-        }
-      }
-    }(inst, zero_copy));
-    rig.sim.run();
-    rig.sim.rethrow_failures();
+    EXPECT_TRUE(read_epoch(inst, rig.ds, 32, zero_copy).content_ok);
     return Result{rig.sim.now() - t0, inst.engine().bytes_copied(),
                   inst.engine().copy_busy_ns()};
   };
@@ -269,14 +240,9 @@ TEST(ZeroCopyBread, ViewsStayByteIdenticalUnderPoolPressure) {
   bool ok = true;
   rig.sim.spawn([](Rig& r, DlfsInstance& inst, bool& ok) -> Task<void> {
     ViewBatch first = co_await inst.bread_views(32);
-    for (;;) {
-      ViewBatch b = co_await inst.bread_views(32);
-      if (b.end_of_epoch) break;
-      for (const auto& vs : b.samples) {
-        if (!view_matches(r.ds, vs)) ok = false;
-      }
-      inst.release_views(b);
-    }
+    EpochLog rest;
+    co_await read_epoch_checked(inst, r.ds, 32, rest, /*views=*/true);
+    ok = rest.content_ok;
     for (const auto& vs : first.samples) {
       if (!view_matches(r.ds, vs)) ok = false;
     }
@@ -292,17 +258,16 @@ TEST(ZeroCopyBread, LastReleaseRecyclesTheChunk) {
   auto& inst = rig.fleet.instance(0);
   inst.sequence(1);
   std::size_t used_while_pinned = 0;
-  rig.sim.spawn([](DlfsInstance& inst, std::size_t& used) -> Task<void> {
+  rig.sim.spawn([](Rig& r, DlfsInstance& inst,
+                   std::size_t& used) -> Task<void> {
     ViewBatch b1 = co_await inst.bread_views(64);
-    for (;;) {
-      ViewBatch b = co_await inst.bread_views(128);
-      if (b.end_of_epoch) break;
-      inst.release_views(b);
-    }
+    EpochLog rest;
+    co_await read_epoch_checked(inst, r.ds, 128, rest, /*views=*/true);
+    EXPECT_TRUE(rest.content_ok);
     // Whole epoch delivered, but b1 still pins the chunk.
     used = inst.pool().used_chunks();
     inst.release_views(b1);
-  }(inst, used_while_pinned));
+  }(rig, inst, used_while_pinned));
   rig.sim.run();
   rig.sim.rethrow_failures();
   EXPECT_GE(used_while_pinned, 1u);
@@ -323,17 +288,16 @@ TEST(ZeroCopyBread, UseAfterReleaseIsCaughtByScribble) {
   auto& inst = rig.fleet.instance(0);
   inst.sequence(1);
   const std::byte* stale = nullptr;
-  rig.sim.spawn([](DlfsInstance& inst, const std::byte*& p) -> Task<void> {
+  rig.sim.spawn([](Rig& r, DlfsInstance& inst,
+                   const std::byte*& p) -> Task<void> {
     ViewBatch b1 = co_await inst.bread_views(64);
     p = b1.samples[0].pieces[0].data();
     EXPECT_NE(*p, std::byte{0xDD});  // live view reads real sample bytes
-    for (;;) {
-      ViewBatch b = co_await inst.bread_views(128);
-      if (b.end_of_epoch) break;
-      inst.release_views(b);
-    }
+    EpochLog rest;
+    co_await read_epoch_checked(inst, r.ds, 128, rest, /*views=*/true);
+    EXPECT_TRUE(rest.content_ok);
     inst.release_views(b1);  // last pin: chunk freed and scribbled
-  }(inst, stale));
+  }(rig, inst, stale));
   rig.sim.run();
   rig.sim.rethrow_failures();
   ASSERT_NE(stale, nullptr);
@@ -357,23 +321,15 @@ TEST(ZeroCopyBread, CoLocatedInstancesCompleteWithPinnedUnits) {
   cfg.prefetch.max_units = 32;
   cfg.pool_bytes = 24ull * 256 * 1024;
   Rig rig(2048, 2000, cfg, /*client_nodes=*/{0, 0});
-  std::set<std::uint32_t> seen;
+  std::vector<EpochLog> logs(2);
   for (std::uint32_t c = 0; c < 2; ++c) rig.fleet.instance(c).sequence(21);
   for (std::uint32_t c = 0; c < 2; ++c) {
-    rig.sim.spawn([](DlfsInstance& inst,
-                     std::set<std::uint32_t>& out) -> Task<void> {
-      ViewLease prev;
-      for (;;) {
-        ViewBatch b = co_await inst.bread_views(32);
-        if (b.end_of_epoch) break;
-        for (const auto& vs : b.samples) out.insert(vs.sample_id);
-        prev = ViewLease(inst, std::move(b));
-      }
-    }(rig.fleet.instance(c), seen));
+    rig.sim.spawn(read_epoch_checked(rig.fleet.instance(c), rig.ds, 32,
+                                     logs[c], /*views=*/true));
   }
   rig.sim.run();
   rig.sim.rethrow_failures();
-  EXPECT_EQ(seen.size(), 2048u);
+  EXPECT_TRUE(exactly_once(logs, 2048));
   for (std::uint32_t c = 0; c < 2; ++c) {
     EXPECT_EQ(rig.fleet.instance(c).stats().view_pins_active, 0u);
   }
@@ -396,54 +352,23 @@ BatchingMode mode_from_env() {
 }
 
 TEST(ZeroCopyMatrix, ViewsMatchCopyPathBytes) {
-  std::map<std::uint32_t, std::vector<std::byte>> copied, viewed;
+  // Both paths deliver every sample once, each with the dataset's bytes,
+  // so the copies and the views hold the same bytes.
+  EpochLog copied, viewed;
   {
     Rig rig(300, 1234, mode_from_env());
-    auto& inst = rig.fleet.instance(0);
-    inst.sequence(17);
-    rig.sim.spawn(
-        [](DlfsInstance& inst,
-           std::map<std::uint32_t, std::vector<std::byte>>& out)
-            -> Task<void> {
-          std::vector<std::byte> arena(32 * 1234);
-          for (;;) {
-            auto b = co_await inst.bread(32, arena);
-            if (b.end_of_epoch) break;
-            for (const auto& s : b.samples) {
-              out[s.sample_id].assign(
-                  arena.begin() + s.offset_in_arena,
-                  arena.begin() + s.offset_in_arena + s.len);
-            }
-          }
-        }(inst, copied));
-    rig.sim.run();
-    rig.sim.rethrow_failures();
+    rig.fleet.instance(0).sequence(17);
+    copied = read_epoch(rig.fleet.instance(0), rig.ds, 32);
   }
   {
     Rig rig(300, 1234);  // bread_views requires chunk-level batching
-    auto& inst = rig.fleet.instance(0);
-    inst.sequence(17);
-    rig.sim.spawn(
-        [](DlfsInstance& inst,
-           std::map<std::uint32_t, std::vector<std::byte>>& out)
-            -> Task<void> {
-          for (;;) {
-            ViewBatch b = co_await inst.bread_views(32);
-            if (b.end_of_epoch) break;
-            for (const auto& vs : b.samples) {
-              auto& dst = out[vs.sample_id];
-              for (const auto& p : vs.pieces) {
-                dst.insert(dst.end(), p.begin(), p.end());
-              }
-            }
-            inst.release_views(b);
-          }
-        }(inst, viewed));
-    rig.sim.run();
-    rig.sim.rethrow_failures();
+    rig.fleet.instance(0).sequence(17);
+    viewed = read_epoch(rig.fleet.instance(0), rig.ds, 32, /*views=*/true);
   }
-  EXPECT_EQ(copied.size(), 300u);
-  EXPECT_EQ(copied, viewed);
+  EXPECT_TRUE(exactly_once({&copied, 1}, 300));
+  EXPECT_TRUE(exactly_once({&viewed, 1}, 300));
+  EXPECT_TRUE(copied.content_ok);
+  EXPECT_TRUE(viewed.content_ok);
 }
 
 }  // namespace

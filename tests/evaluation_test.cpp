@@ -189,18 +189,14 @@ TEST(Telemetry, EpochRowCountsOnlyItsEpoch) {
       auto& inst = rig.fleet.instance(c);
       inst.io_core().reset_accounting();
       inst.sequence(epoch);
-      rig.sim.spawn(dlfs::bench::read_epoch_checked(rig.ds, inst, 16, logs[c]),
+      rig.sim.spawn(dlfs::bench::read_epoch_checked(inst, rig.ds, 16, logs[c]),
                     "epoch-reader");
     }
     const dlsim::SimTime t0 = rig.sim.now();
     rig.sim.run();
     rig.sim.rethrow_failures();
-    std::uint64_t served = 0;
-    for (const auto& log : logs) {
-      served += log.order.size();
-      EXPECT_TRUE(log.content_ok);
-    }
-    row = dlfs::bench::fleet_result(rig.fleet, rig.sim.now() - t0, served,
+    for (const auto& log : logs) EXPECT_TRUE(log.content_ok);
+    row = dlfs::bench::fleet_result(rig.fleet, rig.sim.now() - t0, logs,
                                     kBytes, before);
   }
   const dlfs::core::InstanceStats now = dlfs::bench::fleet_stats(rig.fleet);
@@ -218,6 +214,108 @@ TEST(Telemetry, EpochRowCountsOnlyItsEpoch) {
   EXPECT_EQ(row.stats.nodes_down, now.nodes_down);
   EXPECT_GT(row.stats.directory_bytes, 0u);
   EXPECT_EQ(row.stats.directory_bytes, now.directory_bytes);
+}
+
+// ---------------------------------------------------------------------------
+// The checked epoch reader
+
+// A sample whose primary extent was overwritten after the mount reaches
+// the reader with bytes the dataset does not hold: the epoch still
+// completes, and its log says the content is wrong.
+TEST(CheckedReader, OverwrittenSampleFailsTheDatasetTruth) {
+  dlfs::core::DlfsConfig cfg;
+  cfg.batching = BatchingMode::kChunkLevel;
+  dlfs::cluster::NodeConfig nc;
+  nc.synthetic_store = false;
+  nc.device_capacity = 64_MiB;
+  dlfs::bench::FleetRig rig(
+      1, nc, dlfs::dataset::make_fixed_size_dataset(64, 4096), cfg,
+      /*client_nodes=*/{0}, /*storage_nodes=*/{0});
+  const dlfs::core::SampleLocation& loc = rig.fleet.layout()[17];
+  const std::vector<std::byte> junk(loc.len, std::byte{0x5a});
+  rig.cluster.node(0).device().store().write(loc.offset, junk);
+  auto& inst = rig.fleet.instance(0);
+  inst.sequence(3);
+  const dlfs::bench::EpochLog log = dlfs::bench::read_epoch(inst, rig.ds, 16);
+  EXPECT_TRUE(dlfs::bench::exactly_once({&log, 1}, 64));
+  EXPECT_FALSE(log.content_ok);
+}
+
+// On synthetic stores a replica's bytes differ from its primary's; the
+// placement truth accepts either, whole or split into pieces, and
+// rejects any other bytes.
+TEST(CheckedReader, PlacementTruthAcceptsPrimaryAndReplicaBytes) {
+  dlfs::core::DlfsConfig cfg;
+  cfg.fault.replication = dlfs::core::ReplicationConfig(2);
+  dlfs::cluster::NodeConfig nc;
+  nc.device_capacity = 64_MiB;
+  dlfs::bench::FleetRig rig(
+      2, nc, dlfs::dataset::make_fixed_size_dataset(64, 4096), cfg,
+      /*client_nodes=*/{0}, /*storage_nodes=*/{0, 1});
+  const dlfs::bench::SampleTruth truth(rig.cluster, rig.fleet);
+  constexpr std::uint32_t kId = 9;
+  const dlfs::core::SampleLocation& loc = rig.fleet.layout()[kId];
+  const auto& replicas = rig.fleet.directory().replicas(kId);
+  ASSERT_EQ(replicas.size(), 1u);
+  auto bytes_at = [&rig, &loc](std::uint16_t node, std::uint64_t offset) {
+    std::vector<std::byte> b(loc.len);
+    rig.cluster.node(node).device().store().read(offset, b);
+    return b;
+  };
+  auto matches = [&truth](std::span<const std::byte> b) {
+    return truth.matches(kId, {&b, 1});
+  };
+  const std::vector<std::byte> primary = bytes_at(loc.nid, loc.offset);
+  const std::vector<std::byte> replica =
+      bytes_at(replicas[0].nid, replicas[0].offset);
+  ASSERT_NE(primary, replica);
+  EXPECT_TRUE(matches(primary));
+  EXPECT_TRUE(matches(replica));
+  const std::span<const std::byte> halves[] = {
+      std::span(replica).first(1000), std::span(replica).subspan(1000)};
+  EXPECT_TRUE(truth.matches(kId, halves));
+
+  std::vector<std::byte> flipped = primary;
+  flipped[4000] ^= std::byte{1};
+  EXPECT_FALSE(matches(flipped));
+  EXPECT_FALSE(matches(std::span(primary).first(loc.len - 1)));
+  const dlfs::core::SampleLocation& other = rig.fleet.layout()[kId + 1];
+  EXPECT_FALSE(matches(bytes_at(other.nid, other.offset)));
+}
+
+// The linear-interpolation percentile between the two nearest ranks.
+TEST(CheckedReader, PercentileInterpolatesBetweenRanks) {
+  EXPECT_EQ(dlfs::bench::percentile({}, 0.5), 0.0);
+  EXPECT_EQ(dlfs::bench::percentile({7.0}, 0.99), 7.0);
+  EXPECT_EQ(dlfs::bench::percentile({4.0, 1.0, 3.0, 2.0}, 0.5), 2.5);
+  EXPECT_DOUBLE_EQ(dlfs::bench::percentile({1.0, 2.0, 3.0}, 0.99), 2.98);
+}
+
+// run_dlfs's logs hold one duration per bread that delivered a batch, and
+// its row's batch p50/p99 are the percentiles of those durations, on the
+// copy path and on the double-buffered views path.
+TEST(CheckedReader, RunDlfsBatchLatencyIsThePercentileOfItsLog) {
+  for (const bool views : {false, true}) {
+    SCOPED_TRACE(views ? "views" : "copy");
+    Workload w = small_node_workload(1, 4096, 256);
+    w.zero_copy = views;
+    std::vector<dlfs::bench::EpochLog> logs;
+    const dlfs::bench::RunResult r =
+        dlfs::bench::run_dlfs(w, chunked(), 0, {}, &logs);
+    ASSERT_EQ(logs.size(), 1u);
+    const dlfs::bench::EpochLog& log = logs[0];
+    EXPECT_TRUE(dlfs::bench::exactly_once(logs, 256));
+    ASSERT_EQ(log.batch_ns.size(), 256u / 32);
+    EXPECT_EQ(log.batch_samples, std::vector<std::uint32_t>(8, 32));
+    std::vector<double> us;
+    for (const dlsim::SimDuration d : log.batch_ns) {
+      us.push_back(dlsim::to_micros(d));
+    }
+    EXPECT_GT(r.batch_p50_us, 0.0);
+    EXPECT_EQ(r.batch_p50_us, dlfs::bench::percentile(us, 0.50));
+    EXPECT_EQ(r.batch_p99_us, dlfs::bench::percentile(us, 0.99));
+    EXPECT_GE(r.batch_p99_us, r.batch_p50_us);
+  }
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstring>
 #include <memory>
 
 #include "cluster/cluster.hpp"
@@ -13,12 +12,16 @@
 #include "common/units.hpp"
 #include "dataset/dataset.hpp"
 #include "dlfs/dlfs.hpp"
+#include "harness.hpp"
 #include "hw/nvme/nvme_device.hpp"
 #include "osfs/ext4.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
 
+using dlfs::bench::EpochLog;
+using dlfs::bench::read_epoch;
+using dlfs::bench::read_epoch_checked;
 using dlfs::hw::IoOp;
 using dlfs::hw::IoStatus;
 using dlfs::hw::NvmeDevice;
@@ -109,20 +112,9 @@ TEST(FaultInjection, DlfsRetriesTransientFaultsAndSucceeds) {
   rig.cluster.node(0).device().inject_faults(0.3, 11);
   auto& inst = rig.fleet.instance(0);
   inst.sequence(1);
-  bool epoch_ok = false;
-  rig.sim.spawn([](dlfs::core::DlfsInstance& inst, bool& ok) -> Task<void> {
-    std::vector<std::byte> arena(64_KiB);
-    std::size_t n = 0;
-    for (;;) {
-      auto b = co_await inst.bread(16, arena);
-      if (b.end_of_epoch) break;
-      n += b.samples.size();
-    }
-    ok = n == 128;
-  }(inst, epoch_ok));
-  rig.sim.run();
-  rig.sim.rethrow_failures();
-  EXPECT_TRUE(epoch_ok);
+  const EpochLog log = read_epoch(inst, rig.ds, 16);
+  EXPECT_EQ(log.order.size(), 128u);
+  EXPECT_TRUE(log.content_ok);
   EXPECT_GT(inst.engine().retries(), 0u);
   EXPECT_GT(rig.cluster.node(0).device().faults_injected(), 0u);
 }
@@ -132,21 +124,14 @@ TEST(FaultInjection, DlfsRemoteRetriesOverFabric) {
   rig.cluster.node(0).device().inject_faults(0.3, 5);
   rig.cluster.node(1).device().inject_faults(0.3, 6);
   for (std::uint32_t c = 0; c < 2; ++c) rig.fleet.instance(c).sequence(1);
-  std::size_t total = 0;
+  std::vector<EpochLog> logs(2);
   for (std::uint32_t c = 0; c < 2; ++c) {
-    rig.sim.spawn(
-        [](dlfs::core::DlfsInstance& inst, std::size_t& n) -> Task<void> {
-          std::vector<std::byte> arena(64_KiB);
-          for (;;) {
-            auto b = co_await inst.bread(16, arena);
-            if (b.end_of_epoch) break;
-            n += b.samples.size();
-          }
-        }(rig.fleet.instance(c), total));
+    rig.sim.spawn(read_epoch_checked(rig.fleet.instance(c), rig.ds, 16, logs[c]));
   }
   rig.sim.run();
   rig.sim.rethrow_failures();
-  EXPECT_EQ(total, 256u);
+  EXPECT_TRUE(dlfs::bench::exactly_once(logs, 256));
+  for (const EpochLog& log : logs) EXPECT_TRUE(log.content_ok);
 }
 
 TEST(FaultInjection, PermanentFaultSurfacesAsIoError) {
@@ -224,54 +209,24 @@ struct RemoteFleetRig {
   }
 };
 
-struct EpochTally {
-  std::size_t served = 0;
-  std::uint64_t skipped = 0;
-};
-
-Task<void> run_epoch(const dlfs::dataset::Dataset& ds,
-                     dlfs::core::DlfsInstance& inst, EpochTally& t) {
-  std::vector<std::byte> arena(64_KiB);
-  std::vector<std::byte> want;
-  for (;;) {
-    auto b = co_await inst.bread(16, arena);
-    if (b.end_of_epoch) break;
-    // Skip accounting is per sample, exactly once: a batch that asked for
-    // 16 samples can never report more than 16 outcomes in total.
-    EXPECT_LE(b.samples.size() + b.samples_skipped, 16u);
-    t.served += b.samples.size();
-    t.skipped += b.samples_skipped;
-    // Skipped samples take no arena space: the delivered ones pack
-    // densely from offset 0, each holding its own dataset bytes.
-    std::uint64_t packed = 0;
-    for (const auto& s : b.samples) {
-      EXPECT_EQ(s.offset_in_arena, packed) << "sample " << s.sample_id;
-      packed += s.len;
-      want.resize(s.len);
-      ds.fill_content(s.sample_id, 0, want);
-      EXPECT_EQ(
-          std::memcmp(arena.data() + s.offset_in_arena, want.data(), s.len), 0)
-          << "sample " << s.sample_id;
-    }
-    EXPECT_EQ(b.bytes, packed);
-  }
-}
-
 TEST(FaultInjection, TargetCrashMidEpochCompletesDegraded) {
   RemoteFleetRig rig;
   auto& inst = rig.fleet.instance(0);
   ASSERT_NE(rig.fleet.target(0), nullptr);
   rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
   inst.sequence(1);
-  EpochTally t;
-  rig.sim.spawn(run_epoch(rig.ds, inst, t), "degraded-epoch");
+  EpochLog t;
+  rig.sim.spawn(read_epoch_checked(inst, rig.ds, 16, t), "degraded-epoch");
   rig.sim.run_watchdog(rig.sim.now() + 1_sec);
   rig.sim.rethrow_failures();
   // The epoch completes over the surviving node; node-0 samples that were
   // not yet served (or cached) are reported as skipped, not hung on.
-  EXPECT_GT(t.served, 0u);
+  // Skipped samples take no arena space: the reader checks that the
+  // delivered ones pack densely from offset 0.
+  EXPECT_GT(t.order.size(), 0u);
   EXPECT_GT(t.skipped, 0u);
-  EXPECT_EQ(t.served + t.skipped, RemoteFleetRig::kSamples);
+  EXPECT_EQ(t.order.size() + t.skipped, RemoteFleetRig::kSamples);
+  EXPECT_TRUE(t.content_ok);
   EXPECT_EQ(inst.stats().samples_skipped, t.skipped);
   const auto ts = inst.engine().transport_stats();
   EXPECT_GT(ts.timeouts, 0u);
@@ -287,38 +242,29 @@ TEST(FaultInjection, TargetCrashThenRecoverServesFullEpochAfterReconnect) {
   const dlsim::SimTime t0 = rig.sim.now();
   rig.fleet.target(0)->crash_at(t0 + 500_us);
   rig.fleet.target(0)->recover_at(t0 + 50_ms);
-  EpochTally e1, e2;
+  EpochLog e1, e2;
   rig.sim.spawn(
-      [](RemoteFleetRig& r, dlfs::core::DlfsInstance& inst, EpochTally& e1,
-         EpochTally& e2, dlsim::SimTime resume_at) -> Task<void> {
+      [](RemoteFleetRig& r, dlfs::core::DlfsInstance& inst, EpochLog& e1,
+         EpochLog& e2, dlsim::SimTime resume_at) -> Task<void> {
         inst.sequence(1);
-        std::vector<std::byte> arena(64_KiB);
-        for (;;) {
-          auto b = co_await inst.bread(16, arena);
-          if (b.end_of_epoch) break;
-          e1.served += b.samples.size();
-          e1.skipped += b.samples_skipped;
-        }
+        co_await read_epoch_checked(inst, r.ds, 16, e1);
         if (r.sim.now() < resume_at) {
           co_await r.sim.delay(resume_at - r.sim.now());
         }
         // Epoch boundary: sequence() schedules a revalidation of the down
         // node, and the recovered target accepts the reconnect.
         inst.sequence(2);
-        for (;;) {
-          auto b = co_await inst.bread(16, arena);
-          if (b.end_of_epoch) break;
-          e2.served += b.samples.size();
-          e2.skipped += b.samples_skipped;
-        }
+        co_await read_epoch_checked(inst, r.ds, 16, e2);
       }(rig, inst, e1, e2, t0 + 51_ms),
       "crash-recover-epochs");
   rig.sim.run_watchdog(t0 + 2_sec);
   rig.sim.rethrow_failures();
   EXPECT_GT(e1.skipped, 0u);
-  EXPECT_EQ(e1.served + e1.skipped, RemoteFleetRig::kSamples);
-  EXPECT_EQ(e2.served, RemoteFleetRig::kSamples);
+  EXPECT_EQ(e1.order.size() + e1.skipped, RemoteFleetRig::kSamples);
+  EXPECT_EQ(e2.order.size(), RemoteFleetRig::kSamples);
   EXPECT_EQ(e2.skipped, 0u);
+  EXPECT_TRUE(e1.content_ok);
+  EXPECT_TRUE(e2.content_ok);
   EXPECT_GE(inst.engine().transport_stats().reconnects, 1u);
   EXPECT_EQ(inst.engine().nodes_down(), 0u);
   EXPECT_TRUE(rig.fleet.directory().node_available(0));
@@ -390,50 +336,17 @@ struct ReplicaRig {
   }
 };
 
-// Full delivery record of one epoch: sample ids and arena offsets in
-// delivery order, the skip total, and whether every delivered sample's
-// bytes matched the canonical dataset content.
-struct DeliveryLog {
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> offsets;
-  std::uint64_t skipped = 0;
-  bool content_ok = true;
-};
-
-Task<void> run_epoch_logged(const dlfs::dataset::Dataset& ds,
-                            dlfs::core::DlfsInstance& inst,
-                            DeliveryLog& log) {
-  std::vector<std::byte> arena(64_KiB);
-  std::vector<std::byte> want;
-  for (;;) {
-    auto b = co_await inst.bread(16, arena);
-    if (b.end_of_epoch) break;
-    EXPECT_LE(b.samples.size() + b.samples_skipped, 16u);
-    for (const auto& s : b.samples) {
-      log.order.push_back(s.sample_id);
-      log.offsets.push_back(s.offset_in_arena);
-      want.resize(s.len);
-      ds.fill_content(s.sample_id, 0, want);
-      if (std::memcmp(arena.data() + s.offset_in_arena, want.data(), s.len) !=
-          0) {
-        log.content_ok = false;
-      }
-    }
-    log.skipped += b.samples_skipped;
-  }
-}
-
 TEST(FaultInjection, ReplicatedChunkEpochSurvivesCrashByteIdentical) {
   // The issue's acceptance bar: with replication=2, a single mid-epoch
   // target crash yields zero skipped samples and batches byte-identical
   // to the no-fault run (same ids, same arena offsets, same contents).
-  DeliveryLog good;
+  EpochLog good;
   {
     ReplicaRig healthy(
         ReplicaRig::cfg(2, dlfs::core::BatchingMode::kChunkLevel));
     auto& inst = healthy.fleet.instance(0);
     inst.sequence(1);
-    healthy.sim.spawn(run_epoch_logged(healthy.ds, inst, good), "healthy-epoch");
+    healthy.sim.spawn(read_epoch_checked(inst, healthy.ds, 16, good), "healthy-epoch");
     healthy.sim.run();
     healthy.sim.rethrow_failures();
     EXPECT_EQ(good.order.size(), ReplicaRig::kSamples);
@@ -445,8 +358,8 @@ TEST(FaultInjection, ReplicatedChunkEpochSurvivesCrashByteIdentical) {
   ASSERT_NE(rig.fleet.target(0), nullptr);
   rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
   inst.sequence(1);
-  DeliveryLog log;
-  rig.sim.spawn(run_epoch_logged(rig.ds, inst, log), "replicated-epoch");
+  EpochLog log;
+  rig.sim.spawn(read_epoch_checked(inst, rig.ds, 16, log), "replicated-epoch");
   rig.sim.run_watchdog(rig.sim.now() + 2_sec);
   rig.sim.rethrow_failures();
   EXPECT_EQ(log.skipped, 0u);
@@ -464,8 +377,8 @@ TEST(FaultInjection, ReplicatedSampleLevelCrashServesFullEpoch) {
   auto& inst = rig.fleet.instance(0);
   rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
   inst.sequence(1);
-  DeliveryLog log;
-  rig.sim.spawn(run_epoch_logged(rig.ds, inst, log), "sample-level-epoch");
+  EpochLog log;
+  rig.sim.spawn(read_epoch_checked(inst, rig.ds, 16, log), "sample-level-epoch");
   rig.sim.run_watchdog(rig.sim.now() + 2_sec);
   rig.sim.rethrow_failures();
   EXPECT_EQ(log.order.size(), ReplicaRig::kSamples);
@@ -479,8 +392,8 @@ TEST(FaultInjection, ReplicatedUnbatchedCrashServesFullEpoch) {
   auto& inst = rig.fleet.instance(0);
   rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
   inst.sequence(1);
-  DeliveryLog log;
-  rig.sim.spawn(run_epoch_logged(rig.ds, inst, log), "unbatched-epoch");
+  EpochLog log;
+  rig.sim.spawn(read_epoch_checked(inst, rig.ds, 16, log), "unbatched-epoch");
   rig.sim.run_watchdog(rig.sim.now() + 2_sec);
   rig.sim.rethrow_failures();
   EXPECT_EQ(log.order.size(), ReplicaRig::kSamples);
@@ -502,45 +415,34 @@ TEST(FaultInjection, ReplicatedViewsCrashServesFullEpoch) {
     auto& inst = rig.fleet.instance(0);
     rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
     inst.sequence(1);
-    std::size_t served = 0;
-    std::uint64_t skipped = 0;
-    bool content_ok = true;
-    rig.sim.spawn(
-        [](ReplicaRig& r, dlfs::core::DlfsInstance& inst, bool double_buffer,
-           std::size_t& served, std::uint64_t& skipped,
-           bool& content_ok) -> Task<void> {
-          std::vector<std::byte> want, got;
-          dlfs::core::ViewLease previous;
-          for (;;) {
-            dlfs::core::ViewLease lease(inst, co_await inst.bread_views(16));
-            const auto& b = lease.batch();
-            if (b.end_of_epoch) break;
-            EXPECT_LE(b.samples.size() + b.samples_skipped, 16u);
-            for (const auto& s : b.samples) {
-              got.clear();
-              for (const auto piece : s.pieces) {
-                got.insert(got.end(), piece.begin(), piece.end());
-              }
-              want.resize(s.len);
-              r.ds.fill_content(s.sample_id, 0, want);
-              if (got.size() != s.len ||
-                  std::memcmp(got.data(), want.data(), s.len) != 0) {
-                content_ok = false;
-              }
-            }
-            served += b.samples.size();
-            skipped += b.samples_skipped;
-            // Double buffering releases the batch before this one; the
-            // other run releases this one when `lease` leaves scope.
-            if (double_buffer) previous = std::move(lease);
-          }
-        }(rig, inst, double_buffer, served, skipped, content_ok),
-        "views-epoch");
+    EpochLog log;
+    // The shared reader double-buffers; this loop releases each batch
+    // when `lease` leaves scope, before the next bread_views.
+    auto release_each = [](const dlfs::dataset::Dataset& ds,
+                           dlfs::core::DlfsInstance& inst,
+                           EpochLog& log) -> Task<void> {
+      const dlfs::bench::SampleTruth truth(ds);
+      for (;;) {
+        dlfs::core::ViewLease lease(inst, co_await inst.bread_views(16));
+        const auto& b = lease.batch();
+        if (b.end_of_epoch) break;
+        EXPECT_LE(b.samples.size() + b.samples_skipped, 16u);
+        for (const auto& s : b.samples) {
+          log.order.push_back(s.sample_id);
+          if (!truth.matches(s.sample_id, s.pieces)) log.content_ok = false;
+        }
+        log.skipped += b.samples_skipped;
+      }
+    };
+    rig.sim.spawn(double_buffer
+                      ? read_epoch_checked(inst, rig.ds, 16, log, true)
+                      : release_each(rig.ds, inst, log),
+                  "views-epoch");
     rig.sim.run_watchdog(rig.sim.now() + 2_sec);
     rig.sim.rethrow_failures();
-    EXPECT_EQ(served, ReplicaRig::kSamples);
-    EXPECT_EQ(skipped, 0u);
-    EXPECT_TRUE(content_ok);
+    EXPECT_EQ(log.order.size(), ReplicaRig::kSamples);
+    EXPECT_EQ(log.skipped, 0u);
+    EXPECT_TRUE(log.content_ok);
     EXPECT_EQ(inst.engine().nodes_down(), 1u);
     EXPECT_EQ(inst.engine().bytes_copied(), 0u);
     EXPECT_EQ(inst.stats().bytes_zero_copy,
@@ -675,17 +577,17 @@ TEST(SelfHealing, SequentialPermanentLossesRereplicateByteIdentical) {
   // repair engine demonstrably re-replicated data.
   dlfs::core::ReplicationConfig repl(2);
   repl.declare_dead_after = 10_ms;
-  std::array<DeliveryLog, 3> good;
+  std::array<EpochLog, 3> good;
   {
     SelfHealRig healthy(
         SelfHealRig::cfg(repl, dlfs::core::BatchingMode::kChunkLevel, 2_ms));
     auto& inst = healthy.fleet.instance(0);
     healthy.sim.spawn(
         [](SelfHealRig& r, dlfs::core::DlfsInstance& inst,
-           std::array<DeliveryLog, 3>& logs) -> Task<void> {
+           std::array<EpochLog, 3>& logs) -> Task<void> {
           for (std::uint64_t e = 0; e < 3; ++e) {
             inst.sequence(e + 1);
-            co_await run_epoch_logged(r.ds, inst, logs[e]);
+            co_await read_epoch_checked(inst, r.ds, 16, logs[e]);
           }
         }(healthy, inst, good),
         "healthy-epochs");
@@ -703,15 +605,15 @@ TEST(SelfHealing, SequentialPermanentLossesRereplicateByteIdentical) {
   auto& inst = rig.fleet.instance(0);
   ASSERT_NE(rig.fleet.target(0), nullptr);
   rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
-  std::array<DeliveryLog, 3> log;
+  std::array<EpochLog, 3> log;
   std::uint32_t dead_at_end = 0;
   bool backlog_drained = false;
   rig.sim.spawn(
       [](SelfHealRig& r, dlfs::core::DlfsInstance& inst,
-         std::array<DeliveryLog, 3>& logs, std::uint32_t& dead_at_end,
+         std::array<EpochLog, 3>& logs, std::uint32_t& dead_at_end,
          bool& backlog_drained) -> Task<void> {
         inst.sequence(1);
-        co_await run_epoch_logged(r.ds, inst, logs[0]);
+        co_await read_epoch_checked(inst, r.ds, 16, logs[0]);
         // Wait for the first loss to be declared and its repairs to drain
         // before losing the second node: sequential losses spaced past the
         // repair-drain time keep at least one live copy of everything. An
@@ -722,13 +624,13 @@ TEST(SelfHealing, SequentialPermanentLossesRereplicateByteIdentical) {
         }
         r.fleet.target(1)->crash();
         inst.sequence(2);
-        co_await run_epoch_logged(r.ds, inst, logs[1]);
+        co_await read_epoch_checked(inst, r.ds, 16, logs[1]);
         while (r.fleet.num_declared_dead() < 2 ||
                !r.fleet.repair_backlog().empty()) {
           co_await r.sim.delay(1_ms);
         }
         inst.sequence(3);
-        co_await run_epoch_logged(r.ds, inst, logs[2]);
+        co_await read_epoch_checked(inst, r.ds, 16, logs[2]);
         dead_at_end = r.fleet.num_declared_dead();
         backlog_drained = r.fleet.repair_backlog().empty();
         // Heal the crashed targets so the reprobe daemon can park and the
@@ -770,8 +672,8 @@ TEST(SelfHealing, TransientOutageBelowDeadlineIsNotDeclaredDead) {
   rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
   rig.fleet.target(0)->recover_at(rig.sim.now() + 20_ms);
   inst.sequence(1);
-  DeliveryLog log;
-  rig.sim.spawn(run_epoch_logged(rig.ds, inst, log), "blip-epoch");
+  EpochLog log;
+  rig.sim.spawn(read_epoch_checked(inst, rig.ds, 16, log), "blip-epoch");
   rig.sim.run_watchdog(rig.sim.now() + 10_sec);
   rig.sim.rethrow_failures();
   EXPECT_EQ(log.skipped, 0u);
@@ -797,13 +699,13 @@ TEST(SelfHealing, DeclaredDeadNodeHealsAndRejoinsFresh) {
   auto& inst = rig.fleet.instance(0);
   rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
   bool was_declared = false;
-  DeliveryLog log2;
+  EpochLog log2;
   rig.sim.spawn(
       [](SelfHealRig& r, dlfs::core::DlfsInstance& inst, bool& was_declared,
-         DeliveryLog& log2) -> Task<void> {
+         EpochLog& log2) -> Task<void> {
         inst.sequence(1);
-        DeliveryLog log1;
-        co_await run_epoch_logged(r.ds, inst, log1);
+        EpochLog log1;
+        co_await read_epoch_checked(inst, r.ds, 16, log1);
         EXPECT_EQ(log1.skipped, 0u);
         while (!r.fleet.declared_dead(0)) co_await r.sim.delay(1_ms);
         was_declared = true;
@@ -811,7 +713,7 @@ TEST(SelfHealing, DeclaredDeadNodeHealsAndRejoinsFresh) {
         r.fleet.target(0)->recover();
         while (r.fleet.declared_dead(0)) co_await r.sim.delay(1_ms);
         inst.sequence(2);
-        co_await run_epoch_logged(r.ds, inst, log2);
+        co_await read_epoch_checked(inst, r.ds, 16, log2);
       }(rig, inst, was_declared, log2),
       "rejoin-epochs");
   rig.sim.run_watchdog(rig.sim.now() + 30_sec);
@@ -862,8 +764,8 @@ TEST(SelfHealing, ExplicitDeclareTriggersBudgetedRepair) {
   rig.fleet.undeclare(0);
   EXPECT_EQ(rig.fleet.num_declared_dead(), 0u);
   inst.sequence(1);
-  DeliveryLog log;
-  rig.sim.spawn(run_epoch_logged(rig.ds, inst, log), "after-rejoin");
+  EpochLog log;
+  rig.sim.spawn(read_epoch_checked(inst, rig.ds, 16, log), "after-rejoin");
   rig.sim.run_watchdog(rig.sim.now() + 10_sec);
   rig.sim.rethrow_failures();
   EXPECT_EQ(log.order.size(), SelfHealRig::kSamples);
@@ -884,13 +786,13 @@ TEST(SelfHealing, ViewPinnedChunksSurviveCrashAndRepair) {
   SelfHealRig rig(c);
   auto& inst = rig.fleet.instance(0);
   bool held_ok = true;
-  bool content_ok = true;
-  std::size_t served = 0;
-  std::uint64_t skipped = 0;
+  std::size_t first_served = 0;
+  std::uint64_t first_skipped = 0;
+  EpochLog rest;
   rig.sim.spawn(
       [](SelfHealRig& r, dlfs::core::DlfsInstance& inst, bool& held_ok,
-         bool& content_ok, std::size_t& served,
-         std::uint64_t& skipped) -> Task<void> {
+         std::size_t& first_served, std::uint64_t& first_skipped,
+         EpochLog& rest) -> Task<void> {
         inst.sequence(1);
         // Pin the first zero-copy batch and snapshot its expected bytes.
         auto first = co_await inst.bread_views(16);
@@ -901,60 +803,39 @@ TEST(SelfHealing, ViewPinnedChunksSurviveCrashAndRepair) {
           r.ds.fill_content(s.sample_id, 0, w);
           want.push_back(std::move(w));
         }
-        served += lease.batch().samples.size();
-        skipped += lease.batch().samples_skipped;
+        first_served = lease.batch().samples.size();
+        first_skipped = lease.batch().samples_skipped;
         // Crash a storage node mid-hold; run the rest of the epoch (the
         // traffic drives crash detection and failover) with the first
         // batch still pinned.
         r.fleet.target(0)->crash();
-        std::vector<std::byte> got, w2;
-        for (;;) {
-          auto b = co_await inst.bread_views(16);
-          if (b.end_of_epoch) break;
-          for (const auto& s : b.samples) {
-            got.clear();
-            for (const auto piece : s.pieces) {
-              got.insert(got.end(), piece.begin(), piece.end());
-            }
-            w2.resize(s.len);
-            r.ds.fill_content(s.sample_id, 0, w2);
-            if (got.size() != s.len ||
-                std::memcmp(got.data(), w2.data(), s.len) != 0) {
-              content_ok = false;
-            }
-          }
-          served += b.samples.size();
-          skipped += b.samples_skipped;
-          inst.release_views(b);
-        }
+        co_await read_epoch_checked(inst, r.ds, 16, rest, /*views=*/true);
         // Let the declaration land and the repair backlog drain, lease
         // still held.
         while (!r.fleet.declared_dead(0)) co_await r.sim.delay(1_ms);
         while (!r.fleet.repair_backlog().empty()) co_await r.sim.delay(1_ms);
         // The pinned views must still read the original bytes.
+        std::vector<std::byte> got;
         for (std::size_t i = 0; i < lease.batch().samples.size(); ++i) {
           const auto& s = lease.batch().samples[i];
           got.clear();
           for (const auto piece : s.pieces) {
             got.insert(got.end(), piece.begin(), piece.end());
           }
-          if (got.size() != want[i].size() ||
-              std::memcmp(got.data(), want[i].data(), got.size()) != 0) {
-            held_ok = false;
-          }
+          if (got != want[i]) held_ok = false;
         }
         lease.release();
         // Heal the crashed target so the reprobe daemon parks and the
         // simulator quiesces.
         r.fleet.target(0)->recover();
-      }(rig, inst, held_ok, content_ok, served, skipped),
+      }(rig, inst, held_ok, first_served, first_skipped, rest),
       "pinned-crash-epoch");
   rig.sim.run_watchdog(rig.sim.now() + 30_sec);
   rig.sim.rethrow_failures();
   EXPECT_TRUE(held_ok);
-  EXPECT_TRUE(content_ok);
-  EXPECT_EQ(served, SelfHealRig::kSamples);
-  EXPECT_EQ(skipped, 0u);
+  EXPECT_TRUE(rest.content_ok);
+  EXPECT_EQ(first_served + rest.order.size(), SelfHealRig::kSamples);
+  EXPECT_EQ(first_skipped + rest.skipped, 0u);
   EXPECT_GT(inst.stats().samples_rereplicated, 0u);
   EXPECT_EQ(inst.stats().view_pins_active, 0u);
 }
@@ -974,13 +855,13 @@ TEST(SelfHealing, ShardedDirectoryInvalidatesStaleRowsAfterRepair) {
   auto& inst = rig.fleet.instance(0);
   rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
   bool was_declared = false;
-  DeliveryLog log2;
+  EpochLog log2;
   rig.sim.spawn(
       [](SelfHealRig& r, dlfs::core::DlfsInstance& inst, bool& was_declared,
-         DeliveryLog& log2) -> Task<void> {
+         EpochLog& log2) -> Task<void> {
         inst.sequence(1);
-        DeliveryLog log1;
-        co_await run_epoch_logged(r.ds, inst, log1);
+        EpochLog log1;
+        co_await read_epoch_checked(inst, r.ds, 16, log1);
         EXPECT_EQ(log1.skipped, 0u);
         while (!r.fleet.declared_dead(0)) co_await r.sim.delay(1_ms);
         was_declared = true;
@@ -989,7 +870,7 @@ TEST(SelfHealing, ShardedDirectoryInvalidatesStaleRowsAfterRepair) {
         // engine re-homed must resolve its NEW hop set through the view
         // (stale pre-repair rows invalidated), not skip or mis-read.
         inst.sequence(2);
-        co_await run_epoch_logged(r.ds, inst, log2);
+        co_await read_epoch_checked(inst, r.ds, 16, log2);
         // Heal the target so the reprobe daemon parks and the simulator
         // quiesces.
         r.fleet.target(0)->recover();
@@ -1088,6 +969,45 @@ TEST(Teardown, FleetBeforeSimulatorMidCopy) {
   });
 }
 
+TEST(FaultInjection, RecoveredNodeReissuesFailedReadAheadOnce) {
+  // Both targets crash in epoch 1 and only target 0 comes back. Epoch 2's
+  // read-ahead (a window pinned at 8 units) fails on the down nodes; the
+  // first bread's reprobe finds node 0 up, and its node-up handler
+  // restarts each of the 8 failed units once. A unit of node 1 fails
+  // again at once, and must not be restarted, or counted, a second time.
+  auto c = RemoteFleetRig::cfg();
+  c.batching = dlfs::core::BatchingMode::kChunkLevel;
+  c.prefetch.initial_units = 8;
+  c.prefetch.min_units = 8;
+  c.prefetch.max_units = 8;
+  ReplicaRig rig(c);
+  auto& inst = rig.fleet.instance(0);
+  const dlsim::SimTime t0 = rig.sim.now();
+  rig.fleet.target(0)->crash_at(t0 + 500_us);
+  rig.fleet.target(1)->crash_at(t0 + 500_us);
+  rig.fleet.target(0)->recover_at(t0 + 50_ms);
+  std::uint64_t reissued = 0;
+  rig.sim.spawn(
+      [](ReplicaRig& r, dlfs::core::DlfsInstance& inst,
+         dlsim::SimTime resume_at, std::uint64_t& reissued) -> Task<void> {
+        inst.sequence(1);
+        EpochLog e1;
+        co_await read_epoch_checked(inst, r.ds, 16, e1);
+        co_await r.sim.delay(resume_at - r.sim.now());
+        inst.sequence(2);
+        const std::uint64_t before = inst.stats().prefetch.units_reissued;
+        std::vector<std::byte> arena(16 * 4096);
+        (void)co_await inst.bread(16, arena);
+        reissued = inst.stats().prefetch.units_reissued - before;
+      }(rig, inst, t0 + 51_ms, reissued),
+      "reissue-epochs");
+  rig.sim.run_watchdog(t0 + 2_sec);
+  rig.sim.rethrow_failures();
+  EXPECT_EQ(reissued, 8u);
+  EXPECT_TRUE(rig.fleet.directory().node_available(0));
+  EXPECT_FALSE(rig.fleet.directory().node_available(1));
+}
+
 TEST(FaultInjection, MidEpochReprobeRejoinsNodeWithoutEpochBoundary) {
   // No replication — the point is the background probe daemon: the node
   // crashes and heals mid-epoch, and the daemon rejoins it within one
@@ -1100,27 +1020,16 @@ TEST(FaultInjection, MidEpochReprobeRejoinsNodeWithoutEpochBoundary) {
   const dlsim::SimTime t0 = rig.sim.now();
   rig.fleet.target(0)->crash_at(t0 + 500_us);
   rig.fleet.target(0)->recover_at(t0 + 20_ms);
+  // Application compute folded into every bread stretches the epoch well
+  // past the recovery point, so the rejoin lands mid-epoch.
+  inst.set_injected_poll_compute(500_us);
   inst.sequence(1);
-  EpochTally t;
-  rig.sim.spawn(
-      [](ReplicaRig& r, dlfs::core::DlfsInstance& inst,
-         EpochTally& t) -> Task<void> {
-        std::vector<std::byte> arena(64_KiB);
-        for (;;) {
-          auto b = co_await inst.bread(16, arena);
-          if (b.end_of_epoch) break;
-          EXPECT_LE(b.samples.size() + b.samples_skipped, 16u);
-          t.served += b.samples.size();
-          t.skipped += b.samples_skipped;
-          // App compute between breads stretches the epoch well past the
-          // recovery point, so the rejoin lands mid-epoch.
-          co_await r.sim.delay(500_us);
-        }
-      }(rig, inst, t),
-      "reprobe-epoch");
+  EpochLog t;
+  rig.sim.spawn(read_epoch_checked(inst, rig.ds, 16, t), "reprobe-epoch");
   rig.sim.run_watchdog(t0 + 2_sec);
   rig.sim.rethrow_failures();
-  EXPECT_EQ(t.served + t.skipped, ReplicaRig::kSamples);
+  EXPECT_TRUE(t.content_ok);
+  EXPECT_EQ(t.order.size() + t.skipped, ReplicaRig::kSamples);
   EXPECT_GT(t.skipped, 0u);
   // The down window is ~13 ms of a ~64 ms epoch; without the mid-epoch
   // rejoin every node-0 sample after the crash (~half the epoch's
@@ -1148,19 +1057,21 @@ TEST(FaultInjection, PrefetcherSurvivesTransientFaultSweep) {
     auto& inst = rig.fleet.instance(0);
     rig.cluster.node(0).device().inject_faults(c.rate, c.seed);
     inst.sequence(1);
-    EpochTally t1;
-    rig.sim.spawn(run_epoch(rig.ds, inst, t1), "faulty-epoch");
+    EpochLog t1;
+    rig.sim.spawn(read_epoch_checked(inst, rig.ds, 16, t1), "faulty-epoch");
     rig.sim.run_watchdog(rig.sim.now() + 1_sec);
     rig.sim.rethrow_failures();
-    EXPECT_EQ(t1.served, 128u) << "rate " << c.rate;
+    EXPECT_EQ(t1.order.size(), 128u) << "rate " << c.rate;
     EXPECT_EQ(t1.skipped, 0u) << "rate " << c.rate;
+    EXPECT_TRUE(t1.content_ok) << "rate " << c.rate;
     rig.cluster.node(0).device().inject_faults(0.0);
     inst.sequence(2);
-    EpochTally t2;
-    rig.sim.spawn(run_epoch(rig.ds, inst, t2), "clean-epoch");
+    EpochLog t2;
+    rig.sim.spawn(read_epoch_checked(inst, rig.ds, 16, t2), "clean-epoch");
     rig.sim.run_watchdog(rig.sim.now() + 1_sec);
     rig.sim.rethrow_failures();
-    EXPECT_EQ(t2.served, 128u) << "rate " << c.rate;
+    EXPECT_EQ(t2.order.size(), 128u) << "rate " << c.rate;
+    EXPECT_TRUE(t2.content_ok) << "rate " << c.rate;
     total_retries += inst.engine().retries();
     EXPECT_GT(inst.stats().prefetch.units_issued, 0u);
   }
@@ -1192,11 +1103,13 @@ TEST(FaultInjection, ReadAheadErrorSurfacesOnOwningBreadAndDaemonSurvives) {
   // epoch is served in full through the same prefetcher.
   rig.cluster.node(0).device().inject_faults(0.0);
   inst.sequence(2);
-  EpochTally t;
-  auto p2 = rig.sim.spawn(run_epoch(rig.ds, inst, t), "recovered-epoch");
+  EpochLog t;
+  auto p2 = rig.sim.spawn(read_epoch_checked(inst, rig.ds, 16, t),
+                          "recovered-epoch");
   rig.sim.run();
   EXPECT_FALSE(p2.failed());
-  EXPECT_EQ(t.served, 128u);
+  EXPECT_EQ(t.order.size(), 128u);
+  EXPECT_TRUE(t.content_ok);
   EXPECT_GT(inst.stats().prefetch.units_issued, 0u);
 }
 

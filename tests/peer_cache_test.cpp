@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -31,10 +30,15 @@
 #include "dataset/dataset.hpp"
 #include "dlfs/dlfs.hpp"
 #include "dlfs/sample_cache.hpp"
+#include "harness.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
 
+using dlfs::bench::EpochLog;
+using dlfs::bench::exactly_once;
+using dlfs::bench::read_epoch;
+using dlfs::bench::read_epoch_checked;
 using dlfs::core::PeerCacheDirectory;
 using dlsim::Simulator;
 using dlsim::Task;
@@ -155,50 +159,34 @@ struct PeerRig {
   }
 };
 
-struct DeliveryLog {
-  std::vector<std::uint32_t> order;
-  std::uint64_t skipped = 0;
-  bool content_ok = true;
-  bool dense = true;  // every batch packed its arena from offset 0, no gaps
-};
-
-Task<void> run_epoch_logged(const dlfs::dataset::Dataset& ds,
-                            dlfs::core::DlfsInstance& inst,
-                            DeliveryLog& log) {
-  std::vector<std::byte> arena(64_KiB);
-  std::vector<std::byte> want;
-  for (;;) {
-    auto b = co_await inst.bread(16, arena);
-    if (b.end_of_epoch) break;
-    // Skip accounting is per sample, exactly once: a batch that asked
-    // for 16 samples can never report more than 16 outcomes in total.
-    EXPECT_LE(b.samples.size() + b.samples_skipped, 16u);
-    std::uint64_t next_offset = 0;
-    for (const auto& s : b.samples) {
-      if (s.offset_in_arena != next_offset) log.dense = false;
-      next_offset += s.len;
-      log.order.push_back(s.sample_id);
-      want.resize(s.len);
-      ds.fill_content(s.sample_id, 0, want);
-      if (std::memcmp(arena.data() + s.offset_in_arena, want.data(), s.len) !=
-          0) {
-        log.content_ok = false;
-      }
-    }
-    log.skipped += b.samples_skipped;
+/// Sequences clients 0 and 1 with `seed` and spawns their epoch readers
+/// into `logs`; the caller runs the simulator.
+void spawn_epochs(PeerRig& rig, std::uint64_t seed,
+                  std::array<EpochLog, 2>& logs) {
+  for (std::uint32_t c = 0; c < 2; ++c) rig.fleet.instance(c).sequence(seed);
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    rig.sim.spawn(
+        read_epoch_checked(rig.fleet.instance(c), rig.ds, 16, logs[c]),
+        "client-" + std::to_string(c));
   }
 }
 
-/// True when the logs together deliver every sample exactly once.
-bool exactly_once(const std::vector<const DeliveryLog*>& logs) {
-  std::vector<int> seen(PeerRig::kSamples, 0);
-  for (const DeliveryLog* log : logs) {
-    for (const std::uint32_t id : log->order) ++seen[id];
-  }
-  for (const int n : seen) {
-    if (n != 1) return false;
-  }
-  return true;
+/// spawn_epochs, run to the epoch's end.
+std::array<EpochLog, 2> run_epochs(PeerRig& rig, std::uint64_t seed) {
+  std::array<EpochLog, 2> logs;
+  spawn_epochs(rig, seed, logs);
+  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+  rig.sim.rethrow_failures();
+  return logs;
+}
+
+/// The two clients' epoch delivered every sample exactly once, with no
+/// skip and every byte the dataset's.
+void expect_full_epoch(const std::array<EpochLog, 2>& logs) {
+  EXPECT_TRUE(exactly_once(logs, PeerRig::kSamples));
+  EXPECT_EQ(logs[0].skipped + logs[1].skipped, 0u);
+  EXPECT_TRUE(logs[0].content_ok);
+  EXPECT_TRUE(logs[1].content_ok);
 }
 
 /// Evicts every cache down to empty: an entry a pull left pinned would
@@ -213,22 +201,10 @@ void expect_caches_drain(dlfs::core::DlfsFleet& fleet) {
 }
 
 /// Warms both clients with epoch 1 (seed 1), then reshuffles with seed 2
-/// and runs the warm epoch into `a2` and `b2`.
-void run_two_epochs(PeerRig& rig, DeliveryLog& a2, DeliveryLog& b2) {
-  auto& a = rig.fleet.instance(0);
-  auto& b = rig.fleet.instance(1);
-  a.sequence(1);
-  b.sequence(1);
-  DeliveryLog a1, b1;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, a1), "cold-a");
-  rig.sim.spawn(run_epoch_logged(rig.ds, b, b1), "cold-b");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
-  ASSERT_EQ(a1.order.size() + b1.order.size(), PeerRig::kSamples);
-  a.sequence(2);
-  b.sequence(2);
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, a2), "warm-a");
-  rig.sim.spawn(run_epoch_logged(rig.ds, b, b2), "warm-b");
+/// and spawns the warm epoch into `warm`.
+void run_two_epochs(PeerRig& rig, std::array<EpochLog, 2>& warm) {
+  ASSERT_TRUE(exactly_once(run_epochs(rig, 1), PeerRig::kSamples));
+  spawn_epochs(rig, 2, warm);
 }
 
 TEST(PeerCache, CoLocatedInstancesServePeerHitsAfterReshuffle) {
@@ -241,29 +217,8 @@ TEST(PeerCache, CoLocatedInstancesServePeerHitsAfterReshuffle) {
               PeerRig::cfg(/*cache_chunks=*/320));
   auto& a = rig.fleet.instance(0);
   auto& b = rig.fleet.instance(1);
-
-  a.sequence(1);
-  b.sequence(1);
-  DeliveryLog a1, b1;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, a1), "colocated-a-e1");
-  rig.sim.spawn(run_epoch_logged(rig.ds, b, b1), "colocated-b-e1");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
-  EXPECT_EQ(a1.order.size() + b1.order.size(), PeerRig::kSamples);
-  EXPECT_TRUE(a1.content_ok);
-  EXPECT_TRUE(b1.content_ok);
-
-  a.sequence(2);
-  b.sequence(2);
-  DeliveryLog a2, b2;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, a2), "colocated-a-e2");
-  rig.sim.spawn(run_epoch_logged(rig.ds, b, b2), "colocated-b-e2");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
-  EXPECT_EQ(a2.order.size() + b2.order.size(), PeerRig::kSamples);
-  EXPECT_EQ(a2.skipped + b2.skipped, 0u);
-  EXPECT_TRUE(a2.content_ok);
-  EXPECT_TRUE(b2.content_ok);
+  expect_full_epoch(run_epochs(rig, 1));
+  expect_full_epoch(run_epochs(rig, 2));
   const auto sa = a.stats();
   const auto sb = b.stats();
   EXPECT_GT(sa.peer_hits_local + sb.peer_hits_local, 0u);
@@ -281,26 +236,11 @@ TEST(PeerCache, RemotePeerPullsOverFabricAfterReshuffle) {
               PeerRig::cfg(/*cache_chunks=*/320));
   auto& a = rig.fleet.instance(0);
   auto& b = rig.fleet.instance(1);
-
-  a.sequence(1);
-  b.sequence(1);
-  DeliveryLog a1, b1;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, a1), "remote-a-e1");
-  rig.sim.spawn(run_epoch_logged(rig.ds, b, b1), "remote-b-e1");
+  std::array<EpochLog, 2> warm;
+  run_two_epochs(rig, warm);
   rig.sim.run_watchdog(rig.sim.now() + 30_sec);
   rig.sim.rethrow_failures();
-  ASSERT_EQ(a1.order.size() + b1.order.size(), PeerRig::kSamples);
-
-  a.sequence(2);
-  b.sequence(2);
-  DeliveryLog a2, b2;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, a2), "remote-a-e2");
-  rig.sim.spawn(run_epoch_logged(rig.ds, b, b2), "remote-b-e2");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
-  EXPECT_EQ(a2.skipped + b2.skipped, 0u);
-  EXPECT_TRUE(a2.content_ok);
-  EXPECT_TRUE(b2.content_ok);
+  expect_full_epoch(warm);
   const auto sa = a.stats();
   const auto sb = b.stats();
   // Separate nodes: peer service crosses the fabric, never the local path.
@@ -326,33 +266,13 @@ TEST(PeerCache, PinnedPeerServeSurvivesEvictionPressure) {
   auto c = PeerRig::cfg(/*cache_chunks=*/96);  // share is 256 samples
   c.scribble_on_free = true;
   PeerRig rig(2, /*clients=*/{1, 1}, /*storage=*/{0}, c);
-  auto& a = rig.fleet.instance(0);
-  auto& b = rig.fleet.instance(1);
-
-  a.sequence(1);
-  b.sequence(1);
-  DeliveryLog a1, b1;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, a1), "pressure-a-e1");
-  rig.sim.spawn(run_epoch_logged(rig.ds, b, b1), "pressure-b-e1");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
-
-  a.sequence(2);
-  b.sequence(2);
-  DeliveryLog a2, b2;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, a2), "pressure-a-e2");
-  rig.sim.spawn(run_epoch_logged(rig.ds, b, b2), "pressure-b-e2");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
-  EXPECT_EQ(a2.order.size() + b2.order.size(), PeerRig::kSamples);
-  EXPECT_EQ(a2.skipped + b2.skipped, 0u);
+  (void)run_epochs(rig, 1);
   // The load-bearing assertions: every delivered byte (peer-served or
   // not) matched the canonical content — no serve read a scribbled chunk.
-  EXPECT_TRUE(a2.content_ok);
-  EXPECT_TRUE(b2.content_ok);
-  const auto sa = a.stats();
-  const auto sb = b.stats();
-  EXPECT_GT(sa.peer_hits_local + sb.peer_hits_local, 0u);
+  expect_full_epoch(run_epochs(rig, 2));
+  EXPECT_GT(rig.fleet.instance(0).stats().peer_hits_local +
+                rig.fleet.instance(1).stats().peer_hits_local,
+            0u);
 }
 
 TEST(PeerCache, PinnedRemotePullSurvivesEvictionPressure) {
@@ -363,16 +283,11 @@ TEST(PeerCache, PinnedRemotePullSurvivesEvictionPressure) {
   auto c = PeerRig::cfg(/*cache_chunks=*/96);  // share is 256 samples
   c.scribble_on_free = true;
   PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0}, c);
-  DeliveryLog a2, b2;
-  run_two_epochs(rig, a2, b2);
+  std::array<EpochLog, 2> warm;
+  run_two_epochs(rig, warm);
   rig.sim.run_watchdog(rig.sim.now() + 30_sec);
   rig.sim.rethrow_failures();
-  EXPECT_TRUE(exactly_once({&a2, &b2}));
-  EXPECT_EQ(a2.skipped + b2.skipped, 0u);
-  EXPECT_TRUE(a2.content_ok);
-  EXPECT_TRUE(b2.content_ok);
-  EXPECT_TRUE(a2.dense);
-  EXPECT_TRUE(b2.dense);
+  expect_full_epoch(warm);
   EXPECT_GT(rig.fleet.instance(0).stats().peer_hits_remote +
                 rig.fleet.instance(1).stats().peer_hits_remote,
             0u);
@@ -383,20 +298,16 @@ TEST(PeerCache, LinkCutMidEpochFallsBackToDevice) {
   // The link between the two clients fails partway through the warm
   // epoch. Posted pulls lose a leg (request, forward or bulk) and must
   // fall back to the storage node, which both clients still reach: every
-  // sample arrives exactly once, packed densely, and no holder pin leaks.
+  // sample arrives exactly once, packed densely (the reader checks), and
+  // no holder pin leaks.
   PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0},
               PeerRig::cfg(/*cache_chunks=*/320));
-  DeliveryLog a2, b2;
-  run_two_epochs(rig, a2, b2);
+  std::array<EpochLog, 2> warm;
+  run_two_epochs(rig, warm);
   rig.cluster.fabric().fail_link_at(1, 2, rig.sim.now() + 150_us);
   rig.sim.run_watchdog(rig.sim.now() + 30_sec);
   rig.sim.rethrow_failures();
-  EXPECT_TRUE(exactly_once({&a2, &b2}));
-  EXPECT_EQ(a2.skipped + b2.skipped, 0u);
-  EXPECT_TRUE(a2.content_ok);
-  EXPECT_TRUE(b2.content_ok);
-  EXPECT_TRUE(a2.dense);
-  EXPECT_TRUE(b2.dense);
+  expect_full_epoch(warm);
   const auto sa = rig.fleet.instance(0).stats();
   const auto sb = rig.fleet.instance(1).stats();
   // Pulls landed before the cut and were refused after it.
@@ -419,8 +330,8 @@ TEST(PeerCache, QosCappedWarmEpochFinishesEveryPull) {
   PeerRig rig(3, /*clients=*/{1, 2}, /*storage=*/{0}, c);
   auto& a = rig.fleet.instance(0);
   auto& b = rig.fleet.instance(1);
-  DeliveryLog a2, b2;
-  run_two_epochs(rig, a2, b2);
+  std::array<EpochLog, 2> warm;
+  run_two_epochs(rig, warm);
   const auto admitted0 = rig.fleet.tenant_handle()->stats().bytes_admitted;
   const auto peer0 = a.stats().peer_bytes + b.stats().peer_bytes;
   const dlsim::SimTime t0 = rig.sim.now();
@@ -429,10 +340,7 @@ TEST(PeerCache, QosCappedWarmEpochFinishesEveryPull) {
   // A warm epoch takes about a millisecond; a stuck grant spins forever.
   rig.sim.run_watchdog(rig.sim.now() + 1_sec);
   rig.sim.rethrow_failures();
-  EXPECT_TRUE(exactly_once({&a2, &b2}));
-  EXPECT_EQ(a2.skipped + b2.skipped, 0u);
-  EXPECT_TRUE(a2.content_ok);
-  EXPECT_TRUE(b2.content_ok);
+  expect_full_epoch(warm);
   const auto peer_bytes = a.stats().peer_bytes + b.stats().peer_bytes - peer0;
   EXPECT_GT(peer_bytes, 0u);
   EXPECT_EQ(a.stats().peer_hits_local + b.stats().peer_hits_local, 0u);
@@ -445,6 +353,7 @@ TEST(PeerCache, QosCappedWarmEpochFinishesEveryPull) {
   EXPECT_LE(a.io_core().busy_ns() - busy0[0], rig.sim.now() - t0);
   EXPECT_LE(b.io_core().busy_ns() - busy0[1], rig.sim.now() - t0);
 }
+
 
 /// Reads every sample through `holder`, so its cache (sized for the whole
 /// dataset) holds them all, save any a peer served instead.
@@ -616,13 +525,9 @@ TEST(PeerCache, PulledRunsCopyOnTheCopyThreads) {
   const dlsim::SimDuration io0 = a.io_core().busy_ns();
   const dlsim::SimDuration copy0 = a.engine().copy_busy_ns();
   const std::uint64_t handoffs0 = a.engine().cross_core_handoffs();
-  DeliveryLog log;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "pulled-runs");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
+  const EpochLog log = read_epoch(a, rig.ds, 16);
   ASSERT_EQ(log.order.size(), PeerRig::kSamples / 2);
   EXPECT_TRUE(log.content_ok);
-  EXPECT_TRUE(log.dense);
   const std::uint64_t n = a.stats().peer_hits_remote;
   ASSERT_EQ(n, log.order.size());
   const std::uint64_t handoffs = a.engine().cross_core_handoffs() - handoffs0;
@@ -652,13 +557,9 @@ TEST(PeerCache, PulledCopiesStayInlineWithoutCopyThreads) {
     const auto& costs = rig.fleet.config().calibration.dlfs;
     const dlsim::SimDuration io0 = a.io_core().busy_ns();
     const std::uint64_t hits0 = a.stats().cache_hits;
-    DeliveryLog log;
-    rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "inline-copies");
-    rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-    rig.sim.rethrow_failures();
+    const EpochLog log = read_epoch(a, rig.ds, 16);
     ASSERT_EQ(log.order.size(), PeerRig::kSamples / 2);
     EXPECT_TRUE(log.content_ok);
-    EXPECT_TRUE(log.dense);
     const auto s = a.stats();
     const std::uint64_t n =
         holder == 0 ? s.cache_hits - hits0 : s.peer_hits_remote;
@@ -690,14 +591,10 @@ TEST(PeerCache, OwnCacheHitsCopyOnTheCopyThreads) {
   const dlsim::SimDuration copy0 = a.engine().copy_busy_ns();
   const std::uint64_t handoffs0 = a.engine().cross_core_handoffs();
   const std::uint64_t hits0 = a.stats().cache_hits;
-  DeliveryLog log;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "own-hits");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
+  const EpochLog log = read_epoch(a, rig.ds, 16);
   const std::uint64_t n = PeerRig::kSamples;
   ASSERT_EQ(log.order.size(), n);
   EXPECT_TRUE(log.content_ok);
-  EXPECT_TRUE(log.dense);
   EXPECT_EQ(a.stats().cache_hits - hits0, n);
   EXPECT_EQ(a.engine().cross_core_handoffs() - handoffs0, n);
   EXPECT_EQ(a.io_core().busy_ns() - io0,
@@ -789,15 +686,11 @@ TEST(PeerCache, RefusedReadAheadPullFallsBackOnce) {
   rig.sim.rethrow_failures();
   EXPECT_EQ(a.stats().peer_misses, 1u);
   EXPECT_EQ(a.engine().requests_posted() - posted0, 1u);
-  DeliveryLog log;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "refused-pull-epoch");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
+  const EpochLog log = read_epoch(a, rig.ds, 16);
   EXPECT_EQ(std::count(log.order.begin(), log.order.end(), victim), 1);
   EXPECT_EQ(log.order.size(), PeerRig::kSamples / 2);
   EXPECT_EQ(log.skipped, 0u);
   EXPECT_TRUE(log.content_ok);
-  EXPECT_TRUE(log.dense);
   const auto s = a.stats();
   EXPECT_EQ(s.peer_misses, 1u);
   EXPECT_EQ(s.peer_hits_remote, log.order.size() - 1);
@@ -945,10 +838,7 @@ TEST(PeerCache, LandingChunksReturnToThePool) {
   // cache.
   OneHolderRig rig;
   auto& a = rig.fleet.instance(0);
-  DeliveryLog log;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "pull-epoch");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
+  const EpochLog log = read_epoch(a, rig.ds, 16);
   ASSERT_EQ(log.order.size(), PeerRig::kSamples / 2);
   EXPECT_TRUE(log.content_ok);
   EXPECT_EQ(a.stats().peer_hits_remote, log.order.size());
@@ -979,10 +869,7 @@ TEST(PeerCache, CoLocatedHolderBeatsRemoteHolder) {
   auto& a = rig.fleet.instance(0);
   a.sequence(3);
   const std::uint64_t sent0 = rig.cluster.fabric().bytes_sent(2);
-  DeliveryLog log;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, log), "colocated-beats-remote");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
+  const EpochLog log = read_epoch(a, rig.ds, 16);
   EXPECT_GT(log.order.size(), 0u);
   EXPECT_EQ(log.skipped, 0u);
   EXPECT_TRUE(log.content_ok);
@@ -1005,34 +892,23 @@ TEST(PeerCache, CrashFailoverSkipsExactlyOncePerSample) {
   auto& a = rig.fleet.instance(0);
   auto& b = rig.fleet.instance(1);
 
-  a.sequence(1);
-  b.sequence(1);
-  DeliveryLog a1, b1;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, a1), "failover-a-e1");
-  rig.sim.spawn(run_epoch_logged(rig.ds, b, b1), "failover-b-e1");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
-  ASSERT_EQ(a1.skipped + b1.skipped, 0u);
+  const auto e1 = run_epochs(rig, 1);
+  ASSERT_EQ(e1[0].skipped + e1[1].skipped, 0u);
 
   ASSERT_NE(rig.fleet.target(0), nullptr);
   rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
-  a.sequence(2);
-  b.sequence(2);
-  DeliveryLog a2, b2;
-  rig.sim.spawn(run_epoch_logged(rig.ds, a, a2), "failover-a-e2");
-  rig.sim.spawn(run_epoch_logged(rig.ds, b, b2), "failover-b-e2");
-  rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-  rig.sim.rethrow_failures();
+  const auto e2 = run_epochs(rig, 2);
   // Exactly-once, conservation form: every sample of the epoch is served
-  // once or skipped once (run_epoch_logged asserts the per-batch bound).
-  EXPECT_EQ(a2.order.size() + a2.skipped + b2.order.size() + b2.skipped,
+  // once or skipped once (the reader checks the per-batch bound).
+  EXPECT_EQ(e2[0].order.size() + e2[0].skipped + e2[1].order.size() +
+                e2[1].skipped,
             PeerRig::kSamples);
-  EXPECT_TRUE(a2.content_ok);
-  EXPECT_TRUE(b2.content_ok);
+  EXPECT_TRUE(e2[0].content_ok);
+  EXPECT_TRUE(e2[1].content_ok);
   // The per-instance counter agrees with the per-batch tallies — no
   // double count when a sample unwound through peer and replica routes.
-  EXPECT_EQ(a.stats().samples_skipped, a2.skipped);
-  EXPECT_EQ(b.stats().samples_skipped, b2.skipped);
+  EXPECT_EQ(a.stats().samples_skipped, e2[0].skipped);
+  EXPECT_EQ(b.stats().samples_skipped, e2[1].skipped);
 }
 
 TEST(PeerCache, DisabledConfigKeepsCountersAtZero) {
@@ -1044,15 +920,9 @@ TEST(PeerCache, DisabledConfigKeepsCountersAtZero) {
   auto& a = rig.fleet.instance(0);
   auto& b = rig.fleet.instance(1);
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    a.sequence(seed);
-    b.sequence(seed);
-    DeliveryLog la, lb;
-    rig.sim.spawn(run_epoch_logged(rig.ds, a, la), "disabled-a");
-    rig.sim.spawn(run_epoch_logged(rig.ds, b, lb), "disabled-b");
-    rig.sim.run_watchdog(rig.sim.now() + 30_sec);
-    rig.sim.rethrow_failures();
-    EXPECT_TRUE(la.content_ok);
-    EXPECT_TRUE(lb.content_ok);
+    const auto logs = run_epochs(rig, seed);
+    EXPECT_TRUE(logs[0].content_ok);
+    EXPECT_TRUE(logs[1].content_ok);
   }
   EXPECT_EQ(rig.fleet.peer_directory(), nullptr);
   for (auto* inst : {&a, &b}) {

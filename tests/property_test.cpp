@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 #include <set>
 #include <tuple>
@@ -19,6 +18,7 @@
 #include "dlfs/avl_tree.hpp"
 #include "dlfs/dlfs.hpp"
 #include "dlfs/sample_entry.hpp"
+#include "harness.hpp"
 #include "hw/net/fabric.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
@@ -199,37 +199,21 @@ TEST_P(DlfsStackProperty, EpochIsExactCoverWithExactBytes) {
   fleet.mount();
 
   for (std::uint32_t c = 0; c < p.nodes; ++c) fleet.instance(c).sequence(9);
-  std::set<std::uint32_t> seen;
-  std::uint64_t bytes = 0;
-  bool content_ok = true;
+  std::vector<dlfs::bench::EpochLog> logs(p.nodes);
   for (std::uint32_t c = 0; c < p.nodes; ++c) {
-    sim.spawn([](const dlfs::dataset::Dataset& ds,
-                 dlfs::core::DlfsInstance& inst, std::set<std::uint32_t>& s,
-                 std::uint64_t& bytes, bool& ok) -> Task<void> {
-      std::vector<std::byte> arena(
-          16ull * ds.max_sample_bytes() + 4096);
-      std::vector<std::byte> want;
-      for (;;) {
-        auto b = co_await inst.bread(13, arena);  // odd batch on purpose
-        if (b.end_of_epoch) break;
-        for (const auto& smp : b.samples) {
-          if (!s.insert(smp.sample_id).second) ok = false;  // duplicate!
-          bytes += smp.len;
-          want.resize(smp.len);
-          ds.fill_content(smp.sample_id, 0, want);
-          if (std::memcmp(arena.data() + smp.offset_in_arena, want.data(),
-                          smp.len) != 0) {
-            ok = false;
-          }
-        }
-      }
-    }(ds, fleet.instance(c), seen, bytes, content_ok));
+    // An odd batch on purpose.
+    sim.spawn(dlfs::bench::read_epoch_checked(fleet.instance(c), ds, 13,
+                                              logs[c]));
   }
   sim.run();
   sim.rethrow_failures();
-  EXPECT_EQ(seen.size(), 300u);
+  std::uint64_t bytes = 0;
+  for (const auto& log : logs) {
+    bytes += log.bytes;
+    EXPECT_TRUE(log.content_ok);
+  }
+  EXPECT_TRUE(dlfs::bench::exactly_once(logs, 300));
   EXPECT_EQ(bytes, ds.total_bytes());
-  EXPECT_TRUE(content_ok);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -256,26 +240,18 @@ TEST(DlfsStackProperty, TwoEpochsDifferentSeedsBothCover) {
 
   std::vector<std::vector<std::uint32_t>> epochs;
   for (std::uint64_t seed : {100ull, 200ull}) {
-    std::vector<std::uint32_t> order;
     for (std::uint32_t c = 0; c < 2; ++c) fleet.instance(c).sequence(seed);
+    std::vector<dlfs::bench::EpochLog> logs(2);
     for (std::uint32_t c = 0; c < 2; ++c) {
-      sim.spawn([](dlfs::core::DlfsInstance& inst,
-                   std::vector<std::uint32_t>& out) -> Task<void> {
-        std::vector<std::byte> arena(64_KiB);
-        for (;;) {
-          auto b = co_await inst.bread(8, arena);
-          if (b.end_of_epoch) break;
-          for (const auto& s : b.samples) out.push_back(s.sample_id);
-        }
-      }(fleet.instance(c), order));
+      sim.spawn(dlfs::bench::read_epoch_checked(fleet.instance(c), ds, 8,
+                                                logs[c]));
     }
     sim.run();
     sim.rethrow_failures();
-    std::set<std::uint32_t> unique(order.begin(), order.end());
-    EXPECT_EQ(unique.size(), 2048u);
-    epochs.push_back(std::move(order));
+    EXPECT_TRUE(dlfs::bench::exactly_once(logs, 2048));
+    epochs.push_back(std::move(logs[0].order));
   }
-  EXPECT_NE(epochs[0], epochs[1]);  // reshuffled between epochs
+  EXPECT_NE(epochs[0], epochs[1]);  // client 0 reshuffled between epochs
 }
 
 // ---------------------------------------------------------------------------
