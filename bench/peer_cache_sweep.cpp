@@ -50,11 +50,14 @@ constexpr std::uint32_t kClients = 3;
 constexpr std::uint32_t kSampleBytes = 64 * 1024;
 constexpr std::size_t kBatch = 16;
 // The prefetch daemon pulls a warm batch's remote samples while the
-// trainer steps, so a warm epoch clears the single storage NIC by at
-// least this factor (2.9x on the full sweep at seed 1). Pulls posted by
+// trainer steps, and hands each landed pull to an idle copy thread, so a
+// warm epoch clears the single storage NIC by at least this factor
+// (3.4x on the full sweep at seed 1, 3.2x on the smoke). Pulls posted by
 // bread itself reached 1.9x; pulls read ahead past the window's starting
-// depth queue bulk bytes ahead of control hops and reached 1.8x.
-constexpr double kWarmFloorVsNic = 2.5;
+// depth queue bulk bytes ahead of control hops and reached 1.8x; runs
+// sent only at their read-ahead unit's end reached 3.0x full and 2.97x
+// smoke.
+constexpr double kWarmFloorVsNic = 3.0;
 
 struct SweepParams {
   std::uint64_t seed = 1;

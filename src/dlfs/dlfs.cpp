@@ -130,6 +130,7 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
         [this](std::uint32_t id, std::uint32_t len, mem::DmaBuffer* into) {
           return pull_from_peer(id, len, into);
         });
+    engine_->set_refusal_handler([this] { prefetcher_->wake(); });
     // Cooperative peer cache: mirror V-bit flips into the fleet's cache
     // directory so other instances, co-located or remote, can find this
     // cache. The listener runs inside cache slices, so it must stay
@@ -706,7 +707,8 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   start_injected();
   dlsim::CountdownLatch copies(node_->simulator(), 0);
   // Sample-level: the open run of landed pulls, consecutive in the arena
-  // and within one read-ahead unit, sent to copy_out as one job.
+  // and within one read-ahead unit, sent to copy_out as one job once a
+  // copy thread idles.
   CopyJob run;
   std::size_t run_unit = unit_of(picks.front().unit_slot);
   BatchFaults faults;
@@ -763,6 +765,8 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
           }
           co_await deliver(std::move(x->second), place(us.sample_id, us.len),
                            &copies, &run);
+          // A run grows only while every copy thread is busy.
+          if (engine_->copy_thread_idle()) co_await enqueue_run(&run, &copies);
           continue;
         }
         co_await enqueue_run(&run, &copies);

@@ -319,6 +319,7 @@ dlsim::Task<void> IoEngine::run_pull(Piece p) {
   // node is down.
   op.extent.cls = HopClass::kStorage;
   to_post_.push_back(std::move(p));
+  if (refusal_handler_) refusal_handler_();
 }
 
 ExtentOpPtr IoEngine::start_extent(ReadExtent extent) {
@@ -362,12 +363,12 @@ ExtentOpPtr IoEngine::start_write(std::uint16_t nid, std::uint64_t offset,
   return op;
 }
 
-dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
+dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, ExtentOpPtr until) {
   // The pump serves the whole engine, not just `until`: any queued or
   // in-flight piece (another bread's demand fetch, a prefetched unit) is
   // posted and harvested by whichever coroutine is pumping. We stop as
   // soon as `until` has all its pieces, or its pull is in flight.
-  auto satisfied = [&] { return until.finished_ || until.pull_.has_value(); };
+  auto satisfied = [&] { return until->finished_ || until->pulling(); };
   while (!satisfied()) {
     bool progress = false;
     promote_delayed();  // backed-off retries whose delay has elapsed
@@ -604,11 +605,11 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until) {
 }
 
 dlsim::Task<void> IoEngine::await_op(dlsim::CpuCore& core, ExtentOpPtr op) {
-  co_await pump(core, *op);
+  co_await pump(core, op);
   while (op->pull_) {  // park on the pull: no poll loop while it flies
     const dlsim::Process pull = *op->pull_;
     co_await pull.join();
-    co_await pump(core, *op);  // the device route, if it failed over
+    co_await pump(core, op);  // the device route, if it failed over
   }
 }
 

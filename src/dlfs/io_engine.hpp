@@ -135,6 +135,9 @@ class ExtentOp {
   ReadExtent extent;
 
   [[nodiscard]] bool finished() const { return finished_; }
+  /// A pull of the extent is in flight: it needs no pump until it lands,
+  /// or until its refusal queues the device read.
+  [[nodiscard]] bool pulling() const { return pull_.has_value(); }
   [[nodiscard]] std::exception_ptr error() const { return error_; }
 
   /// The extent's chunk buffers, in on-device order, left on the op.
@@ -233,12 +236,22 @@ class IoEngine {
                                         std::vector<mem::DmaBuffer> pieces,
                                         std::vector<std::uint32_t> lens);
 
-  /// Drives the shared pump on `core` until `op` completes (chunks in or
-  /// failed). Extent failures are recorded on the op, not thrown; pool
-  /// livelock (exhausted + nothing evictable + nothing in flight) still
-  /// throws. A pull in flight is awaited without polling.
+  /// Drives the shared pump on `core` until `until` completes (chunks in
+  /// or failed) or its pull is in flight. Extent failures are recorded on
+  /// the op, not thrown; pool livelock (exhausted + nothing evictable +
+  /// nothing in flight) still throws.
+  [[nodiscard]] dlsim::Task<void> pump(dlsim::CpuCore& core,
+                                       ExtentOpPtr until);
+  /// pump, then waits out a pull in flight without polling, and pumps the
+  /// device read a refusal queued: returns once `op` completes.
   [[nodiscard]] dlsim::Task<void> await_op(dlsim::CpuCore& core,
                                            ExtentOpPtr op);
+
+  /// A copy thread is parked on an empty SCQ: a job enqueued now starts
+  /// at once. Never true without copy threads.
+  [[nodiscard]] bool copy_thread_idle() const {
+    return scq_->parked_pops() > 0;
+  }
 
   /// Enqueues a copy of landed or resident bytes on the copy-thread pool,
   /// which must exist (copy_threads > 0). The latch is counted down after
@@ -262,6 +275,13 @@ class IoEngine {
   /// guard.
   void set_pressure_reliever(std::function<bool()> reliever) {
     pressure_reliever_ = std::move(reliever);
+  }
+
+  /// Called when a peer refuses a pull and its piece is queued for the
+  /// device: the read needs a pumper, and the pull's waiters may all have
+  /// moved on (the prefetch daemon does not wait on a pull in flight).
+  void set_refusal_handler(std::function<void()> handler) {
+    refusal_handler_ = std::move(handler);
   }
 
   /// Multi-tenant QoS: when set, every piece must be admitted by the
@@ -353,7 +373,6 @@ class IoEngine {
   dlsim::Task<void> run_pull(Piece p);
   dlsim::Task<void> probe_loop(std::shared_ptr<bool> alive);
   void promote_delayed();
-  dlsim::Task<void> pump(dlsim::CpuCore& core, const ExtentOp& until);
   static void fail_op(ExtentOp& op, std::exception_ptr e);
   dlsim::Task<void> copy_thread_loop(std::size_t idx);
   void do_copy(CopyJob& job);
@@ -390,6 +409,7 @@ class IoEngine {
   std::uint32_t pulls_ = 0;  // pulls in flight
   PeerPuller peer_puller_;
   std::function<bool()> pressure_reliever_;
+  std::function<void()> refusal_handler_;
   std::shared_ptr<TenantHandle> tenant_;  // null = ungoverned
   std::uint64_t qos_deferrals_ = 0;
   std::vector<std::uint8_t> node_down_;  // index = nid; 1 = unavailable

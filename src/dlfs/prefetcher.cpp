@@ -122,13 +122,18 @@ void Prefetcher::top_up() {
 }
 
 ExtentOpPtr Prefetcher::oldest_unfinished() {
+  // A pull in flight needs no pump until its refusal queues a device
+  // read, and the engine's refusal handler wakes the daemon then.
+  auto pumpable = [](const ExtentOpPtr& op) {
+    return !op->finished() && !op->pulling();
+  };
   for (const auto& op : draining_) {
-    if (!op->finished()) return op;
+    if (pumpable(op)) return op;
   }
   auto w = window_.read();
   for (const auto& e : *w) {
     for (const ExtentOpPtr& op : e.ops) {
-      if (!op->finished()) return op;
+      if (pumpable(op)) return op;
     }
   }
   return nullptr;
@@ -283,8 +288,11 @@ dlsim::Task<void> Prefetcher::daemon_loop() {
     if (shutdown_) co_return;
     try {
       top_up();
+      // Pump, never join a pull: an acquire that frees window space must
+      // find the daemon on its wake event, so it tops the window up while
+      // earlier pulls fly.
       if (ExtentOpPtr op = oldest_unfinished()) {
-        co_await engine_->await_op(*core_, op);
+        co_await engine_->pump(*core_, op);
         std::erase_if(draining_,
                       [](const ExtentOpPtr& o) { return o->finished(); });
         continue;

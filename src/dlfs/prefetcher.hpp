@@ -18,7 +18,9 @@
 // the trainer computes between breads, the daemon pumps the shared
 // IoEngine and upcoming units land in huge-page chunks; bread then finds
 // its units already resident (acquire() returns without stalling) and
-// awaits only what is genuinely missing.
+// awaits only what is genuinely missing. The daemon waits only on its
+// wake event, never on a peer pull in flight, so the window is topped up
+// as soon as an acquire frees space in it.
 //
 // Window policy (adaptive):
 //   * the target is the read-ahead depth *beyond* the highest slot the
@@ -119,6 +121,10 @@ class Prefetcher {
   /// Engine pressure callback: drops the farthest resident unconsumed
   /// unit and shrinks the window. Returns true if chunks were freed.
   bool relieve_pressure();
+
+  /// Engine refusal callback: a refused pull's device read needs the
+  /// daemon's pump.
+  void wake() { wake_.set(); }
 
   /// Forgets unit `slot` without consuming it — bread skips a unit whose
   /// storage node is unavailable and tells the window to drop it. A

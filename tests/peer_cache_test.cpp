@@ -7,15 +7,16 @@
 // fail. Under sample-level batching a remote pull is a read-ahead unit:
 // the prefetch daemon issues it ahead of the cursor, the engine runs it
 // into a requester pool chunk and the pick loop hands what landed to the
-// copy threads, one job per run of a read-ahead unit's pulls; an
-// own-cache hit is a job of its own, and each pick pays its own lookup
-// just before its acquire. The read-ahead-pull tests pin down the
-// overlap, pulls that land before their bread, the copy jobs' charges
-// and when the first one starts, the holder's serve queue, QoS
-// grants, the device failover of a refused pull, and that no holder pin
-// or landing chunk outlives its pull. A demand read issues the same
-// extent: a pull when only a remote peer holds the sample, else the
-// device, with no home RPC.
+// copy threads, a run of a read-ahead unit's pulls growing only while
+// every copy thread is busy; an own-cache hit is a job of its own, and
+// each pick pays its own lookup just before its acquire. The
+// read-ahead-pull tests pin down the overlap, pulls that land before
+// their bread, the copy jobs' charges and when the first one starts, the
+// holder's serve queue, QoS grants, a daemon that tops the window up
+// while a pull flies, the device failover of a refused pull, and that no
+// holder pin or landing chunk outlives its pull. A demand read issues
+// the same extent: a pull when only a remote peer holds the sample, else
+// the device, with no home RPC.
 
 #include <gtest/gtest.h>
 
@@ -125,9 +126,10 @@ struct PeerRig {
   dlfs::core::DlfsFleet fleet;
 
   PeerRig(std::uint32_t nodes, std::vector<std::uint32_t> clients,
-          std::vector<std::uint32_t> storage, const dlfs::core::DlfsConfig& c)
+          std::vector<std::uint32_t> storage, const dlfs::core::DlfsConfig& c,
+          std::uint32_t sample_bytes = 4096)
       : cluster(sim, nodes, node_cfg()),
-        ds(dlfs::dataset::make_fixed_size_dataset(kSamples, 4096)),
+        ds(dlfs::dataset::make_fixed_size_dataset(kSamples, sample_bytes)),
         pfs(sim, ds),
         fleet(cluster, pfs, ds, c, std::move(clients), std::move(storage)) {
     fleet.mount();
@@ -359,13 +361,13 @@ TEST(PeerCache, QosCappedWarmEpochFinishesEveryPull) {
 /// dataset) holds them all, save any a peer served instead.
 void fill_holder(PeerRig& rig, dlfs::core::DlfsInstance& holder) {
   rig.sim.spawn(
-      [](dlfs::core::DlfsInstance& inst) -> Task<void> {
-        std::vector<std::byte> buf(4096);
+      [](dlfs::core::DlfsInstance& inst, std::uint32_t bytes) -> Task<void> {
+        std::vector<std::byte> buf(bytes);
         for (std::uint32_t id = 0; id < PeerRig::kSamples; ++id) {
           const auto h = co_await inst.open_id(id);
           co_await inst.read(h, buf);
         }
-      }(holder),
+      }(holder, rig.ds.sample(0).size),
       "fill-holder");
   rig.sim.run_watchdog(rig.sim.now() + 30_sec);
   rig.sim.rethrow_failures();
@@ -374,7 +376,8 @@ void fill_holder(PeerRig& rig, dlfs::core::DlfsInstance& holder) {
 /// A rig where client 1 holds every sample and client 0 holds none: each
 /// sample of client 0's epoch is a remote pull from the one holder.
 struct OneHolderRig : PeerRig {
-  OneHolderRig() : PeerRig(3, {1, 2}, {0}, PeerRig::cfg(640)) {
+  explicit OneHolderRig(std::uint32_t sample_bytes = 4096)
+      : PeerRig(3, {1, 2}, {0}, PeerRig::cfg(640), sample_bytes) {
     fill_holder(*this, fleet.instance(1));
     fleet.instance(0).sequence(7);
   }
@@ -490,38 +493,21 @@ TEST(PeerCache, PullsLandBeforeTheirBread) {
   EXPECT_LE(took, bound);
 }
 
-/// Sample-level read-ahead fuses this many consecutive epoch slots into
-/// one unit (`kSampleGroup` in src/dlfs/dlfs.cpp).
-constexpr std::size_t kReadAheadGroup = 8;
-
-/// Copy jobs a copy pool runs for client 0's epoch in OneHolderRig, read
-/// in breads of 16: one per run of consecutive landed pulls, and a run
-/// ends at its bread's and its read-ahead unit's end.
-std::uint64_t pulled_runs(const OneHolderRig& rig) {
-  dlfs::core::EpochSequence order(rig.fleet.plan(), 7, 0,
-                                  rig.fleet.num_clients());
-  std::uint64_t runs = 0;
-  for (auto picks = order.take(16); !picks.empty(); picks = order.take(16)) {
-    for (std::size_t i = 0; i < picks.size(); ++i) {
-      if (i == 0 || picks[i].unit_slot / kReadAheadGroup !=
-                        picks[i - 1].unit_slot / kReadAheadGroup) {
-        ++runs;
-      }
-    }
-  }
-  return runs;
-}
-
 TEST(PeerCache, PulledRunsCopyOnTheCopyThreads) {
-  // Client 0's epoch is all remote pulls. The pick loop hands each run
-  // of them to the SCQ copy threads as one job: one cross-core handoff
-  // per run, completion handling and the memcpy per sample, and the I/O
-  // core is charged only the breads' frontend.
+  // Client 0's epoch is all remote pulls. A 4 KiB pull copies in less time
+  // than one pick's frontend, so each landed pull the pick loop delivers
+  // finds a copy thread idle and goes to it as a run of one: one
+  // cross-core handoff per pull, completion handling and the memcpy per
+  // sample, and the I/O core is charged only the breads' frontend.
   OneHolderRig rig;
   auto& a = rig.fleet.instance(0);
   ASSERT_EQ(rig.fleet.config().copy_threads, 2u);
   const auto& costs = rig.fleet.config().calibration.dlfs;
-  const std::uint64_t runs = pulled_runs(rig);
+  const dlsim::SimDuration frontend = costs.dir_lookup + costs.bread_per_sample;
+  const dlsim::SimDuration per_sample =
+      costs.completion_handling +
+      dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec);
+  ASSERT_LT(per_sample, frontend);
   const dlsim::SimDuration io0 = a.io_core().busy_ns();
   const dlsim::SimDuration copy0 = a.engine().copy_busy_ns();
   const std::uint64_t handoffs0 = a.engine().cross_core_handoffs();
@@ -531,15 +517,58 @@ TEST(PeerCache, PulledRunsCopyOnTheCopyThreads) {
   const std::uint64_t n = a.stats().peer_hits_remote;
   ASSERT_EQ(n, log.order.size());
   const std::uint64_t handoffs = a.engine().cross_core_handoffs() - handoffs0;
-  EXPECT_EQ(handoffs, runs);
-  EXPECT_LT(handoffs, n);
+  EXPECT_EQ(handoffs, n);
+  EXPECT_EQ(a.engine().copy_busy_ns() - copy0,
+            n * per_sample + handoffs * costs.cross_core_handoff);
+  EXPECT_EQ(a.io_core().busy_ns() - io0, n * frontend);
+}
+
+TEST(PeerCache, RunsFormOnlyWhileEveryCopyThreadIsBusy) {
+  // A 16 KiB pull copies for longer than two picks' frontends, so from
+  // the third pull of a warm bread on both copy threads are busy, and
+  // landed pulls join the open run until a thread idles: a job carries
+  // more than one pull. The pulls behind the first bread land while the
+  // trainer is away, and its first pull finds a thread idle, so that
+  // copy starts as soon as the first pick's frontend ends.
+  constexpr std::uint32_t kBytes = 16 * 1024;
+  OneHolderRig rig(kBytes);
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  auto& a = rig.fleet.instance(0);
+  const auto& costs = rig.fleet.config().calibration.dlfs;
+  const dlsim::SimDuration frontend = costs.dir_lookup + costs.bread_per_sample;
   const dlsim::SimDuration per_sample =
       costs.completion_handling +
-      dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec);
+      dlsim::transfer_time(kBytes, costs.copy_bw_bytes_per_sec);
+  ASSERT_GT(per_sample, 2 * frontend);
+  const dlsim::SimDuration io0 = a.io_core().busy_ns();
+  const dlsim::SimDuration copy0 = a.engine().copy_busy_ns();
+  const std::uint64_t handoffs0 = a.engine().cross_core_handoffs();
+  std::vector<std::byte> arena(16 * kBytes);
+  dlsim::SimDuration took = 0;
+  bool done = false;
+  const dlsim::SimTime t0 = rig.sim.now();
+  rig.sim.spawn(timed_bread(rig.sim, a, arena, took, done), "timed-bread");
+  dlsim::SimTime first_copy = 0;
+  while (!done && rig.sim.now() < t0 + 1_sec && rig.sim.step()) {
+    if (first_copy == 0 && a.engine().copy_busy_ns() != copy0) {
+      first_copy = rig.sim.now();
+    }
+  }
+  rig.sim.rethrow_failures();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(first_copy - t0, frontend);
+  // The rest of the epoch, then the whole epoch's accounting.
+  const EpochLog log = read_epoch(a, rig.ds, 16);
+  ASSERT_EQ(log.order.size() + 16, PeerRig::kSamples / 2);
+  EXPECT_TRUE(log.content_ok);
+  const std::uint64_t n = a.stats().peer_hits_remote;
+  ASSERT_EQ(n, PeerRig::kSamples / 2);
+  const std::uint64_t handoffs = a.engine().cross_core_handoffs() - handoffs0;
+  EXPECT_LT(handoffs, n);
   EXPECT_EQ(a.engine().copy_busy_ns() - copy0,
-            n * per_sample + runs * costs.cross_core_handoff);
-  EXPECT_EQ(a.io_core().busy_ns() - io0,
-            n * (costs.dir_lookup + costs.bread_per_sample));
+            n * per_sample + handoffs * costs.cross_core_handoff);
+  EXPECT_EQ(a.io_core().busy_ns() - io0, n * frontend);
 }
 
 TEST(PeerCache, PulledCopiesStayInlineWithoutCopyThreads) {
@@ -696,6 +725,53 @@ TEST(PeerCache, RefusedReadAheadPullFallsBackOnce) {
   EXPECT_EQ(s.peer_hits_remote, log.order.size() - 1);
   EXPECT_EQ(a.engine().requests_posted() - posted0, 1u);
   EXPECT_TRUE(a.cache().valid(victim));
+}
+
+TEST(PeerCache, ReadAheadTopsUpWhileAPullFlies) {
+  // The daemon waits on its wake event, never on a pull in flight. The
+  // first units' pulls land while the trainer is away. Then a large
+  // transfer is booked into the holder's NIC, so every later pull's hop
+  // to the holder waits behind it. The first bread's acquire makes one
+  // more unit issuable, whose pulls are held; the second bread's acquire
+  // makes the next one issuable, and the daemon issues it while the held
+  // pulls are still behind the transfer.
+  OneHolderRig rig;
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  auto& a = rig.fleet.instance(0);
+  const std::uint64_t issued0 = a.prefetcher().stats().units_issued;
+  ASSERT_EQ(issued0, rig.fleet.config().prefetch.initial_units);
+  constexpr dlfs::hw::NodeId kStorageNode = 0;
+  constexpr dlfs::hw::NodeId kHolderNode = 2;  // client 1's node
+  bool landed = false;  // the transfer, and so no held pull, has landed
+  rig.sim.spawn(
+      [](dlfs::hw::Fabric& fabric, bool& done) -> Task<void> {
+        co_await fabric.transfer(kStorageNode, kHolderNode, 8_MiB);
+        done = true;
+      }(rig.cluster.fabric(), landed),
+      "bulk-transfer");
+  // Two breads of one read-ahead unit each (units 0 and 1: sample-level
+  // read-ahead fuses 8 consecutive epoch slots into one unit).
+  bool done = false;
+  rig.sim.spawn(
+      [](dlfs::core::DlfsInstance& inst, bool& done) -> Task<void> {
+        std::vector<std::byte> arena(64_KiB);
+        for (int unit = 0; unit < 2; ++unit) {
+          const auto b = co_await inst.bread(8, arena);
+          EXPECT_EQ(b.samples.size(), 8u);
+        }
+        done = true;
+      }(a, done),
+      "two-breads");
+  while (!landed && a.prefetcher().stats().units_issued < issued0 + 2 &&
+         rig.sim.step()) {
+  }
+  rig.sim.rethrow_failures();
+  EXPECT_EQ(a.prefetcher().stats().units_issued, issued0 + 2);
+  EXPECT_FALSE(landed) << "the daemon waited for a held pull to land";
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  EXPECT_TRUE(done);
 }
 
 TEST(PeerCache, ReadWithNoPeerHolderPostsNoPull) {
