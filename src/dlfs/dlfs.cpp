@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -186,20 +185,27 @@ dlsim::Task<void> DlfsInstance::charge_remote_lookup(std::uint16_t slot) {
   co_await io_core_->compute(walk);
 }
 
-dlsim::Task<const SampleEntry*> DlfsInstance::resolve_id_sharded(
+dlsim::Task<DlfsInstance::IdResolution> DlfsInstance::resolve_id(
     std::uint32_t sample_id) {
+  const dlsim::SimDuration walk = fleet_->config_.calibration.dlfs.dir_lookup;
+  // Out-of-range ids take the full directory's path (and its error) in
+  // both modes: the partition map cannot route an id it has no row for.
+  if (view_ == nullptr || sample_id >= fleet_->directory_.num_samples()) {
+    lookup_time_total_ += walk;
+    co_return IdResolution{fleet_->directory_.lookup_id(sample_id), walk};
+  }
   DirectoryView::Resolution r = view_->resolve_id(sample_id);
   if (r.served == DirectoryView::Served::kRemote) {
     co_await charge_remote_lookup(r.owner_slot);
     const SampleEntry* e = fleet_->directory_.lookup_id(sample_id);
     view_->complete_remote(r, e);
-    co_return e;
+    co_return IdResolution{e, 0};
   }
-  // Resident shards did the real tree walk inside resolve_id; cache hits
+  // Resident shards did the real tree walk inside the view; cache hits
   // charge the same local rate (the RPC round trip is the saving, not
   // the probe).
-  co_await charge_lookup();
-  co_return r.entry;
+  lookup_time_total_ += walk;
+  co_return IdResolution{r.entry, walk};
 }
 
 std::uint64_t DlfsInstance::directory_bytes() const {
@@ -253,29 +259,14 @@ dlsim::Task<void> DlfsInstance::injected_done() {
 
 dlsim::Task<std::vector<dlsim::SimDuration>> DlfsInstance::resolve_frontend(
     std::span<const EpochSequence::UnitPicks> picks) {
-  const dlsim::SimDuration walk = fleet_->config_.calibration.dlfs.dir_lookup;
   const dlsim::SimDuration per_sample =
       fleet_->config_.calibration.dlfs.bread_per_sample;
   std::vector<dlsim::SimDuration> cpu;
   for (const auto& pk : picks) {
     for (std::uint32_t i = 0; i < pk.count; ++i) {
-      const std::uint32_t id = pk.unit->samples[pk.first_sample + i].sample_id;
-      bool local = true;  // resolved at the local walk rate
-      if (view_ == nullptr) {
-        (void)fleet_->directory_.lookup_id(id);  // real tree walk
-      } else {
-        // Sharded mount: resident/cached ids stay at the local rate;
-        // foreign ids pay one metadata RPC and fill the lookup cache, so
-        // a steady epoch's bread converges to mostly cache hits.
-        DirectoryView::Resolution r = view_->resolve_id(id);
-        if (r.served == DirectoryView::Served::kRemote) {
-          co_await charge_remote_lookup(r.owner_slot);
-          view_->complete_remote(r, fleet_->directory_.lookup_id(id));
-          local = false;
-        }
-      }
-      if (local) lookup_time_total_ += walk;
-      cpu.push_back((local ? walk : 0) + per_sample);
+      const IdResolution r = co_await resolve_id(
+          pk.unit->samples[pk.first_sample + i].sample_id);
+      cpu.push_back(r.walk + per_sample);
     }
   }
   co_return cpu;
@@ -469,18 +460,14 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
   ExtentOpPtr op = engine_->start_extent(sample_read(sample_id, peer));
   co_await engine_->await_op(*io_core_, op);
   if (op->error()) std::rethrow_exception(op->error());
-  // A landed pull is a run of one sample.
   dlsim::CountdownLatch copied(node_->simulator(), 0);
-  CopyJob run;
-  co_await deliver(std::move(op), dst, &copied, &run);
-  co_await enqueue_run(&run, &copied);
+  co_await deliver(std::move(op), dst, &copied);
   co_await copied.wait();
   co_return true;
 }
 
 dlsim::Task<void> DlfsInstance::deliver(ExtentOpPtr x, std::byte* dst,
-                                        dlsim::CountdownLatch* copies,
-                                        CopyJob* run) {
+                                        dlsim::CountdownLatch* copies) {
   const auto id = static_cast<std::uint32_t>(x->extent.key);
   const std::uint32_t len = fleet_->layout_[id].len;
   CopyJob job;
@@ -489,34 +476,13 @@ dlsim::Task<void> DlfsInstance::deliver(ExtentOpPtr x, std::byte* dst,
   job.dst = dst;
   if (x->extent.cls == HopClass::kPeer) {
     // A landed pull is never cached, so the hit mix holds; its landing
-    // chunk returns to the pool after the copy. It joins the caller's open
-    // run, whose samples sit side by side in the arena, and the caller
-    // sends the run to the copy stage as one job.
-    if (run->owned_pieces.empty()) {
-      *run = std::move(job);
-    } else {
-      assert(run->dst + std::accumulate(run->piece_lens.begin(),
-                                        run->piece_lens.end(),
-                                        std::uint64_t{0}) ==
-             dst);
-      std::move(job.owned_pieces.begin(), job.owned_pieces.end(),
-                std::back_inserter(run->owned_pieces));
-      run->piece_lens.insert(run->piece_lens.end(), job.piece_lens.begin(),
-                             job.piece_lens.end());
-      ++run->samples;
-    }
+    // chunk returns to the pool after the copy.
     ++peer_hits_remote_;
     peer_bytes_ += len;
-    co_return;
+  } else {
+    job.cache_sample_id = id;
   }
-  job.cache_sample_id = id;
   co_await copy_out(std::move(job), copies);
-}
-
-dlsim::Task<void> DlfsInstance::enqueue_run(CopyJob* run,
-                                            dlsim::CountdownLatch* copies) {
-  if (run->owned_pieces.empty()) co_return;
-  co_await copy_out(std::exchange(*run, CopyJob()), copies);
 }
 
 dlsim::Task<void> DlfsInstance::copy_out(CopyJob job,
@@ -561,20 +527,13 @@ dlsim::Task<SampleHandle> DlfsInstance::open(std::string_view name) {
 }
 
 dlsim::Task<SampleHandle> DlfsInstance::open_id(std::uint32_t sample_id) {
-  const SampleEntry* e = nullptr;
-  if (view_ && sample_id < fleet_->directory_.num_samples()) {
-    e = co_await resolve_id_sharded(sample_id);
-  } else {
-    // Out-of-range ids keep the classic path (and its error) in both
-    // modes: the partition map cannot route an id it has no row for.
-    co_await charge_lookup();
-    e = fleet_->directory_.lookup_id(sample_id);
-  }
-  if (e == nullptr) {
+  const IdResolution r = co_await resolve_id(sample_id);
+  if (r.walk > 0) co_await io_core_->compute(r.walk);
+  if (r.entry == nullptr) {
     throw std::invalid_argument("dlfs_open: bad sample id " +
                                 std::to_string(sample_id));
   }
-  co_return SampleHandle{sample_id, e};
+  co_return SampleHandle{sample_id, r.entry};
 }
 
 dlsim::Task<void> DlfsInstance::read(const SampleHandle& h,
@@ -663,7 +622,8 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   co_await maybe_reprobe();
   Batch batch;
   auto picks = seq_->take(max_samples);
-  batch.end_of_epoch = picks.empty();
+  // take(0) returns nothing mid-epoch too.
+  batch.end_of_epoch = picks.empty() && seq_->remaining_samples() == 0;
   if (picks.empty()) co_return batch;
   // The whole batch must fit before the first read or copy is issued: a
   // copy job already queued for an earlier sample would otherwise write
@@ -706,19 +666,10 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   prefetcher_->ensure_issued_through(unit_of(picks.back().unit_slot));
   start_injected();
   dlsim::CountdownLatch copies(node_->simulator(), 0);
-  // Sample-level: the open run of landed pulls, consecutive in the arena
-  // and within one read-ahead unit, sent to copy_out as one job once a
-  // copy thread idles.
-  CopyJob run;
-  std::size_t run_unit = unit_of(picks.front().unit_slot);
   BatchFaults faults;
   std::exception_ptr escaped;
   try {
     for (const auto& pk : picks) {
-      if (unit_of(pk.unit_slot) != run_unit) {
-        co_await enqueue_run(&run, &copies);
-        run_unit = unit_of(pk.unit_slot);
-      }
       // A pick's unit is acquired after its first sample's frontend.
       HeldUnit* hu = nullptr;
       for (std::uint32_t i = 0; i < pk.count; ++i) {
@@ -740,10 +691,7 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
         // the unit's acquire is copied from its pin, and a landed extent
         // goes through the delivery step; a sample with neither (a
         // co-located holder's, or one whose node failed) is a demand read.
-        // A sample delivered any way but as a landed pull ends the open
-        // run.
         if (auto c = hu->cached.find(us.sample_id); c != hu->cached.end()) {
-          co_await enqueue_run(&run, &copies);
           cache_->note_hit();
           CopyJob job;
           job.views = std::move(c->second);
@@ -760,16 +708,10 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
             continue;
           }
           cache_->note_miss();
-          if (x->second->extent.cls != HopClass::kPeer) {
-            co_await enqueue_run(&run, &copies);
-          }
           co_await deliver(std::move(x->second), place(us.sample_id, us.len),
-                           &copies, &run);
-          // A run grows only while every copy thread is busy.
-          if (engine_->copy_thread_idle()) co_await enqueue_run(&run, &copies);
+                           &copies);
           continue;
         }
-        co_await enqueue_run(&run, &copies);
         try {
           const bool served =
               co_await demand_read(us.sample_id, arena.data() + batch.bytes);
@@ -784,10 +726,10 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
       }
     }
   } catch (...) {
+    // Copies already queued still write the arena and count `copies`
+    // down, so they drain before the rethrow.
     escaped = std::current_exception();
   }
-  // The last run, or one a throw left open: its copy drains with the rest.
-  co_await enqueue_run(&run, &copies);
   co_await injected_done();
   co_await copies.wait();
   if (escaped) std::rethrow_exception(escaped);
@@ -829,7 +771,7 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
   co_await maybe_reprobe();
   ViewBatch batch;
   auto picks = seq_->take(max_samples);
-  batch.end_of_epoch = picks.empty();
+  batch.end_of_epoch = picks.empty() && seq_->remaining_samples() == 0;
   if (picks.empty()) co_return batch;
 
   const std::vector<dlsim::SimDuration> frontend =

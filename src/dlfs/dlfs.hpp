@@ -496,11 +496,16 @@ class DlfsInstance {
   }
 
   dlsim::Task<void> charge_lookup();
-  /// Sharded-mount resolution of one sample id, costs included: resident
-  /// and cached ids charge the normal tree walk; foreign ids pay one
-  /// metadata RPC to the owning slot and fill the lookup cache. Must
-  /// only be called with view_ set.
-  dlsim::Task<const SampleEntry*> resolve_id_sharded(std::uint32_t sample_id);
+  struct IdResolution {
+    const SampleEntry* entry = nullptr;  // null: no such id
+    dlsim::SimDuration walk = 0;         // tree walk the caller charges
+  };
+  /// The directory step of one sample id, for open_id and bread's
+  /// frontend: the full directory's tree walk, or on a sharded mount a
+  /// resident or cached id at the same local rate, and a foreign id one
+  /// metadata RPC to its owner (which does the walk; `walk` is 0) that
+  /// fills the lookup cache.
+  dlsim::Task<IdResolution> resolve_id(std::uint32_t sample_id);
   /// One metadata RPC round trip to `slot`'s owner: request capsule,
   /// owner-side tree walk on the target's poller core, reply. Falls back
   /// to a local-rate walk when no transport path is up (the fault paths
@@ -511,11 +516,9 @@ class DlfsInstance {
   dlsim::Task<Batch> bread_unbatched(
       std::span<const EpochSequence::UnitPicks> picks,
       std::span<std::byte> arena);
-  /// The frontend's directory step, for a whole batch before its first
-  /// acquire: the real tree walk of each of `picks`' ids, and on a
-  /// sharded mount one metadata RPC per foreign id. Returns each sample's
-  /// frontend CPU in pick order: the walk when its id resolved at the
-  /// local rate, plus the per-sample accounting.
+  /// The frontend's directory step (resolve_id), for a whole batch before
+  /// its first acquire. Returns each sample's frontend CPU in pick order:
+  /// the walk still to charge, plus the per-sample accounting.
   dlsim::Task<std::vector<dlsim::SimDuration>> resolve_frontend(
       std::span<const EpochSequence::UnitPicks> picks);
   /// Charges `cpu` of frontend work to the I/O core. bread charges each
@@ -566,18 +569,15 @@ class DlfsInstance {
   dlsim::Task<bool> demand_read(std::uint32_t sample_id, std::byte* dst);
   /// The one delivery step of a landed per-sample extent (a demand read,
   /// or a sample-level read-ahead extent the pick loop consumes); `x` is
-  /// its finished op. A pulled sample (still kPeer) is never cached: it
-  /// joins the caller's open `run` of pulls, which must end at `dst`.
-  /// Device bytes go to copy_out and into the sample cache.
+  /// its finished op. Its bytes go to copy_out as one job: device bytes
+  /// then enter the sample cache, and a pulled sample (still kPeer) is
+  /// never cached.
   dlsim::Task<void> deliver(ExtentOpPtr x, std::byte* dst,
-                            dlsim::CountdownLatch* copies, CopyJob* run);
-  /// Sends the open run of landed pulls, if any, to copy_out as one job,
-  /// and leaves `run` empty.
-  dlsim::Task<void> enqueue_run(CopyJob* run, dlsim::CountdownLatch* copies);
-  /// The one way a sample bread copies reaches the copy stage: queued on
-  /// the copy threads, counting `copies` down, or copied inline on the
-  /// I/O core without them. Past the constructor, the instance reads
-  /// `copy_threads` nowhere else.
+                            dlsim::CountdownLatch* copies);
+  /// The one way a sample bread copies reaches the copy stage, one job
+  /// per sample: queued on the copy threads, counting `copies` down, or
+  /// copied inline on the I/O core without them. Past the constructor,
+  /// the instance reads `copy_threads` nowhere else.
   dlsim::Task<void> copy_out(CopyJob job, dlsim::CountdownLatch* copies);
   /// Injected poll-loop compute (Fig. 7b) of one batched read, as a
   /// deadline: start_injected charges `injected_` to the I/O core up

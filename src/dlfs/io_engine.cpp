@@ -64,7 +64,7 @@ dlsim::SimDuration IoEngine::copy_cost(const CopyJob& job) const {
   std::uint64_t bytes = 0;
   for (auto l : job.piece_lens) bytes += l;
   for (const auto& v : job.views) bytes += v.size();
-  return job.samples * cal_->dlfs.completion_handling +
+  return cal_->dlfs.completion_handling +
          dlsim::transfer_time(bytes, cal_->dlfs.copy_bw_bytes_per_sec);
 }
 

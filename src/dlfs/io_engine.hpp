@@ -163,10 +163,8 @@ class ExtentOp {
 
 using ExtentOpPtr = std::shared_ptr<ExtentOp>;
 
-/// Work item on the shared completion queue. One job copies `samples`
-/// samples whose bytes are consecutive at `dst`: one sample's extent, or
-/// a run of landed peer pulls, one piece per sample, that sit side by
-/// side in the arena.
+/// Work item on the shared completion queue: the copy of one sample to
+/// `dst`, one completed request as the paper's copy stage has it.
 struct CopyJob {
   // Either owned pieces (sample-level reads) ...
   std::vector<mem::DmaBuffer> owned_pieces;
@@ -184,9 +182,6 @@ struct CopyJob {
   // job + first-touch misses on the data) once per job and counts the
   // event, so locality shows up in CPU results instead of being free.
   const dlsim::CpuCore* origin = nullptr;
-  // Completions the job handles: each sample pays completion_handling,
-  // inline or on a copy thread.
-  std::uint32_t samples = 1;
 };
 
 /// Piece lengths of a `len`-byte extent split at the chunk size — the
@@ -247,12 +242,6 @@ class IoEngine {
   [[nodiscard]] dlsim::Task<void> await_op(dlsim::CpuCore& core,
                                            ExtentOpPtr op);
 
-  /// A copy thread is parked on an empty SCQ: a job enqueued now starts
-  /// at once. Never true without copy threads.
-  [[nodiscard]] bool copy_thread_idle() const {
-    return scq_->parked_pops() > 0;
-  }
-
   /// Enqueues a copy of landed or resident bytes on the copy-thread pool,
   /// which must exist (copy_threads > 0). The latch is counted down after
   /// the memcpy; a job with `cache_sample_id` then retains its owned
@@ -265,7 +254,7 @@ class IoEngine {
   [[nodiscard]] dlsim::Task<void> run_copy_inline(dlsim::CpuCore& core,
                                                   CopyJob job);
   /// CPU time of one job, inline or on a copy thread before any handoff:
-  /// completion_handling per sample plus the memcpy.
+  /// completion_handling plus the memcpy.
   [[nodiscard]] dlsim::SimDuration copy_cost(const CopyJob& job) const;
 
   /// Called when the pool is exhausted, the sample cache has nothing

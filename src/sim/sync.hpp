@@ -263,8 +263,6 @@ class Channel {
   [[nodiscard]] std::size_t size() const { return items_.size(); }
   [[nodiscard]] bool empty() const { return items_.empty(); }
   [[nodiscard]] bool is_closed() const { return closed_; }
-  /// Consumers parked in pop() that no push has woken yet.
-  [[nodiscard]] std::size_t parked_pops() const { return pop_waiters_.size(); }
 
   [[nodiscard]] Task<void> push(T v) {
     for (;;) {

@@ -253,6 +253,40 @@ TEST(DlfsBread, RequiresSequenceFirst) {
   EXPECT_TRUE(p.failed());
 }
 
+TEST(DlfsBread, ZeroSampleBreadIsNotEndOfEpoch) {
+  // A bread of 0 picks nothing, mid-epoch too. Only an exhausted epoch
+  // order sets end_of_epoch, for the copy and the zero-copy bread alike:
+  // a reader that stops on the flag must not drop the rest of the epoch.
+  DlfsConfig cfg;
+  cfg.batching = BatchingMode::kChunkLevel;
+  Rig rig(1, dlfs::dataset::make_fixed_size_dataset(64, 512), cfg);
+  rig.mount();
+  auto& inst = rig.fleet.instance(0);
+  auto views_end = [&] {
+    bool end = false;
+    rig.sim.spawn([](DlfsInstance& i, bool* end) -> Task<void> {
+      dlfs::core::ViewBatch b = co_await i.bread_views(0);
+      EXPECT_TRUE(b.samples.empty());
+      *end = b.end_of_epoch;
+    }(inst, &end));
+    rig.sim.run();
+    rig.sim.rethrow_failures();
+    return end;
+  };
+  inst.sequence(3);
+  std::vector<std::byte> arena(64 * 512);
+  const Batch none = rig.bread(0, arena);
+  EXPECT_TRUE(none.samples.empty());
+  EXPECT_FALSE(none.end_of_epoch);
+  EXPECT_FALSE(views_end());
+  ASSERT_EQ(inst.epoch_remaining(), 64u);
+  const Batch all = rig.bread(64, arena);
+  EXPECT_EQ(all.samples.size(), 64u);
+  EXPECT_FALSE(all.end_of_epoch);
+  EXPECT_TRUE(rig.bread(0, arena).end_of_epoch);
+  EXPECT_TRUE(views_end());
+}
+
 TEST(DlfsBread, SameSeedReproducesOrder) {
   DlfsConfig cfg;
   cfg.batching = BatchingMode::kChunkLevel;

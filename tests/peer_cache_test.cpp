@@ -6,9 +6,8 @@
 // exactly-once skip accounting when both the peer and the replica route
 // fail. Under sample-level batching a remote pull is a read-ahead unit:
 // the prefetch daemon issues it ahead of the cursor, the engine runs it
-// into a requester pool chunk and the pick loop hands what landed to the
-// copy threads, a run of a read-ahead unit's pulls growing only while
-// every copy thread is busy; an own-cache hit is a job of its own, and
+// into a requester pool chunk and the pick loop hands each landed pull to
+// the copy threads as a job of its own, as it does an own-cache hit, and
 // each pick pays its own lookup just before its acquire. The
 // read-ahead-pull tests pin down the overlap, pulls that land before
 // their bread, the copy jobs' charges and when the first one starts, the
@@ -493,58 +492,28 @@ TEST(PeerCache, PullsLandBeforeTheirBread) {
   EXPECT_LE(took, bound);
 }
 
-TEST(PeerCache, PulledRunsCopyOnTheCopyThreads) {
-  // Client 0's epoch is all remote pulls. A 4 KiB pull copies in less time
-  // than one pick's frontend, so each landed pull the pick loop delivers
-  // finds a copy thread idle and goes to it as a run of one: one
-  // cross-core handoff per pull, completion handling and the memcpy per
-  // sample, and the I/O core is charged only the breads' frontend.
-  OneHolderRig rig;
+/// Client 0's epoch of `bytes`-sized remote pulls on a `OneHolderRig`:
+/// each landed pull the pick loop delivers goes to the copy threads as a
+/// job of its own. The pulls behind the first bread land while the
+/// trainer is away, so its first copy starts as soon as the first pick's
+/// frontend ends. Over the epoch there is one cross-core handoff per
+/// pull, the copy threads are charged completion handling, the memcpy and
+/// the handoff per pull, and the I/O core only the breads' frontend.
+void expect_one_copy_job_per_pull(std::uint32_t bytes) {
+  OneHolderRig rig(bytes);
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
   auto& a = rig.fleet.instance(0);
   ASSERT_EQ(rig.fleet.config().copy_threads, 2u);
   const auto& costs = rig.fleet.config().calibration.dlfs;
   const dlsim::SimDuration frontend = costs.dir_lookup + costs.bread_per_sample;
   const dlsim::SimDuration per_sample =
       costs.completion_handling +
-      dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec);
-  ASSERT_LT(per_sample, frontend);
+      dlsim::transfer_time(bytes, costs.copy_bw_bytes_per_sec);
   const dlsim::SimDuration io0 = a.io_core().busy_ns();
   const dlsim::SimDuration copy0 = a.engine().copy_busy_ns();
   const std::uint64_t handoffs0 = a.engine().cross_core_handoffs();
-  const EpochLog log = read_epoch(a, rig.ds, 16);
-  ASSERT_EQ(log.order.size(), PeerRig::kSamples / 2);
-  EXPECT_TRUE(log.content_ok);
-  const std::uint64_t n = a.stats().peer_hits_remote;
-  ASSERT_EQ(n, log.order.size());
-  const std::uint64_t handoffs = a.engine().cross_core_handoffs() - handoffs0;
-  EXPECT_EQ(handoffs, n);
-  EXPECT_EQ(a.engine().copy_busy_ns() - copy0,
-            n * per_sample + handoffs * costs.cross_core_handoff);
-  EXPECT_EQ(a.io_core().busy_ns() - io0, n * frontend);
-}
-
-TEST(PeerCache, RunsFormOnlyWhileEveryCopyThreadIsBusy) {
-  // A 16 KiB pull copies for longer than two picks' frontends, so from
-  // the third pull of a warm bread on both copy threads are busy, and
-  // landed pulls join the open run until a thread idles: a job carries
-  // more than one pull. The pulls behind the first bread land while the
-  // trainer is away, and its first pull finds a thread idle, so that
-  // copy starts as soon as the first pick's frontend ends.
-  constexpr std::uint32_t kBytes = 16 * 1024;
-  OneHolderRig rig(kBytes);
-  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
-  rig.sim.rethrow_failures();
-  auto& a = rig.fleet.instance(0);
-  const auto& costs = rig.fleet.config().calibration.dlfs;
-  const dlsim::SimDuration frontend = costs.dir_lookup + costs.bread_per_sample;
-  const dlsim::SimDuration per_sample =
-      costs.completion_handling +
-      dlsim::transfer_time(kBytes, costs.copy_bw_bytes_per_sec);
-  ASSERT_GT(per_sample, 2 * frontend);
-  const dlsim::SimDuration io0 = a.io_core().busy_ns();
-  const dlsim::SimDuration copy0 = a.engine().copy_busy_ns();
-  const std::uint64_t handoffs0 = a.engine().cross_core_handoffs();
-  std::vector<std::byte> arena(16 * kBytes);
+  std::vector<std::byte> arena(16 * bytes);
   dlsim::SimDuration took = 0;
   bool done = false;
   const dlsim::SimTime t0 = rig.sim.now();
@@ -564,18 +533,42 @@ TEST(PeerCache, RunsFormOnlyWhileEveryCopyThreadIsBusy) {
   EXPECT_TRUE(log.content_ok);
   const std::uint64_t n = a.stats().peer_hits_remote;
   ASSERT_EQ(n, PeerRig::kSamples / 2);
-  const std::uint64_t handoffs = a.engine().cross_core_handoffs() - handoffs0;
-  EXPECT_LT(handoffs, n);
+  EXPECT_EQ(a.engine().cross_core_handoffs() - handoffs0, n);
   EXPECT_EQ(a.engine().copy_busy_ns() - copy0,
-            n * per_sample + handoffs * costs.cross_core_handoff);
+            n * (per_sample + costs.cross_core_handoff));
   EXPECT_EQ(a.io_core().busy_ns() - io0, n * frontend);
 }
 
+TEST(PeerCache, PulledRunsCopyOnTheCopyThreads) {
+  // A 4 KiB pull copies in less time than one pick's frontend, so each
+  // landed pull finds a copy thread idle: one job and one handoff per
+  // pull, on the copy threads.
+  const auto costs = PeerRig::cfg(640).calibration.dlfs;
+  ASSERT_LT(costs.completion_handling +
+                dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec),
+            costs.dir_lookup + costs.bread_per_sample);
+  expect_one_copy_job_per_pull(4096);
+}
+
+TEST(PeerCache, RunsFormOnlyWhileEveryCopyThreadIsBusy) {
+  // Landed pulls never share a job, not even while every copy thread is
+  // busy, the one case in which a run of them used to form. A 16 KiB pull
+  // copies for longer than two picks' frontends, so from the third pull
+  // of a warm bread on both copy threads are busy and landed pulls wait
+  // on the SCQ, each a job of its own: as many handoffs as pulls.
+  constexpr std::uint32_t kBytes = 16 * 1024;
+  const auto costs = PeerRig::cfg(640).calibration.dlfs;
+  ASSERT_GT(costs.completion_handling +
+                dlsim::transfer_time(kBytes, costs.copy_bw_bytes_per_sec),
+            2 * (costs.dir_lookup + costs.bread_per_sample));
+  expect_one_copy_job_per_pull(kBytes);
+}
+
 TEST(PeerCache, PulledCopiesStayInlineWithoutCopyThreads) {
-  // With no copy threads each run of landed pulls is copied on the I/O
-  // core as one job, paying completion handling and the memcpy per
-  // sample, and nothing crosses cores. So is each own-cache hit: when
-  // client 0 is the holder, its whole epoch is served from its own cache.
+  // With no copy threads each landed pull is copied on the I/O core as a
+  // job of its own, paying completion handling and the memcpy, and
+  // nothing crosses cores. So is each own-cache hit: when client 0 is the
+  // holder, its whole epoch is served from its own cache.
   for (const std::uint32_t holder : {1u, 0u}) {
     auto c = PeerRig::cfg(640);
     c.copy_threads = 0;
@@ -661,10 +654,10 @@ TEST(PeerCache, WarmBreadBeatsSerialInlineCopies) {
 
 TEST(PeerCache, FirstCopyStartsBeforeTheLastLookup) {
   // The pulls behind the first bread land while the trainer is away. Each
-  // pick pays its own lookup just before its acquire, so the first
-  // read-ahead unit's run of pulls reaches the copy threads while later
-  // picks are still being looked up: the copy threads start before the 16
-  // lookups of the whole batch could have finished.
+  // pick pays its own lookup just before its acquire, so the first landed
+  // pull reaches the copy threads while later picks are still being
+  // looked up: the copy threads start before the 16 lookups of the whole
+  // batch could have finished.
   OneHolderRig rig;
   rig.sim.run_watchdog(rig.sim.now() + 1_sec);
   rig.sim.rethrow_failures();
