@@ -163,14 +163,8 @@ DlfsInstance::~DlfsInstance() {
   if (cache_) cache_->set_residency_listener({});
 }
 
-dlsim::Task<void> DlfsInstance::charge_lookup() {
-  lookup_time_total_ += fleet_->config_.calibration.dlfs.dir_lookup;
-  co_await io_core_->compute(fleet_->config_.calibration.dlfs.dir_lookup);
-}
-
 dlsim::Task<void> DlfsInstance::charge_remote_lookup(std::uint16_t slot) {
   const dlsim::SimDuration walk = fleet_->config_.calibration.dlfs.dir_lookup;
-  lookup_time_total_ += walk;
   spdk::NvmfTarget* t =
       slot < fleet_->targets_.size() ? fleet_->targets_[slot].get() : nullptr;
   if (t != nullptr && t->accepting()) {
@@ -185,27 +179,29 @@ dlsim::Task<void> DlfsInstance::charge_remote_lookup(std::uint16_t slot) {
   co_await io_core_->compute(walk);
 }
 
-dlsim::Task<DlfsInstance::IdResolution> DlfsInstance::resolve_id(
-    std::uint32_t sample_id) {
+dlsim::Task<DlfsInstance::Resolved> DlfsInstance::resolve(
+    const SampleEntry* entry, std::optional<DirectoryView::Resolution> r) {
   const dlsim::SimDuration walk = fleet_->config_.calibration.dlfs.dir_lookup;
+  lookup_time_total_ += walk;
+  if (!r || r->served != DirectoryView::Served::kRemote) {
+    // Client-held state answers: the RPC round trip is the saving, not
+    // the probe, so a cache hit costs the local walk too.
+    co_return Resolved{entry, walk};
+  }
+  co_await charge_remote_lookup(r->owner_slot);
+  view_->complete_remote(*r, entry);
+  co_return Resolved{entry, 0};
+}
+
+dlsim::Task<DlfsInstance::Resolved> DlfsInstance::resolve_id(
+    std::uint32_t sample_id) {
+  const SampleEntry* e = fleet_->directory_.lookup_id(sample_id);
   // Out-of-range ids take the full directory's path (and its error) in
   // both modes: the partition map cannot route an id it has no row for.
   if (view_ == nullptr || sample_id >= fleet_->directory_.num_samples()) {
-    lookup_time_total_ += walk;
-    co_return IdResolution{fleet_->directory_.lookup_id(sample_id), walk};
+    co_return co_await resolve(e, std::nullopt);
   }
-  DirectoryView::Resolution r = view_->resolve_id(sample_id);
-  if (r.served == DirectoryView::Served::kRemote) {
-    co_await charge_remote_lookup(r.owner_slot);
-    const SampleEntry* e = fleet_->directory_.lookup_id(sample_id);
-    view_->complete_remote(r, e);
-    co_return IdResolution{e, 0};
-  }
-  // Resident shards did the real tree walk inside the view; cache hits
-  // charge the same local rate (the RPC round trip is the saving, not
-  // the probe).
-  lookup_time_total_ += walk;
-  co_return IdResolution{r.entry, walk};
+  co_return co_await resolve(e, view_->resolve_id(sample_id));
 }
 
 std::uint64_t DlfsInstance::directory_bytes() const {
@@ -264,7 +260,7 @@ dlsim::Task<std::vector<dlsim::SimDuration>> DlfsInstance::resolve_frontend(
   std::vector<dlsim::SimDuration> cpu;
   for (const auto& pk : picks) {
     for (std::uint32_t i = 0; i < pk.count; ++i) {
-      const IdResolution r = co_await resolve_id(
+      const Resolved r = co_await resolve_id(
           pk.unit->samples[pk.first_sample + i].sample_id);
       cpu.push_back(r.walk + per_sample);
     }
@@ -499,35 +495,22 @@ dlsim::Task<void> DlfsInstance::copy_out(CopyJob job,
 }
 
 dlsim::Task<SampleHandle> DlfsInstance::open(std::string_view name) {
-  const SampleEntry* e = nullptr;
-  if (view_) {
-    DirectoryView::Resolution r = view_->resolve_name(name);
-    if (r.served == DirectoryView::Served::kRemote) {
-      co_await charge_remote_lookup(r.owner_slot);
-      e = fleet_->directory_.lookup(name);
-      view_->complete_remote(r, e);
-    } else {
-      // kLocal / kCached / kNegative all answer from client-held state;
-      // a negative hit in particular spares the repeat RPC for a name
-      // the owner already reported absent.
-      co_await charge_lookup();
-      e = r.entry;
-    }
-  } else {
-    co_await charge_lookup();
-    e = fleet_->directory_.lookup(name);
-  }
-  if (e == nullptr) {
+  std::optional<DirectoryView::Resolution> from_view;
+  if (view_) from_view = view_->resolve_name(name);
+  const Resolved r =
+      co_await resolve(fleet_->directory_.lookup(name), from_view);
+  if (r.walk > 0) co_await io_core_->compute(r.walk);
+  if (r.entry == nullptr) {
     throw std::invalid_argument("dlfs_open: no such sample '" +
                                 std::string(name) + "'");
   }
   const auto id = fleet_->sample_id_of(name);
   assert(id.has_value());
-  co_return SampleHandle{*id, e};
+  co_return SampleHandle{*id, r.entry};
 }
 
 dlsim::Task<SampleHandle> DlfsInstance::open_id(std::uint32_t sample_id) {
-  const IdResolution r = co_await resolve_id(sample_id);
+  const Resolved r = co_await resolve_id(sample_id);
   if (r.walk > 0) co_await io_core_->compute(r.walk);
   if (r.entry == nullptr) {
     throw std::invalid_argument("dlfs_open: bad sample id " +
@@ -730,7 +713,10 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
     // down, so they drain before the rethrow.
     escaped = std::current_exception();
   }
+  // With its last frontend charged, the I/O core copies the jobs still on
+  // the SCQ itself and waits only for those a copy thread holds.
   co_await injected_done();
+  co_await engine_->drain_copies(*io_core_);
   co_await copies.wait();
   if (escaped) std::rethrow_exception(escaped);
   if (faults.fatal) std::rethrow_exception(faults.fatal);

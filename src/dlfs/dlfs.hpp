@@ -495,17 +495,21 @@ class DlfsInstance {
     return epoch_slot / group_;
   }
 
-  dlsim::Task<void> charge_lookup();
-  struct IdResolution {
-    const SampleEntry* entry = nullptr;  // null: no such id
+  struct Resolved {
+    const SampleEntry* entry = nullptr;  // null: no such sample
     dlsim::SimDuration walk = 0;         // tree walk the caller charges
   };
-  /// The directory step of one sample id, for open_id and bread's
-  /// frontend: the full directory's tree walk, or on a sharded mount a
-  /// resident or cached id at the same local rate, and a foreign id one
-  /// metadata RPC to its owner (which does the walk; `walk` is 0) that
-  /// fills the lookup cache.
-  dlsim::Task<IdResolution> resolve_id(std::uint32_t sample_id);
+  /// The directory step of one sample, by id or by name: `entry` is the
+  /// full directory's answer and `r` the sharded mount's view of the key
+  /// (none on a full mount). The full directory, a resident shard or a
+  /// cached row, negative ones included, cost a local tree walk, which
+  /// the caller charges; a foreign key costs one metadata RPC to its
+  /// owner (which does the walk; `walk` is 0), whose answer fills the
+  /// view's caches.
+  dlsim::Task<Resolved> resolve(const SampleEntry* entry,
+                                std::optional<DirectoryView::Resolution> r);
+  /// resolve for one sample id, for open_id and bread's frontend.
+  dlsim::Task<Resolved> resolve_id(std::uint32_t sample_id);
   /// One metadata RPC round trip to `slot`'s owner: request capsule,
   /// owner-side tree walk on the target's poller core, reply. Falls back
   /// to a local-rate walk when no transport path is up (the fault paths
@@ -575,9 +579,11 @@ class DlfsInstance {
   dlsim::Task<void> deliver(ExtentOpPtr x, std::byte* dst,
                             dlsim::CountdownLatch* copies);
   /// The one way a sample bread copies reaches the copy stage, one job
-  /// per sample: queued on the copy threads, counting `copies` down, or
-  /// copied inline on the I/O core without them. Past the constructor,
-  /// the instance reads `copy_threads` nowhere else.
+  /// per sample: queued on the SCQ, counting `copies` down, for a copy
+  /// thread or, once bread's last frontend is charged, the I/O core
+  /// (IoEngine::drain_copies); or copied inline on the I/O core without
+  /// copy threads. Past the constructor, the instance reads
+  /// `copy_threads` nowhere else.
   dlsim::Task<void> copy_out(CopyJob job, dlsim::CountdownLatch* copies);
   /// Injected poll-loop compute (Fig. 7b) of one batched read, as a
   /// deadline: start_injected charges `injected_` to the I/O core up

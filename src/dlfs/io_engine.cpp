@@ -100,30 +100,7 @@ dlsim::Task<void> IoEngine::copy_thread_loop(std::size_t idx) {
   for (;;) {
     auto job = co_await scq_->pop();
     if (!job) co_return;
-    // Batched SCQ drain: after the blocking pop, grab this thread's share
-    // of the jobs already queued behind it in the same acquisition —
-    // leaving the rest for the sibling copy threads — instead of a
-    // park/wake round-trip through the channel per job. Per-job costs
-    // (handling per sample + memcpy time) are still charged individually
-    // so the timeline of each copy is unchanged.
-    std::vector<CopyJob> batch;
-    batch.push_back(std::move(*job));
-    std::size_t extra = scq_->size() / copy_cores_.size();
-    while (extra > 0) {
-      auto more = scq_->try_pop();
-      if (!more) break;
-      batch.push_back(std::move(*more));
-      --extra;
-    }
-    for (CopyJob& j : batch) {
-      dlsim::SimDuration cost = copy_cost(j);
-      if (j.origin != nullptr && j.origin != &core) {
-        core.note_cross_core_handoff();
-        cost += cal_->dlfs.cross_core_handoff;
-      }
-      co_await core.compute(cost);
-      do_copy(j);
-    }
+    co_await run_copy_inline(core, std::move(*job));
   }
 }
 
@@ -132,9 +109,22 @@ dlsim::Task<void> IoEngine::enqueue_copy(CopyJob job) {
   co_await scq_->push(std::move(job));
 }
 
+dlsim::Task<void> IoEngine::drain_copies(dlsim::CpuCore& core) {
+  for (;;) {
+    std::optional<CopyJob> job = scq_->try_pop();
+    if (!job) co_return;
+    co_await run_copy_inline(core, std::move(*job));
+  }
+}
+
 dlsim::Task<void> IoEngine::run_copy_inline(dlsim::CpuCore& core,
                                             CopyJob job) {
-  co_await core.compute(copy_cost(job));
+  dlsim::SimDuration cost = copy_cost(job);
+  if (job.origin != nullptr && job.origin != &core) {
+    core.note_cross_core_handoff();
+    cost += cal_->dlfs.cross_core_handoff;
+  }
+  co_await core.compute(cost);
   do_copy(job);
 }
 

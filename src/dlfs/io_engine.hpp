@@ -10,8 +10,9 @@
 //   poll  — busy-poll completion queues; every harvested piece lands in
 //           its extent's pool chunk
 //   copy  — a pool of copy threads drains the shared completion queue
-//           (SCQ) and memcpys sample data from the huge-page chunks to the
-//           application buffer
+//           (SCQ), one job per pop, and memcpys sample data from the
+//           huge-page chunks to the application buffer; the core that
+//           queued the jobs may drain them too (drain_copies)
 //
 // Reads are modeled as *extent operations* (ExtentOp): start_extents()
 // splits each extent into chunk-sized pieces and queues them; await_op()
@@ -28,7 +29,8 @@
 // The pump runs *in the awaiting coroutine* (the paper drives DLFS with
 // one I/O thread on one core; that core is charged for all prep, post,
 // poll and completion-handling work it performs). Copy threads are
-// separate daemons with their own cores.
+// separate daemons with their own cores; a copy job pays the cross-core
+// handoff only when a core other than the one that queued it runs it.
 
 #include <algorithm>
 #include <cstdint>
@@ -177,10 +179,10 @@ struct CopyJob {
   // unpinned as soon as its bytes are copied.
   std::optional<std::size_t> unpin_sample_id{};
   dlsim::CountdownLatch* latch = nullptr;
-  // Core that produced the job. A copy thread running on a different
-  // core pays the cross-core handoff cost (cache-line transfer of the
-  // job + first-touch misses on the data) once per job and counts the
-  // event, so locality shows up in CPU results instead of being free.
+  // Core that produced the job. A core other than this one that runs the
+  // job (a copy thread) pays the cross-core handoff cost (cache-line
+  // transfer of the job + first-touch misses on the data) once and counts
+  // the event, so locality shows up in CPU results instead of being free.
   const dlsim::CpuCore* origin = nullptr;
 };
 
@@ -249,8 +251,14 @@ class IoEngine {
   /// `unpin_sample_id` has already released its pin.
   [[nodiscard]] dlsim::Task<void> enqueue_copy(CopyJob job);
 
-  /// Copy-stage work executed inline when copy_threads == 0; exposed so
-  /// the API layer can account hits identically.
+  /// Runs queued copy jobs on `core` until the SCQ is empty; a job a copy
+  /// thread already holds is left to it. The I/O core calls this once a
+  /// batch has queued its last job, so it copies instead of idling on the
+  /// batch's latch. Without copy threads the SCQ is always empty.
+  [[nodiscard]] dlsim::Task<void> drain_copies(dlsim::CpuCore& core);
+  /// The one step that runs a copy job on `core`, for the copy threads,
+  /// drain_copies and the copies made without the SCQ: copy_cost, plus
+  /// the cross-core handoff when `core` is not the job's origin.
   [[nodiscard]] dlsim::Task<void> run_copy_inline(dlsim::CpuCore& core,
                                                   CopyJob job);
   /// CPU time of one job, inline or on a copy thread before any handoff:

@@ -400,25 +400,39 @@ TEST(DlfsBread, DeviceReadsEqualDeliveredBytes) {
 
 TEST(DlfsBread, ReadAheadCopiesCountHandoffs) {
   // Every SCQ copy job records the core that produced it, so a copy
-  // thread draining one pays the cross-core handoff. On a cold one-client
-  // epoch every sample is a prefetched copy, whichever batching mode
-  // planned it.
+  // thread running one pays the cross-core handoff, and the I/O core,
+  // which copies the jobs still queued once a bread's last frontend is
+  // charged, pays none. On a cold one-client epoch every sample is a
+  // prefetched copy, whichever batching mode planned it: the copy threads
+  // run n - k of the n jobs, each with a handoff, and the I/O core the
+  // other k.
   for (const BatchingMode mode :
        {BatchingMode::kSampleLevel, BatchingMode::kChunkLevel}) {
+    SCOPED_TRACE(mode == BatchingMode::kSampleLevel ? "sample-level"
+                                                    : "chunk-level");
     DlfsConfig cfg;
     cfg.batching = mode;
     cfg.copy_threads = 2;
     Rig rig(1, dlfs::dataset::make_fixed_size_dataset(256, 4096), cfg);
     rig.mount();
     auto& inst = rig.fleet.instance(0);
+    const auto& costs = rig.fleet.config().calibration.dlfs;
     inst.sequence(3);
     const EpochLog res = read_epoch(inst, rig.ds, 32);
     ASSERT_EQ(res.order.size(), 256u);
     EXPECT_TRUE(res.content_ok);
     const auto s = inst.stats();
-    EXPECT_EQ(s.cross_core_handoffs, s.samples_delivered)
-        << (mode == BatchingMode::kSampleLevel ? "sample" : "chunk")
-        << "-level";
+    const std::uint64_t n = s.samples_delivered;
+    const dlsim::SimDuration on_thread =
+        costs.completion_handling +
+        dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec) +
+        costs.cross_core_handoff;
+    const dlsim::SimDuration copy_busy = inst.engine().copy_busy_ns();
+    ASSERT_LE(copy_busy, n * on_thread);
+    const std::uint64_t k = n - copy_busy / on_thread;
+    EXPECT_EQ(copy_busy, (n - k) * on_thread);
+    EXPECT_EQ(s.cross_core_handoffs, n - k);
+    EXPECT_EQ(s.bytes_copied, n * 4096);
   }
 }
 
@@ -588,13 +602,18 @@ TEST(DlfsBread, InjectedComputeWaitsOutLookupsAndInlineCopies) {
 TEST(DlfsBread, ChunkLevelCopiesOverlapLookups) {
   // A chunk-level bread looks each sample up just before its copy, so the
   // copy threads drain earlier samples while later lookups run on the I/O
-  // core. A copy job is shorter than a lookup, so a bread of 32 landed
-  // samples ends one copy job after its last lookup.
+  // core. A copy job is shorter than a lookup, so each finds a copy thread
+  // idle, but the last one is still on the SCQ when the last lookup ends:
+  // the I/O core copies it itself, with no handoff (k = 1 of the n = 32
+  // jobs), and the bread of 32 landed samples ends one copy after its
+  // last lookup.
   LandedChunkRig rig(512, 2);
   auto& inst = rig.fleet.instance(0);
   const auto& costs = rig.fleet.config().calibration.dlfs;
   std::vector<std::byte> arena(32 * 512);
   const dlsim::SimDuration busy0 = inst.io_core().busy_ns();
+  const dlsim::SimDuration copy0 = inst.engine().copy_busy_ns();
+  const std::uint64_t handoffs0 = inst.engine().cross_core_handoffs();
   dlsim::SimDuration took = 0;
   const Batch batch = rig.bread(32, arena, &took);
   ASSERT_EQ(batch.samples.size(), 32u);
@@ -604,14 +623,18 @@ TEST(DlfsBread, ChunkLevelCopiesOverlapLookups) {
         std::span<const std::byte>(arena.data() + s.offset_in_arena, s.len)))
         << "sample " << s.sample_id;
   }
-  const dlsim::SimDuration lookups =
-      32 * (costs.dir_lookup + costs.bread_per_sample);
-  const dlsim::SimDuration last_copy =
+  constexpr std::uint64_t n = 32;
+  constexpr std::uint64_t k = 1;
+  const dlsim::SimDuration frontend = costs.dir_lookup + costs.bread_per_sample;
+  const dlsim::SimDuration copy =
       costs.completion_handling +
-      dlsim::transfer_time(512, costs.copy_bw_bytes_per_sec) +
-      costs.cross_core_handoff;
-  EXPECT_EQ(inst.io_core().busy_ns() - busy0, lookups);
-  EXPECT_EQ(took, lookups + last_copy);
+      dlsim::transfer_time(512, costs.copy_bw_bytes_per_sec);
+  EXPECT_EQ(inst.engine().cross_core_handoffs() - handoffs0, n - k);
+  EXPECT_EQ(inst.engine().copy_busy_ns() - copy0,
+            (n - k) * (copy + costs.cross_core_handoff));
+  EXPECT_EQ(inst.io_core().busy_ns() - busy0, n * frontend + k * copy);
+  // 32 lookups of 750 ns, then the last copy's 214 ns.
+  EXPECT_EQ(took, 24'214);
 }
 
 TEST(DlfsBread, ChunkLevelCopiesInlineWithoutCopyThreads) {

@@ -7,15 +7,16 @@
 // fail. Under sample-level batching a remote pull is a read-ahead unit:
 // the prefetch daemon issues it ahead of the cursor, the engine runs it
 // into a requester pool chunk and the pick loop hands each landed pull to
-// the copy threads as a job of its own, as it does an own-cache hit, and
-// each pick pays its own lookup just before its acquire. The
+// the SCQ as a job of its own, as it does an own-cache hit, and each pick
+// pays its own lookup just before its acquire. A copy thread runs a job,
+// or the I/O core does once its bread's last lookup is charged. The
 // read-ahead-pull tests pin down the overlap, pulls that land before
-// their bread, the copy jobs' charges and when the first one starts, the
-// holder's serve queue, QoS grants, a daemon that tops the window up
-// while a pull flies, the device failover of a refused pull, and that no
-// holder pin or landing chunk outlives its pull. A demand read issues
-// the same extent: a pull when only a remote peer holds the sample, else
-// the device, with no home RPC.
+// their bread, the copy jobs' charges, when the first one starts and
+// which core runs the last ones, the holder's serve queue, QoS grants, a
+// daemon that tops the window up while a pull flies, the device failover
+// of a refused pull, and that no holder pin or landing chunk outlives its
+// pull. A demand read issues the same extent: a pull when only a remote
+// peer holds the sample, else the device, with no home RPC.
 
 #include <gtest/gtest.h>
 
@@ -493,12 +494,15 @@ TEST(PeerCache, PullsLandBeforeTheirBread) {
 }
 
 /// Client 0's epoch of `bytes`-sized remote pulls on a `OneHolderRig`:
-/// each landed pull the pick loop delivers goes to the copy threads as a
-/// job of its own. The pulls behind the first bread land while the
-/// trainer is away, so its first copy starts as soon as the first pick's
-/// frontend ends. Over the epoch there is one cross-core handoff per
-/// pull, the copy threads are charged completion handling, the memcpy and
-/// the handoff per pull, and the I/O core only the breads' frontend.
+/// each landed pull the pick loop delivers goes to the SCQ as a job of
+/// its own. The pulls behind the first bread land while the trainer is
+/// away, so its first copy starts on a copy thread as soon as the first
+/// pick's frontend ends. Once a bread's last frontend is charged, the I/O
+/// core runs the jobs still queued. Over the epoch's n pulls the I/O core
+/// runs k jobs: the copy threads pay n - k handoffs and are charged
+/// completion handling, the memcpy and the handoff for each of their
+/// jobs, and the I/O core the breads' frontend plus completion handling
+/// and the memcpy for each of its k.
 void expect_one_copy_job_per_pull(std::uint32_t bytes) {
   OneHolderRig rig(bytes);
   rig.sim.run_watchdog(rig.sim.now() + 1_sec);
@@ -533,16 +537,19 @@ void expect_one_copy_job_per_pull(std::uint32_t bytes) {
   EXPECT_TRUE(log.content_ok);
   const std::uint64_t n = a.stats().peer_hits_remote;
   ASSERT_EQ(n, PeerRig::kSamples / 2);
-  EXPECT_EQ(a.engine().cross_core_handoffs() - handoffs0, n);
+  const dlsim::SimDuration io = a.io_core().busy_ns() - io0;
+  ASSERT_GE(io, n * frontend);
+  const std::uint64_t k = (io - n * frontend) / per_sample;
+  EXPECT_EQ(io, n * frontend + k * per_sample);
+  EXPECT_EQ(a.engine().cross_core_handoffs() - handoffs0, n - k);
   EXPECT_EQ(a.engine().copy_busy_ns() - copy0,
-            n * (per_sample + costs.cross_core_handoff));
-  EXPECT_EQ(a.io_core().busy_ns() - io0, n * frontend);
+            (n - k) * (per_sample + costs.cross_core_handoff));
 }
 
 TEST(PeerCache, PulledRunsCopyOnTheCopyThreads) {
   // A 4 KiB pull copies in less time than one pick's frontend, so each
-  // landed pull finds a copy thread idle: one job and one handoff per
-  // pull, on the copy threads.
+  // landed pull finds a copy thread idle: one job per pull, and one
+  // handoff for each job a copy thread runs.
   const auto costs = PeerRig::cfg(640).calibration.dlfs;
   ASSERT_LT(costs.completion_handling +
                 dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec),
@@ -555,13 +562,57 @@ TEST(PeerCache, RunsFormOnlyWhileEveryCopyThreadIsBusy) {
   // busy, the one case in which a run of them used to form. A 16 KiB pull
   // copies for longer than two picks' frontends, so from the third pull
   // of a warm bread on both copy threads are busy and landed pulls wait
-  // on the SCQ, each a job of its own: as many handoffs as pulls.
+  // on the SCQ, each a job of its own: one handoff for each job a copy
+  // thread runs, and none for those the I/O core runs.
   constexpr std::uint32_t kBytes = 16 * 1024;
   const auto costs = PeerRig::cfg(640).calibration.dlfs;
   ASSERT_GT(costs.completion_handling +
                 dlsim::transfer_time(kBytes, costs.copy_bw_bytes_per_sec),
             2 * (costs.dir_lookup + costs.bread_per_sample));
   expect_one_copy_job_per_pull(kBytes);
+}
+
+TEST(PeerCache, IoCoreRunsQueuedCopiesAfterItsLastFrontend) {
+  // A warm bread of 16 landed 16 KiB pulls. A copy (2,198 ns, plus a
+  // 200 ns handoff on a copy thread) outlasts two picks' frontends (750 ns
+  // each), so the two copy threads fall behind: when the last frontend
+  // ends at 12,000 ns they have started jobs 0-9, and jobs 10-15 are
+  // queued. The I/O core then runs queued jobs too, with no handoff, and
+  // waits only for those a copy thread holds: it runs jobs 10 and 13, the
+  // copy threads 11, 12, 14 and 15, and the bread ends when job 15 does,
+  // at 18,286 ns. With the copy threads alone it would end at 20,684 ns.
+  constexpr std::uint32_t kBytes = 16 * 1024;
+  OneHolderRig rig(kBytes);
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  auto& a = rig.fleet.instance(0);
+  ASSERT_EQ(rig.fleet.config().copy_threads, 2u);
+  const auto& costs = rig.fleet.config().calibration.dlfs;
+  const dlsim::SimDuration frontend = costs.dir_lookup + costs.bread_per_sample;
+  const dlsim::SimDuration per_sample =
+      costs.completion_handling +
+      dlsim::transfer_time(kBytes, costs.copy_bw_bytes_per_sec);
+  const dlsim::SimDuration io0 = a.io_core().busy_ns();
+  const dlsim::SimDuration copy0 = a.engine().copy_busy_ns();
+  const std::uint64_t handoffs0 = a.engine().cross_core_handoffs();
+  std::vector<std::byte> arena(16 * kBytes);
+  dlsim::SimDuration took = 0;
+  bool done = false;
+  rig.sim.spawn(timed_bread(rig.sim, a, arena, took, done), "timed-bread");
+  rig.sim.run_watchdog(rig.sim.now() + 1_sec);
+  rig.sim.rethrow_failures();
+  ASSERT_TRUE(done);
+  constexpr std::uint64_t n = 16;
+  ASSERT_EQ(a.stats().peer_hits_remote, n);
+  const dlsim::SimDuration io = a.io_core().busy_ns() - io0;
+  ASSERT_GE(io, n * frontend);
+  const std::uint64_t k = (io - n * frontend) / per_sample;
+  EXPECT_EQ(io, n * frontend + k * per_sample);
+  EXPECT_GE(k, 1u);
+  EXPECT_EQ(a.engine().cross_core_handoffs() - handoffs0, n - k);
+  EXPECT_EQ(a.engine().copy_busy_ns() - copy0,
+            (n - k) * (per_sample + costs.cross_core_handoff));
+  EXPECT_EQ(took, 18'286);
 }
 
 TEST(PeerCache, PulledCopiesStayInlineWithoutCopyThreads) {
@@ -599,9 +650,11 @@ TEST(PeerCache, PulledCopiesStayInlineWithoutCopyThreads) {
 TEST(PeerCache, OwnCacheHitsCopyOnTheCopyThreads) {
   // One client whose cache holds the whole dataset: its warm epoch is all
   // own-cache hits. Each is pinned at its read-ahead unit's acquire and
-  // copied from the pin by the SCQ copy threads as a job of its own, so
-  // the I/O core is charged only the breads' frontend, and the copy
-  // threads completion handling, the memcpy and one handoff per hit.
+  // copied from the pin as an SCQ job of its own: by a copy thread, or by
+  // the I/O core once its bread's last frontend is charged. With k of the
+  // n jobs on the I/O core, it is charged the breads' frontend plus
+  // completion handling and the memcpy of its k, and the copy threads
+  // those and one handoff for each of the other n - k.
   PeerRig rig(2, /*clients=*/{1}, /*storage=*/{0}, PeerRig::cfg(640));
   auto& a = rig.fleet.instance(0);
   fill_holder(rig, a);
@@ -618,13 +671,17 @@ TEST(PeerCache, OwnCacheHitsCopyOnTheCopyThreads) {
   ASSERT_EQ(log.order.size(), n);
   EXPECT_TRUE(log.content_ok);
   EXPECT_EQ(a.stats().cache_hits - hits0, n);
-  EXPECT_EQ(a.engine().cross_core_handoffs() - handoffs0, n);
-  EXPECT_EQ(a.io_core().busy_ns() - io0,
-            n * (costs.dir_lookup + costs.bread_per_sample));
+  const dlsim::SimDuration frontend = costs.dir_lookup + costs.bread_per_sample;
+  const dlsim::SimDuration per_sample =
+      costs.completion_handling +
+      dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec);
+  const dlsim::SimDuration io = a.io_core().busy_ns() - io0;
+  ASSERT_GE(io, n * frontend);
+  const std::uint64_t k = (io - n * frontend) / per_sample;
+  EXPECT_EQ(io, n * frontend + k * per_sample);
+  EXPECT_EQ(a.engine().cross_core_handoffs() - handoffs0, n - k);
   EXPECT_EQ(a.engine().copy_busy_ns() - copy0,
-            n * (costs.completion_handling +
-                 dlsim::transfer_time(4096, costs.copy_bw_bytes_per_sec) +
-                 costs.cross_core_handoff));
+            (n - k) * (per_sample + costs.cross_core_handoff));
   expect_caches_drain(rig.fleet);
 }
 
