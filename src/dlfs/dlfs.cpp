@@ -53,6 +53,16 @@ bool is_node_fault(const std::exception_ptr& err) {
   }
 }
 
+/// A copy job of a pinned cache entry's bytes to `dst`: it holds the pin
+/// until they are copied.
+CopyJob pinned_copy(CachePin pin, std::byte* dst) {
+  CopyJob job;
+  job.views = std::move(pin.spans);
+  job.hold = std::move(pin.bytes);
+  job.dst = dst;
+  return job;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -182,7 +192,7 @@ dlsim::Task<void> DlfsInstance::charge_remote_lookup(std::uint16_t slot) {
 dlsim::Task<DlfsInstance::Resolved> DlfsInstance::resolve(
     const SampleEntry* entry, std::optional<DirectoryView::Resolution> r) {
   const dlsim::SimDuration walk = fleet_->config_.calibration.dlfs.dir_lookup;
-  lookup_time_total_ += walk;
+  stats_.lookup_time_total += walk;
   if (!r || r->served != DirectoryView::Served::kRemote) {
     // Client-held state answers: the RPC round trip is the saving, not
     // the probe, so a cache hit costs the local walk too.
@@ -215,11 +225,6 @@ dlsim::Task<void> DlfsInstance::maybe_reprobe() {
   // A node that answers again reports up through the node-down handler,
   // which reissues the read-ahead that failed while it was down.
   (void)co_await engine_->reprobe_down_nodes(*io_core_);
-}
-
-std::vector<RouteHop> DlfsInstance::sample_routes(
-    std::uint32_t sample_id) const {
-  return fleet_->directory_.replicas(sample_id);
 }
 
 bool DlfsInstance::node_up(std::uint16_t nid) const {
@@ -310,16 +315,15 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
     } else {
       std::vector<ExtentOpPtr> ops =
           co_await prefetcher_->acquire(slot, *io_core_);
-      std::vector<std::uint32_t> issued;
       // Read-ahead faults surface here, on the bread that owns the unit.
       // A node fault leaves the bytes to recovery (chunk units) or to the
       // demand read (samples); a media error stays fatal, and a chunk
       // unit that hit one settles empty.
       for (ExtentOpPtr& op : ops) {
-        issued.push_back(static_cast<std::uint32_t>(op->extent.key));
         if (op->error() && is_node_fault(op->error())) continue;
         if (!chunk_mode) {
-          hu->samples.emplace(issued.back(), std::move(op));
+          hu->samples.emplace(static_cast<std::uint32_t>(op->extent.key),
+                              std::move(op));
         } else if (op->error()) {
           faults->note(op->error());
           co_return hu;
@@ -327,7 +331,6 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
           hu->chunk = op->take_buffers();
         }
       }
-      if (!chunk_mode) co_await read_elided(begin, end, std::move(issued), hu);
     }
   }
   if (!chunk_mode || !hu->chunk.empty()) co_return hu;
@@ -343,8 +346,9 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
     }
     reads.push_back(sample_read(id, PeerServe::kNone));
   }
-  std::vector<ExtentOpPtr> ops = co_await read_together(std::move(reads));
+  std::vector<ExtentOpPtr> ops = engine_->start_extents(std::move(reads));
   for (ExtentOpPtr& op : ops) {
+    co_await engine_->await_op(*io_core_, op);
     if (op->error()) {
       faults->note(op->error());
     } else {
@@ -353,48 +357,6 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
     }
   }
   co_return hu;
-}
-
-dlsim::Task<std::vector<ExtentOpPtr>> DlfsInstance::read_together(
-    std::vector<ReadExtent> reads) {
-  std::vector<ExtentOpPtr> ops = engine_->start_extents(std::move(reads));
-  for (const ExtentOpPtr& op : ops) co_await engine_->await_op(*io_core_, op);
-  co_return ops;
-}
-
-dlsim::Task<void> DlfsInstance::read_elided(std::size_t begin,
-                                            std::size_t end,
-                                            std::vector<std::uint32_t> issued,
-                                            HeldUnit* hu) {
-  // Read-ahead skipped a sample the cache or a co-located holder had at
-  // issue time. One the cache still holds stays pinned until its pick;
-  // one that is gone now gets its sample_read, and every such read is
-  // posted before any is awaited.
-  using enum PeerServe;
-  std::vector<ReadExtent> reads;
-  for (std::size_t s = begin; s < end; ++s) {
-    const std::uint32_t id = seq_->unit_at(s)->samples.front().sample_id;
-    if (std::ranges::find(issued, id) != issued.end()) continue;
-    if (cache_->valid(id)) {
-      hu->cached.emplace(id, cache_->pin(id));
-      continue;
-    }
-    const PeerServe peer = peer_route(id);
-    if (peer == kLocal || (peer == kNone && !sample_reachable(id))) continue;
-    reads.push_back(sample_read(id, peer));
-  }
-  if (reads.empty()) co_return;
-  std::vector<ExtentOpPtr> ops = co_await read_together(std::move(reads));
-  for (ExtentOpPtr& op : ops) {
-    // As for read-ahead, a node fault is left to the demand read, and a
-    // failed op's landed chunks go back to the pool.
-    if (op->error()) {
-      if (is_node_fault(op->error())) continue;
-      (void)op->take_buffers();
-    }
-    hu->samples.emplace(static_cast<std::uint32_t>(op->extent.key),
-                        std::move(op));
-  }
 }
 
 std::vector<std::span<const std::byte>> DlfsInstance::held_views(
@@ -412,10 +374,7 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
                                             std::byte* dst) {
   if (cache_->valid(sample_id)) {
     cache_->note_hit();
-    CopyJob job;
-    job.views = cache_->pin(sample_id);
-    job.unpin_sample_id = sample_id;
-    job.dst = dst;
+    CopyJob job = pinned_copy(cache_->pin(sample_id), dst);
     occupy_io_core(engine_->copy_cost(job));
     co_await engine_->run_copy_inline(*io_core_, std::move(job));
     co_return true;
@@ -425,37 +384,37 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
   using enum PeerServe;
   const PeerServe peer = peer_route(sample_id);
   if (peer == kNone && !sample_reachable(sample_id)) co_return false;
-  cache_->note_miss();
-  const SampleLocation& loc = fleet_->layout_[sample_id];
   if (peer == kLocal) {
     // A holder on this node has its resident copy one pin plus one DRAM
     // copy away: no fabric, and no tenant admission (same treatment as
     // own-cache hits: host-memory copies never compete with other tenants
     // for the devices or the wire).
+    cache_->note_miss();
     const std::uint32_t h =
         fleet_->peer_directory_->find(sample_id, client_idx_, peer_node())
             .client;
-    SampleCache& holder = *fleet_->instances_[h]->cache_;
-    CopyJob job;
-    job.views = holder.pin(sample_id);
-    job.dst = dst;
-    assert(!job.views.empty());
+    CopyJob job =
+        pinned_copy(fleet_->instances_[h]->cache_->pin(sample_id), dst);
+    assert(job.hold != nullptr);
     const dlsim::SimDuration serve =
         fleet_->config_.calibration.dlfs.peer_serve;
     occupy_io_core(serve + engine_->copy_cost(job));
     co_await io_core_->compute(serve);
     co_await engine_->run_copy_inline(*io_core_, std::move(job));
-    holder.unpin(sample_id);
-    ++peer_hits_local_;
-    peer_bytes_ += loc.len;
+    ++stats_.peer_hits_local;
+    stats_.peer_bytes += fleet_->layout_[sample_id].len;
     co_return true;
   }
   // Otherwise the extent read-ahead would issue: a pull from the remote
   // holder, then the device, then its replicas — or the device and its
-  // replicas — with every failover inside the engine.
+  // replicas — with every failover inside the engine. deliver counts the
+  // miss of a landed one.
   ExtentOpPtr op = engine_->start_extent(sample_read(sample_id, peer));
   co_await engine_->await_op(*io_core_, op);
-  if (op->error()) std::rethrow_exception(op->error());
+  if (op->error()) {
+    cache_->note_miss();
+    std::rethrow_exception(op->error());
+  }
   dlsim::CountdownLatch copied(node_->simulator(), 0);
   co_await deliver(std::move(op), dst, &copied);
   co_await copied.wait();
@@ -464,6 +423,12 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
 
 dlsim::Task<void> DlfsInstance::deliver(ExtentOpPtr x, std::byte* dst,
                                         dlsim::CountdownLatch* copies) {
+  if (x->extent.cls == HopClass::kCache) {
+    cache_->note_hit();
+    co_await copy_out(pinned_copy(x->take_pin(), dst), copies);
+    co_return;
+  }
+  cache_->note_miss();
   const auto id = static_cast<std::uint32_t>(x->extent.key);
   const std::uint32_t len = fleet_->layout_[id].len;
   CopyJob job;
@@ -473,8 +438,8 @@ dlsim::Task<void> DlfsInstance::deliver(ExtentOpPtr x, std::byte* dst,
   if (x->extent.cls == HopClass::kPeer) {
     // A landed pull is never cached, so the hit mix holds; its landing
     // chunk returns to the pool after the copy.
-    ++peer_hits_remote_;
-    peer_bytes_ += len;
+    ++stats_.peer_hits_remote;
+    stats_.peer_bytes += len;
   } else {
     job.cache_sample_id = id;
   }
@@ -527,8 +492,8 @@ dlsim::Task<void> DlfsInstance::read(const SampleHandle& h,
   }
   const bool served = co_await demand_read(h.sample_id, dst.data());
   if (!served) throw IoError(e.nid(), e.offset(), IoErrorKind::kNodeDown);
-  ++samples_delivered_;
-  bytes_delivered_ += e.len();
+  ++stats_.samples_delivered;
+  stats_.bytes_delivered += e.len();
 }
 
 void DlfsInstance::sequence(std::uint64_t seed) {
@@ -540,7 +505,6 @@ void DlfsInstance::sequence(std::uint64_t seed) {
     }
   }
   seq_.emplace(*fleet_->plan_, seed, client_idx_, fleet_->num_clients());
-  for (auto& [slot, hu] : held_) unpin_cached(hu);
   held_.clear();
   reprobe_pending_ = true;  // epoch boundary: revalidate down nodes once
   if (fleet_->config_.batching == BatchingMode::kNone) {
@@ -561,7 +525,8 @@ void DlfsInstance::sequence(std::uint64_t seed) {
 
 ReadExtent DlfsInstance::sample_read(std::uint32_t id, PeerServe peer) const {
   const SampleLocation& loc = fleet_->layout_[id];
-  return ReadExtent{loc.nid, loc.offset, loc.len, id, sample_routes(id),
+  return ReadExtent{loc.nid, loc.offset, loc.len, id,
+                    fleet_->directory_.replicas(id),
                     peer == PeerServe::kPull ? HopClass::kPeer
                                              : HopClass::kStorage};
 }
@@ -587,9 +552,15 @@ std::vector<ReadExtent> DlfsInstance::unit_reads(std::size_t slot) const {
       out.push_back(sample_read(id, PeerServe::kNone));
       continue;
     }
-    // A resident sample is served from the cache at pick time, and one a
-    // co-located peer holds is copied from it: don't read either ahead.
-    if (cache_->valid(id)) continue;
+    // A resident sample is pinned now and copied from the cache at its
+    // pick. One a co-located peer holds is copied from it by the pick's
+    // demand read: don't read it ahead.
+    if (cache_->valid(id)) {
+      const SampleLocation& loc = fleet_->layout_[id];
+      out.push_back(ReadExtent{loc.nid, loc.offset, loc.len, id, {},
+                               HopClass::kCache});
+      continue;
+    }
     const PeerServe peer = peer_route(id);
     if (peer == PeerServe::kLocal) continue;
     out.push_back(sample_read(id, peer));
@@ -670,27 +641,15 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
           co_await copy_out(std::move(job), &copies);
           continue;
         }
-        // Sample-level (a pick is one sample): a sample the cache held at
-        // the unit's acquire is copied from its pin, and a landed extent
-        // goes through the delivery step; a sample with neither (a
-        // co-located holder's, or one whose node failed) is a demand read.
-        if (auto c = hu->cached.find(us.sample_id); c != hu->cached.end()) {
-          cache_->note_hit();
-          CopyJob job;
-          job.views = std::move(c->second);
-          job.unpin_sample_id = us.sample_id;
-          job.dst = place(us.sample_id, us.len);
-          hu->cached.erase(c);
-          co_await copy_out(std::move(job), &copies);
-          continue;
-        }
-        auto x = hu->samples.find(us.sample_id);
-        if (x != hu->samples.end() && !cache_->valid(us.sample_id)) {
+        // Sample-level (a pick is one sample): the op its unit holds for
+        // it, a cache pin or a landed extent, goes through the delivery
+        // step; a sample with none (a co-located holder's, or one whose
+        // node failed) is a demand read.
+        if (auto x = hu->samples.find(us.sample_id); x != hu->samples.end()) {
           if (x->second->error()) {
             faults.note(x->second->error());
             continue;
           }
-          cache_->note_miss();
           co_await deliver(std::move(x->second), place(us.sample_id, us.len),
                            &copies);
           continue;
@@ -724,23 +683,16 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
     maybe_release_unit(unit_of(pk.unit_slot));
   }
   batch.samples_skipped = faults.skipped;
-  samples_skipped_ += batch.samples_skipped;
-  samples_delivered_ += batch.samples.size();
-  bytes_delivered_ += batch.bytes;
+  stats_.samples_skipped += batch.samples_skipped;
+  stats_.samples_delivered += batch.samples.size();
+  stats_.bytes_delivered += batch.bytes;
   co_return batch;
-}
-
-void DlfsInstance::unpin_cached(HeldUnit& hu) {
-  for (const auto& [id, views] : hu.cached) cache_->unpin(id);
-  hu.cached.clear();
 }
 
 void DlfsInstance::maybe_release_unit(std::size_t slot) {
   auto it = held_.find(slot);
   if (it != held_.end() && it->second.remaining == 0 &&
       it->second.view_pins == 0) {
-    // A pick a throw cut short leaves its later samples' pins behind.
-    unpin_cached(it->second);
     held_.erase(it);
   }
 }
@@ -790,7 +742,7 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
       vs.sample_id = us.sample_id;
       vs.class_id = fleet_->dataset_->sample(us.sample_id).class_id;
       vs.len = us.len;
-      bytes_zero_copy_ += us.len;
+      stats_.bytes_zero_copy += us.len;
       batch.bytes += us.len;
       batch.samples.push_back(std::move(vs));
       // Handing out a view costs no extra CPU: the frontend's
@@ -800,9 +752,9 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
   }
   batch.samples_skipped = faults.skipped;
   batch.token = 1;
-  samples_delivered_ += batch.samples.size();
-  samples_skipped_ += batch.samples_skipped;
-  bytes_delivered_ += batch.bytes;
+  stats_.samples_delivered += batch.samples.size();
+  stats_.samples_skipped += batch.samples_skipped;
+  stats_.bytes_delivered += batch.bytes;
   co_return batch;
 }
 
@@ -849,7 +801,7 @@ dlsim::Task<Batch> DlfsInstance::bread_unbatched(
       batch.bytes += us.len;
     }
   }
-  samples_skipped_ += batch.samples_skipped;
+  stats_.samples_skipped += batch.samples_skipped;
   co_return batch;
 }
 

@@ -411,29 +411,18 @@ class DlfsInstance {
   /// the partition map + resident shards + lookup caches in kSharded.
   [[nodiscard]] std::uint64_t directory_bytes() const;
 
-  /// One consolidated snapshot of the delivery and prefetch counters.
+  /// One consolidated snapshot of the delivery and prefetch counters:
+  /// this instance's own, plus those its engine, prefetcher, cache and
+  /// directory view keep.
   [[nodiscard]] InstanceStats stats() const {
-    InstanceStats s;
-    s.samples_delivered = samples_delivered_;
-    s.samples_skipped = samples_skipped_;
-    s.bytes_delivered = bytes_delivered_;
-    s.lookup_time_total = lookup_time_total_;
+    InstanceStats s = stats_;
     s.bytes_copied = engine_->bytes_copied();
-    s.bytes_zero_copy = bytes_zero_copy_;
     for (const auto& [slot, hu] : held_) s.view_pins_active += hu.view_pins;
     s.cross_core_handoffs = engine_->cross_core_handoffs();
     s.prefetch = prefetcher_->stats();
-    s.nodes_declared_dead = nodes_declared_dead_;
-    s.samples_rereplicated = samples_rereplicated_;
-    s.repair_bytes = repair_bytes_;
-    s.repair_throttles = repair_throttles_;
     s.qos_deferrals = engine_->qos_deferrals();
     if (view_) s.directory = view_->stats();
     s.directory_bytes = directory_bytes();
-    s.peer_hits_local = peer_hits_local_;
-    s.peer_hits_remote = peer_hits_remote_;
-    s.peer_misses = peer_misses_;
-    s.peer_bytes = peer_bytes_;
     s.cache_hits = cache_->hits();
     s.cache_misses = cache_->misses();
     s.io_retries = engine_->retries();
@@ -455,20 +444,13 @@ class DlfsInstance {
     std::vector<mem::DmaBuffer> chunk;
     // Sample-level units, and chunk units degraded by a node fault:
     // per-sample finished ops keyed by sample id. A sample-level op may
-    // carry a stored media error instead of buffers.
+    // carry a stored media error instead of buffers, or hold the cache
+    // pin read-ahead took at issue (kCache) until its pick.
     std::unordered_map<std::uint32_t, ExtentOpPtr> samples;
-    // Sample-level units: the cache's pinned views of each sample the
-    // cache held at the unit's first acquire, keyed by sample id. The
-    // pick that delivers the sample hands the pin to its copy job, which
-    // releases it once the bytes are copied.
-    std::unordered_map<std::uint32_t, std::vector<std::span<const std::byte>>>
-        cached;
     std::uint32_t remaining = 0;  // samples not yet delivered
     std::uint32_t view_pins = 0;  // live ViewBatches referencing this unit
   };
   struct BatchFaults;
-  /// Releases the cache pins of the unit's samples no pick delivered.
-  void unpin_cached(HeldUnit& hu);
   void maybe_release_unit(std::size_t slot);
 
   /// Where a peer cache serves a sample the local cache lacks, as the
@@ -481,14 +463,15 @@ class DlfsInstance {
   /// The one extent that reads sample `id`, keyed by the id: its device
   /// extent with the replicas as failover routes, or for kPull a pull of
   /// its bytes from a peer's DRAM that, refused, reads them instead.
-  /// Read-ahead, read_elided, demand_read and the degraded chunk recovery
-  /// all issue it.
+  /// Read-ahead, demand_read and the degraded chunk recovery all issue
+  /// it.
   [[nodiscard]] ReadExtent sample_read(std::uint32_t id, PeerServe peer) const;
   /// The prefetcher's UnitReads: the extents of prefetch unit `slot` worth
   /// fetching at call time. A chunk unit is one extent keyed by its epoch
-  /// slot. Under sample-level batching a sample the cache or a co-located
-  /// peer holds is skipped, and one only a remote peer holds is pulled;
-  /// chunk mode's edge samples skip nothing and take no peer probe.
+  /// slot. Under sample-level batching a sample the cache holds is a
+  /// kCache extent, which the engine pins at issue; one a co-located peer
+  /// holds is skipped, and one only a remote peer holds is pulled. Chunk
+  /// mode's edge samples skip nothing and take no peer probe.
   [[nodiscard]] std::vector<ReadExtent> unit_reads(std::size_t slot) const;
   /// The prefetch unit covering epoch slot `epoch_slot`.
   [[nodiscard]] std::size_t unit_of(std::size_t epoch_slot) const {
@@ -533,49 +516,33 @@ class DlfsInstance {
   dlsim::Task<void> charge_frontend(dlsim::SimDuration cpu);
   /// The acquire step of bread and bread_views: holds the prefetch unit
   /// behind `pk` in held_, acquiring it from the daemon on first touch.
-  /// A sample-level unit's first acquire also pins what read-ahead elided
-  /// and the cache still holds, and reads what it has lost since
-  /// (read_elided). A chunk unit degraded by a node fault re-reads the
-  /// pick's samples from their replicas (or the recovered primary) into
-  /// its per-sample extents, all of them read together (read_together).
+  /// A chunk unit degraded by a node fault re-reads the pick's samples
+  /// from their replicas (or the recovered primary) into its per-sample
+  /// extents, every read posted before the first is awaited, so their
+  /// round trips overlap (opportunistic batching, as read-ahead has it).
   /// Unreachable samples and faults land in `*faults`: a node fault is a
   /// skip, a media error is fatal.
   dlsim::Task<HeldUnit*> acquire_pick(EpochSequence::UnitPicks pk,
                                       BatchFaults* faults);
-  /// Posts every one of `reads` with one start_extents, then awaits each
-  /// op on the I/O core, so their device and fabric round trips overlap
-  /// (opportunistic batching, as bread's read-ahead has it). Returns the
-  /// finished ops in `reads`' order; each caller routes their faults.
-  dlsim::Task<std::vector<ExtentOpPtr>> read_together(
-      std::vector<ReadExtent> reads);
-  /// Part of a sample-level unit's first acquire: a sample of epoch slots
-  /// [begin, end) that read-ahead never `issued` (the cache or a
-  /// co-located holder had it) is pinned into `hu->cached` when the cache
-  /// holds it now, so no eviction turns it into a demand read before its
-  /// pick. One that neither holds now gets its sample_read, and all of
-  /// them are read together (read_together). The finished ops join
-  /// `hu->samples`; a node fault is left to the demand read.
-  dlsim::Task<void> read_elided(std::size_t begin, std::size_t end,
-                                std::vector<std::uint32_t> issued,
-                                HeldUnit* hu);
   /// Spans of one picked sample's bytes in its held chunk-level unit:
   /// the chunk window, or the sample's own extent once the unit degraded.
   /// Empty when the sample has no bytes (skipped, or a media fault).
   [[nodiscard]] std::vector<std::span<const std::byte>> held_views(
       const HeldUnit& hu, const UnitSample& us) const;
   /// The demand read of one sample into `dst` (read(), DLFS-Base, and a
-  /// sample-level pick with no landed extent and no pin): the sample
-  /// cache, then a holder on this node, else its sample_read (a pull from
-  /// a remote holder, else the device, each failing over inside the
+  /// sample-level pick whose unit holds no op for it): the sample cache,
+  /// then a holder on this node, else its sample_read (a pull from a
+  /// remote holder, else the device, each failing over inside the
   /// engine), awaited on the I/O core and delivered. False when no peer
   /// serves it and no copy is reachable; an extent that fails throws its
   /// IoError.
   dlsim::Task<bool> demand_read(std::uint32_t sample_id, std::byte* dst);
-  /// The one delivery step of a landed per-sample extent (a demand read,
-  /// or a sample-level read-ahead extent the pick loop consumes); `x` is
-  /// its finished op. Its bytes go to copy_out as one job: device bytes
-  /// then enter the sample cache, and a pulled sample (still kPeer) is
-  /// never cached.
+  /// The one delivery step of a finished per-sample extent (a demand
+  /// read, or any op a sample-level unit holds for its pick), counting
+  /// one cache hit or miss. Its bytes go to copy_out as one job: a kCache
+  /// op's job holds its pin until the bytes are copied, device bytes then
+  /// enter the sample cache, and a pulled sample (still kPeer) is never
+  /// cached.
   dlsim::Task<void> deliver(ExtentOpPtr x, std::byte* dst,
                             dlsim::CountdownLatch* copies);
   /// The one way a sample bread copies reaches the copy stage, one job
@@ -602,9 +569,6 @@ class DlfsInstance {
   /// sequence(), the first batch of the epoch revalidates down nodes
   /// once and retries read-ahead that failed while they were down.
   dlsim::Task<void> maybe_reprobe();
-  /// Replica failover list for a sample (empty without replication).
-  [[nodiscard]] std::vector<RouteHop> sample_routes(
-      std::uint32_t sample_id) const;
   /// True when the sample's primary or any replica node is reachable.
   [[nodiscard]] bool sample_reachable(std::uint32_t sample_id) const;
 
@@ -614,15 +578,15 @@ class DlfsInstance {
     return static_cast<std::uint16_t>(node_->id());
   }
   /// The one cost-free peer probe, asked by unit_reads at issue time and
-  /// by read_elided and demand_read: kLocal for a holder on this node,
+  /// by demand_read: kLocal for a holder on this node,
   /// kPull for a holder only on another node when the sample fits one
   /// pool chunk, kNone otherwise.
   [[nodiscard]] PeerServe peer_route(std::uint32_t sample_id) const;
   /// The engine's peer puller (IoEngine::PeerPuller), run by its own
   /// process for every pull, demand or read-ahead: request hop to the
   /// sample's home client, forward hop, holder pin, the holder's queued
-  /// serve and the bulk send into `into`. The holder is unpinned when the
-  /// bytes land; a refusal counts one peer miss.
+  /// serve and the bulk send into `into`. The holder's cache pin drops
+  /// when the pull returns; a refusal counts one peer miss.
   [[nodiscard]] dlsim::Task<bool> pull_from_peer(std::uint32_t sample_id,
                                                  std::uint32_t len,
                                                  mem::DmaBuffer* into);
@@ -674,15 +638,11 @@ class DlfsInstance {
   std::unordered_map<std::size_t, HeldUnit> held_;
   dlsim::SimDuration injected_ = 0;
   dlsim::SimTime injected_end_ = 0;  // see start_injected
-  std::uint64_t samples_delivered_ = 0;
-  std::uint64_t bytes_delivered_ = 0;
-  std::uint64_t samples_skipped_ = 0;
-  // Bytes handed out as views into resident chunks (no copy stage ran).
-  std::uint64_t bytes_zero_copy_ = 0;
+  // The counters this instance keeps itself; stats() fills in the rest.
+  InstanceStats stats_;
   // Set by sequence(); the next bread revalidates down nodes once, so a
   // recovered storage node rejoins at the epoch boundary.
   bool reprobe_pending_ = false;
-  dlsim::SimDuration lookup_time_total_ = 0;
   // --- self-healing replication state --------------------------------------
   // The repair daemon runs on its own core (repairs never steal frontend
   // cycles) and parks on repair_wake_ when the backlog is empty, so the
@@ -699,19 +659,11 @@ class DlfsInstance {
   // Budget pacing: simulated time before which the next repair may not
   // start (advanced by bytes/budget per repaired sample).
   dlsim::SimTime repair_next_allowed_ = 0;
-  std::uint64_t nodes_declared_dead_ = 0;
-  std::uint64_t samples_rereplicated_ = 0;
-  std::uint64_t repair_bytes_ = 0;
-  std::uint64_t repair_throttles_ = 0;
   // --- cooperative peer cache state ----------------------------------------
   // Remote pulls of this instance's cached samples are served on io_core_
   // one at a time, booked like a NIC pipe: a serve starts at
   // max(now, peer_serve_free_).
   dlsim::SimTime peer_serve_free_ = 0;
-  std::uint64_t peer_hits_local_ = 0;
-  std::uint64_t peer_hits_remote_ = 0;
-  std::uint64_t peer_misses_ = 0;
-  std::uint64_t peer_bytes_ = 0;
 };
 
 /// RAII holder for a zero-copy batch: releases the pinned units when the

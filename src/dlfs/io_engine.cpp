@@ -87,7 +87,7 @@ void IoEngine::do_copy(CopyJob& job) {
     copied += v.size();
   }
   bytes_copied_ += copied;
-  if (job.unpin_sample_id) cache_->unpin(*job.unpin_sample_id);
+  job.hold.reset();
   if (job.cache_sample_id && !job.owned_pieces.empty()) {
     cache_->insert(*job.cache_sample_id, std::move(job.owned_pieces),
                    std::move(job.piece_lens));
@@ -257,6 +257,14 @@ std::vector<ExtentOpPtr> IoEngine::start_extents(
   std::vector<ExtentOpPtr> ops;
   ops.reserve(extents.size());
   for (auto& x : extents) {
+    if (x.cls == HopClass::kCache) {
+      auto op = std::make_shared<ExtentOp>(std::move(x));
+      op->pin_ = cache_->pin(op->extent.key);
+      assert(op->pin_.bytes);
+      op->finished_ = true;
+      ops.push_back(std::move(op));
+      continue;
+    }
     if (x.cls == HopClass::kPeer) {
       assert(peer_puller_ && x.len <= config_.chunk_bytes);
     } else if (x.nid >= targets_.size() || targets_[x.nid] == nullptr) {
@@ -415,7 +423,10 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, ExtentOpPtr until) {
         }
         if (pool_->free_chunks() == 0 && !to_post_.front().buffer.valid()) {
           bool freed = cache_->evict_lru_one();
-          if (!freed && pressure_reliever_) freed = pressure_reliever_();
+          // A shed unit frees its chunks, or unpins cache entries.
+          while (!freed && pressure_reliever_ && pressure_reliever_()) {
+            freed = pool_->free_chunks() > 0 || cache_->evict_lru_one();
+          }
           if (!freed) {
             if (in_flight_.empty() && scq_->empty() && delayed_.empty() &&
                 pulls_ == 0) {

@@ -116,6 +116,7 @@ struct ReadExtent {
   std::vector<RouteHop> routes{};
   // kPeer: a pull of sample `key` out of a peer's DRAM into one pool
   // chunk, whose refusal turns the extent into a read of (nid, offset).
+  // kCache: a pin of sample `key` in the engine's cache, taken at issue.
   HopClass cls = HopClass::kStorage;
   // Direction. Write extents (start_write) carry their payload in the
   // piece buffers instead of allocating them at post time; they have no
@@ -153,6 +154,10 @@ class ExtentOp {
     return std::move(buffers_);
   }
 
+  /// A kCache extent's pin, held from issue until taken or the op drops.
+  /// Transfers ownership; call once.
+  [[nodiscard]] CachePin take_pin() { return std::move(pin_); }
+
  private:
   friend class IoEngine;
   bool finished_ = false;
@@ -161,6 +166,7 @@ class ExtentOp {
   std::uint32_t pieces_total_ = 0;
   std::uint32_t pieces_done_ = 0;
   std::vector<mem::DmaBuffer> buffers_;  // placed by piece index
+  CachePin pin_{};
 };
 
 using ExtentOpPtr = std::shared_ptr<ExtentOp>;
@@ -175,9 +181,9 @@ struct CopyJob {
   std::vector<std::span<const std::byte>> views;
   std::byte* dst = nullptr;
   std::optional<std::size_t> cache_sample_id{};
-  // The sample cache entry `views` point into, pinned by the caller:
-  // unpinned as soon as its bytes are copied.
-  std::optional<std::size_t> unpin_sample_id{};
+  // What keeps `views`' bytes alive, when the job must (a CachePin's
+  // bytes): dropped as soon as they are copied.
+  std::shared_ptr<const void> hold{};
   dlsim::CountdownLatch* latch = nullptr;
   // Core that produced the job. A core other than this one that runs the
   // job (a copy thread) pays the cross-core handoff cost (cache-line
@@ -217,7 +223,8 @@ class IoEngine {
   /// Splits the extents into chunk-sized pieces and queues them for
   /// posting. Nothing is submitted until some coroutine drives the pump
   /// via await_op() — posting, polling and completion handling are
-  /// charged to whichever cores await.
+  /// charged to whichever cores await. A kCache extent is pinned in the
+  /// cache, which must hold its sample, and finishes at once.
   [[nodiscard]] std::vector<ExtentOpPtr> start_extents(
       std::vector<ReadExtent> extents);
   [[nodiscard]] ExtentOpPtr start_extent(ReadExtent extent);
@@ -246,9 +253,9 @@ class IoEngine {
 
   /// Enqueues a copy of landed or resident bytes on the copy-thread pool,
   /// which must exist (copy_threads > 0). The latch is counted down after
-  /// the memcpy; a job with `cache_sample_id` then retains its owned
-  /// pieces in the sample cache (V bit set), and one with
-  /// `unpin_sample_id` has already released its pin.
+  /// the memcpy; a job has by then dropped its `hold`, and one with
+  /// `cache_sample_id` has retained its owned pieces in the sample cache
+  /// (V bit set).
   [[nodiscard]] dlsim::Task<void> enqueue_copy(CopyJob job);
 
   /// Runs queued copy jobs on `core` until the SCQ is empty; a job a copy
@@ -267,9 +274,10 @@ class IoEngine {
 
   /// Called when the pool is exhausted, the sample cache has nothing
   /// evictable, and a read still needs chunks. Returns true if the
-  /// callback freed at least one chunk (the prefetcher sheds its farthest
-  /// read-ahead unit); false lets the pump fall through to the livelock
-  /// guard.
+  /// callback shed something (the prefetcher's farthest read-ahead unit:
+  /// its chunks, or the cache pins it held), and the pump tries the pool
+  /// and the cache again; false lets the pump fall through to the
+  /// livelock guard.
   void set_pressure_reliever(std::function<bool()> reliever) {
     pressure_reliever_ = std::move(reliever);
   }

@@ -31,7 +31,7 @@ dlsim::Task<bool> DlfsInstance::pull_from_peer(std::uint32_t sample_id,
   const std::shared_ptr<TenantHandle>& tenant = fleet_->tenant_;
   const auto refuse = [&] {
     if (tenant) tenant->cancel_admit(len);
-    ++peer_misses_;
+    ++stats_.peer_misses;
     return false;
   };
   const PeerCacheDirectory& dir = *fleet_->peer_directory_;
@@ -62,13 +62,12 @@ dlsim::Task<bool> DlfsInstance::pull_from_peer(std::uint32_t sample_id,
         co_await fabric.send(home_node, holder_node, hw::kControlMessageBytes);
     if (!forwarded) co_return refuse();
   }
-  // Pin the holder's entry. The fabric hops above suspended, so the
-  // holder may have evicted (and retracted) meanwhile — an empty pin is
-  // that race, answered with a miss reply.
+  // Pin the holder's entry until the pull returns. The fabric hops above
+  // suspended, so the holder may have evicted (and retracted) meanwhile —
+  // an empty pin is that race, answered with a miss reply.
   DlfsInstance& holder = *fleet_->instances_[h.client];
-  const std::vector<std::span<const std::byte>> views =
-      holder.cache_->pin(sample_id);
-  if (views.empty()) {
+  const CachePin pin = holder.cache_->pin(sample_id);
+  if (!pin.bytes) {
     co_await fabric.transfer(holder_node, me, hw::kControlMessageBytes);
     co_return refuse();
   }
@@ -87,11 +86,10 @@ dlsim::Task<bool> DlfsInstance::pull_from_peer(std::uint32_t sample_id,
     // The one-sided bulk send wrote the requester's chunk: place the
     // bytes there (no CPU charge on either side).
     std::byte* out = into->data();
-    for (const auto& v : views) out = std::copy(v.begin(), v.end(), out);
+    for (const auto& v : pin.spans) out = std::copy(v.begin(), v.end(), out);
   } else {
-    ++peer_misses_;
+    ++stats_.peer_misses;
   }
-  holder.cache_->unpin(sample_id);
   co_return delivered;
 }
 

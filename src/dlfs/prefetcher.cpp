@@ -55,14 +55,15 @@ void Prefetcher::start_epoch(std::size_t units, UnitReads reads) {
 std::uint64_t Prefetcher::extents_chunks(const std::vector<ReadExtent>& xs,
                                          std::uint64_t chunk_bytes) {
   std::uint64_t n = 0;
-  for (const auto& x : xs) n += ceil_div(x.len, chunk_bytes);
+  for (const auto& x : xs) {
+    if (x.cls != HopClass::kCache) n += ceil_div(x.len, chunk_bytes);
+  }
   return n;
 }
 
 void Prefetcher::issue_entry(std::size_t slot, std::vector<ReadExtent> xs) {
   Entry e;
   e.slot = slot;
-  e.chunks = extents_chunks(xs, chunk_bytes_);
   e.ops = engine_->start_extents(std::move(xs));
   {
     // Read-ahead lands at the back; a shed unit demanded again lands at
@@ -140,12 +141,13 @@ ExtentOpPtr Prefetcher::oldest_unfinished() {
 }
 
 bool Prefetcher::relieve_pressure() {
-  // Shed the farthest resident, unconsumed unit: its chunks unblock
-  // demand I/O now, and the consumer demand-fetches it again when the
-  // cursor gets there. Entries being awaited (pinned) and unfinished ones
-  // (chunks still in flight) cannot yield memory.
+  // Shed the farthest resident, unconsumed unit: its chunks, and the
+  // cache entries its pins held, unblock demand I/O now, and the consumer
+  // demand-fetches it again when the cursor gets there. Entries being
+  // awaited (pinned) and unfinished ones (chunks still in flight) cannot
+  // yield memory.
   auto is_candidate = [](const Entry& e) {
-    if (e.pinned || e.chunks == 0) return false;
+    if (e.pinned || e.ops.empty()) return false;
     return std::ranges::all_of(e.ops, [](const ExtentOpPtr& op) {
       return op->finished() && !op->error();
     });

@@ -38,7 +38,7 @@
 //     the engine invokes the pressure reliever — pool exhausted and
 //     SampleCache::evict_lru_one() found nothing to yield — in which case
 //     the farthest resident, unconsumed unit is dropped and its chunks
-//     returned.
+//     returned, or the cache entries its pins held made evictable.
 //
 // Failure model: a prefetched extent's IoError is stored on its ExtentOp
 // and handed back *per op* by acquire() — the daemon never dies on a
@@ -113,13 +113,14 @@ class Prefetcher {
   /// or a stored error; a failed op's landed chunks are dropped), waiting
   /// — and pumping the engine on `consumer_core` — only if the unit is
   /// not fully resident yet. Consumption must be in slot order. Extents
-  /// `reads` elided at issue time (e.g. already cache-resident samples)
-  /// are simply absent.
+  /// `reads` elided at issue time (samples a co-located peer holds) are
+  /// simply absent.
   [[nodiscard]] dlsim::Task<std::vector<ExtentOpPtr>> acquire(
       std::size_t slot, dlsim::CpuCore& consumer_core);
 
   /// Engine pressure callback: drops the farthest resident unconsumed
-  /// unit and shrinks the window. Returns true if chunks were freed.
+  /// unit and shrinks the window. Returns true if it dropped one: its
+  /// chunks are free, and the cache entries it pinned are evictable.
   bool relieve_pressure();
 
   /// Engine refusal callback: a refused pull's device read needs the
@@ -143,13 +144,15 @@ class Prefetcher {
 
  private:
   // Pool chunks kept free for demand fetches and the sample cache when
-  // sizing read-ahead; top_up never takes the pool below this.
+  // sizing read-ahead (a cache pin takes none); top_up never takes the
+  // pool below this.
   static constexpr std::uint64_t kReserveChunks = 8;
 
   struct Entry {
     std::size_t slot = 0;
+    // A kCache op holds its cache pin, so dropping the entry (a shed
+    // unit, a new epoch) releases it.
     std::vector<ExtentOpPtr> ops;
-    std::uint64_t chunks = 0;  // pool chunks this unit's extents occupy
     bool pinned = false;  // a consumer is awaiting it; reliever must skip
   };
 

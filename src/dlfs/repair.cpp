@@ -108,7 +108,7 @@ void DlfsFleet::publish_repair(std::uint32_t sample_id, RouteHop hop) {
 // Self-healing replication (instance side)
 
 void DlfsInstance::note_declared_dead() {
-  ++nodes_declared_dead_;
+  ++stats_.nodes_declared_dead;
   if (repair_wake_) repair_wake_->set();
 }
 
@@ -218,7 +218,7 @@ dlsim::Task<bool> DlfsInstance::repair_one(std::uint32_t sample_id,
     auto& sim = node_->simulator();
     const dlsim::SimTime now = sim.now();
     if (repair_next_allowed_ > now) {
-      ++repair_throttles_;
+      ++stats_.repair_throttles;
       co_await sim.delay(repair_next_allowed_ - now);
       if (!*alive) co_return false;
     }
@@ -251,8 +251,8 @@ dlsim::Task<bool> DlfsInstance::repair_one(std::uint32_t sample_id,
   // sample_read and advance_route see the new hop on their next issue,
   // mid-epoch.
   fleet_->publish_repair(sample_id, *dst);
-  ++samples_rereplicated_;
-  repair_bytes_ += loc.len;
+  ++stats_.samples_rereplicated;
+  stats_.repair_bytes += loc.len;
   co_return true;
 }
 

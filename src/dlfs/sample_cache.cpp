@@ -13,30 +13,13 @@ SampleCache::SampleCache(mem::HugePagePool& pool, std::size_t capacity_chunks,
                          std::size_t num_samples)
     : pool_(&pool), capacity_(capacity_chunks), valid_bits_(num_samples, 0) {}
 
-std::vector<std::span<const std::byte>> SampleCache::pin(
-    std::size_t sample_id) {
+CachePin SampleCache::pin(std::size_t sample_id) {
   dlsim::AccessSlice slice{ledger_, /*write=*/true};  // LRU refresh mutates
   auto it = map_.find(sample_id);
   if (it == map_.end()) return {};
   Entry& e = it->second;
-  ++e.pins;
   lru_.splice(lru_.begin(), lru_, e.lru_pos);  // refresh recency
-  std::vector<std::span<const std::byte>> out;
-  out.reserve(e.pieces.size());
-  for (std::size_t i = 0; i < e.pieces.size(); ++i) {
-    out.push_back(e.pieces[i].span().subspan(0, e.piece_lens[i]));
-  }
-  return out;
-}
-
-void SampleCache::unpin(std::size_t sample_id) {
-  dlsim::AccessSlice slice{ledger_, /*write=*/true};
-  auto it = map_.find(sample_id);
-  if (it == map_.end()) {
-    throw std::logic_error("unpin of non-resident sample");
-  }
-  if (it->second.pins == 0) throw std::logic_error("unpin without pin");
-  --it->second.pins;
+  return CachePin{e.pieces, e.spans};
 }
 
 void SampleCache::insert(std::size_t sample_id,
@@ -52,10 +35,16 @@ void SampleCache::insert(std::size_t sample_id,
   if (need > capacity_) return;  // can never fit; don't retain
   evict_until_fits(need);
   if (chunks_used_ + need > capacity_) return;  // everything pinned
+  std::vector<std::span<const std::byte>> spans;
+  for (std::size_t i = 0; i < need; ++i) {
+    spans.push_back(pieces[i].span().subspan(0, piece_lens[i]));
+  }
   lru_.push_front(sample_id);
   chunks_used_ += need;
   map_.emplace(sample_id,
-               Entry{std::move(pieces), std::move(piece_lens), lru_.begin()});
+               Entry{std::make_shared<const std::vector<mem::DmaBuffer>>(
+                         std::move(pieces)),
+                     std::move(spans), lru_.begin()});
   valid_bits_[sample_id] = 1;
   if (residency_listener_) residency_listener_(sample_id, true);
 }
@@ -63,12 +52,12 @@ void SampleCache::insert(std::size_t sample_id,
 void SampleCache::evict(std::size_t sample_id) {
   dlsim::AccessSlice slice{ledger_, /*write=*/true};
   auto it = map_.find(sample_id);
-  if (it != map_.end() && it->second.pins == 0) erase(it);
+  if (it != map_.end() && !it->second.pinned()) erase(it);
 }
 
 void SampleCache::erase(Map::iterator it) {
   const std::size_t sample_id = it->first;
-  chunks_used_ -= it->second.pieces.size();
+  chunks_used_ -= it->second.pieces->size();
   lru_.erase(it->second.lru_pos);
   valid_bits_[sample_id] = 0;
   map_.erase(it);
@@ -81,7 +70,7 @@ bool SampleCache::evict_lru_one() {
   // back is the least recently used one that may go.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
     auto e = map_.find(*it);
-    if (e->second.pins > 0) continue;
+    if (e->second.pinned()) continue;
     erase(e);
     return true;
   }

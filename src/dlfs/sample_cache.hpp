@@ -10,13 +10,14 @@
 //
 // Completed sample reads are retained in an LRU keyed by sample id; the
 // V bit of a sample is on exactly while a copy is resident here, so a
-// dlfs_read can serve a hit with a memcpy and no device I/O. Entries
-// pinned by an in-flight copy are never evicted. Capacity is counted in
-// pool chunks, mirroring how the real cache is carved.
+// dlfs_read can serve a hit with a memcpy and no device I/O. An entry
+// some CachePin holds is never evicted. Capacity is counted in pool
+// chunks, mirroring how the real cache is carved.
 
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -35,6 +36,16 @@ struct PeerCacheConfig {
   bool enabled = false;
 };
 
+/// A pin on one resident cache entry, as a value: the entry's bytes and
+/// their spans, in order. The entry is not evicted while any pin to it
+/// lives, and the bytes outlive the cache, so a pin a suspended frame
+/// holds at teardown touches no destroyed cache. A default pin (the
+/// sample was not resident) holds nothing.
+struct CachePin {
+  std::shared_ptr<const std::vector<mem::DmaBuffer>> bytes;
+  std::vector<std::span<const std::byte>> spans;
+};
+
 class SampleCache {
  public:
   /// `capacity_chunks` bounds the resident set; the pool is where chunk
@@ -51,12 +62,9 @@ class SampleCache {
     return valid_bits_[sample_id] != 0;
   }
 
-  /// A resident sample's bytes, as the list of chunk-piece spans it
-  /// occupies (in order). Also refreshes LRU recency and pins the entry
-  /// until unpin(). Returns empty if not resident.
-  [[nodiscard]] std::vector<std::span<const std::byte>> pin(
-      std::size_t sample_id);
-  void unpin(std::size_t sample_id);
+  /// A pin on a resident sample's bytes; refreshes LRU recency. An empty
+  /// pin if the sample is not resident.
+  [[nodiscard]] CachePin pin(std::size_t sample_id);
 
   /// Inserts a completed read: takes ownership of the chunk buffers
   /// holding the sample (piece i holds bytes [piece_len[i]] of it).
@@ -92,10 +100,12 @@ class SampleCache {
 
  private:
   struct Entry {
-    std::vector<mem::DmaBuffer> pieces;
-    std::vector<std::uint32_t> piece_lens;
+    // Shared with every live CachePin to the entry.
+    std::shared_ptr<const std::vector<mem::DmaBuffer>> pieces;
+    std::vector<std::span<const std::byte>> spans;
     std::list<std::size_t>::iterator lru_pos;
-    std::uint32_t pins = 0;
+
+    [[nodiscard]] bool pinned() const { return pieces.use_count() > 1; }
   };
   using Map = std::unordered_map<std::size_t, Entry>;
 

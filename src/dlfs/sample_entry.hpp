@@ -71,8 +71,9 @@ static_assert(sizeof(SampleEntry) == 16,
 
 // The class of an extent's current route: kStorage reads the device
 // extent (nid, offset); kPeer pulls the extent's sample (its key) out of
-// a peer's DRAM and, refused, reads the device extent instead.
-enum class HopClass : std::uint8_t { kStorage, kPeer };
+// a peer's DRAM and, refused, reads the device extent instead; kCache
+// pins the sample in the reader's own cache, which must hold it.
+enum class HopClass : std::uint8_t { kStorage, kPeer, kCache };
 
 // RouteHop: one alternate placement of a sample (replica location). Read
 // paths carry a short list of these alongside the primary (nid, offset)

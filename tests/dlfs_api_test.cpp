@@ -479,11 +479,12 @@ struct LandedChunkRig : Rig {
   }
 };
 
-TEST(DlfsBread, SamplesEvictedAfterIssueAreReadTogether) {
-  // A warm epoch's read-ahead skips the samples the cache holds. Four of
-  // the first unit's samples are evicted after it was issued and before
-  // the first bread: the unit's acquire posts all four reads before it
-  // delivers any sample, and every byte is the dataset's.
+TEST(DlfsBread, SamplesCachedAtIssueStayPinnedUntilTheirPick) {
+  // A warm epoch's read-ahead pins every sample the cache holds when it
+  // issues the sample's unit, and the pin lasts until the sample's pick.
+  // Evicting four of the first unit's samples before the first bread
+  // leaves them resident, so the bread of 16 posts no request, and every
+  // byte is the dataset's.
   WarmRig rig;
   auto& inst = rig.fleet.instance(0);
   ASSERT_EQ(inst.cache().resident_samples(), 64u);
@@ -492,28 +493,13 @@ TEST(DlfsBread, SamplesEvictedAfterIssueAreReadTogether) {
   const dlfs::core::EpochSequence order(rig.fleet.plan(), 2, 0, 1);
   for (std::size_t slot = 0; slot < 4; ++slot) {
     const std::uint32_t id = order.unit_at(slot)->samples.front().sample_id;
-    ASSERT_TRUE(inst.cache().valid(id));
     inst.cache().evict(id);
+    EXPECT_TRUE(inst.cache().valid(id)) << "sample " << id;
   }
   const std::uint64_t posted0 = inst.engine().requests_posted();
-  const std::uint64_t copied0 = inst.engine().bytes_copied();
   std::vector<std::byte> arena(16 * 4096);
-  Batch batch;
-  rig.sim.spawn(
-      [](DlfsInstance& inst, std::span<std::byte> arena,
-         Batch* out) -> Task<void> {
-        *out = co_await inst.bread(16, arena);
-      }(inst, arena, &batch));
-  std::uint64_t posted_at_first_copy = 0;
-  while (rig.sim.step()) {
-    if (posted_at_first_copy == 0 &&
-        inst.engine().bytes_copied() != copied0) {
-      posted_at_first_copy = inst.engine().requests_posted() - posted0;
-    }
-  }
-  rig.sim.rethrow_failures();
-  EXPECT_EQ(posted_at_first_copy, 4u);
-  EXPECT_EQ(inst.engine().requests_posted() - posted0, 4u);
+  const Batch batch = rig.bread(16, arena);
+  EXPECT_EQ(inst.engine().requests_posted() - posted0, 0u);
   ASSERT_EQ(batch.samples.size(), 16u);
   for (const auto& s : batch.samples) {
     EXPECT_TRUE(sample_matches(
@@ -551,8 +537,9 @@ TEST(DlfsBread, SampleCachedAtAcquireIsServedAtItsPick) {
 
 TEST(DlfsBread, SequenceReleasesAPartialUnitsPins) {
   // A bread of 4 leaves the other 4 samples of its read-ahead unit
-  // pinned for their picks. A new epoch drops the unit and its pins, so
-  // every cache entry can be evicted again.
+  // pinned for their picks, and the read-ahead window holds a pin on
+  // each sample of the units it issued. A new epoch drops the unit, the
+  // window and their pins, so every cache entry can be evicted again.
   WarmRig rig;
   auto& inst = rig.fleet.instance(0);
   std::vector<std::byte> arena(4 * 4096);
@@ -560,11 +547,41 @@ TEST(DlfsBread, SequenceReleasesAPartialUnitsPins) {
   auto& cache = inst.cache();
   while (cache.evict_lru_one()) {
   }
-  EXPECT_EQ(cache.resident_samples(), 4u);
+  // The held unit's 4 unpicked samples, plus the epoch's other 7 units
+  // of 8 samples: the window, deepened by the cold epoch's stalls, has
+  // read all of them ahead.
+  EXPECT_EQ(cache.resident_samples(), 4u + 7u * 8u);
   inst.sequence(3);
   while (cache.evict_lru_one()) {
   }
   EXPECT_EQ(cache.resident_samples(), 0u);
+}
+
+TEST(DlfsBread, PoolPressureShedsReadAheadCachePins) {
+  // A cache as large as the pool holds every chunk after a cold epoch of
+  // 64 samples. A warm bread of the whole epoch issues all 8 units at
+  // once, pinning the 48 resident samples, so the device reads of the
+  // other 16 find no free chunk and no evictable entry: the pump sheds
+  // read-ahead units, whose dropped pins let the cache yield chunks, and
+  // the epoch completes with the dataset's bytes.
+  DlfsConfig cfg;
+  cfg.batching = BatchingMode::kSampleLevel;
+  cfg.chunk_bytes = 4096;
+  cfg.cache_chunks = 48;
+  cfg.pool_bytes = 48 * 4096;
+  Rig rig(1, dlfs::dataset::make_fixed_size_dataset(64, 4096), cfg);
+  rig.mount();
+  auto& inst = rig.fleet.instance(0);
+  inst.sequence(1);
+  ASSERT_TRUE(read_epoch(inst, rig.ds, 16).content_ok);
+  ASSERT_EQ(inst.cache().resident_samples(), 48u);
+  const std::uint64_t dropped0 = inst.stats().prefetch.units_dropped;
+  inst.sequence(2);
+  const EpochLog warm = read_epoch(inst, rig.ds, 64);
+  EXPECT_EQ(warm.order.size(), 64u);
+  EXPECT_TRUE(warm.content_ok);
+  // The two farthest units were shed, and issued again at their acquire.
+  EXPECT_EQ(inst.stats().prefetch.units_dropped - dropped0, 2u);
 }
 
 TEST(DlfsBread, InjectedComputeWaitsOutLookupsAndInlineCopies) {

@@ -24,6 +24,7 @@ namespace {
 using dlfs::core::AvlTree;
 using dlfs::core::BatchingMode;
 using dlfs::core::BatchPlan;
+using dlfs::core::CachePin;
 using dlfs::core::EpochSequence;
 using dlfs::core::ReadUnit;
 using dlfs::core::SampleCache;
@@ -289,10 +290,29 @@ TEST(SampleCache, InsertSetsVBit) {
 TEST(SampleCache, PinReturnsSpansOfInsertedLengths) {
   CacheRig rig;
   rig.insert_sample(3, 2);
-  auto views = rig.cache.pin(3);
-  ASSERT_EQ(views.size(), 2u);
-  EXPECT_EQ(views[0].size(), 1000u);
-  rig.cache.unpin(3);
+  const CachePin pin = rig.cache.pin(3);
+  ASSERT_EQ(pin.spans.size(), 2u);
+  EXPECT_EQ(pin.spans[0].size(), 1000u);
+  EXPECT_EQ(pin.spans[1].size(), 1000u);
+  EXPECT_EQ(rig.cache.pin(4).bytes, nullptr);  // not resident
+}
+
+TEST(SampleCache, PinOutlivesItsCache) {
+  // A pin taken before its cache and pool are destroyed still reads the
+  // inserted bytes, as a copy job a suspended frame holds at teardown
+  // does.
+  CachePin pin;
+  {
+    CacheRig rig;
+    std::vector<dlfs::mem::DmaBuffer> pieces;
+    pieces.push_back(rig.pool.allocate());
+    std::ranges::fill(pieces[0].span(), std::byte{0x5A});
+    rig.cache.insert(4, std::move(pieces), {1000});
+    pin = rig.cache.pin(4);
+  }
+  ASSERT_EQ(pin.spans.size(), 1u);
+  ASSERT_EQ(pin.spans[0].size(), 1000u);
+  EXPECT_EQ(std::ranges::count(pin.spans[0], std::byte{0x5A}), 1000);
 }
 
 TEST(SampleCache, LruEvictionClearsVBit) {
@@ -308,9 +328,8 @@ TEST(SampleCache, LruEvictionClearsVBit) {
 TEST(SampleCache, PinRefreshesRecency) {
   CacheRig rig;
   for (std::size_t id = 0; id < 4; ++id) rig.insert_sample(id);
-  // Touch 0 so 1 becomes the LRU victim.
+  // Touch 0 so 1 becomes the LRU victim. The pin drops at once.
   (void)rig.cache.pin(0);
-  rig.cache.unpin(0);
   rig.insert_sample(9);
   EXPECT_TRUE(rig.cache.valid(0));
   EXPECT_FALSE(rig.cache.valid(1));
@@ -319,28 +338,32 @@ TEST(SampleCache, PinRefreshesRecency) {
 TEST(SampleCache, PinnedEntriesSurviveEviction) {
   CacheRig rig;
   for (std::size_t id = 0; id < 4; ++id) rig.insert_sample(id);
-  (void)rig.cache.pin(0);  // pin the LRU candidate
-  rig.insert_sample(5);
-  EXPECT_TRUE(rig.cache.valid(0));   // pinned: not evicted
-  EXPECT_FALSE(rig.cache.valid(1));  // next victim instead
-  rig.cache.unpin(0);
+  {
+    const CachePin pin = rig.cache.pin(0);  // pin the LRU candidate
+    rig.insert_sample(5);
+    EXPECT_TRUE(rig.cache.valid(0));   // pinned: not evicted
+    EXPECT_FALSE(rig.cache.valid(1));  // next victim instead
+    rig.cache.evict(0);
+    EXPECT_TRUE(rig.cache.valid(0));
+  }
+  rig.cache.evict(0);  // its last pin is gone
+  EXPECT_FALSE(rig.cache.valid(0));
 }
 
 TEST(SampleCache, EvictLruOneSkipsPinnedEntries) {
   CacheRig rig;
   for (std::size_t id = 0; id < 4; ++id) rig.insert_sample(id);
-  (void)rig.cache.pin(0);
-  (void)rig.cache.pin(1);
+  const CachePin pin0 = rig.cache.pin(0);
+  const CachePin pin1 = rig.cache.pin(1);
   EXPECT_TRUE(rig.cache.evict_lru_one());  // oldest unpinned: 2
   EXPECT_FALSE(rig.cache.valid(2));
   EXPECT_TRUE(rig.cache.valid(3));
-  (void)rig.cache.pin(3);
+  const CachePin pin3 = rig.cache.pin(3);
   EXPECT_FALSE(rig.cache.evict_lru_one());  // everything left is pinned
   EXPECT_EQ(rig.cache.resident_samples(), 3u);
   EXPECT_TRUE(rig.cache.valid(0));
   EXPECT_TRUE(rig.cache.valid(1));
   EXPECT_TRUE(rig.cache.valid(3));
-  for (const std::size_t id : {0, 1, 3}) rig.cache.unpin(id);
 }
 
 TEST(SampleCache, OversizedInsertIsSkipped) {
@@ -356,13 +379,6 @@ TEST(SampleCache, ExplicitEvict) {
   rig.cache.evict(2);
   EXPECT_FALSE(rig.cache.valid(2));
   rig.cache.evict(2);  // idempotent
-}
-
-TEST(SampleCache, UnpinErrors) {
-  CacheRig rig;
-  EXPECT_THROW(rig.cache.unpin(50), std::logic_error);
-  rig.insert_sample(50);
-  EXPECT_THROW(rig.cache.unpin(50), std::logic_error);  // never pinned
 }
 
 // ---------------------------------------------------------------------------

@@ -971,6 +971,38 @@ TEST(Teardown, FleetBeforeSimulatorMidCopy) {
   });
 }
 
+TEST(Teardown, FleetBeforeSimulatorMidCachedCopy) {
+  // A warm sample-level bread's first copy job is an own-cache hit on a
+  // copy thread: the job, holding the cache pin read-ahead took at issue,
+  // sits in the thread's frame, and drops the pinned bytes after their
+  // cache and pool are gone.
+  auto c = SelfHealRig::cfg(dlfs::core::ReplicationConfig(2),
+                            dlfs::core::BatchingMode::kSampleLevel);
+  c.chunk_bytes = 4096;  // one chunk per sample, so the cache holds them all
+  c.cache_chunks = SelfHealRig::kSamples;
+  auto rig = std::make_unique<SelfHealRig>(c);
+  auto& inst = rig->fleet.instance(0);
+  inst.sequence(1);
+  ASSERT_TRUE(read_epoch(inst, rig->ds, 16).content_ok);
+  ASSERT_EQ(inst.cache().resident_samples(), SelfHealRig::kSamples);
+  inst.sequence(2);
+  std::vector<std::byte> arena(16 * 4096);
+  rig->sim.spawn(
+      [](dlfs::core::DlfsInstance& inst,
+         std::span<std::byte> arena) -> Task<void> {
+        (void)co_await inst.bread(16, arena);
+      }(inst, arena),
+      "bread");
+  const std::uint64_t hits0 = inst.cache().hits();
+  const dlsim::SimDuration busy0 = inst.engine().copy_busy_ns();
+  const std::uint64_t copied0 = inst.engine().bytes_copied();
+  destroy_when(std::move(rig), [&inst, hits0, busy0, copied0] {
+    return inst.cache().hits() > hits0 &&
+           inst.engine().copy_busy_ns() > busy0 &&
+           inst.engine().bytes_copied() == copied0;
+  });
+}
+
 TEST(FaultInjection, RecoveredNodeReissuesFailedReadAheadOnce) {
   // Both targets crash in epoch 1 and only target 0 comes back. Epoch 2's
   // read-ahead (a window pinned at 8 units) fails on the down nodes; the

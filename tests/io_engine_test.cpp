@@ -21,6 +21,7 @@
 
 namespace {
 
+using dlfs::core::CachePin;
 using dlfs::core::CopyJob;
 using dlfs::core::IoEngine;
 using dlfs::core::IoEngineConfig;
@@ -251,10 +252,9 @@ TEST(IoEngine, CacheInsertionSetsVBit) {
   std::vector<std::byte> dst(4096);
   rig.read({RigRead{0, 0, 4096, dst.data(), /*cache_sample_id=*/7}});
   EXPECT_TRUE(rig.cache.valid(7));
-  auto views = rig.cache.pin(7);
-  ASSERT_EQ(views.size(), 1u);
-  EXPECT_EQ(views[0].size(), 4096u);
-  rig.cache.unpin(7);
+  const CachePin pin = rig.cache.pin(7);
+  ASSERT_EQ(pin.spans.size(), 1u);
+  EXPECT_EQ(pin.spans[0].size(), 4096u);
 }
 
 TEST(IoEngine, CopyThreadsAccrueBusyTime) {

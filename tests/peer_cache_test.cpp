@@ -275,6 +275,7 @@ TEST(PeerCache, PinnedPeerServeSurvivesEvictionPressure) {
   EXPECT_GT(rig.fleet.instance(0).stats().peer_hits_local +
                 rig.fleet.instance(1).stats().peer_hits_local,
             0u);
+  expect_caches_drain(rig.fleet);
 }
 
 TEST(PeerCache, PinnedRemotePullSurvivesEvictionPressure) {

@@ -17,9 +17,13 @@
 #      host-time setup_s, sim.host_s and trace.host_overhead_frac;
 #      every workload must also be correct with 0 failed, and a side
 #      that exits non-zero is named ("change side exited 139");
-#   2. runs 16 benches no golden covers on both sides, the two sides at
+#   2. runs 26 benches no golden covers on both sides, the two sides at
 #      once, and diffs their stdout, stderr, exit status and
-#      BENCH_*/CHAOS_* JSON byte for byte.
+#      BENCH_*/CHAOS_* JSON byte for byte: the chaos, repair, peer-cache,
+#      tenancy and availability sweeps, bench_smoke, ablation_batching,
+#      fig07, fig11, dlfsim for DLFS-Base and the default system, and
+#      dlfsim's DLFS run on 4 nodes at seeds 1 to 10 (one seed's
+#      throughput spreads several percent across seeds).
 # Each side writes only under its own root. It exits 0 only when
 # everything matches. About 2 minutes.
 
@@ -97,6 +101,9 @@ same_runs() {  # build dir, output dir, checkout root
   run fig11 "$B/bench/fig11_disaggregation_efficiency"
   run dlfsim "$B/tools/dlfsim"
   run dlfsim_base "$B/tools/dlfsim" --system=dlfs --batching=none
+  for s in $(seq 1 10); do
+    run dlfsim_s$s "$B/tools/dlfsim" --system=dlfs --nodes=4 --seed=$s
+  done
 }
 same_runs "$P/build" "$P/runs" "$P" &
 same_runs "$C/build" "$C/build/runs" "$C" &
