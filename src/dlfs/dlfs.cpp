@@ -338,15 +338,28 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
   // pick's samples from their replicas or the recovered primary, all of
   // them posted before any is awaited.
   std::vector<ReadExtent> reads;
+  std::vector<std::uint32_t> at;  // each read's offset in the unit
   for (std::uint32_t i = 0; i < pk.count; ++i) {
-    const std::uint32_t id = pk.unit->samples[pk.first_sample + i].sample_id;
-    if (!sample_reachable(id)) {
+    const UnitSample& us = pk.unit->samples[pk.first_sample + i];
+    if (!sample_reachable(us.sample_id)) {
       ++faults->skipped;
       continue;
     }
-    reads.push_back(sample_read(id, PeerServe::kNone));
+    reads.push_back(sample_read(us.sample_id, PeerServe::kNone));
+    at.push_back(us.offset_in_unit);
   }
-  std::vector<ExtentOpPtr> ops = engine_->start_extents(std::move(reads));
+  // They land in one pool chunk, each at its offset in the unit, as the
+  // healthy chunk holds them. An edge sample longer than a chunk keeps
+  // whole-chunk pieces.
+  std::vector<mem::DmaBuffer> land(reads.size());
+  if (!reads.empty() && pk.unit->len <= fleet_->config_.chunk_bytes) {
+    const mem::DmaBuffer chunk = co_await engine_->take_chunk(*io_core_);
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      land[i] = chunk.slice(at[i], reads[i].len);
+    }
+  }
+  std::vector<ExtentOpPtr> ops =
+      engine_->start_extents(std::move(reads), std::move(land));
   for (ExtentOpPtr& op : ops) {
     co_await engine_->await_op(*io_core_, op);
     if (op->error()) {

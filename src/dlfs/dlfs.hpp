@@ -443,9 +443,10 @@ class DlfsInstance {
     // A healthy chunk-level unit: its extent, in chunk-size pieces.
     std::vector<mem::DmaBuffer> chunk;
     // Sample-level units, and chunk units degraded by a node fault:
-    // per-sample finished ops keyed by sample id. A sample-level op may
-    // carry a stored media error instead of buffers, or hold the cache
-    // pin read-ahead took at issue (kCache) until its pick.
+    // per-sample finished ops keyed by sample id (a degraded pick's ops
+    // share one chunk). A sample-level op may carry a stored media error
+    // instead of buffers, or hold the cache pin read-ahead took at issue
+    // (kCache) until its pick.
     std::unordered_map<std::uint32_t, ExtentOpPtr> samples;
     std::uint32_t remaining = 0;  // samples not yet delivered
     std::uint32_t view_pins = 0;  // live ViewBatches referencing this unit
@@ -520,6 +521,7 @@ class DlfsInstance {
   /// from their replicas (or the recovered primary) into its per-sample
   /// extents, every read posted before the first is awaited, so their
   /// round trips overlap (opportunistic batching, as read-ahead has it).
+  /// They land in slices of one pool chunk, at their offsets in the unit.
   /// Unreachable samples and faults land in `*faults`: a node fault is a
   /// skip, a media error is fatal.
   dlsim::Task<HeldUnit*> acquire_pick(EpochSequence::UnitPicks pk,

@@ -252,11 +252,21 @@ void IoEngine::promote_delayed() {
 }
 
 std::vector<ExtentOpPtr> IoEngine::start_extents(
-    std::vector<ReadExtent> extents) {
+    std::vector<ReadExtent> extents, std::vector<mem::DmaBuffer> land) {
+  if (!land.empty() && land.size() != extents.size()) {
+    throw std::logic_error("start_extents: one landing slot per extent");
+  }
   dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
   std::vector<ExtentOpPtr> ops;
   ops.reserve(extents.size());
-  for (auto& x : extents) {
+  for (std::size_t i = 0; i < extents.size(); ++i) {
+    ReadExtent& x = extents[i];
+    mem::DmaBuffer landing =
+        land.empty() ? mem::DmaBuffer{} : std::move(land[i]);
+    if (landing.valid() &&
+        (x.len > landing.size() || x.len > config_.chunk_bytes)) {
+      throw std::logic_error("start_extents: extent overruns its landing");
+    }
     if (x.cls == HopClass::kCache) {
       auto op = std::make_shared<ExtentOp>(std::move(x));
       op->pin_ = cache_->pin(op->extent.key);
@@ -288,7 +298,8 @@ std::vector<ExtentOpPtr> IoEngine::start_extents(
     while (left > 0) {
       const std::uint32_t n = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(left, config_.chunk_bytes));
-      to_post_.push_back(Piece{op, idx++, off, n, mem::DmaBuffer{}});
+      // A landed extent is one piece: it posts into its landing slice.
+      to_post_.push_back(Piece{op, idx++, off, n, std::move(landing)});
       off += n;
       left -= n;
     }
@@ -361,21 +372,37 @@ ExtentOpPtr IoEngine::start_write(std::uint16_t nid, std::uint64_t offset,
   return op;
 }
 
-dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, ExtentOpPtr until) {
-  // The pump serves the whole engine, not just `until`: any queued or
+bool IoEngine::make_room() {
+  if (pool_->free_chunks() > 0) return true;
+  // The sample cache shares the pool: it yields an LRU entry, then the
+  // prefetcher sheds read-ahead (a shed unit frees its chunks, or unpins
+  // cache entries).
+  bool freed = cache_->evict_lru_one();
+  while (!freed && pressure_reliever_ && pressure_reliever_()) {
+    freed = pool_->free_chunks() > 0 || cache_->evict_lru_one();
+  }
+  if (freed) return true;
+  // Neither can free a chunk: I/O in flight may, but with none the read
+  // can never make progress — fail loudly instead of livelocking.
+  if (in_flight_.empty() && scq_->empty() && delayed_.empty() &&
+      pulls_ == 0) {
+    throw std::runtime_error(
+        "huge-page pool exhausted: cache pinned + nothing in flight");
+  }
+  return false;
+}
+
+template <typename Done>
+dlsim::Task<void> IoEngine::pump_until(dlsim::CpuCore& core, Done done) {
+  // The pump serves the whole engine, not just its caller: any queued or
   // in-flight piece (another bread's demand fetch, a prefetched unit) is
-  // posted and harvested by whichever coroutine is pumping. We stop as
-  // soon as `until` has all its pieces, or its pull is in flight.
-  auto satisfied = [&] { return until->finished_ || until->pulling(); };
-  while (!satisfied()) {
+  // posted and harvested by whichever coroutine is pumping.
+  while (!done()) {
     bool progress = false;
     promote_delayed();  // backed-off retries whose delay has elapsed
 
-    // Post while targets have queue space and the pool has chunks. The
-    // sample cache shares the pool: under pressure it yields LRU entries,
-    // then the prefetcher sheds read-ahead; if neither can free a chunk
-    // *and* nothing is in flight the read can never make progress — fail
-    // loudly instead of livelocking.
+    // Post while targets have queue space and the pool has chunks (or
+    // the piece has its buffer already: a retry, or a landing slice).
     std::size_t rotated = 0;  // pieces parked behind degraded queues this pass
     while (!to_post_.empty()) {
       Piece p;
@@ -421,22 +448,7 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, ExtentOpPtr until) {
           to_post_.pop_front();
           continue;
         }
-        if (pool_->free_chunks() == 0 && !to_post_.front().buffer.valid()) {
-          bool freed = cache_->evict_lru_one();
-          // A shed unit frees its chunks, or unpins cache entries.
-          while (!freed && pressure_reliever_ && pressure_reliever_()) {
-            freed = pool_->free_chunks() > 0 || cache_->evict_lru_one();
-          }
-          if (!freed) {
-            if (in_flight_.empty() && scq_->empty() && delayed_.empty() &&
-                pulls_ == 0) {
-              throw std::runtime_error(
-                  "huge-page pool exhausted: cache pinned + nothing in "
-                  "flight");
-            }
-            break;
-          }
-        }
+        if (!to_post_.front().buffer.valid() && !make_room()) break;
         if (tenant_ && !tenant_->try_admit(to_post_.front().len)) {
           // Tenant QoS deferred us: another job owns this share of the
           // devices right now. Completions (ours or theirs, seen via the
@@ -599,10 +611,24 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, ExtentOpPtr until) {
       }
     }
 
-    if (!progress && !satisfied()) {
+    if (!progress && !done()) {
       co_await wait_any(core);
     }
   }
+}
+
+dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, ExtentOpPtr until) {
+  // Stops as soon as `until` has all its pieces, or its pull is in flight.
+  co_await pump_until(
+      core, [&until] { return until->finished_ || until->pulling(); });
+}
+
+dlsim::Task<mem::DmaBuffer> IoEngine::take_chunk(dlsim::CpuCore& core) {
+  co_await pump_until(core, [this] {
+    dlsim::AccessSlice slice{pieces_ledger_, /*write=*/false};
+    return make_room();
+  });
+  co_return pool_->allocate();
 }
 
 dlsim::Task<void> IoEngine::await_op(dlsim::CpuCore& core, ExtentOpPtr op) {

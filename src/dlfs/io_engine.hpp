@@ -224,9 +224,12 @@ class IoEngine {
   /// posting. Nothing is submitted until some coroutine drives the pump
   /// via await_op() — posting, polling and completion handling are
   /// charged to whichever cores await. A kCache extent is pinned in the
-  /// cache, which must hold its sample, and finishes at once.
+  /// cache, which must hold its sample, and finishes at once. `land`,
+  /// when not empty, holds one buffer per extent: an extent with a valid
+  /// one is a single piece that lands in it (a slice of a chunk several
+  /// extents share, from take_chunk) instead of a chunk of its own.
   [[nodiscard]] std::vector<ExtentOpPtr> start_extents(
-      std::vector<ReadExtent> extents);
+      std::vector<ReadExtent> extents, std::vector<mem::DmaBuffer> land = {});
   [[nodiscard]] ExtentOpPtr start_extent(ReadExtent extent);
 
   /// Queues a write of `pieces` (pool-owned buffers, `lens[i]` bytes each,
@@ -239,6 +242,12 @@ class IoEngine {
                                         std::uint64_t offset,
                                         std::vector<mem::DmaBuffer> pieces,
                                         std::vector<std::uint32_t> lens);
+
+  /// One free pool chunk, for extents that land in slices of it, taken
+  /// through the pump's pool-pressure step: a cache eviction, then shed
+  /// read-ahead. While only I/O in flight can free one, pumps on `core`
+  /// until it does; throws as the pump does on pool livelock.
+  [[nodiscard]] dlsim::Task<mem::DmaBuffer> take_chunk(dlsim::CpuCore& core);
 
   /// Drives the shared pump on `core` until `until` completes (chunks in
   /// or failed) or its pull is in flight. Extent failures are recorded on
@@ -275,9 +284,9 @@ class IoEngine {
   /// Called when the pool is exhausted, the sample cache has nothing
   /// evictable, and a read still needs chunks. Returns true if the
   /// callback shed something (the prefetcher's farthest read-ahead unit:
-  /// its chunks, or the cache pins it held), and the pump tries the pool
-  /// and the cache again; false lets the pump fall through to the
-  /// livelock guard.
+  /// its chunks, or the cache pins it held), and the pool-pressure step
+  /// tries the pool and the cache again; false lets it fall through to
+  /// the livelock guard.
   void set_pressure_reliever(std::function<bool()> reliever) {
     pressure_reliever_ = std::move(reliever);
   }
@@ -364,6 +373,17 @@ class IoEngine {
     std::uint16_t nid = 0;
   };
 
+  /// The pool-pressure step, for a piece's chunk and take_chunk alike:
+  /// true once the pool has a free chunk, after evicting the cache's LRU
+  /// entry and then shedding read-ahead as needed. False while only I/O
+  /// in flight can free one; throws when none is (pool livelock). Must
+  /// run inside a pieces_ledger_ slice.
+  bool make_room();
+  /// Drives the shared pump on `core` until `done()`: each pass posts
+  /// what it can, then polls and harvests every queue, and a pass that
+  /// moves nothing waits for the next completion.
+  template <typename Done>
+  dlsim::Task<void> pump_until(dlsim::CpuCore& core, Done done);
   void mark_node_down(std::uint16_t nid);
   /// Re-points `x` at the first routed replica whose node is attached and
   /// up, consuming hops from the front. False when no alternate remains.

@@ -30,6 +30,13 @@ void SampleCache::insert(std::size_t sample_id,
   if (sample_id >= valid_bits_.size()) {
     throw std::out_of_range("sample id beyond dataset size");
   }
+  // An eviction must free whole chunks: the pool-pressure step counts on
+  // it, and so does the capacity, which is counted in chunks.
+  for (const mem::DmaBuffer& b : pieces) {
+    if (b.shared()) {
+      throw std::logic_error("SampleCache::insert: a slice shares the chunk");
+    }
+  }
   if (map_.contains(sample_id)) return;  // already resident (racing reads)
   const std::size_t need = pieces.size();
   if (need > capacity_) return;  // can never fit; don't retain

@@ -70,7 +70,8 @@ class SampleCache {
   /// holding the sample (piece i holds bytes [piece_len[i]] of it).
   /// Evicts LRU victims (clearing their V bits) to stay within capacity;
   /// if everything is pinned the insert is skipped (the data still
-  /// reaches the application; it just isn't retained).
+  /// reaches the application; it just isn't retained). Throws
+  /// std::logic_error on a buffer whose chunk another slice shares.
   void insert(std::size_t sample_id, std::vector<mem::DmaBuffer> pieces,
               std::vector<std::uint32_t> piece_lens);
 

@@ -51,9 +51,17 @@ DmaBuffer& DmaBuffer::operator=(DmaBuffer&& o) noexcept {
   return *this;
 }
 
+DmaBuffer DmaBuffer::slice(std::size_t offset, std::size_t len) const {
+  if (arena_ == nullptr || offset > size() || len > size() - offset) {
+    throw std::out_of_range("DmaBuffer::slice: past the buffer's end");
+  }
+  ++arena_->buffers[chunk_];
+  return DmaBuffer(arena_, chunk_, span_.subspan(offset, len));
+}
+
 void DmaBuffer::release() {
   if (arena_) {
-    arena_->free_chunk(chunk_);
+    arena_->release(chunk_);
     arena_ = nullptr;
     span_ = {};
   }
@@ -75,7 +83,8 @@ PoolArena::PoolArena(std::size_t chunk_bytes, std::size_t chunks)
       // for_overwrite: skip zero-initialization — chunk contents are always
       // written by DMA before being read (multi-hundred-MiB pools otherwise
       // cost a memset per benchmark configuration).
-      bytes(std::make_unique_for_overwrite<std::byte[]>(chunks * chunk_bytes)) {
+      bytes(std::make_unique_for_overwrite<std::byte[]>(chunks * chunk_bytes)),
+      buffers(chunks, 0) {
   free_list.reserve(total_chunks);
   // Push in reverse so allocation order starts at chunk 0.
   for (std::size_t i = total_chunks; i > 0; --i) free_list.push_back(i - 1);
@@ -87,7 +96,8 @@ PoolArena::~PoolArena() {
   if (scribble_on_free) unpoison_chunk(bytes.get(), total_chunks * chunk_size);
 }
 
-void PoolArena::free_chunk(std::size_t idx) {
+void PoolArena::release(std::size_t idx) {
+  if (--buffers[idx] > 0) return;  // a slice still shares the chunk
   if (scribble_on_free) {
     std::byte* base = bytes.get() + idx * chunk_size;
     std::memset(base, 0xDD, chunk_size);
@@ -124,6 +134,7 @@ DmaBuffer HugePagePool::allocate() {
   const std::size_t n = arena_->chunk_size;
   std::byte* base = arena_->bytes.get() + idx * n;
   if (arena_->scribble_on_free) unpoison_chunk(base, n);
+  arena_->buffers[idx] = 1;
   return DmaBuffer(arena_.get(), idx, std::span<std::byte>(base, n));
 }
 

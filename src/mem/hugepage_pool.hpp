@@ -24,23 +24,25 @@ class HugePagePool;
 
 namespace detail {
 
-/// A pool's memory: its chunks and its free list. The pool owns it, but
-/// a pool destroyed while some of its buffers are still out leaves it to
-/// them, and the last one returned frees it. A simulator destroys the
-/// frames of its suspended processes, and the buffers they hold, after
-/// the objects that own their pools.
+/// A pool's memory: its chunks, their buffer counts and its free list.
+/// The pool owns it, but a pool destroyed while some of its buffers are
+/// still out leaves it to them, and the last one returned frees it. A
+/// simulator destroys the frames of its suspended processes, and the
+/// buffers they hold, after the objects that own their pools.
 struct PoolArena {
   PoolArena(std::size_t chunk_bytes, std::size_t chunks);
   ~PoolArena();
   PoolArena(const PoolArena&) = delete;
   PoolArena& operator=(const PoolArena&) = delete;
 
-  /// Returns chunk `idx`; an orphaned arena frees itself with its last.
-  void free_chunk(std::size_t idx);
+  /// Drops one buffer of chunk `idx`; the last returns the chunk, and an
+  /// orphaned arena frees itself with its last chunk.
+  void release(std::size_t idx);
 
   std::size_t chunk_size;
   std::size_t total_chunks;
   std::unique_ptr<std::byte[]> bytes;
+  std::vector<std::uint32_t> buffers;  // live buffers per chunk
   std::vector<std::size_t> free_list;
   bool scribble_on_free = false;
   bool orphaned = false;  // the pool is gone
@@ -48,7 +50,8 @@ struct PoolArena {
 
 }  // namespace detail
 
-/// RAII handle to one pool chunk. Movable; returns the chunk on destruction.
+/// RAII handle to one pool chunk, or to a slice of one. Movable; the
+/// chunk returns to the pool when its last buffer is destroyed.
 class DmaBuffer {
  public:
   DmaBuffer() = default;
@@ -66,6 +69,15 @@ class DmaBuffer {
   [[nodiscard]] std::byte* data() const { return span_.data(); }
   [[nodiscard]] std::size_t size() const { return span_.size(); }
   [[nodiscard]] std::size_t chunk_index() const { return chunk_; }
+
+  /// A buffer of bytes [offset, offset + len) of this one that shares its
+  /// chunk: the chunk returns to the pool only when its last buffer
+  /// drops. Throws std::out_of_range past this buffer's end.
+  [[nodiscard]] DmaBuffer slice(std::size_t offset, std::size_t len) const;
+  /// True while another buffer shares this one's chunk.
+  [[nodiscard]] bool shared() const {
+    return arena_ != nullptr && arena_->buffers[chunk_] > 1;
+  }
 
   void release();
 
@@ -96,9 +108,10 @@ class HugePagePool {
   HugePagePool& operator=(const HugePagePool&) = delete;
 
   /// Debug aid for zero-copy lifetime bugs: when on, recycled chunks are
-  /// scribbled with 0xDD on free — and poisoned under AddressSanitizer —
-  /// so a stale view (read after release) sees garbage / faults instead
-  /// of silently reading recycled bytes. Off by default (memset cost).
+  /// scribbled with 0xDD when their last buffer drops — and poisoned
+  /// under AddressSanitizer — so a stale view (read after release) sees
+  /// garbage / faults instead of silently reading recycled bytes. Off by
+  /// default (memset cost).
   void set_scribble_on_free(bool on) { arena_->scribble_on_free = on; }
   [[nodiscard]] bool scribble_on_free() const {
     return arena_->scribble_on_free;

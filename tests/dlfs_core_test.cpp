@@ -315,6 +315,19 @@ TEST(SampleCache, PinOutlivesItsCache) {
   EXPECT_EQ(std::ranges::count(pin.spans[0], std::byte{0x5A}), 1000);
 }
 
+TEST(SampleCache, InsertRejectsASharedChunk) {
+  // An eviction must free whole chunks, so a sample whose chunk another
+  // slice shares is never cached.
+  CacheRig rig;
+  const dlfs::mem::DmaBuffer chunk = rig.pool.allocate();
+  std::vector<dlfs::mem::DmaBuffer> pieces;
+  pieces.push_back(chunk.slice(0, 1000));
+  EXPECT_THROW(rig.cache.insert(5, std::move(pieces), {1000}),
+               std::logic_error);
+  EXPECT_FALSE(rig.cache.valid(5));
+  EXPECT_EQ(rig.cache.resident_chunks(), 0u);
+}
+
 TEST(SampleCache, LruEvictionClearsVBit) {
   CacheRig rig;  // capacity 4 chunks
   for (std::size_t id = 0; id < 4; ++id) rig.insert_sample(id);

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
+#include <set>
 
 #include "cluster/cluster.hpp"
 #include "cluster/pfs.hpp"
@@ -408,10 +411,14 @@ TEST(FaultInjection, ReplicatedViewsCrashServesFullEpoch) {
   // bytes and no copy. Run once releasing every batch before the next
   // bread_views and once holding each batch's lease across it (double
   // buffering, as the bench harness does), so a pinned degraded unit
-  // recovers more samples for a later batch.
+  // recovers more samples for a later batch. scribble_on_free: a
+  // recovered chunk recycled while a lease still pins its unit reads
+  // 0xDD (and trips ASan) instead of the sample's bytes.
   for (const bool double_buffer : {false, true}) {
     SCOPED_TRACE(double_buffer ? "double-buffered" : "released per batch");
-    ReplicaRig rig(ReplicaRig::cfg(2, dlfs::core::BatchingMode::kChunkLevel));
+    auto cfg = ReplicaRig::cfg(2, dlfs::core::BatchingMode::kChunkLevel);
+    cfg.scribble_on_free = true;
+    ReplicaRig rig(cfg);
     auto& inst = rig.fleet.instance(0);
     rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
     inst.sequence(1);
@@ -459,18 +466,22 @@ struct BreadOutcome {
   std::uint64_t skipped = 0;
   bool content_ok = true;
   dlsim::SimDuration took = 0;
+  // bread_views: each sample's id and the address of its first byte.
+  std::vector<std::pair<std::uint32_t, std::uintptr_t>> view_at;
 };
 
 Task<void> timed_bread(ReplicaRig& r, dlfs::core::DlfsInstance& inst,
-                       bool views, BreadOutcome& o) {
-  std::vector<std::byte> arena(16 * 4096);
+                       bool views, BreadOutcome& o, std::size_t n = 16) {
+  std::vector<std::byte> arena(n * 4096);
   std::vector<std::pair<std::uint32_t, std::vector<std::byte>>> got;
   const dlsim::SimTime t0 = r.sim.now();
   if (views) {
-    dlfs::core::ViewLease lease(inst, co_await inst.bread_views(16));
+    dlfs::core::ViewLease lease(inst, co_await inst.bread_views(n));
     o.took = r.sim.now() - t0;
     o.skipped = lease.batch().samples_skipped;
     for (const auto& s : lease.batch().samples) {
+      o.view_at.emplace_back(
+          s.sample_id, reinterpret_cast<std::uintptr_t>(s.pieces[0].data()));
       std::vector<std::byte> bytes;
       for (const auto piece : s.pieces) {
         bytes.insert(bytes.end(), piece.begin(), piece.end());
@@ -478,7 +489,7 @@ Task<void> timed_bread(ReplicaRig& r, dlfs::core::DlfsInstance& inst,
       got.emplace_back(s.sample_id, std::move(bytes));
     }
   } else {
-    const dlfs::core::Batch b = co_await inst.bread(16, arena);
+    const dlfs::core::Batch b = co_await inst.bread(n, arena);
     o.took = r.sim.now() - t0;
     o.skipped = b.samples_skipped;
     for (const auto& s : b.samples) {
@@ -533,6 +544,91 @@ TEST(FaultInjection, DegradedChunkPickPostsItsReplicaReadsTogether) {
     EXPECT_LT(out[1].took, 16 * nvme.read_latency);
     EXPECT_EQ(out[1].took, views ? 55'800 : 56'462);
   }
+}
+
+TEST(FaultInjection, DegradedPickLandsInOneChunk) {
+  // The first chunk unit's node is down before its pick, so a bread of 16
+  // re-reads the pick's samples from their replicas. They land in one
+  // pool chunk, each at its offset in the unit as the healthy chunk holds
+  // them, and the held unit keeps that chunk for the unit's later picks:
+  // one chunk, not one per sample.
+  for (const bool views : {false, true}) {
+    SCOPED_TRACE(views ? "bread_views" : "bread");
+    ReplicaRig rig(ReplicaRig::cfg(2, dlfs::core::BatchingMode::kChunkLevel));
+    auto& inst = rig.fleet.instance(0);
+    const dlfs::core::EpochSequence order(rig.fleet.plan(), 1, 0, 1);
+    const dlfs::core::ReadUnit& unit = *order.unit_at(0);
+    ASSERT_TRUE(unit.is_chunk);
+    ASSERT_GT(unit.samples.size(), 16u);
+    rig.fleet.target(unit.nid)->crash();
+    inst.sequence(1);
+    rig.sim.run();
+    ASSERT_EQ(inst.engine().nodes_down(), 1u);
+    const std::size_t used0 = inst.pool().used_chunks();
+    const std::uint64_t issued0 = inst.stats().prefetch.units_issued;
+    BreadOutcome o;
+    rig.sim.spawn(timed_bread(rig, inst, views, o), "degraded-pick");
+    rig.sim.run();
+    rig.sim.rethrow_failures();
+    EXPECT_EQ(o.served, 16u);
+    EXPECT_EQ(o.skipped, 0u);
+    EXPECT_TRUE(o.content_ok);
+    // Beside the read-ahead the bread topped up (at most a chunk a unit),
+    // the held unit keeps one chunk for its 16 recovered samples.
+    const std::uint64_t issued = inst.stats().prefetch.units_issued - issued0;
+    EXPECT_LE(inst.pool().used_chunks() - used0, issued + 1);
+    if (views) {
+      // A span's address less its sample's offset in the unit is the
+      // start of the chunk it lies in: one for all 16.
+      std::set<std::uintptr_t> chunk_starts;
+      for (const auto& [id, at] : o.view_at) {
+        const auto s = std::ranges::find(unit.samples, id,
+                                         &dlfs::core::UnitSample::sample_id);
+        ASSERT_NE(s, unit.samples.end());
+        chunk_starts.insert(at - s->offset_in_unit);
+      }
+      EXPECT_EQ(o.view_at.size(), 16u);
+      EXPECT_EQ(chunk_starts.size(), 1u);
+    }
+  }
+}
+
+TEST(FaultInjection, DegradedBreadInAFullPoolShedsReadAhead) {
+  // Chunks of 16 KiB (four samples) in a pool of 24, and a read-ahead
+  // window of 32 units. A bread of the epoch's first 16 units, 7 of them
+  // on the dead node, holds every unit it picks until it returns, and
+  // read-ahead holds the rest of the pool, so the last degraded picks
+  // find no free chunk for their replica reads. The recovery takes its
+  // chunk through the engine's pool-pressure step, which sheds read-ahead
+  // as a demand read's piece does, instead of throwing PoolExhausted. A
+  // chunk per replica read would need 9 + 7 * 4 = 37 held chunks.
+  auto cfg = ReplicaRig::cfg(2, dlfs::core::BatchingMode::kChunkLevel);
+  cfg.chunk_bytes = 16_KiB;
+  cfg.pool_bytes = 24 * 16_KiB;
+  cfg.prefetch.initial_units = 32;
+  ReplicaRig rig(cfg);
+  auto& inst = rig.fleet.instance(0);
+  rig.fleet.target(1)->crash();
+  inst.sequence(1);
+  rig.sim.run();
+  ASSERT_EQ(inst.engine().nodes_down(), 1u);
+  const dlfs::core::EpochSequence order(rig.fleet.plan(), 1, 0, 1);
+  std::size_t n = 0;
+  std::size_t degraded = 0;
+  for (std::size_t u = 0; u < 16; ++u) {
+    n += order.unit_at(u)->samples.size();
+    degraded += order.unit_at(u)->nid == 1 ? 1 : 0;
+  }
+  EXPECT_GE(degraded, 4u);
+  const std::uint64_t dropped0 = inst.stats().prefetch.units_dropped;
+  BreadOutcome o;
+  rig.sim.spawn(timed_bread(rig, inst, false, o, n), "full-pool-bread");
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  EXPECT_EQ(o.served, n);
+  EXPECT_EQ(o.skipped, 0u);
+  EXPECT_TRUE(o.content_ok);
+  EXPECT_GT(inst.stats().prefetch.units_dropped, dropped0);
 }
 
 // ---------------------------------------------------------------------------

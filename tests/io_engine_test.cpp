@@ -247,6 +247,64 @@ TEST(IoEngine, AwaitOpReturnsBeforeLaterExtentLands) {
   EXPECT_EQ(seen.second_pieces, 1u);
 }
 
+TEST(IoEngine, LandedExtentsKeepOneChunkAcrossRetries) {
+  // Four extents land in slices of one chunk: no piece takes a chunk of
+  // its own, not even a retry after a media error.
+  EngineRig rig;
+  rig.devices[0]->inject_faults(0.5, 3);
+  rig.sim.spawn([](EngineRig& r) -> Task<void> {
+    const dlfs::mem::DmaBuffer chunk = r.pool.allocate();
+    std::vector<ReadExtent> xs;
+    std::vector<dlfs::mem::DmaBuffer> land;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      xs.push_back(ReadExtent{0, i * 1_MiB, 4096});
+      land.push_back(chunk.slice(i * 4096, 4096));
+    }
+    const auto ops = r.engine->start_extents(std::move(xs), std::move(land));
+    std::vector<std::byte> want(4096);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      co_await r.engine->await_op(r.core, ops[i]);
+      EXPECT_FALSE(ops[i]->error());
+      const std::vector<dlfs::mem::DmaBuffer>& got = ops[i]->buffers();
+      EXPECT_EQ(got.size(), 1u);
+      if (got.size() != 1) continue;
+      EXPECT_EQ(got[0].data(), chunk.data() + i * 4096);
+      r.devices[0]->store().read(i * 1_MiB, want);
+      EXPECT_EQ(std::memcmp(got[0].data(), want.data(), 4096), 0);
+    }
+  }(rig));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  EXPECT_GT(rig.engine->retries(), 0u);
+  EXPECT_EQ(rig.pool.peak_used_chunks(), 1u);
+  EXPECT_EQ(rig.pool.used_chunks(), 0u);
+}
+
+TEST(IoEngine, TakeChunkPumpsUntilAReadFreesOne) {
+  // Both chunks of the pool are out: one on a landed extent its consumer
+  // holds, one on a read in flight whose op nobody holds any more.
+  // take_chunk pumps until that read lands and drops its chunk.
+  EngineRig rig(IoEngineConfig{}, 1, /*pool_chunks=*/2);
+  rig.sim.spawn([](EngineRig& r) -> Task<void> {
+    std::vector<ReadExtent> xs(2);
+    xs[0] = ReadExtent{0, 0, 256_KiB};
+    xs[1] = ReadExtent{0, 1_MiB, 256_KiB};
+    auto ops = r.engine->start_extents(std::move(xs));
+    co_await r.engine->await_op(r.core, ops[0]);
+    const std::weak_ptr<dlfs::core::ExtentOp> second = ops[1];
+    ops.pop_back();
+    EXPECT_FALSE(second.expired());  // in flight: its piece holds it
+    EXPECT_EQ(r.pool.free_chunks(), 0u);
+    const dlfs::mem::DmaBuffer chunk = co_await r.engine->take_chunk(r.core);
+    EXPECT_TRUE(chunk.valid());
+    EXPECT_TRUE(second.expired());
+    EXPECT_EQ(r.pool.used_chunks(), 2u);
+  }(rig));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  EXPECT_EQ(rig.engine->completions_harvested(), 2u);
+}
+
 TEST(IoEngine, CacheInsertionSetsVBit) {
   EngineRig rig;
   std::vector<std::byte> dst(4096);

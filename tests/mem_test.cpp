@@ -4,6 +4,8 @@
 
 #include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "common/units.hpp"
 #include "mem/hugepage_pool.hpp"
@@ -115,6 +117,80 @@ TEST(HugePagePool, BuffersOutliveTheirPool) {
   EXPECT_FALSE(a.valid());
   ASSERT_TRUE(b.valid());
   EXPECT_EQ(static_cast<unsigned char>(b.span()[100]), 0xabu);
+}
+
+TEST(HugePagePool, ChunkReturnsWithItsLastSlice) {
+  HugePagePool pool(2 * 4_KiB, 4_KiB);
+  DmaBuffer chunk = pool.allocate();
+  DmaBuffer a = chunk.slice(0, 1_KiB);
+  DmaBuffer b = chunk.slice(1_KiB, 2_KiB);
+  EXPECT_EQ(a.data(), chunk.data());
+  EXPECT_EQ(b.data(), chunk.data() + 1_KiB);
+  EXPECT_EQ(b.size(), 2_KiB);
+  EXPECT_EQ(b.chunk_index(), chunk.chunk_index());
+  EXPECT_TRUE(b.shared());
+  EXPECT_THROW((void)chunk.slice(3_KiB, 2_KiB), std::out_of_range);
+  chunk.release();
+  a.release();
+  EXPECT_EQ(pool.used_chunks(), 1u);
+  EXPECT_FALSE(b.shared());  // the last buffer of its chunk
+  b.release();
+  EXPECT_EQ(pool.used_chunks(), 0u);
+}
+
+TEST(HugePagePool, PeakCountsASlicedChunkOnce) {
+  HugePagePool pool(4 * 4_KiB, 4_KiB);
+  std::vector<DmaBuffer> slices;
+  {
+    const DmaBuffer chunk = pool.allocate();
+    for (std::size_t i = 0; i < 4; ++i) {
+      slices.push_back(chunk.slice(i * 1_KiB, 1_KiB));
+    }
+  }
+  EXPECT_EQ(pool.used_chunks(), 1u);
+  EXPECT_EQ(pool.peak_used_chunks(), 1u);
+}
+
+TEST(HugePagePool, ScribblesOnTheLastSliceOnly) {
+  HugePagePool pool(4_KiB, 4_KiB);
+  pool.set_scribble_on_free(true);
+  std::byte* base = nullptr;
+  {
+    DmaBuffer chunk = pool.allocate();
+    base = chunk.data();
+    std::memset(base, 0xab, chunk.size());
+    DmaBuffer a = chunk.slice(0, 1_KiB);
+    DmaBuffer b = chunk.slice(1_KiB, 1_KiB);
+    chunk.release();
+    a.release();
+    // b still holds the chunk: none of it was scribbled or poisoned.
+    EXPECT_EQ(static_cast<unsigned char>(base[0]), 0xabu);
+    EXPECT_EQ(static_cast<unsigned char>(base[4_KiB - 1]), 0xabu);
+  }
+  // b went last, and the whole chunk with it. Allocating it again
+  // unpoisons it without clearing it.
+  const DmaBuffer again = pool.allocate();
+  ASSERT_EQ(again.data(), base);
+  EXPECT_EQ(static_cast<unsigned char>(again.span()[0]), 0xDDu);
+  EXPECT_EQ(static_cast<unsigned char>(again.span()[4_KiB - 1]), 0xDDu);
+}
+
+TEST(HugePagePool, SlicesOutliveTheirPool) {
+  // The last slice of the last chunk out frees an orphaned arena (ASan
+  // reports a leak otherwise).
+  auto pool = std::make_unique<HugePagePool>(2 * 4_KiB, 4_KiB);
+  pool->set_scribble_on_free(true);
+  DmaBuffer chunk = pool->allocate();
+  std::memset(chunk.data(), 0xab, chunk.size());
+  DmaBuffer a = chunk.slice(0, 1_KiB);
+  DmaBuffer b = chunk.slice(2_KiB, 1_KiB);
+  pool.reset();
+  chunk.release();
+  a.release();
+  ASSERT_TRUE(b.valid());
+  EXPECT_EQ(static_cast<unsigned char>(b.span()[100]), 0xabu);
+  b.release();
+  EXPECT_FALSE(b.valid());
 }
 
 }  // namespace
