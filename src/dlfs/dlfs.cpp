@@ -10,12 +10,12 @@ namespace dlfs::core {
 
 namespace {
 
-/// Spans of a [offset, offset+len) window across an ordered list of
-/// fixed-size pieces (the chunk-split buffers of one read unit).
-std::vector<std::span<const std::byte>> window_views(
+/// Slices of a [offset, offset+len) window across an ordered list of
+/// chunk-size pieces (the chunk-split buffers of one read unit).
+std::vector<mem::DmaBuffer> window_slices(
     const std::vector<mem::DmaBuffer>& pieces, std::uint64_t piece_size,
     std::uint64_t offset, std::uint32_t len) {
-  std::vector<std::span<const std::byte>> out;
+  std::vector<mem::DmaBuffer> out;
   std::uint64_t pos = offset;
   std::uint32_t left = len;
   while (left > 0) {
@@ -23,7 +23,7 @@ std::vector<std::span<const std::byte>> window_views(
     const std::uint64_t in_piece = pos % piece_size;
     const std::uint32_t n = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(left, piece_size - in_piece));
-    out.push_back(pieces.at(idx).span().subspan(in_piece, n));
+    out.push_back(pieces.at(idx).slice(in_piece, n));
     pos += n;
     left -= n;
   }
@@ -51,16 +51,6 @@ bool is_node_fault(const std::exception_ptr& err) {
   } catch (...) {
     return false;
   }
-}
-
-/// A copy job of a pinned cache entry's bytes to `dst`: it holds the pin
-/// until they are copied.
-CopyJob pinned_copy(CachePin pin, std::byte* dst) {
-  CopyJob job;
-  job.views = std::move(pin.spans);
-  job.hold = std::move(pin.bytes);
-  job.dst = dst;
-  return job;
 }
 
 }  // namespace
@@ -372,22 +362,22 @@ dlsim::Task<DlfsInstance::HeldUnit*> DlfsInstance::acquire_pick(
   co_return hu;
 }
 
-std::vector<std::span<const std::byte>> DlfsInstance::held_views(
+std::vector<mem::DmaBuffer> DlfsInstance::held_views(
     const HeldUnit& hu, const UnitSample& us) const {
   const std::uint64_t chunk = fleet_->config_.chunk_bytes;
   if (!hu.chunk.empty()) {
-    return window_views(hu.chunk, chunk, us.offset_in_unit, us.len);
+    return window_slices(hu.chunk, chunk, us.offset_in_unit, us.len);
   }
   auto x = hu.samples.find(us.sample_id);
   if (x == hu.samples.end()) return {};
-  return window_views(x->second->buffers(), chunk, 0, us.len);
+  return window_slices(x->second->buffers(), chunk, 0, us.len);
 }
 
 dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
                                             std::byte* dst) {
   if (cache_->valid(sample_id)) {
     cache_->note_hit();
-    CopyJob job = pinned_copy(cache_->pin(sample_id), dst);
+    CopyJob job{.src = cache_->pin(sample_id), .dst = dst};
     occupy_io_core(engine_->copy_cost(job));
     co_await engine_->run_copy_inline(*io_core_, std::move(job));
     co_return true;
@@ -406,9 +396,9 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
     const std::uint32_t h =
         fleet_->peer_directory_->find(sample_id, client_idx_, peer_node())
             .client;
-    CopyJob job =
-        pinned_copy(fleet_->instances_[h]->cache_->pin(sample_id), dst);
-    assert(job.hold != nullptr);
+    CopyJob job{.src = fleet_->instances_[h]->cache_->pin(sample_id),
+                .dst = dst};
+    assert(!job.src.empty());
     const dlsim::SimDuration serve =
         fleet_->config_.calibration.dlfs.peer_serve;
     occupy_io_core(serve + engine_->copy_cost(job));
@@ -436,24 +426,18 @@ dlsim::Task<bool> DlfsInstance::demand_read(std::uint32_t sample_id,
 
 dlsim::Task<void> DlfsInstance::deliver(ExtentOpPtr x, std::byte* dst,
                                         dlsim::CountdownLatch* copies) {
+  const auto id = static_cast<std::uint32_t>(x->extent.key);
+  CopyJob job{.src = x->take_buffers(), .dst = dst};
   if (x->extent.cls == HopClass::kCache) {
     cache_->note_hit();
-    co_await copy_out(pinned_copy(x->take_pin(), dst), copies);
-    co_return;
-  }
-  cache_->note_miss();
-  const auto id = static_cast<std::uint32_t>(x->extent.key);
-  const std::uint32_t len = fleet_->layout_[id].len;
-  CopyJob job;
-  job.owned_pieces = x->take_buffers();
-  job.piece_lens = piece_lens_of(len, fleet_->config_.chunk_bytes);
-  job.dst = dst;
-  if (x->extent.cls == HopClass::kPeer) {
+  } else if (x->extent.cls == HopClass::kPeer) {
     // A landed pull is never cached, so the hit mix holds; its landing
     // chunk returns to the pool after the copy.
+    cache_->note_miss();
     ++stats_.peer_hits_remote;
-    stats_.peer_bytes += len;
+    stats_.peer_bytes += fleet_->layout_[id].len;
   } else {
+    cache_->note_miss();
     job.cache_sample_id = id;
   }
   co_await copy_out(std::move(job), copies);
@@ -510,13 +494,7 @@ dlsim::Task<void> DlfsInstance::read(const SampleHandle& h,
 }
 
 void DlfsInstance::sequence(std::uint64_t seed) {
-  for (const auto& [slot, hu] : held_) {
-    if (hu.view_pins > 0) {
-      throw std::logic_error(
-          "dlfs_sequence: zero-copy batches from the previous epoch are "
-          "still pinned; release_views() them first");
-    }
-  }
+  // A live ViewBatch keeps its slices, so its views stay readable.
   seq_.emplace(*fleet_->plan_, seed, client_idx_, fleet_->num_clients());
   held_.clear();
   reprobe_pending_ = true;  // epoch boundary: revalidate down nodes once
@@ -647,9 +625,8 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
         }
         const UnitSample& us = pk.unit->samples[pk.first_sample + i];
         if (chunk_mode) {
-          CopyJob job;
-          job.views = held_views(*hu, us);
-          if (job.views.empty()) continue;
+          CopyJob job{.src = held_views(*hu, us)};
+          if (job.src.empty()) continue;
           job.dst = place(us.sample_id, us.len);
           co_await copy_out(std::move(job), &copies);
           continue;
@@ -704,10 +681,7 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
 
 void DlfsInstance::maybe_release_unit(std::size_t slot) {
   auto it = held_.find(slot);
-  if (it != held_.end() && it->second.remaining == 0 &&
-      it->second.view_pins == 0) {
-    held_.erase(it);
-  }
+  if (it != held_.end() && it->second.remaining == 0) held_.erase(it);
 }
 
 dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
@@ -739,19 +713,21 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
   for (const auto& pk : picks) (void)co_await acquire_pick(pk, &faults);
   co_await injected_done();
   // Fatal (media/unknown) read-ahead faults abort the batch before any
-  // unit is pinned, exactly like the copy path's post-latch rethrow.
+  // view is handed out, exactly like the copy path's post-latch rethrow.
   if (faults.fatal) std::rethrow_exception(faults.fatal);
 
   for (const auto& pk : picks) {
     HeldUnit& hu = held_.at(pk.unit_slot);
-    ++hu.view_pins;
-    batch.pinned_slots.push_back(pk.unit_slot);
     hu.remaining -= pk.count;
     for (std::uint32_t i = 0; i < pk.count; ++i) {
       const UnitSample& us = pk.unit->samples[pk.first_sample + i];
+      std::vector<mem::DmaBuffer> slices = held_views(hu, us);
+      if (slices.empty()) continue;  // skipped: no reachable copy
       ViewSample vs;
-      vs.pieces = held_views(hu, us);
-      if (vs.pieces.empty()) continue;  // skipped: no reachable copy
+      for (mem::DmaBuffer& b : slices) {
+        vs.pieces.push_back(b.span());
+        batch.slices.push_back(std::move(b));
+      }
       vs.sample_id = us.sample_id;
       vs.class_id = fleet_->dataset_->sample(us.sample_id).class_id;
       vs.len = us.len;
@@ -763,8 +739,9 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
       // span construction replaces the copy-job setup included there.
     }
   }
+  // The batch's slices keep the chunks it views.
+  for (const auto& pk : picks) maybe_release_unit(pk.unit_slot);
   batch.samples_skipped = faults.skipped;
-  batch.token = 1;
   stats_.samples_delivered += batch.samples.size();
   stats_.samples_skipped += batch.samples_skipped;
   stats_.bytes_delivered += batch.bytes;
@@ -772,23 +749,8 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
 }
 
 void DlfsInstance::release_views(ViewBatch& batch) {
-  if (batch.token == 2) {
-    throw std::logic_error("release_views: batch already released");
-  }
-  if (batch.token == 0) return;  // empty batch (end of epoch)
-  batch.token = 2;
-  for (std::size_t slot : batch.pinned_slots) {
-    auto it = held_.find(slot);
-    if (it == held_.end()) continue;
-    HeldUnit& hu = it->second;
-    if (hu.view_pins == 0) {
-      throw std::logic_error("release_views: pin underflow");
-    }
-    --hu.view_pins;
-    maybe_release_unit(slot);
-  }
-  batch.pinned_slots.clear();
   batch.samples.clear();
+  batch.slices.clear();  // a chunk no other buffer holds goes back
 }
 
 dlsim::Task<Batch> DlfsInstance::bread_unbatched(

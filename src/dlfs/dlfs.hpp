@@ -183,9 +183,11 @@ struct Batch : BatchMeta {
 
 /// Zero-copy batch: samples are views into the huge-page chunks their
 /// prefetch unit holds (possibly split across chunk boundaries), or into
-/// a degraded unit's per-sample replica extents. The backing chunks stay
-/// pinned until release_views(); reading a view after release is a
-/// use-after-free, exactly as with real DMA buffers.
+/// the chunk a degraded pick's replica reads landed in. Each piece is the
+/// span of one of the batch's slices of those chunks, which keep them
+/// out of the pool until release_views() drops the slices; reading a
+/// view after release is a use-after-free, exactly as with real DMA
+/// buffers.
 struct ViewSample {
   std::uint32_t sample_id = 0;
   std::uint32_t class_id = 0;
@@ -196,8 +198,7 @@ struct ViewSample {
 struct ViewBatch : BatchMeta {
   std::vector<ViewSample> samples;
   std::uint64_t bytes = 0;
-  std::vector<std::size_t> pinned_slots;  // internal: units held
-  std::uint64_t token = 0;                // internal: release bookkeeping
+  std::vector<mem::DmaBuffer> slices;  // internal: one per view piece
 };
 
 /// One snapshot of a DlfsInstance's counters, the only telemetry record;
@@ -215,8 +216,6 @@ struct InstanceStats {
   // bytes_copied == 0.
   std::uint64_t bytes_copied = 0;
   std::uint64_t bytes_zero_copy = 0;
-  // Read units currently pinned by live (unreleased) ViewBatches.
-  std::uint64_t view_pins_active = 0;
   // Copy jobs executed on a different core than the one that produced
   // them (each paid DlfsCosts::cross_core_handoff).
   std::uint64_t cross_core_handoffs = 0;
@@ -275,7 +274,6 @@ constexpr void for_each_stat(F&& f, S&&... s) {
   f("cache_misses", kCount, s.cache_misses...);
   f("bytes_copied", kCount, s.bytes_copied...);
   f("bytes_zero_copy", kCount, s.bytes_zero_copy...);
-  f("view_pins_active", kLevel, s.view_pins_active...);
   f("cross_core_handoffs", kCount, s.cross_core_handoffs...);
   f("prefetch_units_issued", kCount, s.prefetch.units_issued...);
   f("prefetch_units_resident_at_pick", kCount,
@@ -383,8 +381,10 @@ class DlfsInstance {
   /// "True zero-copy transfers would require the application buffers to
   /// be mapped on the huge pages"): here the application instead consumes
   /// the huge-page chunks directly. Samples come back as views into the
-  /// resident data chunks; no copy stage runs at all. The chunks stay
-  /// pinned until release_views(batch). Chunk-level batching only.
+  /// resident data chunks; no copy stage runs at all. The batch holds
+  /// slices of the chunks it views until release_views(batch) drops
+  /// them; a second release is a no-op, and a batch stays readable
+  /// across sequence(). Chunk-level batching only.
   [[nodiscard]] dlsim::Task<ViewBatch> bread_views(std::size_t max_samples);
   void release_views(ViewBatch& batch);
 
@@ -417,7 +417,6 @@ class DlfsInstance {
   [[nodiscard]] InstanceStats stats() const {
     InstanceStats s = stats_;
     s.bytes_copied = engine_->bytes_copied();
-    for (const auto& [slot, hu] : held_) s.view_pins_active += hu.view_pins;
     s.cross_core_handoffs = engine_->cross_core_handoffs();
     s.prefetch = prefetcher_->stats();
     s.qos_deferrals = engine_->qos_deferrals();
@@ -437,19 +436,20 @@ class DlfsInstance {
                cluster::Node& node, dlsim::CpuCore& core);
 
   /// One prefetch unit, held from its acquire until its last sample is
-  /// delivered and no ViewBatch pins it. Every batched read path keeps
-  /// its units in held_, keyed by prefetch slot.
+  /// delivered. Every batched read path keeps its units in held_, keyed
+  /// by prefetch slot; a copy job or a ViewBatch holds slices of the
+  /// chunks it reads, so a chunk returns to the pool once the unit and
+  /// every such slice are gone.
   struct HeldUnit {
     // A healthy chunk-level unit: its extent, in chunk-size pieces.
     std::vector<mem::DmaBuffer> chunk;
     // Sample-level units, and chunk units degraded by a node fault:
     // per-sample finished ops keyed by sample id (a degraded pick's ops
-    // share one chunk). A sample-level op may carry a stored media error
-    // instead of buffers, or hold the cache pin read-ahead took at issue
-    // (kCache) until its pick.
+    // hold slices of one chunk). A sample-level op may carry a stored
+    // media error instead of buffers, or hold as its buffers the cache
+    // pin read-ahead took at issue (kCache) until its pick.
     std::unordered_map<std::uint32_t, ExtentOpPtr> samples;
     std::uint32_t remaining = 0;  // samples not yet delivered
-    std::uint32_t view_pins = 0;  // live ViewBatches referencing this unit
   };
   struct BatchFaults;
   void maybe_release_unit(std::size_t slot);
@@ -526,10 +526,10 @@ class DlfsInstance {
   /// skip, a media error is fatal.
   dlsim::Task<HeldUnit*> acquire_pick(EpochSequence::UnitPicks pk,
                                       BatchFaults* faults);
-  /// Spans of one picked sample's bytes in its held chunk-level unit:
+  /// Slices of one picked sample's bytes in its held chunk-level unit:
   /// the chunk window, or the sample's own extent once the unit degraded.
   /// Empty when the sample has no bytes (skipped, or a media fault).
-  [[nodiscard]] std::vector<std::span<const std::byte>> held_views(
+  [[nodiscard]] std::vector<mem::DmaBuffer> held_views(
       const HeldUnit& hu, const UnitSample& us) const;
   /// The demand read of one sample into `dst` (read(), DLFS-Base, and a
   /// sample-level pick whose unit holds no op for it): the sample cache,
@@ -541,10 +541,10 @@ class DlfsInstance {
   dlsim::Task<bool> demand_read(std::uint32_t sample_id, std::byte* dst);
   /// The one delivery step of a finished per-sample extent (a demand
   /// read, or any op a sample-level unit holds for its pick), counting
-  /// one cache hit or miss. Its bytes go to copy_out as one job: a kCache
-  /// op's job holds its pin until the bytes are copied, device bytes then
-  /// enter the sample cache, and a pulled sample (still kPeer) is never
-  /// cached.
+  /// one cache hit or miss. Its buffers go to copy_out as one job, which
+  /// holds them until the bytes are copied: a kCache op's are its cache
+  /// pin, device bytes then enter the sample cache, and a pulled sample
+  /// (still kPeer) is never cached.
   dlsim::Task<void> deliver(ExtentOpPtr x, std::byte* dst,
                             dlsim::CountdownLatch* copies);
   /// The one way a sample bread copies reaches the copy stage, one job
@@ -587,8 +587,9 @@ class DlfsInstance {
   /// The engine's peer puller (IoEngine::PeerPuller), run by its own
   /// process for every pull, demand or read-ahead: request hop to the
   /// sample's home client, forward hop, holder pin, the holder's queued
-  /// serve and the bulk send into `into`. The holder's cache pin drops
-  /// when the pull returns; a refusal counts one peer miss.
+  /// serve and the bulk send into `into`. The holder's cache pin (slices
+  /// of its entry) drops when the pull returns; a refusal counts one peer
+  /// miss.
   [[nodiscard]] dlsim::Task<bool> pull_from_peer(std::uint32_t sample_id,
                                                  std::uint32_t len,
                                                  mem::DmaBuffer* into);
@@ -668,10 +669,10 @@ class DlfsInstance {
   dlsim::SimTime peer_serve_free_ = 0;
 };
 
-/// RAII holder for a zero-copy batch: releases the pinned units when the
-/// lease leaves scope, so every exit path (including exceptions between
-/// bread_views and the explicit release) unpins. Move-only; release()
-/// is idempotent through the batch token.
+/// RAII holder for a zero-copy batch: releases the batch's slices when
+/// the lease leaves scope, so every exit path (including exceptions
+/// between bread_views and the explicit release) hands its chunks back.
+/// Move-only; release() is idempotent.
 class ViewLease {
  public:
   ViewLease() = default;
@@ -692,13 +693,11 @@ class ViewLease {
   ~ViewLease() { release(); }
 
   void release() {
-    if (inst_ != nullptr && batch_.token == 1) inst_->release_views(batch_);
+    if (inst_ != nullptr) inst_->release_views(batch_);
     inst_ = nullptr;
   }
   /// True while the batch's views are still safe to read.
-  [[nodiscard]] bool held() const {
-    return inst_ != nullptr && batch_.token == 1;
-  }
+  [[nodiscard]] bool held() const { return inst_ != nullptr; }
   [[nodiscard]] ViewBatch& batch() { return batch_; }
   [[nodiscard]] const ViewBatch& batch() const { return batch_; }
 

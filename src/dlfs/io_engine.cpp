@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <utility>
 
 #include "common/units.hpp"
 
@@ -62,36 +62,22 @@ void IoEngine::attach_target(std::uint16_t nid,
 
 dlsim::SimDuration IoEngine::copy_cost(const CopyJob& job) const {
   std::uint64_t bytes = 0;
-  for (auto l : job.piece_lens) bytes += l;
-  for (const auto& v : job.views) bytes += v.size();
+  for (const mem::DmaBuffer& b : job.src) bytes += b.size();
   return cal_->dlfs.completion_handling +
          dlsim::transfer_time(bytes, cal_->dlfs.copy_bw_bytes_per_sec);
 }
 
 void IoEngine::do_copy(CopyJob& job) {
   std::byte* out = job.dst;
-  std::uint64_t copied = 0;
-  for (std::size_t i = 0; i < job.owned_pieces.size(); ++i) {
-    const std::uint32_t n = job.piece_lens[i];
-    if (out != nullptr) {
-      std::memcpy(out, job.owned_pieces[i].data(), n);
-      out += n;
-    }
-    copied += n;
+  for (const mem::DmaBuffer& b : job.src) {
+    if (out != nullptr) out = std::copy_n(b.data(), b.size(), out);
+    bytes_copied_ += b.size();
   }
-  for (const auto& v : job.views) {
-    if (out != nullptr) {
-      std::memcpy(out, v.data(), v.size());
-      out += v.size();
-    }
-    copied += v.size();
+  // The bytes are copied: the job's buffers enter the cache or drop.
+  if (job.cache_sample_id && !job.src.empty()) {
+    cache_->insert(*job.cache_sample_id, std::move(job.src));
   }
-  bytes_copied_ += copied;
-  job.hold.reset();
-  if (job.cache_sample_id && !job.owned_pieces.empty()) {
-    cache_->insert(*job.cache_sample_id, std::move(job.owned_pieces),
-                   std::move(job.piece_lens));
-  }
+  job.src.clear();
   if (job.latch != nullptr) job.latch->count_down();
 }
 
@@ -269,8 +255,8 @@ std::vector<ExtentOpPtr> IoEngine::start_extents(
     }
     if (x.cls == HopClass::kCache) {
       auto op = std::make_shared<ExtentOp>(std::move(x));
-      op->pin_ = cache_->pin(op->extent.key);
-      assert(op->pin_.bytes);
+      op->buffers_ = cache_->pin(op->extent.key);
+      assert(!op->buffers_.empty());
       op->finished_ = true;
       ops.push_back(std::move(op));
       continue;
@@ -319,7 +305,7 @@ dlsim::Task<void> IoEngine::run_pull(Piece p) {
   --pulls_;
   op.pull_.reset();
   if (landed) {
-    op.buffers_[0] = std::move(p.buffer);
+    op.buffers_[0] = std::exchange(p.buffer, {}).slice(0, p.len);
     op.finished_ = true;
     co_return;
   }
@@ -338,11 +324,7 @@ ExtentOpPtr IoEngine::start_extent(ReadExtent extent) {
 }
 
 ExtentOpPtr IoEngine::start_write(std::uint16_t nid, std::uint64_t offset,
-                                  std::vector<mem::DmaBuffer> pieces,
-                                  std::vector<std::uint32_t> lens) {
-  if (pieces.size() != lens.size()) {
-    throw std::logic_error("start_write: pieces/lens size mismatch");
-  }
+                                  std::vector<mem::DmaBuffer> pieces) {
   if (nid >= targets_.size() || targets_[nid] == nullptr) {
     throw std::logic_error("start_write: no queue for storage node " +
                            std::to_string(nid));
@@ -351,7 +333,9 @@ ExtentOpPtr IoEngine::start_write(std::uint16_t nid, std::uint64_t offset,
   x.nid = nid;
   x.offset = offset;
   x.write = true;
-  for (const std::uint32_t l : lens) x.len += l;
+  for (const mem::DmaBuffer& b : pieces) {
+    x.len += static_cast<std::uint32_t>(b.size());
+  }
   dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
   auto op = std::make_shared<ExtentOp>(std::move(x));
   if (!node_available(nid)) {
@@ -365,8 +349,9 @@ ExtentOpPtr IoEngine::start_write(std::uint16_t nid, std::uint64_t offset,
   op->buffers_.resize(pieces.size());
   std::uint64_t off = offset;
   for (std::uint32_t i = 0; i < pieces.size(); ++i) {
-    to_post_.push_back(Piece{op, i, off, lens[i], std::move(pieces[i])});
-    off += lens[i];
+    const auto n = static_cast<std::uint32_t>(pieces[i].size());
+    to_post_.push_back(Piece{op, i, off, n, std::move(pieces[i])});
+    off += n;
   }
   op->finished_ = pieces.empty();
   return op;
@@ -382,10 +367,12 @@ bool IoEngine::make_room() {
     freed = pool_->free_chunks() > 0 || cache_->evict_lru_one();
   }
   if (freed) return true;
-  // Neither can free a chunk: I/O in flight may, but with none the read
-  // can never make progress — fail loudly instead of livelocking.
-  if (in_flight_.empty() && scq_->empty() && delayed_.empty() &&
-      pulls_ == 0) {
+  // Neither can free a chunk: I/O in flight may, and so may a piece
+  // another pumper holds or a queued piece that holds its buffer; with
+  // none of them the read can never make progress — fail loudly instead
+  // of livelocking.
+  if (in_flight_.empty() && in_hand_ == 0 && scq_->empty() &&
+      delayed_.empty() && pulls_ == 0 && !queued_buffer()) {
     throw std::runtime_error(
         "huge-page pool exhausted: cache pinned + nothing in flight");
   }
@@ -403,7 +390,9 @@ dlsim::Task<void> IoEngine::pump_until(dlsim::CpuCore& core, Done done) {
 
     // Post while targets have queue space and the pool has chunks (or
     // the piece has its buffer already: a retry, or a landing slice).
-    std::size_t rotated = 0;  // pieces parked behind degraded queues this pass
+    // Pieces rotated to the back this pass: behind a reconnecting queue,
+    // or without a chunk.
+    std::size_t rotated = 0;
     while (!to_post_.empty()) {
       Piece p;
       spdk::IoQueue* q = nullptr;
@@ -448,7 +437,15 @@ dlsim::Task<void> IoEngine::pump_until(dlsim::CpuCore& core, Done done) {
           to_post_.pop_front();
           continue;
         }
-        if (!to_post_.front().buffer.valid() && !make_room()) break;
+        if (!to_post_.front().buffer.valid() && !make_room()) {
+          // No chunk for the head piece: the queued pieces that hold
+          // their buffer post past it, as past a reconnecting queue.
+          if (rotated >= to_post_.size() || !queued_buffer()) break;
+          ++rotated;
+          to_post_.push_back(std::move(to_post_.front()));
+          to_post_.pop_front();
+          continue;
+        }
         if (tenant_ && !tenant_->try_admit(to_post_.front().len)) {
           // Tenant QoS deferred us: another job owns this share of the
           // devices right now. Completions (ours or theirs, seen via the
@@ -478,7 +475,9 @@ dlsim::Task<void> IoEngine::pump_until(dlsim::CpuCore& core, Done done) {
         continue;
       }
       ++p.attempts;
+      ++in_hand_;
       co_await core.compute(cal_->dlfs.prep_request + cal_->dlfs.sq_post);
+      --in_hand_;
       const std::uint64_t tag = next_tag_++;
       const auto st = q->submit(
           p.op->extent.write ? spdk::IoOp::kWrite : spdk::IoOp::kRead,
@@ -555,7 +554,9 @@ dlsim::Task<void> IoEngine::pump_until(dlsim::CpuCore& core, Done done) {
           in_flight_.erase(it);
         }
       }
+      in_hand_ += ready.size();
       co_await core.compute(cal_->dlfs.completion_handling * ready.size());
+      in_hand_ -= ready.size();
       for (auto& [c, p] : ready) {
         progress = true;
         // Every harvested completion frees one QoS grant, whatever its
@@ -606,7 +607,8 @@ dlsim::Task<void> IoEngine::pump_until(dlsim::CpuCore& core, Done done) {
         }
         ++harvested_;
         ExtentOp& op = *p.op;
-        op.buffers_[p.idx] = std::move(p.buffer);
+        // The op keeps exactly the piece's bytes of its chunk.
+        op.buffers_[p.idx] = std::exchange(p.buffer, {}).slice(0, p.len);
         if (++op.pieces_done_ == op.pieces_total_) op.finished_ = true;
       }
     }

@@ -8,7 +8,8 @@
 //           own cache chunk, exactly as §III-C.1 describes)
 //   post  — submit to the target's queue pair, bounded by queue depth
 //   poll  — busy-poll completion queues; every harvested piece lands in
-//           its extent's pool chunk
+//           its extent's pool chunk, which the op keeps trimmed to the
+//           piece's bytes
 //   copy  — a pool of copy threads drains the shared completion queue
 //           (SCQ), one job per pop, and memcpys sample data from the
 //           huge-page chunks to the application buffer; the core that
@@ -38,7 +39,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -116,7 +116,8 @@ struct ReadExtent {
   std::vector<RouteHop> routes{};
   // kPeer: a pull of sample `key` out of a peer's DRAM into one pool
   // chunk, whose refusal turns the extent into a read of (nid, offset).
-  // kCache: a pin of sample `key` in the engine's cache, taken at issue.
+  // kCache: a pin of sample `key` in the engine's cache, taken at issue:
+  // the op's buffers are the pin's slices.
   HopClass cls = HopClass::kStorage;
   // Direction. Write extents (start_write) carry their payload in the
   // piece buffers instead of allocating them at post time; they have no
@@ -143,20 +144,18 @@ class ExtentOp {
   [[nodiscard]] bool pulling() const { return pull_.has_value(); }
   [[nodiscard]] std::exception_ptr error() const { return error_; }
 
-  /// The extent's chunk buffers, in on-device order, left on the op.
+  /// The extent's buffers, in on-device order, each sized to its piece's
+  /// bytes, left on the op. A kCache op holds its cache pin here from
+  /// issue until the buffers are taken or the op drops.
   [[nodiscard]] const std::vector<mem::DmaBuffer>& buffers() const {
     return buffers_;
   }
 
-  /// The extent's chunk buffers, in on-device order. Transfers
-  /// ownership; call once, once finished() without an error.
+  /// The extent's buffers. Transfers ownership; call once, once
+  /// finished() without an error.
   [[nodiscard]] std::vector<mem::DmaBuffer> take_buffers() {
     return std::move(buffers_);
   }
-
-  /// A kCache extent's pin, held from issue until taken or the op drops.
-  /// Transfers ownership; call once.
-  [[nodiscard]] CachePin take_pin() { return std::move(pin_); }
 
  private:
   friend class IoEngine;
@@ -166,7 +165,6 @@ class ExtentOp {
   std::uint32_t pieces_total_ = 0;
   std::uint32_t pieces_done_ = 0;
   std::vector<mem::DmaBuffer> buffers_;  // placed by piece index
-  CachePin pin_{};
 };
 
 using ExtentOpPtr = std::shared_ptr<ExtentOp>;
@@ -174,16 +172,13 @@ using ExtentOpPtr = std::shared_ptr<ExtentOp>;
 /// Work item on the shared completion queue: the copy of one sample to
 /// `dst`, one completed request as the paper's copy stage has it.
 struct CopyJob {
-  // Either owned pieces (sample-level reads) ...
-  std::vector<mem::DmaBuffer> owned_pieces;
-  std::vector<std::uint32_t> piece_lens;
-  // ... or borrowed views (copies out of a resident data chunk).
-  std::vector<std::span<const std::byte>> views;
+  // The sample's bytes, in order: a landed op's buffers, a cache pin or
+  // slices of a held chunk, each sized to its bytes. The job holds them
+  // until they are copied.
+  std::vector<mem::DmaBuffer> src;
   std::byte* dst = nullptr;
+  // Set: `src` then enters the sample cache under this id.
   std::optional<std::size_t> cache_sample_id{};
-  // What keeps `views`' bytes alive, when the job must (a CachePin's
-  // bytes): dropped as soon as they are copied.
-  std::shared_ptr<const void> hold{};
   dlsim::CountdownLatch* latch = nullptr;
   // Core that produced the job. A core other than this one that runs the
   // job (a copy thread) pays the cross-core handoff cost (cache-line
@@ -191,22 +186,6 @@ struct CopyJob {
   // the event, so locality shows up in CPU results instead of being free.
   const dlsim::CpuCore* origin = nullptr;
 };
-
-/// Piece lengths of a `len`-byte extent split at the chunk size — the
-/// split start_extents performs; prefetched buffers come back in exactly
-/// these pieces.
-inline std::vector<std::uint32_t> piece_lens_of(std::uint32_t len,
-                                                std::uint64_t chunk_bytes) {
-  std::vector<std::uint32_t> lens;
-  std::uint32_t left = len;
-  while (left > 0) {
-    const auto n = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(left, chunk_bytes));
-    lens.push_back(n);
-    left -= n;
-  }
-  return lens;
-}
 
 class IoEngine {
  public:
@@ -232,16 +211,16 @@ class IoEngine {
       std::vector<ReadExtent> extents, std::vector<mem::DmaBuffer> land = {});
   [[nodiscard]] ExtentOpPtr start_extent(ReadExtent extent);
 
-  /// Queues a write of `pieces` (pool-owned buffers, `lens[i]` bytes each,
-  /// chunk-aligned splits of one device extent) to node `nid` starting at
-  /// `offset`. Rides the same posting/poll pump, queue-depth budget and
-  /// fault machinery as reads — the re-replication engine uses this to
-  /// stream repaired bytes to a replacement node without a second I/O
-  /// path. The buffers stay owned by the op until it completes.
+  /// Queues a write of `pieces` (pool-owned buffers, each sized to its
+  /// bytes, chunk-aligned splits of one device extent, as a read's
+  /// take_buffers hands them over) to node `nid` starting at `offset`.
+  /// Rides the same posting/poll pump, queue-depth budget and fault
+  /// machinery as reads — the re-replication engine uses this to stream
+  /// repaired bytes to a replacement node without a second I/O path. The
+  /// buffers stay owned by the op until it completes.
   [[nodiscard]] ExtentOpPtr start_write(std::uint16_t nid,
                                         std::uint64_t offset,
-                                        std::vector<mem::DmaBuffer> pieces,
-                                        std::vector<std::uint32_t> lens);
+                                        std::vector<mem::DmaBuffer> pieces);
 
   /// One free pool chunk, for extents that land in slices of it, taken
   /// through the pump's pool-pressure step: a cache eviction, then shed
@@ -262,9 +241,8 @@ class IoEngine {
 
   /// Enqueues a copy of landed or resident bytes on the copy-thread pool,
   /// which must exist (copy_threads > 0). The latch is counted down after
-  /// the memcpy; a job has by then dropped its `hold`, and one with
-  /// `cache_sample_id` has retained its owned pieces in the sample cache
-  /// (V bit set).
+  /// the memcpy; a job has by then dropped its `src`, or, with
+  /// `cache_sample_id`, retained it in the sample cache (V bit set).
   [[nodiscard]] dlsim::Task<void> enqueue_copy(CopyJob job);
 
   /// Runs queued copy jobs on `core` until the SCQ is empty; a job a copy
@@ -284,7 +262,7 @@ class IoEngine {
   /// Called when the pool is exhausted, the sample cache has nothing
   /// evictable, and a read still needs chunks. Returns true if the
   /// callback shed something (the prefetcher's farthest read-ahead unit:
-  /// its chunks, or the cache pins it held), and the pool-pressure step
+  /// its buffers, chunks or cache pins), and the pool-pressure step
   /// tries the pool and the cache again; false lets it fall through to
   /// the livelock guard.
   void set_pressure_reliever(std::function<bool()> reliever) {
@@ -376,9 +354,16 @@ class IoEngine {
   /// The pool-pressure step, for a piece's chunk and take_chunk alike:
   /// true once the pool has a free chunk, after evicting the cache's LRU
   /// entry and then shedding read-ahead as needed. False while only I/O
-  /// in flight can free one; throws when none is (pool livelock). Must
-  /// run inside a pieces_ledger_ slice.
+  /// in flight, a piece a pumper holds or a queued piece that holds its
+  /// buffer can free one; throws when none is (pool livelock). Must run
+  /// inside a pieces_ledger_ slice.
   bool make_room();
+  /// A queued piece holds its buffer (a retry, a refused pull, a write or
+  /// a landing slice), so it posts without taking a chunk.
+  [[nodiscard]] bool queued_buffer() const {
+    return std::ranges::any_of(
+        to_post_, [](const Piece& p) { return p.buffer.valid(); });
+  }
   /// Drives the shared pump on `core` until `done()`: each pass posts
   /// what it can, then polls and harvests every queue, and a pass that
   /// moves nothing waits for the next completion.
@@ -431,6 +416,9 @@ class IoEngine {
   std::deque<Piece> to_post_;
   std::vector<Piece> delayed_;  // retries waiting out their backoff
   std::unordered_map<std::uint64_t, Piece> in_flight_;
+  // Pieces a pumper holds across a compute charge: one being posted, or
+  // a poll's completions being handled.
+  std::size_t in_hand_ = 0;
   std::uint32_t pulls_ = 0;  // pulls in flight
   PeerPuller peer_puller_;
   std::function<bool()> pressure_reliever_;

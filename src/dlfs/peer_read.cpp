@@ -66,8 +66,8 @@ dlsim::Task<bool> DlfsInstance::pull_from_peer(std::uint32_t sample_id,
   // suspended, so the holder may have evicted (and retracted) meanwhile —
   // an empty pin is that race, answered with a miss reply.
   DlfsInstance& holder = *fleet_->instances_[h.client];
-  const CachePin pin = holder.cache_->pin(sample_id);
-  if (!pin.bytes) {
+  const std::vector<mem::DmaBuffer> pin = holder.cache_->pin(sample_id);
+  if (pin.empty()) {
     co_await fabric.transfer(holder_node, me, hw::kControlMessageBytes);
     co_return refuse();
   }
@@ -86,7 +86,9 @@ dlsim::Task<bool> DlfsInstance::pull_from_peer(std::uint32_t sample_id,
     // The one-sided bulk send wrote the requester's chunk: place the
     // bytes there (no CPU charge on either side).
     std::byte* out = into->data();
-    for (const auto& v : pin.spans) out = std::copy(v.begin(), v.end(), out);
+    for (const mem::DmaBuffer& b : pin) {
+      out = std::copy_n(b.data(), b.size(), out);
+    }
   } else {
     ++stats_.peer_misses;
   }

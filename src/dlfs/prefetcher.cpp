@@ -156,7 +156,7 @@ bool Prefetcher::relieve_pressure() {
   auto rit = std::find_if(w->rbegin(), w->rend(), is_candidate);
   if (rit == w->rend()) return false;
   for (const ExtentOpPtr& op : rit->ops) {
-    (void)op->take_buffers();  // DmaBuffers drop -> chunks freed
+    (void)op->take_buffers();  // chunks freed, cache pins dropped
   }
   ++stats_.units_dropped;
   if (window_target_ > cfg_.min_units) {

@@ -37,8 +37,9 @@
 //     (top_up blocked with less than kReserveChunks of headroom), and when
 //     the engine invokes the pressure reliever — pool exhausted and
 //     SampleCache::evict_lru_one() found nothing to yield — in which case
-//     the farthest resident, unconsumed unit is dropped and its chunks
-//     returned, or the cache entries its pins held made evictable.
+//     the farthest resident, unconsumed unit is dropped with its ops'
+//     buffers: its chunks return to the pool, and the cache entries its
+//     kCache ops pinned (their buffers are the pins) become evictable.
 //
 // Failure model: a prefetched extent's IoError is stored on its ExtentOp
 // and handed back *per op* by acquire() — the daemon never dies on a
@@ -150,8 +151,8 @@ class Prefetcher {
 
   struct Entry {
     std::size_t slot = 0;
-    // A kCache op holds its cache pin, so dropping the entry (a shed
-    // unit, a new epoch) releases it.
+    // A kCache op's buffers are its cache pin, so dropping the entry (a
+    // shed unit, a new epoch) releases it.
     std::vector<ExtentOpPtr> ops;
     bool pinned = false;  // a consumer is awaiting it; reliever must skip
   };

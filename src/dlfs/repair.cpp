@@ -240,9 +240,8 @@ dlsim::Task<bool> DlfsInstance::repair_one(std::uint32_t sample_id,
   if (!*alive) co_return false;
   if (rop->error()) co_return false;  // next membership wake retries
 
-  const ExtentOpPtr wop = engine_->start_write(
-      dst->nid, dst->offset, rop->take_buffers(),
-      piece_lens_of(loc.len, fleet_->config_.chunk_bytes));
+  const ExtentOpPtr wop =
+      engine_->start_write(dst->nid, dst->offset, rop->take_buffers());
   co_await engine_->await_op(*repair_core_, wop);
   if (!*alive) co_return false;
   if (wop->error()) co_return false;  // allocated extent is wasted, not wrong

@@ -1,6 +1,5 @@
 #include "dlfs/sample_cache.hpp"
 
-#include <cassert>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -13,20 +12,21 @@ SampleCache::SampleCache(mem::HugePagePool& pool, std::size_t capacity_chunks,
                          std::size_t num_samples)
     : pool_(&pool), capacity_(capacity_chunks), valid_bits_(num_samples, 0) {}
 
-CachePin SampleCache::pin(std::size_t sample_id) {
+std::vector<mem::DmaBuffer> SampleCache::pin(std::size_t sample_id) {
   dlsim::AccessSlice slice{ledger_, /*write=*/true};  // LRU refresh mutates
   auto it = map_.find(sample_id);
   if (it == map_.end()) return {};
   Entry& e = it->second;
   lru_.splice(lru_.begin(), lru_, e.lru_pos);  // refresh recency
-  return CachePin{e.pieces, e.spans};
+  std::vector<mem::DmaBuffer> pin;
+  pin.reserve(e.pieces.size());
+  for (const mem::DmaBuffer& b : e.pieces) pin.push_back(b.slice(0, b.size()));
+  return pin;
 }
 
 void SampleCache::insert(std::size_t sample_id,
-                         std::vector<mem::DmaBuffer> pieces,
-                         std::vector<std::uint32_t> piece_lens) {
+                         std::vector<mem::DmaBuffer> pieces) {
   dlsim::AccessSlice slice{ledger_, /*write=*/true};
-  assert(pieces.size() == piece_lens.size());
   if (sample_id >= valid_bits_.size()) {
     throw std::out_of_range("sample id beyond dataset size");
   }
@@ -42,16 +42,9 @@ void SampleCache::insert(std::size_t sample_id,
   if (need > capacity_) return;  // can never fit; don't retain
   evict_until_fits(need);
   if (chunks_used_ + need > capacity_) return;  // everything pinned
-  std::vector<std::span<const std::byte>> spans;
-  for (std::size_t i = 0; i < need; ++i) {
-    spans.push_back(pieces[i].span().subspan(0, piece_lens[i]));
-  }
   lru_.push_front(sample_id);
   chunks_used_ += need;
-  map_.emplace(sample_id,
-               Entry{std::make_shared<const std::vector<mem::DmaBuffer>>(
-                         std::move(pieces)),
-                     std::move(spans), lru_.begin()});
+  map_.emplace(sample_id, Entry{std::move(pieces), lru_.begin()});
   valid_bits_[sample_id] = 1;
   if (residency_listener_) residency_listener_(sample_id, true);
 }
@@ -64,7 +57,7 @@ void SampleCache::evict(std::size_t sample_id) {
 
 void SampleCache::erase(Map::iterator it) {
   const std::size_t sample_id = it->first;
-  chunks_used_ -= it->second.pieces->size();
+  chunks_used_ -= it->second.pieces.size();
   lru_.erase(it->second.lru_pos);
   valid_bits_[sample_id] = 0;
   map_.erase(it);

@@ -10,16 +10,16 @@
 //
 // Completed sample reads are retained in an LRU keyed by sample id; the
 // V bit of a sample is on exactly while a copy is resident here, so a
-// dlfs_read can serve a hit with a memcpy and no device I/O. An entry
-// some CachePin holds is never evicted. Capacity is counted in pool
-// chunks, mirroring how the real cache is carved.
+// dlfs_read can serve a hit with a memcpy and no device I/O. An entry is
+// its buffers, and one whose chunks a pin's slices share is never
+// evicted. Capacity is counted in pool chunks, mirroring how the real
+// cache is carved.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -34,16 +34,6 @@ namespace dlfs::core {
 /// knob is whether to cooperate at all.
 struct PeerCacheConfig {
   bool enabled = false;
-};
-
-/// A pin on one resident cache entry, as a value: the entry's bytes and
-/// their spans, in order. The entry is not evicted while any pin to it
-/// lives, and the bytes outlive the cache, so a pin a suspended frame
-/// holds at teardown touches no destroyed cache. A default pin (the
-/// sample was not resident) holds nothing.
-struct CachePin {
-  std::shared_ptr<const std::vector<mem::DmaBuffer>> bytes;
-  std::vector<std::span<const std::byte>> spans;
 };
 
 class SampleCache {
@@ -62,18 +52,20 @@ class SampleCache {
     return valid_bits_[sample_id] != 0;
   }
 
-  /// A pin on a resident sample's bytes; refreshes LRU recency. An empty
-  /// pin if the sample is not resident.
-  [[nodiscard]] CachePin pin(std::size_t sample_id);
+  /// A pin on a resident sample: slices of its buffers, in order, that
+  /// keep the entry from eviction while any of them lives and outlive
+  /// the cache (a pin a suspended frame holds at teardown touches no
+  /// destroyed cache). Refreshes LRU recency. Empty if the sample is not
+  /// resident.
+  [[nodiscard]] std::vector<mem::DmaBuffer> pin(std::size_t sample_id);
 
-  /// Inserts a completed read: takes ownership of the chunk buffers
-  /// holding the sample (piece i holds bytes [piece_len[i]] of it).
-  /// Evicts LRU victims (clearing their V bits) to stay within capacity;
-  /// if everything is pinned the insert is skipped (the data still
-  /// reaches the application; it just isn't retained). Throws
+  /// Inserts a completed read: takes ownership of the buffers holding
+  /// the sample, in order, each sized to its bytes and one chunk's only
+  /// buffer. Evicts LRU victims (clearing their V bits) to stay within
+  /// capacity; if everything is pinned the insert is skipped (the data
+  /// still reaches the application; it just isn't retained). Throws
   /// std::logic_error on a buffer whose chunk another slice shares.
-  void insert(std::size_t sample_id, std::vector<mem::DmaBuffer> pieces,
-              std::vector<std::uint32_t> piece_lens);
+  void insert(std::size_t sample_id, std::vector<mem::DmaBuffer> pieces);
 
   /// Drops a resident sample (no-op if absent or pinned).
   void evict(std::size_t sample_id);
@@ -101,12 +93,13 @@ class SampleCache {
 
  private:
   struct Entry {
-    // Shared with every live CachePin to the entry.
-    std::shared_ptr<const std::vector<mem::DmaBuffer>> pieces;
-    std::vector<std::span<const std::byte>> spans;
+    std::vector<mem::DmaBuffer> pieces;
     std::list<std::size_t>::iterator lru_pos;
 
-    [[nodiscard]] bool pinned() const { return pieces.use_count() > 1; }
+    /// A pin's slices share the entry's chunks.
+    [[nodiscard]] bool pinned() const {
+      return std::ranges::any_of(pieces, &mem::DmaBuffer::shared);
+    }
   };
   using Map = std::unordered_map<std::size_t, Entry>;
 

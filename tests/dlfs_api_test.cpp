@@ -563,12 +563,14 @@ TEST(DlfsBread, PoolPressureShedsReadAheadCachePins) {
   // once, pinning the 48 resident samples, so the device reads of the
   // other 16 find no free chunk and no evictable entry: the pump sheds
   // read-ahead units, whose dropped pins let the cache yield chunks, and
-  // the epoch completes with the dataset's bytes.
+  // the epoch completes with the dataset's bytes. scribble_on_free: a
+  // chunk recycled under a live pin or copy job reads 0xDD.
   DlfsConfig cfg;
   cfg.batching = BatchingMode::kSampleLevel;
   cfg.chunk_bytes = 4096;
   cfg.cache_chunks = 48;
   cfg.pool_bytes = 48 * 4096;
+  cfg.scribble_on_free = true;
   Rig rig(1, dlfs::dataset::make_fixed_size_dataset(64, 4096), cfg);
   rig.mount();
   auto& inst = rig.fleet.instance(0);

@@ -24,7 +24,6 @@ namespace {
 using dlfs::core::AvlTree;
 using dlfs::core::BatchingMode;
 using dlfs::core::BatchPlan;
-using dlfs::core::CachePin;
 using dlfs::core::EpochSequence;
 using dlfs::core::ReadUnit;
 using dlfs::core::SampleCache;
@@ -267,14 +266,13 @@ struct CacheRig {
   dlfs::mem::HugePagePool pool{16 * 256_KiB, 256_KiB};
   SampleCache cache{pool, /*capacity_chunks=*/4, /*num_samples=*/100};
 
+  // A landed read's buffers: 1000 bytes of a chunk each.
   void insert_sample(std::size_t id, std::size_t chunks = 1) {
     std::vector<dlfs::mem::DmaBuffer> pieces;
-    std::vector<std::uint32_t> lens;
     for (std::size_t i = 0; i < chunks; ++i) {
-      pieces.push_back(pool.allocate());
-      lens.push_back(1000);
+      pieces.push_back(pool.allocate().slice(0, 1000));
     }
-    cache.insert(id, std::move(pieces), std::move(lens));
+    cache.insert(id, std::move(pieces));
   }
 };
 
@@ -288,31 +286,33 @@ TEST(SampleCache, InsertSetsVBit) {
 }
 
 TEST(SampleCache, PinReturnsSpansOfInsertedLengths) {
+  // A pin is slices of the entry's buffers, each sized to its bytes.
   CacheRig rig;
   rig.insert_sample(3, 2);
-  const CachePin pin = rig.cache.pin(3);
-  ASSERT_EQ(pin.spans.size(), 2u);
-  EXPECT_EQ(pin.spans[0].size(), 1000u);
-  EXPECT_EQ(pin.spans[1].size(), 1000u);
-  EXPECT_EQ(rig.cache.pin(4).bytes, nullptr);  // not resident
+  const std::vector<dlfs::mem::DmaBuffer> pin = rig.cache.pin(3);
+  ASSERT_EQ(pin.size(), 2u);
+  EXPECT_EQ(pin[0].size(), 1000u);
+  EXPECT_EQ(pin[1].size(), 1000u);
+  EXPECT_TRUE(pin[0].shared());  // with the entry's buffer
+  EXPECT_TRUE(rig.cache.pin(4).empty());  // not resident
 }
 
 TEST(SampleCache, PinOutlivesItsCache) {
   // A pin taken before its cache and pool are destroyed still reads the
   // inserted bytes, as a copy job a suspended frame holds at teardown
   // does.
-  CachePin pin;
+  std::vector<dlfs::mem::DmaBuffer> pin;
   {
     CacheRig rig;
     std::vector<dlfs::mem::DmaBuffer> pieces;
-    pieces.push_back(rig.pool.allocate());
+    pieces.push_back(rig.pool.allocate().slice(0, 1000));
     std::ranges::fill(pieces[0].span(), std::byte{0x5A});
-    rig.cache.insert(4, std::move(pieces), {1000});
+    rig.cache.insert(4, std::move(pieces));
     pin = rig.cache.pin(4);
   }
-  ASSERT_EQ(pin.spans.size(), 1u);
-  ASSERT_EQ(pin.spans[0].size(), 1000u);
-  EXPECT_EQ(std::ranges::count(pin.spans[0], std::byte{0x5A}), 1000);
+  ASSERT_EQ(pin.size(), 1u);
+  ASSERT_EQ(pin[0].size(), 1000u);
+  EXPECT_EQ(std::ranges::count(pin[0].span(), std::byte{0x5A}), 1000);
 }
 
 TEST(SampleCache, InsertRejectsASharedChunk) {
@@ -322,8 +322,7 @@ TEST(SampleCache, InsertRejectsASharedChunk) {
   const dlfs::mem::DmaBuffer chunk = rig.pool.allocate();
   std::vector<dlfs::mem::DmaBuffer> pieces;
   pieces.push_back(chunk.slice(0, 1000));
-  EXPECT_THROW(rig.cache.insert(5, std::move(pieces), {1000}),
-               std::logic_error);
+  EXPECT_THROW(rig.cache.insert(5, std::move(pieces)), std::logic_error);
   EXPECT_FALSE(rig.cache.valid(5));
   EXPECT_EQ(rig.cache.resident_chunks(), 0u);
 }
@@ -352,7 +351,7 @@ TEST(SampleCache, PinnedEntriesSurviveEviction) {
   CacheRig rig;
   for (std::size_t id = 0; id < 4; ++id) rig.insert_sample(id);
   {
-    const CachePin pin = rig.cache.pin(0);  // pin the LRU candidate
+    const auto pin = rig.cache.pin(0);  // pin the LRU candidate
     rig.insert_sample(5);
     EXPECT_TRUE(rig.cache.valid(0));   // pinned: not evicted
     EXPECT_FALSE(rig.cache.valid(1));  // next victim instead
@@ -366,12 +365,12 @@ TEST(SampleCache, PinnedEntriesSurviveEviction) {
 TEST(SampleCache, EvictLruOneSkipsPinnedEntries) {
   CacheRig rig;
   for (std::size_t id = 0; id < 4; ++id) rig.insert_sample(id);
-  const CachePin pin0 = rig.cache.pin(0);
-  const CachePin pin1 = rig.cache.pin(1);
+  const auto pin0 = rig.cache.pin(0);
+  const auto pin1 = rig.cache.pin(1);
   EXPECT_TRUE(rig.cache.evict_lru_one());  // oldest unpinned: 2
   EXPECT_FALSE(rig.cache.valid(2));
   EXPECT_TRUE(rig.cache.valid(3));
-  const CachePin pin3 = rig.cache.pin(3);
+  const auto pin3 = rig.cache.pin(3);
   EXPECT_FALSE(rig.cache.evict_lru_one());  // everything left is pinned
   EXPECT_EQ(rig.cache.resident_samples(), 3u);
   EXPECT_TRUE(rig.cache.valid(0));

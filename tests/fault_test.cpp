@@ -23,6 +23,7 @@
 namespace {
 
 using dlfs::bench::EpochLog;
+using dlfs::bench::exactly_once;
 using dlfs::bench::read_epoch;
 using dlfs::bench::read_epoch_checked;
 using dlfs::hw::IoOp;
@@ -454,9 +455,37 @@ TEST(FaultInjection, ReplicatedViewsCrashServesFullEpoch) {
     EXPECT_EQ(inst.engine().bytes_copied(), 0u);
     EXPECT_EQ(inst.stats().bytes_zero_copy,
               std::uint64_t{ReplicaRig::kSamples} * 4096);
-    // Every lease is gone: the pin accounting is back to zero.
-    EXPECT_EQ(inst.stats().view_pins_active, 0u);
+    // Every lease is gone, and with it every slice: the pool is empty.
+    EXPECT_EQ(inst.pool().used_chunks(), 0u);
   }
+}
+
+TEST(FaultInjection, QueuedRetriesPostPastAChunklessPiece) {
+  // 16 KiB chunks, a 12-chunk pool and 32 units of read-ahead, with
+  // storage node 1 down before the epoch starts. Retries of node 1's
+  // reads come to hold every chunk, queued behind its reconnecting
+  // queue, while the head piece still needs a chunk. The pool-pressure
+  // step used to throw "pool exhausted" from the prefetch daemon (at
+  // 18.17 ms): the pieces that hold their buffer must post past the
+  // head piece, and the epoch complete from the replicas.
+  auto cfg = ReplicaRig::cfg(2, dlfs::core::BatchingMode::kChunkLevel);
+  cfg.chunk_bytes = 16_KiB;
+  cfg.pool_bytes = 12 * 16_KiB;
+  cfg.prefetch.initial_units = 32;
+  ReplicaRig rig(cfg);
+  auto& inst = rig.fleet.instance(0);
+  ASSERT_NE(rig.fleet.target(1), nullptr);
+  rig.fleet.target(1)->crash();
+  inst.sequence(1);
+  EpochLog log;
+  rig.sim.spawn(read_epoch_checked(inst, rig.ds, 16, log), "pool-bound-epoch");
+  rig.sim.run_watchdog(rig.sim.now() + 2_sec);
+  rig.sim.rethrow_failures();
+  EXPECT_TRUE(log.content_ok);
+  EXPECT_TRUE(exactly_once({&log, 1}, ReplicaRig::kSamples));
+  EXPECT_EQ(log.skipped, 0u);
+  EXPECT_EQ(inst.engine().nodes_down(), 1u);
+  EXPECT_EQ(inst.pool().used_chunks(), 0u);
 }
 
 // What one bread (or bread_views) of a test delivered, and how long it
@@ -935,7 +964,7 @@ TEST(SelfHealing, ViewPinnedChunksSurviveCrashAndRepair) {
   EXPECT_EQ(first_served + rest.order.size(), SelfHealRig::kSamples);
   EXPECT_EQ(first_skipped + rest.skipped, 0u);
   EXPECT_GT(inst.stats().samples_rereplicated, 0u);
-  EXPECT_EQ(inst.stats().view_pins_active, 0u);
+  EXPECT_EQ(inst.pool().used_chunks(), 0u);
 }
 
 TEST(SelfHealing, ShardedDirectoryInvalidatesStaleRowsAfterRepair) {

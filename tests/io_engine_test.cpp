@@ -21,7 +21,6 @@
 
 namespace {
 
-using dlfs::core::CachePin;
 using dlfs::core::CopyJob;
 using dlfs::core::IoEngine;
 using dlfs::core::IoEngineConfig;
@@ -94,8 +93,7 @@ struct EngineRig {
       }
       dlsim::CountdownLatch copied(sim, 0);
       CopyJob job;
-      job.owned_pieces = ops[i]->take_buffers();
-      job.piece_lens = dlfs::core::piece_lens_of(reads[i].len, cfg.chunk_bytes);
+      job.src = ops[i]->take_buffers();
       job.dst = reads[i].dst;
       job.cache_sample_id = reads[i].cache_sample_id;
       job.origin = &core;
@@ -219,6 +217,35 @@ TEST(IoEngine, TakeBuffersHandsOverChunkSplitPieces) {
   EXPECT_EQ(std::memcmp(buffers[0].data(), want.data(), want.size()), 0);
 }
 
+TEST(IoEngine, LandedPiecesAreTrimmedToTheirBytes) {
+  // A 2.5-chunk extent lands as one chunk, one chunk and half a chunk:
+  // each buffer holds exactly its piece's bytes of its own pool chunk.
+  EngineRig rig;
+  const std::uint64_t chunk = rig.cfg.chunk_bytes;
+  std::vector<dlfs::mem::DmaBuffer> buffers;
+  std::size_t used = 0;
+  rig.sim.spawn([](EngineRig& r, std::vector<dlfs::mem::DmaBuffer>* out,
+                   std::size_t* used) -> Task<void> {
+    const auto len = static_cast<std::uint32_t>(r.cfg.chunk_bytes * 5 / 2);
+    auto op = r.engine->start_extent(ReadExtent{0, 0, len});
+    co_await r.engine->await_op(r.core, op);
+    *out = op->take_buffers();
+    *used = r.pool.used_chunks();
+  }(rig, &buffers, &used));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  ASSERT_EQ(buffers.size(), 3u);
+  EXPECT_EQ(buffers[0].size(), chunk);
+  EXPECT_EQ(buffers[1].size(), chunk);
+  EXPECT_EQ(buffers[2].size(), chunk / 2);
+  for (const dlfs::mem::DmaBuffer& b : buffers) EXPECT_FALSE(b.shared());
+  EXPECT_EQ(used, 3u);
+  EXPECT_EQ(rig.pool.used_chunks(), 3u);
+  std::vector<std::byte> want(chunk / 2);
+  rig.devices[0]->store().read(2 * chunk, want);
+  EXPECT_EQ(std::memcmp(buffers[2].data(), want.data(), want.size()), 0);
+}
+
 TEST(IoEngine, AwaitOpReturnsBeforeLaterExtentLands) {
   // Two extents from one start_extents call on one device: awaiting op 0
   // returns with its buffers while op 1 is still in flight, so a consumer
@@ -310,9 +337,10 @@ TEST(IoEngine, CacheInsertionSetsVBit) {
   std::vector<std::byte> dst(4096);
   rig.read({RigRead{0, 0, 4096, dst.data(), /*cache_sample_id=*/7}});
   EXPECT_TRUE(rig.cache.valid(7));
-  const CachePin pin = rig.cache.pin(7);
-  ASSERT_EQ(pin.spans.size(), 1u);
-  EXPECT_EQ(pin.spans[0].size(), 4096u);
+  const std::vector<dlfs::mem::DmaBuffer> pin = rig.cache.pin(7);
+  ASSERT_EQ(pin.size(), 1u);
+  EXPECT_EQ(pin[0].size(), 4096u);
+  EXPECT_TRUE(rig.cache.pin(8).empty());  // not resident
 }
 
 TEST(IoEngine, CopyThreadsAccrueBusyTime) {

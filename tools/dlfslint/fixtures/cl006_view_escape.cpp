@@ -1,11 +1,11 @@
 // dlfslint fixture: CL006 — view/span escape.
 //
 // Spans handed out by bread_views / ViewBatch::samples[i].pieces borrow
-// chunks pinned by the prefetcher; the lease (ViewLease or the next
-// bread_views call) releases the pins and the pool scribbles the bytes
-// (scribble_on_free). Any span stored into state that outlives the
-// lease — a member, a static, a member container — is a use-after-free
-// waiting for the next recycle. Copy the bytes instead.
+// the batch's slices of pool chunks; the lease (ViewLease, or
+// release_views) drops the slices, and the pool scribbles a chunk its
+// last buffer left (scribble_on_free). Any span stored into state that
+// outlives the lease — a member, a static, a member container — is a
+// use-after-free waiting for the next recycle. Copy the bytes instead.
 //
 // Fixtures are scanned, never compiled.
 
